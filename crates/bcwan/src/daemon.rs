@@ -9,9 +9,12 @@
 //! periods upon each block arrival", which separates Fig. 5 from Fig. 6.
 
 use crate::costs::CostModel;
-use bcwan_chain::{Block, BlockAction, Chain, ChainError, Mempool, MempoolError, Transaction};
+use bcwan_chain::{
+    Block, BlockAction, Chain, ChainError, Mempool, MempoolError, SigCache, Transaction,
+};
 use bcwan_p2p::RelayState;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
+use std::sync::Arc;
 
 /// Statistics the daemon accumulates.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -57,16 +60,32 @@ impl Daemon {
     /// signature cache, so scripts verified at admission are not re-run
     /// when the containing block connects.
     pub fn new(chain: Chain) -> Self {
-        let mempool = Mempool::with_cache(chain.sig_cache().clone());
+        let cache = chain.sig_cache().clone();
+        Self::with_sig_cache(chain, cache)
+    }
+
+    /// [`Daemon::new`] with the verification memo handed in: chain and
+    /// mempool are both bound to `cache` (which the simulator shares
+    /// across all of its hosts).
+    pub fn with_sig_cache(chain: Chain, cache: Arc<SigCache>) -> Self {
         Daemon {
-            chain,
-            mempool,
+            chain: chain.with_sig_cache(cache.clone()),
+            mempool: Mempool::with_cache(cache),
             relay: RelayState::new(),
             busy_until: SimTime::ZERO,
             stats: DaemonStats::default(),
             last_connected: Vec::new(),
             last_disconnected: Vec::new(),
         }
+    }
+
+    /// Replaces the chain (a warm restart reopened it from its store),
+    /// binding the newcomer to the memo the outgoing chain and the
+    /// mempool share — a reopened chain arrives with a fresh private
+    /// cache, and leaving it would split admission from connect.
+    pub fn replace_chain(&mut self, chain: Chain) {
+        let cache = self.chain.sig_cache().clone();
+        self.chain = chain.with_sig_cache(cache);
     }
 
     /// Accumulated statistics.
@@ -129,13 +148,19 @@ impl Daemon {
             self.stats.total_stall += stall;
         }
         let done = self.occupy(now, stall);
-        let transactions = block.transactions.clone();
+        let hash = block.hash();
         let result = self.chain.add_block(block);
         match result {
             Ok(BlockAction::Extended(_)) => {
                 self.stats.blocks_accepted += 1;
-                self.mempool.remove_confirmed(&transactions);
-                self.last_connected = transactions;
+                let (block, txids) = self
+                    .chain
+                    .block(&hash)
+                    .zip(self.chain.block_txids(&hash))
+                    .expect("extended with this block");
+                self.mempool
+                    .remove_confirmed_ids(&block.transactions, txids);
+                self.last_connected = block.transactions.clone();
                 self.last_disconnected = Vec::new();
             }
             Ok(BlockAction::Reorganized { .. }) => {
@@ -311,6 +336,158 @@ mod tests {
         assert_eq!(result.unwrap(), 10);
         assert_eq!(daemon.stats().txs_accepted, 1);
         assert_eq!(daemon.mempool.len(), 1);
+    }
+
+    /// `n` daemons on one bootstrapped chain (genesis coin matured),
+    /// all bound to one verification memo — the simulator's wiring.
+    fn shared_memo_fleet(n: usize) -> (Vec<Daemon>, Wallet, Arc<SigCache>) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let wallet = Wallet::generate(&mut rng);
+        let params = ChainParams::fast_test();
+        let genesis = Chain::make_genesis(&params, &[(wallet.address(), 10_000)]);
+        let cache = Arc::new(SigCache::default());
+        let mut daemons: Vec<Daemon> = (0..n)
+            .map(|_| {
+                let chain = Chain::new(params.clone(), genesis.clone());
+                Daemon::with_sig_cache(chain, cache.clone())
+            })
+            .collect();
+        let mut rng = SimRng::seed_from_u64(3);
+        for i in 0..params.coinbase_maturity {
+            let block = next_block(&daemons[0], &[i as u8]);
+            for d in &mut daemons {
+                d.accept_block(SimTime::ZERO, block.clone(), &mut rng)
+                    .1
+                    .unwrap();
+            }
+        }
+        (daemons, wallet, cache)
+    }
+
+    fn spend_genesis_coin(daemon: &Daemon, wallet: &Wallet, value: u64) -> Transaction {
+        let cb = &daemon.chain.block_at(0).unwrap().transactions[0];
+        let coin = bcwan_chain::OutPoint {
+            txid: cb.txid(),
+            vout: 0,
+        };
+        wallet.build_payment(
+            vec![(coin, wallet.locking_script())],
+            vec![TxOut {
+                value,
+                script_pubkey: Script::new(),
+            }],
+            0,
+        )
+    }
+
+    #[test]
+    fn shared_memo_never_admits_what_a_host_must_refuse() {
+        let (mut daemons, wallet, cache) = shared_memo_fleet(3);
+        let costs = CostModel::pi_class();
+        let t = spend_genesis_coin(&daemons[0], &wallet, 9_990);
+
+        // Host A verifies T: the one script run of this whole test.
+        let [a, b, c] = &mut daemons[..] else {
+            unreachable!()
+        };
+        a.accept_transaction(SimTime::ZERO, t.clone(), &costs)
+            .1
+            .unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+
+        // T with one signature byte flipped has a different key: host B
+        // runs the script itself and refuses. (Byte 0 of the unlocking
+        // script is the signature's push length; byte 9 is inside it.)
+        let mut forged = t.clone();
+        let mut sig = forged.inputs[0].script_sig.to_bytes();
+        sig[9] ^= 0x01;
+        forged.inputs[0].script_sig = Script::from_bytes(&sig).unwrap();
+        let refused = b.accept_transaction(SimTime::ZERO, forged, &costs).1;
+        assert!(
+            matches!(
+                refused,
+                Err(MempoolError::Invalid(
+                    bcwan_chain::TxError::ScriptFailed { .. }
+                ))
+            ),
+            "{refused:?}"
+        );
+        assert!(b.mempool.is_empty());
+
+        // T itself is a memo hit on B — admitted without a second run.
+        b.accept_transaction(SimTime::ZERO, t.clone(), &costs)
+            .1
+            .unwrap();
+        assert_eq!(cache.hits(), 1, "B found T already verified");
+
+        // Host C's chain spent the coin differently, so its view lacks
+        // T's input: the memo holds T's key, and C still refuses —
+        // input existence is checked per host, before any script.
+        let rival = spend_genesis_coin(c, &wallet, 9_000);
+        let mut block = next_block(c, b"rival");
+        block = Block::mine(
+            block.header.prev_hash,
+            block.header.time_us,
+            block.header.bits,
+            vec![block.transactions[0].clone(), rival],
+        );
+        let mut rng = SimRng::seed_from_u64(8);
+        c.accept_block(SimTime::ZERO, block, &mut rng).1.unwrap();
+        let refused = c.accept_transaction(SimTime::ZERO, t, &costs).1;
+        assert!(
+            matches!(
+                refused,
+                Err(MempoolError::Invalid(bcwan_chain::TxError::MissingInput(_)))
+            ),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
+    fn replaced_chain_keeps_admission_warming_connect() {
+        // Regression: a warm restart swapped in the reopened chain with
+        // its fresh private cache while the mempool kept the old one, so
+        // admission no longer warmed connect on that host.
+        let dir = std::env::temp_dir().join(format!("bcwan-daemon-rebind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(5);
+        let wallet = Wallet::generate(&mut rng);
+        let mut params = ChainParams::fast_test();
+        params.coinbase_maturity = 0;
+        let genesis = Chain::make_genesis(&params, &[(wallet.address(), 10_000)]);
+        let store = bcwan_chain::StoreConfig::default();
+        let chain = Chain::create_with_store(params.clone(), genesis, &dir, store.clone()).unwrap();
+        let cache = Arc::new(SigCache::default());
+        let mut daemon = Daemon::with_sig_cache(chain, cache.clone());
+
+        // Crash and warm restart: the store reopens into a new `Chain`.
+        daemon.crash_restart(SimTime::ZERO);
+        let reopened = Chain::open_store(params, &dir, store).unwrap().chain;
+        assert!(!Arc::ptr_eq(reopened.sig_cache(), &cache));
+        daemon.replace_chain(reopened);
+        assert!(Arc::ptr_eq(daemon.chain.sig_cache(), &cache));
+
+        // Admit after the restart (the one script run), then connect
+        // the block that confirms it: a memo hit, not a second run.
+        let tx = spend_genesis_coin(&daemon, &wallet, 9_990);
+        daemon
+            .accept_transaction(SimTime::ZERO, tx.clone(), &CostModel::pi_class())
+            .1
+            .unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        let coinbase = next_block(&daemon, b"c").transactions[0].clone();
+        let block = Block::mine(
+            daemon.chain.tip(),
+            1,
+            daemon.chain.params().difficulty_bits,
+            vec![coinbase, tx],
+        );
+        let mut rng = SimRng::seed_from_u64(1);
+        let (_, action) = daemon.accept_block(SimTime::ZERO, block, &mut rng);
+        assert!(matches!(action, Ok(BlockAction::Extended(1))));
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert!(daemon.mempool.is_empty(), "confirmed tx left the pool");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -976,6 +976,35 @@ mod tests {
     }
 
     #[test]
+    fn replayed_coinbase_block_is_refused_not_a_panic() {
+        // What a TCP peer can send: a well-formed block whose coinbase
+        // is byte-identical to an earlier, still-unspent one. It used to
+        // pass validation and then panic `Chain::add_block`.
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 13);
+        fleet.mine(0);
+        let node = &mut fleet.nodes[0];
+        let earlier = node.daemon.chain.block_at(1).expect("mined").clone();
+        let replay = Block::mine(
+            node.daemon.chain.tip(),
+            2,
+            node.daemon.chain.params().difficulty_bits,
+            vec![earlier.transactions[0].clone()],
+        );
+        let reactions = node.handle(Envelope {
+            from: NodeId(1),
+            msg: WanMessage::Chain(ChainMessage::Block(replay)),
+        });
+        assert_eq!(node.height(), 1, "the replay did not connect");
+        assert!(
+            !reactions.iter().any(|o| matches!(
+                o,
+                Outbound::Flood(WanMessage::Chain(ChainMessage::Block(_)))
+            )),
+            "and was not relayed"
+        );
+    }
+
+    #[test]
     fn flood_dedup_terminates_gossip() {
         let mut fleet = Fleet::new(BusFleet::new(4), 4, 10);
         fleet.mine(0);

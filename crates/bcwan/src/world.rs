@@ -22,7 +22,8 @@ use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase};
 use crate::provisioning::{DeviceCredentials, DeviceId, DeviceRegistry};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
-    Block, BlockAction, Chain, ChainParams, OutPoint, Transaction, TxId, TxOut, Wallet,
+    Block, BlockAction, BlockHash, Chain, ChainParams, OutPoint, SigCache, Transaction, TxId,
+    TxOut, Wallet,
 };
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
 use bcwan_lora::airtime::time_on_air;
@@ -36,6 +37,7 @@ use bcwan_sim::{
     Series, SimDuration, SimRng, SimTime, Snapshot, SnapshotSeries, Tracer,
 };
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Workload and environment configuration.
 #[derive(Debug, Clone)]
@@ -346,7 +348,7 @@ enum Event {
     /// Node-side timeout: the data frame may have been lost; resend.
     DataTimeout { exchange: usize, attempt: u32 },
     /// A WAN message arrived at a host.
-    Wan(Delivery<WanMessage>),
+    Wan(Delivery<Arc<Parcel>>),
     /// The master assembles and broadcasts the next block.
     MineTick,
     /// A per-exchange FSM deadline expired. `seq` is the stamp the
@@ -355,6 +357,45 @@ enum Event {
     FsmDeadline { exchange: usize, seq: u32 },
     /// A crashed host comes back up (end of a chaos crash window).
     ChaosRestart { host: u32 },
+}
+
+/// A WAN message as the simulator carries it: stamped once where it
+/// originates with what every hop would otherwise recompute, then shared
+/// by all copies in flight — fan-out is a refcount bump, and a duplicate
+/// delivery costs a hash-set probe on `id` instead of a serialization
+/// and a double SHA-256. Hosts are simulated in one address space, so
+/// sharing the bytes changes nothing a host can observe.
+#[derive(Debug)]
+struct Parcel {
+    msg: WanMessage,
+    /// Flood-dedup id (txid or block hash); `None` for request/response
+    /// traffic, which is never re-flooded.
+    id: Option<[u8; 32]>,
+    wire_size: usize,
+}
+
+impl Parcel {
+    fn new(msg: WanMessage) -> Arc<Self> {
+        let id = match &msg {
+            WanMessage::Chain(cm) => cm.flood_id(),
+            WanMessage::Deliver { .. } => None,
+        };
+        let wire_size = msg.wire_size();
+        Arc::new(Parcel { msg, id, wire_size })
+    }
+
+    fn tx(tx: Transaction) -> Arc<Self> {
+        Self::new(WanMessage::Chain(ChainMessage::Tx(tx)))
+    }
+
+    fn block(block: Block) -> Arc<Self> {
+        Self::new(WanMessage::Chain(ChainMessage::Block(block)))
+    }
+
+    /// The stamped id of a transaction or block parcel.
+    fn flood_id(&self) -> [u8; 32] {
+        self.id.expect("transaction and block parcels carry an id")
+    }
 }
 
 /// State of one in-flight exchange.
@@ -415,7 +456,7 @@ struct Host {
     /// refund, or orphaning thereof in O(inputs).
     settle_watch: HashMap<OutPoint, usize>,
     /// Blocks whose parent has not arrived yet, keyed by parent hash.
-    orphans: HashMap<bcwan_chain::BlockHash, Vec<Block>>,
+    orphans: HashMap<BlockHash, Vec<Arc<Parcel>>>,
     /// When this host last asked a peer for missing blocks
     /// (rate-limits orphan-triggered sync requests).
     last_sync_req: Option<SimTime>,
@@ -559,6 +600,10 @@ pub struct World {
     restarts_warm: u64,
     restarts_cold: u64,
     timeline: Option<SnapshotSeries>,
+    /// The one verification memo every host's chain and mempool consult:
+    /// a spend is script-verified once per run, however many hosts admit
+    /// and connect it. Per-host context checks are untouched.
+    sig_cache: Arc<SigCache>,
 }
 
 impl World {
@@ -632,6 +677,7 @@ impl World {
         }
 
         // Hosts share the bootstrapped chain.
+        let sig_cache = Arc::new(SigCache::default());
         let mut hosts: Vec<Host> = Vec::with_capacity(n_hosts);
         for (i, wallet) in wallets.into_iter().enumerate() {
             let chain = match &cfg.store_dir {
@@ -645,7 +691,7 @@ impl World {
             let directory = Directory::from_chain(&chain);
             hosts.push(Host {
                 wallet,
-                daemon: Daemon::new(chain),
+                daemon: Daemon::with_sig_cache(chain, sig_cache.clone()),
                 directory,
                 registry: DeviceRegistry::new(),
                 reserved: HashSet::new(),
@@ -763,6 +809,7 @@ impl World {
             restarts_warm: 0,
             restarts_cold: 0,
             timeline,
+            sig_cache,
             cfg,
         }
     }
@@ -859,24 +906,11 @@ impl World {
         reg.set_counter("mempool.rejected_invalid_total", pool.rejected_invalid);
         reg.set_counter("mempool.evicted_total", pool.evicted);
 
-        // Fleet-wide sigcache totals (mempool admission warms block
-        // connect): ECDSA spends under validate.sigcache.*, escrow
-        // OP_CHECKRSA512PAIR spends under validate.sigcache.rsa.*.
-        let sig = self.hosts.iter().map(|h| h.daemon.chain.sig_cache()).fold(
-            (0u64, 0u64, 0u64, 0u64),
-            |acc, c| {
-                (
-                    acc.0 + c.hits(),
-                    acc.1 + c.misses(),
-                    acc.2 + c.rsa_hits(),
-                    acc.3 + c.rsa_misses(),
-                )
-            },
-        );
-        reg.set_counter("validate.sigcache.hit", sig.0);
-        reg.set_counter("validate.sigcache.miss", sig.1);
-        reg.set_counter("validate.sigcache.rsa.hit", sig.2);
-        reg.set_counter("validate.sigcache.rsa.miss", sig.3);
+        // The world-shared memo, folded once: a miss is a distinct
+        // script verification (ECDSA spends under validate.sigcache.*,
+        // escrow OP_CHECKRSA512PAIR spends under validate.sigcache.rsa.*),
+        // a hit is a host that found the spend already verified.
+        self.sig_cache.export(reg);
 
         let net = self.network.stats();
         reg.set_counter("net.sent_total", net.sent);
@@ -1070,12 +1104,18 @@ impl World {
     }
 
     /// Floods a chain message from `from` to all its peers.
-    fn flood(&mut self, queue: &mut EventQueue<Event>, at: SimTime, from: u32, msg: &WanMessage) {
-        let deliveries = self.network.broadcast(&mut self.rng, NodeId(from), msg);
+    fn flood(
+        &mut self,
+        queue: &mut EventQueue<Event>,
+        at: SimTime,
+        from: u32,
+        parcel: &Arc<Parcel>,
+    ) {
+        let deliveries = self.network.broadcast(&mut self.rng, NodeId(from), parcel);
         // Chaos: block propagation can be artificially delayed.
         let extra = if self.chaos.is_idle() {
             SimDuration::ZERO
-        } else if matches!(msg, WanMessage::Chain(ChainMessage::Block(_))) {
+        } else if matches!(parcel.msg, WanMessage::Chain(ChainMessage::Block(_))) {
             let d = self.chaos.block_delay(at);
             if d > SimDuration::ZERO {
                 self.registry.inc(self.chaos.meters().blocks_delayed);
@@ -1092,10 +1132,10 @@ impl World {
             copies += 1;
             queue.schedule_at(at + delay + extra, Event::Wan(delivery));
         }
-        self.count_wan(msg, copies);
+        self.count_wan(parcel, copies);
     }
 
-    /// Broadcasts `msg` to the peers whose host id has the given parity
+    /// Broadcasts `parcel` to the peers whose host id has the given parity
     /// only — the equivocator's tool for showing each half of the
     /// overlay a different claim. Draws the same per-delivery latency
     /// samples as a full [`Self::flood`], so the RNG stream (and with
@@ -1105,10 +1145,10 @@ impl World {
         queue: &mut EventQueue<Event>,
         at: SimTime,
         from: u32,
-        msg: &WanMessage,
+        parcel: &Arc<Parcel>,
         parity: u32,
     ) {
-        let deliveries = self.network.broadcast(&mut self.rng, NodeId(from), msg);
+        let deliveries = self.network.broadcast(&mut self.rng, NodeId(from), parcel);
         let mut copies = 0;
         for (delay, delivery) in deliveries {
             if delivery.to.0 % 2 != parity {
@@ -1120,7 +1160,7 @@ impl World {
             copies += 1;
             queue.schedule_at(at + delay, Event::Wan(delivery));
         }
-        self.count_wan(msg, copies);
+        self.count_wan(parcel, copies);
     }
 
     /// Whether chaos kills a message on the `from → to` overlay link at
@@ -1146,15 +1186,15 @@ impl World {
         false
     }
 
-    /// Accounts `copies` transmissions of `msg` by kind.
-    fn count_wan(&mut self, msg: &WanMessage, copies: usize) {
+    /// Accounts `copies` transmissions of `parcel` by kind.
+    fn count_wan(&mut self, parcel: &Parcel, copies: usize) {
         if copies == 0 {
             return;
         }
-        let k = msg.kind_index();
+        let k = parcel.msg.kind_index();
         self.registry.add(self.meters.wan_msgs[k], copies as u64);
         self.registry
-            .add(self.meters.wan_bytes[k], (msg.wire_size() * copies) as u64);
+            .add(self.meters.wan_bytes[k], (parcel.wire_size * copies) as u64);
     }
 
     /// Unicasts a WAN message over a direct TCP-like dial (the paper's
@@ -1172,7 +1212,7 @@ impl World {
     ) {
         if let Some((delay, delivery)) =
             self.network
-                .dial(&mut self.rng, NodeId(from), NodeId(to), msg)
+                .dial(&mut self.rng, NodeId(from), NodeId(to), Parcel::new(msg))
         {
             if self.chaos_drops(at, from, to) {
                 return;
@@ -1532,7 +1572,7 @@ impl World {
     fn handle_wan(
         &mut self,
         now: SimTime,
-        delivery: Delivery<WanMessage>,
+        delivery: Delivery<Arc<Parcel>>,
         queue: &mut EventQueue<Event>,
     ) {
         let to = delivery.to.0;
@@ -1542,26 +1582,29 @@ impl World {
             self.registry.inc(self.chaos.meters().crash_drops);
             return;
         }
-        match delivery.msg {
+        let parcel = delivery.msg;
+        match &parcel.msg {
             WanMessage::Deliver {
                 device_id,
                 e_pk_bytes,
                 uplink,
-            } => self.handle_deliver(now, to, device_id, e_pk_bytes, uplink, queue),
-            WanMessage::Chain(ChainMessage::Tx(tx)) => self.handle_chain_tx(now, to, tx, queue),
-            WanMessage::Chain(ChainMessage::Block(block)) => {
-                self.handle_chain_block(now, to, block, queue)
+            } => self.handle_deliver(now, to, *device_id, e_pk_bytes, uplink, queue),
+            WanMessage::Chain(ChainMessage::Tx(tx)) => {
+                self.handle_chain_tx(now, to, &parcel, tx, queue)
+            }
+            WanMessage::Chain(ChainMessage::Block(_)) => {
+                self.handle_chain_block(now, to, parcel, queue)
             }
             WanMessage::Chain(ChainMessage::GetBlocksFrom(height)) => {
-                self.serve_blocks_from(now, to, delivery.from.0, height, queue)
+                self.serve_blocks_from(now, to, delivery.from.0, *height, queue)
             }
             WanMessage::Chain(ChainMessage::GetHeadersFrom(height)) => {
-                self.serve_headers_from(now, to, delivery.from.0, height, queue)
+                self.serve_headers_from(now, to, delivery.from.0, *height, queue)
             }
             WanMessage::Chain(ChainMessage::Headers {
                 start_height,
                 headers,
-            }) => self.handle_headers(now, to, start_height, headers, queue),
+            }) => self.handle_headers(now, to, *start_height, headers, queue),
             WanMessage::Chain(_) => { /* GetBlock/TipAnnounce unused here */ }
         }
     }
@@ -1628,14 +1671,14 @@ impl World {
         now: SimTime,
         to: u32,
         start_height: u64,
-        headers: Vec<bcwan_chain::BlockHeader>,
+        headers: &[bcwan_chain::BlockHeader],
         queue: &mut EventQueue<Event>,
     ) {
         let host = &mut self.hosts[to as usize];
         let Some(hs) = host.header_sync.as_mut() else {
             return; // stale batch from a finished or restarted sync
         };
-        let reqs = hs.on_headers(&host.daemon.chain, start_height, &headers);
+        let reqs = hs.on_headers(&host.daemon.chain, start_height, headers);
         if !hs.is_active() {
             host.header_sync = None;
         }
@@ -1670,11 +1713,11 @@ impl World {
         now: SimTime,
         to: u32,
         device_id: DeviceId,
-        e_pk_bytes: Vec<u8>,
-        uplink: SealedUplink,
+        e_pk_bytes: &[u8],
+        uplink: &SealedUplink,
         queue: &mut EventQueue<Event>,
     ) {
-        let Ok(e_pk) = RsaPublicKey::from_bytes(&e_pk_bytes) else {
+        let Ok(e_pk) = RsaPublicKey::from_bytes(e_pk_bytes) else {
             self.failed += 1;
             return;
         };
@@ -1707,7 +1750,7 @@ impl World {
             return;
         };
         // Step 8: authenticity.
-        if !verify_uplink(record, &e_pk, &uplink) {
+        if !verify_uplink(record, &e_pk, uplink) {
             self.abort_exchange(now, exchange);
             return;
         }
@@ -1754,14 +1797,13 @@ impl World {
             self.abort_exchange(admitted_at, exchange);
             return;
         }
-        host.daemon.relay.mark_seen(escrow_obj.tx.txid().0);
         self.tracer.record_span(
             "escrow_publish",
             admitted_at.saturating_duration_since(verified_at),
         );
         self.tracer
             .span_start("confirmation_wait", exchange as u64, admitted_at);
-        self.exchanges[exchange].uplink = Some(uplink);
+        self.exchanges[exchange].uplink = Some(uplink.clone());
         self.exchanges[exchange].escrow = Some(escrow_obj.clone());
         // The auditor watches the escrow from birth: any main-chain
         // spend of it is now classified and revenue-attributed.
@@ -1775,8 +1817,12 @@ impl World {
         let _ = self.exchanges[exchange]
             .fsm
             .apply(FsmEvent::EscrowPublished, admitted_at);
-        let msg = WanMessage::Chain(ChainMessage::Tx(escrow_obj.tx));
-        self.flood(queue, admitted_at, to, &msg);
+        let parcel = Parcel::tx(escrow_obj.tx);
+        self.hosts[to as usize]
+            .daemon
+            .relay
+            .mark_seen(parcel.flood_id());
+        self.flood(queue, admitted_at, to, &parcel);
         // The settlement watchdog takes over from here.
         self.arm_deadline(exchange, queue);
     }
@@ -1786,10 +1832,11 @@ impl World {
         &mut self,
         now: SimTime,
         to: u32,
-        tx: Transaction,
+        parcel: &Arc<Parcel>,
+        tx: &Transaction,
         queue: &mut EventQueue<Event>,
     ) {
-        let txid = tx.txid();
+        let txid = TxId(parcel.flood_id());
         let first = self.hosts[to as usize].daemon.relay.mark_seen(txid.0);
         if !first {
             // Seen before — but a reorg may have evicted it from the pool
@@ -1808,7 +1855,7 @@ impl World {
         // claim is exactly the transaction the pool rejects as a
         // conflict, and the recipient must still see it to know its
         // gateway equivocated.
-        self.detect_equivocation(to, &tx, queue);
+        self.detect_equivocation(to, tx, queue);
         let (done, result) = {
             let host = &mut self.hosts[to as usize];
             host.daemon
@@ -1817,14 +1864,13 @@ impl World {
         if result.is_err() {
             return; // double spends, orphans: dropped, not relayed
         }
-        // Re-flood.
-        let msg = WanMessage::Chain(ChainMessage::Tx(tx.clone()));
-        self.flood(queue, done, to, &msg);
+        // Re-flood the very parcel that arrived.
+        self.flood(queue, done, to, parcel);
 
         // Gateway reaction: is this an escrow paying one of my sessions?
-        self.gateway_check_escrow(done, to, &tx, queue);
+        self.gateway_check_escrow(done, to, tx, queue);
         // Recipient reaction: is this a claim revealing a key I await?
-        self.recipient_check_claim(done, to, &tx);
+        self.recipient_check_claim(done, to, tx);
     }
 
     /// The recipient's equivocation detector: a second *distinct*
@@ -1986,25 +2032,14 @@ impl World {
             if result.is_err() {
                 return;
             }
-            host.daemon.relay.mark_seen(claim.txid().0);
-            host.daemon.relay.mark_seen(rival.txid().0);
+            let (claim, rival) = (Parcel::tx(claim), Parcel::tx(rival));
+            host.daemon.relay.mark_seen(claim.flood_id());
+            host.daemon.relay.mark_seen(rival.flood_id());
             // Counted only once both conflicting claims are live: the
             // session is gone, so this path runs once per exchange.
             self.registry.inc(self.chaos.meters().equivocations);
-            self.flood_parity(
-                queue,
-                admitted,
-                to,
-                &WanMessage::Chain(ChainMessage::Tx(claim)),
-                0,
-            );
-            self.flood_parity(
-                queue,
-                admitted,
-                to,
-                &WanMessage::Chain(ChainMessage::Tx(rival)),
-                1,
-            );
+            self.flood_parity(queue, admitted, to, &claim, 0);
+            self.flood_parity(queue, admitted, to, &rival, 1);
             return;
         }
 
@@ -2017,9 +2052,9 @@ impl World {
             // the watchdog re-admits once the chain catches up.
             return;
         }
-        host.daemon.relay.mark_seen(claim.txid().0);
-        let msg = WanMessage::Chain(ChainMessage::Tx(claim));
-        self.flood(queue, admitted, to, &msg);
+        let parcel = Parcel::tx(claim);
+        host.daemon.relay.mark_seen(parcel.flood_id());
+        self.flood(queue, admitted, to, &parcel);
     }
 
     /// The recipient spots the claim spending its escrow and decrypts.
@@ -2083,22 +2118,25 @@ impl World {
         &mut self,
         now: SimTime,
         to: u32,
-        block: Block,
+        parcel: Arc<Parcel>,
         queue: &mut EventQueue<Event>,
     ) {
         {
             let host = &mut self.hosts[to as usize];
-            if !host.daemon.relay.mark_seen(block.hash().0) {
+            if !host.daemon.relay.mark_seen(parcel.flood_id()) {
                 return;
             }
         }
         // Blocks can arrive out of order over the WAN; buffer orphans and
         // connect them once their parent lands (the paper's nodes
         // re-sync; this is the event-driven equivalent).
-        let mut pending = vec![block];
+        let mut pending = vec![parcel];
         let mut at = now;
-        while let Some(block) = pending.pop() {
-            let hash = block.hash();
+        while let Some(parcel) = pending.pop() {
+            let WanMessage::Chain(ChainMessage::Block(block)) = &parcel.msg else {
+                unreachable!("only block parcels are queued here");
+            };
+            let hash = BlockHash(parcel.flood_id());
             let (done, action) = {
                 let host = &mut self.hosts[to as usize];
                 let mut rng = host.rng.fork(0xb10c ^ u64::from(to));
@@ -2110,7 +2148,7 @@ impl World {
                         .orphans
                         .entry(parent)
                         .or_default()
-                        .push(block);
+                        .push(parcel);
                     // A parent gap means this host missed gossip (crash,
                     // partition, kill): ask the master to fill it in,
                     // rate-limited so a burst of orphans asks once.
@@ -2131,8 +2169,7 @@ impl World {
                 }
             }
             // Re-flood the block.
-            let msg = WanMessage::Chain(ChainMessage::Block(block));
-            self.flood(queue, done, to, &msg);
+            self.flood(queue, done, to, &parcel);
 
             // Confirmation-depth gateways: check their waiting escrows.
             self.gateway_check_confirmations(done, to, queue);
@@ -2437,7 +2474,7 @@ impl World {
                     bcwan_chain::StoreConfig::default(),
                 ) {
                     Ok(opened) => {
-                        h.daemon.chain = opened.chain;
+                        h.daemon.replace_chain(opened.chain);
                         h.directory = Directory::from_chain(&h.daemon.chain);
                         warm = true;
                     }
@@ -2718,7 +2755,7 @@ impl World {
         h.daemon.relay.forget(&txid.0);
         h.daemon.relay.mark_seen(txid.0);
         self.registry.inc(self.meters.rebroadcasts);
-        self.flood(queue, at, host, &WanMessage::Chain(ChainMessage::Tx(tx)));
+        self.flood(queue, at, host, &Parcel::tx(tx));
     }
 
     fn handle_mine_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
@@ -2828,12 +2865,12 @@ impl World {
             if miner != 0 {
                 self.standby_blocks_mined += 1;
             }
+            let parcel = Parcel::block(block);
             self.hosts[miner as usize]
                 .daemon
                 .relay
-                .mark_seen(block.hash().0);
-            let msg = WanMessage::Chain(ChainMessage::Block(block));
-            self.flood(queue, done, miner, &msg);
+                .mark_seen(parcel.flood_id());
+            self.flood(queue, done, miner, &parcel);
             if miner != 0 {
                 // A standby miner is also a protocol actor (recipient or
                 // gateway). Its own blocks never echo back through the
@@ -2900,13 +2937,13 @@ impl World {
             if miner != 0 {
                 self.standby_blocks_mined += 1;
             }
+            let parcel = Parcel::block(block);
             self.hosts[miner as usize]
                 .daemon
                 .relay
-                .mark_seen(block.hash().0);
+                .mark_seen(parcel.flood_id());
             self.apply_settlements(done, miner, queue);
-            let msg = WanMessage::Chain(ChainMessage::Block(block));
-            self.flood(queue, done, miner, &msg);
+            self.flood(queue, done, miner, &parcel);
         }
         if miner == 0 {
             self.audit_master();
@@ -3260,6 +3297,18 @@ mod tests {
         assert!(counter("chain.blocks_connected_total") > 0);
         assert!(counter("mempool.accepted_total") >= 2 * result.completed as u64);
         assert!(counter("net.delivered_total") > 0);
+        // The world-shared memo is folded once, so a miss is a *distinct*
+        // script verification: one ECDSA spend (the escrow) and one
+        // RSA-pair spend (the claim) per exchange, however many hosts
+        // admitted and connected them; every other lookup is a hit.
+        assert_eq!(result.failed, 0);
+        assert_eq!(counter("validate.sigcache.miss"), result.completed as u64);
+        assert_eq!(
+            counter("validate.sigcache.rsa.miss"),
+            result.completed as u64
+        );
+        assert!(counter("validate.sigcache.hit") > counter("validate.sigcache.miss"));
+        assert!(counter("validate.sigcache.rsa.hit") > counter("validate.sigcache.rsa.miss"));
         let (_, latency) = result
             .metrics
             .histograms

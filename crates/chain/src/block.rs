@@ -1,7 +1,7 @@
 //! Blocks, headers, and proof-of-work.
 
 use crate::merkle::merkle_root;
-use crate::tx::Transaction;
+use crate::tx::{Transaction, TxId};
 use bcwan_crypto::sha256d;
 use std::fmt;
 
@@ -138,6 +138,24 @@ impl Block {
             .iter()
             .map(Transaction::size)
             .sum::<usize>()
+    }
+
+    /// Every transaction's id, in block order, plus the block's
+    /// serialized size — one serialization per transaction. Block
+    /// connect computes this once and threads the ids through the merkle
+    /// check, the UTXO overlay, the coins cache and the mempool.
+    pub fn txids_and_size(&self) -> (Vec<TxId>, usize) {
+        let mut size = 88;
+        let txids = self
+            .transactions
+            .iter()
+            .map(|tx| {
+                let (txid, tx_size) = tx.txid_and_size();
+                size += tx_size;
+                txid
+            })
+            .collect();
+        (txids, size)
     }
 
     /// Recomputes the merkle root from the transactions and compares with

@@ -3,15 +3,15 @@
 use crate::block::{Block, BlockHash};
 use crate::params::ChainParams;
 use crate::store::{ChainStore, CoinsCache, Probe, StoreConfig, StoreError, StoreStats};
-use crate::tx::{Transaction, TxOut};
+use crate::tx::{txids_of, OutPoint, Transaction, TxId, TxOut};
 use crate::utxo::{UndoData, UtxoSet};
-use crate::validate::{validate_block_with, BlockError, BlockValidationOptions, SigCache};
+use crate::validate::{validate_block_txids, BlockError, BlockValidationOptions, SigCache};
 use crate::wallet::Address;
 use bcwan_script::templates::p2pkh;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What happened when a block was submitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +58,27 @@ impl std::error::Error for ChainError {}
 struct StoredBlock {
     block: Block,
     height: u64,
+    /// `block.transactions[i].txid()`, hashed at most once per stored
+    /// block: validation, connect, disconnect and transaction lookup
+    /// all reuse them. Filled by connect (which needs them anyway) or on
+    /// first use, so reopening a store or shelving a side-chain block
+    /// hashes nothing.
+    txids: OnceLock<Vec<TxId>>,
+}
+
+impl StoredBlock {
+    fn new(block: Block, height: u64) -> Self {
+        StoredBlock {
+            block,
+            height,
+            txids: OnceLock::new(),
+        }
+    }
+
+    fn txids(&self) -> &[TxId] {
+        self.txids
+            .get_or_init(|| txids_of(&self.block.transactions))
+    }
 }
 
 /// The transactions moved by a reorganization, in connect order, so the
@@ -172,18 +193,13 @@ impl Chain {
     /// in Bitcoin, where genesis is hard-coded).
     pub fn new(params: ChainParams, genesis: Block) -> Self {
         let hash = genesis.hash();
+        let genesis = StoredBlock::new(genesis, 0);
         let mut coins = CoinsCache::new();
         let undo_data = coins
-            .apply_block(&genesis.transactions, 0)
+            .apply_block(&genesis.block.transactions, genesis.txids(), 0)
             .expect("genesis applies to empty set");
         let mut blocks = HashMap::new();
-        blocks.insert(
-            hash,
-            StoredBlock {
-                block: genesis,
-                height: 0,
-            },
-        );
+        blocks.insert(hash, genesis);
         let mut undo = HashMap::new();
         undo.insert(hash, undo_data);
         Chain {
@@ -261,7 +277,7 @@ impl Chain {
                     .height
                     + 1
             };
-            blocks.insert(hash, StoredBlock { block, height });
+            blocks.insert(hash, StoredBlock::new(block, height));
         }
 
         // Main chain: walk back from the committed tip.
@@ -300,7 +316,7 @@ impl Chain {
                 while main.get(h as usize) != Some(&cur) {
                     let stored = blocks.get(&cur)?;
                     let u = loaded.undo.get(&cur)?;
-                    cache.undo_block(&stored.block.transactions, u);
+                    cache.undo_block(&stored.block.transactions, stored.txids(), u);
                     undone += 1;
                     cur = stored.block.header.prev_hash;
                     h = h.checked_sub(1)?;
@@ -310,7 +326,7 @@ impl Chain {
             for hash in &main[(h + 1) as usize..] {
                 let stored = blocks.get(hash).expect("main block indexed");
                 cache
-                    .apply_block(&stored.block.transactions, stored.height)
+                    .apply_block(&stored.block.transactions, stored.txids(), stored.height)
                     .ok()?;
                 rolled_forward += 1;
             }
@@ -327,7 +343,7 @@ impl Chain {
                 for hash in &main {
                     let stored = blocks.get(hash).expect("main block indexed");
                     cache
-                        .apply_block(&stored.block.transactions, stored.height)
+                        .apply_block(&stored.block.transactions, stored.txids(), stored.height)
                         .map_err(|e| {
                             StoreError::Corrupt(format!("reindex failed at {hash}: {e}"))
                         })?;
@@ -427,6 +443,17 @@ impl Chain {
         &self.sig_cache
     }
 
+    /// Replaces the chain's private signature cache with `cache`, so
+    /// several chains (and their mempools) consult one memo of verified
+    /// spends. Sound for any set of chains the caller trusts equally:
+    /// entries are content-keyed successes only, and every context check
+    /// still runs against this chain's own UTXO view. The simulator
+    /// shares one cache across its hosts; live nodes keep the default.
+    pub fn with_sig_cache(mut self, cache: Arc<SigCache>) -> Self {
+        self.sig_cache = cache;
+        self
+    }
+
     /// Validation options for connecting blocks to this chain.
     fn validation_options(&self) -> BlockValidationOptions<'_> {
         BlockValidationOptions {
@@ -488,6 +515,12 @@ impl Chain {
         self.blocks.get(hash).map(|s| &s.block)
     }
 
+    /// A stored block's transaction ids, in block order (hashed once
+    /// per stored block, then kept).
+    pub fn block_txids(&self, hash: &BlockHash) -> Option<&[TxId]> {
+        self.blocks.get(hash).map(StoredBlock::txids)
+    }
+
     /// Height of a block if it is on the main chain.
     pub fn main_chain_height(&self, hash: &BlockHash) -> Option<u64> {
         let stored = self.blocks.get(hash)?;
@@ -516,11 +549,9 @@ impl Chain {
     /// height. Linear scan — fine at simulation scale.
     pub fn find_transaction(&self, txid: &crate::tx::TxId) -> Option<(u64, &Transaction)> {
         for (height, hash) in self.main.iter().enumerate() {
-            let block = &self.blocks.get(hash).expect("stored").block;
-            for tx in &block.transactions {
-                if tx.txid() == *txid {
-                    return Some((height as u64, tx));
-                }
+            let stored = self.blocks.get(hash).expect("stored");
+            if let Some(i) = stored.txids().iter().position(|id| id == txid) {
+                return Some((height as u64, &stored.block.transactions[i]));
             }
         }
         None
@@ -546,23 +577,16 @@ impl Chain {
 
         if parent_hash == self.tip() {
             // Fast path: extending the best chain.
-            self.prefetch_inputs(&block);
-            validate_block_with(
-                &block,
-                self.coins.set(),
+            let (txids, size) = block.txids_and_size();
+            let stored = StoredBlock {
+                block,
                 height,
-                &self.params,
-                &self.validation_options(),
-            )
-            .map_err(ChainError::Invalid)?;
-            let undo = self
-                .coins
-                .apply_block(&block.transactions, height)
-                .expect("validated block applies");
+                txids: OnceLock::from(txids),
+            };
+            let undo = self.connect(&stored, size).map_err(ChainError::Invalid)?;
             self.undo.insert(hash, undo);
             self.main.push(hash);
-            self.stats.connect(&block);
-            self.blocks.insert(hash, StoredBlock { block, height });
+            self.blocks.insert(hash, stored);
             self.persist_connected(&[hash]);
             return Ok(BlockAction::Extended(height));
         }
@@ -570,7 +594,7 @@ impl Chain {
         // Side-chain block: store, then check whether its branch is now
         // strictly longer than the main chain (same per-block work, so
         // longest = most work).
-        self.blocks.insert(hash, StoredBlock { block, height });
+        self.blocks.insert(hash, StoredBlock::new(block, height));
         if height <= self.height() {
             return Ok(BlockAction::SideChain);
         }
@@ -602,33 +626,25 @@ impl Chain {
             let hash = self.main.pop().expect("non-empty");
             let stored = self.blocks.get(&hash).expect("stored");
             let undo = self.undo.remove(&hash).expect("undo kept for main blocks");
-            self.coins.undo_block(&stored.block.transactions, &undo);
+            self.coins
+                .undo_block(&stored.block.transactions, stored.txids(), &undo);
             self.stats.blocks_disconnected += 1;
             disconnected.push(hash);
         }
 
         // Connect the new branch, validating each block.
         let mut connected = 0usize;
-        for (i, hash) in branch.iter().enumerate() {
-            let height = fork_height + 1 + i as u64;
-            let block = self.blocks.get(hash).expect("stored").block.clone();
-            self.prefetch_inputs(&block);
-            let validated = validate_block_with(
-                &block,
-                self.coins.set(),
-                height,
-                &self.params,
-                &self.validation_options(),
-            );
+        for hash in &branch {
+            // Taken out of the index while it connects, so the block is
+            // borrowed, not cloned, next to `&mut self`.
+            let stored = self.blocks.remove(hash).expect("stored");
+            let size = stored.block.size();
+            let validated = self.connect(&stored, size);
+            self.blocks.insert(*hash, stored);
             match validated {
-                Ok(()) => {
-                    let undo = self
-                        .coins
-                        .apply_block(&block.transactions, height)
-                        .expect("validated block applies");
+                Ok(undo) => {
                     self.undo.insert(*hash, undo);
                     self.main.push(*hash);
-                    self.stats.connect(&block);
                     connected += 1;
                 }
                 Err(e) => {
@@ -637,15 +653,14 @@ impl Chain {
                         let h = self.main.pop().expect("non-empty");
                         let stored = self.blocks.get(&h).expect("stored");
                         let undo = self.undo.remove(&h).expect("undo");
-                        self.coins.undo_block(&stored.block.transactions, &undo);
+                        self.coins
+                            .undo_block(&stored.block.transactions, stored.txids(), &undo);
                     }
                     for hash in disconnected.iter().rev() {
                         let stored = self.blocks.get(hash).expect("stored");
-                        let block = stored.block.clone();
-                        let height = stored.height;
                         let undo = self
                             .coins
-                            .apply_block(&block.transactions, height)
+                            .apply_block(&stored.block.transactions, stored.txids(), stored.height)
                             .expect("previously valid block re-applies");
                         self.undo.insert(*hash, undo);
                         self.main.push(*hash);
@@ -713,21 +728,59 @@ impl Chain {
         }
     }
 
+    /// Validates `stored` against the current UTXO view at its height
+    /// and, if it passes, applies it: the one body of block connect,
+    /// shared by the extend path and every step of a reorganization.
+    /// Returns the block's undo data; the caller records it and pushes
+    /// the block onto the main chain.
+    fn connect(&mut self, stored: &StoredBlock, size: usize) -> Result<UndoData, BlockError> {
+        let (block, height, txids) = (&stored.block, stored.height, stored.txids());
+        self.prefetch(block, txids);
+        validate_block_txids(
+            block,
+            txids,
+            size,
+            self.coins.set(),
+            height,
+            &self.params,
+            &self.validation_options(),
+        )?;
+        // Validation walked the block over an overlay of this very set
+        // with the checks `apply_block` repeats, so it cannot fail.
+        let undo = self
+            .coins
+            .apply_block(&block.transactions, txids, height)
+            .expect("validated block applies");
+        self.stats.connect(block);
+        Ok(undo)
+    }
+
     /// Faults trimmed coins entries back in from the store before a
-    /// block's inputs are validated, counting cache hits and misses.
-    fn prefetch_inputs(&mut self, block: &Block) {
+    /// block is validated: its inputs (counting cache hits and misses)
+    /// and — uncounted — any output it would create, so a replayed
+    /// transaction colliding with a trimmed coin is visible to
+    /// validation instead of silently overwriting it.
+    fn prefetch(&mut self, block: &Block, txids: &[TxId]) {
         let Some(store) = self.store.as_ref() else {
             return;
         };
-        for tx in &block.transactions {
-            if tx.is_coinbase() {
-                continue;
+        let fault_in = |coins: &mut CoinsCache, op: OutPoint| {
+            if let Some(entry) = store.read_coin(&op) {
+                coins.insert_clean(op, entry);
             }
-            for input in &tx.inputs {
-                if self.coins.probe(&input.prevout) == Probe::OnDisk {
-                    if let Some(entry) = store.read_coin(&input.prevout) {
-                        self.coins.insert_clean(input.prevout, entry);
+        };
+        for (tx, &txid) in block.transactions.iter().zip(txids) {
+            if !tx.is_coinbase() {
+                for input in &tx.inputs {
+                    if self.coins.probe(&input.prevout) == Probe::OnDisk {
+                        fault_in(&mut self.coins, input.prevout);
                     }
+                }
+            }
+            for vout in 0..tx.outputs.len() as u32 {
+                let op = OutPoint { txid, vout };
+                if self.coins.trimmed(&op) {
+                    fault_in(&mut self.coins, op);
                 }
             }
         }
@@ -917,6 +970,77 @@ mod tests {
         ));
         assert_eq!(chain.height(), 0);
         assert_eq!(chain.utxo().total_value(), 10_000);
+    }
+
+    /// A well-formed block whose coinbase is byte-identical to an earlier,
+    /// still-unspent one (nothing forces the height into the coinbase).
+    fn replay_coinbase_block(chain: &Chain, parent: BlockHash, earlier: &Block) -> Block {
+        Block::mine(
+            parent,
+            7_000_000,
+            chain.params().difficulty_bits,
+            vec![earlier.transactions[0].clone()],
+        )
+    }
+
+    fn duplicate_output_at_coinbase(e: &BlockError) -> bool {
+        matches!(
+            e,
+            BlockError::BadTransaction {
+                index: 0,
+                error: crate::validate::TxError::DuplicateOutput(_),
+            }
+        )
+    }
+
+    #[test]
+    fn replayed_coinbase_is_refused_when_extending() {
+        // Regression: validation skipped the coinbase, so this block
+        // passed and `add_block` then panicked applying it
+        // (`validated block applies: DuplicateOutput`).
+        let (mut chain, _) = setup();
+        let b1 = empty_block(&chain, chain.tip(), 1, b"a");
+        chain.add_block(b1.clone()).unwrap();
+        let value_before = chain.utxo().total_value();
+
+        let replay = replay_coinbase_block(&chain, chain.tip(), &b1);
+        match chain.add_block(replay) {
+            Err(ChainError::Invalid(e)) => assert!(duplicate_output_at_coinbase(&e), "{e}"),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        assert_eq!(chain.height(), 1);
+        assert_eq!(chain.utxo().total_value(), value_before);
+        // The chain is intact: an honest block still extends it.
+        let b2 = empty_block(&chain, chain.tip(), 2, b"b");
+        assert_eq!(chain.add_block(b2), Ok(BlockAction::Extended(2)));
+    }
+
+    #[test]
+    fn replayed_coinbase_is_refused_on_a_reorg_branch() {
+        // Same block shape, reached through `reorganize_to`: the side
+        // branch's first block replays the coinbase of a main-chain
+        // block below the fork point.
+        let (mut chain, _) = setup();
+        let a1 = empty_block(&chain, chain.tip(), 1, b"a1");
+        chain.add_block(a1.clone()).unwrap();
+        let a2 = empty_block(&chain, a1.hash(), 2, b"a2");
+        chain.add_block(a2.clone()).unwrap();
+        let value_before = chain.utxo().total_value();
+
+        let b2 = replay_coinbase_block(&chain, a1.hash(), &a1);
+        assert_eq!(chain.add_block(b2.clone()), Ok(BlockAction::SideChain));
+        let b3 = empty_block(&chain, b2.hash(), 3, b"b3");
+        match chain.add_block(b3) {
+            Err(ChainError::BranchInvalid(e)) => {
+                assert!(duplicate_output_at_coinbase(&e), "{e}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        // The old main chain is back, block for block and coin for coin.
+        assert_eq!(chain.tip(), a2.hash());
+        assert_eq!(chain.height(), 2);
+        assert_eq!(chain.utxo().total_value(), value_before);
+        assert_eq!(chain.stats().reorgs, 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! miner's pool first wins the block.
 
 use crate::params::ChainParams;
-use crate::tx::{OutPoint, Transaction, TxId};
+use crate::tx::{txids_of, OutPoint, Transaction, TxId};
 use crate::utxo::UtxoSet;
 use crate::validate::{validate_transaction_cached, SigCache, TxError};
 use std::collections::HashMap;
@@ -46,6 +46,10 @@ impl std::error::Error for MempoolError {}
 struct PoolEntry {
     tx: Transaction,
     fee: u64,
+    /// `tx.txid()` and `tx.size()`, recorded at admission so template
+    /// building never re-serializes or re-hashes a pooled transaction.
+    txid: TxId,
+    size: usize,
 }
 
 /// Lifetime counters of pool activity, read back into the metrics
@@ -162,7 +166,7 @@ impl Mempool {
         height: u64,
         params: &ChainParams,
     ) -> Result<u64, MempoolError> {
-        let txid = tx.txid();
+        let (txid, size) = tx.txid_and_size();
         if self.entries.contains_key(&txid) {
             self.stats.rejected_duplicate += 1;
             return Err(MempoolError::Duplicate(txid));
@@ -214,7 +218,15 @@ impl Mempool {
         }
         self.next_seq += 1;
         self.stats.accepted += 1;
-        self.entries.insert(txid, PoolEntry { tx, fee });
+        self.entries.insert(
+            txid,
+            PoolEntry {
+                tx,
+                fee,
+                txid,
+                size,
+            },
+        );
         Ok(fee)
     }
 
@@ -242,12 +254,12 @@ impl Mempool {
         let mut candidates: Vec<&PoolEntry> =
             self.entries.values().filter(|e| !exclude(&e.tx)).collect();
         candidates.sort_by(|a, b| {
-            let rate_a = a.fee as f64 / a.tx.size() as f64;
-            let rate_b = b.fee as f64 / b.tx.size() as f64;
+            let rate_a = a.fee as f64 / a.size as f64;
+            let rate_b = b.fee as f64 / b.size as f64;
             rate_b
                 .partial_cmp(&rate_a)
                 .expect("finite rates")
-                .then_with(|| a.tx.txid().cmp(&b.tx.txid()))
+                .then_with(|| a.txid.cmp(&b.txid))
         });
         let mut out: Vec<Transaction> = Vec::new();
         let mut selected: std::collections::HashSet<TxId> = std::collections::HashSet::new();
@@ -256,8 +268,7 @@ impl Mempool {
         while progressed {
             progressed = false;
             for entry in &candidates {
-                let txid = entry.tx.txid();
-                if selected.contains(&txid) {
+                if selected.contains(&entry.txid) {
                     continue;
                 }
                 // Parents must be confirmed (not pooled) or already chosen.
@@ -268,12 +279,11 @@ impl Mempool {
                 if !deps_ok {
                     continue;
                 }
-                let size = entry.tx.size();
-                if used + size > max_bytes {
+                if used + entry.size > max_bytes {
                     continue;
                 }
-                used += size;
-                selected.insert(txid);
+                used += entry.size;
+                selected.insert(entry.txid);
                 out.push(entry.tx.clone());
                 progressed = true;
             }
@@ -290,11 +300,19 @@ impl Mempool {
     /// transaction conflicting with them and, recursively, the
     /// descendants of evicted conflicts. Returns how many left the pool.
     pub fn remove_confirmed(&mut self, confirmed: &[Transaction]) -> usize {
+        self.remove_confirmed_ids(confirmed, &txids_of(confirmed))
+    }
+
+    /// [`Mempool::remove_confirmed`] for a caller that already holds the
+    /// confirmed transactions' ids (`txids[i]` is `confirmed[i].txid()`),
+    /// as the chain does for every block it stores
+    /// ([`Chain::block_txids`](crate::chainstate::Chain::block_txids)).
+    pub fn remove_confirmed_ids(&mut self, confirmed: &[Transaction], txids: &[TxId]) -> usize {
         let mut evicted = 0;
-        for tx in confirmed {
+        for (tx, txid) in confirmed.iter().zip(txids) {
             // Direct removal: descendants stay — they remain valid now
             // that the parent is confirmed.
-            if self.remove_one(&tx.txid()) {
+            if self.remove_one(txid) {
                 evicted += 1;
             }
             // Conflict eviction: anything spending the same outputs, and
@@ -358,8 +376,9 @@ impl Mempool {
         if before == 0 {
             return 0;
         }
-        let mut pending: Vec<Transaction> = self.entries.values().map(|e| e.tx.clone()).collect();
-        pending.sort_by_key(|t| t.txid());
+        let mut pending: Vec<PoolEntry> = std::mem::take(&mut self.entries).into_values().collect();
+        pending.sort_by_key(|e| e.txid);
+        let mut pending: Vec<Transaction> = pending.into_iter().map(|e| e.tx).collect();
         // Rebuild the pool by re-admission: survivors re-validate against
         // the new UTXO view (cheap — the shared sig cache still holds
         // their script verdicts), everything else stays out.
@@ -592,6 +611,33 @@ mod tests {
         assert_eq!(template[0].txid(), honest.txid());
         // Censorship is not eviction: all three stay pooled.
         assert_eq!(pool.len(), 3);
+    }
+
+    #[test]
+    fn template_order_on_500_entries_with_fee_rate_ties() {
+        // The order the comparator defined when it re-serialized and
+        // re-hashed per comparison — fee rate descending, txid ascending
+        // among equal rates — recomputed here from scratch; the ids and
+        // sizes recorded at admission must reproduce it exactly.
+        let f = fixture(500);
+        let mut pool = Mempool::new();
+        let mut expected: Vec<(f64, TxId)> = Vec::new();
+        for coin in 0..500 {
+            // Five fee levels on same-sized payments: ~100-way ties.
+            let tx = payment(&f, coin, 10 * (coin as u64 % 5));
+            expected.push((tx.size() as f64, tx.txid()));
+            let fee = pool.insert(tx, &f.utxo, f.height, &f.params).unwrap();
+            let last = expected.last_mut().unwrap();
+            last.0 = fee as f64 / last.0;
+        }
+        expected.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        let ties = expected.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(ties > 400, "{ties} adjacent fee-rate ties");
+
+        let template = pool.block_template(1 << 22);
+        let order: Vec<TxId> = template.iter().map(Transaction::txid).collect();
+        let expected: Vec<TxId> = expected.into_iter().map(|(_, txid)| txid).collect();
+        assert_eq!(order, expected);
     }
 
     #[test]

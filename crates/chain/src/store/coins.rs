@@ -21,7 +21,7 @@
 //! remembers what the coins file holds so a miss is distinguishable
 //! from a genuinely absent output.
 
-use crate::tx::{OutPoint, Transaction};
+use crate::tx::{OutPoint, Transaction, TxId};
 use crate::utxo::{UndoData, UtxoEntry, UtxoError, UtxoSet};
 use std::collections::{HashMap, HashSet};
 
@@ -122,12 +122,22 @@ impl CoinsCache {
         if self.set.contains(op) {
             self.hits += 1;
             Probe::InCache
-        } else if self.backed.contains(op) && self.dirty.get(op) != Some(&Dirty::Erase) {
+        } else if self.trimmed(op) {
             self.misses += 1;
             Probe::OnDisk
         } else {
             Probe::Absent
         }
+    }
+
+    /// Whether `op` is unspent but only the coins file holds it (evicted
+    /// by [`CoinsCache::trim_clean`]). Uncounted: block connect asks
+    /// this about the outputs a block would *create*, which are expected
+    /// to be absent, so they are no cache traffic.
+    pub fn trimmed(&self, op: &OutPoint) -> bool {
+        !self.set.contains(op)
+            && self.backed.contains(op)
+            && self.dirty.get(op) != Some(&Dirty::Erase)
     }
 
     /// Re-inserts an entry read back from the coins file after a
@@ -138,6 +148,8 @@ impl CoinsCache {
     }
 
     /// Applies a block through the cache, maintaining dirty flags.
+    /// `txids[i]` is `transactions[i].txid()` — the chain computes the
+    /// ids once per block and every layer below reuses them.
     ///
     /// # Errors
     ///
@@ -146,16 +158,16 @@ impl CoinsCache {
     pub fn apply_block(
         &mut self,
         transactions: &[Transaction],
+        txids: &[TxId],
         height: u64,
     ) -> Result<UndoData, UtxoError> {
-        let undo = self.set.apply_block(transactions, height)?;
-        for tx in transactions {
+        let undo = self.set.apply_block_ids(transactions, txids, height)?;
+        for (tx, &txid) in transactions.iter().zip(txids) {
             if !tx.is_coinbase() {
                 for input in &tx.inputs {
                     self.note_remove(input.prevout);
                 }
             }
-            let txid = tx.txid();
             for vout in 0..tx.outputs.len() as u32 {
                 self.note_write(OutPoint { txid, vout });
             }
@@ -164,12 +176,11 @@ impl CoinsCache {
     }
 
     /// Disconnects a block through the cache, maintaining dirty flags.
-    pub fn undo_block(&mut self, transactions: &[Transaction], undo: &UndoData) {
-        self.set.undo_block(transactions, undo);
+    pub fn undo_block(&mut self, transactions: &[Transaction], txids: &[TxId], undo: &UndoData) {
+        self.set.undo_block_ids(transactions, txids, undo);
         // Mirror the per-transaction reverse order of the set's undo so
         // intra-block spend chains end with the right final flag.
-        for tx in transactions.iter().rev() {
-            let txid = tx.txid();
+        for (tx, &txid) in transactions.iter().zip(txids).rev() {
             for vout in 0..tx.outputs.len() as u32 {
                 self.note_remove(OutPoint { txid, vout });
             }
@@ -274,7 +285,7 @@ impl CoinsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tx::{TxIn, TxOut, SEQUENCE_FINAL};
+    use crate::tx::{txids_of, TxIn, TxOut, SEQUENCE_FINAL};
     use crate::Transaction;
     use bcwan_script::Script;
 
@@ -313,11 +324,14 @@ mod tests {
             txid: cb.txid(),
             vout: 0,
         };
-        cache.apply_block(std::slice::from_ref(&cb), 1).unwrap();
+        cache
+            .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
+            .unwrap();
         assert_eq!(cache.dirty_len(), 1);
         let sp = spend(op, 50);
         let cb2 = coinbase(2, 50);
-        cache.apply_block(&[cb2, sp], 2).unwrap();
+        let txs = [cb2, sp];
+        cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
         let ops = cache.flush_ops();
         // The spent-then-created chain flushes only the survivors: the
         // spender's output and block 2's coinbase — never `op`.
@@ -336,14 +350,16 @@ mod tests {
             txid: cb.txid(),
             vout: 0,
         };
-        cache.apply_block(std::slice::from_ref(&cb), 1).unwrap();
+        cache
+            .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
+            .unwrap();
         cache.flush_ops();
         assert_eq!(cache.backed_len(), 1);
 
         // Spend the backed coin: flush must delete it.
         let sp = spend(op, 49);
         let txs = [coinbase(2, 50), sp];
-        let undo = cache.apply_block(&txs, 2).unwrap();
+        let undo = cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
         assert!(cache
             .dirty
             .iter()
@@ -352,7 +368,7 @@ mod tests {
         // Undo before flushing: the coin is back and clean-equivalent
         // (flag Write — the backing still holds the same value, a
         // redundant but safe re-put).
-        cache.undo_block(&txs, &undo);
+        cache.undo_block(&txs, &txids_of(&txs), &undo);
         let ops = cache.flush_ops();
         assert!(ops
             .iter()
@@ -368,7 +384,9 @@ mod tests {
             txid: cb.txid(),
             vout: 0,
         };
-        cache.apply_block(&[cb], 1).unwrap();
+        cache
+            .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
+            .unwrap();
         cache.flush_ops();
         assert_eq!(cache.probe(&op), Probe::InCache);
         assert_eq!(cache.hits(), 1);

@@ -89,6 +89,11 @@ pub struct Transaction {
     pub lock_time: u64,
 }
 
+/// Every transaction's id, in order.
+pub(crate) fn txids_of(transactions: &[Transaction]) -> Vec<TxId> {
+    transactions.iter().map(Transaction::txid).collect()
+}
+
 /// The null outpoint used by coinbase inputs.
 pub fn null_outpoint() -> OutPoint {
     OutPoint {
@@ -147,6 +152,14 @@ impl Transaction {
     /// The transaction id.
     pub fn txid(&self) -> TxId {
         TxId(sha256d(&self.serialize()))
+    }
+
+    /// The transaction id and the serialized size, from one
+    /// serialization — for callers that need both (block connect, pool
+    /// admission) and would otherwise serialize twice.
+    pub fn txid_and_size(&self) -> (TxId, usize) {
+        let bytes = self.serialize();
+        (TxId(sha256d(&bytes)), bytes.len())
     }
 
     /// Serialized size in bytes.

@@ -1,7 +1,7 @@
 //! The unspent-transaction-output set with per-block undo data for reorgs.
 
-use crate::tx::{OutPoint, Transaction, TxOut};
-use std::collections::HashMap;
+use crate::tx::{txids_of, OutPoint, Transaction, TxId, TxOut};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// One unspent output plus the metadata validation needs.
@@ -51,6 +51,90 @@ pub struct UtxoSet {
 impl UtxoView for UtxoSet {
     fn view_get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
         self.map.get(outpoint)
+    }
+}
+
+/// The state a block's transactions see while it is being validated:
+/// `base` plus the outputs earlier transactions of the block created,
+/// minus what they spent. Borrow-only — the shape of the mempool's pool
+/// view — so validating a block never copies the UTXO set, and intra-
+/// block chains (B spends A's output) still resolve.
+pub(crate) struct BlockOverlay<'a> {
+    base: &'a UtxoSet,
+    created: HashMap<OutPoint, UtxoEntry>,
+    /// Outpoints of `base` the block has spent so far.
+    spent: HashSet<OutPoint>,
+}
+
+impl UtxoView for BlockOverlay<'_> {
+    fn view_get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
+        match self.created.get(outpoint) {
+            Some(entry) => Some(entry),
+            None if self.spent.contains(outpoint) => None,
+            None => self.base.view_get(outpoint),
+        }
+    }
+}
+
+impl<'a> BlockOverlay<'a> {
+    /// An overlay that changes nothing yet.
+    pub(crate) fn new(base: &'a UtxoSet) -> Self {
+        BlockOverlay {
+            base,
+            created: HashMap::new(),
+            spent: HashSet::new(),
+        }
+    }
+
+    /// Applies one transaction (`txid` is its id), with the checks and in
+    /// the order of [`UtxoSet::apply_transaction`]: what passes here
+    /// applies to `base` without error.
+    ///
+    /// # Errors
+    ///
+    /// [`UtxoError`] if an input is missing or an output collides; the
+    /// overlay is left unchanged on error.
+    pub(crate) fn apply(
+        &mut self,
+        tx: &Transaction,
+        txid: TxId,
+        height: u64,
+    ) -> Result<(), UtxoError> {
+        let coinbase = tx.is_coinbase();
+        if !coinbase {
+            for input in &tx.inputs {
+                if self.view_get(&input.prevout).is_none() {
+                    return Err(UtxoError::MissingInput(input.prevout));
+                }
+            }
+        }
+        for vout in 0..tx.outputs.len() as u32 {
+            let op = OutPoint { txid, vout };
+            if self.view_get(&op).is_some() {
+                return Err(UtxoError::DuplicateOutput(op));
+            }
+        }
+        if !coinbase {
+            for input in &tx.inputs {
+                if self.created.remove(&input.prevout).is_none() {
+                    self.spent.insert(input.prevout);
+                }
+            }
+        }
+        for (vout, output) in tx.outputs.iter().enumerate() {
+            self.created.insert(
+                OutPoint {
+                    txid,
+                    vout: vout as u32,
+                },
+                UtxoEntry {
+                    output: output.clone(),
+                    height,
+                    coinbase,
+                },
+            );
+        }
+        Ok(())
     }
 }
 
@@ -131,7 +215,16 @@ impl UtxoSet {
         height: u64,
         undo: &mut UndoData,
     ) -> Result<(), UtxoError> {
-        let txid = tx.txid();
+        self.apply_transaction_id(tx, tx.txid(), height, undo)
+    }
+
+    fn apply_transaction_id(
+        &mut self,
+        tx: &Transaction,
+        txid: TxId,
+        height: u64,
+        undo: &mut UndoData,
+    ) -> Result<(), UtxoError> {
         // Validate fully before mutating.
         if !tx.is_coinbase() {
             for input in &tx.inputs {
@@ -182,16 +275,23 @@ impl UtxoSet {
         transactions: &[Transaction],
         height: u64,
     ) -> Result<UndoData, UtxoError> {
+        self.apply_block_ids(transactions, &txids_of(transactions), height)
+    }
+
+    /// [`UtxoSet::apply_block`] for a caller that already holds the
+    /// transactions' ids (`txids[i]` is `transactions[i].txid()`).
+    pub(crate) fn apply_block_ids(
+        &mut self,
+        transactions: &[Transaction],
+        txids: &[TxId],
+        height: u64,
+    ) -> Result<UndoData, UtxoError> {
         let mut undo = UndoData::default();
-        let mut applied = 0;
-        for tx in transactions {
-            match self.apply_transaction(tx, height, &mut undo) {
-                Ok(()) => applied += 1,
-                Err(e) => {
-                    // Roll back the partially applied prefix.
-                    self.undo_transactions(&transactions[..applied], &undo);
-                    return Err(e);
-                }
+        for (applied, (tx, txid)) in transactions.iter().zip(txids).enumerate() {
+            if let Err(e) = self.apply_transaction_id(tx, *txid, height, &mut undo) {
+                // Roll back the partially applied prefix.
+                self.undo_block_ids(&transactions[..applied], &txids[..applied], &undo);
+                return Err(e);
             }
         }
         Ok(undo)
@@ -213,10 +313,17 @@ impl UtxoSet {
     ///
     /// `transactions` must be the same list, and `undo` its undo data.
     pub fn undo_block(&mut self, transactions: &[Transaction], undo: &UndoData) {
-        self.undo_transactions(transactions, undo);
+        self.undo_block_ids(transactions, &txids_of(transactions), undo);
     }
 
-    fn undo_transactions(&mut self, transactions: &[Transaction], undo: &UndoData) {
+    /// [`UtxoSet::undo_block`] for a caller that already holds the
+    /// transactions' ids.
+    pub(crate) fn undo_block_ids(
+        &mut self,
+        transactions: &[Transaction],
+        txids: &[TxId],
+        undo: &UndoData,
+    ) {
         // Per transaction, newest first: drop its created outputs, then
         // restore what it spent. The interleaving matters when a block
         // contains an intra-block spend chain (escrow created and claimed
@@ -225,8 +332,7 @@ impl UtxoSet {
         // *after* under reverse order — removes it again. Undoing all
         // creates first and all spends second leaves such outputs behind.
         let mut tail = undo.spent.len();
-        for tx in transactions.iter().rev() {
-            let txid = tx.txid();
+        for (tx, &txid) in transactions.iter().zip(txids).rev() {
             for vout in 0..tx.outputs.len() as u32 {
                 self.map.remove(&OutPoint { txid, vout });
             }
@@ -243,7 +349,7 @@ impl UtxoSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tx::{TxId, TxIn, SEQUENCE_FINAL};
+    use crate::tx::{TxIn, SEQUENCE_FINAL};
     use bcwan_script::Script;
 
     fn coinbase(height: u64, value: u64) -> Transaction {

@@ -2,9 +2,10 @@
 //! a shared signature cache and parallel per-block script verification.
 
 use crate::block::Block;
+use crate::merkle::merkle_root;
 use crate::params::ChainParams;
-use crate::tx::Transaction;
-use crate::utxo::{UtxoEntry, UtxoSet, UtxoView};
+use crate::tx::{Transaction, TxId};
+use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
 use bcwan_crypto::ecdsa::{batch_verify, EcdsaPublicKey, Signature};
 use bcwan_crypto::sha256;
 use bcwan_script::interpreter::{verify_spend, DeferringChecker, DigestChecker, ExecContext};
@@ -57,6 +58,19 @@ pub enum TxError {
     /// An OP_RETURN output carries a non-zero value (burns are banned to
     /// keep directory announcements free of accounting surprises).
     ValueInOpReturn,
+    /// The transaction would create an output that is still unspent —
+    /// it is byte-identical to an earlier transaction (in practice a
+    /// replayed coinbase; the rule is Bitcoin's BIP-30).
+    DuplicateOutput(crate::tx::OutPoint),
+}
+
+impl From<UtxoError> for TxError {
+    fn from(e: UtxoError) -> Self {
+        match e {
+            UtxoError::MissingInput(op) => TxError::MissingInput(op),
+            UtxoError::DuplicateOutput(op) => TxError::DuplicateOutput(op),
+        }
+    }
 }
 
 impl fmt::Display for TxError {
@@ -80,6 +94,7 @@ impl fmt::Display for TxError {
                 None => write!(f, "script evaluated false on input {input}"),
             },
             TxError::ValueInOpReturn => write!(f, "op_return output carries value"),
+            TxError::DuplicateOutput(op) => write!(f, "output {op} already exists unspent"),
         }
     }
 }
@@ -791,11 +806,12 @@ pub fn validate_block(
 /// [`validate_block`] with explicit fast-path options.
 ///
 /// Validation runs in two passes. The sequential pass walks transactions in
-/// order against a rolling UTXO view (so intra-block chains work), performs
-/// every context-dependent check, and snapshots each input's script job —
-/// sighash digest plus both scripts — before the view mutates. Jobs whose
-/// cache key is already present (verified at mempool admission) are dropped
-/// on the spot. The remaining context-free script runs then execute on a
+/// order against a borrow-only overlay of `utxo` (so intra-block chains
+/// work and the set is never copied), performs every context-dependent
+/// check, and snapshots each input's script job — sighash digest plus both
+/// scripts — before the overlay moves on. Jobs whose cache key is already
+/// present (verified at mempool admission) are dropped on the spot. The
+/// remaining context-free script runs then execute on a
 /// `std::thread::scope` worker pool (or inline when `workers == 1`).
 ///
 /// A structural failure at transaction `s` stops job collection at `s`, so
@@ -813,79 +829,48 @@ pub fn validate_block_with(
     params: &ChainParams,
     opts: &BlockValidationOptions<'_>,
 ) -> Result<(), BlockError> {
-    if block.transactions.is_empty() {
-        return Err(BlockError::Empty);
-    }
-    if block.header.bits != params.difficulty_bits {
-        return Err(BlockError::WrongBits {
-            claimed: block.header.bits,
-            required: params.difficulty_bits,
-        });
-    }
-    let achieved = block.hash().leading_zero_bits();
-    if achieved < params.difficulty_bits {
-        return Err(BlockError::InsufficientWork {
-            achieved,
-            required: params.difficulty_bits,
-        });
-    }
-    if !block.merkle_root_valid() {
-        return Err(BlockError::BadMerkleRoot);
-    }
-    let size = block.size();
-    if size > params.max_block_size {
-        return Err(BlockError::TooLarge {
-            size,
-            limit: params.max_block_size,
-        });
-    }
-    if !block.transactions[0].is_coinbase() {
-        return Err(BlockError::BadCoinbasePlacement);
-    }
-    if block.transactions[1..].iter().any(Transaction::is_coinbase) {
-        return Err(BlockError::BadCoinbasePlacement);
-    }
+    let (txids, size) = block.txids_and_size();
+    validate_block_txids(block, &txids, size, utxo, height, params, opts)
+}
+
+/// [`validate_block_with`] for a caller that already holds the block's
+/// transaction ids and serialized size ([`Block::txids_and_size`]): the
+/// chain computes them once per connect and reuses them below.
+pub(crate) fn validate_block_txids(
+    block: &Block,
+    txids: &[TxId],
+    size: usize,
+    utxo: &UtxoSet,
+    height: u64,
+    params: &ChainParams,
+    opts: &BlockValidationOptions<'_>,
+) -> Result<(), BlockError> {
+    check_block_context_free(block, txids, size, params)?;
 
     // Sequential pass: context-dependent checks against a rolling view so
     // intra-block chains (tx B spends tx A's output) work, snapshotting
-    // script jobs before each apply.
-    let mut view = utxo.clone();
-    let mut undo = crate::utxo::UndoData::default();
+    // script jobs before each apply. The coinbase goes through the view
+    // too: its outputs must not collide with unspent ones.
+    let mut view = BlockOverlay::new(utxo);
+    if let Err(e) = view.apply(&block.transactions[0], txids[0], height) {
+        return Err(BlockError::BadTransaction {
+            index: 0,
+            error: e.into(),
+        });
+    }
     let mut fees: u64 = 0;
     let mut jobs: Vec<ScriptJob> = Vec::new();
     let mut structural_failure: Option<(usize, TxError)> = None;
     for (index, tx) in block.transactions.iter().enumerate().skip(1) {
-        match validate_transaction_structure(tx, &view, height, params) {
-            Ok((fee, entries)) => {
+        let applied = validate_transaction_structure(tx, &view, height, params)
+            .map(|(fee, entries)| {
                 fees += fee;
-                for (i, (input, entry)) in tx.inputs.iter().zip(&entries).enumerate() {
-                    let digest = tx.sighash(i, &entry.output.script_pubkey);
-                    let key = opts.cache.map(|_| {
-                        SigCache::key(&digest, &input.script_sig, &entry.output.script_pubkey)
-                    });
-                    if let (Some(cache), Some(key)) = (opts.cache, key.as_ref()) {
-                        if cache.contains(key, SigKind::of(&entry.output.script_pubkey)) {
-                            continue; // verified at mempool admission
-                        }
-                    }
-                    jobs.push(ScriptJob {
-                        tx_index: index,
-                        input_index: i,
-                        digest,
-                        script_sig: input.script_sig.clone(),
-                        script_pubkey: entry.output.script_pubkey.clone(),
-                        lock_time: tx.lock_time,
-                        input_final: input.is_final(),
-                        key,
-                    });
-                }
-                view.apply_transaction(tx, height, &mut undo)
-                    .expect("structurally valid transaction applies");
-            }
-            Err(error) => {
-                structural_failure = Some((index, error));
-                break;
-            }
+                collect_script_jobs(tx, index, &entries, opts.cache, &mut jobs);
+            })
+            .and_then(|()| Ok(view.apply(tx, txids[index], height)?));
+        if let Err(error) = applied {
+            structural_failure = Some((index, error));
+            break;
         }
     }
 
@@ -902,6 +887,79 @@ pub fn validate_block_with(
         return Err(BlockError::ExcessiveCoinbase { paid, allowed });
     }
     Ok(())
+}
+
+/// The checks that need no UTXO state: non-empty, difficulty, proof of
+/// work, merkle root, size, coinbase placement — in that order.
+fn check_block_context_free(
+    block: &Block,
+    txids: &[TxId],
+    size: usize,
+    params: &ChainParams,
+) -> Result<(), BlockError> {
+    if block.transactions.is_empty() {
+        return Err(BlockError::Empty);
+    }
+    if block.header.bits != params.difficulty_bits {
+        return Err(BlockError::WrongBits {
+            claimed: block.header.bits,
+            required: params.difficulty_bits,
+        });
+    }
+    let achieved = block.hash().leading_zero_bits();
+    if achieved < params.difficulty_bits {
+        return Err(BlockError::InsufficientWork {
+            achieved,
+            required: params.difficulty_bits,
+        });
+    }
+    if merkle_root(txids) != block.header.merkle_root {
+        return Err(BlockError::BadMerkleRoot);
+    }
+    if size > params.max_block_size {
+        return Err(BlockError::TooLarge {
+            size,
+            limit: params.max_block_size,
+        });
+    }
+    if !block.transactions[0].is_coinbase() {
+        return Err(BlockError::BadCoinbasePlacement);
+    }
+    if block.transactions[1..].iter().any(Transaction::is_coinbase) {
+        return Err(BlockError::BadCoinbasePlacement);
+    }
+    Ok(())
+}
+
+/// Snapshots one structurally valid transaction's script jobs, skipping
+/// spends the cache already holds (verified at mempool admission).
+fn collect_script_jobs(
+    tx: &Transaction,
+    tx_index: usize,
+    entries: &[&UtxoEntry],
+    cache: Option<&SigCache>,
+    jobs: &mut Vec<ScriptJob>,
+) {
+    for (i, (input, entry)) in tx.inputs.iter().zip(entries).enumerate() {
+        let digest = tx.sighash(i, &entry.output.script_pubkey);
+        let key =
+            cache.map(|_| SigCache::key(&digest, &input.script_sig, &entry.output.script_pubkey));
+        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
+            if cache.contains(key, SigKind::of(&entry.output.script_pubkey)) {
+                continue;
+            }
+        }
+        jobs.push(ScriptJob {
+            tx_index,
+            input_index: i,
+            digest,
+            script_sig: input.script_sig.clone(),
+            script_pubkey: entry.output.script_pubkey.clone(),
+            lock_time: tx.lock_time,
+            input_final: input.is_final(),
+            key,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1246,6 +1304,204 @@ mod tests {
             matches!(result, Err(BlockError::BadMerkleRoot)),
             "{result:?}"
         );
+    }
+
+    /// The clone-based validator the overlay replaced, kept as the
+    /// oracle: copies the whole UTXO set, walks the block over the copy
+    /// one transaction at a time (structure, then scripts, then apply)
+    /// and hands back the resulting set. The coinbase is applied too —
+    /// the duplicate-output rule the original skipped.
+    fn validate_block_by_clone(
+        block: &Block,
+        utxo: &UtxoSet,
+        height: u64,
+        params: &ChainParams,
+    ) -> Result<UtxoSet, BlockError> {
+        let txids = crate::tx::txids_of(&block.transactions);
+        check_block_context_free(block, &txids, block.size(), params)?;
+        let mut view = utxo.clone();
+        let mut undo = crate::utxo::UndoData::default();
+        let mut fees = 0;
+        for (index, tx) in block.transactions.iter().enumerate() {
+            let bad = |error| BlockError::BadTransaction { index, error };
+            if index > 0 {
+                fees += validate_transaction(tx, &view, height, params).map_err(bad)?;
+            }
+            view.apply_transaction(tx, height, &mut undo)
+                .map_err(|e| bad(e.into()))?;
+        }
+        let allowed = params.coinbase_reward + fees;
+        let paid = block.transactions[0].total_output();
+        if paid > allowed {
+            return Err(BlockError::ExcessiveCoinbase { paid, allowed });
+        }
+        Ok(view)
+    }
+
+    fn sorted_entries(set: &UtxoSet) -> Vec<(OutPoint, UtxoEntry)> {
+        let mut entries: Vec<_> = set.iter().map(|(op, e)| (*op, e.clone())).collect();
+        entries.sort_by_key(|(op, _)| *op);
+        entries
+    }
+
+    #[test]
+    fn overlay_validation_matches_the_clone_oracle_on_random_blocks() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x0b5e_55ed);
+        let params = ChainParams::fast_test();
+        let wallets: Vec<Wallet> = (0..3).map(|_| Wallet::generate(&mut rng)).collect();
+        let height = params.coinbase_maturity + 5;
+
+        // The base set: one old (mature) coinbase with many coins, one
+        // recent (immature) coinbase, and an earlier block's coinbase
+        // that a block under test may replay.
+        let pay = |w: &Wallet, value| TxOut {
+            value,
+            script_pubkey: w.locking_script(),
+        };
+        let mature = Transaction::coinbase(
+            0,
+            b"mature",
+            (0..40).map(|i| pay(&wallets[i % 3], 1_000)).collect(),
+        );
+        let immature = Transaction::coinbase(
+            height - 1,
+            b"immature",
+            (0..6).map(|i| pay(&wallets[i % 3], 1_000)).collect(),
+        );
+        let replayable = Transaction::coinbase(1, b"replay", vec![pay(&wallets[0], 7)]);
+        let mut base = UtxoSet::new();
+        base.apply_block(&[mature.clone(), replayable.clone()], 0)
+            .unwrap();
+        base.apply_block(std::slice::from_ref(&immature), height - 1)
+            .unwrap();
+        let coin = |tx: &Transaction, vout: usize| {
+            (
+                OutPoint {
+                    txid: tx.txid(),
+                    vout: vout as u32,
+                },
+                tx.outputs[vout].script_pubkey.clone(),
+                vout % 3, // owner wallet
+            )
+        };
+
+        let (mut accepted, mut refused) = (0, 0);
+        for round in 0..120 {
+            // Each round spends a fresh slice of the mature coins (rounds
+            // are independent: `base` is never mutated).
+            let mut txs: Vec<Transaction> = Vec::new();
+            let mut fees = 0;
+            let spend = |(op, script, owner): (OutPoint, Script, usize), out: u64, to: usize| {
+                wallets[owner].build_payment(vec![(op, script)], vec![pay(&wallets[to], out)], 0)
+            };
+            for k in 0..rng.gen_range(1..5usize) {
+                let c = coin(&mature, (round * 7 + k * 3) % 40);
+                let fee = rng.gen_range(0..20u64);
+                fees += fee;
+                txs.push(spend(c, 1_000 - fee, rng.gen_range(0..3)));
+            }
+            // One or two faults (or legal twists), at random positions:
+            // two make the positionally-first-error rule matter.
+            for _ in 0..rng.gen_range(1..3u32) {
+                let at = rng.gen_range(0..txs.len() + 1);
+                match rng.gen_range(0..9u32) {
+                    0 => {} // plain valid block
+                    1 => {
+                        // Intra-block chain: spend the output of an earlier tx.
+                        let parent = rng.gen_range(0..txs.len());
+                        let owner = wallets
+                            .iter()
+                            .position(|w| {
+                                w.locking_script() == txs[parent].outputs[0].script_pubkey
+                            })
+                            .unwrap();
+                        let c = (
+                            OutPoint {
+                                txid: txs[parent].txid(),
+                                vout: 0,
+                            },
+                            txs[parent].outputs[0].script_pubkey.clone(),
+                            owner,
+                        );
+                        let value = txs[parent].outputs[0].value;
+                        // Sometimes the child lands *before* its parent.
+                        let pos = if rng.gen_bool(0.7) { txs.len() } else { 0 };
+                        txs.insert(pos, spend(c, value, 0));
+                    }
+                    2 => {
+                        // In-block double spend of a base coin.
+                        let victim = txs[rng.gen_range(0..txs.len())].inputs[0].prevout;
+                        let vout = victim.vout as usize;
+                        txs.insert(at, spend(coin(&mature, vout), 900, 1));
+                    }
+                    3 => {
+                        // The same transaction twice.
+                        let again = txs[rng.gen_range(0..txs.len())].clone();
+                        txs.insert(at, again);
+                    }
+                    4 => {
+                        // Missing input.
+                        let ghost = OutPoint {
+                            txid: TxId([round as u8; 32]),
+                            vout: 0,
+                        };
+                        txs.insert(at, spend((ghost, wallets[0].locking_script(), 0), 5, 1));
+                    }
+                    5 => {
+                        // Immature coinbase spend.
+                        txs.insert(at, spend(coin(&immature, round % 6), 1_000, 2));
+                    }
+                    6 => {
+                        // Wrong signer.
+                        let (op, script, owner) = coin(&mature, (round * 7 + 39) % 40);
+                        txs.insert(at, spend((op, script, (owner + 1) % 3), 1_000, 0));
+                    }
+                    7 => fees += 1, // coinbase overpays by one
+                    _ => {}         // replayed coinbase, below
+                }
+            }
+            let replay = round % 9 == 8;
+            let coinbase = if replay {
+                replayable.clone()
+            } else {
+                Transaction::coinbase(
+                    height,
+                    &[round as u8],
+                    vec![pay(&wallets[0], params.coinbase_reward + fees)],
+                )
+            };
+            txs.insert(0, coinbase);
+            let block = Block::mine(BlockHash::GENESIS_PREV, 0, params.difficulty_bits, txs);
+
+            let oracle = validate_block_by_clone(&block, &base, height, &params);
+            for workers in [1, 0] {
+                let opts = BlockValidationOptions {
+                    workers,
+                    ..BlockValidationOptions::default()
+                };
+                let verdict = validate_block_with(&block, &base, height, &params, &opts);
+                assert_eq!(
+                    verdict,
+                    oracle.as_ref().map(|_| ()).map_err(Clone::clone),
+                    "round {round}, workers {workers}"
+                );
+            }
+            match oracle {
+                Ok(expected) => {
+                    let mut applied = base.clone();
+                    applied.apply_block(&block.transactions, height).unwrap();
+                    assert_eq!(
+                        sorted_entries(&applied),
+                        sorted_entries(&expected),
+                        "round {round}"
+                    );
+                    accepted += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(accepted >= 20 && refused >= 40, "{accepted} / {refused}");
     }
 
     #[test]

@@ -308,3 +308,35 @@ fn trimmed_coins_read_back_through_the_store() {
     assert!(summary.cache_miss > 0, "the spend read through the store");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn replayed_coinbase_is_refused_even_when_its_twin_is_trimmed() {
+    // The duplicate-output rule must see coins the cache evicted to
+    // disk: block connect faults a would-be-created outpoint back in,
+    // so the replay is refused instead of overwriting the stored coin.
+    let dir = temp_dir("trim-replay");
+    let (mut chain, wallet, coins) = setup(&dir, StoreConfig::default());
+    grow(&mut chain, &wallet, coins[0].clone(), 3);
+    let earlier = chain.block_at(1).expect("block 1").clone();
+    chain.flush();
+    assert!(chain.trim_coins() > 0);
+    let twin = OutPoint {
+        txid: earlier.transactions[0].txid(),
+        vout: 0,
+    };
+    assert!(
+        !chain.utxo().contains(&twin),
+        "block 1's coinbase was evicted"
+    );
+
+    let replay = Block::mine(
+        chain.tip(),
+        99,
+        chain.params().difficulty_bits,
+        vec![earlier.transactions[0].clone()],
+    );
+    let height = chain.height();
+    assert!(chain.add_block(replay).is_err(), "replay refused");
+    assert_eq!(chain.height(), height);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -132,20 +132,25 @@ impl Network {
             self.count(|s| s.dropped_fault += 1);
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(2);
+        // Draw order (delay, duplicate coin, duplicate's delay) is part of
+        // every same-seed result; the payload is cloned only for the
+        // fault model's duplicate and otherwise moved.
         let delay = self.latency.sample(rng);
-        out.push((
-            delay,
-            Delivery {
+        let duplicate = rng
+            .chance(self.faults.duplicate_probability)
+            .then(|| self.latency.sample(rng));
+        let mut out = Vec::with_capacity(1 + usize::from(duplicate.is_some()));
+        if let Some(delay2) = duplicate {
+            let copy = Delivery {
                 from,
                 to,
                 msg: msg.clone(),
-            },
-        ));
-        if rng.chance(self.faults.duplicate_probability) {
-            let delay2 = self.latency.sample(rng);
+            };
+            out.push((delay, copy));
             out.push((delay2, Delivery { from, to, msg }));
             self.count(|s| s.duplicated += 1);
+        } else {
+            out.push((delay, Delivery { from, to, msg }));
         }
         self.count(|s| s.delivered += out.len() as u64);
         out
@@ -302,6 +307,52 @@ mod tests {
             .map(|_| network.transmit(&mut rng, NodeId(0), NodeId(1), ()).len())
             .sum::<usize>();
         assert!((1380..1620).contains(&delivered), "{delivered}/1000");
+    }
+
+    #[test]
+    fn transmit_keeps_draw_order_and_clones_only_for_duplicates() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// A payload that counts how often it is cloned.
+        struct Counted(Rc<Cell<u32>>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.set(self.0.get() + 1);
+                Counted(self.0.clone())
+            }
+        }
+
+        let faults = FaultModel {
+            drop_probability: 0.2,
+            duplicate_probability: 0.3,
+        };
+        let network = Network::new(Topology::full_mesh(2), LatencyModel::planetlab())
+            .with_faults(faults.clone());
+        // The draw order every same-seed result depends on: drop coin,
+        // delay, duplicate coin, the duplicate's delay.
+        let latency = LatencyModel::planetlab();
+        let (mut rng, mut reference) = (SimRng::seed_from_u64(77), SimRng::seed_from_u64(77));
+        let clones = Rc::new(Cell::new(0));
+        for _ in 0..500 {
+            let sent = network.transmit(&mut rng, NodeId(0), NodeId(1), Counted(clones.clone()));
+            let mut expected = Vec::new();
+            if !reference.chance(faults.drop_probability) {
+                expected.push(latency.sample(&mut reference));
+                if reference.chance(faults.duplicate_probability) {
+                    expected.push(latency.sample(&mut reference));
+                }
+            }
+            let delays: Vec<SimDuration> = sent.iter().map(|(delay, _)| *delay).collect();
+            assert_eq!(delays, expected);
+        }
+        let duplicated = network.stats().duplicated;
+        assert!(duplicated > 50);
+        assert_eq!(
+            u64::from(clones.get()),
+            duplicated,
+            "one clone per duplicate"
+        );
     }
 
     #[test]
