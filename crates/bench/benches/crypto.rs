@@ -6,8 +6,8 @@ use bcwan_bench::bench_fn;
 use bcwan_crypto::aes::{cbc_decrypt, cbc_encrypt};
 use bcwan_crypto::ecdsa::EcdsaPrivateKey;
 use bcwan_crypto::field::FieldElement;
-use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
-use bcwan_crypto::{hash160, sha256d};
+use bcwan_crypto::rsa::{generate_keypair, generate_prime, RsaKeySize, RsaPrivateKey};
+use bcwan_crypto::{hash160, sha256d, BigUint};
 use bcwan_script::interpreter::{verify_spend, DigestChecker, ExecContext};
 use bcwan_script::templates;
 use rand::rngs::StdRng;
@@ -31,6 +31,22 @@ fn main() {
         cbc_decrypt(black_box(&key), black_box(&iv), black_box(&ct)).unwrap()
     });
 
+    // The modexp under every RSA operation, at the CRT-prime and the
+    // RSA-512 modulus width, full-width exponent; and the prime search
+    // that is most of a keygen.
+    let mut rng = StdRng::seed_from_u64(1);
+    for bits in [256, 512] {
+        let modulus = generate_prime(&mut rng, bits);
+        let base = BigUint::random_below(&mut rng, &modulus);
+        let exp = BigUint::random_bits(&mut rng, bits);
+        bench_fn(&format!("mod_pow_{bits}"), 500, || {
+            black_box(&base).mod_pow(black_box(&exp), black_box(&modulus))
+        });
+    }
+    bench_fn("generate_prime_256", 40, || {
+        generate_prime(black_box(&mut rng), 256)
+    });
+
     let mut rng = StdRng::seed_from_u64(1);
     bench_fn("rsa512_keygen (paper step 1)", 10, || {
         generate_keypair(black_box(&mut rng), RsaKeySize::Rsa512)
@@ -45,6 +61,12 @@ fn main() {
         sk.decrypt(black_box(&em)).unwrap()
     });
     bench_fn("rsa512_sign (step 4)", 100, || sk.sign(black_box(&em)));
+    // A key read back from its wire form has no CRT parameters: the plain
+    // `m^d mod n` path every revealed eSk takes.
+    let parsed = RsaPrivateKey::from_bytes(&sk.to_bytes()).unwrap();
+    bench_fn("rsa512_sign (parsed key, no CRT)", 100, || {
+        parsed.sign(black_box(&em))
+    });
     let sig = sk.sign(&em);
     bench_fn("rsa512_verify (step 8)", 200, || {
         pk.verify(black_box(&em), black_box(&sig))

@@ -8,15 +8,20 @@
 //! For each modulus size this prints the data-uplink PHY size (Em + Sig
 //! are one RSA block each), its airtime per spreading factor, the
 //! duty-cycle message budget, and whether the frame fits the regional
-//! payload caps at all.
+//! payload caps at all; then what the same choice costs the gateway in
+//! CPU (ephemeral keygen per message, the node-side signature, and the
+//! `OP_CHECKRSA512PAIR` check every validator runs on the revealed key).
 //!
 //! Usage: `ablation_keysize [--json PATH]`.
 
-use bcwan_bench::{parse_harness_args, BenchReport};
-use bcwan_crypto::rsa::RsaKeySize;
+use bcwan_bench::{bench_fn_stats, parse_harness_args, BenchReport};
+use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey};
 use bcwan_lora::airtime::{max_messages_per_hour, time_on_air};
 use bcwan_lora::params::{RadioConfig, SpreadingFactor};
 use bcwan_sim::{Json, Registry};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::hint::black_box;
 
 fn main() {
     let (_, json) = parse_harness_args();
@@ -62,6 +67,36 @@ fn main() {
                     .with("airtime_ms", Json::num(airtime.as_secs_f64() * 1e3))
                     .with("msgs_per_hour_1pct", Json::num(rate)),
             );
+        }
+    }
+    println!();
+    println!("RSA    keygen(ms)  sign(us)  pair_check(us)   (medians, wall clock)");
+    for (size, keygens) in [
+        (RsaKeySize::Rsa512, 40),
+        (RsaKeySize::Rsa1024, 12),
+        (RsaKeySize::Rsa2048, 4),
+    ] {
+        let mut rng = StdRng::seed_from_u64(2018);
+        let keygen = bench_fn_stats(keygens, || generate_keypair(&mut rng, size));
+        let (public, private) = generate_keypair(&mut rng, size);
+        let sign = bench_fn_stats(50, || private.sign(black_box(b"Em || ePk")));
+        // Validators see the revealed key in its wire form: no CRT.
+        let revealed = RsaPrivateKey::from_bytes(&private.to_bytes()).expect("own encoding");
+        let pair = bench_fn_stats(20, || public.matches_private(black_box(&revealed)));
+        let costs = [
+            ("keygen_ms", keygen.median_s * 1e3),
+            ("sign_us", sign.median_s * 1e6),
+            ("pair_check_us", pair.median_s * 1e6),
+        ];
+        println!(
+            "{:>5}  {:>10.2}  {:>8.1}  {:>14.1}",
+            size.bits(),
+            costs[0].1,
+            costs[1].1,
+            costs[2].1,
+        );
+        for (op, value) in costs {
+            registry.set_gauge(&format!("crypto.rsa{}.{op}", size.bits()), value);
         }
     }
     println!();

@@ -8,8 +8,11 @@
 //! modular inverse, and gcd.
 //!
 //! The implementation favours clarity and testability over raw speed;
-//! schoolbook multiplication and binary long division are entirely adequate
-//! for 256–2048-bit operands at the call rates of the BcWAN simulator.
+//! schoolbook multiplication and long division are entirely adequate for
+//! 256–2048-bit operands at the call rates of the BcWAN simulator. The one
+//! exception is modular exponentiation — every RSA operation and each
+//! Miller–Rabin round of the per-message keygen — which runs on the
+//! allocation-free fixed-width engine of [`MontgomeryCtx`].
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -219,6 +222,15 @@ impl BigUint {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
+    }
+
+    /// Builds a value from little-endian limbs, dropping high zero limbs.
+    fn from_limbs(limbs: &[u64]) -> Self {
+        let mut out = BigUint {
+            limbs: limbs.to_vec(),
+        };
+        out.normalize();
+        out
     }
 
     /// `self + other`.
@@ -442,6 +454,22 @@ impl BigUint {
         self.div_rem(m).1
     }
 
+    /// `self mod m` for a word-sized modulus, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero.
+    pub fn rem_u64(&self, m: u64) -> u64 {
+        assert!(m != 0, "BigUint division by zero");
+        let m = u128::from(m);
+        let rem = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &limb| ((rem << 64) | u128::from(limb)) % m);
+        rem as u64
+    }
+
     /// `(self * other) mod m`.
     pub fn mul_mod(&self, other: &Self, m: &Self) -> Self {
         self.mul(other).rem(m)
@@ -622,6 +650,13 @@ fn signed_sub(a: &(bool, BigUint), b: &(bool, BigUint)) -> (bool, BigUint) {
 /// (product of odd primes) and for the secp256k1 field prime and group
 /// order. [`MontgomeryCtx::new`] returns `None` for even or trivial moduli
 /// so callers can fall back to schoolbook reduction.
+///
+/// Residues are `k`-limb little-endian slices, zero-padded and always
+/// `< n`. Every operation works in one block of 19 such rows (window table,
+/// operand, accumulator, product target) — on the stack up to 32 limbs
+/// (2048 bits), one heap block per call above that — so no product
+/// allocates. Everything but `n` is derived from `n`, which is why equality
+/// and hashing look at `n` alone.
 #[derive(Debug, Clone)]
 pub struct MontgomeryCtx {
     /// The (odd, > 1) modulus.
@@ -631,9 +666,94 @@ pub struct MontgomeryCtx {
     /// `-n^{-1} mod 2^64`, the per-word reduction factor `n'`.
     n0inv: u64,
     /// `R^2 mod n`, used to convert into Montgomery form.
-    r2: BigUint,
+    r2: Vec<u64>,
     /// `R mod n`, i.e. `1` in Montgomery form.
-    r1: BigUint,
+    r1: Vec<u64>,
+}
+
+impl PartialEq for MontgomeryCtx {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+    }
+}
+
+impl Eq for MontgomeryCtx {}
+
+impl std::hash::Hash for MontgomeryCtx {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.n.hash(state);
+    }
+}
+
+/// Widest modulus (2048 bits) whose working rows live on the stack.
+const MAX_STACK_LIMBS: usize = 32;
+
+/// Rows of working storage per operation: the 16-entry window table, one
+/// operand, the accumulator and the product target.
+const SCRATCH_ROWS: usize = 19;
+
+/// CIOS (coarsely integrated operand scanning) Montgomery product with the
+/// two inner passes fused: `out = a · b · R^{-1} mod n` for `k`-limb
+/// residues `a, b < n`, where `k = n.len()`. The running value lives in
+/// `out` plus one carry word, so nothing is allocated.
+///
+/// This is the only source of the loop: [`mont_mul_fixed`] instantiates it
+/// with array operands for the limb counts RSA uses, everything else calls
+/// it on slices.
+#[inline(always)]
+fn mont_mul(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0inv: u64) {
+    let k = n.len();
+    let (out, a, b) = (&mut out[..k], &a[..k], &b[..k]);
+    out.fill(0);
+    // t[k]: the running value stays < 2n < 2^(64k+1), so one word holds it.
+    let mut top = 0u64;
+    for &ai in a {
+        // m is chosen so that t + ai·b + m·n has a zero low word; dropping
+        // that word is the division by 2^64.
+        let s = u128::from(out[0]) + u128::from(ai) * u128::from(b[0]);
+        let m = (s as u64).wrapping_mul(n0inv);
+        let r = u128::from(s as u64) + u128::from(m) * u128::from(n[0]);
+        let (mut carry_ab, mut carry_mn) = (s >> 64, r >> 64);
+        for j in 1..k {
+            let s = u128::from(out[j]) + u128::from(ai) * u128::from(b[j]) + carry_ab;
+            carry_ab = s >> 64;
+            let r = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + carry_mn;
+            carry_mn = r >> 64;
+            out[j - 1] = r as u64;
+        }
+        let s = u128::from(top) + carry_ab + carry_mn;
+        out[k - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    if top != 0 || !limbs_less(out, n) {
+        limbs_sub_assign(out, n);
+    }
+}
+
+/// [`mont_mul`] at a compile-time width, so the compiler sees every loop
+/// bound and drops the bounds checks.
+fn mont_mul_fixed<const K: usize>(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0inv: u64) {
+    fn fixed<const K: usize>(s: &[u64]) -> &[u64; K] {
+        s.try_into().expect("residue has the modulus width")
+    }
+    let out: &mut [u64; K] = out.try_into().expect("residue has the modulus width");
+    mont_mul(out, fixed::<K>(a), fixed::<K>(b), fixed::<K>(n), n0inv);
+}
+
+/// `a < b` for equal-width little-endian limb slices.
+fn limbs_less(a: &[u64], b: &[u64]) -> bool {
+    a.iter().rev().lt(b.iter().rev())
+}
+
+/// `a -= b` for equal-width limb slices, wrapping mod `2^(64·len)`.
+fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *x = d2;
+        borrow = b1 | b2;
+    }
 }
 
 impl MontgomeryCtx {
@@ -657,12 +777,17 @@ impl MontgomeryCtx {
         let n0inv = inv.wrapping_neg();
         let r1 = BigUint::one().shl(64 * k).rem(n);
         let r2 = r1.mul_mod(&r1, n);
+        let padded = |x: BigUint| {
+            let mut limbs = x.limbs;
+            limbs.resize(k, 0);
+            limbs
+        };
         Some(MontgomeryCtx {
             n: n.clone(),
             k,
             n0inv,
-            r2,
-            r1,
+            r2: padded(r2),
+            r1: padded(r1),
         })
     }
 
@@ -671,100 +796,156 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// CIOS (coarsely integrated operand scanning) Montgomery product:
-    /// returns `a · b · R^{-1} mod n` for residues `a, b < n`.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.k;
+    /// `out = a · b · R^{-1} mod n`, at the width picked from the modulus'
+    /// limb count: monomorphised for RSA-512/1024/2048 moduli and their CRT
+    /// primes, the same loop over plain slices for anything else.
+    #[inline]
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         let n = &self.n.limbs;
-        debug_assert!(a.limbs.len() <= k && b.limbs.len() <= k);
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a.limbs.get(i).copied().unwrap_or(0);
-            // t += ai * b
-            let mut carry = 0u128;
-            for (tj, bj) in t[..k]
-                .iter_mut()
-                .zip(b.limbs.iter().chain(std::iter::repeat(&0)))
-            {
-                let cur = u128::from(*tj) + u128::from(ai) * u128::from(*bj) + carry;
-                *tj = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = u128::from(t[k]) + carry;
-            t[k] = cur as u64;
-            t[k + 1] = (cur >> 64) as u64;
-            // m = t[0] · n' mod 2^64, then t = (t + m·n) / 2^64: adding m·n
-            // makes the low word vanish, so the divide is a word shift.
-            let m = t[0].wrapping_mul(self.n0inv);
-            let cur = u128::from(t[0]) + u128::from(m) * u128::from(n[0]);
-            let mut carry = cur >> 64;
-            for j in 1..k {
-                let cur = u128::from(t[j]) + u128::from(m) * u128::from(n[j]) + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = u128::from(t[k]) + carry;
-            t[k - 1] = cur as u64;
-            // Running value stays < 2n < 2^(64k+1), so this sum fits a word.
-            t[k] = t[k + 1].wrapping_add((cur >> 64) as u64);
-            t[k + 1] = 0;
+        match self.k {
+            4 => mont_mul_fixed::<4>(out, a, b, n, self.n0inv),
+            8 => mont_mul_fixed::<8>(out, a, b, n, self.n0inv),
+            16 => mont_mul_fixed::<16>(out, a, b, n, self.n0inv),
+            32 => mont_mul_fixed::<32>(out, a, b, n, self.n0inv),
+            _ => mont_mul(out, a, b, n, self.n0inv),
         }
-        let mut out = BigUint {
-            limbs: t[..=k].to_vec(),
+    }
+
+    /// Splits `SCRATCH_ROWS · k` words of working storage — `stack` when
+    /// the modulus fits it, `heap` grown once otherwise — into the window
+    /// table and three single rows.
+    fn rows<'a>(
+        &self,
+        stack: &'a mut [u64; SCRATCH_ROWS * MAX_STACK_LIMBS],
+        heap: &'a mut Vec<u64>,
+    ) -> (&'a mut [u64], &'a mut [u64], &'a mut [u64], &'a mut [u64]) {
+        let k = self.k;
+        let block = if k <= MAX_STACK_LIMBS {
+            &mut stack[..SCRATCH_ROWS * k]
+        } else {
+            heap.resize(SCRATCH_ROWS * k, 0);
+            &mut heap[..]
         };
-        out.normalize();
-        if out >= self.n {
-            out = out.sub(&self.n);
+        let (table, rest) = block.split_at_mut(16 * k);
+        let (x, rest) = rest.split_at_mut(k);
+        let (acc, tmp) = rest.split_at_mut(k);
+        (table, x, acc, tmp)
+    }
+
+    /// Writes `x mod n` into the `k`-limb row `out`.
+    fn load(&self, x: &BigUint, out: &mut [u64]) {
+        let reduced;
+        let limbs = if *x < self.n {
+            &x.limbs
+        } else {
+            reduced = x.rem(&self.n);
+            &reduced.limbs
+        };
+        out[..limbs.len()].copy_from_slice(limbs);
+        out[limbs.len()..].fill(0);
+    }
+
+    /// Converts the Montgomery residue `x` back to an ordinary [`BigUint`],
+    /// using two free rows: one to hold the constant `1`, one for the product.
+    fn demont(&self, x: &[u64], one: &mut [u64], out: &mut [u64]) -> BigUint {
+        one.fill(0);
+        one[0] = 1;
+        self.mul(out, x, one);
+        BigUint::from_limbs(out)
+    }
+
+    /// `base_m^exp` in Montgomery form by a fixed 4-bit-window ladder: a
+    /// table of small powers (only as many as the largest exponent digit
+    /// needs, so `e = 65537` builds none), then four squarings plus at most
+    /// one table multiply per exponent nibble. `exp` must be non-zero.
+    /// Returns the row holding the result and the other, free row.
+    fn pow_mont<'a>(
+        &self,
+        table: &mut [u64],
+        base_m: &[u64],
+        exp: &BigUint,
+        mut acc: &'a mut [u64],
+        mut tmp: &'a mut [u64],
+    ) -> (&'a mut [u64], &'a mut [u64]) {
+        let k = self.k;
+        let windows = exp.bit_len().div_ceil(4);
+        let largest = (0..windows).map(|w| exp.nibble(w)).max().unwrap_or(0) as usize;
+        // table[d] = base^d in Montgomery form.
+        table[..k].copy_from_slice(&self.r1);
+        table[k..2 * k].copy_from_slice(base_m);
+        for d in 2..=largest {
+            let (lower, upper) = table.split_at_mut(d * k);
+            self.mul(&mut upper[..k], &lower[(d - 1) * k..], base_m);
         }
-        out
+        let entry = |d: usize| d * k..(d + 1) * k;
+        // The top window is non-zero by construction (it holds the highest
+        // set bit), so the accumulator starts from it directly.
+        acc.copy_from_slice(&table[entry(exp.nibble(windows - 1) as usize)]);
+        for w in (0..windows - 1).rev() {
+            for _ in 0..4 {
+                self.mul(tmp, acc, acc);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            let d = exp.nibble(w) as usize;
+            if d != 0 {
+                self.mul(tmp, acc, &table[entry(d)]);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        (acc, tmp)
     }
 
-    /// Converts `x < n` into Montgomery form (`x · R mod n`).
-    fn to_mont(&self, x: &BigUint) -> BigUint {
-        self.mont_mul(x, &self.r2)
-    }
-
-    /// Converts a Montgomery residue back to ordinary form.
-    fn demont(&self, x: &BigUint) -> BigUint {
-        self.mont_mul(x, &BigUint::one())
-    }
-
-    /// `(a · b) mod n` through one Montgomery round trip.
+    /// `(a · b) mod n`: one product leaves `a·b·R^{-1}`, a second against
+    /// `R^2` restores the factor.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(&a.rem(&self.n));
-        let bm = self.to_mont(&b.rem(&self.n));
-        self.demont(&self.mont_mul(&am, &bm))
+        let (mut stack, mut heap) = ([0u64; SCRATCH_ROWS * MAX_STACK_LIMBS], Vec::new());
+        let (_, x, acc, tmp) = self.rows(&mut stack, &mut heap);
+        self.load(a, acc);
+        self.load(b, tmp);
+        self.mul(x, acc, tmp);
+        self.mul(acc, x, &self.r2);
+        BigUint::from_limbs(acc)
     }
 
-    /// `base^exp mod n` by a fixed 4-bit-window Montgomery ladder: a
-    /// 16-entry table of small powers, then four squarings plus at most one
-    /// table multiply per exponent nibble.
+    /// `base^exp mod n`.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             // n > 1, so 1 mod n = 1.
             return BigUint::one();
         }
-        let base_m = self.to_mont(&base.rem(&self.n));
-        // table[d] = base^d in Montgomery form, d in 0..16.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone());
-        for d in 1..16 {
-            table.push(self.mont_mul(&table[d - 1], &base_m));
+        let (mut stack, mut heap) = ([0u64; SCRATCH_ROWS * MAX_STACK_LIMBS], Vec::new());
+        let (table, x, acc, tmp) = self.rows(&mut stack, &mut heap);
+        self.load(base, tmp);
+        self.mul(x, tmp, &self.r2);
+        let (acc, tmp) = self.pow_mont(table, x, exp, acc, tmp);
+        self.demont(acc, x, tmp)
+    }
+
+    /// One Miller–Rabin round run entirely in Montgomery form: whether the
+    /// modulus `n = d·2^s + 1` (`d` odd, `s ≥ 1`) is a strong probable
+    /// prime to `base`, i.e. `base^d ≡ 1` or `base^(d·2^r) ≡ −1 (mod n)`
+    /// for some `r < s`.
+    pub(crate) fn is_strong_probable_prime(&self, base: &BigUint, d: &BigUint, s: usize) -> bool {
+        let (mut stack, mut heap) = ([0u64; SCRATCH_ROWS * MAX_STACK_LIMBS], Vec::new());
+        let (table, x, acc, tmp) = self.rows(&mut stack, &mut heap);
+        self.load(base, tmp);
+        self.mul(x, tmp, &self.r2);
+        let (mut acc, mut tmp) = self.pow_mont(table, x, d, acc, tmp);
+        // −1 in Montgomery form is n − (R mod n); the table is free now.
+        let minus_one = &mut table[..self.k];
+        minus_one.copy_from_slice(&self.n.limbs);
+        limbs_sub_assign(minus_one, &self.r1);
+        if *acc == self.r1[..] || acc == minus_one {
+            return true;
         }
-        let windows = exp.bit_len().div_ceil(4);
-        // The top window is non-zero by construction (it holds the highest
-        // set bit), so the accumulator starts from it directly.
-        let mut acc = table[exp.nibble(windows - 1) as usize].clone();
-        for w in (0..windows - 1).rev() {
-            for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc);
-            }
-            let d = exp.nibble(w) as usize;
-            if d != 0 {
-                acc = self.mont_mul(&acc, &table[d]);
+        for _ in 1..s {
+            self.mul(tmp, acc, acc);
+            std::mem::swap(&mut acc, &mut tmp);
+            if acc == minus_one {
+                return true;
             }
         }
-        self.demont(&acc)
+        false
     }
 }
 

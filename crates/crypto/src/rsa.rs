@@ -10,7 +10,7 @@
 //! trade-off (§6); [`RsaKeySize`] exposes 1024/2048 for the key-size
 //! ablation bench.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, MontgomeryCtx};
 use crate::sha256::sha256;
 use rand::RngCore;
 use std::fmt;
@@ -52,9 +52,13 @@ impl fmt::Display for RsaKeySize {
 }
 
 /// An RSA public key `(n, e)`.
+///
+/// The modulus is held as a [`MontgomeryCtx`], built once at construction,
+/// so no operation re-derives `R² mod n`. The context compares, hashes and
+/// serializes as its modulus alone: it is an accelerator, not key identity.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct RsaPublicKey {
-    n: BigUint,
+    n: MontgomeryCtx,
     e: BigUint,
 }
 
@@ -68,7 +72,7 @@ pub struct RsaPublicKey {
 /// path, and equality compares `(n, e, d)` only.
 #[derive(Clone)]
 pub struct RsaPrivateKey {
-    n: BigUint,
+    n: MontgomeryCtx,
     e: BigUint,
     d: BigUint,
     crt: Option<CrtParams>,
@@ -86,8 +90,8 @@ impl Eq for RsaPrivateKey {}
 /// Chinese-remainder-theorem private-key parameters.
 #[derive(Clone)]
 struct CrtParams {
-    p: BigUint,
-    q: BigUint,
+    p: MontgomeryCtx,
+    q: MontgomeryCtx,
     /// `d mod (p-1)`.
     dp: BigUint,
     /// `d mod (q-1)`.
@@ -140,8 +144,8 @@ impl fmt::Debug for RsaPublicKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "RsaPublicKey(n={}…, e={})",
-            &self.n.to_hex()[..8.min(self.n.to_hex().len())],
+            "RsaPublicKey(n={:.8}…, e={})",
+            self.modulus().to_hex(),
             self.e
         )
     }
@@ -150,11 +154,7 @@ impl fmt::Debug for RsaPublicKey {
 impl fmt::Debug for RsaPrivateKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Never print d.
-        write!(
-            f,
-            "RsaPrivateKey(n={}…)",
-            &self.n.to_hex()[..8.min(self.n.to_hex().len())]
-        )
+        write!(f, "RsaPrivateKey(n={:.8}…)", self.n.modulus().to_hex())
     }
 }
 
@@ -183,18 +183,24 @@ pub fn generate_keypair<R: RngCore>(
         let Some(d) = e.mod_inverse(&phi) else {
             continue;
         };
+        let ctx = |m: &BigUint| MontgomeryCtx::new(m).expect("odd primes and their product");
         let crt = Some(CrtParams {
             dp: d.rem(&p.sub(&one)),
             dq: d.rem(&q.sub(&one)),
             qinv: q.mod_inverse(&p).expect("distinct primes are coprime"),
-            p,
-            q,
+            p: ctx(&p),
+            q: ctx(&q),
         });
         let public = RsaPublicKey {
-            n: n.clone(),
+            n: ctx(&n),
             e: e.clone(),
         };
-        let private = RsaPrivateKey { n, e, d, crt };
+        let private = RsaPrivateKey {
+            n: public.n.clone(),
+            e,
+            d,
+            crt,
+        };
         return (public, private);
     }
 }
@@ -202,12 +208,12 @@ pub fn generate_keypair<R: RngCore>(
 impl RsaPublicKey {
     /// The modulus size in bytes (ciphertexts and signatures have this length).
     pub fn block_len(&self) -> usize {
-        self.n.bit_len().div_ceil(8)
+        self.modulus().bit_len().div_ceil(8)
     }
 
     /// The modulus.
     pub fn modulus(&self) -> &BigUint {
-        &self.n
+        self.n.modulus()
     }
 
     /// The public exponent.
@@ -245,7 +251,7 @@ impl RsaPublicKey {
         block.push(0x00);
         block.extend_from_slice(plaintext);
         let m = BigUint::from_bytes_be(&block);
-        let c = m.mod_pow(&self.e, &self.n);
+        let c = self.n.mod_pow(&m, &self.e);
         Ok(c.to_bytes_be_padded(k).expect("c < n fits"))
     }
 
@@ -256,10 +262,10 @@ impl RsaPublicKey {
             return false;
         }
         let s = BigUint::from_bytes_be(signature);
-        if s >= self.n {
+        if s >= *self.modulus() {
             return false;
         }
-        let m = s.mod_pow(&self.e, &self.n);
+        let m = self.n.mod_pow(&s, &self.e);
         let Some(block) = m.to_bytes_be_padded(k) else {
             return false;
         };
@@ -285,13 +291,13 @@ impl RsaPublicKey {
         }
         // Probe with a fixed small value: (v^e)^d mod n == v.
         let v = BigUint::from_u64(0x42);
-        let c = v.mod_pow(&self.e, &self.n);
-        c.mod_pow(&private.d, &private.n) == v
+        let c = self.n.mod_pow(&v, &self.e);
+        self.n.mod_pow(&c, &private.d) == v
     }
 
     /// Serializes as `len(n) (2 bytes BE) || n || len(e) (2 bytes BE) || e`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.to_bytes_be();
+        let n = self.modulus().to_bytes_be();
         let e = self.e.to_bytes_be();
         let mut out = Vec::with_capacity(4 + n.len() + e.len());
         out.extend_from_slice(&(n.len() as u16).to_be_bytes());
@@ -305,24 +311,22 @@ impl RsaPublicKey {
     ///
     /// # Errors
     ///
-    /// [`RsaError::MalformedKey`] on truncated or trailing data.
+    /// [`RsaError::MalformedKey`] on truncated or trailing data, a modulus
+    /// that is even or `≤ 1`, or a zero exponent.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RsaError> {
-        let (n, rest) = read_chunk(bytes)?;
-        let (e, rest) = read_chunk(rest)?;
+        let (n, rest) = read_modulus(bytes)?;
+        let (e, rest) = read_exponent(rest)?;
         if !rest.is_empty() {
             return Err(RsaError::MalformedKey);
         }
-        Ok(RsaPublicKey {
-            n: BigUint::from_bytes_be(n),
-            e: BigUint::from_bytes_be(e),
-        })
+        Ok(RsaPublicKey { n, e })
     }
 }
 
 impl RsaPrivateKey {
     /// The modulus size in bytes.
     pub fn block_len(&self) -> usize {
-        self.n.bit_len().div_ceil(8)
+        self.n.modulus().bit_len().div_ceil(8)
     }
 
     /// The private operation `c^d mod n`, via CRT (Garner recombination)
@@ -330,15 +334,14 @@ impl RsaPrivateKey {
     fn private_pow(&self, c: &BigUint) -> BigUint {
         match &self.crt {
             Some(crt) => {
-                let m1 = c.mod_pow(&crt.dp, &crt.p);
-                let m2 = c.mod_pow(&crt.dq, &crt.q);
+                let (p, q) = (crt.p.modulus(), crt.q.modulus());
+                let m1 = crt.p.mod_pow(c, &crt.dp);
+                let m2 = crt.q.mod_pow(c, &crt.dq);
                 // h = qInv·(m1 − m2) mod p, m = m2 + h·q  (< n since h < p).
-                let h = crt
-                    .qinv
-                    .mul_mod(&m1.sub_mod(&m2.rem(&crt.p), &crt.p), &crt.p);
-                m2.add(&h.mul(&crt.q))
+                let h = crt.p.mul_mod(&crt.qinv, &m1.sub_mod(&m2.rem(p), p));
+                m2.add(&h.mul(q))
             }
-            None => c.mod_pow(&self.d, &self.n),
+            None => self.n.mod_pow(c, &self.d),
         }
     }
 
@@ -393,7 +396,7 @@ impl RsaPrivateKey {
     /// The BcWAN claim transaction publishes exactly this encoding in its
     /// unlocking script to reveal the ephemeral private key.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.to_bytes_be();
+        let n = self.n.modulus().to_bytes_be();
         let e = self.e.to_bytes_be();
         let d = self.d.to_bytes_be();
         let mut out = Vec::with_capacity(6 + n.len() + e.len() + d.len());
@@ -408,22 +411,42 @@ impl RsaPrivateKey {
     ///
     /// # Errors
     ///
-    /// [`RsaError::MalformedKey`] on truncated or trailing data.
+    /// [`RsaError::MalformedKey`] on truncated or trailing data, a modulus
+    /// that is even or `≤ 1`, or a zero exponent.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RsaError> {
-        let (n, rest) = read_chunk(bytes)?;
-        let (e, rest) = read_chunk(rest)?;
-        let (d, rest) = read_chunk(rest)?;
+        let (n, rest) = read_modulus(bytes)?;
+        let (e, rest) = read_exponent(rest)?;
+        let (d, rest) = read_exponent(rest)?;
         if !rest.is_empty() {
             return Err(RsaError::MalformedKey);
         }
         Ok(RsaPrivateKey {
-            n: BigUint::from_bytes_be(n),
-            e: BigUint::from_bytes_be(e),
-            d: BigUint::from_bytes_be(d),
+            n,
+            e,
+            d,
             // The wire format carries no factorization; plain-d path.
             crt: None,
         })
     }
+}
+
+/// Reads a modulus chunk. No honest producer emits an even modulus or one
+/// `≤ 1`, and refusing them here is what lets every parsed key carry a
+/// Montgomery context (and keeps `mod_pow` off its zero-modulus panic).
+fn read_modulus(bytes: &[u8]) -> Result<(MontgomeryCtx, &[u8]), RsaError> {
+    let (n, rest) = read_chunk(bytes)?;
+    let ctx = MontgomeryCtx::new(&BigUint::from_bytes_be(n)).ok_or(RsaError::MalformedKey)?;
+    Ok((ctx, rest))
+}
+
+/// Reads an exponent chunk; zero is not an exponent of any key pair.
+fn read_exponent(bytes: &[u8]) -> Result<(BigUint, &[u8]), RsaError> {
+    let (x, rest) = read_chunk(bytes)?;
+    let x = BigUint::from_bytes_be(x);
+    if x.is_zero() {
+        return Err(RsaError::MalformedKey);
+    }
+    Ok((x, rest))
 }
 
 fn read_chunk(bytes: &[u8]) -> Result<(&[u8], &[u8]), RsaError> {
@@ -449,63 +472,85 @@ fn signature_block(digest: &[u8; 32], k: usize) -> Vec<u8> {
     block
 }
 
-/// First few hundred odd primes for trial division before Miller–Rabin.
-fn small_primes() -> &'static [u64] {
-    const SMALL: [u64; 54] = [
-        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
-        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-        191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257,
-    ];
-    &SMALL
+/// The 54 odd primes up to 257, for trial division before Miller–Rabin.
+const SMALL_PRIMES: [u64; 54] = [
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
+    197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257,
+];
+
+/// [`SMALL_PRIMES`] cut greedily into runs whose product fits one word, as
+/// `(product, end index)`: a candidate is reduced once per run, and the
+/// run's primes then divide that single word instead of the candidate.
+const SIEVE_RUNS: [(u64, usize); 6] = {
+    let mut runs = [(1u64, 0usize); 6];
+    let (mut run, mut i) = (0, 0);
+    while i < SMALL_PRIMES.len() {
+        match runs[run].0.checked_mul(SMALL_PRIMES[i]) {
+            Some(product) => {
+                runs[run] = (product, i + 1);
+                i += 1;
+            }
+            None => run += 1,
+        }
+    }
+    assert!(run + 1 == runs.len());
+    runs
+};
+
+/// Trial division of an odd `n ≥ 3` by [`SMALL_PRIMES`]: `Some(true)` if
+/// `n` is one of them, `Some(false)` if one of them divides it properly,
+/// `None` if it has no factor up to 257.
+fn sieve(n: &BigUint) -> Option<bool> {
+    if let Some(small) = n.to_u64().filter(|&v| v <= 257) {
+        // Every odd composite this small has a factor in the table.
+        return Some(SMALL_PRIMES.contains(&small));
+    }
+    let mut start = 0;
+    for &(product, end) in &SIEVE_RUNS {
+        let residue = n.rem_u64(product);
+        if SMALL_PRIMES[start..end]
+            .iter()
+            .any(|&p| residue.is_multiple_of(p))
+        {
+            return Some(false);
+        }
+        start = end;
+    }
+    None
 }
 
 /// Miller–Rabin probabilistic primality test with `rounds` random bases.
+///
+/// Draw order is part of the contract (seeded runs must reproduce their
+/// keys): nothing is drawn for a candidate the sieve decides, and a
+/// survivor draws one base in `[2, n−2]` per round until the first round
+/// it fails.
 pub fn is_probable_prime<R: RngCore>(rng: &mut R, n: &BigUint, rounds: usize) -> bool {
-    if n.is_zero() || n.is_one() {
-        return false;
-    }
     let two = BigUint::from_u64(2);
-    if *n == two {
-        return true;
-    }
     if n.is_even() {
+        return *n == two;
+    }
+    if n.is_one() {
         return false;
     }
-    for &p in small_primes() {
-        let sp = BigUint::from_u64(p);
-        if *n == sp {
-            return true;
-        }
-        if n.rem(&sp).is_zero() {
-            return false;
-        }
+    if let Some(verdict) = sieve(n) {
+        return verdict;
     }
     // Write n-1 = d * 2^s with d odd.
-    let one = BigUint::one();
-    let n_minus_1 = n.sub(&one);
-    let mut d = n_minus_1.clone();
-    let mut s = 0usize;
-    while d.is_even() {
-        d = d.shr(1);
-        s += 1;
-    }
-    'witness: for _ in 0..rounds {
+    let n_minus_1 = n.sub(&BigUint::one());
+    let s = (0..)
+        .find(|&i| n_minus_1.bit(i))
+        .expect("n - 1 is non-zero");
+    let d = n_minus_1.shr(s);
+    // One context serves every round of this candidate.
+    let ctx = MontgomeryCtx::new(n).expect("n is odd and above 257");
+    let bound = n.sub(&BigUint::from_u64(3));
+    (0..rounds).all(|_| {
         // Random base in [2, n-2].
-        let bound = n.sub(&BigUint::from_u64(3));
         let a = BigUint::random_below(rng, &bound).add(&two);
-        let mut x = a.mod_pow(&d, n);
-        if x.is_one() || x == n_minus_1 {
-            continue;
-        }
-        for _ in 0..s - 1 {
-            x = x.mul_mod(&x, n);
-            if x == n_minus_1 {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
+        ctx.is_strong_probable_prime(&a, &d, s)
+    })
 }
 
 /// Generates a random prime with exactly `bits` bits.

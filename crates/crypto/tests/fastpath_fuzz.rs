@@ -7,8 +7,11 @@
 //! break fixed-window ladders (zero, one, exponent zero, scalars at and
 //! past the group order).
 
+use bcwan_crypto::rsa::{generate_prime, is_probable_prime};
 use bcwan_crypto::secp256k1::{double_scalar_mul, scalar_mul_base, JacobianPoint, GENERATOR};
-use bcwan_crypto::{BigUint, MontgomeryCtx, Scalar};
+use bcwan_crypto::{
+    generate_keypair, BigUint, MontgomeryCtx, RsaKeySize, RsaPrivateKey, RsaPublicKey, Scalar,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -102,6 +105,247 @@ fn montgomery_mod_pow_edge_cases() {
         base.mod_pow_schoolbook(&exp, &even)
     );
     assert!(MontgomeryCtx::new(&even).is_none());
+}
+
+/// `2^(64·limbs) − c`.
+fn below_power(limbs: usize, c: u64) -> BigUint {
+    BigUint::one().shl(64 * limbs).sub(&BigUint::from_u64(c))
+}
+
+/// Odd moduli of exactly `limbs` limbs that stress the fixed-width engine:
+/// just below `R`, top limb all-ones over random low limbs (both drive the
+/// running value past `R`, so the carry word and the final subtraction
+/// fire), top limb one (so `R mod n` is far from `R − n`), and plain random.
+fn edge_moduli(rng: &mut StdRng, limbs: usize) -> Vec<BigUint> {
+    let low = random_biguint(rng, 64 * (limbs - 1));
+    let mut all_ones_top = BigUint::from_u64(u64::MAX).shl(64 * (limbs - 1)).add(&low);
+    let mut one_top = BigUint::one().shl(64 * (limbs - 1)).add(&low);
+    let mut random = random_biguint(rng, 64 * limbs);
+    for m in [&mut all_ones_top, &mut one_top, &mut random] {
+        m.set_bit(0);
+    }
+    random.set_bit(64 * limbs - 1);
+    if limbs == 1 {
+        one_top = BigUint::from_u64(3); // 1 is not a modulus
+    }
+    vec![
+        below_power(limbs, 1),
+        below_power(limbs, 59),
+        all_ones_top,
+        one_top,
+        random,
+    ]
+}
+
+#[test]
+fn fixed_width_engine_matches_schoolbook_at_every_limb_count() {
+    // 4, 8, 16 and 32 limbs take the monomorphised product; every other
+    // count up to 32 the slice loop on stack rows; 33 the heap block.
+    let mut rng = StdRng::seed_from_u64(0x15_c105);
+    for limbs in 1..=33 {
+        for (which, m) in edge_moduli(&mut rng, limbs).into_iter().enumerate() {
+            assert_eq!(m.bit_len().div_ceil(64), limbs);
+            let ctx = MontgomeryCtx::new(&m).expect("odd modulus > 1");
+            let m_minus_1 = m.sub(&BigUint::one());
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                m_minus_1.clone(),
+                m.clone(),
+                random_biguint(&mut rng, 64 * limbs).rem(&m),
+                random_biguint(&mut rng, 64 * limbs + 40), // base ≥ n
+            ];
+            for base in &bases {
+                for exp in [0, 1, 65537].map(BigUint::from_u64) {
+                    assert_eq!(
+                        base.mod_pow(&exp, &m),
+                        base.mod_pow_schoolbook(&exp, &m),
+                        "{limbs} limbs, modulus {which}: {base:?}^{exp:?}"
+                    );
+                }
+                assert_eq!(
+                    ctx.mul_mod(base, &m_minus_1),
+                    base.mul_mod(&m_minus_1, &m),
+                    "{limbs} limbs, modulus {which}: {base:?}·(n−1)"
+                );
+            }
+            // A long exponent with all nibbles in play: full width where the
+            // width picks the code path, 128 bits in between (the schoolbook
+            // oracle is cubic in the width).
+            let full = limbs <= 8 || [16, 17, 32, 33].contains(&limbs);
+            let exp = random_biguint(&mut rng, if full { 64 * limbs } else { 128 });
+            let base = &bases[5];
+            assert_eq!(
+                ctx.mod_pow(base, &exp),
+                base.mod_pow_schoolbook(&exp, &m),
+                "{limbs} limbs, modulus {which}: {base:?}^{exp:?}"
+            );
+        }
+    }
+}
+
+/// The primality test as it was before it moved onto word residues and one
+/// Montgomery context per candidate: per-prime `BigUint::rem`, schoolbook
+/// modexp. Kept here as the oracle for verdict *and* RNG draws.
+fn is_probable_prime_reference(rng: &mut StdRng, n: &BigUint, rounds: usize) -> bool {
+    const SMALL: [u64; 54] = [
+        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+        191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257,
+    ];
+    if n.is_zero() || n.is_one() {
+        return false;
+    }
+    let two = BigUint::from_u64(2);
+    if *n == two {
+        return true;
+    }
+    if n.is_even() {
+        return false;
+    }
+    for &p in &SMALL {
+        let sp = BigUint::from_u64(p);
+        if *n == sp {
+            return true;
+        }
+        if n.rem(&sp).is_zero() {
+            return false;
+        }
+    }
+    let one = BigUint::one();
+    let n_minus_1 = n.sub(&one);
+    let mut d = n_minus_1.clone();
+    let mut s = 0usize;
+    while d.is_even() {
+        d = d.shr(1);
+        s += 1;
+    }
+    'witness: for _ in 0..rounds {
+        let bound = n.sub(&BigUint::from_u64(3));
+        let a = BigUint::random_below(rng, &bound).add(&two);
+        let mut x = a.mod_pow_schoolbook(&d, n);
+        if x.is_one() || x == n_minus_1 {
+            continue;
+        }
+        for _ in 0..s - 1 {
+            x = x.mul_mod(&x, n);
+            if x == n_minus_1 {
+                continue 'witness;
+            }
+        }
+        return false;
+    }
+    true
+}
+
+/// Same verdict, and the RNG left in the same state, as the reference —
+/// with `rounds = 0` that isolates the trial-division decision.
+fn assert_primality_matches_reference(rng: &mut StdRng, n: &BigUint) {
+    for rounds in [0, 20] {
+        let mut reference_rng = rng.clone();
+        let expected = is_probable_prime_reference(&mut reference_rng, n, rounds);
+        assert_eq!(
+            is_probable_prime(rng, n, rounds),
+            expected,
+            "{n:?}, {rounds} rounds"
+        );
+        assert_eq!(
+            rng.next_u64(),
+            reference_rng.next_u64(),
+            "{n:?}, {rounds} rounds: draws"
+        );
+    }
+}
+
+#[test]
+fn primality_test_matches_reference_verdict_and_draws() {
+    const SMALL_PRIMES: [u64; 8] = [3, 5, 7, 53, 59, 101, 251, 257];
+    let mut rng = StdRng::seed_from_u64(0x51e7e);
+    for n in 0..=257u64 {
+        assert_primality_matches_reference(&mut rng, &BigUint::from_u64(n));
+    }
+    for round in 0..160 {
+        let mut n = random_biguint(&mut rng, 64 + (round % 8) * 64);
+        n.set_bit(0);
+        assert_primality_matches_reference(&mut rng, &n);
+    }
+    // Small prime × prime: only the sieve stands between these and 20
+    // rounds. Squares of the table's ends and products of 259 and up
+    // included.
+    let big = generate_prime(&mut rng, 192);
+    for p in SMALL_PRIMES {
+        for cofactor in [BigUint::from_u64(p), BigUint::from_u64(263), big.clone()] {
+            let n = BigUint::from_u64(p).mul(&cofactor);
+            assert_primality_matches_reference(&mut rng, &n);
+            assert!(!is_probable_prime(&mut rng, &n, 20));
+        }
+    }
+    // Carmichael numbers: the first few fall to the sieve; the Chernick
+    // products (6k+1)(12k+1)(18k+1) have no factor below 258, so only the
+    // strong test rejects them.
+    let chernick = |k: u64| (6 * k + 1) * (12 * k + 1) * (18 * k + 1);
+    for n in [
+        561,
+        1105,
+        1729,
+        41041,
+        825_265,
+        25_326_001,
+        chernick(51),
+        chernick(55),
+        chernick(100),
+    ] {
+        let n = BigUint::from_u64(n);
+        assert_primality_matches_reference(&mut rng, &n);
+        assert!(!is_probable_prime(&mut rng, &n, 20));
+    }
+    // Primes run all 20 rounds; 2^64 − 59, 2^127 − 1 and fresh ones.
+    let mut primes = vec![
+        below_power(1, 59),
+        BigUint::one().shl(127).sub(&BigUint::one()),
+    ];
+    for bits in [64, 128, 256] {
+        primes.push(generate_prime(&mut rng, bits));
+    }
+    for p in &primes {
+        assert_primality_matches_reference(&mut rng, p);
+        assert!(is_probable_prime(&mut rng, p, 20));
+    }
+}
+
+#[test]
+fn parsed_keys_and_crt_keys_compute_the_same_values() {
+    let mut rng = StdRng::seed_from_u64(0xc47);
+    let sizes = [
+        RsaKeySize::Rsa512,
+        RsaKeySize::Rsa512,
+        RsaKeySize::Rsa512,
+        RsaKeySize::Rsa1024,
+    ];
+    for size in sizes {
+        let (public, private) = generate_keypair(&mut rng, size);
+        // The wire form carries neither the CRT parameters nor any
+        // Montgomery constant; the parsed halves rebuild their own.
+        let plain = RsaPrivateKey::from_bytes(&private.to_bytes()).unwrap();
+        let parsed_public = RsaPublicKey::from_bytes(&public.to_bytes()).unwrap();
+        assert_eq!(plain, private);
+        assert_eq!(parsed_public, public);
+        assert_eq!(plain.to_bytes(), private.to_bytes());
+        assert_eq!(format!("{plain:?}"), format!("{private:?}"));
+        assert_eq!(format!("{parsed_public:?}"), format!("{public:?}"));
+
+        for round in 0..8u8 {
+            let message = vec![round; 1 + usize::from(round) * 5];
+            let signature = private.sign(&message);
+            assert_eq!(signature, plain.sign(&message), "{size} CRT vs plain");
+            assert!(parsed_public.verify(&message, &signature));
+            let sealed = parsed_public.encrypt(&mut rng, &message).unwrap();
+            assert_eq!(private.decrypt(&sealed).unwrap(), message);
+            assert_eq!(plain.decrypt(&sealed).unwrap(), message);
+        }
+        assert!(parsed_public.matches_private(&plain));
+        assert!(public.matches_private(&plain) && parsed_public.matches_private(&private));
+    }
 }
 
 /// Reference scalar multiplication: plain MSB-first double-and-add over
