@@ -1,66 +1,55 @@
-//! One transport, two worlds: the same federation logic over the
-//! simulated bus or real TCP sockets.
+//! Live nodes over a transport: the same federation logic over the
+//! in-process bus or real TCP sockets.
 //!
 //! [`World`](crate::world::World) drives the paper's §5.2 experiments on
 //! a deterministic event queue; the live loopback tests drive real
-//! sockets. This module is the seam between them: a [`Fleet`] is a set
-//! of [`FleetNode`]s — each a full gateway with its own [`Daemon`],
-//! wallet, and exchange state — wired together by any
-//! [`FleetTransport`]. The *same* scenario function (for example
-//! [`fig3_partition_recovery`]) runs unmodified over [`BusFleet`]
-//! (in-process channels, instant delivery) or [`TcpFleet`] (real
-//! `TcpHost` sockets multiplexed on one shared event-driven
-//! [`TcpRuntime`]); the only difference is which transport value the
-//! caller constructs.
+//! sockets. Both run the same gateway daemon, [`Node`]. A [`Fleet`] is a
+//! set of [`FleetNode`]s — each a `Node` plus the small [`NodeEnv`] a
+//! live host needs: reactions become [`Outbound`]s for the transport,
+//! reports become a log — wired together by any [`FleetTransport`]. The
+//! *same* scenario function (for example [`fig3_partition_recovery`])
+//! runs unmodified over [`BusFleet`] (in-process channels, instant
+//! delivery) or [`TcpFleet`] (real `TcpHost` sockets multiplexed on one
+//! shared event-driven [`TcpRuntime`]); the only difference is which
+//! transport value the caller constructs.
 //!
-//! [`FleetNode::handle`] is the live daemon accept loop the paper's
-//! gateways run: admit transactions, connect blocks, relay gossip with
-//! flood dedup, answer `GetBlocksFrom` with bounded batches out of
-//! [`sync::serve_blocks_from_bounded`], and issue catch-up requests when
-//! a tip announcement or an unconnectable block reveals the node is
-//! behind (§5.1). Partitions are enforced at the overlay routing layer
-//! on both backends: a cut link silently drops the message, exactly what
-//! a severed WAN path does to a datagram in flight.
+//! What stays on the operator's side of a live fleet is what no daemon
+//! can do for itself: deciding when to mine ([`Fleet::mine`]), telling a
+//! healed node who is ahead ([`Fleet::announce_tip`] — a live fleet has
+//! no oracle that reads every host's height), and invoking the recovery
+//! actions ([`Fleet::act`] with [`Node::rebroadcast`], [`Node::refund`],
+//! …) that the simulator's watchdog times. Partitions are enforced at
+//! the overlay routing layer on both backends: a cut link silently drops
+//! the message, exactly what a severed WAN path does to a datagram in
+//! flight.
 
+use crate::app_server::AppServerId;
 use crate::costs::CostModel;
-use crate::escrow::{build_claim, build_escrow, extract_key_from_claim, find_escrow_for_key};
-use crate::exchange::{open_reading, seal_reading, verify_uplink, SealedUplink};
+use crate::escrow::REFUND_DELTA;
+use crate::exchange::seal_reading;
+use crate::fsm::FsmEvent;
 use crate::net::WanCodec;
-use crate::provisioning::{DeviceId, DeviceRegistry};
-use crate::sync;
+use crate::node::{Node, NodeEnv, Note, Parcel, Stored, SyncPlan, Terms};
+use crate::provisioning::DeviceId;
 use crate::wire::WanMessage;
 use crate::Daemon;
-use bcwan_chain::{
-    Address, Block, BlockAction, Chain, ChainParams, OutPoint, Transaction, TxId, TxOut, Wallet,
-};
-use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
+use bcwan_chain::{Address, Chain, ChainParams, Wallet};
+use bcwan_crypto::rsa::RsaKeySize;
+use bcwan_crypto::sha256::sha256;
 use bcwan_p2p::transport::{TcpConfig, TcpHost, TcpRuntime};
-use bcwan_p2p::{ChainMessage, Envelope, Inbox, LiveBus, NodeId};
-use bcwan_script::Script;
+use bcwan_p2p::{Envelope, Inbox, LiveBus, NodeId};
 use bcwan_sim::{SimRng, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Blocks served per `GetBlocksFrom` answer — the live analogue of the
-/// simulated world's sync batching, so one lagging peer cannot make a
-/// daemon serialize its whole chain into a single response. The
-/// trailing `TipAnnounce` tells a still-behind requester to ask again.
-pub const SYNC_BATCH: usize = 32;
 
 /// Inbound messages a node drains per [`Fleet::step`], so one flooded
 /// node cannot starve the rest of the fleet within a step.
 const DRAIN_PER_STEP: usize = 64;
-
-/// Reward locked in the scenario's escrow output.
-const ESCROW_VALUE: u64 = 100;
-/// Fee the escrow transaction pays.
-const ESCROW_FEE: u64 = 10;
-/// Fee the claim transaction pays.
-const CLAIM_FEE: u64 = 5;
 
 /// An addressed overlay for a fleet of nodes, with partitionable links.
 ///
@@ -212,7 +201,7 @@ impl FleetTransport for TcpFleet {
     }
 }
 
-/// Where one of [`FleetNode::handle`]'s reactions goes.
+/// Where one of a node's reactions goes.
 #[derive(Debug, Clone)]
 pub enum Outbound {
     /// Directly to one peer (sync responses, catch-up requests).
@@ -221,419 +210,96 @@ pub enum Outbound {
     Flood(WanMessage),
 }
 
-/// One live gateway: a chain daemon plus the per-role exchange state
-/// the Fig. 3 protocol needs.
+/// One live gateway: the shared [`Node`] plus what its environment
+/// remembers between messages.
 pub struct FleetNode {
-    /// This node's overlay id.
-    pub id: NodeId,
-    /// The node's chain daemon (chain, mempool, relay dedup).
-    pub daemon: Daemon,
-    /// The node's wallet.
-    pub wallet: Wallet,
-    /// Recipient role: provisioned devices this node can verify and
-    /// decrypt for.
-    pub registry: DeviceRegistry,
-    /// Recipient role: spendable coins for funding escrows.
-    pub coins: Vec<(OutPoint, Script, u64)>,
-    /// Gateway role: the ephemeral keypair of the exchange in flight.
-    pub ephemeral: Option<(RsaPublicKey, RsaPrivateKey)>,
-    /// Gateway role: whether the escrow was claimed.
-    pub claimed: bool,
-    /// Gateway role: txid of the claim, once broadcast.
-    pub claim_txid: Option<TxId>,
-    /// Recipient role: the reading recovered from the claim.
-    pub decrypted: Option<Vec<u8>>,
-    /// Recipient role: set when two *distinct* key-revealing claims
-    /// were seen spending our escrow — the gateway equivocated. The
-    /// reading is never at risk (every valid claim reveals the true
-    /// eSk); the flag is the detection signal fair exchange promises.
-    pub equivocation_detected: bool,
-    /// Recipient role: first key-revealing claim seen for our escrow.
-    seen_claim_txid: Option<TxId>,
-    /// How many `GetBlocksFrom` batches this node served.
-    pub sync_batches_served: u64,
-    /// How many `GetHeadersFrom` batches this node served.
-    pub header_batches_served: u64,
-    /// In-progress headers-first catch-up, if any.
-    header_sync: Option<sync::HeaderSync>,
-    /// Every peer's wallet address, indexed by node id (out-of-band
-    /// here; the on-chain directory's job in the full system).
-    address_book: Vec<Address>,
-    pending_uplink: Option<(DeviceId, SealedUplink)>,
-    escrow_outpoint: Option<OutPoint>,
-    costs: CostModel,
-    now: SimTime,
-    rng: SimRng,
+    /// The gateway daemon.
+    pub node: Node,
+    /// What the node reported, in order, by exchange tag. Tags are the
+    /// operator's on the gateway side ([`Node::open_session`]) and
+    /// [`delivery_tag`]s on the recipient side.
+    pub notes: Vec<(u64, Note)>,
+    /// The node's clock counts from here.
+    started: Instant,
+}
+
+/// The environment of a live node: sends become [`Outbound`]s, reports
+/// a log. It is honest (no misbehaviour) and has no oracle: it syncs
+/// from whoever a tip announcement or an orphan block shows to be ahead.
+struct LiveEnv<'a> {
+    out: Vec<Outbound>,
+    notes: &'a mut Vec<(u64, Note)>,
+}
+
+/// The tag a live recipient files an exchange under: a digest of the
+/// ephemeral key its `Deliver` names, so telling deliveries apart keeps
+/// no state a peer's traffic could grow.
+pub fn delivery_tag(e_pk_bytes: &[u8]) -> u64 {
+    let digest = sha256(e_pk_bytes);
+    u64::from_le_bytes(digest[..8].try_into().expect("eight bytes"))
+}
+
+impl NodeEnv for LiveEnv<'_> {
+    fn flood(&mut self, _at: SimTime, parcel: &Arc<Parcel>) {
+        self.out.push(Outbound::Flood(parcel.msg.clone()));
+    }
+
+    fn unicast(&mut self, _at: SimTime, to: NodeId, msg: WanMessage) {
+        self.out.push(Outbound::To(to, msg));
+    }
+
+    fn note(&mut self, _at: SimTime, tag: u64, note: Note) {
+        self.notes.push((tag, note));
+    }
+
+    fn delivery(&mut self, e_pk_bytes: &[u8]) -> Option<u64> {
+        Some(delivery_tag(e_pk_bytes))
+    }
+
+    fn closed(&self, tag: u64) -> bool {
+        let refunded = Note::Settlement(FsmEvent::RefundConfirmed);
+        self.notes.contains(&(tag, refunded))
+    }
+
+    fn sync_plan(
+        &mut self,
+        _now: SimTime,
+        _height: u64,
+        hint: Option<(NodeId, u64)>,
+    ) -> Option<SyncPlan> {
+        hint.map(|(peer, target)| SyncPlan {
+            peers: vec![peer],
+            target,
+        })
+    }
 }
 
 impl FleetNode {
-    fn new(
-        id: NodeId,
-        chain: Chain,
-        wallet: Wallet,
-        address_book: Vec<Address>,
-        seed: u64,
-    ) -> Self {
-        FleetNode {
-            id,
-            daemon: Daemon::new(chain),
-            wallet,
-            registry: DeviceRegistry::new(),
-            coins: Vec::new(),
-            ephemeral: None,
-            claimed: false,
-            claim_txid: None,
-            decrypted: None,
-            equivocation_detected: false,
-            seen_claim_txid: None,
-            sync_batches_served: 0,
-            header_batches_served: 0,
-            header_sync: None,
-            address_book,
-            pending_uplink: None,
-            escrow_outpoint: None,
-            costs: CostModel::pi_class(),
-            now: SimTime::ZERO,
-            rng: SimRng::seed_from_u64(seed ^ u64::from(id.0).wrapping_mul(0x9e37_79b9)),
-        }
-    }
-
-    /// The node's chain height.
-    pub fn height(&self) -> u64 {
-        self.daemon.chain.height()
-    }
-
-    /// This node's tip as an inventory announcement.
-    pub fn tip_announce(&self) -> WanMessage {
-        WanMessage::Chain(ChainMessage::TipAnnounce {
-            hash: self.daemon.chain.tip(),
-            height: self.daemon.chain.height(),
-        })
-    }
-
-    /// The daemon accept loop: processes one inbound message and returns
-    /// the reactions to route. This single body of protocol logic is
-    /// what both the bus and TCP fleets execute.
-    pub fn handle(&mut self, env: Envelope<WanMessage>) -> Vec<Outbound> {
-        let mut out = Vec::new();
-        // Flood dedup first: a transaction or block this node already
-        // saw is dropped wholesale, which is what terminates gossip
-        // floods on both fabrics.
-        if let WanMessage::Chain(cm) = &env.msg {
-            if cm.flood_id().is_some() && !self.daemon.relay.should_relay(cm) {
-                return out;
-            }
-        }
-        match env.msg {
-            WanMessage::Deliver {
-                device_id,
-                e_pk_bytes,
-                uplink,
-            } => self.on_deliver(env.from, device_id, &e_pk_bytes, uplink, &mut out),
-            WanMessage::Chain(ChainMessage::Tx(tx)) => self.on_tx(tx, &mut out),
-            WanMessage::Chain(ChainMessage::Block(block)) => {
-                self.on_block(env.from, block, &mut out)
-            }
-            WanMessage::Chain(ChainMessage::GetBlocksFrom(height)) => {
-                self.sync_batches_served += 1;
-                let batch = sync::serve_blocks_from_bounded(&self.daemon.chain, height, SYNC_BATCH);
-                for block in batch {
-                    out.push(Outbound::To(
-                        env.from,
-                        WanMessage::Chain(ChainMessage::Block(block)),
-                    ));
-                }
-                // The tip announce closes the loop: if the batch stopped
-                // short of our tip, the requester sees it is still
-                // behind and asks again from its new height.
-                out.push(Outbound::To(env.from, self.tip_announce()));
-            }
-            WanMessage::Chain(ChainMessage::GetBlock(hash)) => {
-                if let Some(block) = self
-                    .daemon
-                    .chain
-                    .iter_main()
-                    .find(|b| b.hash() == hash)
-                    .cloned()
-                {
-                    out.push(Outbound::To(
-                        env.from,
-                        WanMessage::Chain(ChainMessage::Block(block)),
-                    ));
-                }
-            }
-            WanMessage::Chain(ChainMessage::GetHeadersFrom(height)) => {
-                self.header_batches_served += 1;
-                let headers =
-                    sync::serve_headers_from(&self.daemon.chain, height, sync::HEADER_BATCH);
-                out.push(Outbound::To(
-                    env.from,
-                    WanMessage::Chain(ChainMessage::Headers {
-                        start_height: height,
-                        headers,
-                    }),
-                ));
-            }
-            WanMessage::Chain(ChainMessage::Headers {
-                start_height,
-                headers,
-            }) => {
-                if let Some(hs) = self.header_sync.as_mut() {
-                    let reqs = hs.on_headers(&self.daemon.chain, start_height, &headers);
-                    if !hs.is_active() {
-                        self.header_sync = None;
-                    }
-                    self.push_sync_requests(reqs, &mut out);
-                }
-            }
-            WanMessage::Chain(ChainMessage::TipAnnounce { height, .. }) => {
-                if height > self.daemon.chain.height() {
-                    match self.header_sync.as_mut() {
-                        Some(hs) => {
-                            // Already syncing: raise the target and top
-                            // up the body window.
-                            hs.on_tip(height);
-                            let reqs = hs.on_progress(&self.daemon.chain);
-                            if !hs.is_active() {
-                                self.header_sync = None;
-                            }
-                            self.push_sync_requests(reqs, &mut out);
-                        }
-                        None => {
-                            // Headers-first catch-up (§5.1): locate the
-                            // fork with cheap header batches before any
-                            // bodies move, instead of blindly walking
-                            // blocks from our own height.
-                            let peers = self.sync_peers(env.from);
-                            let (hs, reqs) =
-                                sync::HeaderSync::start(peers, self.daemon.chain.height(), height);
-                            self.header_sync = Some(hs);
-                            self.push_sync_requests(reqs, &mut out);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Peers to stripe body batches across: the announcing peer first,
-    /// then the next node ids round-robin, at most three total. (Ids
-    /// map to every fleet member; a cut link just drops that stripe and
-    /// the orphan-fallback `GetBlocksFrom` recovers.)
-    fn sync_peers(&self, primary: NodeId) -> Vec<NodeId> {
-        let n = self.address_book.len() as u32;
-        let mut peers = vec![primary];
-        let mut next = primary.0.wrapping_add(1) % n.max(1);
-        while peers.len() < 3 && peers.len() + 1 < n as usize {
-            let candidate = NodeId(next);
-            if candidate != self.id && !peers.contains(&candidate) {
-                peers.push(candidate);
-            }
-            next = (next + 1) % n;
-        }
-        peers
-    }
-
-    fn push_sync_requests(&self, reqs: Vec<sync::SyncRequest>, out: &mut Vec<Outbound>) {
-        for req in reqs {
-            let (peer, msg) = match req {
-                sync::SyncRequest::Headers { peer, from } => {
-                    (peer, ChainMessage::GetHeadersFrom(from))
-                }
-                sync::SyncRequest::Bodies { peer, from } => {
-                    (peer, ChainMessage::GetBlocksFrom(from))
-                }
-            };
-            out.push(Outbound::To(peer, WanMessage::Chain(msg)));
-        }
-    }
-
-    /// Fig. 3 steps 8–9 at the recipient: verify the uplink, fund the
-    /// escrow paying the delivering gateway, flood it toward the miners.
-    fn on_deliver(
+    /// Runs a host-local action against the node and returns what it
+    /// sent. The action gets the node's clock reading and environment.
+    pub fn act<R>(
         &mut self,
-        from: NodeId,
-        device_id: DeviceId,
-        e_pk_bytes: &[u8],
-        uplink: SealedUplink,
-        out: &mut Vec<Outbound>,
-    ) {
-        let Some(record) = self.registry.get(&device_id) else {
-            return; // not our device
+        action: impl FnOnce(&mut Node, SimTime, &mut dyn NodeEnv) -> R,
+    ) -> (R, Vec<Outbound>) {
+        let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
+        let mut env = LiveEnv {
+            out: Vec::new(),
+            notes: &mut self.notes,
         };
-        let Ok(pk) = RsaPublicKey::from_bytes(e_pk_bytes) else {
-            return;
-        };
-        if !verify_uplink(record, &pk, &uplink) {
-            return; // forged or corrupted — never pay for it
-        }
-        let Some(coin) = self.coins.pop() else {
-            return; // nothing left to fund an escrow with
-        };
-        let Some(&gateway_address) = self.address_book.get(from.0 as usize) else {
-            return;
-        };
-        let escrow = build_escrow(
-            &self.wallet,
-            std::slice::from_ref(&coin),
-            &pk,
-            &gateway_address,
-            ESCROW_VALUE,
-            ESCROW_FEE,
-            0,
-        );
-        self.escrow_outpoint = Some(escrow.outpoint());
-        self.pending_uplink = Some((device_id, uplink));
-        let tx = escrow.tx;
-        self.daemon.relay.mark_seen(tx.txid().0);
-        let (done, _) = self
-            .daemon
-            .accept_transaction(self.now, tx.clone(), &self.costs);
-        self.now = done;
-        out.push(Outbound::Flood(WanMessage::Chain(ChainMessage::Tx(tx))));
+        let result = action(&mut self.node, now, &mut env);
+        (result, env.out)
     }
 
-    fn on_tx(&mut self, tx: Transaction, out: &mut Vec<Outbound>) {
-        let (done, res) = self
-            .daemon
-            .accept_transaction(self.now, tx.clone(), &self.costs);
-        self.now = done;
-        if res.is_ok() {
-            out.push(Outbound::Flood(WanMessage::Chain(ChainMessage::Tx(
-                tx.clone(),
-            ))));
-        }
-        // Recipient role, step 10→11: a claim spending our escrow output
-        // reveals eSk; decrypt the pending uplink with it. Detection
-        // runs even when admission failed — a rival claim is exactly
-        // the tx the pool rejects as a conflict.
-        self.note_claim(&tx);
-        self.try_decrypt_from(&tx);
+    /// Processes one inbound message and returns the reactions to route.
+    pub fn handle(&mut self, env: Envelope<WanMessage>) -> Vec<Outbound> {
+        let parcel = Parcel::new(env.msg);
+        self.act(|node, now, e| node.handle(now, env.from, parcel, e))
+            .1
     }
 
-    fn on_block(&mut self, from: NodeId, block: Block, out: &mut Vec<Outbound>) {
-        let (done, res) = self
-            .daemon
-            .accept_block(self.now, block.clone(), &mut self.rng);
-        self.now = done;
-        match res {
-            Ok(BlockAction::Extended(_)) | Ok(BlockAction::Reorganized { .. }) => {
-                out.push(Outbound::Flood(WanMessage::Chain(ChainMessage::Block(
-                    block,
-                ))));
-                // Gateway role: once the escrow confirms, claim it by
-                // revealing eSk. Claiming before confirmation would be
-                // rejected everywhere (the escrow output is not in any
-                // UTXO set yet) and the relay dedup would never let the
-                // claim re-flood — so confirmation is the trigger.
-                self.try_claim_connected(out);
-                self.try_decrypt_connected();
-                // Keep the headers-first body window full as batches
-                // land and retire.
-                if let Some(hs) = self.header_sync.as_mut() {
-                    let reqs = hs.on_progress(&self.daemon.chain);
-                    if !hs.is_active() {
-                        self.header_sync = None;
-                    }
-                    self.push_sync_requests(reqs, out);
-                }
-            }
-            Ok(BlockAction::SideChain) | Ok(BlockAction::AlreadyKnown) => {}
-            Err(_) => {
-                // Most likely an orphan: the parent is missing because
-                // we were partitioned. Ask the sender for everything
-                // above our tip (§5.1 catch-up).
-                out.push(Outbound::To(
-                    from,
-                    WanMessage::Chain(ChainMessage::GetBlocksFrom(self.daemon.chain.height())),
-                ));
-            }
-        }
-    }
-
-    /// Gateway role: scan freshly confirmed transactions for an escrow
-    /// locked to our ephemeral key and claim it.
-    fn try_claim_connected(&mut self, out: &mut Vec<Outbound>) {
-        if self.claimed {
-            return;
-        }
-        let Some((e_pk, e_sk)) = self.ephemeral.clone() else {
-            return;
-        };
-        let connected = self.daemon.last_connected_txs().to_vec();
-        for tx in &connected {
-            let Some((vout, value)) = find_escrow_for_key(tx, &e_pk) else {
-                continue;
-            };
-            let outpoint = OutPoint {
-                txid: tx.txid(),
-                vout,
-            };
-            let script = tx.outputs[vout as usize].script_pubkey.clone();
-            let claim = build_claim(&self.wallet, outpoint, &script, value, &e_sk, CLAIM_FEE);
-            self.claimed = true;
-            self.claim_txid = Some(claim.txid());
-            self.daemon.relay.mark_seen(claim.txid().0);
-            let (done, _) = self
-                .daemon
-                .accept_transaction(self.now, claim.clone(), &self.costs);
-            self.now = done;
-            out.push(Outbound::Flood(WanMessage::Chain(ChainMessage::Tx(claim))));
-            return;
-        }
-    }
-
-    /// Recipient role: the claim may first be seen inside a block rather
-    /// than as loose gossip (e.g. after a partition heals).
-    fn try_decrypt_connected(&mut self) {
-        let connected = self.daemon.last_connected_txs().to_vec();
-        for tx in &connected {
-            self.note_claim(tx);
-        }
-        if self.decrypted.is_some() {
-            return;
-        }
-        for tx in &connected {
-            self.try_decrypt_from(tx);
-        }
-    }
-
-    /// Recipient role: remembers which key-revealing claim spent our
-    /// escrow; a second distinct one flips [`Self::equivocation_detected`].
-    /// Runs after decryption too — the rival usually arrives later.
-    fn note_claim(&mut self, tx: &Transaction) {
-        let Some(outpoint) = self.escrow_outpoint else {
-            return;
-        };
-        if extract_key_from_claim(tx, &outpoint).is_none() {
-            return; // refund-branch spends are legal, not equivocation
-        }
-        let txid = tx.txid();
-        match self.seen_claim_txid {
-            None => self.seen_claim_txid = Some(txid),
-            Some(seen) if seen != txid => self.equivocation_detected = true,
-            Some(_) => {}
-        }
-    }
-
-    fn try_decrypt_from(&mut self, tx: &Transaction) {
-        if self.decrypted.is_some() {
-            return;
-        }
-        let Some(outpoint) = self.escrow_outpoint else {
-            return;
-        };
-        let Some(revealed) = extract_key_from_claim(tx, &outpoint) else {
-            return;
-        };
-        let Some((device_id, uplink)) = self.pending_uplink.as_ref() else {
-            return;
-        };
-        let Some(record) = self.registry.get(device_id) else {
-            return;
-        };
-        self.decrypted = open_reading(record, &revealed, &uplink.em).ok();
+    /// Whether this node reported `note` for exchange `tag`.
+    pub fn noted(&self, tag: u64, note: Note) -> bool {
+        self.notes.contains(&(tag, note))
     }
 }
 
@@ -647,7 +313,10 @@ pub struct Fleet<T> {
 
 impl<T: FleetTransport> Fleet<T> {
     /// Builds `n` nodes over `transport`, all sharing one fast-test
-    /// genesis that funds node 2 (the scenario's recipient) with 1 000.
+    /// genesis that funds node 2 (the scenario's recipient) with four
+    /// coins of 250. Escrows lock 100 for the gateway at a fee of 10,
+    /// gateways claim once the escrow has one confirmation, and the
+    /// refund branch opens after the paper's 100 blocks.
     ///
     /// Roles by convention (what [`fig3_partition_recovery`] uses):
     /// node 0 is the master miner, node 1 the foreign gateway, node 2
@@ -662,30 +331,35 @@ impl<T: FleetTransport> Fleet<T> {
         let mut params = ChainParams::fast_test();
         params.coinbase_maturity = 0;
         let wallets: Vec<Wallet> = (0..n).map(|_| Wallet::generate(&mut rng)).collect();
-        let address_book: Vec<Address> = wallets.iter().map(|w| w.address()).collect();
-        let genesis = Chain::make_genesis(&params, &[(address_book[2], 1_000)]);
-        let genesis_coin = (
-            OutPoint {
-                txid: genesis.transactions[0].txid(),
-                vout: 0,
-            },
-            wallets[2].locking_script(),
-            1_000u64,
-        );
-        let mut nodes: Vec<FleetNode> = wallets
+        let address_book: Arc<[Address]> = wallets.iter().map(Wallet::address).collect();
+        let genesis = Chain::make_genesis(&params, &[(address_book[2], 250); 4]);
+        let terms = Arc::new(Terms {
+            costs: CostModel::pi_class(),
+            reward: 100,
+            fee: 10,
+            confirmation_depth: 1,
+            refund_delta: REFUND_DELTA,
+            rsa_size: RsaKeySize::Rsa512,
+        });
+        let started = Instant::now();
+        let nodes = wallets
             .into_iter()
             .enumerate()
-            .map(|(i, wallet)| {
-                FleetNode::new(
+            .map(|(i, wallet)| FleetNode {
+                node: Node::new(
                     NodeId(i as u32),
-                    Chain::new(params.clone(), genesis.clone()),
                     wallet,
+                    // Live nodes share nothing: each daemon keeps a
+                    // private verification memo.
+                    Daemon::new(Chain::new(params.clone(), genesis.clone())),
+                    SimRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9)),
+                    terms.clone(),
                     address_book.clone(),
-                    seed,
-                )
+                ),
+                notes: Vec::new(),
+                started,
             })
             .collect();
-        nodes[2].coins.push(genesis_coin);
         Fleet { transport, nodes }
     }
 
@@ -757,43 +431,29 @@ impl<T: FleetTransport> Fleet<T> {
         }
     }
 
-    /// Mines one block at `miner` from its mempool and floods it — the
-    /// world's mine tick, ported to the live daemon loop.
+    /// Runs a host-local action on node `i` (see [`FleetNode::act`])
+    /// and routes what it sent.
+    pub fn act<R>(
+        &mut self,
+        i: usize,
+        action: impl FnOnce(&mut Node, SimTime, &mut dyn NodeEnv) -> R,
+    ) -> R {
+        let (result, reactions) = self.nodes[i].act(action);
+        self.route(NodeId(i as u32), reactions);
+        result
+    }
+
+    /// Mines one block at `miner` from its mempool and floods it.
     pub fn mine(&mut self, miner: usize) {
-        let block = {
-            let node = &self.nodes[miner];
-            let params = node.daemon.chain.params().clone();
-            let height = node.daemon.chain.height() + 1;
-            let mut txs = vec![Transaction::coinbase(
-                height,
-                b"fleet",
-                vec![TxOut {
-                    value: params.coinbase_reward,
-                    script_pubkey: node.wallet.locking_script(),
-                }],
-            )];
-            let budget = params.max_block_size.saturating_sub(txs[0].size() + 88);
-            txs.extend(node.daemon.mempool.block_template(budget));
-            Block::mine(node.daemon.chain.tip(), height, params.difficulty_bits, txs)
-        };
-        let node = &mut self.nodes[miner];
-        let now = node.now;
-        let (done, action) = node.daemon.accept_block(now, block.clone(), &mut node.rng);
-        node.now = done;
-        if matches!(
-            action,
-            Ok(BlockAction::Extended(_)) | Ok(BlockAction::Reorganized { .. })
-        ) {
-            node.daemon.relay.mark_seen(block.hash().0);
-            let msg = WanMessage::Chain(ChainMessage::Block(block));
-            self.route(NodeId(miner as u32), vec![Outbound::Flood(msg)]);
-        }
+        self.act(miner, |node, now, env| {
+            node.mine(now, b"fleet", &HashSet::new(), env)
+        });
     }
 
     /// Sends `from`'s tip announcement directly to `to` — how a healed
     /// node learns it is behind.
     pub fn announce_tip(&mut self, from: usize, to: usize) {
-        let msg = self.nodes[from].tip_announce();
+        let msg = self.nodes[from].node.tip_announce();
         self.transport
             .send(NodeId(from as u32), NodeId(to as u32), &msg);
     }
@@ -816,6 +476,33 @@ impl<T: FleetTransport> Fleet<T> {
         self.transport
             .send(NodeId(from as u32), NodeId(to as u32), msg)
     }
+}
+
+/// The stimulus of one exchange, Fig. 3 steps 1–7: a device provisioned
+/// at `recipient` seals `reading` under the ephemeral key of the session
+/// `gateway` opens as `tag`, and the gateway delivers it. Returns the
+/// tag the recipient files the exchange under, if the `Deliver` went out.
+fn deliver_reading<T: FleetTransport>(
+    fleet: &mut Fleet<T>,
+    (gateway, recipient): (usize, usize),
+    tag: u64,
+    reading: &[u8],
+) -> Option<u64> {
+    let mut rng = StdRng::seed_from_u64(0xf1e3 ^ tag);
+    let home = &mut fleet.nodes[recipient].node;
+    let device_id = DeviceId(tag as u32 + 1);
+    let device = home
+        .registry
+        .provision(&mut rng, device_id, home.wallet.address());
+    let (e_pk, _) = fleet.act(gateway, |node, now, _| node.open_session(now, tag));
+    let msg = WanMessage::Deliver {
+        device_id,
+        e_pk_bytes: e_pk.to_bytes(),
+        uplink: seal_reading(&mut rng, &device, &e_pk, reading).expect("seal"),
+    };
+    fleet
+        .send_direct(gateway, recipient, &msg)
+        .then(|| delivery_tag(&e_pk.to_bytes()))
 }
 
 /// What [`fig3_partition_recovery`] proved, for the caller to assert on.
@@ -862,38 +549,18 @@ pub fn fig3_partition_recovery<T: FleetTransport>(
     );
     let (miner, gateway, recipient, straggler) = (0, 1, 2, n - 1);
 
-    // Provision a device at the recipient; the device seals a reading
-    // under the gateway's fresh ephemeral key (Fig. 3 steps 1–6).
-    let mut rng = StdRng::seed_from_u64(0xf1e3);
-    let recipient_address = fleet.nodes[recipient].wallet.address();
-    let device =
-        fleet.nodes[recipient]
-            .registry
-            .provision(&mut rng, DeviceId(1), recipient_address);
-    let (e_pk, e_sk) = generate_keypair(&mut rng, RsaKeySize::Rsa512);
-    let sealed = seal_reading(&mut rng, &device, &e_pk, FLEET_READING).expect("seal");
-    fleet.nodes[gateway].ephemeral = Some((e_pk.clone(), e_sk));
-
     // The straggler misses the whole exchange.
     fleet.set_isolated(straggler, true);
 
-    // Step 7: the gateway delivers the uplink to the recipient.
-    assert!(
-        fleet.send_direct(
-            gateway,
-            recipient,
-            &WanMessage::Deliver {
-                device_id: DeviceId(1),
-                e_pk_bytes: e_pk.to_bytes(),
-                uplink: sealed,
-            },
-        ),
-        "deliver sent"
-    );
+    // Fig. 3 steps 1–7.
+    const TAG: u64 = 0;
+    let delivery =
+        deliver_reading(fleet, (gateway, recipient), TAG, FLEET_READING).expect("deliver sent");
 
     // Steps 8–9: the recipient escrows; gossip carries it to the miner.
+    let pool_filled = |f: &Fleet<T>| !f.nodes[miner].node.daemon.mempool.is_empty();
     assert!(
-        fleet.run_until(timeout, |f| !f.nodes[miner].daemon.mempool.is_empty()),
+        fleet.run_until(timeout, pool_filled),
         "escrow reached the miner's mempool"
     );
     fleet.mine(miner); // block 1 confirms the escrow
@@ -902,9 +569,9 @@ pub fn fig3_partition_recovery<T: FleetTransport>(
     // eSk), and the recipient decrypts from the gossiped claim.
     assert!(
         fleet.run_until(timeout, |f| {
-            f.nodes[gateway].claimed
-                && f.nodes[recipient].decrypted.is_some()
-                && !f.nodes[miner].daemon.mempool.is_empty()
+            f.nodes[gateway].noted(TAG, Note::Claiming)
+                && f.nodes[recipient].noted(delivery, Note::Opened)
+                && pool_filled(f)
         }),
         "claim gossiped and reading decrypted"
     );
@@ -912,45 +579,77 @@ pub fn fig3_partition_recovery<T: FleetTransport>(
 
     assert!(
         fleet.run_until(timeout, |f| {
-            (0..n).all(|i| i == straggler || f.nodes[i].height() == 2)
+            (0..n).all(|i| i == straggler || f.nodes[i].node.height() == 2)
         }),
         "connected fleet converged at height 2"
     );
     assert_eq!(
-        fleet.nodes[straggler].height(),
+        fleet.nodes[straggler].node.height(),
         0,
         "straggler stayed dark through the exchange"
     );
 
-    // §5.1: the partition heals; one tip announcement triggers
-    // GetBlocksFrom catch-up through bounded batches.
+    // §5.1: the partition heals; one tip announcement triggers the
+    // headers-first catch-up through bounded GetBlocksFrom batches.
     fleet.set_isolated(straggler, false);
     fleet.announce_tip(miner, straggler);
     assert!(
         fleet.run_until(timeout, |f| {
-            f.nodes[straggler].height() == f.nodes[miner].height()
+            f.nodes[straggler].node.height() == f.nodes[miner].node.height()
         }),
         "straggler caught up after the partition healed"
     );
 
-    let claim_txid = fleet.nodes[gateway].claim_txid.expect("claim exists");
-    let partitioned_caught_up = fleet.nodes[straggler]
-        .daemon
-        .chain
-        .find_transaction(&claim_txid)
-        .is_some();
+    let claim = fleet.nodes[gateway].node.stored(TAG, Stored::Claim);
+    let partitioned_caught_up = claim.is_some_and(|claim| {
+        let chain = &fleet.nodes[straggler].node.daemon.chain;
+        chain.find_transaction(&claim.txid()).is_some()
+    });
+    let recipient_app = &fleet.nodes[recipient].node.apps;
+    let delivered = recipient_app
+        .server(&AppServerId(0))
+        .and_then(|s| s.readings().last());
     FleetOutcome {
-        decrypted: fleet.nodes[recipient].decrypted.clone(),
-        gateway_claimed: fleet.nodes[gateway].claimed,
-        heights: fleet.nodes.iter().map(FleetNode::height).collect(),
+        decrypted: delivered.map(|reading| reading.payload.clone()),
+        gateway_claimed: claim.is_some(),
+        heights: fleet.nodes.iter().map(|n| n.node.height()).collect(),
         partitioned_caught_up,
-        sync_batches_served: fleet.nodes.iter().map(|h| h.sync_batches_served).sum(),
+        sync_batches_served: fleet.nodes.iter().map(|n| n.node.sync_batches_served).sum(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escrow::{build_claim, extract_key_from_claim};
+    use crate::sync::SYNC_BATCH;
+    use bcwan_chain::{Block, BlockHash};
+    use bcwan_p2p::ChainMessage;
+
+    const GATEWAY: usize = 1;
+    const RECIPIENT: usize = 2;
+    const WAIT: Duration = Duration::from_secs(10);
+
+    fn block_msg(block: &Block) -> WanMessage {
+        WanMessage::Chain(ChainMessage::Block(block.clone()))
+    }
+
+    fn from(peer: u32, msg: WanMessage) -> Envelope<WanMessage> {
+        Envelope {
+            from: NodeId(peer),
+            msg,
+        }
+    }
+
+    /// Starts exchange `tag` (the gateway's tag); returns the recipient's.
+    fn deliver(fleet: &mut Fleet<BusFleet>, tag: u64, reading: &[u8]) -> u64 {
+        deliver_reading(fleet, (GATEWAY, RECIPIENT), tag, reading).expect("deliver sent")
+    }
+
+    /// Transactions in `node`'s mempool.
+    fn pooled(fleet: &Fleet<BusFleet>, node: usize) -> usize {
+        fleet.nodes[node].node.daemon.mempool.len()
+    }
 
     #[test]
     fn handle_serves_bounded_sync_batches() {
@@ -958,21 +657,30 @@ mod tests {
         for _ in 0..40 {
             fleet.mine(0);
         }
-        assert_eq!(fleet.nodes[0].height(), 40);
-        let reactions = fleet.nodes[0].handle(Envelope {
-            from: NodeId(2),
-            msg: WanMessage::Chain(ChainMessage::GetBlocksFrom(0)),
-        });
-        // SYNC_BATCH blocks plus the trailing tip announce.
-        assert_eq!(reactions.len(), SYNC_BATCH + 1);
+        assert_eq!(fleet.nodes[0].node.height(), 40);
+        let request = WanMessage::Chain(ChainMessage::GetBlocksFrom(0));
+        let reactions = fleet.nodes[0].handle(from(2, request));
+        assert_eq!(reactions.len(), SYNC_BATCH);
+        assert!(reactions.iter().all(|o| matches!(
+            o,
+            Outbound::To(NodeId(2), WanMessage::Chain(ChainMessage::Block(_)))
+        )));
+        assert_eq!(fleet.nodes[0].node.sync_batches_served, 1);
+    }
+
+    #[test]
+    fn get_block_answers_main_chain_hashes_only() {
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 14);
+        fleet.mine(0);
+        let node = &mut fleet.nodes[0];
+        let mined = node.node.daemon.chain.tip();
+        let ask = |hash| from(1, WanMessage::Chain(ChainMessage::GetBlock(hash)));
+        let reactions = node.handle(ask(mined));
         assert!(matches!(
-            reactions.last(),
-            Some(Outbound::To(
-                NodeId(2),
-                WanMessage::Chain(ChainMessage::TipAnnounce { height: 40, .. })
-            ))
+            reactions.as_slice(),
+            [Outbound::To(NodeId(1), WanMessage::Chain(ChainMessage::Block(b)))] if b.hash() == mined
         ));
-        assert_eq!(fleet.nodes[0].sync_batches_served, 1);
+        assert!(node.handle(ask(BlockHash([7; 32]))).is_empty());
     }
 
     #[test]
@@ -983,25 +691,50 @@ mod tests {
         let mut fleet = Fleet::new(BusFleet::new(3), 3, 13);
         fleet.mine(0);
         let node = &mut fleet.nodes[0];
-        let earlier = node.daemon.chain.block_at(1).expect("mined").clone();
+        let chain = &node.node.daemon.chain;
+        let earlier = chain.block_at(1).expect("mined").clone();
         let replay = Block::mine(
-            node.daemon.chain.tip(),
+            chain.tip(),
             2,
-            node.daemon.chain.params().difficulty_bits,
+            chain.params().difficulty_bits,
             vec![earlier.transactions[0].clone()],
         );
-        let reactions = node.handle(Envelope {
-            from: NodeId(1),
-            msg: WanMessage::Chain(ChainMessage::Block(replay)),
-        });
-        assert_eq!(node.height(), 1, "the replay did not connect");
-        assert!(
-            !reactions.iter().any(|o| matches!(
-                o,
-                Outbound::Flood(WanMessage::Chain(ChainMessage::Block(_)))
-            )),
-            "and was not relayed"
+        let reactions = node.handle(from(1, block_msg(&replay)));
+        assert_eq!(node.node.height(), 1, "the replay did not connect");
+        // Neither relayed nor — being invalid, not an orphan — answered
+        // with a catch-up request the sender could make us repeat.
+        assert!(reactions.is_empty(), "{reactions:?}");
+    }
+
+    #[test]
+    fn early_block_waits_for_its_parent() {
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 15);
+        fleet.mine(0);
+        fleet.mine(0);
+        let chain = &fleet.nodes[0].node.daemon.chain;
+        let (parent, child) = (
+            block_msg(chain.block_at(1).unwrap()),
+            block_msg(chain.block_at(2).unwrap()),
         );
+        let node = &mut fleet.nodes[1];
+        // The child first: buffered, and one catch-up toward its sender.
+        let reactions = node.handle(from(0, child));
+        assert_eq!(node.node.height(), 0);
+        assert!(matches!(
+            reactions.as_slice(),
+            [Outbound::To(
+                NodeId(0),
+                WanMessage::Chain(ChainMessage::GetHeadersFrom(0))
+            )]
+        ));
+        // The parent lands: both connect and relay, nothing more is asked.
+        let reactions = node.handle(from(0, parent));
+        assert_eq!(node.node.height(), 2);
+        assert_eq!(reactions.len(), 2);
+        assert!(reactions.iter().all(|o| matches!(
+            o,
+            Outbound::Flood(WanMessage::Chain(ChainMessage::Block(_)))
+        )));
     }
 
     #[test]
@@ -1011,67 +744,124 @@ mod tests {
         // Everyone converges, and the drain loop terminates because the
         // relay dedup kills every re-flood: finite total traffic.
         assert!(fleet.run_until(Duration::from_secs(5), |f| {
-            f.nodes.iter().all(|n| n.height() == 1)
+            f.nodes.iter().all(|n| n.node.height() == 1)
         }));
         while fleet.step() > 0 {}
-        assert!(fleet.nodes.iter().all(|n| n.height() == 1));
+        assert!(fleet.nodes.iter().all(|n| n.node.height() == 1));
+    }
+
+    #[test]
+    fn two_concurrent_exchanges_share_a_gateway_and_recipient() {
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 16);
+        let filed = [
+            deliver(&mut fleet, 0, b"first"),
+            deliver(&mut fleet, 1, b"second"),
+        ];
+        assert!(
+            fleet.run_until(WAIT, |f| pooled(f, 0) == 2),
+            "both escrows pooled"
+        );
+        fleet.mine(0);
+        assert!(
+            fleet.run_until(WAIT, |f| {
+                (0..2).all(|tag| {
+                    f.nodes[GATEWAY].noted(tag as u64, Note::Claiming)
+                        && f.nodes[RECIPIENT].noted(filed[tag], Note::Opened)
+                }) && pooled(f, 0) == 2
+            }),
+            "both claims gossiped, both readings opened"
+        );
+        fleet.mine(0);
+        let confirmed = Note::Settlement(FsmEvent::ClaimConfirmed);
+        assert!(fleet.run_until(WAIT, |f| {
+            filed
+                .iter()
+                .all(|tag| f.nodes[RECIPIENT].noted(*tag, confirmed))
+        }));
+        let apps = &fleet.nodes[RECIPIENT].node.apps;
+        let mut readings: Vec<&[u8]> = apps
+            .server(&AppServerId(0))
+            .expect("default server")
+            .readings()
+            .iter()
+            .map(|r| r.payload.as_slice())
+            .collect();
+        readings.sort();
+        assert_eq!(readings, [b"first".as_slice(), b"second"]);
+    }
+
+    #[test]
+    fn withheld_claim_ends_in_the_cltv_refund() {
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 17);
+        let filed = deliver(&mut fleet, 0, b"unpaid");
+        // The gateway goes dark before the escrow reaches it: the claim
+        // never comes.
+        fleet.set_isolated(GATEWAY, true);
+        assert!(
+            fleet.run_until(WAIT, |f| pooled(f, 0) == 1),
+            "escrow pooled"
+        );
+        let recipient = &fleet.nodes[RECIPIENT].node;
+        let refund_height = recipient.escrow(filed).expect("escrowed").refund_height;
+        while fleet.nodes[RECIPIENT].node.height() < refund_height {
+            fleet.mine(0);
+            while fleet.step() > 0 {}
+        }
+        // The operator's part of the watchdog: past the CLTV height with
+        // no claim in sight, spend the escrow back.
+        let sent = fleet.act(RECIPIENT, |node, now, env| {
+            node.refund(filed).expect("escrow held");
+            node.rebroadcast(now, filed, Stored::Refund, env)
+        });
+        assert!(sent, "the refund is valid now");
+        assert!(
+            fleet.run_until(WAIT, |f| pooled(f, 0) == 1),
+            "refund pooled"
+        );
+        fleet.mine(0);
+        let refunded = Note::Settlement(FsmEvent::RefundConfirmed);
+        assert!(fleet.run_until(WAIT, |f| f.nodes[RECIPIENT].noted(filed, refunded)));
+        assert!(!fleet.nodes[GATEWAY].noted(0, Note::Claiming));
+        assert!(!fleet.nodes[RECIPIENT].noted(filed, Note::Opened));
     }
 
     #[test]
     fn recipient_flags_equivocating_claims() {
         let mut fleet = Fleet::new(BusFleet::new(3), 3, 12);
-        let mut rng = StdRng::seed_from_u64(77);
-        let gateway_wallet = Wallet::generate(&mut rng);
-        let recipient_wallet = Wallet::generate(&mut rng);
-        let (e_pk, e_sk) = generate_keypair(&mut rng, RsaKeySize::Rsa512);
-        // A synthetic escrow (never mined — detection is chain-independent).
-        let coin = (
-            OutPoint {
-                txid: TxId([9u8; 32]),
-                vout: 0,
-            },
-            recipient_wallet.locking_script(),
-            ESCROW_VALUE + ESCROW_FEE,
-        );
-        let escrow = build_escrow(
-            &recipient_wallet,
-            &[coin],
-            &e_pk,
-            &gateway_wallet.address(),
-            ESCROW_VALUE,
-            ESCROW_FEE,
-            0,
-        );
-        let node = &mut fleet.nodes[0];
-        node.escrow_outpoint = Some(escrow.outpoint());
-        let claim_a = build_claim(
-            &gateway_wallet,
+        let filed = deliver(&mut fleet, 0, b"reading");
+        assert!(fleet.run_until(WAIT, |f| pooled(f, 0) == 1));
+        fleet.mine(0);
+        assert!(fleet.run_until(WAIT, |f| f.nodes[RECIPIENT].noted(filed, Note::Opened)));
+        // A second claim on the same escrow, as the gateway could sign it:
+        // a skewed fee forks the txid, the revealed key is the same.
+        let gateway = &fleet.nodes[GATEWAY].node;
+        let claim = gateway.stored(0, Stored::Claim).expect("claimed").clone();
+        let escrow = fleet.nodes[RECIPIENT].node.escrow(filed).expect("escrowed");
+        let e_sk = extract_key_from_claim(&claim, &escrow.outpoint()).expect("revealed");
+        let rival = build_claim(
+            &gateway.wallet,
             escrow.outpoint(),
             &escrow.script,
-            ESCROW_VALUE,
+            100,
             &e_sk,
-            CLAIM_FEE,
+            11,
         );
-        let claim_b = build_claim(
-            &gateway_wallet,
-            escrow.outpoint(),
-            &escrow.script,
-            ESCROW_VALUE,
-            &e_sk,
-            CLAIM_FEE + 1,
+        assert_ne!(claim.txid(), rival.txid());
+        let recipient = &mut fleet.nodes[RECIPIENT];
+        let tx = |tx| from(1, WanMessage::Chain(ChainMessage::Tx(tx)));
+        recipient.handle(tx(claim)); // the claim it already saw: fine
+        assert!(!recipient.noted(filed, Note::Equivocation));
+        recipient.handle(tx(rival));
+        assert!(
+            recipient.noted(filed, Note::Equivocation),
+            "second distinct claim flags"
         );
-        assert_ne!(claim_a.txid(), claim_b.txid(), "fee skew forks the txid");
-        node.note_claim(&claim_a);
-        node.note_claim(&claim_a); // duplicate of the same claim: fine
-        assert!(!node.equivocation_detected);
-        node.note_claim(&claim_b);
-        assert!(node.equivocation_detected, "second distinct claim flags");
     }
 
     #[test]
     fn cut_links_drop_messages_on_the_bus() {
         let mut fleet = Fleet::new(BusFleet::new(3), 3, 11);
-        let announce = fleet.nodes[0].tip_announce();
+        let announce = fleet.nodes[0].node.tip_announce();
         fleet.set_isolated(2, true);
         assert!(!fleet.send_direct(0, 2, &announce));
         fleet.set_isolated(2, false);

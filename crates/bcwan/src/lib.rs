@@ -36,9 +36,11 @@
 //!   wire encoding,
 //! - [`net`] — the §4.3 delivery glue: the wire codec packaged for the
 //!   `bcwan-p2p` TCP transport, and directory-driven dialing,
-//! - [`fleet`] — one transport, two worlds: the transport-generic
-//!   daemon loop that runs the same scenario over the in-process bus or
-//!   real TCP sockets.
+//! - [`node`] — the gateway daemon itself: every reaction to an inbound
+//!   message and every operator action, written once against
+//!   [`NodeEnv`] and run by both [`world`] and [`fleet`],
+//! - [`fleet`] — live nodes over a transport: the same scenario over
+//!   the in-process bus or real TCP sockets.
 //!
 //! ## Quickstart
 //!
@@ -64,6 +66,7 @@ pub mod exchange;
 pub mod fleet;
 pub mod fsm;
 pub mod net;
+pub mod node;
 pub mod provisioning;
 pub mod reputation;
 pub mod sync;
@@ -81,6 +84,7 @@ pub use fleet::{
 };
 pub use fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase, RetryPolicy};
 pub use net::{DialError, OverlayDialer, WanCodec};
+pub use node::{Node, NodeEnv, Note};
 pub use provisioning::{DeviceCredentials, DeviceId, DeviceRecord, DeviceRegistry};
 pub use wire::{WanMessage, WireError};
 pub use world::{ExperimentResult, WorkloadConfig, World};

@@ -1,0 +1,1154 @@
+//! The gateway daemon: one implementation under both worlds.
+//!
+//! The paper's federation is *one* daemon run by many actors (§4.3–§5.1):
+//! every gateway keeps a chain, finds recipients in the on-chain
+//! directory and plays Fig. 3 in either role. [`Node`] is that daemon.
+//! It owns every reaction a host has to an inbound
+//! [`WanMessage`] ([`Node::handle`]) and the host-local actions an
+//! operator invokes (open a session, forward an uplink, re-broadcast,
+//! claim late, refund, mine, restart, sync), and it reaches everything
+//! outside the host through [`NodeEnv`].
+//!
+//! The simulator ([`World`](crate::world::World)) implements `NodeEnv`
+//! over its event queue, latency model and chaos engine; a live
+//! [`FleetNode`](crate::fleet::FleetNode) implements it by collecting
+//! [`Outbound`](crate::fleet::Outbound)s for a transport. Both run the
+//! code in this file, so each protocol rule lives here once.
+
+use crate::app_server::{AppRouter, AppServer, AppServerId};
+use crate::costs::CostModel;
+use crate::daemon::Daemon;
+use crate::directory::{Directory, IpAnnouncement};
+use crate::escrow::{self, Escrow};
+use crate::exchange::{open_reading, verify_uplink, SealedUplink};
+use crate::fsm::FsmEvent;
+use crate::provisioning::{DeviceId, DeviceRegistry};
+use crate::sync::{self, HeaderSync, SyncRequest};
+use crate::wire::WanMessage;
+use bcwan_chain::{
+    Address, Block, BlockAction, BlockHash, Chain, ChainError, OutPoint, Transaction, TxId, TxOut,
+    Wallet,
+};
+use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
+use bcwan_p2p::{ChainMessage, NodeId};
+use bcwan_script::Script;
+use bcwan_sim::{SimDuration, SimRng, SimTime};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// A WAN message as a node handles it: stamped once where it originates
+/// with what every hop would otherwise recompute, then shared by all
+/// copies in flight — fan-out is a refcount bump, and a duplicate
+/// delivery costs a hash-set probe on the id instead of a serialization
+/// and a double SHA-256. The simulator shares one parcel across all of
+/// its hosts (one address space, so a host can observe no difference);
+/// a live node stamps each frame as it comes off the socket.
+#[derive(Debug)]
+pub struct Parcel {
+    /// The message.
+    pub msg: WanMessage,
+    /// Flood-dedup id (txid or block hash); `None` for request/response
+    /// traffic, which is never re-flooded.
+    id: Option<[u8; 32]>,
+    /// [`WanMessage::wire_size`], for traffic accounting.
+    pub wire_size: usize,
+}
+
+impl Parcel {
+    /// Stamps `msg`.
+    pub fn new(msg: WanMessage) -> Arc<Self> {
+        let id = match &msg {
+            WanMessage::Chain(cm) => cm.flood_id(),
+            WanMessage::Deliver { .. } => None,
+        };
+        let wire_size = msg.wire_size();
+        Arc::new(Parcel { msg, id, wire_size })
+    }
+
+    fn tx(tx: Transaction) -> Arc<Self> {
+        Self::new(WanMessage::Chain(ChainMessage::Tx(tx)))
+    }
+
+    fn block(block: Block) -> Arc<Self> {
+        Self::new(WanMessage::Chain(ChainMessage::Block(block)))
+    }
+
+    /// The stamped id of a transaction or block parcel.
+    fn flood_id(&self) -> [u8; 32] {
+        self.id.expect("transaction and block parcels carry an id")
+    }
+}
+
+/// Something a node reports about one exchange, at the program point
+/// where it happens. The environment keeps whatever bookkeeping it owns
+/// in step: the simulator drives its per-exchange FSM, deadlines,
+/// tracer spans, auditor and latency series from these; a live fleet
+/// logs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Note {
+    /// Recipient: the delivery could not be verified or funded; the
+    /// exchange is over before any money moved.
+    Abort,
+    /// Recipient: the uplink's signature checked out (Fig. 3 step 8).
+    Delivered,
+    /// Recipient: the escrow locking this outpoint is pooled here and
+    /// flooded (step 9); settlement is now the chain's business.
+    EscrowPublished(OutPoint),
+    /// Gateway: the claim revealing `eSk` is being built (step 10).
+    Claiming,
+    /// Recipient: the revealed key opened the reading, which went to its
+    /// application server (step 11).
+    Opened,
+    /// Recipient: the revealed key did not open the reading.
+    OpenFailed,
+    /// Recipient: a second *distinct* key-revealing claim spends the
+    /// escrow — the gateway equivocated.
+    Equivocation,
+    /// Recipient: the main chain confirmed or (after a reorg) orphaned
+    /// the claim or refund spending the escrow.
+    Settlement(FsmEvent),
+}
+
+/// Ways a Byzantine gateway deviates; the environment says when.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Misbehaviour {
+    /// Sit on the claim instead of publishing it.
+    WithholdClaim,
+    /// Sign two conflicting claims and show each half of the overlay a
+    /// different one.
+    Equivocate,
+}
+
+/// Where to catch up from: `peers[0]` answers the header probes, body
+/// batches are striped across all of `peers`, up to `target` height.
+#[derive(Debug, Clone)]
+pub struct SyncPlan {
+    /// Peers to ask, the locate source first.
+    pub peers: Vec<NodeId>,
+    /// The height the source is believed to be at.
+    pub target: u64,
+}
+
+/// Everything outside the host, as one node sees it. An environment
+/// value is bound to the node it is handed to, so no method names the
+/// caller.
+pub trait NodeEnv {
+    /// Gossips `parcel` to every overlay peer, leaving at `at`.
+    fn flood(&mut self, at: SimTime, parcel: &Arc<Parcel>);
+
+    /// Sends `msg` to one peer over a direct dial, leaving at `at`.
+    fn unicast(&mut self, at: SimTime, to: NodeId, msg: WanMessage);
+
+    /// The equivocator's flood: `claim` to one half of the overlay,
+    /// `rival` to the other. Only reached when
+    /// [`misbehaves`](Self::misbehaves) said [`Misbehaviour::Equivocate`].
+    fn flood_split(&mut self, at: SimTime, claim: &Arc<Parcel>, rival: &Arc<Parcel>) {
+        self.flood(at, claim);
+        self.flood(at, rival);
+    }
+
+    /// Reports `note` about exchange `tag`, observed at `at`.
+    fn note(&mut self, at: SimTime, tag: u64, note: Note);
+
+    /// The tag of the open exchange a `Deliver` under this ephemeral key
+    /// starts, or `None` to drop it (no such exchange, or one already
+    /// over).
+    fn delivery(&mut self, e_pk_bytes: &[u8]) -> Option<u64>;
+
+    /// Whether exchange `tag` was already closed by a confirmed refund,
+    /// so a key revealed now opens nothing.
+    fn closed(&self, tag: u64) -> bool;
+
+    /// Whom to sync from, for a node at `height`. `hint` is a peer the
+    /// node has reason to believe is ahead, and the height it claims.
+    fn sync_plan(
+        &mut self,
+        now: SimTime,
+        height: u64,
+        hint: Option<(NodeId, u64)>,
+    ) -> Option<SyncPlan>;
+
+    /// Whether this node deviates in the given way at `now`. Honest
+    /// environments keep the default.
+    fn misbehaves(&mut self, _now: SimTime, _how: Misbehaviour) -> bool {
+        false
+    }
+}
+
+/// What the operator fixes for every exchange its nodes take part in.
+#[derive(Debug, Clone)]
+pub(crate) struct Terms {
+    pub(crate) costs: CostModel,
+    pub(crate) reward: u64,
+    pub(crate) fee: u64,
+    pub(crate) confirmation_depth: u64,
+    pub(crate) refund_delta: u64,
+    pub(crate) rsa_size: RsaKeySize,
+}
+
+/// A transaction a node keeps for an exchange, by role.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stored {
+    /// The recipient's escrow.
+    Escrow,
+    /// The gateway's signed claim; valid as long as the escrow output
+    /// exists, so it can be re-broadcast after a crash or reorg.
+    Claim,
+    /// The recipient's signed CLTV refund.
+    Refund,
+}
+
+/// Gateway role: one ephemeral-key session.
+struct Session {
+    tag: u64,
+    e_sk: RsaPrivateKey,
+    /// The uplink held for (re-)delivery, and whom it goes to.
+    held: Option<(NodeId, DeviceId, SealedUplink)>,
+}
+
+/// Recipient role: a delivery waiting for the claim to reveal its key.
+struct Sealed {
+    tag: u64,
+    device_id: DeviceId,
+    uplink: SealedUplink,
+}
+
+/// Recipient role: one escrowed exchange.
+struct Escrowed {
+    escrow: Escrow,
+    refund: Option<Transaction>,
+    /// First key-revealing claim seen spending the escrow; a second
+    /// *distinct* one is an equivocation (reported once).
+    seen_claim: Option<TxId>,
+    equivocated: bool,
+}
+
+/// An escrow output as the gateway finds it in a transaction.
+struct EscrowOutput {
+    outpoint: OutPoint,
+    script: Script,
+    value: u64,
+}
+
+fn escrow_output(tx: &Transaction, e_pk: &RsaPublicKey) -> Option<EscrowOutput> {
+    let (vout, value) = escrow::find_escrow_for_key(tx, e_pk)?;
+    Some(EscrowOutput {
+        outpoint: OutPoint {
+            txid: tx.txid(),
+            vout,
+        },
+        script: tx.outputs[vout as usize].script_pubkey.clone(),
+        value,
+    })
+}
+
+/// One gateway host: chain daemon, wallet, directory, and the state of
+/// every exchange it takes part in as gateway or recipient.
+pub struct Node {
+    /// This node's overlay id.
+    pub id: NodeId,
+    /// The node's wallet.
+    pub wallet: Wallet,
+    /// The node's chain daemon (chain, mempool, relay dedup).
+    pub daemon: Daemon,
+    /// Foreign gateways' endpoints, scanned from the chain (§4.3).
+    pub directory: Directory,
+    /// Recipient role: provisioned devices this node verifies and
+    /// decrypts for.
+    pub registry: DeviceRegistry,
+    /// Recipient role: the application servers readings end up at.
+    pub apps: AppRouter,
+    /// `GetBlocksFrom` batches served.
+    pub sync_batches_served: u64,
+    /// `GetHeadersFrom` batches served.
+    pub header_batches_served: u64,
+    pub(crate) rng: SimRng,
+    terms: Arc<Terms>,
+    /// Every peer's wallet address by node id, filled by the operator.
+    address_book: Arc<[Address]>,
+    /// Coins reserved for in-flight escrows.
+    reserved: HashSet<OutPoint>,
+    /// Gateway: serialized ePk → open session.
+    sessions: HashMap<Vec<u8>, Session>,
+    /// Gateway: signed claims by exchange tag.
+    claims: HashMap<u64, Transaction>,
+    /// Gateway: escrows seen but short of the confirmation depth.
+    awaiting_conf: Vec<(Vec<u8>, TxId)>,
+    /// Recipient: escrowed exchanges by tag (boxed, so the table's
+    /// power-of-two slack is in pointers, not in 200-byte records).
+    escrows: HashMap<u64, Box<Escrowed>>,
+    /// Recipient: escrow outpoint → the delivery it pays for, until the
+    /// claim reveals the key that opens it.
+    pending_open: HashMap<OutPoint, Sealed>,
+    /// Recipient: escrow outpoint → exchange, kept for good so block
+    /// connects/disconnects classify as claim, refund, or orphaning
+    /// thereof in O(inputs).
+    settle_watch: HashMap<OutPoint, u64>,
+    /// Blocks whose parent has not arrived yet, keyed by parent hash.
+    orphans: HashMap<BlockHash, Vec<Arc<Parcel>>>,
+    /// When this node last started a catch-up, and at what height — to
+    /// rate-limit attempts and tell a progressing sync from a stalled one.
+    last_sync_req: Option<SimTime>,
+    last_sync_height: u64,
+    /// In-progress headers-first catch-up (§5.1).
+    header_sync: Option<HeaderSync>,
+    /// Host CPU for node-facing work (keygen, verification), serialized
+    /// like the daemon.
+    cpu_busy_until: SimTime,
+}
+
+impl Node {
+    pub(crate) fn new(
+        id: NodeId,
+        wallet: Wallet,
+        daemon: Daemon,
+        rng: SimRng,
+        terms: Arc<Terms>,
+        address_book: Arc<[Address]>,
+    ) -> Self {
+        let mut apps = AppRouter::new();
+        apps.register(AppServerId(0), AppServer::new("default"));
+        apps.set_default(AppServerId(0));
+        Node {
+            id,
+            wallet,
+            directory: Directory::from_chain(&daemon.chain),
+            daemon,
+            registry: DeviceRegistry::new(),
+            apps,
+            sync_batches_served: 0,
+            header_batches_served: 0,
+            rng,
+            terms,
+            address_book,
+            reserved: HashSet::new(),
+            sessions: HashMap::new(),
+            claims: HashMap::new(),
+            awaiting_conf: Vec::new(),
+            escrows: HashMap::new(),
+            pending_open: HashMap::new(),
+            settle_watch: HashMap::new(),
+            orphans: HashMap::new(),
+            last_sync_req: None,
+            last_sync_height: 0,
+            header_sync: None,
+            cpu_busy_until: SimTime::ZERO,
+        }
+    }
+
+    /// The node's chain height.
+    pub fn height(&self) -> u64 {
+        self.daemon.chain.height()
+    }
+
+    /// This node's tip as an inventory announcement.
+    pub fn tip_announce(&self) -> WanMessage {
+        WanMessage::Chain(ChainMessage::TipAnnounce {
+            hash: self.daemon.chain.tip(),
+            height: self.height(),
+        })
+    }
+
+    /// The escrow this node published for exchange `tag`, if any.
+    pub fn escrow(&self, tag: u64) -> Option<&Escrow> {
+        self.escrows.get(&tag).map(|e| &e.escrow)
+    }
+
+    /// A transaction this node keeps for exchange `tag`.
+    pub fn stored(&self, tag: u64, which: Stored) -> Option<&Transaction> {
+        match which {
+            Stored::Escrow => self.escrow(tag).map(|e| &e.tx),
+            Stored::Claim => self.claims.get(&tag),
+            Stored::Refund => self.escrows.get(&tag)?.refund.as_ref(),
+        }
+    }
+
+    /// Outpoints of every escrow this node published.
+    pub fn escrow_outpoints(&self) -> impl Iterator<Item = &OutPoint> {
+        self.settle_watch.keys()
+    }
+
+    fn occupy_cpu(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
+        let start = now.max(self.cpu_busy_until);
+        let done = start + cost;
+        self.cpu_busy_until = done;
+        done
+    }
+
+    /// Selects and reserves a mature coin worth at least `amount`.
+    fn reserve_coin(&mut self, amount: u64) -> Option<(OutPoint, Script, u64)> {
+        let script = self.wallet.locking_script();
+        let height = self.daemon.chain.height();
+        let maturity = self.daemon.chain.params().coinbase_maturity;
+        let mut choice: Option<(OutPoint, u64)> = None;
+        for (op, entry) in self.daemon.chain.utxo().iter() {
+            if entry.output.script_pubkey != script {
+                continue;
+            }
+            if entry.coinbase && height < entry.height + maturity {
+                continue;
+            }
+            if entry.output.value < amount || self.reserved.contains(op) {
+                continue;
+            }
+            // Prefer the smallest sufficient coin, deterministically.
+            match choice {
+                Some((best_op, best_v)) if (entry.output.value, *op) >= (best_v, best_op) => {}
+                _ => choice = Some((*op, entry.output.value)),
+            }
+        }
+        let (op, value) = choice?;
+        self.reserved.insert(op);
+        Some((op, script, value))
+    }
+
+    /// The daemon accept loop: the one place an inbound message is
+    /// dispatched, in the simulator and behind a socket alike.
+    pub fn handle(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        parcel: Arc<Parcel>,
+        env: &mut dyn NodeEnv,
+    ) {
+        match &parcel.msg {
+            WanMessage::Deliver {
+                device_id,
+                e_pk_bytes,
+                uplink,
+            } => self.on_deliver(now, from, *device_id, e_pk_bytes, uplink, env),
+            WanMessage::Chain(ChainMessage::Tx(tx)) => self.on_tx(now, &parcel, tx, env),
+            WanMessage::Chain(ChainMessage::Block(_)) => self.on_block(now, from, parcel, env),
+            WanMessage::Chain(ChainMessage::GetBlocksFrom(height)) => {
+                // A bounded batch (the §5.1 start-up sync, reused after
+                // restarts and orphan gaps): one lagging peer cannot make
+                // this daemon serialize its whole chain into one answer.
+                self.sync_batches_served += 1;
+                let blocks =
+                    sync::serve_blocks_from_bounded(&self.daemon.chain, *height, sync::SYNC_BATCH);
+                for block in blocks {
+                    env.unicast(now, from, WanMessage::Chain(ChainMessage::Block(block)));
+                }
+            }
+            WanMessage::Chain(ChainMessage::GetHeadersFrom(height)) => {
+                self.header_batches_served += 1;
+                let headers =
+                    sync::serve_headers_from(&self.daemon.chain, *height, sync::HEADER_BATCH);
+                let answer = ChainMessage::Headers {
+                    start_height: *height,
+                    headers,
+                };
+                env.unicast(now, from, WanMessage::Chain(answer));
+            }
+            WanMessage::Chain(ChainMessage::Headers {
+                start_height,
+                headers,
+            }) => {
+                let Some(hs) = self.header_sync.as_mut() else {
+                    return; // stale batch from a finished or restarted sync
+                };
+                let reqs = hs.on_headers(&self.daemon.chain, *start_height, headers);
+                self.send_sync_requests(now, reqs, env);
+            }
+            WanMessage::Chain(ChainMessage::GetBlock(hash)) => {
+                // Main-chain blocks only, found by index: a 32-byte
+                // request must not buy a scan of the chain.
+                let chain = &self.daemon.chain;
+                if let Some(block) = chain.main_chain_height(hash).and(chain.block(hash)) {
+                    let answer = ChainMessage::Block(block.clone());
+                    env.unicast(now, from, WanMessage::Chain(answer));
+                }
+            }
+            WanMessage::Chain(ChainMessage::TipAnnounce { height, .. }) => {
+                if *height > self.height() {
+                    self.start_sync(now, Some((from, *height)), env);
+                }
+            }
+        }
+    }
+
+    /// Fig. 3 steps 8–9 at the recipient: verify the uplink, fund the
+    /// escrow paying the delivering gateway, flood it toward the miners.
+    fn on_deliver(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        device_id: DeviceId,
+        e_pk_bytes: &[u8],
+        uplink: &SealedUplink,
+        env: &mut dyn NodeEnv,
+    ) {
+        let Some(tag) = env.delivery(e_pk_bytes) else {
+            return;
+        };
+        // Idempotent re-delivery: a duplicate must not double-escrow.
+        if self.escrows.contains_key(&tag) {
+            return;
+        }
+        let (Ok(e_pk), Some(&gateway_addr)) = (
+            RsaPublicKey::from_bytes(e_pk_bytes),
+            self.address_book.get(from.0 as usize),
+        ) else {
+            return;
+        };
+        let terms = self.terms.clone();
+        // Step 8: authenticity — never pay for a forged uplink.
+        let verified = self
+            .registry
+            .get(&device_id)
+            .is_some_and(|record| verify_uplink(record, &e_pk, uplink));
+        if !verified {
+            env.note(now, tag, Note::Abort);
+            return;
+        }
+        let verified_at = self.occupy_cpu(now, terms.costs.verify_signature);
+        env.note(verified_at, tag, Note::Delivered);
+
+        // Step 9: escrow. Select a coin and build the transaction via the
+        // daemon ("create, sign, send").
+        let Some(coin) = self.reserve_coin(terms.reward + terms.fee) else {
+            env.note(verified_at, tag, Note::Abort);
+            return;
+        };
+        let escrow = escrow::build_escrow_with_delta(
+            &self.wallet,
+            &[coin],
+            &e_pk,
+            &gateway_addr,
+            terms.reward,
+            terms.fee,
+            self.daemon.chain.height(),
+            terms.refund_delta,
+        );
+        let built_at = self.daemon.occupy(verified_at, terms.costs.tx_build);
+        // Admit into own mempool and flood.
+        let (admitted_at, result) =
+            self.daemon
+                .accept_transaction(built_at, escrow.tx.clone(), &terms.costs);
+        if result.is_err() {
+            env.note(admitted_at, tag, Note::Abort);
+            return;
+        }
+        let parcel = Parcel::tx(escrow.tx.clone());
+        let outpoint = OutPoint {
+            txid: TxId(parcel.flood_id()),
+            vout: escrow.vout,
+        };
+        let sealed = Sealed {
+            tag,
+            device_id,
+            uplink: uplink.clone(),
+        };
+        self.pending_open.insert(outpoint, sealed);
+        self.settle_watch.insert(outpoint, tag);
+        let escrowed = Escrowed {
+            escrow,
+            refund: None,
+            seen_claim: None,
+            equivocated: false,
+        };
+        self.escrows.insert(tag, Box::new(escrowed));
+        self.daemon.relay.mark_seen(parcel.flood_id());
+        env.flood(admitted_at, &parcel);
+        env.note(admitted_at, tag, Note::EscrowPublished(outpoint));
+    }
+
+    /// Chain transaction gossip: mempool admission + protocol reactions.
+    fn on_tx(
+        &mut self,
+        now: SimTime,
+        parcel: &Arc<Parcel>,
+        tx: &Transaction,
+        env: &mut dyn NodeEnv,
+    ) {
+        let txid = TxId(parcel.flood_id());
+        // Seen before — but a reorg may have evicted it from the pool
+        // since, in which case a re-broadcast must be re-admitted, not
+        // dropped. Cheap check first (the common duplicate sits in the
+        // pool); the chain scan only runs for the rare
+        // gossip-after-confirmation stragglers.
+        if !self.daemon.relay.mark_seen(txid.0)
+            && (self.daemon.mempool.contains(&txid)
+                || self.daemon.chain.find_transaction(&txid).is_some())
+        {
+            return; // genuine duplicate
+        }
+        // Byzantine detection runs *before* mempool admission: a rival
+        // claim is exactly the transaction the pool rejects as a
+        // conflict, and the recipient must still see it to know its
+        // gateway equivocated.
+        self.detect_equivocation(now, tx, env);
+        let terms = self.terms.clone();
+        let (done, result) = self
+            .daemon
+            .accept_transaction(now, tx.clone(), &terms.costs);
+        if result.is_err() {
+            return; // double spends, orphans: dropped, not relayed
+        }
+        // Re-flood the very parcel that arrived.
+        env.flood(done, parcel);
+        // Gateway reaction: is this an escrow paying one of my sessions?
+        self.gateway_check_escrow(done, tx, env);
+        // Recipient reaction: is this a claim revealing a key I await?
+        self.recipient_check_claim(done, tx, env);
+    }
+
+    /// The recipient's equivocation detector: a second *distinct*
+    /// key-revealing claim spending a watched escrow means the gateway
+    /// double-claimed. Only the recipient owns `settle_watch` entries,
+    /// so each equivocation is reported exactly once. The reading is
+    /// never at risk — every valid claim reveals the true `eSk`.
+    fn detect_equivocation(&mut self, now: SimTime, tx: &Transaction, env: &mut dyn NodeEnv) {
+        if self.settle_watch.is_empty() {
+            return;
+        }
+        let txid = tx.txid();
+        for input in &tx.inputs {
+            let Some(&tag) = self.settle_watch.get(&input.prevout) else {
+                continue;
+            };
+            if escrow::extract_key_from_claim(tx, &input.prevout).is_none() {
+                continue; // refund-branch spend: a claim/refund race is legal
+            }
+            let held = self
+                .escrows
+                .get_mut(&tag)
+                .expect("watched escrows are held");
+            match held.seen_claim {
+                None => held.seen_claim = Some(txid),
+                Some(seen) if seen != txid && !held.equivocated => {
+                    held.equivocated = true;
+                    env.note(now, tag, Note::Equivocation);
+                }
+                Some(_) => {}
+            }
+        }
+    }
+
+    fn gateway_check_escrow(&mut self, now: SimTime, tx: &Transaction, env: &mut dyn NodeEnv) {
+        let session_keys: Vec<Vec<u8>> = self.sessions.keys().cloned().collect();
+        for key_bytes in session_keys {
+            let Ok(e_pk) = RsaPublicKey::from_bytes(&key_bytes) else {
+                continue;
+            };
+            let Some(found) = escrow_output(tx, &e_pk) else {
+                continue;
+            };
+            if self.terms.confirmation_depth == 0 {
+                self.gateway_claim(now, key_bytes, found, env);
+            } else {
+                // The same escrow can be offered twice: once as gossip,
+                // once from the block that confirms it.
+                let entry = (key_bytes, found.outpoint.txid);
+                if !self.awaiting_conf.contains(&entry) {
+                    self.awaiting_conf.push(entry);
+                }
+            }
+        }
+    }
+
+    /// Step 10: the gateway publishes the claim, revealing eSk.
+    fn gateway_claim(
+        &mut self,
+        now: SimTime,
+        e_pk_bytes: Vec<u8>,
+        found: EscrowOutput,
+        env: &mut dyn NodeEnv,
+    ) {
+        // A misbehaving gateway sits on the claim; the session survives,
+        // so it could still claim after the window — and the recipient's
+        // refund races it through the CLTV branch.
+        if env.misbehaves(now, Misbehaviour::WithholdClaim) {
+            return;
+        }
+        let Some(session) = self.sessions.remove(&e_pk_bytes) else {
+            return;
+        };
+        env.note(now, session.tag, Note::Claiming);
+        let terms = self.terms.clone();
+        let sign = |wallet: &Wallet, fee: u64| {
+            escrow::build_claim(
+                wallet,
+                found.outpoint,
+                &found.script,
+                found.value,
+                &session.e_sk,
+                fee,
+            )
+        };
+        let claim = sign(&self.wallet, terms.fee);
+        let built = self.daemon.occupy(now, terms.costs.tx_build);
+        // Keep the signed claim: it stays valid as long as the escrow
+        // output exists, so it can be re-broadcast after a crash or a
+        // reorg that orphans it.
+        self.claims.insert(session.tag, claim.clone());
+
+        // Byzantine equivocation: the gateway signs a *second* claim
+        // against the same escrow (higher fee → different output value →
+        // different txid) and shows each half of the overlay a different
+        // one. Both necessarily reveal the true eSk — the script's
+        // OP_CHECKRSA512PAIR forces it — so the reading is never stolen;
+        // the attack creates settlement ambiguity, which first-seen
+        // mempools, the recipient's detector and the auditor resolve.
+        let rival = (env.misbehaves(now, Misbehaviour::Equivocate) && terms.fee + 1 < found.value)
+            .then(|| sign(&self.wallet, terms.fee + 1));
+        let (admitted, result) = self
+            .daemon
+            .accept_transaction(built, claim.clone(), &terms.costs);
+        if result.is_err() {
+            // The escrow is not in this host's view (yet): not fatal —
+            // the operator re-admits once the chain catches up.
+            return;
+        }
+        let claim = Parcel::tx(claim);
+        self.daemon.relay.mark_seen(claim.flood_id());
+        match rival {
+            Some(rival) => {
+                let rival = Parcel::tx(rival);
+                self.daemon.relay.mark_seen(rival.flood_id());
+                env.flood_split(admitted, &claim, &rival);
+            }
+            None => env.flood(admitted, &claim),
+        }
+    }
+
+    /// The recipient spots the claim spending its escrow and decrypts.
+    fn recipient_check_claim(&mut self, now: SimTime, tx: &Transaction, env: &mut dyn NodeEnv) {
+        for input in &tx.inputs {
+            if !self.pending_open.contains_key(&input.prevout) {
+                continue;
+            }
+            let Some(e_sk) = escrow::extract_key_from_claim(tx, &input.prevout) else {
+                continue;
+            };
+            let Sealed {
+                tag,
+                device_id,
+                uplink,
+            } = self
+                .pending_open
+                .remove(&input.prevout)
+                .expect("checked above");
+            let done = self.occupy_cpu(now, self.terms.costs.open_reading);
+            if env.closed(tag) {
+                continue;
+            }
+            let record = self.registry.get(&device_id).expect("verified at delivery");
+            match open_reading(record, &e_sk, &uplink.em) {
+                Ok(reading) => {
+                    // Final hop (Figs. 1–2): hand the plaintext to the
+                    // customer's application server.
+                    self.apps
+                        .dispatch(device_id, reading, done)
+                        .expect("default app server registered");
+                    env.note(done, tag, Note::Opened);
+                }
+                Err(_) => env.note(done, tag, Note::OpenFailed),
+            }
+        }
+    }
+
+    fn accept_block(
+        &mut self,
+        now: SimTime,
+        block: &Block,
+        salt: u64,
+    ) -> (SimTime, Result<BlockAction, ChainError>) {
+        let mut rng = self.rng.fork(salt);
+        self.daemon.accept_block(now, block.clone(), &mut rng)
+    }
+
+    fn on_block(&mut self, now: SimTime, from: NodeId, parcel: Arc<Parcel>, env: &mut dyn NodeEnv) {
+        if !self.daemon.relay.mark_seen(parcel.flood_id()) {
+            return;
+        }
+        // Blocks can arrive out of order over the WAN; buffer orphans and
+        // connect them once their parent lands (the paper's nodes
+        // re-sync; this is the event-driven equivalent).
+        let mut pending = vec![parcel];
+        let mut at = now;
+        while let Some(parcel) = pending.pop() {
+            let WanMessage::Chain(ChainMessage::Block(block)) = &parcel.msg else {
+                unreachable!("only block parcels are queued here");
+            };
+            let (done, action) = self.accept_block(at, block, 0xb10c ^ u64::from(self.id.0));
+            match action {
+                Err(ChainError::Orphan(parent)) => {
+                    self.orphans.entry(parent).or_default().push(parcel);
+                    // A parent gap means this host missed gossip (crash,
+                    // partition, kill): catch up, rate-limited so a burst
+                    // of orphans asks once. The sender has the parent.
+                    self.start_sync(done, Some((from, self.height() + 1)), env);
+                    continue;
+                }
+                // Invalid blocks are dropped: neither buffered, relayed
+                // nor answered.
+                Err(_) => continue,
+                Ok(_) => {}
+            }
+            at = done;
+            // Settlement bookkeeping: claims/refunds this block confirmed
+            // or (after a reorg) disconnected, seen from the recipient.
+            self.apply_settlements(done, env);
+            // Absorb any directory announcements.
+            for tx in &block.transactions {
+                for ann in IpAnnouncement::all_from_transaction(tx) {
+                    self.directory.absorb(ann);
+                }
+            }
+            // Re-flood the block.
+            env.flood(done, &parcel);
+            // Confirmation-depth gateways: check their waiting escrows.
+            self.gateway_check_confirmations(done, env);
+            // Any orphans waiting on this block connect next.
+            if let Some(children) = self.orphans.remove(&BlockHash(parcel.flood_id())) {
+                pending.extend(children);
+            }
+        }
+        // Keep an in-progress headers-first sync's body window full as
+        // batches land and retire.
+        if let Some(hs) = self.header_sync.as_mut() {
+            let reqs = hs.on_progress(&self.daemon.chain);
+            self.send_sync_requests(at, reqs, env);
+        }
+    }
+
+    /// Reports settlements from this node's last main-chain change:
+    /// disconnected transactions orphan claims/refunds; connected ones
+    /// confirm them. Only the recipient (who owns `settle_watch`
+    /// entries) reports, so each event is reported exactly once.
+    /// Connected transactions are also re-offered to the
+    /// gateway/recipient reaction paths — after a crash the tx gossip is
+    /// gone, and the block is the only copy.
+    fn apply_settlements(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
+        // A bystander — no escrow published, no session open — has
+        // nothing to find in the block.
+        if self.settle_watch.is_empty() && self.sessions.is_empty() {
+            return;
+        }
+        let connected = self.daemon.last_connected_txs().to_vec();
+        let disconnected = self.daemon.last_disconnected_txs().to_vec();
+        if !self.settle_watch.is_empty() {
+            // Disconnects first: a reorg that moves a claim between
+            // branches must pass through Escrowed, not skip a state.
+            let passes = [
+                (
+                    &disconnected,
+                    FsmEvent::ClaimOrphaned,
+                    FsmEvent::RefundOrphaned,
+                ),
+                (
+                    &connected,
+                    FsmEvent::ClaimConfirmed,
+                    FsmEvent::RefundConfirmed,
+                ),
+            ];
+            for (txs, claim_event, refund_event) in passes {
+                for tx in txs {
+                    for input in &tx.inputs {
+                        let Some(&tag) = self.settle_watch.get(&input.prevout) else {
+                            continue;
+                        };
+                        let is_claim = escrow::extract_key_from_claim(tx, &input.prevout).is_some();
+                        let event = if is_claim { claim_event } else { refund_event };
+                        env.note(now, tag, Note::Settlement(event));
+                    }
+                }
+            }
+        }
+        // Crash recovery: the block may be the first (and only) place
+        // this host sees an escrow or claim it missed as gossip — and
+        // the first place a rival claim surfaces, if the equivocator
+        // only ever showed it to the other side of the overlay.
+        for tx in &connected {
+            self.detect_equivocation(now, tx, env);
+            self.gateway_check_escrow(now, tx, env);
+            self.recipient_check_claim(now, tx, env);
+        }
+    }
+
+    fn gateway_check_confirmations(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
+        let depth = self.terms.confirmation_depth;
+        if depth == 0 {
+            return;
+        }
+        for (key_bytes, escrow_txid) in std::mem::take(&mut self.awaiting_conf) {
+            let chain = &self.daemon.chain;
+            let confirmed = chain
+                .find_transaction(&escrow_txid)
+                .filter(|(height, _)| chain.height() - height + 1 >= depth);
+            let Some((_, tx)) = confirmed else {
+                self.awaiting_conf.push((key_bytes, escrow_txid));
+                continue;
+            };
+            let found = RsaPublicKey::from_bytes(&key_bytes)
+                .ok()
+                .and_then(|e_pk| escrow_output(tx, &e_pk));
+            if let Some(found) = found {
+                self.gateway_claim(now, key_bytes, found, env);
+            }
+        }
+    }
+
+    /// Rate-limited headers-first catch-up (§5.1). The environment names
+    /// the source; the source answers the locate probes
+    /// (`GetHeadersFrom`); once the fork is found, body batches are
+    /// striped across the plan's peers. A machine still making progress
+    /// keeps running with a raised target; a stalled one (lost
+    /// responses, a source that reorganized mid-sync) is restarted —
+    /// re-locating the fork costs a few 22 KiB header batches, not block
+    /// bodies.
+    pub fn start_sync(&mut self, now: SimTime, hint: Option<(NodeId, u64)>, env: &mut dyn NodeEnv) {
+        // A burst of orphans asks once.
+        let cooldown = SimDuration::from_secs(5);
+        if self.last_sync_req.is_some_and(|last| now < last + cooldown) {
+            return;
+        }
+        let height = self.height();
+        let Some(plan) = env.sync_plan(now, height, hint) else {
+            return; // nobody known to be ahead of us
+        };
+        let progressed = self.last_sync_req.is_some() && height > self.last_sync_height;
+        self.last_sync_height = height;
+        self.last_sync_req = Some(now);
+        let reqs = match self.header_sync.as_mut() {
+            Some(hs) if progressed && hs.is_active() => {
+                hs.on_tip(plan.target);
+                hs.on_progress(&self.daemon.chain)
+            }
+            _ => {
+                let (hs, reqs) = HeaderSync::start(plan.peers, height, plan.target);
+                self.header_sync = Some(hs);
+                reqs
+            }
+        };
+        self.send_sync_requests(now, reqs, env);
+    }
+
+    /// Transmits what the catch-up machine asked for, and retires the
+    /// machine once it has nothing more to ask.
+    fn send_sync_requests(&mut self, now: SimTime, reqs: Vec<SyncRequest>, env: &mut dyn NodeEnv) {
+        if self.header_sync.as_ref().is_some_and(|hs| !hs.is_active()) {
+            self.header_sync = None;
+        }
+        for req in reqs {
+            let (peer, msg) = match req {
+                SyncRequest::Headers { peer, from } => (peer, ChainMessage::GetHeadersFrom(from)),
+                SyncRequest::Bodies { peer, from } => (peer, ChainMessage::GetBlocksFrom(from)),
+            };
+            env.unicast(now, peer, WanMessage::Chain(msg));
+        }
+    }
+
+    // ---- host-local actions the operator invokes --------------------
+
+    /// Gateway, Fig. 3 steps 1–2: generates the ephemeral keypair for
+    /// exchange `tag` on the host CPU. Returns `ePk` and when the keygen
+    /// finishes.
+    pub fn open_session(&mut self, now: SimTime, tag: u64) -> (RsaPublicKey, SimTime) {
+        let (e_pk, e_sk) = generate_keypair(&mut self.rng, self.terms.rsa_size);
+        let session = Session {
+            tag,
+            e_sk,
+            held: None,
+        };
+        self.sessions.insert(e_pk.to_bytes(), session);
+        let done = self.occupy_cpu(now, self.terms.costs.rsa_keygen);
+        (e_pk, done)
+    }
+
+    /// Gateway, step 7: looks `recipient` up in the directory (§4.3) and
+    /// forwards the sealed uplink of session `tag` to it at node `to`,
+    /// keeping it for [`redeliver`](Self::redeliver). `false` when the
+    /// recipient is not in the directory or the session is not open.
+    pub fn forward_uplink(
+        &mut self,
+        now: SimTime,
+        tag: u64,
+        (to, recipient): (NodeId, &Address),
+        device_id: DeviceId,
+        uplink: SealedUplink,
+        env: &mut dyn NodeEnv,
+    ) -> bool {
+        let Some(session) = self.sessions.values_mut().find(|s| s.tag == tag) else {
+            return false;
+        };
+        if self.directory.lookup(recipient).is_none() {
+            return false;
+        }
+        session.held = Some((to, device_id, uplink));
+        let done = self.occupy_cpu(now, self.terms.costs.directory_lookup);
+        self.redeliver(done, tag, env);
+        true
+    }
+
+    /// Gateway: sends the held uplink of session `tag` again (the
+    /// receiving side is idempotent).
+    pub fn redeliver(&mut self, now: SimTime, tag: u64, env: &mut dyn NodeEnv) {
+        let held = self.sessions.iter().find(|(_, s)| s.tag == tag);
+        if let Some((
+            e_pk_bytes,
+            Session {
+                held: Some((to, device_id, uplink)),
+                ..
+            },
+        )) = held
+        {
+            let msg = WanMessage::Deliver {
+                device_id: *device_id,
+                e_pk_bytes: e_pk_bytes.clone(),
+                uplink: uplink.clone(),
+            };
+            env.unicast(now, *to, msg);
+        }
+    }
+
+    /// Re-admits a stored transaction (if this node's pool lost it),
+    /// forgets the relay dedup so it floods again, and gossips it.
+    /// Returns whether it went out: insert failures are fine — a
+    /// conflicting settlement already sits in the pool.
+    pub fn rebroadcast(
+        &mut self,
+        now: SimTime,
+        tag: u64,
+        which: Stored,
+        env: &mut dyn NodeEnv,
+    ) -> bool {
+        let Some(tx) = self.stored(tag, which).cloned() else {
+            return false;
+        };
+        let txid = tx.txid();
+        let mut at = now;
+        if !self.daemon.mempool.contains(&txid) {
+            let terms = self.terms.clone();
+            let (done, result) = self
+                .daemon
+                .accept_transaction(now, tx.clone(), &terms.costs);
+            if result.is_err() {
+                return false;
+            }
+            at = done;
+        }
+        self.daemon.relay.forget(&txid.0);
+        self.daemon.relay.mark_seen(txid.0);
+        env.flood(at, &Parcel::tx(tx));
+        true
+    }
+
+    /// Gateway: claims for a session that never did (its host was down
+    /// when the escrow gossiped), from the pooled or confirmed escrow.
+    pub fn late_claim(&mut self, now: SimTime, tag: u64, escrow_txid: TxId, env: &mut dyn NodeEnv) {
+        let Some(key_bytes) = self
+            .sessions
+            .iter()
+            .find_map(|(key, s)| (s.tag == tag).then(|| key.clone()))
+        else {
+            return;
+        };
+        let Ok(e_pk) = RsaPublicKey::from_bytes(&key_bytes) else {
+            return;
+        };
+        let found = self
+            .daemon
+            .mempool
+            .get(&escrow_txid)
+            .or_else(|| {
+                let confirmed = self.daemon.chain.find_transaction(&escrow_txid);
+                confirmed.map(|(_, tx)| tx)
+            })
+            .and_then(|tx| escrow_output(tx, &e_pk));
+        if let Some(found) = found {
+            self.gateway_claim(now, key_bytes, found, env);
+        }
+    }
+
+    /// Recipient: the signed CLTV refund for exchange `tag`, built on
+    /// first use. Only valid on chain once the escrow's refund height
+    /// has passed. `None` when no escrow was published for `tag`.
+    pub fn refund(&mut self, tag: u64) -> Option<&Transaction> {
+        let held = self.escrows.get_mut(&tag)?;
+        let (wallet, terms) = (&self.wallet, &self.terms);
+        Some(held.refund.get_or_insert_with(|| {
+            escrow::build_refund(wallet, &held.escrow, terms.reward, terms.fee)
+        }))
+    }
+
+    /// Mines one block from this node's pool on top of its tip, leaving
+    /// out transactions that spend a `censored` outpoint (the Byzantine
+    /// miner's template; the pool keeps them), and gossips it. Returns
+    /// when the block connected, or `None` if it did not extend the tip.
+    pub fn mine(
+        &mut self,
+        now: SimTime,
+        coinbase_tag: &[u8],
+        censored: &HashSet<OutPoint>,
+        env: &mut dyn NodeEnv,
+    ) -> Option<SimTime> {
+        let chain = &self.daemon.chain;
+        let params = chain.params();
+        // Fees go unclaimed (coinbase pays subsidy only) — simpler and
+        // valid (coinbase may pay less than allowed).
+        let mut txs = vec![Transaction::coinbase(
+            chain.height() + 1,
+            coinbase_tag,
+            vec![TxOut {
+                value: params.coinbase_reward,
+                script_pubkey: self.wallet.locking_script(),
+            }],
+        )];
+        let budget = params.max_block_size.saturating_sub(txs[0].size() + 88);
+        txs.extend(self.daemon.mempool.block_template_excluding(budget, |tx| {
+            tx.inputs.iter().any(|i| censored.contains(&i.prevout))
+        }));
+        let block = Block::mine(chain.tip(), now.as_micros(), params.difficulty_bits, txs);
+        let (done, action) = self.accept_block(now, &block, 0x113e);
+        if !matches!(action, Ok(BlockAction::Extended(_))) {
+            return None;
+        }
+        // This node's own blocks never echo back through the relay, so
+        // the bookkeeping a received block gets runs here.
+        let parcel = Parcel::block(block);
+        self.daemon.relay.mark_seen(parcel.flood_id());
+        env.flood(done, &parcel);
+        self.apply_settlements(done, env);
+        self.gateway_check_confirmations(done, env);
+        Some(done)
+    }
+
+    /// Connects and gossips a block this node produced on a side branch
+    /// (the chaos engine's fork injection). `false` if the chain refused
+    /// it.
+    pub(crate) fn connect_fork_block(
+        &mut self,
+        now: SimTime,
+        block: Block,
+        env: &mut dyn NodeEnv,
+    ) -> bool {
+        let (done, action) = self.accept_block(now, &block, 0xf04c);
+        if action.is_err() {
+            return false;
+        }
+        let parcel = Parcel::block(block);
+        self.daemon.relay.mark_seen(parcel.flood_id());
+        self.apply_settlements(done, env);
+        env.flood(done, &parcel);
+        true
+    }
+
+    /// A crashed host comes back. Volatile state (mempool, relay
+    /// filters, buffered orphans, in-flight syncs) is gone; protocol
+    /// state survives by fiat. `reopened` is the chain a persistent
+    /// store committed before the crash, replacing the in-memory copy a
+    /// killed process would not have kept.
+    pub fn crash_restart(&mut self, now: SimTime, reopened: Option<Chain>) {
+        if let Some(chain) = reopened {
+            self.daemon.replace_chain(chain);
+            self.directory = Directory::from_chain(&self.daemon.chain);
+        }
+        self.daemon.crash_restart(now);
+        self.orphans.clear();
+        self.cpu_busy_until = now;
+        self.last_sync_req = None;
+        self.header_sync = None;
+    }
+}

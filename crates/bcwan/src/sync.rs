@@ -87,6 +87,11 @@ pub fn bootstrap_from_peer(local: &mut Chain, peer: &Chain) -> (SyncOutcome, Dir
     (outcome, directory)
 }
 
+/// Blocks served per `GetBlocksFrom` answer, so one lagging peer cannot
+/// make a daemon serialize its whole chain into a single response. A
+/// still-behind requester asks again from its new height.
+pub const SYNC_BATCH: usize = 32;
+
 /// Maximum headers per [`Headers`] batch. At 88 serialized bytes per
 /// header a full batch is ~22 KiB — small enough for one WAN datagram
 /// in the sim's cost model, large enough that locating a fork a few
@@ -339,7 +344,7 @@ impl HeaderSync {
         else {
             return Vec::new();
         };
-        let batch = crate::fleet::SYNC_BATCH as u64;
+        let batch = SYNC_BATCH as u64;
         // A batch starting at `s` covers (s, s + SYNC_BATCH]; it is
         // done once our main chain reaches its upper edge. (Batches on
         // a not-yet-dominant branch park as side-chain blocks and
@@ -540,7 +545,7 @@ mod tests {
             let SyncRequest::Bodies { from, .. } = req else {
                 panic!("only bodies expected while fetching");
             };
-            let blocks = serve_blocks_from_bounded(&veteran, from, crate::fleet::SYNC_BATCH);
+            let blocks = serve_blocks_from_bounded(&veteran, from, SYNC_BATCH);
             catch_up(&mut newcomer, blocks);
         }
         let reqs = hs.on_progress(&newcomer);
@@ -589,7 +594,7 @@ mod tests {
             let SyncRequest::Bodies { from, .. } = req else {
                 panic!("fetching only issues body requests");
             };
-            let blocks = serve_blocks_from_bounded(&veteran, from, crate::fleet::SYNC_BATCH);
+            let blocks = serve_blocks_from_bounded(&veteran, from, SYNC_BATCH);
             catch_up(&mut newcomer, blocks);
         }
         hs.on_progress(&newcomer);

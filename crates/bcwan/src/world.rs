@@ -11,32 +11,29 @@
 //! message from the gateway to the decryption of the message by the
 //! recipient".
 
-use crate::app_server::{AppRouter, AppServer, AppServerId};
 use crate::audit::{GatewayOutcome, SettlementAuditor};
 use crate::costs::CostModel;
 use crate::daemon::Daemon;
-use crate::directory::{Directory, IpAnnouncement, NetAddr};
-use crate::escrow::{self, Escrow};
-use crate::exchange::{open_reading, seal_reading, verify_uplink, SealedUplink};
+use crate::directory::{IpAnnouncement, NetAddr};
+use crate::escrow;
+use crate::exchange::{seal_reading, SealedUplink};
 use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase};
-use crate::provisioning::{DeviceCredentials, DeviceId, DeviceRegistry};
+use crate::node::{Misbehaviour, Node, NodeEnv, Note, Parcel, Stored, SyncPlan, Terms};
+use crate::provisioning::{DeviceCredentials, DeviceId};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
-    Block, BlockAction, BlockHash, Chain, ChainParams, OutPoint, SigCache, Transaction, TxId,
-    TxOut, Wallet,
+    Address, Block, Chain, ChainParams, OutPoint, SigCache, Transaction, TxId, TxOut, Wallet,
 };
-use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
+use bcwan_crypto::rsa::{RsaKeySize, RsaPublicKey};
 use bcwan_lora::airtime::time_on_air;
-use bcwan_lora::collision::{workload_success_probability, LoadKey, OfferedLoads};
 use bcwan_lora::frame::{LoraFrame, ADDRESS_LEN};
 use bcwan_lora::params::RadioConfig;
 use bcwan_p2p::{ChainMessage, Delivery, FaultModel, Network, NodeId, Topology};
-use bcwan_script::Script;
 use bcwan_sim::{
     run, Actor, ChaosEngine, ChaosPlan, CounterId, EventQueue, HistogramId, LatencyModel, Registry,
     Series, SimDuration, SimRng, SimTime, Snapshot, SnapshotSeries, Tracer,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Workload and environment configuration.
@@ -83,12 +80,6 @@ pub struct WorkloadConfig {
     /// trigger node-side timeouts and retransmissions (up to
     /// [`MAX_RADIO_RETRIES`]).
     pub lora_loss_probability: f64,
-    /// Derive an *additional* per-gateway loss probability from the
-    /// analytic ALOHA contention model: each gateway's sensors offer
-    /// load on their `(channel, SF)` key, and frames fail with
-    /// `1 − e^(−2G)` on top of `lora_loss_probability`. Off by default
-    /// so existing experiments keep their calibrated loss rates.
-    pub lora_contention: bool,
     /// Experiment seed.
     pub seed: u64,
     /// Hard wall on simulated time (guards against stalls starving the
@@ -148,7 +139,6 @@ impl WorkloadConfig {
             rsa_size: RsaKeySize::Rsa512,
             faults: FaultModel::none(),
             lora_loss_probability: 0.0,
-            lora_contention: false,
             seed: 2018,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             tracing: false,
@@ -189,7 +179,6 @@ impl WorkloadConfig {
             rsa_size: RsaKeySize::Rsa512,
             faults: FaultModel::none(),
             lora_loss_probability: 0.0,
-            lora_contention: false,
             seed,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             tracing: false,
@@ -241,13 +230,6 @@ impl WorkloadConfig {
     /// style; see [`WorkloadConfig::metrics_interval`]).
     pub fn with_metrics_interval(mut self, every: SimDuration) -> Self {
         self.metrics_interval = Some(every);
-        self
-    }
-
-    /// Adds analytic ALOHA contention loss on top of the flat rate
-    /// (builder style; see [`WorkloadConfig::lora_contention`]).
-    pub fn with_lora_contention(mut self) -> Self {
-        self.lora_contention = true;
         self
     }
 }
@@ -359,51 +341,18 @@ enum Event {
     ChaosRestart { host: u32 },
 }
 
-/// A WAN message as the simulator carries it: stamped once where it
-/// originates with what every hop would otherwise recompute, then shared
-/// by all copies in flight — fan-out is a refcount bump, and a duplicate
-/// delivery costs a hash-set probe on `id` instead of a serialization
-/// and a double SHA-256. Hosts are simulated in one address space, so
-/// sharing the bytes changes nothing a host can observe.
-#[derive(Debug)]
-struct Parcel {
-    msg: WanMessage,
-    /// Flood-dedup id (txid or block hash); `None` for request/response
-    /// traffic, which is never re-flooded.
-    id: Option<[u8; 32]>,
-    wire_size: usize,
-}
-
-impl Parcel {
-    fn new(msg: WanMessage) -> Arc<Self> {
-        let id = match &msg {
-            WanMessage::Chain(cm) => cm.flood_id(),
-            WanMessage::Deliver { .. } => None,
-        };
-        let wire_size = msg.wire_size();
-        Arc::new(Parcel { msg, id, wire_size })
-    }
-
-    fn tx(tx: Transaction) -> Arc<Self> {
-        Self::new(WanMessage::Chain(ChainMessage::Tx(tx)))
-    }
-
-    fn block(block: Block) -> Arc<Self> {
-        Self::new(WanMessage::Chain(ChainMessage::Block(block)))
-    }
-
-    /// The stamped id of a transaction or block parcel.
-    fn flood_id(&self) -> [u8; 32] {
-        self.id.expect("transaction and block parcels carry an id")
-    }
-}
-
-/// State of one in-flight exchange.
+/// What only the simulator knows about one in-flight exchange: who takes
+/// part, the radio leg, the measurement marks and the lifecycle machine.
+/// Keys, escrow, claim and refund live in the gateway's and recipient's
+/// [`Node`]s, filed under this exchange's index as their tag.
 struct ExchangeState {
     sensor: usize,
     gateway: u32, // actor index (1-based host id)
     home: u32,
+    /// The session key, as the gateway sent it down.
     e_pk: Option<RsaPublicKey>,
+    /// The sealed frame the sensor (re)transmits until the gateway
+    /// accepts it and takes it over.
     uplink: Option<SealedUplink>,
     /// When the gateway sent ePk — the paper's measurement start.
     measure_start: Option<SimTime>,
@@ -413,17 +362,6 @@ struct ExchangeState {
     data_accepted: bool,
     /// When the recipient finished verifying the delivery (step 8).
     delivered: Option<SimTime>,
-    escrow: Option<Escrow>,
-    /// The gateway's signed claim, kept for re-broadcast after a reorg
-    /// orphans it (it stays valid as long as the escrow output exists).
-    claim: Option<Transaction>,
-    /// The recipient's signed CLTV refund, once built.
-    refund: Option<Transaction>,
-    /// First key-revealing claim txid the recipient saw spend this
-    /// escrow; a second *distinct* one is an equivocation.
-    seen_claim_txid: Option<TxId>,
-    /// Whether this exchange's equivocation was already counted.
-    equivocation_detected: bool,
     /// Consecutive settlement sweeps with our claim/refund pooled at
     /// the acting miner but unconfirmed (censorship suspicion).
     censor_sweeps: u32,
@@ -432,84 +370,20 @@ struct ExchangeState {
     done: bool,
 }
 
+impl ExchangeState {
+    /// Whether the sensor received the key: it seals immediately, so the
+    /// sealed frame — or the gateway having taken it — is the node-side
+    /// receipt indicator; `e_pk` alone only proves the *gateway*
+    /// generated a key.
+    fn sealed(&self) -> bool {
+        self.uplink.is_some() || self.data_accepted
+    }
+}
+
 struct Sensor {
     credentials: DeviceCredentials,
     home: u32,
     next_allowed: SimTime,
-}
-
-struct Host {
-    wallet: Wallet,
-    daemon: Daemon,
-    directory: Directory,
-    registry: DeviceRegistry,
-    /// Coins reserved for in-flight escrows.
-    reserved: HashSet<OutPoint>,
-    /// Gateway sessions: serialized ePk → (exchange, eSk).
-    sessions: HashMap<Vec<u8>, (usize, RsaPrivateKey)>,
-    /// Escrows seen but awaiting confirmation depth: (exchange, escrow txid).
-    awaiting_conf: Vec<(usize, TxId)>,
-    /// Recipient side: escrow outpoint → exchange awaiting the key reveal.
-    pending_open: HashMap<OutPoint, usize>,
-    /// Recipient side: escrow outpoint → exchange, kept for the whole
-    /// run so block connects/disconnects can be classified as claim,
-    /// refund, or orphaning thereof in O(inputs).
-    settle_watch: HashMap<OutPoint, usize>,
-    /// Blocks whose parent has not arrived yet, keyed by parent hash.
-    orphans: HashMap<BlockHash, Vec<Arc<Parcel>>>,
-    /// When this host last asked a peer for missing blocks
-    /// (rate-limits orphan-triggered sync requests).
-    last_sync_req: Option<SimTime>,
-    /// Tip height when the last catch-up request was sent, to detect
-    /// requests that made no progress.
-    last_sync_height: u64,
-    /// In-progress headers-first catch-up (§5.1): locate the fork with
-    /// header batches, then stripe body batches across live peers. The
-    /// machine's doubling look-behind replaces the old blind
-    /// `sync_back` rewind of `GetBlocksFrom` requests.
-    header_sync: Option<crate::sync::HeaderSync>,
-    /// The recipient's application servers (final hop, Figs. 1–2).
-    apps: AppRouter,
-    /// Host CPU (node-facing work: keygen, verification) — the radio side
-    /// of the Pi, serialized like the daemon.
-    cpu_busy_until: SimTime,
-    rng: SimRng,
-}
-
-impl Host {
-    fn occupy_cpu(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
-        let start = now.max(self.cpu_busy_until);
-        let done = start + cost;
-        self.cpu_busy_until = done;
-        done
-    }
-
-    /// Selects and reserves a mature coin worth at least `amount`.
-    fn reserve_coin(&mut self, amount: u64) -> Option<(OutPoint, Script, u64)> {
-        let script = self.wallet.locking_script();
-        let height = self.daemon.chain.height();
-        let maturity = self.daemon.chain.params().coinbase_maturity;
-        let mut choice: Option<(OutPoint, u64)> = None;
-        for (op, entry) in self.daemon.chain.utxo().iter() {
-            if entry.output.script_pubkey != script {
-                continue;
-            }
-            if entry.coinbase && height < entry.height + maturity {
-                continue;
-            }
-            if entry.output.value < amount || self.reserved.contains(op) {
-                continue;
-            }
-            // Prefer the smallest sufficient coin, deterministically.
-            match choice {
-                Some((best_op, best_v)) if (entry.output.value, *op) >= (best_v, best_op) => {}
-                _ => choice = Some((*op, entry.output.value)),
-            }
-        }
-        let (op, value) = choice?;
-        self.reserved.insert(op);
-        Some((op, script, value))
-    }
 }
 
 /// Hot-path metric handles, registered once at world construction.
@@ -555,11 +429,18 @@ impl Meters {
     }
 }
 
-/// The simulation world.
+/// The simulation world: the hosts, and everything around them.
 pub struct World {
+    hosts: Vec<Node>, // index 0 = master, 1..=actor_hosts = actors
+    sim: Sim,
+}
+
+/// What a simulator owns and a host does not: sensors and the radio
+/// leg, the WAN model, the chaos engine, per-exchange lifecycle
+/// machines and deadlines, and every instrument.
+struct Sim {
     cfg: WorkloadConfig,
     rng: SimRng,
-    hosts: Vec<Host>, // index 0 = master, 1..=actor_hosts = actors
     sensors: Vec<Sensor>,
     exchanges: Vec<ExchangeState>,
     network: Network,
@@ -574,9 +455,6 @@ pub struct World {
     standby_blocks_mined: u64,
     /// Mean inter-send interval per sensor.
     send_interval: SimDuration,
-    /// Analytic per-gateway ALOHA success probability (1.0 when
-    /// `lora_contention` is off).
-    lora_success: f64,
     /// Per-gateway frame-loss / retry tallies (index = actor host − 1),
     /// folded into labeled `world.lora_*` rows at snapshot time.
     frames_lost_by_gw: Vec<u64>,
@@ -676,9 +554,19 @@ impl World {
             genesis_chain.add_block(block).expect("warm-up block valid");
         }
 
-        // Hosts share the bootstrapped chain.
+        // Hosts share the bootstrapped chain, the exchange terms and the
+        // address book an operator would hand each of them.
         let sig_cache = Arc::new(SigCache::default());
-        let mut hosts: Vec<Host> = Vec::with_capacity(n_hosts);
+        let terms = Arc::new(Terms {
+            costs: cfg.costs.clone(),
+            reward: cfg.reward,
+            fee: cfg.fee,
+            confirmation_depth: cfg.confirmation_depth,
+            refund_delta: cfg.refund_delta,
+            rsa_size: cfg.rsa_size,
+        });
+        let address_book: Arc<[Address]> = wallets.iter().map(Wallet::address).collect();
+        let mut hosts: Vec<Node> = Vec::with_capacity(n_hosts);
         for (i, wallet) in wallets.into_iter().enumerate() {
             let chain = match &cfg.store_dir {
                 Some(root) => clone_chain_with_store(
@@ -688,30 +576,14 @@ impl World {
                 ),
                 None => clone_chain(&cfg.chain_params, &genesis_chain),
             };
-            let directory = Directory::from_chain(&chain);
-            hosts.push(Host {
+            hosts.push(Node::new(
+                NodeId(i as u32),
                 wallet,
-                daemon: Daemon::with_sig_cache(chain, sig_cache.clone()),
-                directory,
-                registry: DeviceRegistry::new(),
-                reserved: HashSet::new(),
-                sessions: HashMap::new(),
-                awaiting_conf: Vec::new(),
-                pending_open: HashMap::new(),
-                settle_watch: HashMap::new(),
-                orphans: HashMap::new(),
-                last_sync_req: None,
-                last_sync_height: 0,
-                header_sync: None,
-                apps: {
-                    let mut router = AppRouter::new();
-                    router.register(AppServerId(0), AppServer::new("default"));
-                    router.set_default(AppServerId(0));
-                    router
-                },
-                cpu_busy_until: SimTime::ZERO,
-                rng: rng.fork(i as u64 + 1),
-            });
+                Daemon::with_sig_cache(chain, sig_cache.clone()),
+                rng.fork(i as u64 + 1),
+                terms.clone(),
+                address_book.clone(),
+            ));
         }
 
         // Provision sensors: each belongs to one actor host.
@@ -744,24 +616,6 @@ impl World {
         let send_interval =
             SimDuration::from_secs_f64(min_interval.as_secs_f64() * cfg.load_factor);
 
-        // Analytic contention: each gateway's sensors share one
-        // `(channel, SF)` collision domain; frames at the paced send
-        // rate offer G = sensors × rate × airtime on it.
-        let lora_success = if cfg.lora_contention {
-            let key = LoadKey::new(0, cfg.radio.spreading_factor);
-            let mut loads = OfferedLoads::new();
-            loads.add_population(
-                key,
-                &cfg.radio,
-                160,
-                cfg.sensors_per_host,
-                1.0 / send_interval.as_secs_f64(),
-            );
-            workload_success_probability(&loads, key)
-        } else {
-            1.0
-        };
-
         let topology = match cfg.gossip_degree {
             Some(degree) => ring_lattice(n_hosts as u32, degree),
             None => Topology::full_mesh(n_hosts as u32),
@@ -780,9 +634,8 @@ impl World {
 
         let timeline = cfg.metrics_interval.map(SnapshotSeries::new);
 
-        World {
+        let sim = Sim {
             rng,
-            hosts,
             sensors,
             exchanges: Vec::new(),
             network,
@@ -796,7 +649,6 @@ impl World {
             blocks_mined: 0,
             standby_blocks_mined: 0,
             send_interval,
-            lora_success,
             frames_lost_by_gw: vec![0; cfg.actor_hosts as usize],
             retries_by_gw: vec![0; cfg.actor_hosts as usize],
             registry,
@@ -811,29 +663,29 @@ impl World {
             timeline,
             sig_cache,
             cfg,
-        }
+        };
+        World { hosts, sim }
     }
-
     /// Runs the experiment to completion and reports.
     pub fn run(mut self) -> ExperimentResult {
         let mut queue: EventQueue<Event> = EventQueue::new();
         // Stagger sensor starts across one send interval.
-        let n = self.sensors.len().max(1);
-        for sensor in 0..self.sensors.len() {
+        let n = self.sim.sensors.len().max(1);
+        for sensor in 0..self.sim.sensors.len() {
             let offset = SimDuration::from_secs_f64(
-                self.send_interval.as_secs_f64() * (sensor as f64 / n as f64),
+                self.sim.send_interval.as_secs_f64() * (sensor as f64 / n as f64),
             );
             queue.schedule_at(SimTime::ZERO + offset, Event::SensorFire { sensor });
         }
         // Mining heartbeat.
-        let first_block = self.next_block_delay();
+        let first_block = self.sim.next_block_delay();
         queue.schedule_in(first_block, Event::MineTick);
         // Crash windows end in restarts.
-        for (host, at) in self.chaos.restarts() {
+        for (host, at) in self.sim.chaos.restarts() {
             queue.schedule_at(at, Event::ChaosRestart { host });
         }
 
-        let deadline = SimTime::ZERO + self.cfg.max_sim_time;
+        let deadline = SimTime::ZERO + self.sim.cfg.max_sim_time;
         run(&mut self, &mut queue, Some(deadline));
 
         let sim_time = queue.now().saturating_duration_since(SimTime::ZERO);
@@ -855,14 +707,14 @@ impl World {
 
         // Fold the run lifecycle and every subsystem's counters into the
         // registry so one snapshot describes the whole experiment.
-        let reg = &mut self.registry;
-        reg.set_counter("world.exchanges_started_total", self.started as u64);
-        reg.set_counter("world.exchanges_completed_total", self.completed as u64);
-        reg.set_counter("world.exchanges_failed_total", self.failed as u64);
-        reg.set_counter("world.blocks_mined_total", self.blocks_mined);
+        let reg = &mut self.sim.registry;
+        reg.set_counter("world.exchanges_started_total", self.sim.started as u64);
+        reg.set_counter("world.exchanges_completed_total", self.sim.completed as u64);
+        reg.set_counter("world.exchanges_failed_total", self.sim.failed as u64);
+        reg.set_counter("world.blocks_mined_total", self.sim.blocks_mined);
         reg.set_counter(
             "world.standby_blocks_mined_total",
-            self.standby_blocks_mined,
+            self.sim.standby_blocks_mined,
         );
         reg.set_gauge("world.sim_time_seconds", sim_time.as_secs_f64());
 
@@ -910,9 +762,9 @@ impl World {
         // script verification (ECDSA spends under validate.sigcache.*,
         // escrow OP_CHECKRSA512PAIR spends under validate.sigcache.rsa.*),
         // a hit is a host that found the spend already verified.
-        self.sig_cache.export(reg);
+        self.sim.sig_cache.export(reg);
 
-        let net = self.network.stats();
+        let net = self.sim.network.stats();
         reg.set_counter("net.sent_total", net.sent);
         reg.set_counter("net.delivered_total", net.delivered);
         reg.set_counter("net.dropped_fault_total", net.dropped_fault);
@@ -930,7 +782,7 @@ impl World {
                 store_rows.push((i, s));
             }
         }
-        let reg = &mut self.registry;
+        let reg = &mut self.sim.registry;
         let label_hosts = !store_rows.is_empty() && store_rows.len() <= 32;
         let mut totals = bcwan_chain::StoreSummary::default();
         for (i, s) in &store_rows {
@@ -964,17 +816,18 @@ impl World {
             reg.set_counter("store.cache_hit_total", totals.cache_hit);
             reg.set_counter("store.cache_miss_total", totals.cache_miss);
         }
-        reg.set_counter("world.restart.warm_total", self.restarts_warm);
-        reg.set_counter("world.restart.cold_total", self.restarts_cold);
+        reg.set_counter("world.restart.warm_total", self.sim.restarts_warm);
+        reg.set_counter("world.restart.cold_total", self.sim.restarts_cold);
 
         // Per-gateway radio rows, same label scheme and ≤32-host gate as
         // the `store.*` fold above (host index 1..=actor_hosts; the
         // unlabeled totals were counted on the hot path).
-        if !self.frames_lost_by_gw.is_empty() && self.frames_lost_by_gw.len() <= 32 {
+        if !self.sim.frames_lost_by_gw.is_empty() && self.sim.frames_lost_by_gw.len() <= 32 {
             for (i, (&lost, &retries)) in self
+                .sim
                 .frames_lost_by_gw
                 .iter()
-                .zip(&self.retries_by_gw)
+                .zip(&self.sim.retries_by_gw)
                 .enumerate()
             {
                 let host = i + 1;
@@ -989,17 +842,22 @@ impl World {
             }
         }
 
-        if self.tracer.is_enabled() {
-            reg.set_counter("trace.unmatched_ends_total", self.tracer.unmatched_ends());
-            reg.set_gauge("trace.open_spans", self.tracer.open_spans() as f64);
+        if self.sim.tracer.is_enabled() {
+            reg.set_counter(
+                "trace.unmatched_ends_total",
+                self.sim.tracer.unmatched_ends(),
+            );
+            reg.set_gauge("trace.open_spans", self.sim.tracer.open_spans() as f64);
         }
 
         let phases: Vec<(String, Series)> = self
+            .sim
             .tracer
             .phase_names()
             .into_iter()
             .filter_map(|name| {
-                self.tracer
+                self.sim
+                    .tracer
                     .durations(name)
                     .map(|s| (name.to_string(), s.clone()))
             })
@@ -1009,15 +867,18 @@ impl World {
         // reconcile plus the FSM↔chain agreement check over every
         // exchange that published an escrow.
         let fsm_census: Vec<(usize, Phase, bool)> = self
+            .sim
             .exchanges
             .iter()
             .enumerate()
-            .filter(|(_, ex)| ex.escrow.is_some())
+            .filter(|(i, ex)| self.hosts[ex.home as usize].escrow(*i as u64).is_some())
             .map(|(i, ex)| (i, ex.fsm.phase(), ex.fsm.is_settled()))
             .collect();
-        let audit =
-            self.auditor
-                .final_audit(&self.hosts[0].daemon.chain, &fsm_census, &mut self.registry);
+        let audit = self.sim.auditor.final_audit(
+            &self.hosts[0].daemon.chain,
+            &fsm_census,
+            &mut self.sim.registry,
+        );
         let (escrows_claimed, escrows_refunded, escrows_open, invariant_violations) =
             (audit.claimed, audit.refunded, audit.open, audit.violations);
         let (utxo_total, utxo_fingerprint) = {
@@ -1040,7 +901,7 @@ impl World {
             }
             (total, fp)
         };
-        let reg = &mut self.registry;
+        let reg = &mut self.sim.registry;
         reg.set_counter("world.escrows_claimed_total", escrows_claimed as u64);
         reg.set_counter("world.escrows_refunded_total", escrows_refunded as u64);
         reg.set_counter("world.escrows_open_total", escrows_open as u64);
@@ -1049,25 +910,25 @@ impl World {
 
         // Close the timeline with a frame that includes the end-of-run
         // folds above.
-        if let Some(timeline) = self.timeline.as_mut() {
-            timeline.maybe_sample(queue.now(), &self.registry);
+        if let Some(timeline) = self.sim.timeline.as_mut() {
+            timeline.maybe_sample(queue.now(), &self.sim.registry);
         }
 
         ExperimentResult {
-            completed: self.completed,
-            failed: self.failed,
-            latencies: self.latencies,
+            completed: self.sim.completed,
+            failed: self.sim.failed,
+            latencies: self.sim.latencies,
             sim_time,
-            blocks_mined: self.blocks_mined,
-            standby_blocks_mined: self.standby_blocks_mined,
+            blocks_mined: self.sim.blocks_mined,
+            standby_blocks_mined: self.sim.standby_blocks_mined,
             stalls,
             total_stall,
             confirmed_txs,
             app_readings,
-            phase_radio: self.phase_radio,
-            phase_forward: self.phase_forward,
-            phase_settlement: self.phase_settlement,
-            metrics: self.registry.snapshot(),
+            phase_radio: self.sim.phase_radio,
+            phase_forward: self.sim.phase_forward,
+            phase_settlement: self.sim.phase_settlement,
+            metrics: self.sim.registry.snapshot(),
             phases,
             escrows_claimed,
             escrows_refunded,
@@ -1075,12 +936,12 @@ impl World {
             invariant_violations,
             utxo_total,
             utxo_fingerprint,
-            honest_revenue: self.auditor.honest_revenue(),
-            adversarial_revenue: self.auditor.adversarial_revenue(),
-            gateway_settlements: self.auditor.gateway_outcomes(),
-            restarts_warm: self.restarts_warm,
-            restarts_cold: self.restarts_cold,
-            timeline: self.timeline,
+            honest_revenue: self.sim.auditor.honest_revenue(),
+            adversarial_revenue: self.sim.auditor.adversarial_revenue(),
+            gateway_settlements: self.sim.auditor.gateway_outcomes(),
+            restarts_warm: self.sim.restarts_warm,
+            restarts_cold: self.sim.restarts_cold,
+            timeline: self.sim.timeline,
         }
     }
 
@@ -1090,10 +951,486 @@ impl World {
     /// the very next timeline frame — instead of surfacing at end of
     /// run.
     fn audit_master(&mut self) {
-        self.auditor
-            .reconcile(&self.hosts[0].daemon.chain, &mut self.registry);
+        self.sim
+            .auditor
+            .reconcile(&self.hosts[0].daemon.chain, &mut self.sim.registry);
     }
 
+    /// Runs `act` on one host, handing it the environment that stands
+    /// for everything else: the simulator's state, the event queue, and
+    /// read access to the other hosts for the sync-source oracle.
+    fn at_host<R>(
+        &mut self,
+        host: u32,
+        queue: &mut EventQueue<Event>,
+        act: impl FnOnce(&mut Node, &mut dyn NodeEnv) -> R,
+    ) -> R {
+        let (left, rest) = self.hosts.split_at_mut(host as usize);
+        let (node, right) = rest.split_first_mut().expect("host id in range");
+        let mut env = Env {
+            sim: &mut self.sim,
+            queue,
+            me: host,
+            left,
+            right,
+        };
+        act(node, &mut env)
+    }
+
+    fn handle_request_arrived(
+        &mut self,
+        now: SimTime,
+        exchange: usize,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let sim = &mut self.sim;
+        let gateway = sim.exchanges[exchange].gateway;
+        // A crashed gateway's radio does not answer; the node's timeout
+        // retries until the gateway restarts or the budget runs out.
+        if !sim.chaos.is_idle() && sim.chaos.host_down(gateway, now) {
+            sim.registry.inc(sim.chaos.meters().crash_drops);
+            return;
+        }
+        sim.tracer.span_end("request_uplink", exchange as u64, now);
+        // A retransmitted request for an existing session resends the
+        // same ephemeral key instead of generating a new one.
+        if sim.exchanges[exchange].e_pk.is_some() {
+            queue.schedule_at(now, Event::KeySent { exchange });
+            return;
+        }
+        sim.tracer.span_start("keygen", exchange as u64, now);
+        // Real keygen on the gateway CPU.
+        let (e_pk, done) = self.hosts[gateway as usize].open_session(now, exchange as u64);
+        sim.exchanges[exchange].e_pk = Some(e_pk);
+        queue.schedule_at(done, Event::KeySent { exchange });
+    }
+
+    fn handle_data_arrived(
+        &mut self,
+        now: SimTime,
+        exchange: usize,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let sim = &mut self.sim;
+        let ex = &mut sim.exchanges[exchange];
+        if ex.data_accepted || ex.done {
+            return; // duplicate of a retransmitted frame
+        }
+        let (gateway, home) = (ex.gateway, ex.home);
+        if !sim.chaos.is_idle() && sim.chaos.host_down(gateway, now) {
+            sim.registry.inc(sim.chaos.meters().crash_drops);
+            return; // frame unheard; the node's data timeout resends
+        }
+        ex.data_accepted = true;
+        ex.data_at_gateway = Some(now);
+        sim.tracer.span_end("data_uplink", exchange as u64, now);
+        sim.tracer
+            .span_start("gateway_forward", exchange as u64, now);
+        // The gateway now holds the sealed uplink: the FSM enters
+        // `Sealed` and the bounded re-delivery deadline starts ticking.
+        let _ = ex.fsm.apply(FsmEvent::Sealed, now);
+        let uplink = ex.uplink.take().expect("sealed before it flew");
+        let device_id = sim.sensors[ex.sensor].credentials.device_id;
+        // Directory lookup (§4.3) — the home address must be known.
+        let home_addr = self.hosts[home as usize].wallet.address();
+        let to = (NodeId(home), &home_addr);
+        let forwarded = self.at_host(gateway, queue, |node, env| {
+            node.forward_uplink(now, exchange as u64, to, device_id, uplink, env)
+        });
+        if forwarded {
+            self.sim.arm_deadline(exchange, queue);
+        } else {
+            self.sim.abort_exchange(now, exchange);
+        }
+    }
+
+    fn handle_wan(
+        &mut self,
+        now: SimTime,
+        delivery: Delivery<Arc<Parcel>>,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let to = delivery.to.0;
+        // A message can be in flight when its receiver crashes; it is
+        // lost on arrival, not retroactively.
+        if !self.sim.chaos.is_idle() && self.sim.chaos.host_down(to, now) {
+            self.sim.registry.inc(self.sim.chaos.meters().crash_drops);
+            return;
+        }
+        let moves_master_tip =
+            to == 0 && matches!(delivery.msg.msg, WanMessage::Chain(ChainMessage::Block(_)));
+        self.at_host(to, queue, |node, env| {
+            node.handle(now, delivery.from, delivery.msg, env)
+        });
+        if moves_master_tip {
+            self.audit_master();
+        }
+    }
+
+    /// A crashed host restarts. Volatile state (mempool, relay filters,
+    /// in-flight syncs) is always gone. What happens to the chain
+    /// depends on durability:
+    ///
+    /// - **Warm** (a store is attached): the in-memory chain is
+    ///   discarded — a killed process keeps nothing — and the host
+    ///   reopens whatever its store committed before the crash
+    ///   (`Chain::open_store`), rolling the coins snapshot forward from
+    ///   undo/block records without re-validating scripts. It then
+    ///   catches up to the fleet tip headers-first.
+    /// - **Cold** (memory-only, or the store failed to reopen — better
+    ///   than losing the host entirely): the old model — the in-memory
+    ///   chain survives by fiat.
+    fn handle_chaos_restart(&mut self, now: SimTime, host: u32, queue: &mut EventQueue<Event>) {
+        let sim = &mut self.sim;
+        let reopened = sim
+            .cfg
+            .store_dir
+            .as_ref()
+            .filter(|_| self.hosts[host as usize].daemon.chain.has_store())
+            .and_then(|root| {
+                Chain::open_store(
+                    sim.cfg.chain_params.clone(),
+                    root.join(format!("host-{host}")),
+                    bcwan_chain::StoreConfig::default(),
+                )
+                .ok()
+            })
+            .map(|opened| opened.chain);
+        if reopened.is_some() {
+            sim.restarts_warm += 1;
+        } else {
+            sim.restarts_cold += 1;
+        }
+        self.hosts[host as usize].crash_restart(now, reopened);
+        if host == 0 {
+            // A warm restart can reopen a shorter durable chain: the
+            // auditor must roll its ledger back with it.
+            self.audit_master();
+        }
+        self.at_host(host, queue, |node, env| node.start_sync(now, None, env));
+    }
+
+    /// A per-exchange deadline fired. Stale stamps (the exchange moved
+    /// on or retried since) are dropped; live ones drive the phase's
+    /// recovery action.
+    fn handle_fsm_deadline(
+        &mut self,
+        now: SimTime,
+        exchange: usize,
+        seq: u32,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let ex = &self.sim.exchanges[exchange];
+        if ex.done && ex.fsm.is_settled() {
+            return;
+        }
+        if ex.fsm.seq() != seq {
+            return; // stale: the phase or retry count moved on
+        }
+        let gateway = ex.gateway;
+        match ex.fsm.phase() {
+            Phase::Sealed => {
+                // The recipient never escrowed: re-deliver (idempotent on
+                // the receiving side), bounded by the retry budget.
+                if ex.fsm.retries_exhausted(&self.sim.cfg.fsm) {
+                    self.sim.abort_exchange(now, exchange);
+                    return;
+                }
+                self.sim.exchanges[exchange].fsm.note_retry(now);
+                self.sim.registry.inc(self.sim.meters.deliver_retries);
+                self.at_host(gateway, queue, |node, env| {
+                    node.redeliver(now, exchange as u64, env)
+                });
+                self.sim.arm_deadline(exchange, queue);
+            }
+            Phase::Escrowed => {
+                // Unbounded settlement watchdog: money is on the table.
+                self.sim.exchanges[exchange].fsm.note_retry(now);
+                self.settle_sweep(now, exchange, queue);
+                self.sim.arm_deadline(exchange, queue);
+            }
+            _ => {}
+        }
+    }
+
+    /// The `Escrowed` watchdog: has whoever is missing a piece of the
+    /// settlement re-broadcast it, and opens the CLTV refund branch when
+    /// the claim never lands. *Which* piece is missing is judged by
+    /// peeking into the acting miner's pool, which only a simulator can.
+    fn settle_sweep(&mut self, now: SimTime, exchange: usize, queue: &mut EventQueue<Event>) {
+        let tag = exchange as u64;
+        let (gateway, home) = {
+            let ex = &self.sim.exchanges[exchange];
+            (ex.gateway, ex.home)
+        };
+        let Some(escrow_obj) = self.hosts[home as usize].escrow(tag) else {
+            return;
+        };
+        let (escrow_txid, refund_height) = (escrow_obj.tx.txid(), escrow_obj.refund_height);
+        let home_up = !self.sim.chaos.host_down(home, now);
+
+        // (a) Recipient: the miner lost track of the escrow (reorg +
+        // eviction, a crash wiped a pool, or the gossip never got
+        // through) — re-admit and re-flood it. Visibility is judged at
+        // the *acting miner*: a transaction only the home pool knows
+        // about will never be mined.
+        if home_up && self.miner_lacks(now, &escrow_txid) {
+            self.rebroadcast(now, home, tag, Stored::Escrow, queue);
+        }
+
+        // (b) Gateway: a built claim that is in neither pool nor chain is
+        // re-broadcast — the reorg-orphaned-claim recovery path. A
+        // session that never claimed (its host was down when the escrow
+        // gossiped) claims now from the confirmed copy.
+        let chaos = &self.sim.chaos;
+        let withholding = !chaos.is_idle() && chaos.withhold_claim(gateway, now);
+        if !chaos.host_down(gateway, now) && !withholding {
+            let claim = self.hosts[gateway as usize].stored(tag, Stored::Claim);
+            if let Some(claim_txid) = claim.map(Transaction::txid) {
+                if self.miner_lacks(now, &claim_txid) {
+                    self.rebroadcast(now, gateway, tag, Stored::Claim, queue);
+                }
+            } else {
+                self.at_host(gateway, queue, |node, env| {
+                    node.late_claim(now, tag, escrow_txid, env)
+                });
+            }
+        }
+
+        // (c) Recipient refund driver: past the refund height with no
+        // claim settled, spend the escrow back through the CLTV branch.
+        // A pooled claim wins locally (first-seen conflict policy); the
+        // refund only floods where the claim never showed.
+        let node = &mut self.hosts[home as usize];
+        if home_up && node.height() >= refund_height {
+            if node.stored(tag, Stored::Refund).is_none() {
+                self.sim.registry.inc(self.sim.meters.refunds_submitted);
+            }
+            let refund_txid = node.refund(tag).expect("escrow held").txid();
+            if self.miner_lacks(now, &refund_txid) {
+                self.rebroadcast(now, home, tag, Stored::Refund, queue);
+            }
+        }
+
+        // (d) Censorship suspicion: our settlement sits in the acting
+        // miner's *own pool* sweep after sweep without confirming. An
+        // honest miner includes pooled transactions within a block or
+        // two, and the sweep backoff (10+20+40+60 s) spans several block
+        // intervals — so crossing the threshold means the miner keeps
+        // building templates around our money. Demote it: mining duty
+        // and catch-up sync route around suspects for the rest of the
+        // run (a false positive only rotates the miner, it loses
+        // nothing).
+        if let Some(miner) = self.active_miner(now).filter(|_| home_up) {
+            let pending = self.hosts[gateway as usize]
+                .stored(tag, Stored::Claim)
+                .or_else(|| self.hosts[home as usize].stored(tag, Stored::Refund));
+            let stuck = pending.map(Transaction::txid).is_some_and(|txid| {
+                let d = &self.hosts[miner as usize].daemon;
+                d.mempool.contains(&txid) && d.chain.find_transaction(&txid).is_none()
+            });
+            let sim = &mut self.sim;
+            let ex = &mut sim.exchanges[exchange];
+            if stuck {
+                ex.censor_sweeps += 1;
+                if ex.censor_sweeps == sim.cfg.fsm.censor_suspect_sweeps {
+                    sim.registry.inc(sim.meters.censorship_suspected);
+                    sim.censor_suspects.insert(miner);
+                }
+            } else {
+                ex.censor_sweeps = 0;
+            }
+        }
+    }
+
+    /// Who mines right now: the master (host 0) in every clean run, and
+    /// under chaos the live host with the tallest chain — ties break
+    /// toward the lowest id, so the master takes back over once it has
+    /// caught up after a failover. Hosts suspected of claim censorship
+    /// are passed over while any other live host can mine (the
+    /// route-around half of the censorship defence); with nobody else
+    /// up, a suspect still beats no miner at all. `None` while every
+    /// host is crashed.
+    fn active_miner(&self, now: SimTime) -> Option<u32> {
+        if self.sim.chaos.is_idle() && self.sim.censor_suspects.is_empty() {
+            return Some(0);
+        }
+        let mut best: Option<(u64, u32)> = None;
+        let mut best_clean: Option<(u64, u32)> = None;
+        for (i, h) in self.hosts.iter().enumerate() {
+            let id = i as u32;
+            if self.sim.chaos.host_down(id, now) {
+                continue;
+            }
+            let height = h.height();
+            if best.is_none_or(|(best_h, _)| height > best_h) {
+                best = Some((height, id));
+            }
+            if !self.sim.censor_suspects.contains(&id)
+                && best_clean.is_none_or(|(best_h, _)| height > best_h)
+            {
+                best_clean = Some((height, id));
+            }
+        }
+        best_clean.or(best).map(|(_, id)| id)
+    }
+
+    /// True when the acting miner has `txid` in neither its mempool nor
+    /// its main chain — i.e. the transaction will never confirm without
+    /// another broadcast. With every host down there is no miner to
+    /// judge by, so nothing is re-broadcast until the next sweep.
+    fn miner_lacks(&self, now: SimTime, txid: &TxId) -> bool {
+        let Some(miner) = self.active_miner(now) else {
+            return false;
+        };
+        let miner = &self.hosts[miner as usize].daemon;
+        !miner.mempool.contains(txid) && miner.chain.find_transaction(txid).is_none()
+    }
+
+    /// Has `host` re-broadcast a transaction it keeps for exchange `tag`.
+    fn rebroadcast(
+        &mut self,
+        now: SimTime,
+        host: u32,
+        tag: u64,
+        which: Stored,
+        queue: &mut EventQueue<Event>,
+    ) {
+        if self.at_host(host, queue, |node, env| {
+            node.rebroadcast(now, tag, which, env)
+        }) {
+            self.sim.registry.inc(self.sim.meters.rebroadcasts);
+        }
+    }
+
+    fn handle_mine_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        let sim = &mut self.sim;
+        // Interval metrics ride the mining heartbeat — the one periodic
+        // event every run has. Edge-triggered, so a slow block interval
+        // just lowers the effective sampling rate.
+        if let Some(timeline) = sim.timeline.as_mut() {
+            timeline.maybe_sample(now, &sim.registry);
+        }
+        // Stop mining when work is done and nothing is pending anywhere.
+        let work_left = sim.completed + sim.failed < sim.started
+            || sim.started < sim.cfg.target_exchanges
+            || self.hosts.iter().any(|h| !h.daemon.mempool.is_empty())
+            // Money still in escrow keeps blocks coming: the refund
+            // branch needs the chain to reach the CLTV height.
+            || sim
+                .exchanges
+                .iter()
+                .any(|ex| ex.fsm.phase() == Phase::Escrowed);
+        if !work_left {
+            return;
+        }
+        self.mine_block(now, queue);
+        let delay = self.sim.next_block_delay();
+        queue.schedule_in(delay, Event::MineTick);
+    }
+
+    /// One turn of mining duty: the acting miner extends its tip — or,
+    /// when the chaos plan says so, forks or censors.
+    fn mine_block(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        // Miner failover: the master mines unless it is crashed, in
+        // which case the tallest live standby takes over until the
+        // master catches back up. With every host down nobody mines — a
+        // block nobody could gossip helps no one.
+        let Some(miner) = self.active_miner(now) else {
+            return;
+        };
+        let sim = &mut self.sim;
+        // Scheduled fork injection: mine a heavier side branch instead
+        // of extending the tip, forcing every host through a reorg.
+        if !sim.chaos.is_idle() {
+            if let Some(depth) = sim.chaos.take_fork(now) {
+                self.mine_fork(now, miner, depth, queue);
+                return;
+            }
+        }
+        // Byzantine censorship: a miner inside its CensorClaims window
+        // silently excludes every settlement transaction — anything
+        // spending a known escrow outpoint, claim and refund alike —
+        // from its template. The pool keeps them (censorship is not
+        // eviction), so an honest miner taking over mines them at once.
+        let mut escrow_ops: HashSet<OutPoint> = HashSet::new();
+        if !sim.chaos.is_idle() && sim.chaos.censoring_miner(miner, now) {
+            escrow_ops.extend(self.hosts.iter().flat_map(Node::escrow_outpoints));
+            let withheld = self.hosts[miner as usize]
+                .daemon
+                .mempool
+                .iter()
+                .filter(|tx| tx.inputs.iter().any(|i| escrow_ops.contains(&i.prevout)))
+                .count() as u64;
+            if withheld > 0 {
+                // Per-template exclusion events, not distinct txs: the
+                // same stuck claim counts once per censored block.
+                sim.registry
+                    .add(sim.chaos.meters().claims_censored, withheld);
+            }
+        }
+        let tag: &[u8] = if miner == 0 { b"master" } else { b"standby" };
+        let mined = self.at_host(miner, queue, |node, env| {
+            node.mine(now, tag, &escrow_ops, env)
+        });
+        if mined.is_some() {
+            self.sim.blocks_mined += 1;
+            if miner != 0 {
+                self.sim.standby_blocks_mined += 1;
+            } else {
+                self.audit_master();
+            }
+        }
+    }
+
+    /// Mines `depth + 1` empty blocks on top of the block `depth` below
+    /// the acting miner's tip, overtaking the main chain and triggering
+    /// a reorg everywhere. The miner's own mempool repair re-pools the
+    /// orphaned transactions, so settlements re-confirm on the new
+    /// branch through normal mining.
+    fn mine_fork(&mut self, now: SimTime, miner: u32, depth: u32, queue: &mut EventQueue<Event>) {
+        self.sim.registry.inc(self.sim.chaos.meters().forks);
+        let node = &self.hosts[miner as usize];
+        let (params, height) = (node.daemon.chain.params().clone(), node.height());
+        let reward = TxOut {
+            value: params.coinbase_reward,
+            script_pubkey: node.wallet.locking_script(),
+        };
+        let depth = u64::from(depth).min(height);
+        let fork_height = height - depth;
+        let mut parent = node
+            .daemon
+            .chain
+            .block_at(fork_height)
+            .expect("fork point on main chain")
+            .hash();
+        for i in 0..=depth {
+            let coinbase =
+                Transaction::coinbase(fork_height + 1 + i, b"fork", vec![reward.clone()]);
+            let block = Block::mine(
+                parent,
+                now.as_micros() + i,
+                params.difficulty_bits,
+                vec![coinbase],
+            );
+            parent = block.hash();
+            if !self.at_host(miner, queue, |node, env| {
+                node.connect_fork_block(now, block, env)
+            }) {
+                return;
+            }
+            self.sim.blocks_mined += 1;
+            if miner != 0 {
+                self.sim.standby_blocks_mined += 1;
+            }
+        }
+        if miner == 0 {
+            self.audit_master();
+        }
+    }
+}
+
+impl Sim {
     fn next_block_delay(&mut self) -> SimDuration {
         let mean = self.cfg.chain_params.target_block_interval.as_secs_f64();
         SimDuration::from_secs_f64(self.rng.exponential(mean))
@@ -1223,9 +1560,8 @@ impl World {
     }
 
     /// Samples LoRa frame loss on `gateway`'s radio (chaos bursts
-    /// override the base rate when stronger; analytic ALOHA contention
-    /// compounds with it when enabled). Always consumes exactly one
-    /// draw, so enabling contention does not shift the RNG stream.
+    /// override the base rate when stronger). Always consumes exactly
+    /// one draw.
     fn frame_lost(&mut self, now: SimTime, gateway: u32) -> bool {
         let base = self.cfg.lora_loss_probability;
         let boost = if self.chaos.is_idle() {
@@ -1233,13 +1569,7 @@ impl World {
         } else {
             self.chaos.lora_loss_boost(now)
         };
-        let flat = base.max(boost);
-        let p = if self.lora_success < 1.0 {
-            1.0 - (1.0 - flat) * self.lora_success
-        } else {
-            flat
-        };
-        let lost = self.rng.chance(p);
+        let lost = self.rng.chance(base.max(boost));
         if lost {
             self.registry.inc(self.meters.frames_lost);
             if let Some(slot) = self
@@ -1304,10 +1634,7 @@ impl World {
         queue: &mut EventQueue<Event>,
     ) {
         let ex = &self.exchanges[exchange];
-        // `uplink` is set the instant the node receives the key (it seals
-        // immediately), so it is the node-side receipt indicator; `e_pk`
-        // alone only proves the *gateway* generated a key.
-        if ex.done || ex.uplink.is_some() {
+        if ex.done || ex.sealed() {
             return;
         }
         if attempt >= MAX_RADIO_RETRIES {
@@ -1404,11 +1731,6 @@ impl World {
                     data_at_gateway: None,
                     data_accepted: false,
                     delivered: None,
-                    escrow: None,
-                    claim: None,
-                    refund: None,
-                    seen_claim_txid: None,
-                    equivocation_detected: false,
                     censor_sweeps: 0,
                     fsm: ExchangeFsm::new(now),
                     done: false,
@@ -1426,41 +1748,6 @@ impl World {
                 SimDuration::from_secs_f64(self.rng.exponential(self.send_interval.as_secs_f64()));
             queue.schedule_in(gap, Event::SensorFire { sensor: sensor_idx });
         }
-    }
-
-    fn handle_request_arrived(
-        &mut self,
-        now: SimTime,
-        exchange: usize,
-        queue: &mut EventQueue<Event>,
-    ) {
-        // A crashed gateway's radio does not answer; the node's timeout
-        // retries until the gateway restarts or the budget runs out.
-        if !self.chaos.is_idle() {
-            let gateway = self.exchanges[exchange].gateway;
-            if self.chaos.host_down(gateway, now) {
-                self.registry.inc(self.chaos.meters().crash_drops);
-                return;
-            }
-        }
-        self.tracer.span_end("request_uplink", exchange as u64, now);
-        // A retransmitted request for an existing session resends the
-        // same ephemeral key instead of generating a new one.
-        if self.exchanges[exchange].e_pk.is_some() {
-            queue.schedule_at(now, Event::KeySent { exchange });
-            return;
-        }
-        self.tracer.span_start("keygen", exchange as u64, now);
-        let gateway = self.exchanges[exchange].gateway;
-        let rsa_size = self.cfg.rsa_size;
-        let keygen_cost = self.cfg.costs.rsa_keygen;
-        let host = &mut self.hosts[gateway as usize];
-        // Real keygen on the gateway CPU.
-        let (e_pk, e_sk) = generate_keypair(&mut host.rng, rsa_size);
-        host.sessions.insert(e_pk.to_bytes(), (exchange, e_sk));
-        self.exchanges[exchange].e_pk = Some(e_pk);
-        let done = host.occupy_cpu(now, keygen_cost);
-        queue.schedule_at(done, Event::KeySent { exchange });
     }
 
     fn handle_key_sent(&mut self, now: SimTime, exchange: usize, queue: &mut EventQueue<Event>) {
@@ -1494,7 +1781,7 @@ impl World {
 
     fn handle_key_arrived(&mut self, now: SimTime, exchange: usize, queue: &mut EventQueue<Event>) {
         let ex = &self.exchanges[exchange];
-        if ex.uplink.is_some() {
+        if ex.sealed() {
             return; // duplicate key downlink (retry path); data already sent
         }
         self.tracer.span_end("key_downlink", exchange as u64, now);
@@ -1522,794 +1809,112 @@ impl World {
         self.send_data(now + node_cost, exchange, 0, queue);
     }
 
-    fn handle_data_arrived(
-        &mut self,
-        now: SimTime,
-        exchange: usize,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if self.exchanges[exchange].data_accepted || self.exchanges[exchange].done {
-            return; // duplicate of a retransmitted frame
-        }
-        if !self.chaos.is_idle() {
-            let gateway = self.exchanges[exchange].gateway;
-            if self.chaos.host_down(gateway, now) {
-                self.registry.inc(self.chaos.meters().crash_drops);
-                return; // frame unheard; the node's data timeout resends
+    /// Keeps the simulator's books in step with what a host just did.
+    fn note(&mut self, queue: &mut EventQueue<Event>, at: SimTime, exchange: usize, note: Note) {
+        let id = exchange as u64;
+        let ex = &mut self.exchanges[exchange];
+        match note {
+            Note::Abort => self.abort_exchange(at, exchange),
+            Note::Delivered => {
+                ex.delivered = Some(at);
+                let _ = ex.fsm.apply(FsmEvent::Delivered, at);
+                self.tracer.span_end("gateway_forward", id, at);
             }
-        }
-        self.exchanges[exchange].data_accepted = true;
-        self.exchanges[exchange].data_at_gateway = Some(now);
-        self.tracer.span_end("data_uplink", exchange as u64, now);
-        self.tracer
-            .span_start("gateway_forward", exchange as u64, now);
-        let (gateway, home) = {
-            let ex = &self.exchanges[exchange];
-            (ex.gateway, ex.home)
-        };
-        // The gateway now holds the sealed uplink: the FSM enters
-        // `Sealed` and the bounded re-delivery deadline starts ticking.
-        let _ = self.exchanges[exchange].fsm.apply(FsmEvent::Sealed, now);
-        let lookup_cost = self.cfg.costs.directory_lookup;
-        // Directory lookup (§4.3) — the home address must be known.
-        let home_addr = self.hosts[home as usize].wallet.address();
-        let endpoint = self.hosts[gateway as usize].directory.lookup(&home_addr);
-        if endpoint.is_none() {
-            self.abort_exchange(now, exchange);
-            return;
-        }
-        let done = self.hosts[gateway as usize].occupy_cpu(now, lookup_cost);
-        let ex = &self.exchanges[exchange];
-        let msg = WanMessage::Deliver {
-            device_id: self.sensors[ex.sensor].credentials.device_id,
-            e_pk_bytes: ex.e_pk.as_ref().expect("present").to_bytes(),
-            uplink: ex.uplink.clone().expect("present"),
-        };
-        self.unicast(queue, done, gateway, home, msg);
-        self.arm_deadline(exchange, queue);
-    }
-
-    fn handle_wan(
-        &mut self,
-        now: SimTime,
-        delivery: Delivery<Arc<Parcel>>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let to = delivery.to.0;
-        // A message can be in flight when its receiver crashes; it is
-        // lost on arrival, not retroactively.
-        if !self.chaos.is_idle() && self.chaos.host_down(to, now) {
-            self.registry.inc(self.chaos.meters().crash_drops);
-            return;
-        }
-        let parcel = delivery.msg;
-        match &parcel.msg {
-            WanMessage::Deliver {
-                device_id,
-                e_pk_bytes,
-                uplink,
-            } => self.handle_deliver(now, to, *device_id, e_pk_bytes, uplink, queue),
-            WanMessage::Chain(ChainMessage::Tx(tx)) => {
-                self.handle_chain_tx(now, to, &parcel, tx, queue)
+            Note::EscrowPublished(outpoint) => {
+                let publish = at.saturating_duration_since(ex.delivered.unwrap_or(at));
+                self.tracer.record_span("escrow_publish", publish);
+                self.tracer.span_start("confirmation_wait", id, at);
+                // The auditor watches the escrow from birth: any
+                // main-chain spend of it is now classified and
+                // revenue-attributed.
+                let adversarial = self.adversarial.contains(&ex.gateway);
+                self.auditor
+                    .watch(outpoint, exchange, ex.gateway, adversarial);
+                let _ = ex.fsm.apply(FsmEvent::EscrowPublished, at);
+                // The settlement watchdog takes over from here.
+                self.arm_deadline(exchange, queue);
             }
-            WanMessage::Chain(ChainMessage::Block(_)) => {
-                self.handle_chain_block(now, to, parcel, queue)
+            Note::Claiming => {
+                self.tracer.span_end("confirmation_wait", id, at);
+                self.tracer.span_start("claim_and_decrypt", id, at);
             }
-            WanMessage::Chain(ChainMessage::GetBlocksFrom(height)) => {
-                self.serve_blocks_from(now, to, delivery.from.0, *height, queue)
-            }
-            WanMessage::Chain(ChainMessage::GetHeadersFrom(height)) => {
-                self.serve_headers_from(now, to, delivery.from.0, *height, queue)
-            }
-            WanMessage::Chain(ChainMessage::Headers {
-                start_height,
-                headers,
-            }) => self.handle_headers(now, to, *start_height, headers, queue),
-            WanMessage::Chain(_) => { /* GetBlock/TipAnnounce unused here */ }
-        }
-    }
-
-    /// Serves a peer's catch-up request with a bounded batch of
-    /// main-chain blocks (the §5.1 start-up sync, reused after crash
-    /// restarts and orphan gaps).
-    fn serve_blocks_from(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        requester: u32,
-        height: u64,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let blocks = crate::sync::serve_blocks_from_bounded(
-            &self.hosts[to as usize].daemon.chain,
-            height,
-            crate::fleet::SYNC_BATCH,
-        );
-        for block in blocks {
-            self.unicast(
-                queue,
-                now,
-                to,
-                requester,
-                WanMessage::Chain(ChainMessage::Block(block)),
-            );
-        }
-    }
-
-    /// Serves a headers-first locate request with one bounded batch of
-    /// main-chain headers (88 bytes each, no bodies).
-    fn serve_headers_from(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        requester: u32,
-        height: u64,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let headers = crate::sync::serve_headers_from(
-            &self.hosts[to as usize].daemon.chain,
-            height,
-            crate::sync::HEADER_BATCH,
-        );
-        self.unicast(
-            queue,
-            now,
-            to,
-            requester,
-            WanMessage::Chain(ChainMessage::Headers {
-                start_height: height,
-                headers,
-            }),
-        );
-    }
-
-    /// Feeds a received header batch into the host's catch-up machine
-    /// and transmits whatever it asks for next (a further locate probe,
-    /// or the first striped body batches).
-    fn handle_headers(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        start_height: u64,
-        headers: &[bcwan_chain::BlockHeader],
-        queue: &mut EventQueue<Event>,
-    ) {
-        let host = &mut self.hosts[to as usize];
-        let Some(hs) = host.header_sync.as_mut() else {
-            return; // stale batch from a finished or restarted sync
-        };
-        let reqs = hs.on_headers(&host.daemon.chain, start_height, headers);
-        if !hs.is_active() {
-            host.header_sync = None;
-        }
-        self.send_sync_requests(now, to, reqs, queue);
-    }
-
-    /// Transmits a batch of requests produced by a host's
-    /// [`HeaderSync`](crate::sync::HeaderSync) machine.
-    fn send_sync_requests(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        reqs: Vec<crate::sync::SyncRequest>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        for req in reqs {
-            let (peer, msg) = match req {
-                crate::sync::SyncRequest::Headers { peer, from } => {
-                    (peer.0, ChainMessage::GetHeadersFrom(from))
-                }
-                crate::sync::SyncRequest::Bodies { peer, from } => {
-                    (peer.0, ChainMessage::GetBlocksFrom(from))
-                }
-            };
-            self.unicast(queue, now, to, peer, WanMessage::Chain(msg));
-        }
-    }
-
-    /// Step 7→9: recipient verifies and escrows payment.
-    fn handle_deliver(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        device_id: DeviceId,
-        e_pk_bytes: &[u8],
-        uplink: &SealedUplink,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let Ok(e_pk) = RsaPublicKey::from_bytes(e_pk_bytes) else {
-            self.failed += 1;
-            return;
-        };
-        // Which exchange is this? (Simulation-level bookkeeping only; the
-        // protocol itself keys on device + ephemeral key.) Looked up
-        // regardless of progress so a re-delivered copy is recognized.
-        let Some(exchange) = self.exchanges.iter().position(|ex| {
-            ex.home == to
-                && ex
-                    .e_pk
-                    .as_ref()
-                    .is_some_and(|pk| pk.to_bytes() == e_pk_bytes)
-        }) else {
-            self.failed += 1;
-            return;
-        };
-        // Idempotent re-delivery: once this exchange has an escrow (or is
-        // over), a duplicate Deliver must not double-escrow or double-count.
-        if self.exchanges[exchange].done || self.exchanges[exchange].escrow.is_some() {
-            return;
-        }
-        let verify_cost = self.cfg.costs.verify_signature;
-        let tx_build = self.cfg.costs.tx_build;
-        let reward = self.cfg.reward;
-        let fee = self.cfg.fee;
-
-        let host = &mut self.hosts[to as usize];
-        let Some(record) = host.registry.get(&device_id) else {
-            self.abort_exchange(now, exchange);
-            return;
-        };
-        // Step 8: authenticity.
-        if !verify_uplink(record, &e_pk, uplink) {
-            self.abort_exchange(now, exchange);
-            return;
-        }
-        let verified_at = host.occupy_cpu(now, verify_cost);
-        self.exchanges[exchange].delivered = Some(verified_at);
-        let _ = self.exchanges[exchange]
-            .fsm
-            .apply(FsmEvent::Delivered, verified_at);
-        self.tracer
-            .span_end("gateway_forward", exchange as u64, verified_at);
-
-        // Step 9: escrow. Select a coin and build the transaction via the
-        // daemon ("create, sign, send").
-        let host = &mut self.hosts[to as usize];
-        let Some(coin) = host.reserve_coin(reward + fee) else {
-            self.abort_exchange(verified_at, exchange);
-            return;
-        };
-        let gateway_addr = self.hosts[self.exchanges[exchange].gateway as usize]
-            .wallet
-            .address();
-        let host = &mut self.hosts[to as usize];
-        let current_height = host.daemon.chain.height();
-        let escrow_obj = escrow::build_escrow_with_delta(
-            &host.wallet,
-            &[coin],
-            &e_pk,
-            &gateway_addr,
-            reward,
-            fee,
-            current_height,
-            self.cfg.refund_delta,
-        );
-        let built_at = host.daemon.occupy(verified_at, tx_build);
-        host.pending_open.insert(escrow_obj.outpoint(), exchange);
-        host.settle_watch.insert(escrow_obj.outpoint(), exchange);
-        // Admit into own mempool and flood.
-        let (admitted_at, result) =
-            host.daemon
-                .accept_transaction(built_at, escrow_obj.tx.clone(), &self.cfg.costs);
-        if result.is_err() {
-            host.pending_open.remove(&escrow_obj.outpoint());
-            host.settle_watch.remove(&escrow_obj.outpoint());
-            self.abort_exchange(admitted_at, exchange);
-            return;
-        }
-        self.tracer.record_span(
-            "escrow_publish",
-            admitted_at.saturating_duration_since(verified_at),
-        );
-        self.tracer
-            .span_start("confirmation_wait", exchange as u64, admitted_at);
-        self.exchanges[exchange].uplink = Some(uplink.clone());
-        self.exchanges[exchange].escrow = Some(escrow_obj.clone());
-        // The auditor watches the escrow from birth: any main-chain
-        // spend of it is now classified and revenue-attributed.
-        let gateway = self.exchanges[exchange].gateway;
-        self.auditor.watch(
-            escrow_obj.outpoint(),
-            exchange,
-            gateway,
-            self.adversarial.contains(&gateway),
-        );
-        let _ = self.exchanges[exchange]
-            .fsm
-            .apply(FsmEvent::EscrowPublished, admitted_at);
-        let parcel = Parcel::tx(escrow_obj.tx);
-        self.hosts[to as usize]
-            .daemon
-            .relay
-            .mark_seen(parcel.flood_id());
-        self.flood(queue, admitted_at, to, &parcel);
-        // The settlement watchdog takes over from here.
-        self.arm_deadline(exchange, queue);
-    }
-
-    /// Chain transaction gossip: mempool admission + protocol reactions.
-    fn handle_chain_tx(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        parcel: &Arc<Parcel>,
-        tx: &Transaction,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let txid = TxId(parcel.flood_id());
-        let first = self.hosts[to as usize].daemon.relay.mark_seen(txid.0);
-        if !first {
-            // Seen before — but a reorg may have evicted it from the pool
-            // since, in which case a re-broadcast must be re-admitted,
-            // not dropped. Cheap check first (the common duplicate sits
-            // in the pool); the chain scan only runs for the rare
-            // gossip-after-confirmation stragglers.
-            let host = &self.hosts[to as usize];
-            if host.daemon.mempool.contains(&txid)
-                || host.daemon.chain.find_transaction(&txid).is_some()
-            {
-                return; // genuine duplicate
-            }
-        }
-        // Byzantine detection runs *before* mempool admission: a rival
-        // claim is exactly the transaction the pool rejects as a
-        // conflict, and the recipient must still see it to know its
-        // gateway equivocated.
-        self.detect_equivocation(to, tx, queue);
-        let (done, result) = {
-            let host = &mut self.hosts[to as usize];
-            host.daemon
-                .accept_transaction(now, tx.clone(), &self.cfg.costs)
-        };
-        if result.is_err() {
-            return; // double spends, orphans: dropped, not relayed
-        }
-        // Re-flood the very parcel that arrived.
-        self.flood(queue, done, to, parcel);
-
-        // Gateway reaction: is this an escrow paying one of my sessions?
-        self.gateway_check_escrow(done, to, tx, queue);
-        // Recipient reaction: is this a claim revealing a key I await?
-        self.recipient_check_claim(done, to, tx);
-    }
-
-    /// The recipient's equivocation detector: a second *distinct*
-    /// key-revealing claim spending a watched escrow means the gateway
-    /// double-claimed. Only the recipient owns `settle_watch` entries,
-    /// so each equivocation is counted exactly once — and the reaction
-    /// is to keep the settlement watchdog hot, so the exchange still
-    /// terminates through whichever claim confirms or, failing both,
-    /// the CLTV refund.
-    fn detect_equivocation(&mut self, to: u32, tx: &Transaction, queue: &mut EventQueue<Event>) {
-        if self.hosts[to as usize].settle_watch.is_empty() {
-            return;
-        }
-        let txid = tx.txid();
-        for input in &tx.inputs {
-            let Some(&exchange) = self.hosts[to as usize].settle_watch.get(&input.prevout) else {
-                continue;
-            };
-            if escrow::extract_key_from_claim(tx, &input.prevout).is_none() {
-                continue; // refund-branch spend: a claim/refund race is legal
-            }
-            let newly_detected = {
-                let ex = &mut self.exchanges[exchange];
-                match ex.seen_claim_txid {
-                    None => {
-                        ex.seen_claim_txid = Some(txid);
-                        false
+            Note::Opened => {
+                ex.done = true;
+                self.completed += 1;
+                self.tracer.span_end("claim_and_decrypt", id, at);
+                if let Some(start) = ex.measure_start {
+                    let total = at.saturating_duration_since(start).as_secs_f64();
+                    self.latencies.record(total);
+                    self.registry.observe(self.meters.latency, total);
+                    if let (Some(at_gw), Some(delivered)) = (ex.data_at_gateway, ex.delivered) {
+                        self.phase_radio
+                            .record(at_gw.saturating_duration_since(start).as_secs_f64());
+                        self.phase_forward
+                            .record(delivered.saturating_duration_since(at_gw).as_secs_f64());
+                        self.phase_settlement
+                            .record(at.saturating_duration_since(delivered).as_secs_f64());
                     }
-                    Some(seen) if seen != txid && !ex.equivocation_detected => {
-                        ex.equivocation_detected = true;
-                        true
-                    }
-                    Some(_) => false,
                 }
-            };
-            if newly_detected {
+            }
+            Note::OpenFailed => {
+                ex.done = true;
+                self.failed += 1;
+            }
+            Note::Equivocation => {
+                // Keep the settlement watchdog hot, so the exchange still
+                // terminates through whichever claim confirms or,
+                // failing both, the CLTV refund.
                 self.registry.inc(self.meters.equivocations_detected);
-                if self.exchanges[exchange].fsm.phase() == Phase::Escrowed {
+                if ex.fsm.phase() == Phase::Escrowed {
                     self.arm_deadline(exchange, queue);
                 }
             }
-        }
-    }
-
-    fn gateway_check_escrow(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        tx: &Transaction,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let session_keys: Vec<Vec<u8>> = self.hosts[to as usize].sessions.keys().cloned().collect();
-        for key_bytes in session_keys {
-            let Ok(e_pk) = RsaPublicKey::from_bytes(&key_bytes) else {
-                continue;
-            };
-            if let Some((vout, value)) = escrow::find_escrow_for_key(tx, &e_pk) {
-                let (exchange, _) = self.hosts[to as usize].sessions[&key_bytes];
-                if self.cfg.confirmation_depth == 0 {
-                    self.gateway_claim(now, to, key_bytes, tx.txid(), vout, value, queue);
-                } else {
-                    let host = &mut self.hosts[to as usize];
-                    let entry = (exchange, tx.txid());
-                    // The same escrow can be offered twice: once as
-                    // gossip, once from the block that confirms it.
-                    if !host.awaiting_conf.contains(&entry) {
-                        host.awaiting_conf.push(entry);
-                    }
+            Note::Settlement(event) => match ex.fsm.apply(event, at) {
+                // Money is back at stake: restart the watchdog, which
+                // re-broadcasts the stored claim/refund.
+                Ok(_) if matches!(event, FsmEvent::ClaimOrphaned | FsmEvent::RefundOrphaned) => {
+                    self.arm_deadline(exchange, queue)
                 }
-            }
-        }
-    }
-
-    /// Step 10: the gateway publishes the claim, revealing eSk.
-    #[allow(clippy::too_many_arguments)] // one call site; args are the escrow tuple
-    fn gateway_claim(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        e_pk_bytes: Vec<u8>,
-        escrow_txid: TxId,
-        vout: u32,
-        value: u64,
-        queue: &mut EventQueue<Event>,
-    ) {
-        // A misbehaving gateway sits on the claim; the session survives,
-        // so it could still claim after the window — and the recipient's
-        // refund driver races it through the CLTV branch.
-        if !self.chaos.is_idle() && self.chaos.withhold_claim(to, now) {
-            self.registry.inc(self.chaos.meters().claims_withheld);
-            return;
-        }
-        let tx_build = self.cfg.costs.tx_build;
-        let fee = self.cfg.fee;
-        let host = &mut self.hosts[to as usize];
-        let Some((exchange, e_sk)) = host.sessions.remove(&e_pk_bytes) else {
-            return;
-        };
-        self.tracer
-            .span_end("confirmation_wait", exchange as u64, now);
-        self.tracer
-            .span_start("claim_and_decrypt", exchange as u64, now);
-        let escrow_script = {
-            let ex = &self.exchanges[exchange];
-            match &ex.escrow {
-                Some(e) => e.script.clone(),
-                None => {
-                    // Gateway reconstructs the script from the tx itself.
-                    let host = &self.hosts[to as usize];
-                    match host
-                        .daemon
-                        .mempool
-                        .get(&escrow_txid)
-                        .map(|t| t.outputs[vout as usize].script_pubkey.clone())
-                    {
-                        Some(s) => s,
-                        None => return,
-                    }
-                }
-            }
-        };
-        let outpoint = OutPoint {
-            txid: escrow_txid,
-            vout,
-        };
-        let host = &mut self.hosts[to as usize];
-        let claim = escrow::build_claim(&host.wallet, outpoint, &escrow_script, value, &e_sk, fee);
-        let built = host.daemon.occupy(now, tx_build);
-        // Keep the signed claim: it stays valid as long as the escrow
-        // output exists, so the settlement watchdog can re-broadcast it
-        // after a crash or a reorg that orphans it.
-        self.exchanges[exchange].claim = Some(claim.clone());
-
-        // Byzantine equivocation: the gateway signs a *second* claim
-        // against the same escrow (higher fee → different output value →
-        // different txid) and shows each half of the overlay a different
-        // one. Both claims necessarily reveal the true eSk — the script's
-        // OP_CHECKRSA512PAIR forces it — so the reading is never stolen;
-        // the attack creates settlement ambiguity, which first-seen
-        // mempools, the recipient's detector and the auditor resolve.
-        let equivocate =
-            !self.chaos.is_idle() && self.chaos.equivocate_claim(to, now) && fee + 1 < value;
-        if equivocate {
-            let rival = {
-                let host = &self.hosts[to as usize];
-                escrow::build_claim(
-                    &host.wallet,
-                    outpoint,
-                    &escrow_script,
-                    value,
-                    &e_sk,
-                    fee + 1,
-                )
-            };
-            let host = &mut self.hosts[to as usize];
-            let (admitted, result) =
-                host.daemon
-                    .accept_transaction(built, claim.clone(), &self.cfg.costs);
-            if result.is_err() {
-                return;
-            }
-            let (claim, rival) = (Parcel::tx(claim), Parcel::tx(rival));
-            host.daemon.relay.mark_seen(claim.flood_id());
-            host.daemon.relay.mark_seen(rival.flood_id());
-            // Counted only once both conflicting claims are live: the
-            // session is gone, so this path runs once per exchange.
-            self.registry.inc(self.chaos.meters().equivocations);
-            self.flood_parity(queue, admitted, to, &claim, 0);
-            self.flood_parity(queue, admitted, to, &rival, 1);
-            return;
-        }
-
-        let host = &mut self.hosts[to as usize];
-        let (admitted, result) =
-            host.daemon
-                .accept_transaction(built, claim.clone(), &self.cfg.costs);
-        if result.is_err() {
-            // The escrow is not in this host's view (yet): not fatal —
-            // the watchdog re-admits once the chain catches up.
-            return;
-        }
-        let parcel = Parcel::tx(claim);
-        host.daemon.relay.mark_seen(parcel.flood_id());
-        self.flood(queue, admitted, to, &parcel);
-    }
-
-    /// The recipient spots the claim spending its escrow and decrypts.
-    fn recipient_check_claim(&mut self, now: SimTime, to: u32, tx: &Transaction) {
-        let outpoints: Vec<OutPoint> = self.hosts[to as usize]
-            .pending_open
-            .keys()
-            .copied()
-            .collect();
-        for op in outpoints {
-            let Some(e_sk) = escrow::extract_key_from_claim(tx, &op) else {
-                continue;
-            };
-            let open_cost = self.cfg.costs.open_reading;
-            let host = &mut self.hosts[to as usize];
-            let exchange = host.pending_open.remove(&op).expect("present");
-            let done = host.occupy_cpu(now, open_cost);
-            let ex = &mut self.exchanges[exchange];
-            if ex.done {
-                continue;
-            }
-            let device_id = self.sensors[ex.sensor].credentials.device_id;
-            let host = &self.hosts[to as usize];
-            let record = host.registry.get(&device_id).expect("provisioned");
-            let uplink = ex.uplink.as_ref().expect("delivered");
-            match open_reading(record, &e_sk, &uplink.em) {
-                Ok(reading) => {
-                    ex.done = true;
-                    self.completed += 1;
-                    self.tracer
-                        .span_end("claim_and_decrypt", exchange as u64, done);
-                    // Final hop (Figs. 1–2): hand the plaintext to the
-                    // customer's application server.
-                    self.hosts[to as usize]
-                        .apps
-                        .dispatch(device_id, reading, done)
-                        .expect("default app server registered");
-                    if let Some(start) = ex.measure_start {
-                        let total = done.saturating_duration_since(start).as_secs_f64();
-                        self.latencies.record(total);
-                        self.registry.observe(self.meters.latency, total);
-                        if let (Some(at_gw), Some(delivered)) = (ex.data_at_gateway, ex.delivered) {
-                            self.phase_radio
-                                .record(at_gw.saturating_duration_since(start).as_secs_f64());
-                            self.phase_forward
-                                .record(delivered.saturating_duration_since(at_gw).as_secs_f64());
-                            self.phase_settlement
-                                .record(done.saturating_duration_since(delivered).as_secs_f64());
-                        }
-                    }
-                }
-                Err(_) => {
+                // The CLTV branch closed the exchange: the gateway never
+                // revealed the key, so the reading is lost but the coins
+                // came home.
+                Ok(_) if event == FsmEvent::RefundConfirmed && !ex.done => {
                     ex.done = true;
                     self.failed += 1;
                 }
-            }
-        }
-    }
-
-    fn handle_chain_block(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        parcel: Arc<Parcel>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        {
-            let host = &mut self.hosts[to as usize];
-            if !host.daemon.relay.mark_seen(parcel.flood_id()) {
-                return;
-            }
-        }
-        // Blocks can arrive out of order over the WAN; buffer orphans and
-        // connect them once their parent lands (the paper's nodes
-        // re-sync; this is the event-driven equivalent).
-        let mut pending = vec![parcel];
-        let mut at = now;
-        while let Some(parcel) = pending.pop() {
-            let WanMessage::Chain(ChainMessage::Block(block)) = &parcel.msg else {
-                unreachable!("only block parcels are queued here");
-            };
-            let hash = BlockHash(parcel.flood_id());
-            let (done, action) = {
-                let host = &mut self.hosts[to as usize];
-                let mut rng = host.rng.fork(0xb10c ^ u64::from(to));
-                host.daemon.accept_block(at, block.clone(), &mut rng)
-            };
-            match action {
-                Err(bcwan_chain::ChainError::Orphan(parent)) => {
-                    self.hosts[to as usize]
-                        .orphans
-                        .entry(parent)
-                        .or_default()
-                        .push(parcel);
-                    // A parent gap means this host missed gossip (crash,
-                    // partition, kill): ask the master to fill it in,
-                    // rate-limited so a burst of orphans asks once.
-                    self.request_sync(done, to, queue);
-                    continue;
-                }
-                Err(_) => continue,
                 Ok(_) => {}
-            }
-            at = done;
-            // Settlement bookkeeping: claims/refunds this block confirmed
-            // or (after a reorg) disconnected, seen from the recipient.
-            self.apply_settlements(done, to, queue);
-            // Absorb any directory announcements.
-            for tx in &block.transactions {
-                for ann in IpAnnouncement::all_from_transaction(tx) {
-                    self.hosts[to as usize].directory.absorb(ann);
-                }
-            }
-            // Re-flood the block.
-            self.flood(queue, done, to, &parcel);
-
-            // Confirmation-depth gateways: check their waiting escrows.
-            self.gateway_check_confirmations(done, to, queue);
-
-            // Any orphans waiting on this block connect next.
-            if let Some(children) = self.hosts[to as usize].orphans.remove(&hash) {
-                pending.extend(children);
-            }
+                Err(_) => self.registry.inc(self.meters.illegal_transitions),
+            },
         }
-        // Keep an in-progress headers-first sync's body window full as
-        // batches land and retire.
-        let host = &mut self.hosts[to as usize];
-        if let Some(hs) = host.header_sync.as_mut() {
-            let reqs = hs.on_progress(&host.daemon.chain);
-            if !hs.is_active() {
-                host.header_sync = None;
-            }
-            self.send_sync_requests(at, to, reqs, queue);
-        }
-        if to == 0 {
-            self.audit_master();
+    }
+}
+
+/// Everything outside one host, as the simulator provides it.
+struct Env<'a> {
+    sim: &'a mut Sim,
+    queue: &'a mut EventQueue<Event>,
+    /// The host this environment is bound to.
+    me: u32,
+    /// The hosts below and above `me`, for the sync-source oracle.
+    left: &'a [Node],
+    right: &'a [Node],
+}
+
+impl Env<'_> {
+    /// Every other host, in id order.
+    fn others(&self) -> impl Iterator<Item = &Node> {
+        self.left.iter().chain(self.right)
+    }
+
+    fn other(&self, id: u32) -> &Node {
+        match id.checked_sub(self.me + 1) {
+            Some(above) => &self.right[above as usize],
+            None => &self.left[id as usize],
         }
     }
 
-    fn gateway_check_confirmations(
-        &mut self,
-        now: SimTime,
-        to: u32,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if self.cfg.confirmation_depth == 0 {
-            return;
-        }
-        let waiting = std::mem::take(&mut self.hosts[to as usize].awaiting_conf);
-        let mut still_waiting = Vec::new();
-        for (exchange, escrow_txid) in waiting {
-            let depth_ok = {
-                let host = &self.hosts[to as usize];
-                match host.daemon.chain.find_transaction(&escrow_txid) {
-                    Some((height, _)) => {
-                        host.daemon.chain.height() - height + 1 >= self.cfg.confirmation_depth
-                    }
-                    None => false,
-                }
-            };
-            if depth_ok {
-                let ex = &self.exchanges[exchange];
-                let Some(e_pk) = ex.e_pk.as_ref() else {
-                    continue;
-                };
-                let e_pk_bytes = e_pk.to_bytes();
-                let (vout, value) = {
-                    let host = &self.hosts[to as usize];
-                    let Some((_, tx)) = host.daemon.chain.find_transaction(&escrow_txid) else {
-                        continue;
-                    };
-                    match escrow::find_escrow_for_key(tx, e_pk) {
-                        Some(v) => v,
-                        None => continue,
-                    }
-                };
-                self.gateway_claim(now, to, e_pk_bytes, escrow_txid, vout, value, queue);
-            } else {
-                still_waiting.push((exchange, escrow_txid));
-            }
-        }
-        self.hosts[to as usize].awaiting_conf.extend(still_waiting);
-    }
-
-    /// Rate-limited headers-first catch-up toward the best sync source —
-    /// the master (host 0) in the common case; after a miner failover
-    /// the restarted master itself catches up from the tallest standby.
-    ///
-    /// The source answers the locate probes (`GetHeadersFrom`); once the
-    /// fork is found, body batches are striped across up to three live
-    /// peers that are ahead of us. A machine still making progress keeps
-    /// running with a raised target; a stalled one (lost responses, a
-    /// source that reorganized mid-sync) is restarted — re-locating the
-    /// fork costs a few 22 KiB header batches, not block bodies.
-    fn request_sync(&mut self, now: SimTime, to: u32, queue: &mut EventQueue<Event>) {
-        let Some(source) = self.sync_source(now, to) else {
-            return; // nobody live is ahead of us
-        };
-        let sync_cooldown = SimDuration::from_secs(5);
-        if let Some(last) = self.hosts[to as usize].last_sync_req {
-            if now < last + sync_cooldown {
-                return;
-            }
-        }
-        let target = self.hosts[source as usize].daemon.chain.height();
-        let peers = self.sync_peers(now, to, source);
-        let host = &mut self.hosts[to as usize];
-        let height = host.daemon.chain.height();
-        let progressed = host.last_sync_req.is_some() && height > host.last_sync_height;
-        host.last_sync_height = height;
-        host.last_sync_req = Some(now);
-        let reqs = match host.header_sync.as_mut() {
-            Some(hs) if progressed && hs.is_active() => {
-                hs.on_tip(target);
-                let reqs = hs.on_progress(&host.daemon.chain);
-                if !hs.is_active() {
-                    host.header_sync = None;
-                }
-                reqs
-            }
-            _ => {
-                let (hs, reqs) = crate::sync::HeaderSync::start(peers, height, target);
-                host.header_sync = Some(hs);
-                reqs
-            }
-        };
-        self.send_sync_requests(now, to, reqs, queue);
-    }
-
-    /// Peers to stripe body batches across: the locate source first,
-    /// then the tallest other live hosts strictly ahead of us, at most
-    /// three total.
-    fn sync_peers(&self, now: SimTime, to: u32, primary: u32) -> Vec<NodeId> {
-        let my_height = self.hosts[to as usize].daemon.chain.height();
-        let mut peers = vec![NodeId(primary)];
-        let mut candidates: Vec<(u64, u32)> = self
-            .hosts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| {
-                let id = i as u32;
-                if id == to || id == primary {
-                    return None;
-                }
-                if !self.chaos.is_idle() && self.chaos.host_down(id, now) {
-                    return None;
-                }
-                let height = h.daemon.chain.height();
-                (height > my_height).then_some((height, id))
-            })
-            .collect();
-        // Tallest first; ties broken by id for determinism.
-        candidates.sort_by(|a, b| b.cmp(a));
-        peers.extend(candidates.into_iter().take(2).map(|(_, id)| NodeId(id)));
-        peers
+    fn is_down(&self, host: u32, now: SimTime) -> bool {
+        !self.sim.chaos.is_idle() && self.sim.chaos.host_down(host, now)
     }
 
     /// The best catch-up peer for `to`: the master (host 0) while it is
@@ -2324,17 +1929,17 @@ impl World {
     /// catch-up could keep feeding us its claim-free branch), but still
     /// beat syncing from nobody. `None` when nobody live is strictly
     /// ahead.
-    fn sync_source(&self, now: SimTime, to: u32) -> Option<u32> {
-        let topology = self.network.topology();
-        let master_up = self.chaos.is_idle() || !self.chaos.host_down(0, now);
+    fn sync_source(&self, now: SimTime, my_height: u64) -> Option<u32> {
+        let to = self.me;
+        let topology = self.sim.network.topology();
+        let suspects = &self.sim.censor_suspects;
         if to != 0
-            && master_up
-            && !self.censor_suspects.contains(&0)
+            && !self.is_down(0, now)
+            && !suspects.contains(&0)
             && topology.linked(NodeId(to), NodeId(0))
         {
             return Some(0);
         }
-        let my_height = self.hosts[to as usize].daemon.chain.height();
         // (linked, any) × (clean, all): clean sources win, linked breaks
         // the tie among them — preserving the old order exactly when no
         // host is suspected.
@@ -2342,13 +1947,13 @@ impl World {
         let mut best_any: Option<(u64, u32)> = None;
         let mut best_linked_clean: Option<(u64, u32)> = None;
         let mut best_any_clean: Option<(u64, u32)> = None;
-        for (i, h) in self.hosts.iter().enumerate() {
-            let id = i as u32;
-            if id == to || self.chaos.host_down(id, now) {
+        for h in self.others() {
+            let id = h.id.0;
+            if self.sim.chaos.host_down(id, now) {
                 continue;
             }
-            let height = h.daemon.chain.height();
-            let clean = !self.censor_suspects.contains(&id);
+            let height = h.height();
+            let clean = !suspects.contains(&id);
             let linked = topology.linked(NodeId(to), NodeId(id));
             if best_any.is_none_or(|(best_h, _)| height > best_h) {
                 best_any = Some((height, id));
@@ -2373,585 +1978,103 @@ impl World {
             .map(|(_, id)| id)
     }
 
-    /// Drives FSM settlement from host `to`'s last main-chain change:
-    /// disconnected transactions orphan claims/refunds back to
-    /// `Escrowed`; connected transactions confirm them. Only the
-    /// recipient (who owns `settle_watch` entries) transitions machines,
-    /// so each event is applied exactly once. Connected transactions are
-    /// also re-offered to the gateway/recipient reaction paths — after a
-    /// crash the tx gossip is gone, and the block is the only copy.
-    fn apply_settlements(&mut self, now: SimTime, to: u32, queue: &mut EventQueue<Event>) {
-        let connected = self.hosts[to as usize].daemon.last_connected_txs().to_vec();
-        let disconnected = self.hosts[to as usize]
-            .daemon
-            .last_disconnected_txs()
-            .to_vec();
-        if !self.hosts[to as usize].settle_watch.is_empty() {
-            // Disconnects first: a reorg that moves a claim between
-            // branches must pass through Escrowed, not skip a state.
-            for tx in &disconnected {
-                for input in &tx.inputs {
-                    let Some(&exchange) = self.hosts[to as usize].settle_watch.get(&input.prevout)
-                    else {
-                        continue;
-                    };
-                    let is_claim = escrow::extract_key_from_claim(tx, &input.prevout).is_some();
-                    let event = if is_claim {
-                        FsmEvent::ClaimOrphaned
-                    } else {
-                        FsmEvent::RefundOrphaned
-                    };
-                    if self.exchanges[exchange].fsm.apply(event, now).is_ok() {
-                        // Money is back at stake: restart the watchdog,
-                        // which re-broadcasts the stored claim/refund.
-                        self.arm_deadline(exchange, queue);
-                    } else {
-                        self.registry.inc(self.meters.illegal_transitions);
-                    }
-                }
-            }
-            for tx in &connected {
-                for input in &tx.inputs {
-                    let Some(&exchange) = self.hosts[to as usize].settle_watch.get(&input.prevout)
-                    else {
-                        continue;
-                    };
-                    let is_claim = escrow::extract_key_from_claim(tx, &input.prevout).is_some();
-                    let event = if is_claim {
-                        FsmEvent::ClaimConfirmed
-                    } else {
-                        FsmEvent::RefundConfirmed
-                    };
-                    match self.exchanges[exchange].fsm.apply(event, now) {
-                        Ok(_) if !is_claim => {
-                            // The CLTV branch closed the exchange: the
-                            // gateway never revealed the key, so the
-                            // reading is lost but the coins came home.
-                            let ex = &mut self.exchanges[exchange];
-                            if !ex.done {
-                                ex.done = true;
-                                self.failed += 1;
-                            }
-                        }
-                        Ok(_) => {}
-                        Err(_) => self.registry.inc(self.meters.illegal_transitions),
-                    }
-                }
-            }
-        }
-        // Crash recovery: the block may be the first (and only) place
-        // this host sees an escrow or claim it missed as gossip — and
-        // the first place a rival claim surfaces, if the equivocator
-        // only ever showed it to the other side of the overlay.
-        for tx in &connected {
-            self.detect_equivocation(to, tx, queue);
-            self.gateway_check_escrow(now, to, tx, queue);
-            self.recipient_check_claim(now, to, tx);
-        }
+    /// Peers to stripe body batches across: the locate source first,
+    /// then the tallest other live hosts strictly ahead of us, at most
+    /// three total.
+    fn sync_peers(&self, now: SimTime, my_height: u64, primary: u32) -> Vec<NodeId> {
+        let mut candidates: Vec<(u64, u32)> = self
+            .others()
+            .filter(|h| h.id.0 != primary && !self.is_down(h.id.0, now))
+            .map(|h| (h.height(), h.id.0))
+            .filter(|&(height, _)| height > my_height)
+            .collect();
+        // Tallest first; ties broken by id for determinism.
+        candidates.sort_by(|a, b| b.cmp(a));
+        let mut peers = vec![NodeId(primary)];
+        peers.extend(candidates.into_iter().take(2).map(|(_, id)| NodeId(id)));
+        peers
+    }
+}
+
+impl NodeEnv for Env<'_> {
+    fn flood(&mut self, at: SimTime, parcel: &Arc<Parcel>) {
+        self.sim.flood(self.queue, at, self.me, parcel);
     }
 
-    /// A crashed host restarts. Volatile state (mempool, relay filters,
-    /// in-flight syncs) is always gone. What happens to the chain
-    /// depends on durability:
-    ///
-    /// - **Warm** (a store is attached): the in-memory chain is
-    ///   discarded — a killed process keeps nothing — and the host
-    ///   reopens whatever its store committed before the crash
-    ///   (`Chain::open_store`), rolling the coins snapshot forward from
-    ///   undo/block records without re-validating scripts. It then
-    ///   catches up to the fleet tip headers-first.
-    /// - **Cold** (memory-only, or the store failed to reopen): the old
-    ///   model — the in-memory chain survives by fiat.
-    fn handle_chaos_restart(&mut self, now: SimTime, host: u32, queue: &mut EventQueue<Event>) {
-        let mut warm = false;
-        if let Some(root) = self.cfg.store_dir.clone() {
-            let h = &mut self.hosts[host as usize];
-            if h.daemon.chain.has_store() {
-                let dir = root.join(format!("host-{host}"));
-                match Chain::open_store(
-                    self.cfg.chain_params.clone(),
-                    &dir,
-                    bcwan_chain::StoreConfig::default(),
-                ) {
-                    Ok(opened) => {
-                        h.daemon.replace_chain(opened.chain);
-                        h.directory = Directory::from_chain(&h.daemon.chain);
-                        warm = true;
-                    }
-                    Err(_) => {
-                        // Unopenable store: fall back to the in-memory
-                        // chain rather than losing the host entirely.
-                    }
-                }
-            }
-        }
-        if warm {
-            self.restarts_warm += 1;
-        } else {
-            self.restarts_cold += 1;
-        }
-        let h = &mut self.hosts[host as usize];
-        h.daemon.crash_restart(now);
-        h.orphans.clear();
-        h.cpu_busy_until = now;
-        h.last_sync_req = None;
-        h.header_sync = None;
-        if host == 0 {
-            // A warm restart can reopen a shorter durable chain: the
-            // auditor must roll its ledger back with it.
-            self.audit_master();
-        }
-        self.request_sync(now, host, queue);
+    fn unicast(&mut self, at: SimTime, to: NodeId, msg: WanMessage) {
+        self.sim.unicast(self.queue, at, self.me, to.0, msg);
     }
 
-    /// A per-exchange deadline fired. Stale stamps (the exchange moved
-    /// on or retried since) are dropped; live ones drive the phase's
-    /// recovery action.
-    fn handle_fsm_deadline(
+    fn flood_split(&mut self, at: SimTime, claim: &Arc<Parcel>, rival: &Arc<Parcel>) {
+        // Counted only once both conflicting claims are live: the
+        // session is gone, so this runs once per exchange.
+        let sim = &mut *self.sim;
+        sim.registry.inc(sim.chaos.meters().equivocations);
+        sim.flood_parity(self.queue, at, self.me, claim, 0);
+        sim.flood_parity(self.queue, at, self.me, rival, 1);
+    }
+
+    fn note(&mut self, at: SimTime, tag: u64, note: Note) {
+        self.sim.note(self.queue, at, tag as usize, note);
+    }
+
+    /// Which exchange is this? Simulation-level bookkeeping only (the
+    /// protocol itself keys on device + ephemeral key). Looked up
+    /// regardless of progress so a re-delivered copy is recognized, and
+    /// never double-counted.
+    fn delivery(&mut self, e_pk_bytes: &[u8]) -> Option<u64> {
+        let me = self.me;
+        let found = self.sim.exchanges.iter().position(|ex| {
+            ex.home == me
+                && ex
+                    .e_pk
+                    .as_ref()
+                    .is_some_and(|pk| pk.to_bytes() == e_pk_bytes)
+        });
+        let Some(exchange) = found else {
+            self.sim.failed += 1;
+            return None;
+        };
+        (!self.sim.exchanges[exchange].done).then_some(exchange as u64)
+    }
+
+    fn closed(&self, tag: u64) -> bool {
+        self.sim.exchanges[tag as usize].done
+    }
+
+    /// The sync-source oracle: a simulator can read every host's height,
+    /// so no tip announcements fly and the node's hint is not needed.
+    fn sync_plan(
         &mut self,
         now: SimTime,
-        exchange: usize,
-        seq: u32,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let ex = &self.exchanges[exchange];
-        if ex.done && ex.fsm.is_settled() {
-            return;
-        }
-        if ex.fsm.seq() != seq {
-            return; // stale: the phase or retry count moved on
-        }
-        match ex.fsm.phase() {
-            Phase::Sealed => {
-                // The recipient never escrowed: re-deliver (idempotent on
-                // the receiving side), bounded by the retry budget.
-                if ex.fsm.retries_exhausted(&self.cfg.fsm) {
-                    self.abort_exchange(now, exchange);
-                    return;
-                }
-                self.exchanges[exchange].fsm.note_retry(now);
-                self.registry.inc(self.meters.deliver_retries);
-                self.redeliver(now, exchange, queue);
-                self.arm_deadline(exchange, queue);
-            }
-            Phase::Escrowed => {
-                // Unbounded settlement watchdog: money is on the table.
-                self.exchanges[exchange].fsm.note_retry(now);
-                self.settle_sweep(now, exchange, queue);
-                self.arm_deadline(exchange, queue);
-            }
-            _ => {}
-        }
+        height: u64,
+        _hint: Option<(NodeId, u64)>,
+    ) -> Option<SyncPlan> {
+        let source = self.sync_source(now, height)?;
+        Some(SyncPlan {
+            peers: self.sync_peers(now, height, source),
+            target: self.other(source).height(),
+        })
     }
 
-    /// Re-sends the gateway → recipient Deliver for a `Sealed` exchange.
-    fn redeliver(&mut self, now: SimTime, exchange: usize, queue: &mut EventQueue<Event>) {
-        let ex = &self.exchanges[exchange];
-        let (gateway, home) = (ex.gateway, ex.home);
-        let (Some(e_pk), Some(uplink)) = (ex.e_pk.as_ref(), ex.uplink.clone()) else {
-            return;
-        };
-        let msg = WanMessage::Deliver {
-            device_id: self.sensors[ex.sensor].credentials.device_id,
-            e_pk_bytes: e_pk.to_bytes(),
-            uplink,
-        };
-        self.unicast(queue, now, gateway, home, msg);
-    }
-
-    /// The `Escrowed` watchdog: re-broadcasts whatever piece of the
-    /// settlement went missing, and opens the CLTV refund branch when
-    /// the claim never lands.
-    fn settle_sweep(&mut self, now: SimTime, exchange: usize, queue: &mut EventQueue<Event>) {
-        let Some(escrow_obj) = self.exchanges[exchange].escrow.clone() else {
-            return;
-        };
-        let (gateway, home) = {
-            let ex = &self.exchanges[exchange];
-            (ex.gateway, ex.home)
-        };
-        let escrow_txid = escrow_obj.tx.txid();
-
-        // (a) Recipient: the miner lost track of the escrow (reorg +
-        // eviction, a crash wiped a pool, or the gossip never got
-        // through) — re-admit and re-flood it. Visibility is judged at
-        // the *acting miner*: a transaction only the home pool knows
-        // about will never be mined.
-        if !self.chaos.host_down(home, now) && self.miner_lacks(now, &escrow_txid) {
-            self.rebroadcast(now, home, escrow_obj.tx.clone(), queue);
-        }
-
-        // (b) Gateway: a built claim that is in neither pool nor chain is
-        // re-broadcast — the reorg-orphaned-claim recovery path. A
-        // session that never claimed (its host was down when the escrow
-        // gossiped) claims now from the confirmed copy.
-        let withholding = !self.chaos.is_idle() && self.chaos.withhold_claim(gateway, now);
-        if !self.chaos.host_down(gateway, now) && !withholding {
-            if let Some(claim) = self.exchanges[exchange].claim.clone() {
-                if self.miner_lacks(now, &claim.txid()) {
-                    self.rebroadcast(now, gateway, claim, queue);
-                }
-            } else if let Some(e_pk) = self.exchanges[exchange].e_pk.clone() {
-                let e_pk_bytes = e_pk.to_bytes();
-                let host = &self.hosts[gateway as usize];
-                if host.sessions.contains_key(&e_pk_bytes) {
-                    let found = host
-                        .daemon
-                        .mempool
-                        .get(&escrow_txid)
-                        .map(|tx| escrow::find_escrow_for_key(tx, &e_pk))
-                        .or_else(|| {
-                            host.daemon
-                                .chain
-                                .find_transaction(&escrow_txid)
-                                .map(|(_, tx)| escrow::find_escrow_for_key(tx, &e_pk))
-                        })
-                        .flatten();
-                    if let Some((vout, value)) = found {
-                        self.gateway_claim(
-                            now,
-                            gateway,
-                            e_pk_bytes,
-                            escrow_txid,
-                            vout,
-                            value,
-                            queue,
-                        );
-                    }
-                }
-            }
-        }
-
-        // (c) Recipient refund driver: past the refund height with no
-        // claim settled, spend the escrow back through the CLTV branch.
-        // A pooled claim wins locally (first-seen conflict policy); the
-        // refund only floods where the claim never showed.
-        if !self.chaos.host_down(home, now) {
-            let height = self.hosts[home as usize].daemon.chain.height();
-            if height >= escrow_obj.refund_height {
-                let refund = match self.exchanges[exchange].refund.clone() {
-                    Some(r) => r,
-                    None => {
-                        let r = escrow::build_refund(
-                            &self.hosts[home as usize].wallet,
-                            &escrow_obj,
-                            self.cfg.reward,
-                            self.cfg.fee,
-                        );
-                        self.exchanges[exchange].refund = Some(r.clone());
-                        self.registry.inc(self.meters.refunds_submitted);
-                        r
-                    }
-                };
-                if self.miner_lacks(now, &refund.txid()) {
-                    self.rebroadcast(now, home, refund, queue);
-                }
-            }
-        }
-
-        // (d) Censorship suspicion: our settlement sits in the acting
-        // miner's *own pool* sweep after sweep without confirming. An
-        // honest miner includes pooled transactions within a block or
-        // two, and the sweep backoff (10+20+40+60 s) spans several block
-        // intervals — so crossing the threshold means the miner keeps
-        // building templates around our money. Demote it: mining duty
-        // and catch-up sync route around suspects for the rest of the
-        // run (a false positive only rotates the miner, it loses
-        // nothing).
-        if !self.chaos.host_down(home, now) {
-            if let Some(miner) = self.active_miner(now) {
-                let pending_txid = {
-                    let ex = &self.exchanges[exchange];
-                    ex.claim
-                        .as_ref()
-                        .map(|t| t.txid())
-                        .or_else(|| ex.refund.as_ref().map(|t| t.txid()))
-                };
-                let stuck = pending_txid.is_some_and(|txid| {
-                    let d = &self.hosts[miner as usize].daemon;
-                    d.mempool.contains(&txid) && d.chain.find_transaction(&txid).is_none()
-                });
-                if stuck {
-                    self.exchanges[exchange].censor_sweeps += 1;
-                    if self.exchanges[exchange].censor_sweeps == self.cfg.fsm.censor_suspect_sweeps
-                    {
-                        self.registry.inc(self.meters.censorship_suspected);
-                        self.censor_suspects.insert(miner);
-                    }
-                } else {
-                    self.exchanges[exchange].censor_sweeps = 0;
-                }
-            }
-        }
-    }
-
-    /// Who mines right now: the master (host 0) in every clean run, and
-    /// under chaos the live host with the tallest chain — ties break
-    /// toward the lowest id, so the master takes back over once it has
-    /// caught up after a failover. Hosts suspected of claim censorship
-    /// are passed over while any other live host can mine (the
-    /// route-around half of the censorship defence); with nobody else
-    /// up, a suspect still beats no miner at all. `None` while every
-    /// host is crashed.
-    fn active_miner(&self, now: SimTime) -> Option<u32> {
-        if self.chaos.is_idle() && self.censor_suspects.is_empty() {
-            return Some(0);
-        }
-        let mut best: Option<(u64, u32)> = None;
-        let mut best_clean: Option<(u64, u32)> = None;
-        for (i, h) in self.hosts.iter().enumerate() {
-            let id = i as u32;
-            if self.chaos.host_down(id, now) {
-                continue;
-            }
-            let height = h.daemon.chain.height();
-            if best.is_none_or(|(best_h, _)| height > best_h) {
-                best = Some((height, id));
-            }
-            if !self.censor_suspects.contains(&id)
-                && best_clean.is_none_or(|(best_h, _)| height > best_h)
-            {
-                best_clean = Some((height, id));
-            }
-        }
-        best_clean.or(best).map(|(_, id)| id)
-    }
-
-    /// True when the acting miner has `txid` in neither its mempool nor
-    /// its main chain — i.e. the transaction will never confirm without
-    /// another broadcast. With every host down there is no miner to
-    /// judge by, so nothing is re-broadcast until the next sweep.
-    fn miner_lacks(&self, now: SimTime, txid: &TxId) -> bool {
-        let Some(miner) = self.active_miner(now) else {
+    fn misbehaves(&mut self, now: SimTime, how: Misbehaviour) -> bool {
+        let sim = &mut *self.sim;
+        if sim.chaos.is_idle() {
             return false;
-        };
-        let miner = &self.hosts[miner as usize].daemon;
-        !miner.mempool.contains(txid) && miner.chain.find_transaction(txid).is_none()
-    }
-
-    /// Re-admits `tx` on `host` (if its pool lost it), forgets the relay
-    /// dedup so it floods again, and gossips it. Insert failures are
-    /// fine — a conflicting settlement already sits in the pool.
-    fn rebroadcast(
-        &mut self,
-        now: SimTime,
-        host: u32,
-        tx: Transaction,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let txid = tx.txid();
-        let h = &mut self.hosts[host as usize];
-        let mut at = now;
-        if !h.daemon.mempool.contains(&txid) {
-            let (done, result) = h
-                .daemon
-                .accept_transaction(now, tx.clone(), &self.cfg.costs);
-            if result.is_err() {
-                return;
-            }
-            at = done;
         }
-        let h = &mut self.hosts[host as usize];
-        h.daemon.relay.forget(&txid.0);
-        h.daemon.relay.mark_seen(txid.0);
-        self.registry.inc(self.meters.rebroadcasts);
-        self.flood(queue, at, host, &Parcel::tx(tx));
-    }
-
-    fn handle_mine_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        // Interval metrics ride the mining heartbeat — the one periodic
-        // event every run has. Edge-triggered, so a slow block interval
-        // just lowers the effective sampling rate.
-        if let Some(timeline) = self.timeline.as_mut() {
-            timeline.maybe_sample(now, &self.registry);
-        }
-        // Stop mining when work is done and nothing is pending anywhere.
-        let work_left = self.completed + self.failed < self.started
-            || self.started < self.cfg.target_exchanges
-            || self.hosts.iter().any(|h| !h.daemon.mempool.is_empty())
-            // Money still in escrow keeps blocks coming: the refund
-            // branch needs the chain to reach the CLTV height.
-            || self
-                .exchanges
-                .iter()
-                .any(|ex| ex.fsm.phase() == Phase::Escrowed);
-        if !work_left {
-            return;
-        }
-        // Miner failover: the master mines unless it is crashed, in
-        // which case the tallest live standby takes over until the
-        // master catches back up. With every host down the tick just
-        // reschedules — a block nobody could gossip helps no one.
-        let Some(miner) = self.active_miner(now) else {
-            let delay = self.next_block_delay();
-            queue.schedule_in(delay, Event::MineTick);
-            return;
-        };
-        // Scheduled fork injection: mine a heavier side branch instead
-        // of extending the tip, forcing every host through a reorg.
-        if !self.chaos.is_idle() {
-            if let Some(depth) = self.chaos.take_fork(now) {
-                self.mine_fork(now, miner, depth, queue);
-                let delay = self.next_block_delay();
-                queue.schedule_in(delay, Event::MineTick);
-                return;
+        match how {
+            Misbehaviour::WithholdClaim => {
+                let withholds = sim.chaos.withhold_claim(self.me, now);
+                if withholds {
+                    sim.registry.inc(sim.chaos.meters().claims_withheld);
+                }
+                withholds
             }
-        }
-        // Byzantine censorship: a miner inside its CensorClaims window
-        // silently excludes every settlement transaction — anything
-        // spending a known escrow outpoint, claim and refund alike —
-        // from its template. The pool keeps them (censorship is not
-        // eviction), so an honest miner taking over mines them at once.
-        let censoring = !self.chaos.is_idle() && self.chaos.censoring_miner(miner, now);
-        let escrow_ops: HashSet<OutPoint> = if censoring {
-            self.exchanges
-                .iter()
-                .filter_map(|ex| ex.escrow.as_ref().map(|e| e.outpoint()))
-                .collect()
-        } else {
-            HashSet::new()
-        };
-        if censoring {
-            let withheld = self.hosts[miner as usize]
-                .daemon
-                .mempool
-                .iter()
-                .filter(|tx| tx.inputs.iter().any(|i| escrow_ops.contains(&i.prevout)))
-                .count() as u64;
-            if withheld > 0 {
-                // Per-template exclusion events, not distinct txs: the
-                // same stuck claim counts once per censored block.
-                self.registry
-                    .add(self.chaos.meters().claims_censored, withheld);
-            }
-        }
-        let block = {
-            let host = &mut self.hosts[miner as usize];
-            let params = host.daemon.chain.params().clone();
-            let height = host.daemon.chain.height() + 1;
-            let tag: &[u8] = if miner == 0 { b"master" } else { b"standby" };
-            let mut txs = vec![Transaction::coinbase(
-                height,
-                tag,
-                vec![TxOut {
-                    value: params.coinbase_reward,
-                    script_pubkey: host.wallet.locking_script(),
-                }],
-            )];
-            let budget = params.max_block_size.saturating_sub(txs[0].size() + 88);
-            if censoring {
-                txs.extend(host.daemon.mempool.block_template_excluding(budget, |tx| {
-                    tx.inputs.iter().any(|i| escrow_ops.contains(&i.prevout))
-                }));
-            } else {
-                txs.extend(host.daemon.mempool.block_template(budget));
-            }
-            // Fees go unclaimed (coinbase pays subsidy only) — simpler and
-            // valid (coinbase may pay less than allowed).
-            Block::mine(
-                host.daemon.chain.tip(),
-                now.as_micros(),
-                params.difficulty_bits,
-                txs,
-            )
-        };
-        let (done, action) = {
-            let host = &mut self.hosts[miner as usize];
-            let mut rng = host.rng.fork(0x113e);
-            host.daemon.accept_block(now, block.clone(), &mut rng)
-        };
-        if matches!(action, Ok(BlockAction::Extended(_))) {
-            self.blocks_mined += 1;
-            if miner != 0 {
-                self.standby_blocks_mined += 1;
-            }
-            let parcel = Parcel::block(block);
-            self.hosts[miner as usize]
-                .daemon
-                .relay
-                .mark_seen(parcel.flood_id());
-            self.flood(queue, done, miner, &parcel);
-            if miner != 0 {
-                // A standby miner is also a protocol actor (recipient or
-                // gateway). Its own blocks never echo back through the
-                // relay, so the settlement bookkeeping that normally runs
-                // on block receipt must run here.
-                self.apply_settlements(done, miner, queue);
-                self.gateway_check_confirmations(done, miner, queue);
-            } else {
-                self.audit_master();
-            }
-        }
-        let delay = self.next_block_delay();
-        queue.schedule_in(delay, Event::MineTick);
-    }
-
-    /// Mines `depth + 1` empty blocks on top of the block `depth` below
-    /// the acting miner's tip, overtaking the main chain and triggering
-    /// a reorg everywhere. The miner's own mempool repair re-pools the
-    /// orphaned transactions, so settlements re-confirm on the new
-    /// branch through normal mining.
-    fn mine_fork(&mut self, now: SimTime, miner: u32, depth: u32, queue: &mut EventQueue<Event>) {
-        self.registry.inc(self.chaos.meters().forks);
-        let (params, height) = {
-            let host = &self.hosts[miner as usize];
-            (
-                host.daemon.chain.params().clone(),
-                host.daemon.chain.height(),
-            )
-        };
-        let depth = (depth as u64).min(height) as u32;
-        let fork_height = height - depth as u64;
-        let mut parent = self.hosts[miner as usize]
-            .daemon
-            .chain
-            .block_at(fork_height)
-            .expect("fork point on main chain")
-            .hash();
-        for i in 0..=depth as u64 {
-            let block_height = fork_height + 1 + i;
-            let coinbase = Transaction::coinbase(
-                block_height,
-                b"fork",
-                vec![TxOut {
-                    value: params.coinbase_reward,
-                    script_pubkey: self.hosts[miner as usize].wallet.locking_script(),
-                }],
-            );
-            let block = Block::mine(
-                parent,
-                now.as_micros() + i,
-                params.difficulty_bits,
-                vec![coinbase],
-            );
-            parent = block.hash();
-            let (done, action) = {
-                let host = &mut self.hosts[miner as usize];
-                let mut rng = host.rng.fork(0xf04c);
-                host.daemon.accept_block(now, block.clone(), &mut rng)
-            };
-            if action.is_err() {
-                return;
-            }
-            self.blocks_mined += 1;
-            if miner != 0 {
-                self.standby_blocks_mined += 1;
-            }
-            let parcel = Parcel::block(block);
-            self.hosts[miner as usize]
-                .daemon
-                .relay
-                .mark_seen(parcel.flood_id());
-            self.apply_settlements(done, miner, queue);
-            self.flood(queue, done, miner, &parcel);
-        }
-        if miner == 0 {
-            self.audit_master();
+            Misbehaviour::Equivocate => sim.chaos.equivocate_claim(self.me, now),
         }
     }
 }
 
-/// Rebuilds an identical chain for another host (shared bootstrap).
 /// A ring lattice: every node links to its `degree` nearest neighbours
 /// (`degree/2` on each side, minimum one hop). `O(n·degree)` links keep
 /// 1 000-host fleets constructible where a full mesh would need half a
@@ -2971,6 +2094,7 @@ fn ring_lattice(n: u32, degree: u32) -> Topology {
     topology
 }
 
+/// Rebuilds an identical chain for another host (shared bootstrap).
 fn clone_chain(params: &ChainParams, source: &Chain) -> Chain {
     let blocks: Vec<Block> = source.iter_main().cloned().collect();
     let mut chain = Chain::new(params.clone(), blocks[0].clone());
@@ -3005,16 +2129,16 @@ fn recipient_bytes(addr: &[u8; 20]) -> [u8; ADDRESS_LEN] {
 impl Actor<Event> for World {
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
-            Event::SensorFire { sensor } => self.handle_sensor_fire(now, sensor, queue),
+            Event::SensorFire { sensor } => self.sim.handle_sensor_fire(now, sensor, queue),
             Event::RequestArrived { exchange } => self.handle_request_arrived(now, exchange, queue),
-            Event::KeySent { exchange } => self.handle_key_sent(now, exchange, queue),
-            Event::KeyArrived { exchange } => self.handle_key_arrived(now, exchange, queue),
+            Event::KeySent { exchange } => self.sim.handle_key_sent(now, exchange, queue),
+            Event::KeyArrived { exchange } => self.sim.handle_key_arrived(now, exchange, queue),
             Event::DataArrived { exchange } => self.handle_data_arrived(now, exchange, queue),
-            Event::RequestTimeout { exchange, attempt } => {
-                self.handle_request_timeout(now, exchange, attempt, queue)
-            }
+            Event::RequestTimeout { exchange, attempt } => self
+                .sim
+                .handle_request_timeout(now, exchange, attempt, queue),
             Event::DataTimeout { exchange, attempt } => {
-                self.handle_data_timeout(now, exchange, attempt, queue)
+                self.sim.handle_data_timeout(now, exchange, attempt, queue)
             }
             Event::Wan(delivery) => self.handle_wan(now, delivery, queue),
             Event::MineTick => self.handle_mine_tick(now, queue),
@@ -3025,7 +2149,6 @@ impl Actor<Event> for World {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3153,7 +2276,7 @@ mod tests {
 
     #[test]
     fn per_gateway_radio_rows_sum_to_totals() {
-        let mut cfg = WorkloadConfig::tiny(10, 35).with_lora_contention();
+        let mut cfg = WorkloadConfig::tiny(10, 35);
         cfg.lora_loss_probability = 0.3;
         let result = World::new(cfg).run();
         let counter = |name: &str| {
@@ -3185,30 +2308,6 @@ mod tests {
             "per-gateway rows must partition the total"
         );
         assert_eq!(sum_labeled("world.lora_retries_total"), retries);
-    }
-
-    #[test]
-    fn analytic_contention_adds_loss_over_flat_rate() {
-        // Same seed with and without the ALOHA term: the contention run
-        // must lose at least as many frames (strictly more under load).
-        let flat = World::new(WorkloadConfig::tiny(10, 36)).run();
-        let mut cfg = WorkloadConfig::tiny(10, 36).with_lora_contention();
-        // Crank the population so the offered load G is non-trivial.
-        cfg.sensors_per_host = 400;
-        let contended = World::new(cfg).run();
-        let lost = |r: &ExperimentResult| {
-            r.metrics
-                .counters
-                .iter()
-                .find(|(n, _)| n == "world.lora_frames_lost_total")
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        assert_eq!(lost(&flat), 0, "flat run has no loss configured");
-        assert!(
-            lost(&contended) > 0,
-            "a 800-sensor cell at full duty must see ALOHA collisions"
-        );
     }
 
     #[test]

@@ -135,13 +135,6 @@ pub fn aloha_goodput(g: f64) -> f64 {
     g * aloha_success_probability(g)
 }
 
-/// Success probability for a frame on `key` given the per-key load
-/// table: `e^(−2·G(key))`. Loads on other channels or spreading factors
-/// do not interfere.
-pub fn workload_success_probability(loads: &OfferedLoads, key: LoadKey) -> f64 {
-    aloha_success_probability(loads.g(key))
-}
-
 /// Samples whether a single frame on `key`, itself contributing `own_g`
 /// to the table, survives contention from the *other* traffic on its
 /// collision domain. Always consumes exactly one draw.
@@ -191,12 +184,12 @@ mod tests {
         let cfg = RadioConfig::paper_sf7();
         let mut per_gw = OfferedLoads::new();
         per_gw.add_population(sf7_key(), &cfg, 160, 30, 1.0 / 50.0);
-        let p = workload_success_probability(&per_gw, sf7_key());
+        let p = aloha_success_probability(per_gw.g(sf7_key()));
         assert!(p > 0.6, "per-gateway success {p:.3}");
         // All 150 sensors sharing ONE channel/gateway would hurt badly.
         let mut all = OfferedLoads::new();
         all.add_population(sf7_key(), &cfg, 160, 150, 1.0 / 50.0);
-        let p_all = workload_success_probability(&all, sf7_key());
+        let p_all = aloha_success_probability(all.g(sf7_key()));
         assert!(p_all < p - 0.2, "{p_all} vs {p}");
     }
 
@@ -208,10 +201,10 @@ mod tests {
         let sf12 = LoadKey::new(0, SpreadingFactor::Sf12);
         let mut loads = OfferedLoads::new();
         loads.add_population(sf12, &cfg, 51, 500, 1.0 / 20.0);
-        assert!(workload_success_probability(&loads, sf12) < 0.01);
-        assert_eq!(workload_success_probability(&loads, sf7_key()), 1.0);
+        assert!(aloha_success_probability(loads.g(sf12)) < 0.01);
+        assert_eq!(aloha_success_probability(loads.g(sf7_key())), 1.0);
         let sf12_ch1 = LoadKey::new(1, SpreadingFactor::Sf12);
-        assert_eq!(workload_success_probability(&loads, sf12_ch1), 1.0);
+        assert_eq!(aloha_success_probability(loads.g(sf12_ch1)), 1.0);
     }
 
     #[test]

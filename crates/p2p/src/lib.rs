@@ -15,10 +15,8 @@
 //!   paper's daemons listening on TCP ports,
 //! - a **real TCP/IP transport** ([`transport`]): a framed, checksummed
 //!   wire format and a per-host runtime on `std::net` (accept loop,
-//!   connection pool, timeouts, retry with backoff), behind a common
-//!   [`Transport`] trait the live bus also
-//!   implements — so protocol code is pluggable between channels and
-//!   sockets.
+//!   connection pool, timeouts, retry with backoff), behind the
+//!   [`Transport`] trait.
 //!
 //! ## Example
 //!
@@ -46,5 +44,5 @@ pub use live::{BusError, Envelope, Inbox, LiveBus, TryRecv};
 pub use network::{Delivery, FaultModel, NetStats, Network, SeenFilter};
 pub use topology::{NodeId, Topology};
 pub use transport::{
-    BusTransport, Codec, CodecError, TcpConfig, TcpHost, Transport, TransportError, TransportStats,
+    Codec, CodecError, TcpConfig, TcpHost, Transport, TransportError, TransportStats,
 };

@@ -3,10 +3,9 @@
 //! The discrete-event simulator covers the experiments; this bus exists
 //! so the examples can also demonstrate the protocol running *live* — one
 //! thread per gateway, mpsc channels as sockets — closer in spirit
-//! to the paper's Golang daemons listening on TCP ports. It implements
-//! the same [`Transport`](crate::transport::Transport) trait as the real
-//! TCP runtime in [`crate::transport::tcp`], so protocol code can swap
-//! between the two.
+//! to the paper's Golang daemons listening on TCP ports. (The real
+//! sockets are in [`crate::transport::tcp`]; `bcwan::fleet` runs the same
+//! gateways over either.)
 //!
 //! # Inbox disconnect semantics
 //!

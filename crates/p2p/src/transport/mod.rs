@@ -14,16 +14,12 @@
 //!   host's connections, so a fleet of hosts costs a handful of threads
 //!   instead of one per connection; per-peer connection pooling,
 //!   connect/write deadlines, and bounded exponential-backoff retry on
-//!   the send side,
-//! - [`bus`] — the in-process [`LiveBus`](crate::live::LiveBus) adapted
-//!   to the same [`Transport`] trait, so protocol code is pluggable
-//!   between the two.
+//!   the send side.
 //!
 //! Serialization is delegated to a [`Codec`], keeping the transport
 //! generic over the message vocabulary (the `bcwan` crate supplies the
 //! `WanMessage` codec; tests use toy codecs).
 
-pub mod bus;
 pub mod frame;
 pub mod tcp;
 
@@ -118,9 +114,8 @@ impl std::error::Error for TransportError {}
 
 /// Anything that can carry an addressed message for the overlay.
 ///
-/// `A` is the address vocabulary: [`NodeId`](crate::topology::NodeId)
-/// for the in-process bus, `std::net::SocketAddr` for TCP. Protocol code
-/// written against this trait runs unchanged over either.
+/// `A` is the address vocabulary (`std::net::SocketAddr` for TCP), so
+/// protocol code written against this trait can be tested over a stub.
 pub trait Transport<A, M> {
     /// Sends one message, retrying per the implementation's policy.
     ///
@@ -204,6 +199,5 @@ impl TransportStats {
     }
 }
 
-pub use bus::BusTransport;
 pub use frame::FrameKey;
 pub use tcp::{TcpConfig, TcpHost, TcpRuntime};
