@@ -69,7 +69,8 @@ struct AuditedBlock {
     spends: Vec<OutPoint>,
 }
 
-/// End-of-run census returned by [`SettlementAuditor::final_audit`].
+/// Settlement census returned by [`SettlementAuditor::census`] and
+/// [`SettlementAuditor::final_audit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalAudit {
     /// Escrows settled through the claim branch.
@@ -361,19 +362,13 @@ impl SettlementAuditor {
         reg.set_counter("byzantine.adversarial_revenue_total", adversarial);
     }
 
-    /// Final census: reconciles one last time, then checks FSM↔chain
-    /// agreement for every escrowed exchange. `phases` lists
-    /// `(exchange, phase, is_settled)` for each exchange that published
-    /// an escrow. Returns the settlement census plus total violations —
-    /// the same quadruple the old end-of-run `check_invariants`
-    /// produced, now derived from the incremental ledger.
-    pub fn final_audit(
-        &mut self,
-        chain: &Chain,
-        phases: &[(usize, Phase, bool)],
-        reg: &mut Registry,
-    ) -> FinalAudit {
-        self.reconcile(chain, reg);
+    /// Settlement census over the audited prefix, recording nothing:
+    /// `phases` lists `(exchange, phase, is_settled)` for each exchange
+    /// that published an escrow; `violations` is the running total plus
+    /// the FSM↔chain mismatches this pass sees (mid-run an exchange may
+    /// legitimately lag its chain, so only [`Self::final_audit`] keeps
+    /// them).
+    pub fn census(&self, phases: &[(usize, Phase, bool)]) -> FinalAudit {
         // exchange → (claims, refunds) live on the main chain.
         let mut spends: HashMap<usize, (u32, u32)> = HashMap::new();
         for (outpoint, watched) in &self.watched {
@@ -385,39 +380,46 @@ impl SettlementAuditor {
                 }
             }
         }
-        let mut claimed = 0usize;
-        let mut refunded = 0usize;
-        let mut open = 0usize;
+        let mut audit = FinalAudit {
+            claimed: 0,
+            refunded: 0,
+            open: 0,
+            violations: self.violations(),
+        };
         for &(exchange, phase, is_settled) in phases {
-            let (claims, refunds) = spends.get(&exchange).copied().unwrap_or((0, 0));
-            match (claims, refunds) {
+            let mismatch = match spends.get(&exchange).copied().unwrap_or((0, 0)) {
                 (1, 0) => {
-                    claimed += 1;
-                    if phase != Phase::Claimed {
-                        self.fsm_violations += 1;
-                    }
+                    audit.claimed += 1;
+                    phase != Phase::Claimed
                 }
                 (0, 1) => {
-                    refunded += 1;
-                    if phase != Phase::Refunded {
-                        self.fsm_violations += 1;
-                    }
+                    audit.refunded += 1;
+                    phase != Phase::Refunded
                 }
                 _ => {
-                    open += 1;
-                    if is_settled {
-                        self.fsm_violations += 1; // FSM settled, chain disagrees
-                    }
+                    audit.open += 1;
+                    is_settled // FSM settled, chain disagrees
                 }
-            }
+            };
+            audit.violations += u64::from(mismatch);
         }
+        audit
+    }
+
+    /// Final census: reconciles one last time, then takes the
+    /// [`census`](Self::census), keeps its FSM↔chain mismatches as
+    /// violations and publishes every `invariant.*` row.
+    pub fn final_audit(
+        &mut self,
+        chain: &Chain,
+        phases: &[(usize, Phase, bool)],
+        reg: &mut Registry,
+    ) -> FinalAudit {
+        self.reconcile(chain, reg);
+        let audit = self.census(phases);
+        self.fsm_violations += audit.violations - self.violations();
         self.publish(reg);
-        FinalAudit {
-            claimed,
-            refunded,
-            open,
-            violations: self.violations(),
-        }
+        audit
     }
 }
 

@@ -16,17 +16,19 @@ use bcwan_p2p::RelayState;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
-/// Statistics the daemon accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DaemonStats {
-    /// Blocks accepted onto the main chain.
-    pub blocks_accepted: u64,
-    /// Transactions admitted to the mempool.
-    pub txs_accepted: u64,
-    /// Number of verification stalls suffered.
-    pub stalls: u64,
-    /// Total simulated time spent stalled.
-    pub total_stall: SimDuration,
+bcwan_sim::counters! {
+    /// Statistics the daemon accumulates (`daemon.*` rows).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct DaemonStats {
+        /// Blocks accepted onto the main chain.
+        pub blocks_accepted: u64 => "daemon.blocks_accepted_total",
+        /// Transactions admitted to the mempool.
+        pub txs_accepted: u64 => "daemon.txs_accepted_total",
+        /// Number of verification stalls suffered.
+        pub stalls: u64 => "daemon.stalls_total",
+        /// Total simulated time spent stalled.
+        pub total_stall: SimDuration => "daemon.stall_seconds_total",
+    }
 }
 
 /// A host's chain daemon.

@@ -109,6 +109,21 @@ impl IpAnnouncement {
             script_pubkey: self.to_script(),
         }
     }
+
+    /// The seq-0 announcement a simulated or loopback fleet bakes into
+    /// its genesis for host `host`: a synthetic `10.0.x.y:7000` endpoint
+    /// (those fabrics route by node id; the entry is what the §4.3
+    /// lookup finds).
+    pub fn genesis(host: usize, address: Address) -> Self {
+        IpAnnouncement {
+            address,
+            endpoint: NetAddr {
+                ip: [10, 0, (host >> 8) as u8, host as u8],
+                port: 7000,
+            },
+            seq: 0,
+        }
+    }
 }
 
 /// The directory view a gateway maintains by scanning the chain.

@@ -25,6 +25,7 @@
 
 use crate::app_server::AppServerId;
 use crate::costs::CostModel;
+use crate::directory::IpAnnouncement;
 use crate::escrow::REFUND_DELTA;
 use crate::exchange::seal_reading;
 use crate::fsm::FsmEvent;
@@ -33,11 +34,12 @@ use crate::node::{Node, NodeEnv, Note, Parcel, Stored, SyncPlan, Terms};
 use crate::provisioning::DeviceId;
 use crate::wire::WanMessage;
 use crate::Daemon;
-use bcwan_chain::{Address, Chain, ChainParams, Wallet};
+use bcwan_chain::{Address, Block, BlockHash, Chain, ChainParams, Transaction, TxOut, Wallet};
 use bcwan_crypto::rsa::RsaKeySize;
 use bcwan_crypto::sha256::sha256;
 use bcwan_p2p::transport::{TcpConfig, TcpHost, TcpRuntime};
 use bcwan_p2p::{Envelope, Inbox, LiveBus, NodeId};
+use bcwan_script::templates::p2pkh;
 use bcwan_sim::{SimRng, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,6 +95,11 @@ impl BusFleet {
             inboxes,
             cuts: HashSet::new(),
         }
+    }
+
+    /// The bus itself, for metric export.
+    pub fn bus(&self) -> &LiveBus<WanMessage> {
+        &self.bus
     }
 }
 
@@ -332,7 +339,24 @@ impl<T: FleetTransport> Fleet<T> {
         params.coinbase_maturity = 0;
         let wallets: Vec<Wallet> = (0..n).map(|_| Wallet::generate(&mut rng)).collect();
         let address_book: Arc<[Address]> = wallets.iter().map(Wallet::address).collect();
-        let genesis = Chain::make_genesis(&params, &[(address_book[2], 250); 4]);
+        // Four coins for the recipient, and — as `World::new` does — one
+        // directory announcement per node, so step 7's lookup resolves.
+        let mut outputs = vec![
+            TxOut {
+                value: 250,
+                script_pubkey: p2pkh(&address_book[2].0),
+            };
+            4
+        ];
+        for (i, address) in address_book.iter().enumerate() {
+            outputs.push(IpAnnouncement::genesis(i, *address).to_output());
+        }
+        let genesis = Block::mine(
+            BlockHash::GENESIS_PREV,
+            0,
+            params.difficulty_bits,
+            vec![Transaction::coinbase(0, b"bcwan-genesis", outputs)],
+        );
         let terms = Arc::new(Terms {
             costs: CostModel::pi_class(),
             reward: 100,
@@ -480,8 +504,9 @@ impl<T: FleetTransport> Fleet<T> {
 
 /// The stimulus of one exchange, Fig. 3 steps 1–7: a device provisioned
 /// at `recipient` seals `reading` under the ephemeral key of the session
-/// `gateway` opens as `tag`, and the gateway delivers it. Returns the
-/// tag the recipient files the exchange under, if the `Deliver` went out.
+/// `gateway` opens as `tag`, and the gateway looks the recipient up and
+/// forwards it ([`Node::forward_uplink`]). Returns the tag the recipient
+/// files the exchange under, if the directory knew the recipient.
 fn deliver_reading<T: FleetTransport>(
     fleet: &mut Fleet<T>,
     (gateway, recipient): (usize, usize),
@@ -491,17 +516,14 @@ fn deliver_reading<T: FleetTransport>(
     let mut rng = StdRng::seed_from_u64(0xf1e3 ^ tag);
     let home = &mut fleet.nodes[recipient].node;
     let device_id = DeviceId(tag as u32 + 1);
-    let device = home
-        .registry
-        .provision(&mut rng, device_id, home.wallet.address());
+    let (to, address) = (NodeId(recipient as u32), home.wallet.address());
+    let device = home.registry.provision(&mut rng, device_id, address);
     let (e_pk, _) = fleet.act(gateway, |node, now, _| node.open_session(now, tag));
-    let msg = WanMessage::Deliver {
-        device_id,
-        e_pk_bytes: e_pk.to_bytes(),
-        uplink: seal_reading(&mut rng, &device, &e_pk, reading).expect("seal"),
-    };
+    let uplink = seal_reading(&mut rng, &device, &e_pk, reading).expect("seal");
     fleet
-        .send_direct(gateway, recipient, &msg)
+        .act(gateway, |node, now, env| {
+            node.forward_uplink(now, tag, (to, &address), device_id, uplink, env)
+        })
         .then(|| delivery_tag(&e_pk.to_bytes()))
 }
 

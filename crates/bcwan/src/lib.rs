@@ -29,8 +29,6 @@
 //! - [`reputation`] — the §4.4 reputation-only baseline,
 //! - [`attack`] — the §6 double-spend attack and the confirmation-depth
 //!   counter-measure,
-//! - [`election`] — master-gateway election among an actor's gateways
-//!   (§4.2 footnote 3),
 //! - [`sync`] — the §5.1 start-up block synchronization,
 //! - [`wire`] — the host-to-host message vocabulary and its binary
 //!   wire encoding,
@@ -60,7 +58,6 @@ pub mod audit;
 pub mod costs;
 pub mod daemon;
 pub mod directory;
-pub mod election;
 pub mod escrow;
 pub mod exchange;
 pub mod fleet;

@@ -13,8 +13,8 @@
 
 use crate::audit::{GatewayOutcome, SettlementAuditor};
 use crate::costs::CostModel;
-use crate::daemon::Daemon;
-use crate::directory::{IpAnnouncement, NetAddr};
+use crate::daemon::{Daemon, DaemonStats};
+use crate::directory::IpAnnouncement;
 use crate::escrow;
 use crate::exchange::{seal_reading, SealedUplink};
 use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase};
@@ -22,7 +22,8 @@ use crate::node::{Misbehaviour, Node, NodeEnv, Note, Parcel, Stored, SyncPlan, T
 use crate::provisioning::{DeviceCredentials, DeviceId};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
-    Address, Block, Chain, ChainParams, OutPoint, SigCache, Transaction, TxId, TxOut, Wallet,
+    Address, Block, Chain, ChainParams, MempoolStats, OutPoint, SigCache, Transaction, TxId, TxOut,
+    Wallet,
 };
 use bcwan_crypto::rsa::{RsaKeySize, RsaPublicKey};
 use bcwan_lora::airtime::time_on_air;
@@ -30,8 +31,8 @@ use bcwan_lora::frame::{LoraFrame, ADDRESS_LEN};
 use bcwan_lora::params::RadioConfig;
 use bcwan_p2p::{ChainMessage, Delivery, FaultModel, Network, NodeId, Topology};
 use bcwan_sim::{
-    run, Actor, ChaosEngine, ChaosPlan, CounterId, EventQueue, HistogramId, LatencyModel, Registry,
-    Series, SimDuration, SimRng, SimTime, Snapshot, SnapshotSeries, Tracer,
+    run, Actor, ChaosEngine, ChaosPlan, CounterId, EventQueue, HistogramId, LatencyModel, Metric,
+    Registry, Series, SimDuration, SimRng, SimTime, Snapshot, SnapshotSeries, Tracer,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -388,8 +389,6 @@ struct Sensor {
 
 /// Hot-path metric handles, registered once at world construction.
 struct Meters {
-    frames_lost: CounterId,
-    radio_retries: CounterId,
     wan_msgs: [CounterId; KIND_COUNT],
     wan_bytes: [CounterId; KIND_COUNT],
     latency: HistogramId,
@@ -414,8 +413,6 @@ impl Meters {
         let kind = |prefix: &str, k: &str| format!("wan.{prefix}.{k}_total");
         let kinds = ["tx", "block", "sync", "deliver"];
         Meters {
-            frames_lost: reg.counter("world.lora_frames_lost_total"),
-            radio_retries: reg.counter("world.lora_retries_total"),
             wan_msgs: kinds.map(|k| reg.counter(&kind("messages", k))),
             wan_bytes: kinds.map(|k| reg.counter(&kind("bytes", k))),
             latency: reg.histogram("world.exchange_latency_seconds"),
@@ -426,6 +423,34 @@ impl Meters {
             equivocations_detected: reg.counter("byzantine.equivocation_detected_total"),
             censorship_suspected: reg.counter("byzantine.censorship_suspected_total"),
         }
+    }
+}
+
+bcwan_sim::counters! {
+    /// One gateway's radio-leg tally: summed into the unlabeled
+    /// `world.lora_*` rows, and one labeled row per host in small fleets.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct RadioTally {
+        /// Frames the loss model dropped on this gateway's radio.
+        frames_lost: u64 => labeled "world.lora_frames_lost_total",
+        /// Node-side retransmissions towards this gateway.
+        retries: u64 => labeled "world.lora_retries_total",
+    }
+}
+
+/// Publishes per-host stats tables: their sum as the unlabeled rows,
+/// plus one `{host="i"}` row set per host while the fleet is small
+/// enough (≤ 32) for the extra rows to stay readable.
+fn fold_hosts<T: Metric + Default>(reg: &mut Registry, tables: Vec<(usize, T)>) {
+    let mut total = T::default();
+    for (host, table) in &tables {
+        total.merge(table);
+        if tables.len() <= 32 {
+            table.export_labeled(reg, "", "host", host);
+        }
+    }
+    if !tables.is_empty() {
+        total.export(reg, "");
     }
 }
 
@@ -455,10 +480,8 @@ struct Sim {
     standby_blocks_mined: u64,
     /// Mean inter-send interval per sensor.
     send_interval: SimDuration,
-    /// Per-gateway frame-loss / retry tallies (index = actor host − 1),
-    /// folded into labeled `world.lora_*` rows at snapshot time.
-    frames_lost_by_gw: Vec<u64>,
-    retries_by_gw: Vec<u64>,
+    /// Per-gateway radio tallies (index = actor host − 1).
+    radio_by_gw: Vec<RadioTally>,
     registry: Registry,
     meters: Meters,
     tracer: Tracer,
@@ -513,15 +536,7 @@ impl World {
             })
             .collect();
         for (i, wallet) in wallets.iter().enumerate().skip(1) {
-            let ann = IpAnnouncement {
-                address: wallet.address(),
-                endpoint: NetAddr {
-                    ip: [10, 0, (i >> 8) as u8, i as u8],
-                    port: 7000,
-                },
-                seq: 0,
-            };
-            genesis_outputs.push(ann.to_output());
+            genesis_outputs.push(IpAnnouncement::genesis(i, wallet.address()).to_output());
         }
         let genesis_cb = Transaction::coinbase(0, b"bcwan-genesis", genesis_outputs);
         let mut genesis_chain = Chain::new(
@@ -649,8 +664,7 @@ impl World {
             blocks_mined: 0,
             standby_blocks_mined: 0,
             send_interval,
-            frames_lost_by_gw: vec![0; cfg.actor_hosts as usize],
-            retries_by_gw: vec![0; cfg.actor_hosts as usize],
+            radio_by_gw: vec![RadioTally::default(); cfg.actor_hosts as usize],
             registry,
             meters,
             tracer,
@@ -689,14 +703,11 @@ impl World {
         run(&mut self, &mut queue, Some(deadline));
 
         let sim_time = queue.now().saturating_duration_since(SimTime::ZERO);
-        let (stalls, total_stall) = self
-            .hosts
-            .iter()
-            .skip(1)
-            .map(|h| h.daemon.stats())
-            .fold((0, SimDuration::ZERO), |(s, t), st| {
-                (s + st.stalls, t + st.total_stall)
-            });
+        let DaemonStats {
+            stalls,
+            total_stall,
+            ..
+        } = self.actor_daemons();
         let confirmed_txs = self.hosts[0]
             .daemon
             .chain
@@ -704,151 +715,6 @@ impl World {
             .map(|b| b.transactions.len().saturating_sub(1))
             .sum();
         let app_readings = self.hosts.iter().map(|h| h.apps.total_readings()).sum();
-
-        // Fold the run lifecycle and every subsystem's counters into the
-        // registry so one snapshot describes the whole experiment.
-        let reg = &mut self.sim.registry;
-        reg.set_counter("world.exchanges_started_total", self.sim.started as u64);
-        reg.set_counter("world.exchanges_completed_total", self.sim.completed as u64);
-        reg.set_counter("world.exchanges_failed_total", self.sim.failed as u64);
-        reg.set_counter("world.blocks_mined_total", self.sim.blocks_mined);
-        reg.set_counter(
-            "world.standby_blocks_mined_total",
-            self.sim.standby_blocks_mined,
-        );
-        reg.set_gauge("world.sim_time_seconds", sim_time.as_secs_f64());
-
-        let daemon_totals = self
-            .hosts
-            .iter()
-            .map(|h| h.daemon.stats())
-            .fold((0u64, 0u64), |(blocks, txs), st| {
-                (blocks + st.blocks_accepted, txs + st.txs_accepted)
-            });
-        reg.set_counter("daemon.blocks_accepted_total", daemon_totals.0);
-        reg.set_counter("daemon.txs_accepted_total", daemon_totals.1);
-        reg.set_counter("daemon.stalls_total", stalls);
-        reg.set_gauge("daemon.stall_seconds_total", total_stall.as_secs_f64());
-
-        let chain_stats = self.hosts[0].daemon.chain.stats();
-        reg.set_counter("chain.blocks_connected_total", chain_stats.blocks_connected);
-        reg.set_counter(
-            "chain.blocks_disconnected_total",
-            chain_stats.blocks_disconnected,
-        );
-        reg.set_counter("chain.reorgs_total", chain_stats.reorgs);
-        reg.set_counter("chain.txs_connected_total", chain_stats.txs_connected);
-        reg.set_counter("chain.utxos_created_total", chain_stats.utxos_created);
-        reg.set_counter("chain.utxos_spent_total", chain_stats.utxos_spent);
-
-        let pool = self.hosts.iter().map(|h| h.daemon.mempool.stats()).fold(
-            bcwan_chain::MempoolStats::default(),
-            |mut acc, s| {
-                acc.accepted += s.accepted;
-                acc.rejected_duplicate += s.rejected_duplicate;
-                acc.rejected_conflict += s.rejected_conflict;
-                acc.rejected_invalid += s.rejected_invalid;
-                acc.evicted += s.evicted;
-                acc
-            },
-        );
-        reg.set_counter("mempool.accepted_total", pool.accepted);
-        reg.set_counter("mempool.rejected_duplicate_total", pool.rejected_duplicate);
-        reg.set_counter("mempool.rejected_conflict_total", pool.rejected_conflict);
-        reg.set_counter("mempool.rejected_invalid_total", pool.rejected_invalid);
-        reg.set_counter("mempool.evicted_total", pool.evicted);
-
-        // The world-shared memo, folded once: a miss is a distinct
-        // script verification (ECDSA spends under validate.sigcache.*,
-        // escrow OP_CHECKRSA512PAIR spends under validate.sigcache.rsa.*),
-        // a hit is a host that found the spend already verified.
-        self.sim.sig_cache.export(reg);
-
-        let net = self.sim.network.stats();
-        reg.set_counter("net.sent_total", net.sent);
-        reg.set_counter("net.delivered_total", net.delivered);
-        reg.set_counter("net.dropped_fault_total", net.dropped_fault);
-        reg.set_counter("net.dropped_partition_total", net.dropped_partition);
-        reg.set_counter("net.duplicated_total", net.duplicated);
-
-        // Persistent-store activity: flush what remains dirty, then fold
-        // per-host summaries into `store.*` counters — fleet-wide
-        // totals, plus per-host labeled rows for fleets small enough
-        // that the extra rows stay readable.
-        let mut store_rows: Vec<(usize, bcwan_chain::StoreSummary)> = Vec::new();
-        for (i, h) in self.hosts.iter_mut().enumerate() {
-            h.daemon.chain.flush();
-            if let Some(s) = h.daemon.chain.store_summary() {
-                store_rows.push((i, s));
-            }
-        }
-        let reg = &mut self.sim.registry;
-        let label_hosts = !store_rows.is_empty() && store_rows.len() <= 32;
-        let mut totals = bcwan_chain::StoreSummary::default();
-        for (i, s) in &store_rows {
-            totals.store.flush_total += s.store.flush_total;
-            totals.store.reindex_total += s.store.reindex_total;
-            totals.store.bytes_written += s.store.bytes_written;
-            totals.store.blocks_appended += s.store.blocks_appended;
-            totals.store.undo_appended += s.store.undo_appended;
-            totals.store.compact_total += s.store.compact_total;
-            totals.cache_hit += s.cache_hit;
-            totals.cache_miss += s.cache_miss;
-            if label_hosts {
-                let set = [
-                    ("store.flush_total", s.store.flush_total),
-                    ("store.cache_hit_total", s.cache_hit),
-                    ("store.cache_miss_total", s.cache_miss),
-                    ("store.bytes_written_total", s.store.bytes_written),
-                ];
-                for (base, value) in set {
-                    reg.set_counter(&bcwan_sim::labeled(base, "host", i), value);
-                }
-            }
-        }
-        if !store_rows.is_empty() {
-            reg.set_counter("store.flush_total", totals.store.flush_total);
-            reg.set_counter("store.reindex_total", totals.store.reindex_total);
-            reg.set_counter("store.bytes_written_total", totals.store.bytes_written);
-            reg.set_counter("store.blocks_appended_total", totals.store.blocks_appended);
-            reg.set_counter("store.undo_appended_total", totals.store.undo_appended);
-            reg.set_counter("store.compact_total", totals.store.compact_total);
-            reg.set_counter("store.cache_hit_total", totals.cache_hit);
-            reg.set_counter("store.cache_miss_total", totals.cache_miss);
-        }
-        reg.set_counter("world.restart.warm_total", self.sim.restarts_warm);
-        reg.set_counter("world.restart.cold_total", self.sim.restarts_cold);
-
-        // Per-gateway radio rows, same label scheme and ≤32-host gate as
-        // the `store.*` fold above (host index 1..=actor_hosts; the
-        // unlabeled totals were counted on the hot path).
-        if !self.sim.frames_lost_by_gw.is_empty() && self.sim.frames_lost_by_gw.len() <= 32 {
-            for (i, (&lost, &retries)) in self
-                .sim
-                .frames_lost_by_gw
-                .iter()
-                .zip(&self.sim.retries_by_gw)
-                .enumerate()
-            {
-                let host = i + 1;
-                reg.set_counter(
-                    &bcwan_sim::labeled("world.lora_frames_lost_total", "host", host),
-                    lost,
-                );
-                reg.set_counter(
-                    &bcwan_sim::labeled("world.lora_retries_total", "host", host),
-                    retries,
-                );
-            }
-        }
-
-        if self.sim.tracer.is_enabled() {
-            reg.set_counter(
-                "trace.unmatched_ends_total",
-                self.sim.tracer.unmatched_ends(),
-            );
-            reg.set_gauge("trace.open_spans", self.sim.tracer.open_spans() as f64);
-        }
 
         let phases: Vec<(String, Series)> = self
             .sim
@@ -863,24 +729,25 @@ impl World {
             })
             .collect();
 
-        // Final settlement census from the always-on auditor: one last
-        // reconcile plus the FSM↔chain agreement check over every
-        // exchange that published an escrow.
-        let fsm_census: Vec<(usize, Phase, bool)> = self
-            .sim
-            .exchanges
-            .iter()
-            .enumerate()
-            .filter(|(i, ex)| self.hosts[ex.home as usize].escrow(*i as u64).is_some())
-            .map(|(i, ex)| (i, ex.fsm.phase(), ex.fsm.is_settled()))
-            .collect();
+        // Flush what remains dirty (the one store write a mid-run fold
+        // must not cause), take the auditor's final census — one last
+        // reconcile plus the FSM↔chain agreement check, which publishes
+        // `chaos.invariant.violation_total` and the `invariant.*` rows —
+        // then fold everything into the registry and close the timeline
+        // with a frame equal to the final snapshot.
+        for h in &mut self.hosts {
+            h.daemon.chain.flush();
+        }
+        let census = self.fsm_census();
         let audit = self.sim.auditor.final_audit(
             &self.hosts[0].daemon.chain,
-            &fsm_census,
+            &census,
             &mut self.sim.registry,
         );
-        let (escrows_claimed, escrows_refunded, escrows_open, invariant_violations) =
-            (audit.claimed, audit.refunded, audit.open, audit.violations);
+        self.fold_metrics(queue.now());
+        if let Some(timeline) = self.sim.timeline.as_mut() {
+            timeline.sample(queue.now(), &self.sim.registry);
+        }
         let (utxo_total, utxo_fingerprint) = {
             let utxo = self.hosts[0].daemon.chain.utxo();
             let total = utxo.iter().map(|(_, e)| e.output.value).sum();
@@ -901,19 +768,6 @@ impl World {
             }
             (total, fp)
         };
-        let reg = &mut self.sim.registry;
-        reg.set_counter("world.escrows_claimed_total", escrows_claimed as u64);
-        reg.set_counter("world.escrows_refunded_total", escrows_refunded as u64);
-        reg.set_counter("world.escrows_open_total", escrows_open as u64);
-        // `chaos.invariant.violation_total` and the per-class
-        // `invariant.*` rows were published by the auditor above.
-
-        // Close the timeline with a frame that includes the end-of-run
-        // folds above.
-        if let Some(timeline) = self.sim.timeline.as_mut() {
-            timeline.maybe_sample(queue.now(), &self.sim.registry);
-        }
-
         ExperimentResult {
             completed: self.sim.completed,
             failed: self.sim.failed,
@@ -930,10 +784,10 @@ impl World {
             phase_settlement: self.sim.phase_settlement,
             metrics: self.sim.registry.snapshot(),
             phases,
-            escrows_claimed,
-            escrows_refunded,
-            escrows_open,
-            invariant_violations,
+            escrows_claimed: audit.claimed,
+            escrows_refunded: audit.refunded,
+            escrows_open: audit.open,
+            invariant_violations: audit.violations,
             utxo_total,
             utxo_fingerprint,
             honest_revenue: self.sim.auditor.honest_revenue(),
@@ -943,6 +797,81 @@ impl World {
             restarts_cold: self.sim.restarts_cold,
             timeline: self.sim.timeline,
         }
+    }
+
+    /// The actor daemons' statistics summed (the master's are left out:
+    /// §5.2's stall observation is about the PlanetLab hosts).
+    fn actor_daemons(&self) -> DaemonStats {
+        let mut actors = DaemonStats::default();
+        for h in self.hosts.iter().skip(1) {
+            actors.merge(&h.daemon.stats());
+        }
+        actors
+    }
+
+    /// `(exchange, phase, is_settled)` for every exchange that published
+    /// an escrow — the auditor's FSM↔chain census input.
+    fn fsm_census(&self) -> Vec<(usize, Phase, bool)> {
+        self.sim
+            .exchanges
+            .iter()
+            .enumerate()
+            .filter(|(i, ex)| self.hosts[ex.home as usize].escrow(*i as u64).is_some())
+            .map(|(i, ex)| (i, ex.fsm.phase(), ex.fsm.is_settled()))
+            .collect()
+    }
+
+    /// Folds every number the run keeps outside the registry into it —
+    /// the simulator's own tallies, each subsystem's stats table summed
+    /// over the hosts that keep one, the shared verification memo, the
+    /// tracer and the settlement census — so one snapshot describes the
+    /// whole experiment as of `now`. Runs at the end of the run and
+    /// before each timeline frame that is due; it reads and never
+    /// writes simulation state (no store flush), so sampling cannot move
+    /// a number.
+    fn fold_metrics(&mut self, now: SimTime) {
+        let mut daemons = self.actor_daemons();
+        daemons.merge(&DaemonStats {
+            stalls: 0,
+            total_stall: SimDuration::ZERO,
+            ..self.hosts[0].daemon.stats()
+        });
+        let mut pools = MempoolStats::default();
+        let mut stores = Vec::new();
+        for (i, h) in self.hosts.iter().enumerate() {
+            pools.merge(&h.daemon.mempool.stats());
+            stores.extend(h.daemon.chain.store_summary().map(|s| (i, s)));
+        }
+        let census = self.sim.auditor.census(&self.fsm_census());
+
+        let sim = &mut self.sim;
+        let reg = &mut sim.registry;
+        reg.set_counter("world.exchanges_started_total", sim.started as u64);
+        reg.set_counter("world.exchanges_completed_total", sim.completed as u64);
+        reg.set_counter("world.exchanges_failed_total", sim.failed as u64);
+        reg.set_counter("world.blocks_mined_total", sim.blocks_mined);
+        reg.set_counter("world.standby_blocks_mined_total", sim.standby_blocks_mined);
+        reg.set_counter("world.restart.warm_total", sim.restarts_warm);
+        reg.set_counter("world.restart.cold_total", sim.restarts_cold);
+        reg.set_counter("world.escrows_claimed_total", census.claimed as u64);
+        reg.set_counter("world.escrows_refunded_total", census.refunded as u64);
+        reg.set_counter("world.escrows_open_total", census.open as u64);
+        let elapsed = now.saturating_duration_since(SimTime::ZERO);
+        reg.set_gauge("world.sim_time_seconds", elapsed.as_secs_f64());
+
+        daemons.export(reg);
+        self.hosts[0].daemon.chain.stats().export(reg);
+        pools.export(reg);
+        // The world-shared memo, folded once: a miss is a distinct
+        // script verification (ECDSA spends under validate.sigcache.*,
+        // escrow OP_CHECKRSA512PAIR spends under validate.sigcache.rsa.*),
+        // a hit is a host that found the spend already verified.
+        sim.sig_cache.export(reg);
+        sim.network.stats().export(reg);
+        fold_hosts(reg, stores);
+        let gateways = (1..).zip(sim.radio_by_gw.iter().copied());
+        fold_hosts(reg, gateways.collect());
+        sim.tracer.export(reg);
     }
 
     /// Brings the always-on auditor in line with the master's chain.
@@ -1304,13 +1233,19 @@ impl World {
     }
 
     fn handle_mine_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let sim = &mut self.sim;
         // Interval metrics ride the mining heartbeat — the one periodic
         // event every run has. Edge-triggered, so a slow block interval
-        // just lowers the effective sampling rate.
-        if let Some(timeline) = sim.timeline.as_mut() {
-            timeline.maybe_sample(now, &sim.registry);
+        // just lowers the effective sampling rate; the fold (a sum over
+        // every host) runs only for a frame that is due.
+        if self.sim.timeline.as_ref().is_some_and(|t| t.due(now)) {
+            self.fold_metrics(now);
+            let sim = &mut self.sim;
+            sim.timeline
+                .as_mut()
+                .expect("checked above")
+                .sample(now, &sim.registry);
         }
+        let sim = &mut self.sim;
         // Stop mining when work is done and nothing is pending anywhere.
         let work_left = sim.completed + sim.failed < sim.started
             || sim.started < sim.cfg.target_exchanges
@@ -1571,13 +1506,7 @@ impl Sim {
         };
         let lost = self.rng.chance(base.max(boost));
         if lost {
-            self.registry.inc(self.meters.frames_lost);
-            if let Some(slot) = self
-                .frames_lost_by_gw
-                .get_mut((gateway as usize).wrapping_sub(1))
-            {
-                *slot += 1;
-            }
+            self.radio_by_gw[gateway as usize - 1].frames_lost += 1;
             if boost > base {
                 self.registry.inc(self.chaos.meters().lora_drops);
             }
@@ -1641,7 +1570,6 @@ impl Sim {
             self.abort_exchange(now, exchange);
             return;
         }
-        self.registry.inc(self.meters.radio_retries);
         self.count_gateway_retry(exchange);
         self.send_request(now, exchange, attempt + 1, queue);
     }
@@ -1662,21 +1590,14 @@ impl Sim {
             self.abort_exchange(now, exchange);
             return;
         }
-        self.registry.inc(self.meters.radio_retries);
         self.count_gateway_retry(exchange);
         self.send_data(now, exchange, attempt + 1, queue);
     }
 
-    /// Tallies a radio retransmission against the exchange's gateway for
-    /// the per-gateway labeled `world.lora_retries_total` rows.
+    /// Tallies a radio retransmission against the exchange's gateway.
     fn count_gateway_retry(&mut self, exchange: usize) {
         let gateway = self.exchanges[exchange].gateway;
-        if let Some(slot) = self
-            .retries_by_gw
-            .get_mut((gateway as usize).wrapping_sub(1))
-        {
-            *slot += 1;
-        }
+        self.radio_by_gw[gateway as usize - 1].retries += 1;
     }
 
     /// Gives up on an exchange before money moved: `Abort` is only legal

@@ -125,19 +125,8 @@ fn main() {
     // Fold the substrate's own counters into the report: the mempool and
     // chainstate stats the world-level runs also export.
     let mut registry = Registry::new();
-    let pool_stats = pool.stats();
-    let chain_stats = chain.stats();
-    for (name, value) in [
-        ("mempool.accepted_total", pool_stats.accepted),
-        ("mempool.evicted_total", pool_stats.evicted),
-        ("chain.blocks_connected_total", chain_stats.blocks_connected),
-        ("chain.txs_connected_total", chain_stats.txs_connected),
-        ("chain.utxos_created_total", chain_stats.utxos_created),
-        ("chain.utxos_spent_total", chain_stats.utxos_spent),
-    ] {
-        let id = registry.counter(name);
-        registry.add(id, value);
-    }
+    pool.stats().export(&mut registry);
+    chain.stats().export(&mut registry);
     let admit_gauge = registry.gauge("bench.mempool_admission_tx_per_s");
     registry.set(admit_gauge, admit_rate);
     let connect_gauge = registry.gauge("bench.block_connect_tx_per_s");

@@ -38,7 +38,7 @@
 use bcwan_bench::{bootstrap_ci_mean, BenchReport, BOOTSTRAP_RESAMPLES};
 use bcwan_lora::mac::MacConfig;
 use bcwan_lora::params::{RadioConfig, SpreadingFactor};
-use bcwan_lora::shard::{ScalarFleet, ShardConfig, ShardCounters, ShardedLora};
+use bcwan_lora::shard::{ScalarFleet, ShardConfig, ShardedLora};
 use bcwan_lora::time_on_air;
 use bcwan_sim::{Json, Registry, SimDuration, SimTime, SnapshotSeries};
 
@@ -218,22 +218,6 @@ fn goodput_curve(seed: u64) -> (Vec<Json>, f64) {
     (rows, peak.1)
 }
 
-/// Publishes one world's counters into the registry (the names EXPERIMENTS.md
-/// documents for the timeline frames).
-fn publish_counters(reg: &mut Registry, c: &ShardCounters) {
-    reg.set_counter("world.lora_fired_total", c.fired);
-    reg.set_counter("world.lora_attempted_total", c.attempted);
-    reg.set_counter("world.lora_delivered_total", c.delivered);
-    reg.set_counter("world.lora_lost_link_total", c.lost_link);
-    reg.set_counter("world.lora_lost_collision_total", c.lost_collision);
-    reg.set_counter("world.lora_captured_total", c.captured);
-    reg.set_counter("world.lora_demod_dropped_total", c.demod_dropped);
-    reg.set_counter("world.lora_cca_busy_total", c.cca_busy);
-    reg.set_gauge("world.lora_airtime_s", c.airtime_s);
-    reg.set_gauge("world.lora_goodput_airtime_s", c.delivered_airtime_s);
-    reg.set_gauge("world.lora_energy_j", c.energy_j);
-}
-
 fn main() {
     let args = parse_args();
     let mut gate_failed = false;
@@ -278,7 +262,7 @@ fn main() {
             let wall = t0.elapsed().as_secs_f64();
             samples.push(wall / (total_nodes as f64 * seg_sim as f64));
             if let Some(series) = series.as_mut() {
-                publish_counters(&mut registry, &world.counters());
+                world.counters().export(&mut registry);
                 series.maybe_sample(world.now(), &registry);
             }
         }
@@ -313,7 +297,7 @@ fn main() {
         if n == largest {
             headline = Some((mean, ci_lo, ci_hi));
             timeline = series;
-            publish_counters(&mut registry, &c);
+            c.export(&mut registry);
         }
     }
 

@@ -96,23 +96,25 @@ pub struct ReorgInfo {
     pub connected_txs: Vec<Transaction>,
 }
 
-/// Lifetime counters of chain activity, read back into the metrics
-/// registry at the end of a run (`chain.*` rows in bench reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainStats {
-    /// Blocks connected to the main chain (extensions + reorg connects;
-    /// genesis not counted).
-    pub blocks_connected: u64,
-    /// Blocks disconnected during reorganizations.
-    pub blocks_disconnected: u64,
-    /// Completed reorganizations.
-    pub reorgs: u64,
-    /// Non-coinbase transactions connected to the main chain.
-    pub txs_connected: u64,
-    /// UTXO entries created while connecting blocks.
-    pub utxos_created: u64,
-    /// UTXO entries spent while connecting blocks.
-    pub utxos_spent: u64,
+bcwan_sim::counters! {
+    /// Lifetime counters of chain activity (`chain.*` rows in bench
+    /// reports).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ChainStats {
+        /// Blocks connected to the main chain (extensions + reorg
+        /// connects; genesis not counted).
+        pub blocks_connected: u64 => "chain.blocks_connected_total",
+        /// Blocks disconnected during reorganizations.
+        pub blocks_disconnected: u64 => "chain.blocks_disconnected_total",
+        /// Completed reorganizations.
+        pub reorgs: u64 => "chain.reorgs_total",
+        /// Non-coinbase transactions connected to the main chain.
+        pub txs_connected: u64 => "chain.txs_connected_total",
+        /// UTXO entries created while connecting blocks.
+        pub utxos_created: u64 => "chain.utxos_created_total",
+        /// UTXO entries spent while connecting blocks.
+        pub utxos_spent: u64 => "chain.utxos_spent_total",
+    }
 }
 
 impl ChainStats {
@@ -142,17 +144,17 @@ pub struct OpenedChain {
     pub undone: u64,
 }
 
-/// Store activity plus cache behaviour, for `store.*` metrics export.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreSummary {
-    /// The store's lifetime counters.
-    pub store: StoreStats,
-    /// Coins-cache hits counted while connecting blocks.
-    pub cache_hit: u64,
-    /// Coins-cache misses (disk read-throughs).
-    pub cache_miss: u64,
-    /// Dirty (unflushed) cache entries right now.
-    pub dirty: u64,
+bcwan_sim::counters! {
+    /// Store activity plus cache behaviour: the `store.*` rows.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct StoreSummary {
+        /// The store's lifetime counters.
+        pub store: StoreStats => labeled "store.*",
+        /// Coins-cache hits counted while connecting blocks.
+        pub cache_hit: u64 => labeled "store.cache_hit_total",
+        /// Coins-cache misses (disk read-throughs).
+        pub cache_miss: u64 => labeled "store.cache_miss_total",
+    }
 }
 
 /// The chain state: all known blocks, the best chain, and its UTXO set.
@@ -424,7 +426,6 @@ impl Chain {
             store: *store.stats(),
             cache_hit: self.coins.hits(),
             cache_miss: self.coins.misses(),
-            dirty: self.coins.dirty_len() as u64,
         })
     }
 

@@ -52,20 +52,23 @@ struct PoolEntry {
     size: usize,
 }
 
-/// Lifetime counters of pool activity, read back into the metrics
-/// registry at the end of a run (`mempool.*` rows in bench reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MempoolStats {
-    /// Transactions admitted.
-    pub accepted: u64,
-    /// Rejections: already pooled.
-    pub rejected_duplicate: u64,
-    /// Rejections: double-spend of a pooled input (first-seen wins).
-    pub rejected_conflict: u64,
-    /// Rejections: failed validation.
-    pub rejected_invalid: u64,
-    /// Transactions removed because a block confirmed them (or a conflict).
-    pub evicted: u64,
+bcwan_sim::counters! {
+    /// Lifetime counters of pool activity (`mempool.*` rows in bench
+    /// reports).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MempoolStats {
+        /// Transactions admitted.
+        pub accepted: u64 => "mempool.accepted_total",
+        /// Rejections: already pooled.
+        pub rejected_duplicate: u64 => "mempool.rejected_duplicate_total",
+        /// Rejections: double-spend of a pooled input (first-seen wins).
+        pub rejected_conflict: u64 => "mempool.rejected_conflict_total",
+        /// Rejections: failed validation.
+        pub rejected_invalid: u64 => "mempool.rejected_invalid_total",
+        /// Transactions removed because a block confirmed them (or a
+        /// conflict).
+        pub evicted: u64 => "mempool.evicted_total",
+    }
 }
 
 /// The UTXO state as the pool sees it: base set plus pooled outputs minus

@@ -76,23 +76,25 @@ impl Default for StoreConfig {
     }
 }
 
-/// Counters a store accumulates over its lifetime (exported as
-/// `store.*` metrics by the sim).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreStats {
-    /// Coins flushes performed (manual or interval-driven).
-    pub flush_total: u64,
-    /// Full rebuilds of the coins table from the block file (missing or
-    /// corrupt coins data at open).
-    pub reindex_total: u64,
-    /// Bytes appended across all files, framing included.
-    pub bytes_written: u64,
-    /// Block records appended.
-    pub blocks_appended: u64,
-    /// Undo records appended.
-    pub undo_appended: u64,
-    /// Coins-log compactions (generation rewrites).
-    pub compact_total: u64,
+bcwan_sim::counters! {
+    /// Counters a store accumulates over its lifetime (`store.*` rows;
+    /// the `labeled` ones also per host in small fleets).
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct StoreStats {
+        /// Coins flushes performed (manual or interval-driven).
+        pub flush_total: u64 => labeled "store.flush_total",
+        /// Full rebuilds of the coins table from the block file (missing
+        /// or corrupt coins data at open).
+        pub reindex_total: u64 => "store.reindex_total",
+        /// Bytes appended across all files, framing included.
+        pub bytes_written: u64 => labeled "store.bytes_written_total",
+        /// Block records appended.
+        pub blocks_appended: u64 => "store.blocks_appended_total",
+        /// Undo records appended.
+        pub undo_appended: u64 => "store.undo_appended_total",
+        /// Coins-log compactions (generation rewrites).
+        pub compact_total: u64 => "store.compact_total",
+    }
 }
 
 /// Why a store failed to open or load.

@@ -13,8 +13,7 @@
 //! analytic model, a per-key offered-load table, and a sampling helper
 //! for the simulator.
 
-use crate::airtime::time_on_air;
-use crate::params::{RadioConfig, SpreadingFactor};
+use crate::params::SpreadingFactor;
 use bcwan_sim::SimRng;
 
 /// The collision domain of one frame: uplink channel index plus
@@ -65,25 +64,6 @@ impl OfferedLoads {
             Ok(i) => self.loads[i].1 += g,
             Err(i) => self.loads.insert(i, (key, g)),
         }
-    }
-
-    /// Convenience: the §5.2-style population load — `senders` nodes each
-    /// sending `rate_per_s` frames of `frame_len` PHY bytes at `key`'s
-    /// spreading factor under `config`'s bandwidth/coding parameters.
-    pub fn add_population(
-        &mut self,
-        key: LoadKey,
-        config: &RadioConfig,
-        frame_len: usize,
-        senders: u32,
-        rate_per_s: f64,
-    ) {
-        let cfg = RadioConfig {
-            spreading_factor: key.sf,
-            ..*config
-        };
-        let airtime = time_on_air(&cfg, frame_len).as_secs_f64();
-        self.add(key, offered_load(senders, rate_per_s, airtime));
     }
 
     /// Total offered load `G` on `key`.
@@ -145,9 +125,28 @@ pub fn frame_survives(loads: &OfferedLoads, key: LoadKey, own_g: f64, rng: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::airtime::time_on_air;
+    use crate::params::RadioConfig;
 
     fn sf7_key() -> LoadKey {
         LoadKey::new(0, SpreadingFactor::Sf7)
+    }
+
+    /// The §5.2-style population load: `senders` nodes each sending
+    /// `rate_per_s` frames of `frame_len` PHY bytes at `key`'s spreading
+    /// factor under `config`'s bandwidth/coding parameters.
+    fn add_population(
+        loads: &mut OfferedLoads,
+        key: LoadKey,
+        config: &RadioConfig,
+        (frame_len, senders, rate_per_s): (usize, u32, f64),
+    ) {
+        let cfg = RadioConfig {
+            spreading_factor: key.sf,
+            ..*config
+        };
+        let airtime = time_on_air(&cfg, frame_len).as_secs_f64();
+        loads.add(key, offered_load(senders, rate_per_s, airtime));
     }
 
     #[test]
@@ -183,12 +182,12 @@ mod tests {
         // (throttled) Fig. 5 rate of ~1 frame/50 s each.
         let cfg = RadioConfig::paper_sf7();
         let mut per_gw = OfferedLoads::new();
-        per_gw.add_population(sf7_key(), &cfg, 160, 30, 1.0 / 50.0);
+        add_population(&mut per_gw, sf7_key(), &cfg, (160, 30, 1.0 / 50.0));
         let p = aloha_success_probability(per_gw.g(sf7_key()));
         assert!(p > 0.6, "per-gateway success {p:.3}");
         // All 150 sensors sharing ONE channel/gateway would hurt badly.
         let mut all = OfferedLoads::new();
-        all.add_population(sf7_key(), &cfg, 160, 150, 1.0 / 50.0);
+        add_population(&mut all, sf7_key(), &cfg, (160, 150, 1.0 / 50.0));
         let p_all = aloha_success_probability(all.g(sf7_key()));
         assert!(p_all < p - 0.2, "{p_all} vs {p}");
     }
@@ -200,7 +199,7 @@ mod tests {
         let cfg = RadioConfig::paper_sf7();
         let sf12 = LoadKey::new(0, SpreadingFactor::Sf12);
         let mut loads = OfferedLoads::new();
-        loads.add_population(sf12, &cfg, 51, 500, 1.0 / 20.0);
+        add_population(&mut loads, sf12, &cfg, (51, 500, 1.0 / 20.0));
         assert!(aloha_success_probability(loads.g(sf12)) < 0.01);
         assert_eq!(aloha_success_probability(loads.g(sf7_key())), 1.0);
         let sf12_ch1 = LoadKey::new(1, SpreadingFactor::Sf12);

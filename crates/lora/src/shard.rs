@@ -156,51 +156,37 @@ impl ShardConfig {
     }
 }
 
-/// Aggregate per-shard (and, merged, per-world) outcome counters.
-///
-/// Float fields accumulate in node/transmission order within a shard and
-/// merge in shard order, so the scalar and columnar paths produce
-/// bit-identical values for the same seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ShardCounters {
-    /// Application frames generated (arrival process).
-    pub fired: u64,
-    /// Transmissions granted by the duty-cycle governor.
-    pub attempted: u64,
-    /// Frames demodulated successfully at the gateway.
-    pub delivered: u64,
-    /// Frames lost to the link budget (RSSI under sensitivity).
-    pub lost_link: u64,
-    /// Frames lost to same-key ALOHA collisions.
-    pub lost_collision: u64,
-    /// Frames that lost a collision but survived via capture.
-    pub captured: u64,
-    /// Frames dropped by gateway demodulator saturation.
-    pub demod_dropped: u64,
-    /// Transmit attempts deferred by CCA.
-    pub cca_busy: u64,
-    /// Total granted airtime, seconds.
-    pub airtime_s: f64,
-    /// Airtime of delivered frames, seconds (goodput numerator).
-    pub delivered_airtime_s: f64,
-    /// Transmit energy spent, joules.
-    pub energy_j: f64,
-}
-
-impl ShardCounters {
-    /// Accumulates `other` into `self` (field-wise sum).
-    pub fn merge(&mut self, other: &ShardCounters) {
-        self.fired += other.fired;
-        self.attempted += other.attempted;
-        self.delivered += other.delivered;
-        self.lost_link += other.lost_link;
-        self.lost_collision += other.lost_collision;
-        self.captured += other.captured;
-        self.demod_dropped += other.demod_dropped;
-        self.cca_busy += other.cca_busy;
-        self.airtime_s += other.airtime_s;
-        self.delivered_airtime_s += other.delivered_airtime_s;
-        self.energy_j += other.energy_j;
+bcwan_sim::counters! {
+    /// Aggregate per-shard (and, merged, per-world) outcome counters,
+    /// exported as the `world.lora_*` rows.
+    ///
+    /// Float fields accumulate in node/transmission order within a
+    /// shard and merge in shard order, so the scalar and columnar paths
+    /// produce bit-identical values for the same seed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ShardCounters {
+        /// Application frames generated (arrival process).
+        pub fired: u64 => "world.lora_fired_total",
+        /// Transmissions granted by the duty-cycle governor.
+        pub attempted: u64 => "world.lora_attempted_total",
+        /// Frames demodulated successfully at the gateway.
+        pub delivered: u64 => "world.lora_delivered_total",
+        /// Frames lost to the link budget (RSSI under sensitivity).
+        pub lost_link: u64 => "world.lora_lost_link_total",
+        /// Frames lost to same-key ALOHA collisions.
+        pub lost_collision: u64 => "world.lora_lost_collision_total",
+        /// Frames that lost a collision but survived via capture.
+        pub captured: u64 => "world.lora_captured_total",
+        /// Frames dropped by gateway demodulator saturation.
+        pub demod_dropped: u64 => "world.lora_demod_dropped_total",
+        /// Transmit attempts deferred by CCA.
+        pub cca_busy: u64 => "world.lora_cca_busy_total",
+        /// Total granted airtime, seconds.
+        pub airtime_s: f64 => "world.lora_airtime_s",
+        /// Airtime of delivered frames, seconds (goodput numerator).
+        pub delivered_airtime_s: f64 => "world.lora_goodput_airtime_s",
+        /// Transmit energy spent, joules.
+        pub energy_j: f64 => "world.lora_energy_j",
     }
 }
 

@@ -98,3 +98,10 @@ fn greedy_sender_hits_exact_ceiling() {
     let elapsed = now.as_secs_f64();
     assert!((used / elapsed - 0.01).abs() < 1e-6, "{used} / {elapsed}");
 }
+
+#[test]
+fn invariants_hold_across_duty_fractions() {
+    for pct in [2u32, 5, 25, 50, 99, 100] {
+        hammer(1_000 + u64::from(pct), f64::from(pct) / 100.0, 500);
+    }
+}

@@ -68,13 +68,16 @@ impl fmt::Display for BusError {
 
 impl std::error::Error for BusError {}
 
-/// Counters one bus accumulates across all its clones.
-#[derive(Debug, Default)]
-struct BusStats {
-    sends: AtomicU64,
-    unreachable: AtomicU64,
-    broadcasts: AtomicU64,
-    broadcast_deliveries: AtomicU64,
+bcwan_sim::counters! {
+    /// Counters one bus accumulates across all its clones (`livebus.*`
+    /// rows).
+    #[derive(Debug, Default)]
+    struct BusStats {
+        sends: AtomicU64 => "livebus.sends_total",
+        unreachable: AtomicU64 => "livebus.unreachable_total",
+        broadcasts: AtomicU64 => "livebus.broadcasts_total",
+        broadcast_deliveries: AtomicU64 => "livebus.broadcast_deliveries_total",
+    }
 }
 
 struct Registered<M> {
@@ -311,22 +314,7 @@ impl<M> LiveBus<M> {
     /// closing the loop with the `sim::metrics` snapshot the bench
     /// harnesses emit. Inbox depth is summed across registered nodes.
     pub fn export_metrics(&self, reg: &mut Registry) {
-        reg.set_counter(
-            "livebus.sends_total",
-            self.stats.sends.load(Ordering::Relaxed),
-        );
-        reg.set_counter(
-            "livebus.unreachable_total",
-            self.stats.unreachable.load(Ordering::Relaxed),
-        );
-        reg.set_counter(
-            "livebus.broadcasts_total",
-            self.stats.broadcasts.load(Ordering::Relaxed),
-        );
-        reg.set_counter(
-            "livebus.broadcast_deliveries_total",
-            self.stats.broadcast_deliveries.load(Ordering::Relaxed),
-        );
+        self.stats.export(reg);
         let depth: u64 = {
             let registry = self.registry.read().unwrap();
             registry

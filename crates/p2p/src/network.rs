@@ -45,23 +45,25 @@ impl Default for FaultModel {
     }
 }
 
-/// Lifetime traffic counters, read back into the metrics registry at the
-/// end of a run (`net.*` rows in bench reports).
-///
-/// Kept in a [`Cell`] inside [`Network`] so the `&self` transmit methods
-/// can count without forcing `&mut` through every call site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Unicast sends attempted (including reliable/TCP sends).
-    pub sent: u64,
-    /// Deliveries produced (≥ sent minus drops; duplicates add extras).
-    pub delivered: u64,
-    /// Sends swallowed by the loss fault model.
-    pub dropped_fault: u64,
-    /// Sends blocked by a partition / missing link.
-    pub dropped_partition: u64,
-    /// Extra deliveries from the duplication fault model.
-    pub duplicated: u64,
+bcwan_sim::counters! {
+    /// Lifetime traffic counters (`net.*` rows in bench reports).
+    ///
+    /// Kept in a [`Cell`] inside [`Network`] so the `&self` transmit
+    /// methods can count without forcing `&mut` through every call site.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NetStats {
+        /// Unicast sends attempted (including reliable/TCP sends).
+        pub sent: u64 => "net.sent_total",
+        /// Deliveries produced (≥ sent minus drops; duplicates add
+        /// extras).
+        pub delivered: u64 => "net.delivered_total",
+        /// Sends swallowed by the loss fault model.
+        pub dropped_fault: u64 => "net.dropped_fault_total",
+        /// Sends blocked by a partition / missing link.
+        pub dropped_partition: u64 => "net.dropped_partition_total",
+        /// Extra deliveries from the duplication fault model.
+        pub duplicated: u64 => "net.duplicated_total",
+    }
 }
 
 /// The overlay network simulator.

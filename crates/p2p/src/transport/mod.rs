@@ -23,6 +23,7 @@
 pub mod frame;
 pub mod tcp;
 
+use bcwan_sim::{Metric, Registry};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,58 +126,93 @@ pub trait Transport<A, M> {
     fn send(&self, to: A, msg: &M) -> Result<(), TransportError>;
 }
 
-/// Atomic transport counters, shared across the sender, accept, and
-/// reader threads of one host. Snapshot them into a
-/// [`Registry`](bcwan_sim::Registry) with `TcpHost::export_metrics`.
+/// One counter per codec payload kind, exported as one row per kind:
+/// `{kind}` in the row template becomes the codec's label.
 #[derive(Debug, Default)]
-pub struct TransportStats {
-    /// Frame + payload bytes written (successful sends only).
-    pub bytes_sent: AtomicU64,
-    /// Frame + payload bytes of frames received intact.
-    pub bytes_received: AtomicU64,
-    /// Outbound connection attempts.
-    pub dials: AtomicU64,
-    /// Outbound connection attempts that failed.
-    pub dial_failures: AtomicU64,
-    /// Send attempts retried after a dial/write failure.
-    pub retries: AtomicU64,
-    /// Connect/read/write deadline expiries.
-    pub timeouts: AtomicU64,
-    /// Sends that reused a pooled connection.
-    pub pool_hits: AtomicU64,
-    /// Sends that had to dial a fresh connection.
-    pub pool_misses: AtomicU64,
-    /// Inbound connections accepted.
-    pub conns_accepted: AtomicU64,
-    /// Frames rejected by the reader (bad magic/version/checksum,
-    /// truncation, undecodable payload, failed authentication).
-    pub frames_rejected: AtomicU64,
-    /// Frames whose authentication tag did not verify (forged `from`
-    /// header, corrupted tag, or a peer holding a different
-    /// [`FrameKey`]). Exported as
-    /// `transport.auth.fail_total`; always a subset of
-    /// `frames_rejected`.
-    pub auth_failures: AtomicU64,
-    /// Sends that ultimately failed after all retries.
-    pub send_failures: AtomicU64,
-    /// Injected send-side faults fired (frames torn mid-write).
-    pub faults_send: AtomicU64,
-    /// Injected receive-side faults fired (reader threads killed
-    /// mid-frame).
-    pub faults_recv: AtomicU64,
-    /// Frames sent, by codec kind index.
-    pub frames_sent: Vec<AtomicU64>,
-    /// Frames received intact, by codec kind index.
-    pub frames_received: Vec<AtomicU64>,
+pub struct KindCounters {
+    labels: Vec<&'static str>,
+    slots: Vec<AtomicU64>,
+}
+
+impl std::ops::Deref for KindCounters {
+    type Target = [AtomicU64];
+    fn deref(&self) -> &[AtomicU64] {
+        &self.slots
+    }
+}
+
+impl Metric for KindCounters {
+    fn merge(&mut self, other: &Self) {
+        for (slot, theirs) in self.slots.iter_mut().zip(&other.slots) {
+            slot.merge(theirs);
+        }
+    }
+    fn export(&self, reg: &mut Registry, row: &str) {
+        for (label, slot) in self.labels.iter().zip(&self.slots) {
+            slot.export(reg, &row.replace("{kind}", label));
+        }
+    }
+}
+
+bcwan_sim::counters! {
+    /// Atomic transport counters, shared across the sender, accept, and
+    /// reader threads of one host (`transport.*` rows; see
+    /// `TcpHost::export_metrics`).
+    #[derive(Debug, Default)]
+    pub struct TransportStats {
+        /// Frame + payload bytes written (successful sends only).
+        pub bytes_sent: AtomicU64 => "transport.bytes_sent_total",
+        /// Frame + payload bytes of frames received intact.
+        pub bytes_received: AtomicU64 => "transport.bytes_received_total",
+        /// Outbound connection attempts.
+        pub dials: AtomicU64 => "transport.dials_total",
+        /// Outbound connection attempts that failed.
+        pub dial_failures: AtomicU64 => "transport.dial_failures_total",
+        /// Send attempts retried after a dial/write failure.
+        pub retries: AtomicU64 => "transport.retries_total",
+        /// Connect/read/write deadline expiries.
+        pub timeouts: AtomicU64 => "transport.timeouts_total",
+        /// Sends that reused a pooled connection.
+        pub pool_hits: AtomicU64 => "transport.pool_hits_total",
+        /// Sends that had to dial a fresh connection.
+        pub pool_misses: AtomicU64 => "transport.pool_misses_total",
+        /// Inbound connections accepted.
+        pub conns_accepted: AtomicU64 => "transport.conns_accepted_total",
+        /// Frames rejected by the reader (bad magic/version/checksum,
+        /// truncation, undecodable payload, failed authentication).
+        pub frames_rejected: AtomicU64 => "transport.frames_rejected_total",
+        /// Frames whose authentication tag did not verify (forged `from`
+        /// header, corrupted tag, or a peer holding a different
+        /// [`FrameKey`]); always a subset of `frames_rejected`.
+        pub auth_failures: AtomicU64 => "transport.auth.fail_total",
+        /// Sends that ultimately failed after all retries.
+        pub send_failures: AtomicU64 => "transport.send_failures_total",
+        /// Injected send-side faults fired (frames torn mid-write).
+        pub faults_send: AtomicU64 => "transport.fault.send_total",
+        /// Injected receive-side faults fired (reader threads killed
+        /// mid-frame).
+        pub faults_recv: AtomicU64 => "transport.fault.recv_total",
+        /// Frames sent, by codec kind index.
+        pub frames_sent: KindCounters => "transport.frames_sent_{kind}_total",
+        /// Frames received intact, by codec kind index.
+        pub frames_received: KindCounters => "transport.frames_received_{kind}_total",
+    }
 }
 
 impl TransportStats {
-    /// Zeroed stats sized for `kind_count` payload kinds.
-    pub fn new(kind_count: usize) -> Self {
-        let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+    /// Zeroed stats with one per-kind slot per codec label (at least
+    /// one, so a kind index always has a slot to clamp to).
+    pub fn new(mut kind_labels: Vec<&'static str>) -> Self {
+        if kind_labels.is_empty() {
+            kind_labels.push("msg");
+        }
+        let per_kind = || KindCounters {
+            labels: kind_labels.clone(),
+            slots: kind_labels.iter().map(|_| AtomicU64::new(0)).collect(),
+        };
         TransportStats {
-            frames_sent: zeros(kind_count.max(1)),
-            frames_received: zeros(kind_count.max(1)),
+            frames_sent: per_kind(),
+            frames_received: per_kind(),
             ..TransportStats::default()
         }
     }

@@ -331,7 +331,10 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let codec = Arc::new(codec);
-        let stats = Arc::new(TransportStats::new(codec.kind_count()));
+        let kind_labels = (0..codec.kind_count())
+            .map(|i| codec.kind_label(i))
+            .collect();
+        let stats = Arc::new(TransportStats::new(kind_labels));
         let running = Arc::new(AtomicBool::new(true));
         let (tx, inbox) = inbox_channel();
         let inbox_depth = tx.depth_handle();
@@ -523,36 +526,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
     /// labels), matching the workspace-wide `sim::metrics` snapshot
     /// convention.
     pub fn export_metrics(&self, reg: &mut Registry) {
-        let stats = &self.inner.stats;
-        let get = TransportStats::get;
-        reg.set_counter("transport.bytes_sent_total", get(&stats.bytes_sent));
-        reg.set_counter("transport.bytes_received_total", get(&stats.bytes_received));
-        reg.set_counter("transport.dials_total", get(&stats.dials));
-        reg.set_counter("transport.dial_failures_total", get(&stats.dial_failures));
-        reg.set_counter("transport.retries_total", get(&stats.retries));
-        reg.set_counter("transport.timeouts_total", get(&stats.timeouts));
-        reg.set_counter("transport.pool_hits_total", get(&stats.pool_hits));
-        reg.set_counter("transport.pool_misses_total", get(&stats.pool_misses));
-        reg.set_counter("transport.conns_accepted_total", get(&stats.conns_accepted));
-        reg.set_counter(
-            "transport.frames_rejected_total",
-            get(&stats.frames_rejected),
-        );
-        reg.set_counter("transport.auth.fail_total", get(&stats.auth_failures));
-        reg.set_counter("transport.send_failures_total", get(&stats.send_failures));
-        reg.set_counter("transport.fault.send_total", get(&stats.faults_send));
-        reg.set_counter("transport.fault.recv_total", get(&stats.faults_recv));
-        for i in 0..self.inner.codec.kind_count() {
-            let label = self.inner.codec.kind_label(i);
-            reg.set_counter(
-                &format!("transport.frames_sent_{label}_total"),
-                get(TransportStats::kind_slot(&stats.frames_sent, i)),
-            );
-            reg.set_counter(
-                &format!("transport.frames_received_{label}_total"),
-                get(TransportStats::kind_slot(&stats.frames_received, i)),
-            );
-        }
+        self.inner.stats.export(reg);
         reg.set_gauge(
             "transport.inbox_depth",
             self.inner.inbox_depth.load(Ordering::Relaxed) as f64,

@@ -52,7 +52,7 @@ pub use json::Json;
 pub use latency::LatencyModel;
 pub use metrics::{
     labeled, split_label, Bucket, CounterId, GaugeId, HistogramId, HistogramSummary, LogHistogram,
-    Registry, Series, Snapshot, SnapshotSeries, Summary,
+    Metric, Registry, Series, Snapshot, SnapshotSeries, Summary,
 };
 pub use queue::{run, Actor, EventQueue};
 pub use rng::SimRng;

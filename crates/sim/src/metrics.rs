@@ -16,6 +16,7 @@ use crate::json::Json;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Formats a labeled metric name, `base{key="value"}` — the convention
 /// for per-host (or otherwise dimensioned) rows, so exporters can split
@@ -479,23 +480,6 @@ impl Registry {
         &self.histograms[id.0].1
     }
 
-    /// Registers (or finds) a per-dimension counter row, e.g.
-    /// `reg.counter_labeled("store.flush_total", "host", 3)` →
-    /// `store.flush_total{host="3"}`.
-    pub fn counter_labeled(
-        &mut self,
-        base: &str,
-        key: &str,
-        value: impl fmt::Display,
-    ) -> CounterId {
-        self.counter(&labeled(base, key, value))
-    }
-
-    /// Registers (or finds) a per-dimension gauge row.
-    pub fn gauge_labeled(&mut self, base: &str, key: &str, value: impl fmt::Display) -> GaugeId {
-        self.gauge(&labeled(base, key, value))
-    }
-
     /// Freezes the registry into sorted rows.
     pub fn snapshot(&self) -> Snapshot {
         let mut counters: Vec<(String, u64)> = self.counters.clone();
@@ -514,6 +498,161 @@ impl Registry {
             histograms,
         }
     }
+}
+
+/// A value a stats struct can hold: how two of them add, and which
+/// registry call publishes one. Implemented for `u64` and `AtomicU64`
+/// (counter rows), `f64` and [`SimDuration`] (gauge rows, the latter in
+/// seconds), and — by [`counters!`](crate::counters) — for every
+/// declared stats struct, so one table can nest another.
+pub trait Metric {
+    /// Adds `other` into `self`.
+    fn merge(&mut self, other: &Self);
+    /// Publishes the value as row `row` (a nested table ignores `row`
+    /// and publishes every row it declares).
+    fn export(&self, reg: &mut Registry, row: &str);
+    /// Publishes the value as `row{key="value"}` (a nested table: only
+    /// the rows it declares `labeled`).
+    fn export_labeled(&self, reg: &mut Registry, row: &str, key: &str, value: &dyn fmt::Display) {
+        self.export(reg, &labeled(row, key, value));
+    }
+}
+
+impl Metric for u64 {
+    fn merge(&mut self, other: &u64) {
+        *self += *other;
+    }
+    fn export(&self, reg: &mut Registry, row: &str) {
+        reg.set_counter(row, *self);
+    }
+}
+
+impl Metric for AtomicU64 {
+    fn merge(&mut self, other: &AtomicU64) {
+        *self.get_mut() += other.load(Ordering::Relaxed);
+    }
+    fn export(&self, reg: &mut Registry, row: &str) {
+        reg.set_counter(row, self.load(Ordering::Relaxed));
+    }
+}
+
+impl Metric for f64 {
+    fn merge(&mut self, other: &f64) {
+        *self += *other;
+    }
+    fn export(&self, reg: &mut Registry, row: &str) {
+        reg.set_gauge(row, *self);
+    }
+}
+
+impl Metric for SimDuration {
+    fn merge(&mut self, other: &SimDuration) {
+        *self += *other;
+    }
+    fn export(&self, reg: &mut Registry, row: &str) {
+        reg.set_gauge(row, self.as_secs_f64());
+    }
+}
+
+/// Declares a stats struct and its registry rows in one table: each
+/// field states its doc line, its type (any [`Metric`]) and the row it
+/// is exported as, once, beside the struct that counts it.
+///
+/// The struct is emitted as written (attributes, visibility, fields),
+/// plus `merge(&mut self, &Self)` — field-wise sum in declaration order
+/// — `export(&self, &mut Registry)` and `export_labeled(&self, &mut
+/// Registry, key, value)`, which publishes only the rows marked
+/// `labeled`, as `row{key="value"}` (the per-host rows of small fleets).
+/// A field whose type is itself a `counters!` struct nests that table;
+/// its row literal is then only a caption.
+///
+/// ```
+/// use bcwan_sim::{counters, Registry};
+///
+/// counters! {
+///     /// What one door counted.
+///     #[derive(Debug, Default, Clone, Copy)]
+///     pub struct DoorStats {
+///         /// People let in.
+///         pub entered: u64 => labeled "door.entered_total",
+///         /// Seconds the door stood open.
+///         pub open_s: f64 => "door.open_seconds",
+///     }
+/// }
+///
+/// let mut all = DoorStats::default();
+/// let mut reg = Registry::new();
+/// for (i, door) in [DoorStats { entered: 2, open_s: 0.5 }; 3].iter().enumerate() {
+///     all.merge(door);
+///     door.export_labeled(&mut reg, "door", i);
+/// }
+/// all.export(&mut reg);
+/// let snap = reg.snapshot();
+/// assert_eq!(snap.counter("door.entered_total"), Some(6));
+/// assert_eq!(snap.counter("door.entered_total{door=\"2\"}"), Some(2));
+/// assert_eq!(snap.gauges, vec![("door.open_seconds".to_string(), 1.5)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $ty:ty => $($labeled:ident)? $row:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $name {
+            /// Adds `other` into `self`, field by field in declaration order.
+            pub fn merge(&mut self, other: &Self) {
+                $( $crate::metrics::Metric::merge(&mut self.$field, &other.$field); )*
+            }
+
+            /// Publishes every declared row into `reg`.
+            pub fn export(&self, reg: &mut $crate::metrics::Registry) {
+                $( $crate::metrics::Metric::export(&self.$field, reg, $row); )*
+            }
+
+            /// Publishes the rows declared `labeled` as `row{key="value"}`.
+            #[allow(unused_variables)]
+            pub fn export_labeled(
+                &self,
+                reg: &mut $crate::metrics::Registry,
+                key: &str,
+                value: impl ::std::fmt::Display,
+            ) {
+                $($(
+                    $crate::counters!(@marker $labeled);
+                    $crate::metrics::Metric::export_labeled(&self.$field, reg, $row, key, &value);
+                )?)*
+            }
+        }
+
+        impl $crate::metrics::Metric for $name {
+            fn merge(&mut self, other: &Self) {
+                $name::merge(self, other);
+            }
+            fn export(&self, reg: &mut $crate::metrics::Registry, _caption: &str) {
+                $name::export(self, reg);
+            }
+            fn export_labeled(
+                &self,
+                reg: &mut $crate::metrics::Registry,
+                _caption: &str,
+                key: &str,
+                value: &dyn ::std::fmt::Display,
+            ) {
+                $name::export_labeled(self, reg, key, value);
+            }
+        }
+    };
+    (@marker labeled) => {};
 }
 
 /// Frozen view of one [`LogHistogram`].
@@ -732,14 +871,24 @@ impl SnapshotSeries {
         }
     }
 
-    /// Records a frame if one is due; returns whether it sampled.
-    pub fn maybe_sample(&mut self, now: SimTime, reg: &Registry) -> bool {
-        if self.next.is_some_and(|next| now < next) {
-            return false;
-        }
+    /// Whether a frame is due at `now` (always, before the first one).
+    pub fn due(&self, now: SimTime) -> bool {
+        self.next.is_none_or(|next| now >= next)
+    }
+
+    /// Records a frame now, due or not — e.g. the closing frame of a run.
+    pub fn sample(&mut self, now: SimTime, reg: &Registry) {
         self.frames.push((now, reg.snapshot()));
         self.next = Some(now + self.every);
-        true
+    }
+
+    /// Records a frame if one is due; returns whether it sampled.
+    pub fn maybe_sample(&mut self, now: SimTime, reg: &Registry) -> bool {
+        let due = self.due(now);
+        if due {
+            self.sample(now, reg);
+        }
+        due
     }
 
     /// The recorded `(time, snapshot)` frames, oldest first.
@@ -806,7 +955,7 @@ mod tests {
     fn labeled_counters_group_in_snapshots() {
         let mut reg = Registry::new();
         for host in 0..3u32 {
-            let id = reg.counter_labeled("store.flush_total", "host", host);
+            let id = reg.counter(&labeled("store.flush_total", "host", host));
             reg.add(id, u64::from(host) + 1);
         }
         reg.set_counter("store.flush_total", 6); // the unlabeled sum

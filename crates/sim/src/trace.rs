@@ -13,7 +13,7 @@
 //! config), every call is a single branch on a `bool` and returns
 //! immediately — no allocation, no map lookup.
 
-use crate::metrics::{Series, Summary};
+use crate::metrics::{Registry, Series, Summary};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -167,6 +167,15 @@ impl Tracer {
     /// `span_end` calls that had no matching `span_start`.
     pub fn unmatched_ends(&self) -> u64 {
         self.unmatched_ends
+    }
+
+    /// Publishes the tracer's own health rows (`trace.*`); a disabled
+    /// tracer publishes nothing.
+    pub fn export(&self, reg: &mut Registry) {
+        if self.enabled {
+            reg.set_counter("trace.unmatched_ends_total", self.unmatched_ends);
+            reg.set_gauge("trace.open_spans", self.open.len() as f64);
+        }
     }
 }
 

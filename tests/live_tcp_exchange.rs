@@ -208,11 +208,8 @@ fn run_exchange(seed: u64, faults: u64) -> Outcome {
 
 fn counter(reg: &mut Registry, host: &TcpHost<WanMessage, WanCodec>, name: &str) -> u64 {
     host.export_metrics(reg);
-    let snap = reg.snapshot();
-    snap.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
+    reg.snapshot()
+        .counter(name)
         .unwrap_or_else(|| panic!("{name} missing from snapshot"))
 }
 
