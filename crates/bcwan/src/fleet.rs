@@ -71,6 +71,12 @@ pub trait FleetTransport {
     /// Raises (`up = true`) or cuts (`up = false`) the link between two
     /// nodes. Links start up.
     fn set_link(&mut self, a: NodeId, b: NodeId, up: bool);
+
+    /// Blocks until a message has been delivered to *any* node since the
+    /// last call, or `timeout` elapses. A delivery that lands between
+    /// the caller's last [`try_recv`](FleetTransport::try_recv) and this
+    /// call must end the wait at once, not be slept through.
+    fn wait(&mut self, timeout: Duration);
 }
 
 fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
@@ -124,6 +130,10 @@ impl FleetTransport for BusFleet {
             self.cuts.insert(link_key(a, b));
         }
     }
+
+    fn wait(&mut self, timeout: Duration) {
+        self.bus.wait_for_delivery(timeout);
+    }
 }
 
 /// [`FleetTransport`] over real loopback TCP: every node binds a
@@ -131,6 +141,7 @@ impl FleetTransport for BusFleet {
 /// fleet costs one poller plus a few worker threads, not 64+ reader
 /// threads.
 pub struct TcpFleet {
+    runtime: TcpRuntime<WanMessage, WanCodec>,
     hosts: Vec<TcpHost<WanMessage, WanCodec>>,
     inboxes: Vec<Inbox<WanMessage>>,
     addrs: Vec<SocketAddr>,
@@ -158,6 +169,7 @@ impl TcpFleet {
             inboxes.push(inbox);
         }
         Ok(TcpFleet {
+            runtime,
             hosts,
             inboxes,
             addrs,
@@ -196,15 +208,22 @@ impl FleetTransport for TcpFleet {
             self.cuts.remove(&link_key(a, b));
         } else {
             self.cuts.insert(link_key(a, b));
-            // Pooled connections across the cut are stale; drop them so a
-            // healed link re-dials instead of writing into a dead pipe.
-            if let Some(host) = self.hosts.get(a.0 as usize) {
-                host.drop_pool();
-            }
-            if let Some(host) = self.hosts.get(b.0 as usize) {
-                host.drop_pool();
+            // The pooled connections across the cut — those two, not the
+            // ends' whole pools — are stale; drop them so a healed link
+            // re-dials instead of writing into a dead pipe.
+            for (from, to) in [(a, b), (b, a)] {
+                if let (Some(host), Some(addr)) = (
+                    self.hosts.get(from.0 as usize),
+                    self.addrs.get(to.0 as usize),
+                ) {
+                    host.drop_peer(*addr);
+                }
             }
         }
+    }
+
+    fn wait(&mut self, timeout: Duration) {
+        self.runtime.wait_for_delivery(timeout);
     }
 }
 
@@ -434,7 +453,9 @@ impl<T: FleetTransport> Fleet<T> {
     }
 
     /// Steps until `pred` holds or `timeout` elapses; `true` on success.
-    /// Sleeps briefly when idle so in-flight TCP frames can land.
+    /// With nothing to step, blocks until the fabric delivers something
+    /// (in-flight TCP frames land on the runtime's threads) or the
+    /// deadline.
     pub fn run_until(
         &mut self,
         timeout: Duration,
@@ -446,11 +467,12 @@ impl<T: FleetTransport> Fleet<T> {
                 return true;
             }
             let moved = self.step();
-            if Instant::now() > deadline {
+            let now = Instant::now();
+            if now > deadline {
                 return pred(self);
             }
             if moved == 0 {
-                std::thread::sleep(Duration::from_millis(1));
+                self.transport.wait(deadline - now);
             }
         }
     }
@@ -646,6 +668,7 @@ mod tests {
     use crate::escrow::{build_claim, extract_key_from_claim};
     use crate::sync::SYNC_BATCH;
     use bcwan_chain::{Block, BlockHash};
+    use bcwan_p2p::transport::TransportStats;
     use bcwan_p2p::ChainMessage;
 
     const GATEWAY: usize = 1;
@@ -878,6 +901,81 @@ mod tests {
             recipient.noted(filed, Note::Equivocation),
             "second distinct claim flags"
         );
+    }
+
+    #[test]
+    fn run_until_blocks_to_its_deadline_without_spinning() {
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 18);
+        let timeout = Duration::from_millis(50);
+        let (started, mut looks) = (Instant::now(), 0);
+        let held = fleet.run_until(timeout, |_| {
+            looks += 1;
+            false
+        });
+        assert!(!held);
+        assert!(started.elapsed() >= timeout);
+        // One look per wake-up: a clock tick would take fifty, a spin
+        // millions.
+        assert!(looks <= 5, "{looks} looks at an idle fleet");
+    }
+
+    #[test]
+    fn a_frame_from_another_thread_wakes_a_waiting_tcp_fleet() {
+        let tcp = TcpFleet::new(3, 1, TcpConfig::fast_test()).expect("bind");
+        let (sender, to) = (tcp.hosts()[0].clone(), tcp.hosts()[1].local_addr());
+        let mut fleet = Fleet::new(tcp, 3, 19);
+        // Mined at node 0 but not routed: the block travels by hand.
+        let (_, mined) = fleet.nodes[0].act(|node, now, env| {
+            node.mine(now, b"fleet", &HashSet::new(), env);
+        });
+        let [Outbound::Flood(block)] = mined.as_slice() else {
+            panic!("mining floods one block, not {mined:?}");
+        };
+        let (block, (idle_tx, idle_rx)) = (block.clone(), std::sync::mpsc::channel());
+        let peer = std::thread::spawn(move || {
+            idle_rx.recv().expect("the fleet went idle");
+            // Long enough for `run_until` to be blocked in its wait.
+            std::thread::sleep(Duration::from_millis(20));
+            sender.send(to, &block).expect("send");
+            Instant::now()
+        });
+        let mut idle_tx = Some(idle_tx);
+        let arrived = fleet.run_until(WAIT, |f| {
+            if let Some(tx) = idle_tx.take() {
+                tx.send(()).expect("peer thread is listening");
+            }
+            f.nodes[1].node.height() == 1
+        });
+        let woken_after = peer.join().expect("peer thread").elapsed();
+        assert!(arrived);
+        // Slept through, the frame would sit until `WAIT` ran out.
+        assert!(woken_after < Duration::from_secs(1), "{woken_after:?}");
+    }
+
+    #[test]
+    fn cutting_a_link_drops_that_connection_only() {
+        let tcp = TcpFleet::new(5, 1, TcpConfig::fast_test()).expect("bind");
+        let mut fleet = Fleet::new(tcp, 5, 20);
+        let announce = fleet.nodes[0].node.tip_announce();
+        assert!(fleet.send_direct(0, 1, &announce));
+        assert!(fleet.send_direct(0, 4, &announce));
+        let stats = |f: &Fleet<TcpFleet>| {
+            let stats = f.transport.hosts()[0].stats();
+            (
+                TransportStats::get(&stats.dials),
+                TransportStats::get(&stats.pool_hits),
+            )
+        };
+        assert_eq!(stats(&fleet), (2, 0));
+        fleet.transport.set_link(NodeId(0), NodeId(4), false);
+        // 0 → 1 is not across the cut: its pooled connection is reused.
+        assert!(fleet.send_direct(0, 1, &announce));
+        assert_eq!(stats(&fleet), (2, 1));
+        // 0 → 4 is: dropped while cut, dialled afresh once healed.
+        assert!(!fleet.send_direct(0, 4, &announce));
+        fleet.transport.set_link(NodeId(0), NodeId(4), true);
+        assert!(fleet.send_direct(0, 4, &announce));
+        assert_eq!(stats(&fleet), (3, 1));
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod app_server;
 pub mod attack;

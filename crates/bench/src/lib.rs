@@ -22,6 +22,7 @@
 //! document described in EXPERIMENTS.md ("Reading the metrics").
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use bcwan_sim::{Bucket, Json, Registry, Series, Snapshot, SnapshotSeries, Summary};
 

@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod airtime;
 pub mod collision;

@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod chain_msg;
 pub mod live;

@@ -40,7 +40,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::Duration;
 
 /// An addressed message on the bus.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +93,7 @@ struct SharedRegistry<M> {
 pub struct LiveBus<M> {
     registry: Arc<RwLock<SharedRegistry<M>>>,
     stats: Arc<BusStats>,
+    doorbell: Arc<Doorbell>,
 }
 
 impl<M> Clone for LiveBus<M> {
@@ -99,6 +101,7 @@ impl<M> Clone for LiveBus<M> {
         LiveBus {
             registry: Arc::clone(&self.registry),
             stats: Arc::clone(&self.stats),
+            doorbell: Arc::clone(&self.doorbell),
         }
     }
 }
@@ -147,10 +150,44 @@ impl<M> TryRecv<M> {
     }
 }
 
+/// "Something was delivered", for whoever drains *every* inbox of one
+/// fabric (all inboxes of a [`LiveBus`], all hosts on one `TcpRuntime`)
+/// and would otherwise have to poll them on a clock. A ring is latched:
+/// one that lands between the drainer's last look and its
+/// [`wait`](Doorbell::wait) makes that wait return at once.
+#[derive(Debug, Default)]
+pub(crate) struct Doorbell {
+    rung: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        let mut rung = self.rung.lock().expect("doorbell holders never panic");
+        // Already rung and not yet answered: whoever waits has been, or
+        // will be, let through by that ring.
+        if !std::mem::replace(&mut *rung, true) {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Blocks until the bell has been rung since the last `wait`, or
+    /// `timeout` elapses; whether it was rung.
+    pub(crate) fn wait(&self, timeout: Duration) -> bool {
+        let rung = self.rung.lock().expect("doorbell holders never panic");
+        let (mut rung, _) = self
+            .wake
+            .wait_timeout_while(rung, timeout, |rung| !*rung)
+            .expect("doorbell holders never panic");
+        std::mem::take(&mut *rung)
+    }
+}
+
 /// The sending half of a depth-tracked inbox channel.
 pub(crate) struct InboxSender<M> {
     tx: Sender<Envelope<M>>,
     depth: Arc<AtomicU64>,
+    doorbell: Arc<Doorbell>,
 }
 
 impl<M> Clone for InboxSender<M> {
@@ -158,6 +195,7 @@ impl<M> Clone for InboxSender<M> {
         InboxSender {
             tx: self.tx.clone(),
             depth: Arc::clone(&self.depth),
+            doorbell: Arc::clone(&self.doorbell),
         }
     }
 }
@@ -166,6 +204,8 @@ impl<M> InboxSender<M> {
     pub(crate) fn send(&self, env: Envelope<M>) -> Result<(), ()> {
         self.tx.send(env).map_err(|_| ())?;
         self.depth.fetch_add(1, Ordering::Relaxed);
+        // Publish first, ring second: the woken drainer finds the message.
+        self.doorbell.ring();
         Ok(())
     }
 
@@ -177,14 +217,16 @@ impl<M> InboxSender<M> {
 }
 
 /// Creates a depth-tracked inbox channel (shared by the bus and the TCP
-/// transport, so "inbox depth" means the same thing on both).
-pub(crate) fn inbox_channel<M>() -> (InboxSender<M>, Inbox<M>) {
+/// transport, so "inbox depth" means the same thing on both) whose
+/// deliveries ring its fabric's `doorbell`.
+pub(crate) fn inbox_channel<M>(doorbell: Arc<Doorbell>) -> (InboxSender<M>, Inbox<M>) {
     let (tx, rx) = channel();
     let depth = Arc::new(AtomicU64::new(0));
     (
         InboxSender {
             tx,
             depth: Arc::clone(&depth),
+            doorbell,
         },
         Inbox {
             receiver: rx,
@@ -241,7 +283,7 @@ impl<M> Inbox<M> {
     }
 
     /// Blocks with a timeout.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Envelope<M>> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         let env = self.receiver.recv_timeout(timeout).ok()?;
         self.took_one();
         Some(env)
@@ -256,19 +298,28 @@ impl<M> LiveBus<M> {
                 senders: HashMap::new(),
             })),
             stats: Arc::new(BusStats::default()),
+            doorbell: Arc::default(),
         }
     }
 
     /// Registers a node and returns its inbox. Re-registering replaces the
     /// previous inbox (the old receiver starts draining nothing).
     pub fn register(&self, node: NodeId) -> Inbox<M> {
-        let (tx, inbox) = inbox_channel();
+        let (tx, inbox) = inbox_channel(Arc::clone(&self.doorbell));
         self.registry
             .write()
             .unwrap()
             .senders
             .insert(node, Registered { sender: tx });
         inbox
+    }
+
+    /// Blocks until a message has landed in *any* inbox of this bus since
+    /// the last call, or `timeout` elapses; whether one has. For a loop
+    /// that drains every inbox itself — a delivery between its last
+    /// drain and this call is latched, not lost.
+    pub fn wait_for_delivery(&self, timeout: Duration) -> bool {
+        self.doorbell.wait(timeout)
     }
 
     /// Removes a node from the bus.
@@ -359,7 +410,6 @@ impl<M: Clone> LiveBus<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn point_to_point_delivery() {
@@ -460,6 +510,36 @@ mod tests {
             .map(|(_, v)| *v)
             .unwrap();
         assert_eq!(depth, 2.0);
+    }
+
+    #[test]
+    fn a_delivery_before_the_wait_is_latched() {
+        let bus: LiveBus<u8> = LiveBus::new();
+        let _inbox = bus.register(NodeId(1));
+        assert!(!bus.wait_for_delivery(Duration::ZERO), "nothing sent yet");
+        bus.send(NodeId(0), NodeId(1), 1).unwrap();
+        bus.send(NodeId(0), NodeId(1), 2).unwrap();
+        // Rung before anyone waited: the wait returns at once, and one
+        // wait answers every ring so far.
+        assert!(bus.wait_for_delivery(Duration::from_secs(5)));
+        assert!(!bus.wait_for_delivery(Duration::ZERO));
+    }
+
+    #[test]
+    fn a_delivery_from_another_thread_ends_the_wait() {
+        let bus: LiveBus<u8> = LiveBus::new();
+        let _inbox = bus.register(NodeId(1));
+        let (waiting_tx, waiting_rx) = channel();
+        let sender = {
+            let bus = bus.clone();
+            std::thread::spawn(move || {
+                waiting_rx.recv().unwrap();
+                bus.send(NodeId(0), NodeId(1), 1).unwrap();
+            })
+        };
+        waiting_tx.send(()).unwrap();
+        assert!(bus.wait_for_delivery(Duration::from_secs(5)));
+        sender.join().unwrap();
     }
 
     #[test]

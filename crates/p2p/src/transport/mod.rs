@@ -9,18 +9,23 @@
 //!   length-prefixed frame every byte stream carries (HMAC tag over
 //!   header and payload under the federation's provisioned
 //!   [`FrameKey`]),
-//! - [`tcp`] — an event-driven runtime on `std::net`: one non-blocking
-//!   accept poller plus a bounded worker pool multiplex *all* of a
-//!   host's connections, so a fleet of hosts costs a handful of threads
+//! - [`tcp`] — an event-driven runtime on `std::net`: one accept
+//!   poller plus a bounded worker pool, each blocked in `poll(2)` until
+//!   a socket it serves is ready, multiplex *all* of a fleet's
+//!   connections, so a fleet of hosts costs a handful of threads
 //!   instead of one per connection; per-peer connection pooling,
 //!   connect/write deadlines, and bounded exponential-backoff retry on
-//!   the send side.
+//!   the send side. (`poll` and the wakers that interrupt it are bound
+//!   in the private `sys` module, the one place in the workspace that
+//!   makes a foreign call.)
 //!
 //! Serialization is delegated to a [`Codec`], keeping the transport
 //! generic over the message vocabulary (the `bcwan` crate supplies the
 //! `WanMessage` codec; tests use toy codecs).
 
 pub mod frame;
+#[allow(unsafe_code)]
+mod sys;
 pub mod tcp;
 
 use bcwan_sim::{Metric, Registry};

@@ -2,19 +2,54 @@
 //!
 //! # Host model
 //!
-//! A [`TcpRuntime`] owns a fixed, small set of threads — one
-//! non-blocking accept **poller** plus a bounded pool of connection
-//! **workers** — and any number of [`TcpHost`]s register their listening
-//! sockets with it. Accepted connections are handed round-robin to the
-//! workers, each of which multiplexes its share of non-blocking sockets
-//! through a per-connection [`FrameAssembler`]. The thread bill for a
-//! whole fleet is therefore `1 + worker_threads`, not one thread per
-//! connection: a 64-host live smoke or a bench run with hundreds of
-//! virtual peers costs the same handful of OS threads (the shape of
-//! BNS-style experiments that multiplex thousands of peers over a small
-//! pool). [`TcpHost::bind`] keeps the simple two-host ergonomics by
-//! spinning up a private runtime; [`TcpHost::bind_with_runtime`] shares
-//! one across a fleet.
+//! A [`TcpRuntime`] owns a fixed, small set of threads — one accept
+//! **poller** plus a bounded pool of connection **workers** — and any
+//! number of [`TcpHost`]s register their listening sockets with it.
+//! Accepted connections are handed round-robin to the workers, each of
+//! which multiplexes its share of non-blocking sockets through a
+//! per-connection [`FrameAssembler`]. The thread bill for a whole fleet
+//! is therefore `1 + worker_threads`, not one thread per connection: a
+//! 64-host live smoke or a bench run with hundreds of virtual peers
+//! costs the same handful of OS threads (the shape of BNS-style
+//! experiments that multiplex thousands of peers over a small pool).
+//! [`TcpHost::bind`] keeps the simple two-host ergonomics by spinning up
+//! a private runtime; [`TcpHost::bind_with_runtime`] shares one across a
+//! fleet.
+//!
+//! # The reactor: who blocks on what, and who wakes whom
+//!
+//! No thread here waits on a clock. Each blocks in `poll(2)` (bound in
+//! the private `sys` module, the workspace's one foreign call) until
+//! something it serves is ready:
+//!
+//! - the **poller** waits, without a timeout, on every registered
+//!   listener plus its waker, and accepts only from listeners that
+//!   polled ready;
+//! - a **worker** waits on its connections plus its waker, for at most
+//!   the time to the nearest read deadline among them
+//!   ([`TcpConfig::read_timeout`] after a connection's last byte; never
+//!   longer than a 250 ms cap), reads only the sockets that polled
+//!   ready — each down to `WouldBlock`, readiness being
+//!   level-triggered; a hang-up or socket error polls ready too and
+//!   surfaces from that `read` — and reaps the ones whose deadline
+//!   passed;
+//! - whoever drains the inboxes (a `bcwan::fleet::Fleet`) waits in
+//!   [`TcpRuntime::wait_for_delivery`] on the runtime's doorbell, which
+//!   every delivery into the inbox of any host bound here rings.
+//!
+//! A waker is a non-blocking socket pair: a wake is a byte written, so
+//! it is latched until its thread drains it. Every change a blocked
+//! thread must see is **published first and announced second**: a new
+//! listener is pushed, then the poller woken; an accepted connection is
+//! queued to a worker, then that worker woken; [`TcpHost::shutdown`],
+//! dropping the last handle of a host, and dropping the last handle of
+//! the runtime set their flag, then wake every thread. The woken thread
+//! drains its waker *before* it looks at that state again, so a change
+//! is either seen on this pass or its byte is still pending and ends
+//! the next wait at once — there is no window in which a wake is lost.
+//! The doorbell (a flag under a mutex, and a condition variable) is
+//! latched the same way: a delivery between a drainer's last look and
+//! its wait ends that wait immediately.
 //!
 //! # Send path, retry, and backoff
 //!
@@ -27,6 +62,15 @@
 //! of wedging the caller — the same order as the paper's LoRa duty-cycle
 //! gaps, so transport-level healing is invisible at protocol level.
 //! Connect and write deadlines keep a hung peer from pinning the sender.
+//!
+//! A pooled connection is checked before it is reused. Outbound
+//! streams are only ever written to, so one that polls *readable* holds
+//! the peer's FIN or reset: the receiver reaped it after its read
+//! deadline (30 s by default — shorter than one 60 s block interval),
+//! restarted, or shut down. A write into such a stream returns `Ok` and
+//! delivers nothing, so the sender drops it and dials again — a
+//! `pool_miss` and a fresh `dial`, not a `pool_hit`. The check is one
+//! zero-timeout `poll` (≈ 0.25 µs against a ≈ 10 µs send).
 //!
 //! # Authentication
 //!
@@ -50,8 +94,9 @@
 //! `transport.fault.send_total` / `transport.fault.recv_total`.
 
 use super::frame::{encode_frame, FrameAssembler, FrameKey, MAX_FRAME_PAYLOAD};
+use super::sys::{self, PollFd, Waker};
 use super::{Codec, TransportError, TransportStats};
-use crate::live::{inbox_channel, Envelope, Inbox, InboxSender};
+use crate::live::{inbox_channel, Doorbell, Envelope, Inbox, InboxSender};
 use crate::topology::NodeId;
 use bcwan_sim::Registry;
 use std::collections::HashMap;
@@ -62,8 +107,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long the poller/workers sleep when no socket had anything ready.
-const IDLE_TICK: Duration = Duration::from_millis(1);
+/// The longest a worker blocks when no read deadline is nearer. Nothing
+/// is known to need it — every state change wakes the threads it
+/// concerns — but should a wake ever go missing, the cost is one stall
+/// of this length (which `tests/reactor.rs` would catch), not a hang.
+const POLL_CAP: Duration = Duration::from_millis(250);
 
 /// Read buffer each worker drains sockets through.
 const READ_CHUNK: usize = 64 * 1024;
@@ -163,24 +211,72 @@ struct ConnState<M, C> {
     last_activity: Instant,
 }
 
+impl<M, C> ConnState<M, C> {
+    /// What becomes of a connection with nothing to read: kept, unless
+    /// the peer has been quiet past the host's read deadline. That is
+    /// counted like a blocking reader's read timeout — the wait was
+    /// abandoned, and any half-received frame with it.
+    fn idle_verdict(&self) -> Verdict {
+        match self.shared.read_timeout {
+            Some(deadline) if self.last_activity.elapsed() >= deadline => {
+                TransportStats::bump(&self.shared.stats.frames_rejected);
+                TransportStats::bump(&self.shared.stats.timeouts);
+                Verdict::Close
+            }
+            _ => Verdict::Keep,
+        }
+    }
+}
+
+/// The poller's end of one worker.
+struct WorkerLink<M, C> {
+    conns: mpsc::Sender<ConnState<M, C>>,
+    waker: Arc<Waker>,
+}
+
+impl<M, C> WorkerLink<M, C> {
+    /// Queues the connection, then wakes the worker to adopt it.
+    fn hand_off(&self, conn: ConnState<M, C>) {
+        // A dead channel only happens at shutdown; dropping the
+        // connection is fine.
+        let _ = self.conns.send(conn);
+        self.waker.wake();
+    }
+}
+
 struct RuntimeInner<M, C> {
     shutdown: Arc<AtomicBool>,
     listeners: Arc<Mutex<Vec<ListenerEntry<M, C>>>>,
+    /// One per thread: the poller's, then each worker's.
+    wakers: Vec<Arc<Waker>>,
+    /// Rung by every delivery into an inbox of a host bound here.
+    doorbell: Arc<Doorbell>,
+}
+
+impl<M, C> RuntimeInner<M, C> {
+    /// Makes every thread look again at what it serves. Callers publish
+    /// the change (a flag, a listener) first.
+    fn wake_all(&self) {
+        for waker in &self.wakers {
+            waker.wake();
+        }
+    }
 }
 
 impl<M, C> Drop for RuntimeInner<M, C> {
     fn drop(&mut self) {
-        // Poller and workers observe the flag within one idle tick.
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 }
 
 /// The shared event-driven engine behind one or more [`TcpHost`]s: one
-/// non-blocking accept poller plus a bounded pool of connection workers.
+/// accept poller plus a bounded pool of connection workers, each blocked
+/// in `poll(2)` until one of its sockets is ready.
 ///
 /// Clones share the same threads. The runtime stays alive while any
 /// clone or any host bound through it exists; when the last one drops,
-/// the threads exit within a millisecond.
+/// the threads are woken and exit.
 pub struct TcpRuntime<M, C> {
     inner: Arc<RuntimeInner<M, C>>,
 }
@@ -205,33 +301,40 @@ impl<M: Send + 'static, C: Codec<M>> TcpRuntime<M, C> {
     ///
     /// # Errors
     ///
-    /// Thread spawn failure.
+    /// Waker (socket pair) or thread-spawn failure.
     pub fn new(worker_threads: usize) -> io::Result<Self> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let listeners: Arc<Mutex<Vec<ListenerEntry<M, C>>>> = Arc::new(Mutex::new(Vec::new()));
+        let wakers = (0..=worker_threads.max(1))
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
+        // Built before any thread starts: should a spawn fail, dropping
+        // this stops the threads already running.
+        let inner = Arc::new(RuntimeInner {
+            shutdown: Arc::new(AtomicBool::new(false)),
+            listeners: Arc::new(Mutex::new(Vec::new())),
+            wakers,
+            doorbell: Arc::default(),
+        });
 
-        let mut conn_txs = Vec::new();
-        for i in 0..worker_threads.max(1) {
+        let mut workers = Vec::new();
+        for (i, waker) in inner.wakers[1..].iter().enumerate() {
             let (tx, rx) = mpsc::channel::<ConnState<M, C>>();
-            conn_txs.push(tx);
-            let shutdown = Arc::clone(&shutdown);
+            workers.push(WorkerLink {
+                conns: tx,
+                waker: Arc::clone(waker),
+            });
+            let (waker, shutdown) = (Arc::clone(waker), Arc::clone(&inner.shutdown));
             std::thread::Builder::new()
                 .name(format!("bcwan-net-worker-{i}"))
-                .spawn(move || worker_loop(rx, shutdown))?;
+                .spawn(move || worker_loop(rx, waker, shutdown))?;
         }
 
-        let poll_shutdown = Arc::clone(&shutdown);
-        let poll_listeners = Arc::clone(&listeners);
+        let listeners = Arc::clone(&inner.listeners);
+        let (waker, shutdown) = (Arc::clone(&inner.wakers[0]), Arc::clone(&inner.shutdown));
         std::thread::Builder::new()
             .name("bcwan-net-poll".to_string())
-            .spawn(move || poller_loop(poll_listeners, conn_txs, poll_shutdown))?;
+            .spawn(move || poller_loop(listeners, workers, waker, shutdown))?;
 
-        Ok(TcpRuntime {
-            inner: Arc::new(RuntimeInner {
-                shutdown,
-                listeners,
-            }),
-        })
+        Ok(TcpRuntime { inner })
     }
 
     fn register(&self, listener: TcpListener, shared: Arc<HostShared<M, C>>) {
@@ -240,6 +343,15 @@ impl<M: Send + 'static, C: Codec<M>> TcpRuntime<M, C> {
             .lock()
             .unwrap()
             .push(ListenerEntry { listener, shared });
+        self.inner.wakers[0].wake();
+    }
+
+    /// Blocks until a message has landed in the inbox of *any* host bound
+    /// on this runtime since the last call, or `timeout` elapses; whether
+    /// one has. For a loop that drains every inbox itself — a delivery
+    /// between its last drain and this call is latched, not lost.
+    pub fn wait_for_delivery(&self, timeout: Duration) -> bool {
+        self.inner.doorbell.wait(timeout)
     }
 }
 
@@ -256,15 +368,23 @@ struct Inner<M, C> {
     /// Shared with the workers servicing this host's connections; armed
     /// by `inject_recv_faults`.
     fault_recvs: Arc<AtomicU64>,
-    /// Keeps the runtime threads alive while this host exists.
-    _runtime: TcpRuntime<M, C>,
+    /// The runtime serving this host: its threads stay alive while the
+    /// host exists, and are woken when it stops.
+    runtime: TcpRuntime<M, C>,
+}
+
+impl<M, C> Inner<M, C> {
+    /// Takes the host off its runtime: once woken, the poller drops the
+    /// listener and the workers drop this host's connections.
+    fn stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        self.runtime.inner.wake_all();
+    }
 }
 
 impl<M, C> Drop for Inner<M, C> {
     fn drop(&mut self) {
-        // The poller drops the listener and workers drop this host's
-        // connections on their next tick.
-        self.running.store(false, Ordering::SeqCst);
+        self.stop();
     }
 }
 
@@ -336,7 +456,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
             .collect();
         let stats = Arc::new(TransportStats::new(kind_labels));
         let running = Arc::new(AtomicBool::new(true));
-        let (tx, inbox) = inbox_channel();
+        let (tx, inbox) = inbox_channel(Arc::clone(&runtime.inner.doorbell));
         let inbox_depth = tx.depth_handle();
         let fault_recvs = Arc::new(AtomicU64::new(0));
 
@@ -365,7 +485,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
                 inbox_depth,
                 fault_sends: AtomicU64::new(0),
                 fault_recvs,
-                _runtime: runtime.clone(),
+                runtime: runtime.clone(),
             }),
             _msg: PhantomData,
         };
@@ -436,7 +556,12 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
                 TransportStats::bump(&inner.stats.retries);
                 std::thread::sleep(inner.cfg.backoff(attempt - 1));
             }
+            // A pooled stream is only ever written to, so one that reads
+            // as ready holds the peer's FIN or reset — it reaped the
+            // connection, say, after its own read deadline. A write into
+            // it would "succeed" and go nowhere; dial again instead.
             let pooled = inner.pool.lock().unwrap().remove(&to);
+            let pooled = pooled.filter(|stream| !sys::readable_now(stream));
             let mut stream = match pooled {
                 Some(stream) => {
                     TransportStats::bump(&inner.stats.pool_hits);
@@ -514,10 +639,18 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
         self.inner.pool.lock().unwrap().clear();
     }
 
+    /// Drops the pooled outbound connection to `peer`, if there is one
+    /// (the path to it was cut). The next send to it re-dials; every
+    /// other peer's connection stays.
+    pub fn drop_peer(&self, peer: SocketAddr) {
+        self.inner.pool.lock().unwrap().remove(&peer);
+    }
+
     /// Deregisters the listener and drops pooled connections. The
-    /// runtime reaps this host's inbound connections on its next tick.
+    /// runtime is woken to close the listener and reap this host's
+    /// inbound connections at once.
     pub fn shutdown(&self) {
-        self.inner.running.store(false, Ordering::SeqCst);
+        self.inner.stop();
         self.drop_pool();
     }
 
@@ -563,94 +696,110 @@ fn classify_io(stats: &TransportStats, to: SocketAddr, e: io::Error) -> Transpor
     }
 }
 
-/// The accept poller: sweeps every registered listener, hands fresh
-/// connections round-robin to the workers, and reaps listeners whose
-/// host shut down.
+/// The accept poller: blocks until a registered listener has a
+/// connection waiting (or its waker fires), hands fresh connections
+/// round-robin to the workers, and drops the listeners of hosts that
+/// shut down.
 fn poller_loop<M: Send + 'static, C: Codec<M>>(
     listeners: Arc<Mutex<Vec<ListenerEntry<M, C>>>>,
-    conn_txs: Vec<mpsc::Sender<ConnState<M, C>>>,
+    workers: Vec<WorkerLink<M, C>>,
+    waker: Arc<Waker>,
     shutdown: Arc<AtomicBool>,
 ) {
     let mut next_worker = 0usize;
+    let mut fds = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        let mut accepted_any = false;
+        fds.clear();
+        fds.push(waker.pollfd());
         {
             let mut entries = listeners.lock().unwrap();
             entries.retain(|entry| entry.shared.running.load(Ordering::SeqCst));
-            for entry in entries.iter() {
-                loop {
-                    match entry.listener.accept() {
-                        Ok((stream, _)) => {
-                            accepted_any = true;
-                            TransportStats::bump(&entry.shared.stats.conns_accepted);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let conn = ConnState {
-                                stream,
-                                shared: Arc::clone(&entry.shared),
-                                assembler: FrameAssembler::new(),
-                                last_activity: Instant::now(),
-                            };
-                            // A dead worker channel only happens at
-                            // shutdown; dropping the connection is fine.
-                            let _ = conn_txs[next_worker % conn_txs.len()].send(conn);
-                            next_worker = next_worker.wrapping_add(1);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
-            }
+            fds.extend(entries.iter().map(|e| PollFd::readable(&e.listener)));
         }
-        if !accepted_any {
-            std::thread::sleep(IDLE_TICK);
+        // Not under the lock: `register` must get in to publish the
+        // listener its wake announces. Only this thread removes entries,
+        // so `fds[1..]` still lines up with the front of the list after.
+        sys::wait(&mut fds, None).expect("poll(2) over open listeners");
+        waker.drain();
+        let entries = listeners.lock().unwrap();
+        for (entry, fd) in entries.iter().zip(&fds[1..]) {
+            if !fd.ready() {
+                continue;
+            }
+            // Until `WouldBlock` (the backlog is drained) or an error
+            // (this listener is left to the next wake).
+            while let Ok((stream, _)) = entry.listener.accept() {
+                TransportStats::bump(&entry.shared.stats.conns_accepted);
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let conn = ConnState {
+                    stream,
+                    shared: Arc::clone(&entry.shared),
+                    assembler: FrameAssembler::new(),
+                    last_activity: Instant::now(),
+                };
+                workers[next_worker % workers.len()].hand_off(conn);
+                next_worker = next_worker.wrapping_add(1);
+            }
         }
     }
 }
 
-/// One connection worker: adopts connections from the poller and
-/// multiplexes non-blocking reads across all of them.
-fn worker_loop<M, C: Codec<M>>(rx: mpsc::Receiver<ConnState<M, C>>, shutdown: Arc<AtomicBool>) {
+/// One connection worker: adopts connections from the poller and blocks
+/// until one of them has bytes (or has hung up), its waker fires, or the
+/// nearest read deadline comes due.
+fn worker_loop<M, C: Codec<M>>(
+    rx: mpsc::Receiver<ConnState<M, C>>,
+    waker: Arc<Waker>,
+    shutdown: Arc<AtomicBool>,
+) {
     let mut conns: Vec<ConnState<M, C>> = Vec::new();
+    let mut fds = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     while !shutdown.load(Ordering::SeqCst) {
-        while let Ok(conn) = rx.try_recv() {
-            conns.push(conn);
-        }
-        let mut progressed = false;
-        conns.retain_mut(|conn| match poll_conn(conn, &mut scratch) {
-            Verdict::Progressed => {
-                progressed = true;
-                true
-            }
-            Verdict::Idle => true,
-            Verdict::Close => false,
+        // After the drain below and before blocking again: a hand-off is
+        // either adopted here or its wake is still pending.
+        conns.extend(rx.try_iter());
+        fds.clear();
+        fds.push(waker.pollfd());
+        fds.extend(conns.iter().map(|conn| PollFd::readable(&conn.stream)));
+        let now = Instant::now();
+        let timeout = conns
+            .iter()
+            .filter_map(|conn| Some(conn.last_activity + conn.shared.read_timeout?))
+            .map(|deadline| deadline.saturating_duration_since(now))
+            .fold(POLL_CAP, Duration::min);
+        sys::wait(&mut fds, Some(timeout)).expect("poll(2) over open connections");
+        waker.drain();
+        let mut ready = fds[1..].iter().map(PollFd::ready);
+        conns.retain_mut(|conn| {
+            let readable = ready.next().unwrap_or(false);
+            let verdict = if !conn.shared.running.load(Ordering::SeqCst) {
+                Verdict::Close
+            } else if readable {
+                poll_conn(conn, &mut scratch)
+            } else {
+                conn.idle_verdict()
+            };
+            matches!(verdict, Verdict::Keep)
         });
-        if !progressed {
-            std::thread::sleep(IDLE_TICK);
-        }
     }
 }
 
 enum Verdict {
-    /// Bytes moved; poll again without sleeping.
-    Progressed,
-    /// Nothing ready; keep the connection.
-    Idle,
+    /// Keep the connection.
+    Keep,
     /// Drop the connection.
     Close,
 }
 
-/// Drains whatever one socket has ready through its assembler,
-/// delivering complete frames to the host inbox.
+/// Drains a socket that polled ready through its assembler — down to
+/// `WouldBlock`, since readiness is level-triggered — delivering
+/// complete frames to the host inbox.
 fn poll_conn<M, C: Codec<M>>(conn: &mut ConnState<M, C>, scratch: &mut [u8]) -> Verdict {
     let shared = Arc::clone(&conn.shared);
     let stats = &shared.stats;
-    if !shared.running.load(Ordering::SeqCst) {
-        return Verdict::Close;
-    }
-    let mut progressed = false;
     loop {
         match conn.stream.read(scratch) {
             Ok(0) => {
@@ -662,7 +811,6 @@ fn poll_conn<M, C: Codec<M>>(conn: &mut ConnState<M, C>, scratch: &mut [u8]) -> 
                 return Verdict::Close;
             }
             Ok(n) => {
-                progressed = true;
                 conn.last_activity = Instant::now();
                 if take_one(&shared.fault_recvs) {
                     // Injected receive fault: discard what arrived (a
@@ -713,23 +861,7 @@ fn poll_conn<M, C: Codec<M>>(conn: &mut ConnState<M, C>, scratch: &mut [u8]) -> 
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if let Some(deadline) = shared.read_timeout {
-                    if conn.last_activity.elapsed() >= deadline {
-                        // Same accounting as the blocking reader's read
-                        // timeout: the wait was abandoned, and any
-                        // half-received frame with it.
-                        TransportStats::bump(&stats.frames_rejected);
-                        TransportStats::bump(&stats.timeouts);
-                        return Verdict::Close;
-                    }
-                }
-                return if progressed {
-                    Verdict::Progressed
-                } else {
-                    Verdict::Idle
-                };
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return conn.idle_verdict(),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 if !conn.assembler.is_empty() {

@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod json;

@@ -8,6 +8,7 @@
 //! The README below doubles as the crate documentation; its Rust
 //! snippet runs as a doctest so the quickstart cannot rot.
 #![doc = include_str!("../README.md")]
+#![forbid(unsafe_code)]
 
 pub use bcwan;
 pub use bcwan_chain;
