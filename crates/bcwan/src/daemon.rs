@@ -10,7 +10,7 @@
 
 use crate::costs::CostModel;
 use bcwan_chain::{
-    Block, BlockAction, Chain, ChainError, Mempool, MempoolError, SigCache, Transaction,
+    Block, BlockAction, Chain, ChainError, Mempool, MempoolError, ReorgInfo, SigCache, Transaction,
 };
 use bcwan_p2p::RelayState;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
@@ -41,10 +41,40 @@ pub struct Daemon {
     pub relay: RelayState,
     busy_until: SimTime,
     stats: DaemonStats,
-    /// Transactions confirmed by the last main-chain-changing block.
-    last_connected: Vec<Transaction>,
-    /// Transactions disconnected by the last reorg.
-    last_disconnected: Vec<Transaction>,
+    last_change: ChainChange,
+}
+
+/// The transactions the last main-chain-changing block moved. Cloning
+/// bumps a reference count: the extending block is the chain's own copy.
+#[derive(Debug, Clone, Default)]
+pub enum ChainChange {
+    /// The main chain has not changed yet (or the daemon restarted).
+    #[default]
+    None,
+    /// A block extended the tip.
+    Extended(Arc<Block>),
+    /// A longer branch replaced part of the main chain.
+    Reorganized(Arc<ReorgInfo>),
+}
+
+impl ChainChange {
+    /// Transactions the block (all of them, coinbase first) or the reorg
+    /// branch (non-coinbase ones) confirmed.
+    pub fn connected(&self) -> &[Transaction] {
+        match self {
+            ChainChange::None => &[],
+            ChainChange::Extended(block) => &block.transactions,
+            ChainChange::Reorganized(info) => &info.connected_txs,
+        }
+    }
+
+    /// Transactions a reorg disconnected; empty after an extension.
+    pub fn disconnected(&self) -> &[Transaction] {
+        match self {
+            ChainChange::Reorganized(info) => &info.disconnected_txs,
+            _ => &[],
+        }
+    }
 }
 
 impl std::fmt::Debug for Daemon {
@@ -76,8 +106,7 @@ impl Daemon {
             relay: RelayState::new(),
             busy_until: SimTime::ZERO,
             stats: DaemonStats::default(),
-            last_connected: Vec::new(),
-            last_disconnected: Vec::new(),
+            last_change: ChainChange::default(),
         }
     }
 
@@ -157,20 +186,18 @@ impl Daemon {
                 self.stats.blocks_accepted += 1;
                 let (block, txids) = self
                     .chain
-                    .block(&hash)
+                    .shared_block(&hash)
                     .zip(self.chain.block_txids(&hash))
                     .expect("extended with this block");
                 self.mempool
                     .remove_confirmed_ids(&block.transactions, txids);
-                self.last_connected = block.transactions.clone();
-                self.last_disconnected = Vec::new();
+                self.last_change = ChainChange::Extended(block.clone());
             }
             Ok(BlockAction::Reorganized { .. }) => {
                 self.stats.blocks_accepted += 1;
-                let info = self.chain.take_last_reorg().unwrap_or_default();
-                self.repair_mempool_after_reorg(&info);
-                self.last_connected = info.connected_txs;
-                self.last_disconnected = info.disconnected_txs;
+                let reorg = self.chain.take_last_reorg().unwrap_or_default();
+                self.repair_mempool_after_reorg(&reorg);
+                self.last_change = ChainChange::Reorganized(Arc::new(reorg));
             }
             _ => {}
         }
@@ -187,7 +214,7 @@ impl Daemon {
     ///    their relay ids so a network re-broadcast can propagate,
     /// 3. sweep out anything left whose inputs the new UTXO view no
     ///    longer supplies.
-    fn repair_mempool_after_reorg(&mut self, info: &bcwan_chain::ReorgInfo) {
+    fn repair_mempool_after_reorg(&mut self, info: &ReorgInfo) {
         self.mempool.remove_confirmed(&info.connected_txs);
         let height = self.chain.height();
         for tx in &info.disconnected_txs {
@@ -203,16 +230,11 @@ impl Daemon {
             .evict_invalid(self.chain.utxo(), height + 1, self.chain.params());
     }
 
-    /// Non-coinbase transactions the last accepted block (or reorg
-    /// branch) confirmed. Refreshed on every `accept_block` that changes
-    /// the main chain; empty after rejected/side blocks.
-    pub fn last_connected_txs(&self) -> &[Transaction] {
-        &self.last_connected
-    }
-
-    /// Transactions the last accepted block disconnected (reorgs only).
-    pub fn last_disconnected_txs(&self) -> &[Transaction] {
-        &self.last_disconnected
+    /// What the last `accept_block` that changed the main chain
+    /// connected and disconnected. Side-chain, known and rejected blocks
+    /// leave it as it was.
+    pub fn last_change(&self) -> &ChainChange {
+        &self.last_change
     }
 
     /// Models a crash-restart: durable state (the chain) survives,
@@ -222,8 +244,7 @@ impl Daemon {
         let lost = self.mempool.clear();
         self.relay = RelayState::new();
         self.busy_until = now;
-        self.last_connected = Vec::new();
-        self.last_disconnected = Vec::new();
+        self.last_change = ChainChange::default();
         lost
     }
 }

@@ -384,6 +384,9 @@ impl<T: FleetTransport> Fleet<T> {
             refund_delta: REFUND_DELTA,
             rsa_size: RsaKeySize::Rsa512,
         });
+        // One bootstrap, as in `World::new`: every node's chain is a fork
+        // of it.
+        let mut bootstrapped = Chain::new(params, genesis);
         let started = Instant::now();
         let nodes = wallets
             .into_iter()
@@ -392,9 +395,9 @@ impl<T: FleetTransport> Fleet<T> {
                 node: Node::new(
                     NodeId(i as u32),
                     wallet,
-                    // Live nodes share nothing: each daemon keeps a
-                    // private verification memo.
-                    Daemon::new(Chain::new(params.clone(), genesis.clone())),
+                    // Live nodes share no mutable state: each daemon
+                    // keeps a private verification memo.
+                    Daemon::new(bootstrapped.fork()),
                     SimRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9)),
                     terms.clone(),
                     address_book.clone(),

@@ -826,19 +826,18 @@ impl Node {
         if self.settle_watch.is_empty() && self.sessions.is_empty() {
             return;
         }
-        let connected = self.daemon.last_connected_txs().to_vec();
-        let disconnected = self.daemon.last_disconnected_txs().to_vec();
+        let change = self.daemon.last_change().clone();
         if !self.settle_watch.is_empty() {
             // Disconnects first: a reorg that moves a claim between
             // branches must pass through Escrowed, not skip a state.
             let passes = [
                 (
-                    &disconnected,
+                    change.disconnected(),
                     FsmEvent::ClaimOrphaned,
                     FsmEvent::RefundOrphaned,
                 ),
                 (
-                    &connected,
+                    change.connected(),
                     FsmEvent::ClaimConfirmed,
                     FsmEvent::RefundConfirmed,
                 ),
@@ -860,7 +859,7 @@ impl Node {
         // this host sees an escrow or claim it missed as gossip — and
         // the first place a rival claim surfaces, if the equivocator
         // only ever showed it to the other side of the overlay.
-        for tx in &connected {
+        for tx in change.connected() {
             self.detect_equivocation(now, tx, env);
             self.gateway_check_escrow(now, tx, env);
             self.recipient_check_claim(now, tx, env);

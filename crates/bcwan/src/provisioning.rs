@@ -4,12 +4,21 @@
 //! The node and the recipient must also share a secret key (Sk), on the
 //! node, and a public key (Pk), on the recipient. A provisioning phase is
 //! therefore needed in order to load the necessary keys on the node."
+//!
+//! Provisioning is two steps. *Minting* ([`DeviceKeys::mint`]) draws the
+//! keys and is a function of its RNG alone; *enrolling*
+//! ([`DeviceRegistry::enroll`]) stores the recipient half and hands out
+//! the node half. A fleet's keys can therefore be minted on as many
+//! threads as the machine has (`mint_all`) without the thread count
+//! reaching a single key: each device's RNG is fixed before any thread
+//! starts, and enrolment happens afterwards, in device order.
 
 use bcwan_chain::Address;
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
 use rand::RngCore;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 /// A sensor identifier, unique network-wide in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,6 +69,65 @@ impl fmt::Debug for DeviceRecord {
     }
 }
 
+/// One device's freshly drawn key material, before either side holds
+/// its half.
+pub struct DeviceKeys {
+    aes_key: [u8; 32],
+    verify_key: RsaPublicKey,
+    signing_key: RsaPrivateKey,
+}
+
+impl DeviceKeys {
+    /// Draws `K` and the `Sk`/`Pk` pair from `rng`, and from nothing else.
+    pub fn mint<R: RngCore>(rng: &mut R) -> Self {
+        let mut aes_key = [0u8; 32];
+        rng.fill_bytes(&mut aes_key);
+        let (verify_key, signing_key) = generate_keypair(rng, RsaKeySize::Rsa512);
+        DeviceKeys {
+            aes_key,
+            verify_key,
+            signing_key,
+        }
+    }
+}
+
+/// Mints one [`DeviceKeys`] per RNG, `keys[i]` from `rngs[i]`, on as many
+/// threads as the machine offers.
+pub(crate) fn mint_all<R: RngCore + Send>(rngs: Vec<R>) -> Vec<DeviceKeys> {
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    mint_on(rngs, workers)
+}
+
+/// [`mint_all`] on `workers` threads, each pulling the next unminted
+/// device off one shared queue (keygen times vary several-fold, so a
+/// static split would leave a thread idle).
+fn mint_on<R: RngCore + Send>(rngs: Vec<R>, workers: usize) -> Vec<DeviceKeys> {
+    let workers = workers.min(rngs.len());
+    let queue = Mutex::new(rngs.into_iter().enumerate());
+    let mut minted: Vec<(usize, DeviceKeys)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("no worker panics in next()").next();
+                        let Some((i, mut rng)) = next else {
+                            break mine;
+                        };
+                        mine.push((i, DeviceKeys::mint(&mut rng)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("mint worker panicked"))
+            .collect()
+    });
+    minted.sort_unstable_by_key(|(i, _)| *i);
+    minted.into_iter().map(|(_, keys)| keys).collect()
+}
+
 /// The recipient-side registry of provisioned devices.
 #[derive(Debug, Default)]
 pub struct DeviceRegistry {
@@ -81,9 +149,22 @@ impl DeviceRegistry {
         device_id: DeviceId,
         recipient_address: Address,
     ) -> DeviceCredentials {
-        let mut aes_key = [0u8; 32];
-        rng.fill_bytes(&mut aes_key);
-        let (verify_key, signing_key) = generate_keypair(rng, RsaKeySize::Rsa512);
+        self.enroll(device_id, recipient_address, DeviceKeys::mint(rng))
+    }
+
+    /// Stores the recipient half of already minted `keys` under
+    /// `device_id` and returns the node half.
+    pub fn enroll(
+        &mut self,
+        device_id: DeviceId,
+        recipient_address: Address,
+        keys: DeviceKeys,
+    ) -> DeviceCredentials {
+        let DeviceKeys {
+            aes_key,
+            verify_key,
+            signing_key,
+        } = keys;
         self.records.insert(
             device_id,
             DeviceRecord {
@@ -119,6 +200,7 @@ impl DeviceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcwan_sim::SimRng;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -152,6 +234,63 @@ mod tests {
             .verify_key
             .verify(b"x", &sig));
         assert_eq!(registry.len(), 2);
+    }
+
+    /// Every byte either side ends up holding for one device.
+    fn halves(creds: &DeviceCredentials, registry: &DeviceRegistry) -> Vec<Vec<u8>> {
+        let record = registry.get(&creds.device_id).unwrap();
+        assert_eq!(record.device_id, creds.device_id);
+        vec![
+            creds.aes_key.to_vec(),
+            creds.signing_key.to_bytes(),
+            creds.recipient.0.to_vec(),
+            record.aes_key.to_vec(),
+            record.verify_key.to_bytes(),
+        ]
+    }
+
+    #[test]
+    fn provision_is_mint_then_enroll() {
+        let recipient = Address([5; 20]);
+        let mut whole = DeviceRegistry::new();
+        let a = whole.provision(&mut StdRng::seed_from_u64(9), DeviceId(4), recipient);
+        let mut split = DeviceRegistry::new();
+        let keys = DeviceKeys::mint(&mut StdRng::seed_from_u64(9));
+        let b = split.enroll(DeviceId(4), recipient, keys);
+        assert_eq!(halves(&a, &whole), halves(&b, &split));
+    }
+
+    #[test]
+    fn worker_count_cannot_change_a_key() {
+        // The RNGs are forked in device order before any thread runs,
+        // as `World::new` does; 1 worker and 4 must then hand back the
+        // same keys in the same order.
+        let forked = || -> Vec<SimRng> {
+            let mut parent = SimRng::seed_from_u64(2018);
+            (0..12).map(|device| parent.fork(device)).collect()
+        };
+        let provisioned = |workers: usize| {
+            let mut registry = DeviceRegistry::new();
+            let creds: Vec<DeviceCredentials> = (0u32..)
+                .zip(mint_on(forked(), workers))
+                .map(|(i, keys)| registry.enroll(DeviceId(i), Address([i as u8; 20]), keys))
+                .collect();
+            assert_eq!(registry.len(), 12);
+            creds
+                .iter()
+                .map(|c| halves(c, &registry))
+                .collect::<Vec<_>>()
+        };
+        let one = provisioned(1);
+        assert_eq!(one, provisioned(4));
+        // And the sequential path draws exactly these.
+        let sequential: Vec<Vec<u8>> = forked()
+            .iter_mut()
+            .map(|rng| DeviceKeys::mint(rng).signing_key.to_bytes())
+            .collect();
+        let minted: Vec<Vec<u8>> = one.iter().map(|h| h[1].clone()).collect();
+        assert_eq!(minted, sequential);
+        assert!(mint_on(Vec::<SimRng>::new(), 4).is_empty());
     }
 
     #[test]

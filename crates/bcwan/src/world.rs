@@ -19,7 +19,7 @@ use crate::escrow;
 use crate::exchange::{seal_reading, SealedUplink};
 use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase};
 use crate::node::{Misbehaviour, Node, NodeEnv, Note, Parcel, Stored, SyncPlan, Terms};
-use crate::provisioning::{DeviceCredentials, DeviceId};
+use crate::provisioning::{mint_all, DeviceCredentials, DeviceId};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
     Address, Block, Chain, ChainParams, MempoolStats, OutPoint, SigCache, Transaction, TxId, TxOut,
@@ -589,7 +589,7 @@ impl World {
                     &genesis_chain,
                     &root.join(format!("host-{i}")),
                 ),
-                None => clone_chain(&cfg.chain_params, &genesis_chain),
+                None => genesis_chain.fork(),
             };
             hosts.push(Node::new(
                 NodeId(i as u32),
@@ -601,25 +601,32 @@ impl World {
             ));
         }
 
-        // Provision sensors: each belongs to one actor host.
-        let mut sensors = Vec::new();
-        for actor in 1..=cfg.actor_hosts {
-            for s in 0..cfg.sensors_per_host {
-                let device_id = DeviceId(actor * 10_000 + s);
-                let home_addr = hosts[actor as usize].wallet.address();
-                let creds = {
-                    let host = &mut hosts[actor as usize];
-                    let mut provision_rng = host.rng.fork(u64::from(device_id.0));
-                    host.registry
-                        .provision(&mut provision_rng, device_id, home_addr)
-                };
-                sensors.push(Sensor {
-                    credentials: creds,
+        // Provision sensors: each belongs to one actor host. Every
+        // device's RNG is forked here, in device order; the keygens then
+        // run on all cores and the halves are handed out in order again,
+        // so no key depends on how many cores there are.
+        let devices: Vec<(u32, DeviceId)> = (1..=cfg.actor_hosts)
+            .flat_map(|actor| {
+                (0..cfg.sensors_per_host).map(move |s| (actor, DeviceId(actor * 10_000 + s)))
+            })
+            .collect();
+        let rngs = devices
+            .iter()
+            .map(|&(actor, id)| hosts[actor as usize].rng.fork(u64::from(id.0)))
+            .collect();
+        let sensors = devices
+            .iter()
+            .zip(mint_all(rngs))
+            .map(|(&(actor, device_id), keys)| {
+                let host = &mut hosts[actor as usize];
+                let home_addr = host.wallet.address();
+                Sensor {
+                    credentials: host.registry.enroll(device_id, home_addr, keys),
                     home: actor,
                     next_allowed: SimTime::ZERO,
-                });
-            }
-        }
+                }
+            })
+            .collect();
 
         // Workload pacing: the duty-cycle minimum interval for one full
         // exchange (request + data frames), scaled by load_factor.
@@ -2015,29 +2022,20 @@ fn ring_lattice(n: u32, degree: u32) -> Topology {
     topology
 }
 
-/// Rebuilds an identical chain for another host (shared bootstrap).
-fn clone_chain(params: &ChainParams, source: &Chain) -> Chain {
-    let blocks: Vec<Block> = source.iter_main().cloned().collect();
-    let mut chain = Chain::new(params.clone(), blocks[0].clone());
-    for block in blocks.into_iter().skip(1) {
-        chain.add_block(block).expect("bootstrap blocks valid");
-    }
-    chain
-}
-
-/// Like [`clone_chain`] but backed by a fresh persistent store at `dir`:
-/// the genesis and warm-up blocks are written through to disk, so a
+/// Rebuilds the bootstrapped chain for one host over a fresh persistent
+/// store at `dir`. Unlike [`Chain::fork`] this replays: every host must
+/// write the genesis and warm-up records into its own directory, so a
 /// later crash-restart can reopen the chain instead of keeping memory.
 fn clone_chain_with_store(params: &ChainParams, source: &Chain, dir: &std::path::Path) -> Chain {
-    let blocks: Vec<Block> = source.iter_main().cloned().collect();
+    let mut blocks = source.iter_main().cloned();
     let mut chain = Chain::create_with_store(
         params.clone(),
-        blocks[0].clone(),
+        blocks.next().expect("genesis"),
         dir,
         bcwan_chain::StoreConfig::default(),
     )
     .expect("host store directory writable");
-    for block in blocks.into_iter().skip(1) {
+    for block in blocks {
         chain.add_block(block).expect("bootstrap blocks valid");
     }
     chain

@@ -55,21 +55,24 @@ impl fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
+/// One indexed block. Body and ids sit behind `Arc`s, so the chains of
+/// one [`Chain::fork`] family index the same allocations.
+#[derive(Clone)]
 struct StoredBlock {
-    block: Block,
+    block: Arc<Block>,
     height: u64,
     /// `block.transactions[i].txid()`, hashed at most once per stored
     /// block: validation, connect, disconnect and transaction lookup
     /// all reuse them. Filled by connect (which needs them anyway) or on
     /// first use, so reopening a store or shelving a side-chain block
     /// hashes nothing.
-    txids: OnceLock<Vec<TxId>>,
+    txids: OnceLock<Arc<[TxId]>>,
 }
 
 impl StoredBlock {
     fn new(block: Block, height: u64) -> Self {
         StoredBlock {
-            block,
+            block: Arc::new(block),
             height,
             txids: OnceLock::new(),
         }
@@ -77,7 +80,7 @@ impl StoredBlock {
 
     fn txids(&self) -> &[TxId] {
         self.txids
-            .get_or_init(|| txids_of(&self.block.transactions))
+            .get_or_init(|| txids_of(&self.block.transactions).into())
     }
 }
 
@@ -164,7 +167,7 @@ pub struct Chain {
     /// Main-chain hashes indexed by height.
     main: Vec<BlockHash>,
     /// Undo data for connected main-chain blocks.
-    undo: HashMap<BlockHash, UndoData>,
+    undo: HashMap<BlockHash, Arc<UndoData>>,
     coins: CoinsCache,
     /// Persistent backing; `None` for a memory-only chain.
     store: Option<ChainStore>,
@@ -196,14 +199,14 @@ impl Chain {
     pub fn new(params: ChainParams, genesis: Block) -> Self {
         let hash = genesis.hash();
         let genesis = StoredBlock::new(genesis, 0);
-        let mut coins = CoinsCache::new();
+        let mut coins = CoinsCache::memory_only();
         let undo_data = coins
             .apply_block(&genesis.block.transactions, genesis.txids(), 0)
             .expect("genesis applies to empty set");
         let mut blocks = HashMap::new();
         blocks.insert(hash, genesis);
         let mut undo = HashMap::new();
-        undo.insert(hash, undo_data);
+        undo.insert(hash, Arc::new(undo_data));
         Chain {
             params,
             blocks,
@@ -239,6 +242,9 @@ impl Chain {
         store.append_undo(tip, chain.undo.get(&tip).expect("genesis undo"))?;
         store.commit(tip, 0)?;
         chain.store = Some(store);
+        // The memory-only genesis apply tracked nothing; from here on
+        // the cache answers to a (still empty) coins table.
+        chain.coins.mark_all_fresh();
         chain.flush();
         Ok(chain)
     }
@@ -363,6 +369,7 @@ impl Chain {
             .undo
             .into_iter()
             .filter(|(h, _)| main_set.contains(h))
+            .map(|(h, u)| (h, Arc::new(u)))
             .collect();
 
         let mut chain = Chain {
@@ -388,6 +395,36 @@ impl Chain {
             rolled_forward,
             undone,
         })
+    }
+
+    /// A second chain in this one's exact state — same blocks, tip, UTXO
+    /// set and counters as a replay of the main chain would reach — for
+    /// the price of one reference count per block: bodies, transaction
+    /// ids and undo data are shared, the UTXO entries move into a frozen
+    /// base both chains read through ([`UtxoSet::fork`]), and nothing is
+    /// validated again. What either chain connects, disconnects (even
+    /// below the fork point) or reorganizes afterwards is its own. The
+    /// duplicate starts with a private signature cache and no pending
+    /// reorg info.
+    ///
+    /// # Panics
+    ///
+    /// If a store is attached: a stored chain's resident UTXO set may be
+    /// trimmed, and two chains cannot write one directory. Replay the
+    /// blocks into [`Chain::create_with_store`] instead.
+    pub fn fork(&mut self) -> Chain {
+        assert!(self.store.is_none(), "only a memory-only chain forks");
+        Chain {
+            params: self.params.clone(),
+            blocks: self.blocks.clone(),
+            main: self.main.clone(),
+            undo: self.undo.clone(),
+            coins: self.coins.fork(),
+            store: None,
+            stats: self.stats,
+            last_reorg: None,
+            sig_cache: Arc::new(SigCache::default()),
+        }
     }
 
     /// Whether this chain has a persistent store attached.
@@ -513,6 +550,12 @@ impl Chain {
 
     /// Fetches a block by hash.
     pub fn block(&self, hash: &BlockHash) -> Option<&Block> {
+        self.shared_block(hash).map(Arc::as_ref)
+    }
+
+    /// [`Chain::block`] as the shared handle the index itself holds:
+    /// cloning it keeps the body without copying it.
+    pub fn shared_block(&self, hash: &BlockHash) -> Option<&Arc<Block>> {
         self.blocks.get(hash).map(|s| &s.block)
     }
 
@@ -543,7 +586,7 @@ impl Chain {
     pub fn iter_main(&self) -> impl Iterator<Item = &Block> {
         self.main
             .iter()
-            .map(move |h| &self.blocks.get(h).expect("main blocks stored").block)
+            .map(move |h| &*self.blocks.get(h).expect("main blocks stored").block)
     }
 
     /// Whether a transaction is confirmed on the main chain, and at which
@@ -580,12 +623,12 @@ impl Chain {
             // Fast path: extending the best chain.
             let (txids, size) = block.txids_and_size();
             let stored = StoredBlock {
-                block,
+                block: Arc::new(block),
                 height,
-                txids: OnceLock::from(txids),
+                txids: OnceLock::from(Arc::from(txids)),
             };
             let undo = self.connect(&stored, size).map_err(ChainError::Invalid)?;
-            self.undo.insert(hash, undo);
+            self.undo.insert(hash, Arc::new(undo));
             self.main.push(hash);
             self.blocks.insert(hash, stored);
             self.persist_connected(&[hash]);
@@ -644,7 +687,7 @@ impl Chain {
             self.blocks.insert(*hash, stored);
             match validated {
                 Ok(undo) => {
-                    self.undo.insert(*hash, undo);
+                    self.undo.insert(*hash, Arc::new(undo));
                     self.main.push(*hash);
                     connected += 1;
                 }
@@ -663,7 +706,7 @@ impl Chain {
                             .coins
                             .apply_block(&stored.block.transactions, stored.txids(), stored.height)
                             .expect("previously valid block re-applies");
-                        self.undo.insert(*hash, undo);
+                        self.undo.insert(*hash, Arc::new(undo));
                         self.main.push(*hash);
                     }
                     // Drop the bad block so it cannot be retried forever.

@@ -20,6 +20,10 @@
 //! [`CoinsCache::insert_clean`] on a miss — the `backed` key set
 //! remembers what the coins file holds so a miss is distinguishable
 //! from a genuinely absent output.
+//!
+//! A cache with no store under it ([`CoinsCache::memory_only`]) keeps
+//! none of this: nothing will ever flush, so `dirty` and `backed` stay
+//! empty and block connect touches the set alone.
 
 use crate::tx::{OutPoint, Transaction, TxId};
 use crate::utxo::{UndoData, UtxoEntry, UtxoError, UtxoSet};
@@ -46,13 +50,21 @@ pub enum FlushOp {
 }
 
 /// Write-back cache over the UTXO set (see module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CoinsCache {
     set: UtxoSet,
+    /// Whether divergence from a backing is tracked at all.
+    tracking: bool,
     dirty: HashMap<OutPoint, Dirty>,
     backed: HashSet<OutPoint>,
     hits: u64,
     misses: u64,
+}
+
+impl Default for CoinsCache {
+    fn default() -> Self {
+        CoinsCache::new()
+    }
 }
 
 /// Result of probing the cache for an outpoint.
@@ -68,27 +80,48 @@ pub enum Probe {
 }
 
 impl CoinsCache {
-    /// An empty, memory-only cache (no backing yet).
+    /// An empty cache over an empty backing: everything applied from
+    /// here on is dirty until flushed.
     pub fn new() -> Self {
-        CoinsCache::default()
+        CoinsCache::over(UtxoSet::new(), true)
+    }
+
+    /// An empty cache that will never be flushed and so tracks nothing.
+    /// [`CoinsCache::mark_all_fresh`] turns tracking on when a store is
+    /// attached after all.
+    pub fn memory_only() -> Self {
+        CoinsCache::over(UtxoSet::new(), false)
+    }
+
+    fn over(set: UtxoSet, tracking: bool) -> Self {
+        CoinsCache {
+            set,
+            tracking,
+            dirty: HashMap::new(),
+            backed: HashSet::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// A memory-only cache with this one's contents, shared rather than
+    /// copied (see [`UtxoSet::fork`]). Only a cache nothing was flushed
+    /// from is sure to have its whole set resident to share.
+    pub fn fork(&mut self) -> Self {
+        debug_assert!(self.backed.is_empty(), "a backed cache may be trimmed");
+        CoinsCache::over(self.set.fork(), false)
     }
 
     /// A cache warmed from a loaded coins snapshot: every entry is
     /// resident, clean, and known to be in the backing.
     pub fn from_backed(entries: HashMap<OutPoint, UtxoEntry>) -> Self {
-        let mut set = UtxoSet::new();
-        let mut backed = HashSet::with_capacity(entries.len());
+        let mut cache = CoinsCache::new();
+        cache.backed.reserve(entries.len());
         for (op, entry) in entries {
-            backed.insert(op);
-            set.insert_loaded(op, entry);
+            cache.backed.insert(op);
+            cache.set.insert_loaded(op, entry);
         }
-        CoinsCache {
-            set,
-            dirty: HashMap::new(),
-            backed,
-            hits: 0,
-            misses: 0,
-        }
+        cache
     }
 
     /// The resident UTXO set. Callers that only read (validation,
@@ -162,6 +195,9 @@ impl CoinsCache {
         height: u64,
     ) -> Result<UndoData, UtxoError> {
         let undo = self.set.apply_block_ids(transactions, txids, height)?;
+        if !self.tracking {
+            return Ok(undo);
+        }
         for (tx, &txid) in transactions.iter().zip(txids) {
             if !tx.is_coinbase() {
                 for input in &tx.inputs {
@@ -178,6 +214,9 @@ impl CoinsCache {
     /// Disconnects a block through the cache, maintaining dirty flags.
     pub fn undo_block(&mut self, transactions: &[Transaction], txids: &[TxId], undo: &UndoData) {
         self.set.undo_block_ids(transactions, txids, undo);
+        if !self.tracking {
+            return;
+        }
         // Mirror the per-transaction reverse order of the set's undo so
         // intra-block spend chains end with the right final flag.
         for (tx, &txid) in transactions.iter().zip(txids).rev() {
@@ -257,6 +296,7 @@ impl CoinsCache {
     /// coins file is being rebuilt from scratch, so the next flush must
     /// write the full set into a new generation.
     pub fn mark_all_fresh(&mut self) {
+        self.tracking = true;
         self.backed.clear();
         self.dirty.clear();
         let keys: Vec<OutPoint> = self.set.iter().map(|(op, _)| *op).collect();
@@ -340,6 +380,30 @@ mod tests {
             .iter()
             .all(|o| !matches!(o, FlushOp::Put(p, _) if *p == op)));
         assert!(!ops.iter().any(|o| matches!(o, FlushOp::Del(_))));
+    }
+
+    #[test]
+    fn memory_only_cache_tracks_nothing_until_a_store_is_attached() {
+        let mut cache = CoinsCache::memory_only();
+        let cb = coinbase(1, 50);
+        let op = OutPoint {
+            txid: cb.txid(),
+            vout: 0,
+        };
+        let txs = [cb];
+        let undo = cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
+        cache.undo_block(&txs, &txids_of(&txs), &undo);
+        cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
+        assert_eq!((cache.dirty_len(), cache.backed_len()), (0, 0));
+        assert!(cache.flush_ops().is_empty());
+
+        // `Chain::create_with_store`: the whole resident set is owed to
+        // the new coins table, and later blocks are tracked.
+        cache.mark_all_fresh();
+        assert_eq!(cache.flush_ops().len(), 1);
+        let txs = [coinbase(2, 50), spend(op, 50)];
+        cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
+        assert_eq!(cache.dirty.get(&op), Some(&Dirty::Erase));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::tx::{txids_of, OutPoint, Transaction, TxId, TxOut};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// One unspent output plus the metadata validation needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,14 +44,48 @@ pub trait UtxoView {
 }
 
 /// The UTXO set.
+///
+/// A set made by [`UtxoSet::fork`] reads through a frozen `base` it
+/// shares with its siblings: a lookup tries the set's own entries, then
+/// — unless this set has spent the outpoint — the base. Everything a
+/// set does after the fork (spends, creates, undos that reach below the
+/// fork point) lands in its own `map` and `spent`, so siblings never see
+/// each other's changes. A set that was never forked has no base and
+/// pays one `Option` branch for the possibility.
 #[derive(Debug, Clone, Default)]
 pub struct UtxoSet {
+    /// Entries this set owns: all of them without a base, otherwise
+    /// those created or restored since the fork.
     map: HashMap<OutPoint, UtxoEntry>,
+    base: Option<Base>,
+}
+
+/// The entries that existed at a fork point, and which of them one
+/// holder has since removed. No live base entry is also in the holder's
+/// own map (see [`UtxoSet::insert`]).
+#[derive(Debug, Clone)]
+struct Base {
+    shared: Arc<HashMap<OutPoint, UtxoEntry>>,
+    spent: HashSet<OutPoint>,
+}
+
+impl Base {
+    fn get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
+        self.shared
+            .get(outpoint)
+            .filter(|_| !self.spent.contains(outpoint))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&OutPoint, &UtxoEntry)> {
+        self.shared
+            .iter()
+            .filter(|(op, _)| !self.spent.contains(op))
+    }
 }
 
 impl UtxoView for UtxoSet {
     fn view_get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
-        self.map.get(outpoint)
+        self.get(outpoint)
     }
 }
 
@@ -164,34 +199,88 @@ impl UtxoSet {
         UtxoSet::default()
     }
 
+    /// A set with this one's contents that shares them instead of
+    /// copying: the entries move into a frozen base both sets read
+    /// through, and each keeps what it does afterwards to itself (see
+    /// the type docs). Freezing costs one pass over the entries this
+    /// set changed since its last fork — none when it is forked again
+    /// untouched — and every fork after that is two empty maps and a
+    /// reference count.
+    pub fn fork(&mut self) -> UtxoSet {
+        let untouched =
+            self.map.is_empty() && self.base.as_ref().is_some_and(|b| b.spent.is_empty());
+        if !untouched {
+            let mut all = std::mem::take(&mut self.map);
+            if let Some(base) = self.base.take() {
+                all.extend(base.iter().map(|(op, entry)| (*op, entry.clone())));
+            }
+            self.base = Some(Base {
+                shared: Arc::new(all),
+                spent: HashSet::new(),
+            });
+        }
+        self.clone()
+    }
+
     /// Number of unspent outputs.
     pub fn len(&self) -> usize {
-        self.map.len()
+        let based = self
+            .base
+            .as_ref()
+            .map_or(0, |b| b.shared.len() - b.spent.len());
+        self.map.len() + based
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Looks up an unspent output.
     pub fn get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
-        self.map.get(outpoint)
+        match self.map.get(outpoint) {
+            Some(entry) => Some(entry),
+            None => self.base.as_ref()?.get(outpoint),
+        }
     }
 
     /// Whether an output is unspent.
     pub fn contains(&self, outpoint: &OutPoint) -> bool {
-        self.map.contains_key(outpoint)
+        self.get(outpoint).is_some()
     }
 
     /// Total value of all unspent outputs.
     pub fn total_value(&self) -> u64 {
-        self.map.values().map(|e| e.output.value).sum()
+        self.iter().map(|(_, e)| e.output.value).sum()
     }
 
     /// Iterates over all entries (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (&OutPoint, &UtxoEntry)> {
-        self.map.iter()
+        self.map.iter().chain(self.base.iter().flat_map(Base::iter))
+    }
+
+    /// Puts `entry` at `outpoint` in this set's own map. Callers insert
+    /// only what is absent — a checked create, or the restore of a spent
+    /// entry (a base one stays marked spent under its private copy) — so
+    /// no live base entry is ever shadowed and `len` stays a sum.
+    fn insert(&mut self, outpoint: OutPoint, entry: UtxoEntry) {
+        debug_assert!(
+            self.base.as_ref().and_then(|b| b.get(&outpoint)).is_none(),
+            "{outpoint} is live in the base"
+        );
+        self.map.insert(outpoint, entry);
+    }
+
+    /// Takes the entry at `outpoint` out of the set; a base entry is
+    /// marked spent for this set only.
+    fn remove(&mut self, outpoint: &OutPoint) -> Option<UtxoEntry> {
+        if let Some(entry) = self.map.remove(outpoint) {
+            return Some(entry);
+        }
+        let base = self.base.as_mut()?;
+        let entry = base.get(outpoint)?.clone();
+        base.spent.insert(*outpoint);
+        Some(entry)
     }
 
     /// All outpoints locked by scripts matching `predicate` — used by
@@ -200,7 +289,7 @@ impl UtxoSet {
         &'a self,
         mut predicate: impl FnMut(&UtxoEntry) -> bool + 'a,
     ) -> impl Iterator<Item = (&'a OutPoint, &'a UtxoEntry)> {
-        self.map.iter().filter(move |(_, e)| predicate(e))
+        self.iter().filter(move |(_, e)| predicate(e))
     }
 
     /// Applies one transaction, recording what it spent into `undo`.
@@ -228,28 +317,28 @@ impl UtxoSet {
         // Validate fully before mutating.
         if !tx.is_coinbase() {
             for input in &tx.inputs {
-                if !self.map.contains_key(&input.prevout) {
+                if !self.contains(&input.prevout) {
                     return Err(UtxoError::MissingInput(input.prevout));
                 }
             }
         }
         for vout in 0..tx.outputs.len() as u32 {
             let op = OutPoint { txid, vout };
-            if self.map.contains_key(&op) {
+            if self.contains(&op) {
                 return Err(UtxoError::DuplicateOutput(op));
             }
         }
         // Spend.
         if !tx.is_coinbase() {
             for input in &tx.inputs {
-                let entry = self.map.remove(&input.prevout).expect("checked above");
+                let entry = self.remove(&input.prevout).expect("checked above");
                 undo.spent.push((input.prevout, entry));
             }
         }
         // Create.
         let coinbase = tx.is_coinbase();
         for (vout, output) in tx.outputs.iter().enumerate() {
-            self.map.insert(
+            self.insert(
                 OutPoint {
                     txid,
                     vout: vout as u32,
@@ -300,13 +389,13 @@ impl UtxoSet {
     /// Inserts an entry as loaded from persistent storage — bypasses
     /// spend/create bookkeeping, for the store's cache layer only.
     pub(crate) fn insert_loaded(&mut self, op: OutPoint, entry: UtxoEntry) {
-        self.map.insert(op, entry);
+        self.insert(op, entry);
     }
 
     /// Evicts an entry without spending it — the store's cache layer
     /// trimming a clean, disk-backed entry from memory.
     pub(crate) fn remove_loaded(&mut self, op: &OutPoint) {
-        self.map.remove(op);
+        self.remove(op);
     }
 
     /// Disconnects a block previously applied with [`UtxoSet::apply_block`].
@@ -334,11 +423,11 @@ impl UtxoSet {
         let mut tail = undo.spent.len();
         for (tx, &txid) in transactions.iter().zip(txids).rev() {
             for vout in 0..tx.outputs.len() as u32 {
-                self.map.remove(&OutPoint { txid, vout });
+                self.remove(&OutPoint { txid, vout });
             }
             let spent = if tx.is_coinbase() { 0 } else { tx.inputs.len() };
             for (outpoint, entry) in undo.spent[tail - spent..tail].iter().rev() {
-                self.map.insert(*outpoint, entry.clone());
+                self.insert(*outpoint, entry.clone());
             }
             tail -= spent;
         }
