@@ -203,8 +203,8 @@ impl SettlementAuditor {
     }
 
     /// Per-gateway settled/refunded counts on the current main chain,
-    /// sorted by gateway id — the observed-behavior feed for
-    /// [`crate::reputation::score_observed`].
+    /// sorted by gateway id — the observed-behavior feed for the
+    /// reputation baseline (A3, `bcwan_bench::reputation`).
     pub fn gateway_outcomes(&self) -> Vec<GatewayOutcome> {
         let mut by_gateway: HashMap<u32, GatewayOutcome> = HashMap::new();
         for (outpoint, watched) in &self.watched {

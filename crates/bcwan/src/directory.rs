@@ -86,12 +86,6 @@ impl IpAnnouncement {
         op_return(&self.to_payload())
     }
 
-    /// Extracts the first announcement from a transaction, if any output
-    /// carries one.
-    pub fn from_transaction(tx: &Transaction) -> Option<Self> {
-        Self::all_from_transaction(tx).into_iter().next()
-    }
-
     /// Extracts every announcement a transaction carries (a bootstrap
     /// transaction may announce several recipients at once).
     pub fn all_from_transaction(tx: &Transaction) -> Vec<Self> {

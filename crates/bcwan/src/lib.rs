@@ -26,9 +26,6 @@
 //! - [`audit`] — the always-on settlement auditor: per-block value
 //!   conservation, at-most-one settlement per escrow, and the
 //!   honest-vs-adversarial revenue split,
-//! - [`reputation`] — the §4.4 reputation-only baseline,
-//! - [`attack`] — the §6 double-spend attack and the confirmation-depth
-//!   counter-measure,
 //! - [`sync`] — the §5.1 start-up block synchronization,
 //! - [`wire`] — the host-to-host message vocabulary and its binary
 //!   wire encoding,
@@ -54,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 pub mod app_server;
-pub mod attack;
 pub mod audit;
 pub mod costs;
 pub mod daemon;
@@ -66,7 +62,6 @@ pub mod fsm;
 pub mod net;
 pub mod node;
 pub mod provisioning;
-pub mod reputation;
 pub mod sync;
 pub mod wire;
 pub mod world;

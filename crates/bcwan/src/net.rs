@@ -104,11 +104,6 @@ impl<T: Transport<SocketAddr, WanMessage>> OverlayDialer<T> {
         }
     }
 
-    /// Replaces the directory view (after scanning newly arrived blocks).
-    pub fn update_directory(&mut self, directory: Directory) {
-        self.directory = directory;
-    }
-
     /// The current directory view.
     pub fn directory(&self) -> &Directory {
         &self.directory

@@ -21,20 +21,14 @@
 //!
 //! [`GetBlocksFrom`]: bcwan_p2p::ChainMessage::GetBlocksFrom
 
-use crate::directory::Directory;
-use bcwan_chain::{Block, BlockAction, BlockHeader, Chain};
+use bcwan_chain::{Block, BlockHeader, Chain};
 use bcwan_p2p::NodeId;
 
-/// Serves a `GetBlocksFrom(height)` request: all main-chain blocks
-/// strictly above `height`, in order.
-pub fn serve_blocks_from(chain: &Chain, height: u64) -> Vec<Block> {
-    serve_blocks_from_bounded(chain, height, usize::MAX)
-}
-
-/// Like [`serve_blocks_from`], but returns at most `max` blocks — the
-/// batched form a live daemon answers with, so one lagging peer cannot
-/// make it serialize the whole chain into a single response. The
-/// requester re-asks from its new tip until it stops making progress.
+/// Serves a `GetBlocksFrom(height)` request: main-chain blocks strictly
+/// above `height`, in order, at most `max` of them — so one lagging peer
+/// cannot make a daemon serialize its whole chain into a single
+/// response. The requester re-asks from its new tip until it stops
+/// making progress.
 pub fn serve_blocks_from_bounded(chain: &Chain, height: u64, max: usize) -> Vec<Block> {
     let mut out = Vec::new();
     let mut h = height + 1;
@@ -46,45 +40,6 @@ pub fn serve_blocks_from_bounded(chain: &Chain, height: u64, max: usize) -> Vec<
         h += 1;
     }
     out
-}
-
-/// Outcome of a catch-up attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncOutcome {
-    /// Blocks connected to the main chain (including via reorg).
-    pub connected: usize,
-    /// Blocks rejected (invalid or orphaned off an unknown parent).
-    pub rejected: usize,
-    /// Final chain height.
-    pub height: u64,
-}
-
-/// Applies a batch of blocks from a peer, tolerating duplicates and
-/// invalid entries (a malicious peer cannot corrupt the chain — only
-/// waste our time).
-pub fn catch_up(chain: &mut Chain, blocks: Vec<Block>) -> SyncOutcome {
-    let mut connected = 0;
-    let mut rejected = 0;
-    for block in blocks {
-        match chain.add_block(block) {
-            Ok(BlockAction::Extended(_)) | Ok(BlockAction::Reorganized { .. }) => connected += 1,
-            Ok(BlockAction::SideChain) | Ok(BlockAction::AlreadyKnown) => {}
-            Err(_) => rejected += 1,
-        }
-    }
-    SyncOutcome {
-        connected,
-        rejected,
-        height: chain.height(),
-    }
-}
-
-/// Full §5.1 start-up: sync from a peer's chain, then scan for IPs.
-pub fn bootstrap_from_peer(local: &mut Chain, peer: &Chain) -> (SyncOutcome, Directory) {
-    let blocks = serve_blocks_from(peer, local.height());
-    let outcome = catch_up(local, blocks);
-    let directory = Directory::from_chain(local);
-    (outcome, directory)
 }
 
 /// Blocks served per `GetBlocksFrom` answer, so one lagging peer cannot
@@ -369,8 +324,7 @@ impl HeaderSync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::{IpAnnouncement, NetAddr};
-    use bcwan_chain::{ChainParams, OutPoint, Transaction, TxOut, Wallet};
+    use bcwan_chain::{BlockAction, ChainParams, Transaction, TxOut, Wallet};
     use bcwan_script::Script;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -401,18 +355,20 @@ mod tests {
         (veteran, newcomer, wallet, params)
     }
 
-    #[test]
-    fn newcomer_catches_up_fully() {
-        let (mut veteran, mut newcomer, _, _) = two_chains(1);
-        for i in 0..8u8 {
-            mine_empty(&mut veteran, &[i]);
+    /// Applies served blocks the way a syncing node does, tolerating
+    /// duplicates and invalid entries. Returns `(connected, rejected)`.
+    fn apply(chain: &mut Chain, blocks: Vec<Block>) -> (usize, usize) {
+        let (mut connected, mut rejected) = (0, 0);
+        for block in blocks {
+            match chain.add_block(block) {
+                Ok(BlockAction::Extended(_)) | Ok(BlockAction::Reorganized { .. }) => {
+                    connected += 1;
+                }
+                Ok(BlockAction::SideChain) | Ok(BlockAction::AlreadyKnown) => {}
+                Err(_) => rejected += 1,
+            }
         }
-        assert_eq!(newcomer.height(), 0);
-        let (outcome, _) = bootstrap_from_peer(&mut newcomer, &veteran);
-        assert_eq!(outcome.connected, 8);
-        assert_eq!(outcome.rejected, 0);
-        assert_eq!(newcomer.height(), veteran.height());
-        assert_eq!(newcomer.tip(), veteran.tip());
+        (connected, rejected)
     }
 
     #[test]
@@ -421,68 +377,25 @@ mod tests {
         for i in 0..4u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        bootstrap_from_peer(&mut newcomer, &veteran);
+        apply(
+            &mut newcomer,
+            serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH),
+        );
         // The veteran advances again; only the delta transfers.
         for i in 4..9u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        let blocks = serve_blocks_from(&veteran, newcomer.height());
+        let blocks = serve_blocks_from_bounded(&veteran, newcomer.height(), SYNC_BATCH);
         assert_eq!(blocks.len(), 5);
-        let outcome = catch_up(&mut newcomer, blocks);
-        assert_eq!(outcome.connected, 5);
+        assert_eq!(apply(&mut newcomer, blocks), (5, 0));
         assert_eq!(newcomer.tip(), veteran.tip());
-    }
-
-    #[test]
-    fn sync_rebuilds_the_directory() {
-        let (mut veteran, mut newcomer, wallet, params) = two_chains(3);
-        let coin = OutPoint {
-            txid: veteran.block_at(0).unwrap().transactions[0].txid(),
-            vout: 0,
-        };
-        let endpoint = NetAddr {
-            ip: [10, 1, 2, 3],
-            port: 7000,
-        };
-        let ann = IpAnnouncement {
-            address: wallet.address(),
-            endpoint,
-            seq: 0,
-        };
-        let tx = wallet.build_payment(
-            vec![(coin, wallet.locking_script())],
-            vec![
-                ann.to_output(),
-                TxOut {
-                    value: 990,
-                    script_pubkey: wallet.locking_script(),
-                },
-            ],
-            0,
-        );
-        let height = veteran.height() + 1;
-        let cb = Transaction::coinbase(
-            height,
-            b"a",
-            vec![TxOut {
-                value: params.coinbase_reward,
-                script_pubkey: Script::new(),
-            }],
-        );
-        let block =
-            bcwan_chain::Block::mine(veteran.tip(), height, params.difficulty_bits, vec![cb, tx]);
-        veteran.add_block(block).unwrap();
-
-        let (outcome, directory) = bootstrap_from_peer(&mut newcomer, &veteran);
-        assert_eq!(outcome.connected, 1);
-        assert_eq!(directory.lookup(&wallet.address()), Some(endpoint));
     }
 
     #[test]
     fn garbage_blocks_are_counted_not_fatal() {
         let (mut veteran, mut newcomer, _, params) = two_chains(4);
         mine_empty(&mut veteran, b"good");
-        let mut blocks = serve_blocks_from(&veteran, 0);
+        let mut blocks = serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH);
         // A block from nowhere (unknown parent).
         let junk = bcwan_chain::Block::mine(
             bcwan_chain::BlockHash([0xee; 32]),
@@ -498,9 +411,7 @@ mod tests {
             )],
         );
         blocks.push(junk);
-        let outcome = catch_up(&mut newcomer, blocks);
-        assert_eq!(outcome.connected, 1);
-        assert_eq!(outcome.rejected, 1);
+        assert_eq!(apply(&mut newcomer, blocks), (1, 1));
         assert_eq!(newcomer.height(), 1);
     }
 
@@ -546,7 +457,7 @@ mod tests {
                 panic!("only bodies expected while fetching");
             };
             let blocks = serve_blocks_from_bounded(&veteran, from, SYNC_BATCH);
-            catch_up(&mut newcomer, blocks);
+            apply(&mut newcomer, blocks);
         }
         let reqs = hs.on_progress(&newcomer);
         assert!(reqs.is_empty());
@@ -561,7 +472,10 @@ mod tests {
         for i in 0..4u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        catch_up(&mut newcomer, serve_blocks_from(&veteran, 0));
+        apply(
+            &mut newcomer,
+            serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH),
+        );
         // Diverge: the newcomer mines two blocks of its own while the
         // veteran's branch grows longer.
         for i in 0..2u8 {
@@ -595,7 +509,7 @@ mod tests {
                 panic!("fetching only issues body requests");
             };
             let blocks = serve_blocks_from_bounded(&veteran, from, SYNC_BATCH);
-            catch_up(&mut newcomer, blocks);
+            apply(&mut newcomer, blocks);
         }
         hs.on_progress(&newcomer);
         assert!(!hs.is_active());
@@ -647,11 +561,9 @@ mod tests {
     fn duplicate_blocks_are_harmless() {
         let (mut veteran, mut newcomer, _, _) = two_chains(5);
         mine_empty(&mut veteran, b"x");
-        let blocks = serve_blocks_from(&veteran, 0);
-        catch_up(&mut newcomer, blocks.clone());
-        let outcome = catch_up(&mut newcomer, blocks);
-        assert_eq!(outcome.connected, 0);
-        assert_eq!(outcome.rejected, 0);
+        let blocks = serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH);
+        assert_eq!(apply(&mut newcomer, blocks.clone()), (1, 0));
+        assert_eq!(apply(&mut newcomer, blocks), (0, 0));
         assert_eq!(newcomer.height(), 1);
     }
 }

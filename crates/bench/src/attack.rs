@@ -17,8 +17,8 @@
 //!   `≈ D` block intervals of latency (the §6 Bitcoin analogy:
 //!   6 × 10 min = 60 min).
 
-use crate::costs::CostModel;
-use crate::escrow::{build_claim, build_escrow, extract_key_from_claim};
+use bcwan::costs::CostModel;
+use bcwan::escrow::{build_claim, build_escrow, extract_key_from_claim};
 use bcwan_chain::{Chain, ChainParams, Mempool, OutPoint, TxOut, Wallet};
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
 use bcwan_sim::{LatencyModel, SimRng};

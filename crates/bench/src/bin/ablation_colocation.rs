@@ -12,12 +12,12 @@
 //! Usage: `ablation_colocation [N] [--json PATH]`.
 
 use bcwan::world::{WorkloadConfig, World};
-use bcwan_bench::{parse_harness_args, summary_json, BenchReport};
+use bcwan_bench::{harness_args, summary_json, BenchReport};
 use bcwan_sim::{Json, LatencyModel, SimDuration};
 
 fn main() {
-    let (target, json) = parse_harness_args();
-    let n = target.unwrap_or(300);
+    let args = harness_args();
+    let n = args.target.unwrap_or(300);
 
     let regimes: Vec<(&str, LatencyModel)> = vec![
         ("planetlab (paper testbed)", LatencyModel::planetlab()),
@@ -67,7 +67,7 @@ fn main() {
         saved * 1e3
     );
     println!("radio airtime and edge CPU, which §6's co-location argument cannot touch.");
-    if let Some(path) = json {
+    if let Some(path) = args.json {
         let lan = last.expect("three regimes ran");
         BenchReport::new("ablation_colocation")
             .config("target_exchanges", Json::size(n))

@@ -9,14 +9,14 @@
 //!
 //! Usage: `ablation_confirmations [TRIALS] [--json PATH]`.
 
-use bcwan::attack::{play_double_spend_mechanics, simulate_attack_rates, AttackConfig};
 use bcwan::costs::CostModel;
-use bcwan_bench::{parse_harness_args, BenchReport};
+use bcwan_bench::attack::{play_double_spend_mechanics, simulate_attack_rates, AttackConfig};
+use bcwan_bench::{harness_args, BenchReport};
 use bcwan_sim::{Json, LatencyModel, Registry, SimRng};
 
 fn main() {
-    let (trials, json) = parse_harness_args();
-    let trials = trials.unwrap_or(20_000);
+    let args = harness_args();
+    let trials = args.target.unwrap_or(20_000);
 
     // First: prove the mechanics once on the real substrate.
     let mechanics = play_double_spend_mechanics(42);
@@ -83,7 +83,7 @@ fn main() {
     println!();
     println!("paper §6: zero-conf is exploitable; Bitcoin's 6-conf advice would cost");
     println!("6 × block-interval of latency (60 min on Bitcoin, ~90 s on this chain).");
-    if let Some(path) = json {
+    if let Some(path) = args.json {
         BenchReport::new("ablation_confirmations")
             .config("trials_per_depth", Json::size(trials))
             .config("block_interval_s", Json::num(15.0))

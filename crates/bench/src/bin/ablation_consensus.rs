@@ -11,8 +11,8 @@
 //!
 //! Usage: `ablation_consensus [--json PATH]`.
 
-use bcwan_bench::{parse_harness_args, BenchReport};
-use bcwan_chain::pos::ValidatorSet;
+use bcwan_bench::pos::ValidatorSet;
+use bcwan_bench::{harness_args, BenchReport};
 use bcwan_chain::{Address, Block, BlockHash, Transaction, TxOut};
 use bcwan_script::Script;
 use bcwan_sim::{Json, Registry};
@@ -49,7 +49,7 @@ fn mine_cost(bits: u32, blocks: u32) -> PowRow {
 }
 
 fn main() {
-    let (_, json) = parse_harness_args();
+    let json = harness_args().json;
     let mut registry = Registry::new();
     let blocks_counter = registry.counter("pow.blocks_mined_total");
     let hashes_counter = registry.counter("pow.hash_evaluations_total");

@@ -14,17 +14,32 @@
 //!
 //! Usage: `ablation_keysize [--json PATH]`.
 
-use bcwan_bench::{bench_fn_stats, parse_harness_args, BenchReport};
+use bcwan_bench::{harness_args, BenchReport};
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey};
 use bcwan_lora::airtime::{max_messages_per_hour, time_on_air};
 use bcwan_lora::params::{RadioConfig, SpreadingFactor};
-use bcwan_sim::{Json, Registry};
+use bcwan_sim::{Json, Registry, Series};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Median wall-clock seconds of `calls` timed calls of `f`, after one
+/// untimed warm-up call.
+fn median_secs<R>(calls: usize, mut f: impl FnMut() -> R) -> f64 {
+    black_box(f());
+    let samples: Series = (0..calls)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.summary().expect("at least one call").median
+}
 
 fn main() {
-    let (_, json) = parse_harness_args();
+    let json = harness_args().json;
     let mut registry = Registry::new();
     let rows_counter = registry.counter("bench.rows_total");
     let misfit_counter = registry.counter("lora.payload_cap_violations_total");
@@ -77,16 +92,16 @@ fn main() {
         (RsaKeySize::Rsa2048, 4),
     ] {
         let mut rng = StdRng::seed_from_u64(2018);
-        let keygen = bench_fn_stats(keygens, || generate_keypair(&mut rng, size));
+        let keygen = median_secs(keygens, || generate_keypair(&mut rng, size));
         let (public, private) = generate_keypair(&mut rng, size);
-        let sign = bench_fn_stats(50, || private.sign(black_box(b"Em || ePk")));
+        let sign = median_secs(50, || private.sign(black_box(b"Em || ePk")));
         // Validators see the revealed key in its wire form: no CRT.
         let revealed = RsaPrivateKey::from_bytes(&private.to_bytes()).expect("own encoding");
-        let pair = bench_fn_stats(20, || public.matches_private(black_box(&revealed)));
+        let pair = median_secs(20, || public.matches_private(black_box(&revealed)));
         let costs = [
-            ("keygen_ms", keygen.median_s * 1e3),
-            ("sign_us", sign.median_s * 1e6),
-            ("pair_check_us", pair.median_s * 1e6),
+            ("keygen_ms", keygen * 1e3),
+            ("sign_us", sign * 1e6),
+            ("pair_check_us", pair * 1e6),
         ];
         println!(
             "{:>5}  {:>10.2}  {:>8.1}  {:>14.1}",

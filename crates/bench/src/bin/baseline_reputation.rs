@@ -15,14 +15,14 @@
 //!
 //! Usage: `baseline_reputation [MESSAGES] [--json PATH]`.
 
-use bcwan::reputation::{run_reputation_baseline, score_observed, ReputationConfig};
 use bcwan::world::{WorkloadConfig, World};
-use bcwan_bench::{parse_harness_args, BenchReport};
+use bcwan_bench::reputation::{run_reputation_baseline, score_observed, ReputationConfig};
+use bcwan_bench::{harness_args, BenchReport};
 use bcwan_sim::{ChaosFault, ChaosPlan, Json, Registry, SimRng, SimTime};
 
 fn main() {
-    let (messages, json) = parse_harness_args();
-    let messages = messages.unwrap_or(20_000);
+    let args = harness_args();
+    let messages = args.target.unwrap_or(20_000);
     let mut registry = Registry::new();
     let attempted_counter = registry.counter("reputation.attempted_total");
     let stolen_counter = registry.counter("reputation.stolen_total");
@@ -102,7 +102,7 @@ fn main() {
         observed.banned_gateways as u64,
     );
 
-    if let Some(path) = json {
+    if let Some(path) = args.json {
         BenchReport::new("baseline_reputation")
             .config("messages_per_fraction", Json::size(messages))
             .rows(Json::Array(rows))

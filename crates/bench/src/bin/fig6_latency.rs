@@ -7,13 +7,13 @@
 //! Usage: `fig6_latency [N] [--json PATH]`.
 
 use bcwan::world::{WorkloadConfig, World};
-use bcwan_bench::{parse_harness_args, BenchReport, LatencyReport};
+use bcwan_bench::{harness_args, BenchReport, LatencyReport};
 use bcwan_sim::Json;
 
 fn main() {
-    let (target, json) = parse_harness_args();
+    let args = harness_args();
     let mut cfg = WorkloadConfig::paper_fig6().with_tracing();
-    if let Some(n) = target {
+    if let Some(n) = args.target {
         cfg.target_exchanges = n;
     }
     eprintln!(
@@ -52,7 +52,7 @@ fn main() {
         .phases(&result.phases);
     // The stall shows up as a fat confirmation_wait / escrow_publish tail.
     report.print_phases();
-    if let Some(path) = json {
+    if let Some(path) = args.json {
         report.write(&path).expect("write json");
         eprintln!("wrote {path}");
     }

@@ -2,8 +2,8 @@
 //!
 //! For each host count, runs the simulated testbed on a degree-6 ring
 //! lattice ([`WorkloadConfig::fleet`]) across several seeds and reports
-//! exchange throughput (completed exchanges per simulated second) with
-//! a 95 % bootstrap confidence interval per host count, plus wall-clock
+//! exchange throughput (completed exchanges per simulated second) as
+//! min / mean / max over the seeds per host count, plus wall-clock
 //! cost — the curve that shows whether the federation's gossip and sync
 //! machinery scales past the paper's 6-host testbed.
 //!
@@ -13,8 +13,8 @@
 //! fails an exchange or violates an invariant, so CI can gate on it.
 
 use bcwan::world::{WorkloadConfig, World};
-use bcwan_bench::{bootstrap_ci_mean, BenchReport, BOOTSTRAP_RESAMPLES};
-use bcwan_sim::Json;
+use bcwan_bench::BenchReport;
+use bcwan_sim::{Json, Series};
 
 struct Args {
     hosts: Vec<u32>,
@@ -69,7 +69,7 @@ fn main() {
 
     for &hosts in &args.hosts {
         let target = ((hosts as f64 * args.exchanges_per_host) as usize).max(10);
-        let mut throughput = Vec::new();
+        let mut throughput = Series::new();
         let mut wall_s = Vec::new();
         for seed in 0..args.seeds {
             let cfg = WorkloadConfig::fleet(hosts, target, 0xf1ee7 ^ seed);
@@ -77,7 +77,7 @@ fn main() {
             let result = World::new(cfg).run();
             let wall = t0.elapsed().as_secs_f64();
             let sim_s = result.sim_time.as_secs_f64().max(1e-9);
-            throughput.push(result.completed as f64 / sim_s);
+            throughput.record(result.completed as f64 / sim_s);
             wall_s.push(wall);
             let ok = result.failed == 0 && result.invariant_violations == 0;
             if !ok {
@@ -94,22 +94,21 @@ fn main() {
             );
             last_metrics = Some(result.metrics);
         }
-        let mean = throughput.iter().sum::<f64>() / throughput.len() as f64;
-        let (ci_lo, ci_hi) =
-            bootstrap_ci_mean(&throughput, BOOTSTRAP_RESAMPLES, 0xb007 + hosts as u64);
+        let throughput = throughput.summary().expect("at least one seed");
         let wall_mean = wall_s.iter().sum::<f64>() / wall_s.len() as f64;
         eprintln!(
-            "hosts={hosts}: throughput {mean:.4} ex/sim-s (95% CI {ci_lo:.4}–{ci_hi:.4}), \
-             wall {wall_mean:.1}s/run"
+            "hosts={hosts}: throughput {:.4} ex/sim-s (min {:.4}, max {:.4}), \
+             wall {wall_mean:.1}s/run",
+            throughput.mean, throughput.min, throughput.max,
         );
         rows.push(
             Json::object()
                 .with("hosts", Json::uint(hosts as u64))
                 .with("target_exchanges", Json::size(target))
                 .with("seeds", Json::uint(args.seeds))
-                .with("throughput_ex_per_sim_s", Json::num(mean))
-                .with("throughput_ci_lo", Json::num(ci_lo))
-                .with("throughput_ci_hi", Json::num(ci_hi))
+                .with("throughput_ex_per_sim_s", Json::num(throughput.mean))
+                .with("throughput_min", Json::num(throughput.min))
+                .with("throughput_max", Json::num(throughput.max))
                 .with("wall_s_mean", Json::num(wall_mean)),
         );
     }

@@ -8,13 +8,13 @@
 //!
 //! Usage: `lora_capacity [--json PATH]`.
 
-use bcwan_bench::{parse_harness_args, BenchReport};
+use bcwan_bench::{harness_args, BenchReport};
 use bcwan_lora::airtime::{max_messages_per_hour, time_on_air};
 use bcwan_lora::params::{RadioConfig, SpreadingFactor};
 use bcwan_sim::{Json, Registry};
 
 fn main() {
-    let (_, json) = parse_harness_args();
+    let json = harness_args().json;
     // The paper's frame: 128-byte payload + 4-byte length header.
     const PHY_LEN: usize = 132;
     const DUTY: f64 = 0.01;

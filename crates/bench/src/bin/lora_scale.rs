@@ -14,10 +14,10 @@
 //!    `G = 0.5`. Exits 1 if it doesn't.
 //! 2. **Scale sweep**: for each population in `--nodes`, steps the
 //!    sharded world (1000 sensors per gateway shard, CSMA MAC) through
-//!    `--sim-secs` of simulated time in 12 segments, reporting seconds
-//!    per node-tick with a 95 % bootstrap CI over the segments. The
-//!    largest population also records a per-segment metric timeline into
-//!    the report's `timeline` section.
+//!    `--sim-secs` of simulated time in 12 segments, reporting mean
+//!    seconds per node-tick over the segments. The largest population
+//!    also records a per-segment metric timeline into the report's
+//!    `timeline` section.
 //! 3. **Speedup**: at `--scalar-nodes` sensors on a 6-hour metering
 //!    cadence, steps the per-`Radio` scalar reference and the columnar
 //!    world (both single-threaded, best of three runs each) over the
@@ -30,12 +30,11 @@
 //! [--json PATH]`. Defaults: nodes 1000,10000,100000,1000000;
 //! sim-secs 3600 (one simulated hour); threads = available cores.
 //!
-//! The headline gauge `bench.shard_step_s` (seconds per node-tick at the
-//! largest population, with `bench.shard_step_ci95_lo_s`/`_hi_s`
-//! bootstrap bounds) is what CI gates with `compare --metric
-//! shard_step_s:10` against `results/lora_scale.baseline.json`.
+//! The headline gauge `bench.shard_step_s` is seconds per node-tick at
+//! the largest population; the regression gate on step time is the
+//! ledger's `radio_1m` workload (`lora.csma_ns_per_node_tick`).
 
-use bcwan_bench::{bootstrap_ci_mean, BenchReport, BOOTSTRAP_RESAMPLES};
+use bcwan_bench::BenchReport;
 use bcwan_lora::mac::MacConfig;
 use bcwan_lora::params::{RadioConfig, SpreadingFactor};
 use bcwan_lora::shard::{ScalarFleet, ShardConfig, ShardedLora};
@@ -237,13 +236,13 @@ fn main() {
     // Phase 2 — scale sweep with per-segment wall samples.
     println!("\n== shard step throughput (CSMA MAC, {NODES_PER_SHARD} sensors/shard) ==");
     println!(
-        "{:>9} {:>7} {:>10} {:>14} {:>26} {:>12}",
-        "sensors", "shards", "wall(s)", "node-ticks/s", "s/node-tick [95% CI]", "delivered"
+        "{:>9} {:>7} {:>10} {:>14} {:>12} {:>12}",
+        "sensors", "shards", "wall(s)", "node-ticks/s", "s/node-tick", "delivered"
     );
     let mut scale_rows = Vec::new();
     let mut registry = Registry::new();
     let mut timeline = None;
-    let mut headline: Option<(f64, f64, f64)> = None; // (mean, ci_lo, ci_hi) s/node-tick
+    let mut headline = None; // mean s/node-tick at the largest population
     let largest = *args.nodes.iter().max().expect("non-empty nodes");
     for &n in &args.nodes {
         let cfg = scale_cfg(n, args.seed);
@@ -269,13 +268,10 @@ fn main() {
         let wall_total = t_total.elapsed().as_secs_f64();
         let c = world.counters();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let (ci_lo, ci_hi) = bootstrap_ci_mean(&samples, BOOTSTRAP_RESAMPLES, 0x10a5 ^ n);
         let ticks_per_s = total_nodes as f64 * args.sim_secs as f64 / wall_total.max(1e-12);
         println!(
-            "{n:>9} {:>7} {wall_total:>10.2} {ticks_per_s:>14.3e} {:>26} {:>12}",
-            cfg.shards,
-            format!("{mean:.3e} [{ci_lo:.3e}, {ci_hi:.3e}]"),
-            c.delivered
+            "{n:>9} {:>7} {wall_total:>10.2} {ticks_per_s:>14.3e} {mean:>12.3e} {:>12}",
+            cfg.shards, c.delivered
         );
         scale_rows.push(
             Json::object()
@@ -285,8 +281,6 @@ fn main() {
                 .with("wall_s", Json::num(wall_total))
                 .with("node_ticks_per_s", Json::num(ticks_per_s))
                 .with("s_per_node_tick", Json::num(mean))
-                .with("s_per_node_tick_ci_lo", Json::num(ci_lo))
-                .with("s_per_node_tick_ci_hi", Json::num(ci_hi))
                 .with("fired", Json::uint(c.fired))
                 .with("delivered", Json::uint(c.delivered))
                 .with("lost_collision", Json::uint(c.lost_collision))
@@ -295,7 +289,7 @@ fn main() {
                 .with("energy_j", Json::num(c.energy_j)),
         );
         if n == largest {
-            headline = Some((mean, ci_lo, ci_hi));
+            headline = Some(mean);
             timeline = series;
             c.export(&mut registry);
         }
@@ -353,10 +347,10 @@ fn main() {
     }
 
     // Report.
-    let (step_mean, step_lo, step_hi) = headline.expect("at least one population");
-    registry.set_gauge("bench.shard_step_s", step_mean);
-    registry.set_gauge("bench.shard_step_ci95_lo_s", step_lo);
-    registry.set_gauge("bench.shard_step_ci95_hi_s", step_hi);
+    registry.set_gauge(
+        "bench.shard_step_s",
+        headline.expect("at least one population"),
+    );
     registry.set_gauge("bench.speedup_vs_scalar", speedup);
     if let Some(peak_g) = curve_peak_g {
         registry.set_gauge("bench.curve_peak_g", peak_g);

@@ -10,7 +10,7 @@
 //! Usage: `node_energy [--json PATH]`.
 
 use bcwan::costs::CostModel;
-use bcwan_bench::{parse_harness_args, BenchReport};
+use bcwan_bench::{harness_args, BenchReport};
 use bcwan_lora::collision::{aloha_success_probability, offered_load};
 use bcwan_lora::energy::{battery_life_years, exchange_energy, EnergyModel};
 use bcwan_lora::params::RadioConfig;
@@ -18,7 +18,7 @@ use bcwan_lora::time_on_air;
 use bcwan_sim::{Json, Registry};
 
 fn main() {
-    let (_, json) = parse_harness_args();
+    let json = harness_args().json;
     let model = EnergyModel::sx1276_coin_cell();
     let cfg = RadioConfig::paper_sf7();
     let costs = CostModel::pi_class();

@@ -7,7 +7,7 @@
 //! blockchain to the edge nodes." This module provides the stake-weighted
 //! leader schedule the A4 ablation bench compares against PoW.
 
-use crate::wallet::Address;
+use bcwan_chain::Address;
 use bcwan_crypto::sha256;
 
 /// A stake-weighted validator set with deterministic slot-leader election.

@@ -10,7 +10,7 @@
 //! or not. Recipients keep per-gateway scores, stop using gateways below
 //! a threshold, and malicious gateways defect with a fixed probability.
 
-use crate::audit::GatewayOutcome;
+use bcwan::audit::GatewayOutcome;
 use bcwan_sim::SimRng;
 use std::collections::HashMap;
 

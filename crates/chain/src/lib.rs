@@ -22,9 +22,7 @@
 //! - [`store`] — persistent chain storage: append-only block/undo
 //!   files, a write-back coins cache over a flat on-disk table, and a
 //!   crash-safe manifest (see `Chain::create_with_store` /
-//!   `Chain::open_store`),
-//! - [`pos`] — stake-weighted leader election for the §6 consensus
-//!   ablation.
+//!   `Chain::open_store`).
 //!
 //! ## Example
 //!
@@ -52,7 +50,6 @@ pub mod codec;
 pub mod mempool;
 pub mod merkle;
 pub mod params;
-pub mod pos;
 pub mod store;
 pub mod tx;
 pub mod utxo;

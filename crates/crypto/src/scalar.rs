@@ -188,11 +188,6 @@ impl Scalar {
         Scalar(mont_mul(&[v, 0, 0, 0], &R2_MOD_N))
     }
 
-    /// A scalar from a 128-bit value (always `< n`).
-    pub fn from_u128(v: u128) -> Scalar {
-        Scalar(mont_mul(&[v as u64, (v >> 64) as u64, 0, 0], &R2_MOD_N))
-    }
-
     /// A scalar from canonical (non-Montgomery) little-endian limbs that
     /// are already `< n`. Internal bridge for the GLV decomposition, which
     /// produces half-width limb values directly.

@@ -126,11 +126,6 @@ impl EncryptedReading {
             ciphertext: rest.to_vec(),
         })
     }
-
-    /// Total encoded size.
-    pub fn encoded_len(&self) -> usize {
-        2 + 16 + self.ciphertext.len()
-    }
 }
 
 /// A frame on the LoRa radio.

@@ -576,11 +576,6 @@ impl ShardedLora {
         }
         total
     }
-
-    /// Per-shard (per-gateway) counters, in shard order.
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        self.shards.iter().map(|s| s.counters).collect()
-    }
 }
 
 /// One sensor in the scalar reference path: a real [`Radio`] object plus

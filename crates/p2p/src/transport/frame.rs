@@ -33,7 +33,7 @@
 
 use bcwan_crypto::hmac::{derive_key, hmac_sha256};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Frame magic — first bytes of every frame on the wire.
 pub const MAGIC: [u8; 4] = *b"BCWF";
@@ -262,19 +262,6 @@ pub fn encode_frame(key: &FrameKey, from: u64, kind: u8, payload: &[u8]) -> Vec<
     out.extend_from_slice(&tag);
     out.extend_from_slice(payload);
     out
-}
-
-/// Writes one frame to `w` (single `write_all`, so a fault that kills the
-/// connection mid-call leaves at most one torn frame on the wire).
-pub fn write_frame(
-    w: &mut impl Write,
-    key: &FrameKey,
-    from: u64,
-    kind: u8,
-    payload: &[u8],
-) -> io::Result<()> {
-    w.write_all(&encode_frame(key, from, kind, payload))?;
-    w.flush()
 }
 
 /// Validates a complete header + payload pair; shared by the blocking

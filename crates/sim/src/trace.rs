@@ -68,11 +68,6 @@ impl Tracer {
         }
     }
 
-    /// Whether the tracer records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Opens span `name`/`id` at `now`. Re-opening an already-open span
     /// restarts it (the earlier start is discarded).
     #[inline]
