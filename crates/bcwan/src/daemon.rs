@@ -44,11 +44,13 @@ pub struct Daemon {
     last_change: ChainChange,
 }
 
-/// The transactions the last main-chain-changing block moved. Cloning
-/// bumps a reference count: the extending block is the chain's own copy.
+/// The transactions the last accepted block moved on the main chain.
+/// Cloning bumps a reference count: the extending block is the chain's
+/// own copy.
 #[derive(Debug, Clone, Default)]
 pub enum ChainChange {
-    /// The main chain has not changed yet (or the daemon restarted).
+    /// The last block left the main chain as it was (a side-chain, known
+    /// or refused block), or the daemon restarted since.
     #[default]
     None,
     /// A block extended the tip.
@@ -199,7 +201,7 @@ impl Daemon {
                 self.repair_mempool_after_reorg(&reorg);
                 self.last_change = ChainChange::Reorganized(Arc::new(reorg));
             }
-            _ => {}
+            _ => self.last_change = ChainChange::None,
         }
         (done, result)
     }
@@ -230,9 +232,10 @@ impl Daemon {
             .evict_invalid(self.chain.utxo(), height + 1, self.chain.params());
     }
 
-    /// What the last `accept_block` that changed the main chain
-    /// connected and disconnected. Side-chain, known and rejected blocks
-    /// leave it as it was.
+    /// What the last `accept_block` connected and disconnected:
+    /// [`ChainChange::None`] unless that block changed the main chain, so
+    /// a side-chain, known or refused block never re-reports the block
+    /// before it.
     pub fn last_change(&self) -> &ChainChange {
         &self.last_change
     }

@@ -13,24 +13,28 @@
 //! shared event-driven [`TcpRuntime`]); the only difference is which
 //! transport value the caller constructs.
 //!
-//! What stays on the operator's side of a live fleet is what no daemon
-//! can do for itself: deciding when to mine ([`Fleet::mine`]), telling a
-//! healed node who is ahead ([`Fleet::announce_tip`] — a live fleet has
-//! no oracle that reads every host's height), and invoking the recovery
-//! actions ([`Fleet::act`] with [`Node::rebroadcast`], [`Node::refund`],
-//! …) that the simulator's watchdog times. Partitions are enforced at
-//! the overlay routing layer on both backends: a cut link silently drops
-//! the message, exactly what a severed WAN path does to a datagram in
-//! flight.
+//! Live nodes run the same watchdog as simulated ones: each node asks
+//! for a wake-up whenever it arms a deadline ([`NodeEnv::wake_at`]), and
+//! [`Fleet::step`] — which [`Fleet::run_until`] drives, waiting no longer
+//! than the earliest wake-up — fires every due one through
+//! [`Node::on_deadline`] under [`FsmConfig::default`]: re-delivery,
+//! re-publishing lost or left-out settlements, the CLTV refund,
+//! censorship suspicion. What stays on the operator's side is what no
+//! daemon decides for itself in this harness: when to mine
+//! ([`Fleet::mine`]) and which tip announcements to send
+//! ([`Fleet::announce_tip`] — how a healed node learns who is ahead).
+//! Partitions are enforced at the overlay routing layer on both
+//! backends: a cut link silently drops the message, exactly what a
+//! severed WAN path does to a datagram in flight.
 
 use crate::app_server::AppServerId;
 use crate::costs::CostModel;
 use crate::directory::IpAnnouncement;
 use crate::escrow::REFUND_DELTA;
 use crate::exchange::seal_reading;
-use crate::fsm::FsmEvent;
+use crate::fsm::{FsmConfig, FsmEvent};
 use crate::net::WanCodec;
-use crate::node::{Node, NodeEnv, Note, Parcel, Stored, SyncPlan, Terms};
+use crate::node::{Node, NodeEnv, Note, Parcel, Stored, Terms};
 use crate::provisioning::DeviceId;
 use crate::wire::WanMessage;
 use crate::Daemon;
@@ -245,16 +249,19 @@ pub struct FleetNode {
     /// operator's on the gateway side ([`Node::open_session`]) and
     /// [`delivery_tag`]s on the recipient side.
     pub notes: Vec<(u64, Note)>,
+    /// When the node asked to run its watchdog next.
+    wake: Option<SimTime>,
     /// The node's clock counts from here.
     started: Instant,
 }
 
 /// The environment of a live node: sends become [`Outbound`]s, reports
-/// a log. It is honest (no misbehaviour) and has no oracle: it syncs
-/// from whoever a tip announcement or an orphan block shows to be ahead.
+/// a log, a wake-up request the node's earliest pending one. It is
+/// honest (no misbehaviour).
 struct LiveEnv<'a> {
     out: Vec<Outbound>,
     notes: &'a mut Vec<(u64, Note)>,
+    wake: &'a mut Option<SimTime>,
 }
 
 /// The tag a live recipient files an exchange under: a digest of the
@@ -287,16 +294,10 @@ impl NodeEnv for LiveEnv<'_> {
         self.notes.contains(&(tag, refunded))
     }
 
-    fn sync_plan(
-        &mut self,
-        _now: SimTime,
-        _height: u64,
-        hint: Option<(NodeId, u64)>,
-    ) -> Option<SyncPlan> {
-        hint.map(|(peer, target)| SyncPlan {
-            peers: vec![peer],
-            target,
-        })
+    fn wake_at(&mut self, at: SimTime) {
+        if self.wake.is_none_or(|pending| at < pending) {
+            *self.wake = Some(at);
+        }
     }
 }
 
@@ -307,10 +308,11 @@ impl FleetNode {
         &mut self,
         action: impl FnOnce(&mut Node, SimTime, &mut dyn NodeEnv) -> R,
     ) -> (R, Vec<Outbound>) {
-        let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
+        let now = self.now();
         let mut env = LiveEnv {
             out: Vec::new(),
             notes: &mut self.notes,
+            wake: &mut self.wake,
         };
         let result = action(&mut self.node, now, &mut env);
         (result, env.out)
@@ -326,6 +328,21 @@ impl FleetNode {
     /// Whether this node reported `note` for exchange `tag`.
     pub fn noted(&self, tag: u64, note: Note) -> bool {
         self.notes.contains(&(tag, note))
+    }
+
+    /// The node's clock reading.
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.started.elapsed().as_micros() as u64)
+    }
+
+    /// Runs the node's watchdog if its wake-up is due, returning what it
+    /// sent.
+    fn fire_due_wake(&mut self) -> Vec<Outbound> {
+        if self.wake.is_none_or(|at| at > self.now()) {
+            return Vec::new();
+        }
+        self.wake = None;
+        self.act(|node, now, env| node.on_deadline(now, env)).1
     }
 }
 
@@ -383,6 +400,7 @@ impl<T: FleetTransport> Fleet<T> {
             confirmation_depth: 1,
             refund_delta: REFUND_DELTA,
             rsa_size: RsaKeySize::Rsa512,
+            fsm: FsmConfig::default(),
         });
         // One bootstrap, as in `World::new`: every node's chain is a fork
         // of it.
@@ -403,6 +421,7 @@ impl<T: FleetTransport> Fleet<T> {
                     address_book.clone(),
                 ),
                 notes: Vec::new(),
+                wake: None,
                 started,
             })
             .collect();
@@ -419,8 +438,9 @@ impl<T: FleetTransport> Fleet<T> {
         self.nodes.is_empty()
     }
 
-    /// Drains and handles every node's pending inbox once, routing the
-    /// reactions. Returns how many inbound messages were processed.
+    /// Drains and handles every node's pending inbox once and fires
+    /// every due wake-up, routing the reactions. Returns how many inbound
+    /// messages were processed.
     pub fn step(&mut self) -> usize {
         let n = self.nodes.len();
         let mut moved = 0;
@@ -433,6 +453,8 @@ impl<T: FleetTransport> Fleet<T> {
                 let reactions = self.nodes[i].handle(env);
                 self.route(NodeId(i as u32), reactions);
             }
+            let reactions = self.nodes[i].fire_due_wake();
+            self.route(NodeId(i as u32), reactions);
         }
         moved
     }
@@ -457,8 +479,8 @@ impl<T: FleetTransport> Fleet<T> {
 
     /// Steps until `pred` holds or `timeout` elapses; `true` on success.
     /// With nothing to step, blocks until the fabric delivers something
-    /// (in-flight TCP frames land on the runtime's threads) or the
-    /// deadline.
+    /// (in-flight TCP frames land on the runtime's threads), a node's
+    /// wake-up comes due, or the deadline.
     pub fn run_until(
         &mut self,
         timeout: Duration,
@@ -475,7 +497,12 @@ impl<T: FleetTransport> Fleet<T> {
                 return pred(self);
             }
             if moved == 0 {
-                self.transport.wait(deadline - now);
+                let wake = self.nodes.iter().filter_map(|n| {
+                    let at = Duration::from_micros(n.wake?.as_micros());
+                    Some(at.saturating_sub(n.started.elapsed()))
+                });
+                self.transport
+                    .wait(wake.fold(deadline - now, Duration::min));
             }
         }
     }
@@ -673,6 +700,7 @@ mod tests {
     use bcwan_chain::{Block, BlockHash};
     use bcwan_p2p::transport::TransportStats;
     use bcwan_p2p::ChainMessage;
+    use bcwan_sim::SimDuration;
 
     const GATEWAY: usize = 1;
     const RECIPIENT: usize = 2;
@@ -855,13 +883,13 @@ mod tests {
             fleet.mine(0);
             while fleet.step() > 0 {}
         }
-        // The operator's part of the watchdog: past the CLTV height with
-        // no claim in sight, spend the escrow back.
-        let sent = fleet.act(RECIPIENT, |node, now, env| {
-            node.refund(filed).expect("escrow held");
-            node.rebroadcast(now, filed, Stored::Refund, env)
+        // The recipient's watchdog: past the CLTV height with no claim in
+        // sight, its next sweep spends the escrow back.
+        let later = SimDuration::from_secs(3600);
+        fleet.act(RECIPIENT, |node, now, env| {
+            node.on_deadline(now + later, env)
         });
-        assert!(sent, "the refund is valid now");
+        assert!(fleet.nodes[RECIPIENT].noted(filed, Note::Refunding));
         assert!(
             fleet.run_until(WAIT, |f| pooled(f, 0) == 1),
             "refund pooled"
@@ -871,6 +899,21 @@ mod tests {
         assert!(fleet.run_until(WAIT, |f| f.nodes[RECIPIENT].noted(filed, refunded)));
         assert!(!fleet.nodes[GATEWAY].noted(0, Note::Claiming));
         assert!(!fleet.nodes[RECIPIENT].noted(filed, Note::Opened));
+    }
+
+    #[test]
+    fn a_late_deadline_never_claims_short_of_the_depth() {
+        // Depth 1: the escrow is pooled everywhere but not mined, so no
+        // deadline, however late, may reveal the key.
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 21);
+        deliver(&mut fleet, 0, b"unmined");
+        assert!(fleet.run_until(WAIT, |f| pooled(f, 0) == 1 && pooled(f, GATEWAY) == 1));
+        let later = SimDuration::from_secs(3600);
+        fleet.act(GATEWAY, |node, now, env| node.on_deadline(now + later, env));
+        while fleet.step() > 0 {}
+        assert!(!fleet.nodes[GATEWAY].noted(0, Note::Claiming));
+        fleet.mine(0);
+        assert!(fleet.run_until(WAIT, |f| f.nodes[GATEWAY].noted(0, Note::Claiming)));
     }
 
     #[test]

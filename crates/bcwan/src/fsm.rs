@@ -1,12 +1,15 @@
 //! The per-exchange fault-tolerance state machine.
 //!
 //! Every Fig. 3 exchange progresses through named phases; the machine
-//! makes the legal transitions explicit, drives per-phase deadlines
-//! (bounded retry with exponential backoff for delivery, an unbounded
-//! settlement watchdog for published escrows), and survives reorgs: a
-//! claim or refund that confirms can be *orphaned* back to
-//! [`Phase::Escrowed`], after which the watchdog re-broadcasts until the
-//! chain settles it again.
+//! makes the legal transitions explicit, times the phase's retries
+//! (bounded re-delivery with exponential backoff while `Sealed`, an
+//! unbounded settlement watchdog once the escrow is published), and
+//! survives reorgs: a claim or refund that confirms can be *orphaned*
+//! back to [`Phase::Escrowed`], after which the watchdog keeps the
+//! settlement published until the chain settles it again. The machines
+//! live in the nodes that act on them: a gateway's session holds one
+//! while it re-delivers, a recipient's escrow record from delivery on
+//! ([`Node::on_deadline`](crate::node::Node::on_deadline) fires both).
 //!
 //! ```text
 //!                 Sealed        Delivered      EscrowPublished
@@ -124,16 +127,17 @@ pub struct FsmConfig {
     /// Re-delivery schedule while `Sealed` (gateway → recipient): bounded,
     /// so a dead recipient eventually abandons the exchange.
     pub deliver_retry: RetryPolicy,
-    /// Settlement watchdog while `Escrowed`: re-broadcasts vanished
-    /// escrow/claim transactions and drives the CLTV refund. Unbounded —
-    /// escrowed money must terminate on chain.
+    /// Settlement watchdog while `Escrowed`: re-floods a vanished or
+    /// left-out escrow or refund and drives the CLTV refund. Unbounded —
+    /// escrowed money must terminate on chain. Its `base` is also how
+    /// long after a settlement went out a block may still leave it out.
     pub settle_check: RetryPolicy,
-    /// Consecutive settlement sweeps that find our claim/refund pooled
-    /// at the acting miner yet still unconfirmed before that miner is
-    /// suspected of censorship and routed around. The default backoff
-    /// (10+20+40+60 s) spans several block intervals, so an honest miner
-    /// essentially never trips it — and a spurious trip only rotates
-    /// mining duty, it never loses money.
+    /// Re-floods in a row that blocks from one miner kept leaving out —
+    /// each block mined at least `settle_check.base` after the
+    /// settlement last went out — before the node suspects that miner of
+    /// censorship. An honest miner includes a pooled transaction in its
+    /// next block, so it essentially never trips this — and a spurious
+    /// trip only rotates mining duty, it never loses money.
     pub censor_suspect_sweeps: u32,
 }
 
@@ -168,10 +172,6 @@ pub struct ExchangeFsm {
     armed_at: SimTime,
     /// Retries burned inside the current phase.
     retries: u32,
-    /// Monotonic stamp bumped on every transition *and* retry; scheduled
-    /// deadline events carry the stamp they were armed with, so a stale
-    /// deadline (the phase moved on) is recognizably dead on arrival.
-    seq: u32,
 }
 
 impl ExchangeFsm {
@@ -182,7 +182,15 @@ impl ExchangeFsm {
             entered_at: now,
             armed_at: now,
             retries: 0,
-            seq: 0,
+        }
+    }
+
+    /// A machine for an exchange whose uplink this node just verified
+    /// (Fig. 3 step 8): where a recipient's record starts.
+    pub fn delivered(now: SimTime) -> Self {
+        ExchangeFsm {
+            phase: Phase::Delivered,
+            ..Self::new(now)
         }
     }
 
@@ -199,11 +207,6 @@ impl ExchangeFsm {
     /// Retries burned inside the current phase.
     pub fn retries(&self) -> u32 {
         self.retries
-    }
-
-    /// The current deadline stamp (see the field docs).
-    pub fn seq(&self) -> u32 {
-        self.seq
     }
 
     /// Whether the machine reached a phase that needs no further driving.
@@ -250,29 +253,25 @@ impl ExchangeFsm {
         self.entered_at = now;
         self.armed_at = now;
         self.retries = 0;
-        self.seq = self.seq.wrapping_add(1);
         Ok(next)
     }
 
-    /// Records one retry in the current phase at `now` (re-arming the
-    /// deadline from there), returning the new stamp.
-    pub fn note_retry(&mut self, now: SimTime) -> u32 {
+    /// Records one retry in the current phase at `now`, re-arming the
+    /// deadline from there.
+    pub fn note_retry(&mut self, now: SimTime) {
         self.retries += 1;
         self.armed_at = now;
-        self.seq = self.seq.wrapping_add(1);
-        self.seq
     }
 
-    /// The next deadline for the current phase under `cfg`, with the
-    /// stamp a deadline event must carry. `None` for phases that are not
-    /// deadline-driven.
-    pub fn deadline(&self, cfg: &FsmConfig) -> Option<(SimTime, u32)> {
+    /// The next deadline for the current phase under `cfg`. `None` for
+    /// phases that are not deadline-driven.
+    pub fn deadline(&self, cfg: &FsmConfig) -> Option<SimTime> {
         let policy = match self.phase {
             Phase::Sealed => &cfg.deliver_retry,
             Phase::Escrowed => &cfg.settle_check,
             _ => return None,
         };
-        Some((self.armed_at + policy.backoff(self.retries), self.seq))
+        Some(self.armed_at + policy.backoff(self.retries))
     }
 
     /// Whether the phase's retry budget is spent under `cfg`.
@@ -358,16 +357,14 @@ mod tests {
         let mut fsm = ExchangeFsm::new(t(0));
         assert!(fsm.deadline(&cfg).is_none(), "Created is not driven");
         fsm.apply(FsmEvent::Sealed, t(10)).unwrap();
-        let (d0, s0) = fsm.deadline(&cfg).unwrap();
-        assert_eq!(d0, t(15), "base 5 s");
+        assert_eq!(fsm.deadline(&cfg), Some(t(15)), "base 5 s");
         fsm.note_retry(t(15));
-        let (d1, s1) = fsm.deadline(&cfg).unwrap();
+        let d1 = fsm.deadline(&cfg).unwrap();
         assert_eq!(d1, t(25), "doubled to 10 s, anchored at the retry");
-        assert_ne!(s0, s1, "retry re-stamps the deadline");
         fsm.note_retry(t(25));
         fsm.note_retry(t(45));
         fsm.note_retry(t(85));
-        let (d4, _) = fsm.deadline(&cfg).unwrap();
+        let d4 = fsm.deadline(&cfg).unwrap();
         assert_eq!(d4, t(125), "capped at 40 s");
         assert!(fsm.retries_exhausted(&cfg), "4 retries = budget spent");
     }
@@ -383,21 +380,23 @@ mod tests {
             fsm.note_retry(t(3 + i));
         }
         assert!(!fsm.retries_exhausted(&cfg));
-        let (deadline, _) = fsm.deadline(&cfg).unwrap();
         assert_eq!(
-            deadline,
+            fsm.deadline(&cfg).unwrap(),
             t(1002 + 60),
             "capped at 60 s past the last retry — always in the future"
         );
     }
 
     #[test]
-    fn stale_deadline_stamps_detectable() {
+    fn recipient_machine_starts_delivered() {
         let cfg = FsmConfig::default();
-        let mut fsm = ExchangeFsm::new(t(0));
-        fsm.apply(FsmEvent::Sealed, t(1)).unwrap();
-        let (_, stamp) = fsm.deadline(&cfg).unwrap();
-        fsm.apply(FsmEvent::Delivered, t(2)).unwrap();
-        assert_ne!(fsm.seq(), stamp, "transition invalidates armed deadline");
+        let mut fsm = ExchangeFsm::delivered(t(2));
+        assert_eq!(fsm.deadline(&cfg), None, "Delivered is not driven");
+        assert_eq!(
+            fsm.apply(FsmEvent::EscrowPublished, t(3)).unwrap(),
+            Phase::Escrowed
+        );
+        assert_eq!(fsm.deadline(&cfg), Some(t(13)), "first settlement sweep");
+        assert!(fsm.apply(FsmEvent::Abort, t(4)).is_err());
     }
 }

@@ -4,10 +4,14 @@
 //! every gateway keeps a chain, finds recipients in the on-chain
 //! directory and plays Fig. 3 in either role. [`Node`] is that daemon.
 //! It owns every reaction a host has to an inbound
-//! [`WanMessage`] ([`Node::handle`]) and the host-local actions an
-//! operator invokes (open a session, forward an uplink, re-broadcast,
-//! claim late, refund, mine, restart, sync), and it reaches everything
-//! outside the host through [`NodeEnv`].
+//! [`WanMessage`] ([`Node::handle`]), its own recovery watchdog
+//! ([`Node::on_deadline`]: re-deliver, re-publish, refund, suspect a
+//! censoring miner) and catch-up source choice, and the host-local
+//! actions an operator invokes (open a session, forward an uplink, mine,
+//! restart), and it reaches everything outside the host through
+//! [`NodeEnv`]. Every decision uses only what the host itself knows: its
+//! pool and chain, its clock, the blocks it connected and the tips its
+//! peers announced or relayed.
 //!
 //! The simulator ([`World`](crate::world::World)) implements `NodeEnv`
 //! over its event queue, latency model and chaos engine; a live
@@ -21,7 +25,7 @@ use crate::daemon::Daemon;
 use crate::directory::{Directory, IpAnnouncement};
 use crate::escrow::{self, Escrow};
 use crate::exchange::{open_reading, verify_uplink, SealedUplink};
-use crate::fsm::FsmEvent;
+use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent};
 use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
 use crate::wire::WanMessage;
@@ -31,8 +35,9 @@ use bcwan_chain::{
 };
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
 use bcwan_p2p::{ChainMessage, NodeId};
-use bcwan_script::Script;
+use bcwan_script::{templates::p2pkh, Script};
 use bcwan_sim::{SimDuration, SimRng, SimTime};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -81,13 +86,13 @@ impl Parcel {
 
 /// Something a node reports about one exchange, at the program point
 /// where it happens. The environment keeps whatever bookkeeping it owns
-/// in step: the simulator drives its per-exchange FSM, deadlines,
-/// tracer spans, auditor and latency series from these; a live fleet
-/// logs them.
+/// in step: the simulator drives its tracer spans, auditor, counters,
+/// mining model and latency series from these; a live fleet logs them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Note {
-    /// Recipient: the delivery could not be verified or funded; the
-    /// exchange is over before any money moved.
+    /// Recipient: the delivery could not be verified or funded. Gateway:
+    /// the re-deliveries ran out with no escrow in sight. Either way the
+    /// exchange is over for this node before it moved any money.
     Abort,
     /// Recipient: the uplink's signature checked out (Fig. 3 step 8).
     Delivered,
@@ -107,6 +112,21 @@ pub enum Note {
     /// Recipient: the main chain confirmed or (after a reorg) orphaned
     /// the claim or refund spending the escrow.
     Settlement(FsmEvent),
+    /// Recipient: the exchange's machine refused this settlement event
+    /// (0 in a correct run).
+    IllegalSettlement(FsmEvent),
+    /// Gateway: no escrow paying the session showed up in time, so the
+    /// held uplink went out again.
+    Redelivered,
+    /// A stored transaction went out again: this node's pool and chain
+    /// had lost it, or a block mined well after it went out left it out.
+    Rebroadcast(Stored),
+    /// Recipient: past the refund height with no settlement, the CLTV
+    /// refund was built.
+    Refunding,
+    /// Blocks from this miner kept leaving out a settlement this node
+    /// re-published (`FsmConfig::censor_suspect_sweeps` times in a row).
+    CensorshipSuspected(NodeId),
 }
 
 /// Ways a Byzantine gateway deviates; the environment says when.
@@ -117,16 +137,6 @@ pub enum Misbehaviour {
     /// Sign two conflicting claims and show each half of the overlay a
     /// different one.
     Equivocate,
-}
-
-/// Where to catch up from: `peers[0]` answers the header probes, body
-/// batches are striped across all of `peers`, up to `target` height.
-#[derive(Debug, Clone)]
-pub struct SyncPlan {
-    /// Peers to ask, the locate source first.
-    pub peers: Vec<NodeId>,
-    /// The height the source is believed to be at.
-    pub target: u64,
 }
 
 /// Everything outside the host, as one node sees it. An environment
@@ -159,14 +169,10 @@ pub trait NodeEnv {
     /// so a key revealed now opens nothing.
     fn closed(&self, tag: u64) -> bool;
 
-    /// Whom to sync from, for a node at `height`. `hint` is a peer the
-    /// node has reason to believe is ahead, and the height it claims.
-    fn sync_plan(
-        &mut self,
-        now: SimTime,
-        height: u64,
-        hint: Option<(NodeId, u64)>,
-    ) -> Option<SyncPlan>;
+    /// Asks for [`Node::on_deadline`] to run at `at`. An earlier pending
+    /// wake-up covers a later request: the node asks again for whatever
+    /// is left after each run.
+    fn wake_at(&mut self, at: SimTime);
 
     /// Whether this node deviates in the given way at `now`. Honest
     /// environments keep the default.
@@ -184,6 +190,7 @@ pub(crate) struct Terms {
     pub(crate) confirmation_depth: u64,
     pub(crate) refund_delta: u64,
     pub(crate) rsa_size: RsaKeySize,
+    pub(crate) fsm: FsmConfig,
 }
 
 /// A transaction a node keeps for an exchange, by role.
@@ -202,8 +209,41 @@ pub enum Stored {
 struct Session {
     tag: u64,
     e_sk: RsaPrivateKey,
-    /// The uplink held for (re-)delivery, and whom it goes to.
-    held: Option<(NodeId, DeviceId, SealedUplink)>,
+    /// Until an escrow paying this session shows up: the uplink held for
+    /// re-delivery.
+    held: Option<Held>,
+}
+
+/// Gateway role: a forwarded uplink, whom it goes to, and the `Sealed`
+/// re-delivery schedule.
+struct Held {
+    to: NodeId,
+    device_id: DeviceId,
+    uplink: SealedUplink,
+    fsm: ExchangeFsm,
+}
+
+/// Gateway role: a signed claim, valid as long as the escrow output
+/// exists, kept published until a block on this node's main chain spends
+/// that output.
+struct Claim {
+    tx: Transaction,
+    published: Published,
+    settled: bool,
+}
+
+/// When a settlement transaction last went out, and which miner's
+/// blocks have left it out how many times in a row since.
+#[derive(Debug, Clone, Copy)]
+struct Published {
+    at: SimTime,
+    left_out: Option<(NodeId, u32)>,
+}
+
+impl Published {
+    fn at(at: SimTime) -> Self {
+        Published { at, left_out: None }
+    }
 }
 
 /// Recipient role: a delivery waiting for the claim to reveal its key.
@@ -216,7 +256,11 @@ struct Sealed {
 /// Recipient role: one escrowed exchange.
 struct Escrowed {
     escrow: Escrow,
-    refund: Option<Transaction>,
+    /// The exchange from delivery on: settlement phase and the
+    /// watchdog's sweep schedule.
+    fsm: ExchangeFsm,
+    published: Published,
+    refund: Option<(Transaction, Published)>,
     /// First key-revealing claim seen spending the escrow; a second
     /// *distinct* one is an equivocation (reported once).
     seen_claim: Option<TxId>,
@@ -271,8 +315,12 @@ pub struct Node {
     /// Gateway: serialized ePk → open session.
     sessions: HashMap<Vec<u8>, Session>,
     /// Gateway: signed claims by exchange tag.
-    claims: HashMap<u64, Transaction>,
-    /// Gateway: escrows seen but short of the confirmation depth.
+    claims: HashMap<u64, Claim>,
+    /// Gateway: escrow outpoint → the claim spending it, kept for good
+    /// like `settle_watch`.
+    claim_watch: HashMap<OutPoint, u64>,
+    /// Gateway: escrows seen but short of the confirmation depth, or
+    /// whose claim was withheld.
     awaiting_conf: Vec<(Vec<u8>, TxId)>,
     /// Recipient: escrowed exchanges by tag (boxed, so the table's
     /// power-of-two slack is in pointers, not in 200-byte records).
@@ -286,6 +334,9 @@ pub struct Node {
     settle_watch: HashMap<OutPoint, u64>,
     /// Blocks whose parent has not arrived yet, keyed by parent hash.
     orphans: HashMap<BlockHash, Vec<Arc<Parcel>>>,
+    /// Peers' chain heights as they announced them or as the blocks they
+    /// relayed showed: bounded by the address book, gone on a restart.
+    peer_tips: HashMap<NodeId, u64>,
     /// When this node last started a catch-up, and at what height — to
     /// rate-limit attempts and tell a progressing sync from a stalled one.
     last_sync_req: Option<SimTime>,
@@ -324,11 +375,13 @@ impl Node {
             reserved: HashSet::new(),
             sessions: HashMap::new(),
             claims: HashMap::new(),
+            claim_watch: HashMap::new(),
             awaiting_conf: Vec::new(),
             escrows: HashMap::new(),
             pending_open: HashMap::new(),
             settle_watch: HashMap::new(),
             orphans: HashMap::new(),
+            peer_tips: HashMap::new(),
             last_sync_req: None,
             last_sync_height: 0,
             header_sync: None,
@@ -358,9 +411,15 @@ impl Node {
     pub fn stored(&self, tag: u64, which: Stored) -> Option<&Transaction> {
         match which {
             Stored::Escrow => self.escrow(tag).map(|e| &e.tx),
-            Stored::Claim => self.claims.get(&tag),
-            Stored::Refund => self.escrows.get(&tag)?.refund.as_ref(),
+            Stored::Claim => self.claims.get(&tag).map(|c| &c.tx),
+            Stored::Refund => self.escrows.get(&tag)?.refund.as_ref().map(|(tx, _)| tx),
         }
+    }
+
+    /// The recipient's machine for exchange `tag`, once it published the
+    /// escrow.
+    pub fn settlement(&self, tag: u64) -> Option<&ExchangeFsm> {
+        self.escrows.get(&tag).map(|e| &e.fsm)
     }
 
     /// Outpoints of every escrow this node published.
@@ -460,8 +519,13 @@ impl Node {
                 }
             }
             WanMessage::Chain(ChainMessage::TipAnnounce { height, .. }) => {
-                if *height > self.height() {
-                    self.start_sync(now, Some((from, *height)), env);
+                self.note_tip(from, *height);
+                match height.cmp(&self.height()) {
+                    Ordering::Greater => self.start_sync(now, env),
+                    // A peer announcing a shorter chain (one that just
+                    // restarted) hears ours back.
+                    Ordering::Less => env.unicast(now, from, self.tip_announce()),
+                    Ordering::Equal => {}
                 }
             }
         }
@@ -503,6 +567,7 @@ impl Node {
         }
         let verified_at = self.occupy_cpu(now, terms.costs.verify_signature);
         env.note(verified_at, tag, Note::Delivered);
+        let mut fsm = ExchangeFsm::delivered(verified_at);
 
         // Step 9: escrow. Select a coin and build the transaction via the
         // daemon ("create, sign, send").
@@ -541,8 +606,14 @@ impl Node {
         };
         self.pending_open.insert(outpoint, sealed);
         self.settle_watch.insert(outpoint, tag);
+        let _ = fsm.apply(FsmEvent::EscrowPublished, admitted_at);
+        if let Some(at) = fsm.deadline(&terms.fsm) {
+            env.wake_at(at);
+        }
         let escrowed = Escrowed {
             escrow,
+            fsm,
+            published: Published::at(admitted_at),
             refund: None,
             seen_claim: None,
             equivocated: false,
@@ -634,15 +705,18 @@ impl Node {
             let Some(found) = escrow_output(tx, &e_pk) else {
                 continue;
             };
+            // The escrow proves the delivery landed: stop re-delivering.
+            if let Some(session) = self.sessions.get_mut(&key_bytes) {
+                session.held = None;
+            }
+            // The same escrow can be offered twice: once as gossip, once
+            // from the block that confirms it.
+            let entry = (key_bytes, found.outpoint.txid);
+            if !self.awaiting_conf.contains(&entry) {
+                self.awaiting_conf.push(entry);
+            }
             if self.terms.confirmation_depth == 0 {
-                self.gateway_claim(now, key_bytes, found, env);
-            } else {
-                // The same escrow can be offered twice: once as gossip,
-                // once from the block that confirms it.
-                let entry = (key_bytes, found.outpoint.txid);
-                if !self.awaiting_conf.contains(&entry) {
-                    self.awaiting_conf.push(entry);
-                }
+                self.gateway_check_confirmations(now, env);
             }
         }
     }
@@ -655,10 +729,15 @@ impl Node {
         found: EscrowOutput,
         env: &mut dyn NodeEnv,
     ) {
-        // A misbehaving gateway sits on the claim; the session survives,
-        // so it could still claim after the window — and the recipient's
-        // refund races it through the CLTV branch.
+        // A misbehaving gateway sits on the claim; the session survives
+        // and the escrow goes back on the confirmation-depth list, so it
+        // claims late once the window closes — and the recipient's refund
+        // races it through the CLTV branch.
         if env.misbehaves(now, Misbehaviour::WithholdClaim) {
+            let entry = (e_pk_bytes, found.outpoint.txid);
+            if !self.awaiting_conf.contains(&entry) {
+                self.awaiting_conf.push(entry);
+            }
             return;
         }
         let Some(session) = self.sessions.remove(&e_pk_bytes) else {
@@ -678,10 +757,6 @@ impl Node {
         };
         let claim = sign(&self.wallet, terms.fee);
         let built = self.daemon.occupy(now, terms.costs.tx_build);
-        // Keep the signed claim: it stays valid as long as the escrow
-        // output exists, so it can be re-broadcast after a crash or a
-        // reorg that orphans it.
-        self.claims.insert(session.tag, claim.clone());
 
         // Byzantine equivocation: the gateway signs a *second* claim
         // against the same escrow (higher fee → different output value →
@@ -695,9 +770,18 @@ impl Node {
         let (admitted, result) = self
             .daemon
             .accept_transaction(built, claim.clone(), &terms.costs);
+        // Keep the signed claim: it stays valid as long as the escrow
+        // output exists, so it is re-published after a crash or a reorg
+        // that orphans it — or, when the escrow is not in this host's
+        // view yet, once a block brings it.
+        let kept = Claim {
+            tx: claim.clone(),
+            published: Published::at(admitted),
+            settled: false,
+        };
+        self.claims.insert(session.tag, kept);
+        self.claim_watch.insert(found.outpoint, session.tag);
         if result.is_err() {
-            // The escrow is not in this host's view (yet): not fatal —
-            // the operator re-admits once the chain catches up.
             return;
         }
         let claim = Parcel::tx(claim);
@@ -767,6 +851,9 @@ impl Node {
         // re-sync; this is the event-driven equivalent).
         let mut pending = vec![parcel];
         let mut at = now;
+        // Only the first block came from `from`; buffered children were
+        // relayed by whoever.
+        let mut sender = Some(from);
         while let Some(parcel) = pending.pop() {
             let WanMessage::Chain(ChainMessage::Block(block)) = &parcel.msg else {
                 unreachable!("only block parcels are queued here");
@@ -778,12 +865,20 @@ impl Node {
                     // A parent gap means this host missed gossip (crash,
                     // partition, kill): catch up, rate-limited so a burst
                     // of orphans asks once. The sender has the parent.
-                    self.start_sync(done, Some((from, self.height() + 1)), env);
+                    if let Some(peer) = sender.take() {
+                        self.note_tip(peer, self.height() + 1);
+                    }
+                    self.start_sync(done, env);
                     continue;
                 }
                 // Invalid blocks are dropped: neither buffered, relayed
                 // nor answered.
                 Err(_) => continue,
+                Ok(BlockAction::Extended(_) | BlockAction::Reorganized { .. }) => {
+                    if let Some(peer) = sender.take() {
+                        self.note_tip(peer, self.height());
+                    }
+                }
                 Ok(_) => {}
             }
             at = done;
@@ -813,45 +908,61 @@ impl Node {
         }
     }
 
-    /// Reports settlements from this node's last main-chain change:
-    /// disconnected transactions orphan claims/refunds; connected ones
-    /// confirm them. Only the recipient (who owns `settle_watch`
-    /// entries) reports, so each event is reported exactly once.
+    /// Applies this node's last main-chain change: disconnected
+    /// transactions orphan claims/refunds, connected ones confirm them —
+    /// in the recipient's machine, which reports each event exactly once,
+    /// and in the gateway's note of whether its claim's escrow is spent.
     /// Connected transactions are also re-offered to the
     /// gateway/recipient reaction paths — after a crash the tx gossip is
-    /// gone, and the block is the only copy.
+    /// gone, and the block is the only copy. Last, the gateway re-publishes
+    /// whichever of its claims this block left out.
     fn apply_settlements(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
-        // A bystander — no escrow published, no session open — has
-        // nothing to find in the block.
-        if self.settle_watch.is_empty() && self.sessions.is_empty() {
+        // A bystander — no escrow published, no claim signed, no session
+        // open — has nothing to find in the block.
+        if self.settle_watch.is_empty() && self.claim_watch.is_empty() && self.sessions.is_empty() {
             return;
         }
         let change = self.daemon.last_change().clone();
-        if !self.settle_watch.is_empty() {
-            // Disconnects first: a reorg that moves a claim between
-            // branches must pass through Escrowed, not skip a state.
-            let passes = [
-                (
-                    change.disconnected(),
-                    FsmEvent::ClaimOrphaned,
-                    FsmEvent::RefundOrphaned,
-                ),
-                (
-                    change.connected(),
-                    FsmEvent::ClaimConfirmed,
-                    FsmEvent::RefundConfirmed,
-                ),
-            ];
-            for (txs, claim_event, refund_event) in passes {
-                for tx in txs {
-                    for input in &tx.inputs {
-                        let Some(&tag) = self.settle_watch.get(&input.prevout) else {
-                            continue;
-                        };
-                        let is_claim = escrow::extract_key_from_claim(tx, &input.prevout).is_some();
-                        let event = if is_claim { claim_event } else { refund_event };
-                        env.note(now, tag, Note::Settlement(event));
+        // Disconnects first: a reorg that moves a claim between branches
+        // must pass through Escrowed, not skip a state.
+        let passes = [
+            (
+                change.disconnected(),
+                false,
+                FsmEvent::ClaimOrphaned,
+                FsmEvent::RefundOrphaned,
+            ),
+            (
+                change.connected(),
+                true,
+                FsmEvent::ClaimConfirmed,
+                FsmEvent::RefundConfirmed,
+            ),
+        ];
+        for (txs, connected, claim_event, refund_event) in passes {
+            for tx in txs {
+                for input in &tx.inputs {
+                    if let Some(tag) = self.claim_watch.get(&input.prevout) {
+                        self.claims
+                            .get_mut(tag)
+                            .expect("watched claims are kept")
+                            .settled = connected;
                     }
+                    let Some(&tag) = self.settle_watch.get(&input.prevout) else {
+                        continue;
+                    };
+                    let is_claim = escrow::extract_key_from_claim(tx, &input.prevout).is_some();
+                    let event = if is_claim { claim_event } else { refund_event };
+                    let fsm = &mut self.escrows.get_mut(&tag).expect("watched").fsm;
+                    if fsm.apply(event, now).is_err() {
+                        env.note(now, tag, Note::IllegalSettlement(event));
+                        continue;
+                    }
+                    // Orphaned back to Escrowed: the watchdog takes over.
+                    if let Some(at) = fsm.deadline(&self.terms.fsm) {
+                        env.wake_at(at);
+                    }
+                    env.note(now, tag, Note::Settlement(event));
                 }
             }
         }
@@ -864,19 +975,36 @@ impl Node {
             self.gateway_check_escrow(now, tx, env);
             self.recipient_check_claim(now, tx, env);
         }
+        let mut unsettled: Vec<u64> = self
+            .claims
+            .iter()
+            .filter(|(_, c)| !c.settled)
+            .map(|(tag, _)| *tag)
+            .collect();
+        unsettled.sort_unstable();
+        for tag in unsettled {
+            self.keep_published(now, tag, Stored::Claim, false, env);
+        }
     }
 
+    /// Claims for the sessions whose escrow reached the confirmation
+    /// depth (with depth 0: is pooled or confirmed here) — the one path
+    /// to a claim, whether the escrow arrived as gossip, in a block after
+    /// a crash, or its claim was withheld on an earlier pass.
     fn gateway_check_confirmations(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
         let depth = self.terms.confirmation_depth;
-        if depth == 0 {
-            return;
-        }
         for (key_bytes, escrow_txid) in std::mem::take(&mut self.awaiting_conf) {
             let chain = &self.daemon.chain;
-            let confirmed = chain
-                .find_transaction(&escrow_txid)
-                .filter(|(height, _)| chain.height() - height + 1 >= depth);
-            let Some((_, tx)) = confirmed else {
+            let pooled = (depth == 0)
+                .then(|| self.daemon.mempool.get(&escrow_txid))
+                .flatten();
+            let confirmed = || {
+                chain
+                    .find_transaction(&escrow_txid)
+                    .filter(|(height, _)| chain.height() + 1 >= height + depth)
+                    .map(|(_, tx)| tx)
+            };
+            let Some(tx) = pooled.or_else(confirmed) else {
                 self.awaiting_conf.push((key_bytes, escrow_txid));
                 continue;
             };
@@ -889,34 +1017,51 @@ impl Node {
         }
     }
 
-    /// Rate-limited headers-first catch-up (§5.1). The environment names
-    /// the source; the source answers the locate probes
+    /// Records that `peer`'s chain reaches at least `height`.
+    fn note_tip(&mut self, peer: NodeId, height: u64) {
+        if peer != self.id && (peer.0 as usize) < self.address_book.len() {
+            let tip = self.peer_tips.entry(peer).or_default();
+            *tip = (*tip).max(height);
+        }
+    }
+
+    /// Rate-limited headers-first catch-up (§5.1) from the peers this
+    /// node knows to be ahead: the tallest answers the locate probes
     /// (`GetHeadersFrom`); once the fork is found, body batches are
-    /// striped across the plan's peers. A machine still making progress
-    /// keeps running with a raised target; a stalled one (lost
+    /// striped across it and up to two more. A machine still making
+    /// progress keeps running with a raised target; a stalled one (lost
     /// responses, a source that reorganized mid-sync) is restarted —
     /// re-locating the fork costs a few 22 KiB header batches, not block
     /// bodies.
-    pub fn start_sync(&mut self, now: SimTime, hint: Option<(NodeId, u64)>, env: &mut dyn NodeEnv) {
+    fn start_sync(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
         // A burst of orphans asks once.
         let cooldown = SimDuration::from_secs(5);
         if self.last_sync_req.is_some_and(|last| now < last + cooldown) {
             return;
         }
         let height = self.height();
-        let Some(plan) = env.sync_plan(now, height, hint) else {
+        let mut ahead: Vec<(u64, NodeId)> = self
+            .peer_tips
+            .iter()
+            .filter(|(_, &tip)| tip > height)
+            .map(|(&peer, &tip)| (tip, peer))
+            .collect();
+        // Tallest first; ties broken by id for determinism.
+        ahead.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let Some(&(target, _)) = ahead.first() else {
             return; // nobody known to be ahead of us
         };
+        let peers = ahead.into_iter().take(3).map(|(_, peer)| peer).collect();
         let progressed = self.last_sync_req.is_some() && height > self.last_sync_height;
         self.last_sync_height = height;
         self.last_sync_req = Some(now);
         let reqs = match self.header_sync.as_mut() {
             Some(hs) if progressed && hs.is_active() => {
-                hs.on_tip(plan.target);
+                hs.on_tip(target);
                 hs.on_progress(&self.daemon.chain)
             }
             _ => {
-                let (hs, reqs) = HeaderSync::start(plan.peers, height, plan.target);
+                let (hs, reqs) = HeaderSync::start(peers, height, target);
                 self.header_sync = Some(hs);
                 reqs
             }
@@ -958,8 +1103,9 @@ impl Node {
 
     /// Gateway, step 7: looks `recipient` up in the directory (§4.3) and
     /// forwards the sealed uplink of session `tag` to it at node `to`,
-    /// keeping it for [`redeliver`](Self::redeliver). `false` when the
-    /// recipient is not in the directory or the session is not open.
+    /// holding it for re-delivery until an escrow paying the session
+    /// shows up. `false` when the recipient is not in the directory or
+    /// the session is not open.
     pub fn forward_uplink(
         &mut self,
         now: SimTime,
@@ -969,107 +1115,32 @@ impl Node {
         uplink: SealedUplink,
         env: &mut dyn NodeEnv,
     ) -> bool {
-        let Some(session) = self.sessions.values_mut().find(|s| s.tag == tag) else {
-            return false;
-        };
         if self.directory.lookup(recipient).is_none() {
             return false;
         }
-        session.held = Some((to, device_id, uplink));
-        let done = self.occupy_cpu(now, self.terms.costs.directory_lookup);
-        self.redeliver(done, tag, env);
-        true
-    }
-
-    /// Gateway: sends the held uplink of session `tag` again (the
-    /// receiving side is idempotent).
-    pub fn redeliver(&mut self, now: SimTime, tag: u64, env: &mut dyn NodeEnv) {
-        let held = self.sessions.iter().find(|(_, s)| s.tag == tag);
-        if let Some((
-            e_pk_bytes,
-            Session {
-                held: Some((to, device_id, uplink)),
-                ..
-            },
-        )) = held
-        {
-            let msg = WanMessage::Deliver {
-                device_id: *device_id,
-                e_pk_bytes: e_pk_bytes.clone(),
-                uplink: uplink.clone(),
-            };
-            env.unicast(now, *to, msg);
-        }
-    }
-
-    /// Re-admits a stored transaction (if this node's pool lost it),
-    /// forgets the relay dedup so it floods again, and gossips it.
-    /// Returns whether it went out: insert failures are fine — a
-    /// conflicting settlement already sits in the pool.
-    pub fn rebroadcast(
-        &mut self,
-        now: SimTime,
-        tag: u64,
-        which: Stored,
-        env: &mut dyn NodeEnv,
-    ) -> bool {
-        let Some(tx) = self.stored(tag, which).cloned() else {
+        let Some((e_pk_bytes, session)) = self.sessions.iter_mut().find(|(_, s)| s.tag == tag)
+        else {
             return false;
         };
-        let txid = tx.txid();
-        let mut at = now;
-        if !self.daemon.mempool.contains(&txid) {
-            let terms = self.terms.clone();
-            let (done, result) = self
-                .daemon
-                .accept_transaction(now, tx.clone(), &terms.costs);
-            if result.is_err() {
-                return false;
-            }
-            at = done;
+        let mut fsm = ExchangeFsm::new(now);
+        let _ = fsm.apply(FsmEvent::Sealed, now);
+        if let Some(at) = fsm.deadline(&self.terms.fsm) {
+            env.wake_at(at);
         }
-        self.daemon.relay.forget(&txid.0);
-        self.daemon.relay.mark_seen(txid.0);
-        env.flood(at, &Parcel::tx(tx));
+        let msg = WanMessage::Deliver {
+            device_id,
+            e_pk_bytes: e_pk_bytes.clone(),
+            uplink: uplink.clone(),
+        };
+        session.held = Some(Held {
+            to,
+            device_id,
+            uplink,
+            fsm,
+        });
+        let done = self.occupy_cpu(now, self.terms.costs.directory_lookup);
+        env.unicast(done, to, msg);
         true
-    }
-
-    /// Gateway: claims for a session that never did (its host was down
-    /// when the escrow gossiped), from the pooled or confirmed escrow.
-    pub fn late_claim(&mut self, now: SimTime, tag: u64, escrow_txid: TxId, env: &mut dyn NodeEnv) {
-        let Some(key_bytes) = self
-            .sessions
-            .iter()
-            .find_map(|(key, s)| (s.tag == tag).then(|| key.clone()))
-        else {
-            return;
-        };
-        let Ok(e_pk) = RsaPublicKey::from_bytes(&key_bytes) else {
-            return;
-        };
-        let found = self
-            .daemon
-            .mempool
-            .get(&escrow_txid)
-            .or_else(|| {
-                let confirmed = self.daemon.chain.find_transaction(&escrow_txid);
-                confirmed.map(|(_, tx)| tx)
-            })
-            .and_then(|tx| escrow_output(tx, &e_pk));
-        if let Some(found) = found {
-            self.gateway_claim(now, key_bytes, found, env);
-        }
-    }
-
-    /// Recipient: the signed CLTV refund for exchange `tag`, built on
-    /// first use. Only valid on chain once the escrow's refund height
-    /// has passed. `None` when no escrow was published for `tag`.
-    pub fn refund(&mut self, tag: u64) -> Option<&Transaction> {
-        let held = self.escrows.get_mut(&tag)?;
-        let (wallet, terms) = (&self.wallet, &self.terms);
-        Some(held.refund.get_or_insert_with(|| {
-            escrow::build_refund(wallet, &held.escrow, terms.reward, terms.fee)
-        }))
     }
 
     /// Mines one block from this node's pool on top of its tip, leaving
@@ -1135,19 +1206,200 @@ impl Node {
     }
 
     /// A crashed host comes back. Volatile state (mempool, relay
-    /// filters, buffered orphans, in-flight syncs) is gone; protocol
-    /// state survives by fiat. `reopened` is the chain a persistent
-    /// store committed before the crash, replacing the in-memory copy a
-    /// killed process would not have kept.
-    pub fn crash_restart(&mut self, now: SimTime, reopened: Option<Chain>) {
+    /// filters, buffered orphans, peer tips, in-flight syncs) is gone;
+    /// protocol state survives by fiat. `reopened` is the chain a
+    /// persistent store committed before the crash, replacing the
+    /// in-memory copy a killed process would not have kept. The node
+    /// announces its tip — every peer that is ahead answers with its own,
+    /// which starts the catch-up — and runs the watchdog for every
+    /// deadline it slept through.
+    pub fn crash_restart(&mut self, now: SimTime, reopened: Option<Chain>, env: &mut dyn NodeEnv) {
         if let Some(chain) = reopened {
             self.daemon.replace_chain(chain);
             self.directory = Directory::from_chain(&self.daemon.chain);
         }
         self.daemon.crash_restart(now);
         self.orphans.clear();
+        self.peer_tips.clear();
         self.cpu_busy_until = now;
         self.last_sync_req = None;
         self.header_sync = None;
+        env.flood(now, &Parcel::new(self.tip_announce()));
+        self.on_deadline(now, env);
+    }
+
+    // ---- the watchdog ------------------------------------------------
+
+    /// Fires every deadline of this node that has come due, in tag order,
+    /// then asks for the next one ([`NodeEnv::wake_at`]):
+    ///
+    /// - gateway, `Sealed`: no escrow paying the session has shown up, so
+    ///   the held uplink goes out again — or, the `deliver_retry` budget
+    ///   spent, the node gives the exchange up ([`Note::Abort`]);
+    /// - recipient, `Escrowed`: re-floods the escrow if this node's pool
+    ///   and chain lost it or a block mined `settle_check.base` after it
+    ///   went out left it out, and from the refund height on builds the
+    ///   CLTV refund and keeps that published the same way.
+    ///
+    /// A gateway's claim needs no deadline: every block it connects
+    /// checks it. A late claim goes through the confirmation-depth path
+    /// like any other.
+    pub fn on_deadline(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
+        let cfg = self.terms.fsm.clone();
+        let due = |fsm: &ExchangeFsm| fsm.deadline(&cfg).is_some_and(|at| at <= now);
+        let mut sealed: Vec<(u64, Vec<u8>)> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.held.as_ref().is_some_and(|held| due(&held.fsm)))
+            .map(|(key, s)| (s.tag, key.clone()))
+            .collect();
+        sealed.sort_unstable();
+        for (tag, e_pk_bytes) in sealed {
+            let session = self.sessions.get_mut(&e_pk_bytes).expect("due session");
+            let held = session.held.as_mut().expect("due uplink");
+            if held.fsm.retries_exhausted(&cfg) {
+                session.held = None;
+                env.note(now, tag, Note::Abort);
+                continue;
+            }
+            held.fsm.note_retry(now);
+            let msg = WanMessage::Deliver {
+                device_id: held.device_id,
+                e_pk_bytes,
+                uplink: held.uplink.clone(),
+            };
+            env.unicast(now, held.to, msg);
+            env.note(now, tag, Note::Redelivered);
+        }
+        let mut escrowed: Vec<u64> = self
+            .escrows
+            .iter()
+            .filter(|(_, e)| due(&e.fsm))
+            .map(|(tag, _)| *tag)
+            .collect();
+        escrowed.sort_unstable();
+        for tag in escrowed {
+            let held = self.escrows.get_mut(&tag).expect("due escrow");
+            held.fsm.note_retry(now);
+            let (outpoint, refund_height) = (held.escrow.outpoint(), held.escrow.refund_height);
+            if held.refund.is_none() && self.daemon.chain.height() >= refund_height {
+                let refund = escrow::build_refund(
+                    &self.wallet,
+                    &held.escrow,
+                    self.terms.reward,
+                    self.terms.fee,
+                );
+                held.refund = Some((refund, Published::at(now)));
+                env.note(now, tag, Note::Refunding);
+            }
+            let confirmed = self.daemon.chain.utxo().contains(&outpoint);
+            self.keep_published(now, tag, Stored::Escrow, confirmed, env);
+            self.keep_published(now, tag, Stored::Refund, false, env);
+        }
+        let sessions = self.sessions.values().filter_map(|s| s.held.as_ref());
+        let next = sessions
+            .map(|held| &held.fsm)
+            .chain(self.escrows.values().map(|e| &e.fsm))
+            .filter_map(|fsm| fsm.deadline(&cfg))
+            .min();
+        if let Some(at) = next {
+            env.wake_at(at);
+        }
+    }
+
+    /// Keeps one stored settlement transaction on its way into a block:
+    /// re-floods it when this node's own pool and chain have lost it, or
+    /// when the tip — a block mined at least `settle_check.base` after it
+    /// last went out — still left it out. The tip's miner is named
+    /// ([`Note::CensorshipSuspected`]) once its blocks have left it out
+    /// `censor_suspect_sweeps` re-floods in a row.
+    fn keep_published(
+        &mut self,
+        now: SimTime,
+        tag: u64,
+        which: Stored,
+        confirmed: bool,
+        env: &mut dyn NodeEnv,
+    ) {
+        let Some(txid) = self.stored(tag, which).map(Transaction::txid) else {
+            return;
+        };
+        let published = *self.published(tag, which).expect("stored");
+        if confirmed {
+            return;
+        }
+        let chain = &self.daemon.chain;
+        let tip = chain.block(&chain.tip()).expect("the tip is stored");
+        let mined = SimTime::from_micros(tip.header.time_us);
+        let left_out = mined >= published.at + self.terms.fsm.settle_check.base;
+        if !left_out && self.daemon.mempool.contains(&txid) {
+            return;
+        }
+        let mut republished = Published::at(now);
+        if left_out {
+            if let Some(miner) = self.miner_of(tip) {
+                let run = match published.left_out {
+                    Some((by, run)) if by == miner => run + 1,
+                    _ => 1,
+                };
+                republished.left_out = Some((miner, run));
+                if run == self.terms.fsm.censor_suspect_sweeps {
+                    env.note(now, tag, Note::CensorshipSuspected(miner));
+                }
+            }
+        }
+        let Some(at) = self.rebroadcast(now, tag, which, env) else {
+            return;
+        };
+        republished.at = at;
+        *self.published(tag, which).expect("stored") = republished;
+        env.note(now, tag, Note::Rebroadcast(which));
+    }
+
+    /// When a stored transaction last went out.
+    fn published(&mut self, tag: u64, which: Stored) -> Option<&mut Published> {
+        match which {
+            Stored::Escrow => self.escrows.get_mut(&tag).map(|e| &mut e.published),
+            Stored::Claim => self.claims.get_mut(&tag).map(|c| &mut c.published),
+            Stored::Refund => self.escrows.get_mut(&tag)?.refund.as_mut().map(|(_, p)| p),
+        }
+    }
+
+    /// The peer a block's coinbase pays, by this node's address book.
+    fn miner_of(&self, block: &Block) -> Option<NodeId> {
+        let paid = &block.transactions.first()?.outputs.first()?.script_pubkey;
+        let i = self
+            .address_book
+            .iter()
+            .position(|a| p2pkh(&a.0) == *paid)?;
+        Some(NodeId(i as u32))
+    }
+
+    /// Re-admits a stored transaction (if this node's pool lost it),
+    /// forgets the relay dedup so it floods again, and gossips it.
+    /// Returns when it went out, or `None` if this node's pool refuses it
+    /// — a conflicting settlement already sits there.
+    fn rebroadcast(
+        &mut self,
+        now: SimTime,
+        tag: u64,
+        which: Stored,
+        env: &mut dyn NodeEnv,
+    ) -> Option<SimTime> {
+        let tx = self.stored(tag, which)?.clone();
+        let txid = tx.txid();
+        let mut at = now;
+        if !self.daemon.mempool.contains(&txid) {
+            let terms = self.terms.clone();
+            let (done, result) = self
+                .daemon
+                .accept_transaction(now, tx.clone(), &terms.costs);
+            result.ok()?;
+            at = done;
+        }
+        self.daemon.relay.forget(&txid.0);
+        self.daemon.relay.mark_seen(txid.0);
+        env.flood(at, &Parcel::tx(tx));
+        Some(at)
     }
 }

@@ -17,17 +17,17 @@ use crate::daemon::{Daemon, DaemonStats};
 use crate::directory::IpAnnouncement;
 use crate::escrow;
 use crate::exchange::{seal_reading, SealedUplink};
-use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase};
-use crate::node::{Misbehaviour, Node, NodeEnv, Note, Parcel, Stored, SyncPlan, Terms};
+use crate::fsm::{FsmConfig, FsmEvent, Phase};
+use crate::node::{Misbehaviour, Node, NodeEnv, Note, Parcel, Terms};
 use crate::provisioning::{mint_all, DeviceCredentials, DeviceId};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
-    Address, Block, Chain, ChainParams, MempoolStats, OutPoint, SigCache, Transaction, TxId, TxOut,
+    Address, Block, Chain, ChainParams, MempoolStats, OutPoint, SigCache, Transaction, TxOut,
     Wallet,
 };
 use bcwan_crypto::rsa::{RsaKeySize, RsaPublicKey};
 use bcwan_lora::airtime::time_on_air;
-use bcwan_lora::frame::{LoraFrame, ADDRESS_LEN};
+use bcwan_lora::frame::LoraFrame;
 use bcwan_lora::params::RadioConfig;
 use bcwan_p2p::{ChainMessage, Delivery, FaultModel, Network, NodeId, Topology};
 use bcwan_sim::{
@@ -59,8 +59,7 @@ pub struct WorkloadConfig {
     /// paper's 6-host full mesh. `Some(k)` builds a ring lattice where
     /// every host links to its `k` nearest neighbours instead — the
     /// shape that lets 1 000+ host soaks run without `O(n²)` links,
-    /// relying on re-flooding to propagate gossip. Catch-up sync then
-    /// targets the best *linked* peer (the master when reachable).
+    /// relying on re-flooding to propagate gossip.
     pub gossip_degree: Option<u32>,
     /// Chain consensus parameters (stall model decides Fig. 5 vs Fig. 6).
     pub chain_params: ChainParams,
@@ -93,7 +92,8 @@ pub struct WorkloadConfig {
     /// Seeded fault schedule; [`ChaosPlan::none`] by default, so clean
     /// runs take a single `is_idle` branch per chaos query.
     pub chaos: ChaosPlan,
-    /// Per-exchange deadline and retry policy.
+    /// Every node's deadline and retry policy (re-delivery, settlement
+    /// watchdog, censorship suspicion).
     pub fsm: FsmConfig,
     /// Blocks until the escrow's CLTV refund branch opens. The paper's
     /// Listing 1 uses 100; chaos soaks shrink it so a withheld claim
@@ -334,18 +334,16 @@ enum Event {
     Wan(Delivery<Arc<Parcel>>),
     /// The master assembles and broadcasts the next block.
     MineTick,
-    /// A per-exchange FSM deadline expired. `seq` is the stamp the
-    /// deadline was armed with; a mismatch means the exchange moved on
-    /// and the event is stale.
-    FsmDeadline { exchange: usize, seq: u32 },
+    /// A host's earliest deadline came due: its watchdog runs.
+    Wake { host: u32 },
     /// A crashed host comes back up (end of a chaos crash window).
     ChaosRestart { host: u32 },
 }
 
 /// What only the simulator knows about one in-flight exchange: who takes
-/// part, the radio leg, the measurement marks and the lifecycle machine.
-/// Keys, escrow, claim and refund live in the gateway's and recipient's
-/// [`Node`]s, filed under this exchange's index as their tag.
+/// part, the radio leg and the measurement marks. Keys, escrow, claim,
+/// refund and the lifecycle machine live in the gateway's and
+/// recipient's [`Node`]s, filed under this exchange's index as their tag.
 struct ExchangeState {
     sensor: usize,
     gateway: u32, // actor index (1-based host id)
@@ -363,11 +361,9 @@ struct ExchangeState {
     data_accepted: bool,
     /// When the recipient finished verifying the delivery (step 8).
     delivered: Option<SimTime>,
-    /// Consecutive settlement sweeps with our claim/refund pooled at
-    /// the acting miner but unconfirmed (censorship suspicion).
-    censor_sweeps: u32,
-    /// The lifecycle machine driving deadlines and settlement.
-    fsm: ExchangeFsm,
+    /// Whether the recipient published the escrow: from then on only the
+    /// chain ends the exchange.
+    escrowed: bool,
     done: bool,
 }
 
@@ -392,19 +388,20 @@ struct Meters {
     wan_msgs: [CounterId; KIND_COUNT],
     wan_bytes: [CounterId; KIND_COUNT],
     latency: HistogramId,
-    /// FSM events rejected as illegal transitions (0 in a correct run).
+    /// Settlement events a recipient's machine refused (0 in a correct
+    /// run).
     illegal_transitions: CounterId,
     /// Gateway → recipient re-deliveries driven by the Sealed deadline.
     deliver_retries: CounterId,
-    /// Escrow/claim transactions re-broadcast by the settlement watchdog.
+    /// Escrow/claim/refund transactions a node re-published.
     rebroadcasts: CounterId,
     /// CLTV refunds the recipient submitted.
     refunds_submitted: CounterId,
     /// Recipients that saw two distinct key-revealing claims spend the
     /// same escrow (one per victimized exchange).
     equivocations_detected: CounterId,
-    /// Miners the settlement watchdog demoted on suspicion of claim
-    /// censorship (one per suspecting exchange crossing the threshold).
+    /// Censorship suspicions a node raised against a miner (one per
+    /// settlement whose leave-outs crossed the threshold).
     censorship_suspected: CounterId,
 }
 
@@ -461,8 +458,8 @@ pub struct World {
 }
 
 /// What a simulator owns and a host does not: sensors and the radio
-/// leg, the WAN model, the chaos engine, per-exchange lifecycle
-/// machines and deadlines, and every instrument.
+/// leg, the WAN model, the chaos engine, each host's pending wake-up,
+/// and every instrument.
 struct Sim {
     cfg: WorkloadConfig,
     rng: SimRng,
@@ -493,10 +490,12 @@ struct Sim {
     /// Hosts the chaos plan marks Byzantine (equivocators, withholders,
     /// censoring miners) — the auditor's revenue-split key.
     adversarial: HashSet<u32>,
-    /// Miners the settlement watchdog demoted on censorship suspicion.
-    /// Sticky for the rest of the run: mining duty and catch-up sync
-    /// route around them while any other live host can serve.
+    /// Miners some node suspected of censorship. Sticky for the rest of
+    /// the run: mining duty routes around them while any other live host
+    /// can mine.
     censor_suspects: HashSet<u32>,
+    /// Each host's earliest scheduled [`Event::Wake`].
+    wakes: Vec<Option<SimTime>>,
     /// Chaos restarts that reopened a store from disk vs kept memory.
     restarts_warm: u64,
     restarts_cold: u64,
@@ -579,6 +578,7 @@ impl World {
             confirmation_depth: cfg.confirmation_depth,
             refund_delta: cfg.refund_delta,
             rsa_size: cfg.rsa_size,
+            fsm: cfg.fsm.clone(),
         });
         let address_book: Arc<[Address]> = wallets.iter().map(Wallet::address).collect();
         let mut hosts: Vec<Node> = Vec::with_capacity(n_hosts);
@@ -679,6 +679,7 @@ impl World {
             auditor,
             adversarial,
             censor_suspects: HashSet::new(),
+            wakes: vec![None; n_hosts],
             restarts_warm: 0,
             restarts_cold: 0,
             timeline,
@@ -817,14 +818,15 @@ impl World {
     }
 
     /// `(exchange, phase, is_settled)` for every exchange that published
-    /// an escrow — the auditor's FSM↔chain census input.
+    /// an escrow, as its recipient's machine has it — the auditor's
+    /// FSM↔chain census input.
     fn fsm_census(&self) -> Vec<(usize, Phase, bool)> {
-        self.sim
-            .exchanges
-            .iter()
-            .enumerate()
-            .filter(|(i, ex)| self.hosts[ex.home as usize].escrow(*i as u64).is_some())
-            .map(|(i, ex)| (i, ex.fsm.phase(), ex.fsm.is_settled()))
+        let exchanges = self.sim.exchanges.iter().enumerate();
+        exchanges
+            .filter_map(|(i, ex)| {
+                let fsm = self.hosts[ex.home as usize].settlement(i as u64)?;
+                Some((i, fsm.phase(), fsm.is_settled()))
+            })
             .collect()
     }
 
@@ -893,24 +895,19 @@ impl World {
     }
 
     /// Runs `act` on one host, handing it the environment that stands
-    /// for everything else: the simulator's state, the event queue, and
-    /// read access to the other hosts for the sync-source oracle.
+    /// for everything else: the simulator's state and the event queue.
     fn at_host<R>(
         &mut self,
         host: u32,
         queue: &mut EventQueue<Event>,
         act: impl FnOnce(&mut Node, &mut dyn NodeEnv) -> R,
     ) -> R {
-        let (left, rest) = self.hosts.split_at_mut(host as usize);
-        let (node, right) = rest.split_first_mut().expect("host id in range");
         let mut env = Env {
             sim: &mut self.sim,
             queue,
             me: host,
-            left,
-            right,
         };
-        act(node, &mut env)
+        act(&mut self.hosts[host as usize], &mut env)
     }
 
     fn handle_request_arrived(
@@ -962,21 +959,17 @@ impl World {
         sim.tracer.span_end("data_uplink", exchange as u64, now);
         sim.tracer
             .span_start("gateway_forward", exchange as u64, now);
-        // The gateway now holds the sealed uplink: the FSM enters
-        // `Sealed` and the bounded re-delivery deadline starts ticking.
-        let _ = ex.fsm.apply(FsmEvent::Sealed, now);
         let uplink = ex.uplink.take().expect("sealed before it flew");
-        let device_id = sim.sensors[ex.sensor].credentials.device_id;
-        // Directory lookup (§4.3) — the home address must be known.
-        let home_addr = self.hosts[home as usize].wallet.address();
-        let to = (NodeId(home), &home_addr);
+        // The frame names the device and its recipient's address; the
+        // gateway looks the address up in its directory (§4.3).
+        let credentials = &sim.sensors[ex.sensor].credentials;
+        let (device_id, recipient) = (credentials.device_id, credentials.recipient);
+        let to = (NodeId(home), &recipient);
         let forwarded = self.at_host(gateway, queue, |node, env| {
             node.forward_uplink(now, exchange as u64, to, device_id, uplink, env)
         });
-        if forwarded {
-            self.sim.arm_deadline(exchange, queue);
-        } else {
-            self.sim.abort_exchange(now, exchange);
+        if !forwarded {
+            self.sim.abort_exchange(exchange);
         }
     }
 
@@ -1037,146 +1030,30 @@ impl World {
         } else {
             sim.restarts_cold += 1;
         }
-        self.hosts[host as usize].crash_restart(now, reopened);
+        self.at_host(host, queue, |node, env| {
+            node.crash_restart(now, reopened, env)
+        });
         if host == 0 {
             // A warm restart can reopen a shorter durable chain: the
             // auditor must roll its ledger back with it.
             self.audit_master();
         }
-        self.at_host(host, queue, |node, env| node.start_sync(now, None, env));
     }
 
-    /// A per-exchange deadline fired. Stale stamps (the exchange moved
-    /// on or retried since) are dropped; live ones drive the phase's
-    /// recovery action.
-    fn handle_fsm_deadline(
-        &mut self,
-        now: SimTime,
-        exchange: usize,
-        seq: u32,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let ex = &self.sim.exchanges[exchange];
-        if ex.done && ex.fsm.is_settled() {
+    /// A host's wake-up came due: its watchdog runs, unless a nearer
+    /// wake-up superseded this one or the host is down (its restart runs
+    /// the watchdog).
+    fn handle_wake(&mut self, now: SimTime, host: u32, queue: &mut EventQueue<Event>) {
+        let wake = &mut self.sim.wakes[host as usize];
+        if *wake != Some(now) {
             return;
         }
-        if ex.fsm.seq() != seq {
-            return; // stale: the phase or retry count moved on
-        }
-        let gateway = ex.gateway;
-        match ex.fsm.phase() {
-            Phase::Sealed => {
-                // The recipient never escrowed: re-deliver (idempotent on
-                // the receiving side), bounded by the retry budget.
-                if ex.fsm.retries_exhausted(&self.sim.cfg.fsm) {
-                    self.sim.abort_exchange(now, exchange);
-                    return;
-                }
-                self.sim.exchanges[exchange].fsm.note_retry(now);
-                self.sim.registry.inc(self.sim.meters.deliver_retries);
-                self.at_host(gateway, queue, |node, env| {
-                    node.redeliver(now, exchange as u64, env)
-                });
-                self.sim.arm_deadline(exchange, queue);
-            }
-            Phase::Escrowed => {
-                // Unbounded settlement watchdog: money is on the table.
-                self.sim.exchanges[exchange].fsm.note_retry(now);
-                self.settle_sweep(now, exchange, queue);
-                self.sim.arm_deadline(exchange, queue);
-            }
-            _ => {}
-        }
-    }
-
-    /// The `Escrowed` watchdog: has whoever is missing a piece of the
-    /// settlement re-broadcast it, and opens the CLTV refund branch when
-    /// the claim never lands. *Which* piece is missing is judged by
-    /// peeking into the acting miner's pool, which only a simulator can.
-    fn settle_sweep(&mut self, now: SimTime, exchange: usize, queue: &mut EventQueue<Event>) {
-        let tag = exchange as u64;
-        let (gateway, home) = {
-            let ex = &self.sim.exchanges[exchange];
-            (ex.gateway, ex.home)
-        };
-        let Some(escrow_obj) = self.hosts[home as usize].escrow(tag) else {
-            return;
-        };
-        let (escrow_txid, refund_height) = (escrow_obj.tx.txid(), escrow_obj.refund_height);
-        let home_up = !self.sim.chaos.host_down(home, now);
-
-        // (a) Recipient: the miner lost track of the escrow (reorg +
-        // eviction, a crash wiped a pool, or the gossip never got
-        // through) — re-admit and re-flood it. Visibility is judged at
-        // the *acting miner*: a transaction only the home pool knows
-        // about will never be mined.
-        if home_up && self.miner_lacks(now, &escrow_txid) {
-            self.rebroadcast(now, home, tag, Stored::Escrow, queue);
-        }
-
-        // (b) Gateway: a built claim that is in neither pool nor chain is
-        // re-broadcast — the reorg-orphaned-claim recovery path. A
-        // session that never claimed (its host was down when the escrow
-        // gossiped) claims now from the confirmed copy.
+        *wake = None;
         let chaos = &self.sim.chaos;
-        let withholding = !chaos.is_idle() && chaos.withhold_claim(gateway, now);
-        if !chaos.host_down(gateway, now) && !withholding {
-            let claim = self.hosts[gateway as usize].stored(tag, Stored::Claim);
-            if let Some(claim_txid) = claim.map(Transaction::txid) {
-                if self.miner_lacks(now, &claim_txid) {
-                    self.rebroadcast(now, gateway, tag, Stored::Claim, queue);
-                }
-            } else {
-                self.at_host(gateway, queue, |node, env| {
-                    node.late_claim(now, tag, escrow_txid, env)
-                });
-            }
+        if !chaos.is_idle() && chaos.host_down(host, now) {
+            return;
         }
-
-        // (c) Recipient refund driver: past the refund height with no
-        // claim settled, spend the escrow back through the CLTV branch.
-        // A pooled claim wins locally (first-seen conflict policy); the
-        // refund only floods where the claim never showed.
-        let node = &mut self.hosts[home as usize];
-        if home_up && node.height() >= refund_height {
-            if node.stored(tag, Stored::Refund).is_none() {
-                self.sim.registry.inc(self.sim.meters.refunds_submitted);
-            }
-            let refund_txid = node.refund(tag).expect("escrow held").txid();
-            if self.miner_lacks(now, &refund_txid) {
-                self.rebroadcast(now, home, tag, Stored::Refund, queue);
-            }
-        }
-
-        // (d) Censorship suspicion: our settlement sits in the acting
-        // miner's *own pool* sweep after sweep without confirming. An
-        // honest miner includes pooled transactions within a block or
-        // two, and the sweep backoff (10+20+40+60 s) spans several block
-        // intervals — so crossing the threshold means the miner keeps
-        // building templates around our money. Demote it: mining duty
-        // and catch-up sync route around suspects for the rest of the
-        // run (a false positive only rotates the miner, it loses
-        // nothing).
-        if let Some(miner) = self.active_miner(now).filter(|_| home_up) {
-            let pending = self.hosts[gateway as usize]
-                .stored(tag, Stored::Claim)
-                .or_else(|| self.hosts[home as usize].stored(tag, Stored::Refund));
-            let stuck = pending.map(Transaction::txid).is_some_and(|txid| {
-                let d = &self.hosts[miner as usize].daemon;
-                d.mempool.contains(&txid) && d.chain.find_transaction(&txid).is_none()
-            });
-            let sim = &mut self.sim;
-            let ex = &mut sim.exchanges[exchange];
-            if stuck {
-                ex.censor_sweeps += 1;
-                if ex.censor_sweeps == sim.cfg.fsm.censor_suspect_sweeps {
-                    sim.registry.inc(sim.meters.censorship_suspected);
-                    sim.censor_suspects.insert(miner);
-                }
-            } else {
-                ex.censor_sweeps = 0;
-            }
-        }
+        self.at_host(host, queue, |node, env| node.on_deadline(now, env));
     }
 
     /// Who mines right now: the master (host 0) in every clean run, and
@@ -1211,34 +1088,6 @@ impl World {
         best_clean.or(best).map(|(_, id)| id)
     }
 
-    /// True when the acting miner has `txid` in neither its mempool nor
-    /// its main chain — i.e. the transaction will never confirm without
-    /// another broadcast. With every host down there is no miner to
-    /// judge by, so nothing is re-broadcast until the next sweep.
-    fn miner_lacks(&self, now: SimTime, txid: &TxId) -> bool {
-        let Some(miner) = self.active_miner(now) else {
-            return false;
-        };
-        let miner = &self.hosts[miner as usize].daemon;
-        !miner.mempool.contains(txid) && miner.chain.find_transaction(txid).is_none()
-    }
-
-    /// Has `host` re-broadcast a transaction it keeps for exchange `tag`.
-    fn rebroadcast(
-        &mut self,
-        now: SimTime,
-        host: u32,
-        tag: u64,
-        which: Stored,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if self.at_host(host, queue, |node, env| {
-            node.rebroadcast(now, tag, which, env)
-        }) {
-            self.sim.registry.inc(self.sim.meters.rebroadcasts);
-        }
-    }
-
     fn handle_mine_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         // Interval metrics ride the mining heartbeat — the one periodic
         // event every run has. Edge-triggered, so a slow block interval
@@ -1259,10 +1108,10 @@ impl World {
             || self.hosts.iter().any(|h| !h.daemon.mempool.is_empty())
             // Money still in escrow keeps blocks coming: the refund
             // branch needs the chain to reach the CLTV height.
-            || sim
-                .exchanges
-                .iter()
-                .any(|ex| ex.fsm.phase() == Phase::Escrowed);
+            || sim.exchanges.iter().enumerate().any(|(i, ex)| {
+                let recipient = &self.hosts[ex.home as usize];
+                recipient.settlement(i as u64).is_some_and(|fsm| fsm.phase() == Phase::Escrowed)
+            });
         if !work_left {
             return;
         }
@@ -1574,7 +1423,7 @@ impl Sim {
             return;
         }
         if attempt >= MAX_RADIO_RETRIES {
-            self.abort_exchange(now, exchange);
+            self.abort_exchange(exchange);
             return;
         }
         self.count_gateway_retry(exchange);
@@ -1594,7 +1443,7 @@ impl Sim {
             return;
         }
         if attempt >= MAX_RADIO_RETRIES {
-            self.abort_exchange(now, exchange);
+            self.abort_exchange(exchange);
             return;
         }
         self.count_gateway_retry(exchange);
@@ -1607,25 +1456,14 @@ impl Sim {
         self.radio_by_gw[gateway as usize - 1].retries += 1;
     }
 
-    /// Gives up on an exchange before money moved: `Abort` is only legal
-    /// outside `Escrowed`, so an illegal call is counted, not obeyed.
-    fn abort_exchange(&mut self, now: SimTime, exchange: usize) {
+    /// Gives up on an exchange before money moved. Once the recipient
+    /// published the escrow only the chain ends it, so a gateway giving
+    /// up its re-deliveries then changes nothing.
+    fn abort_exchange(&mut self, exchange: usize) {
         let ex = &mut self.exchanges[exchange];
-        if ex.done {
-            return;
-        }
-        if ex.fsm.apply(FsmEvent::Abort, now).is_err() {
-            self.registry.inc(self.meters.illegal_transitions);
-            return;
-        }
-        ex.done = true;
-        self.failed += 1;
-    }
-
-    /// Arms (or re-arms) the deadline for an exchange's current phase.
-    fn arm_deadline(&mut self, exchange: usize, queue: &mut EventQueue<Event>) {
-        if let Some((at, seq)) = self.exchanges[exchange].fsm.deadline(&self.cfg.fsm) {
-            queue.schedule_at(at, Event::FsmDeadline { exchange, seq });
+        if !ex.done && !ex.escrowed {
+            ex.done = true;
+            self.failed += 1;
         }
     }
 
@@ -1659,8 +1497,7 @@ impl Sim {
                     data_at_gateway: None,
                     data_accepted: false,
                     delivered: None,
-                    censor_sweeps: 0,
-                    fsm: ExchangeFsm::new(now),
+                    escrowed: false,
                     done: false,
                 });
                 self.started += 1;
@@ -1726,26 +1563,18 @@ impl Sim {
         let sealed = seal_reading(&mut node_rng, &sensor.credentials, e_pk, &reading)
             .expect("reading fits RSA block");
         let node_cost = self.cfg.costs.node_encrypt + self.cfg.costs.node_sign;
-        self.exchanges[exchange].uplink = Some(sealed.clone());
-        let frame = LoraFrame::DataUplink {
-            device_id: sensor.credentials.device_id.0,
-            recipient: recipient_bytes(&sensor.credentials.recipient.0),
-            em: sealed.em,
-            sig: sealed.sig,
-        };
-        let _ = frame.phy_len();
+        self.exchanges[exchange].uplink = Some(sealed);
         self.send_data(now + node_cost, exchange, 0, queue);
     }
 
     /// Keeps the simulator's books in step with what a host just did.
-    fn note(&mut self, queue: &mut EventQueue<Event>, at: SimTime, exchange: usize, note: Note) {
+    fn note(&mut self, at: SimTime, exchange: usize, note: Note) {
         let id = exchange as u64;
         let ex = &mut self.exchanges[exchange];
         match note {
-            Note::Abort => self.abort_exchange(at, exchange),
+            Note::Abort => self.abort_exchange(exchange),
             Note::Delivered => {
                 ex.delivered = Some(at);
-                let _ = ex.fsm.apply(FsmEvent::Delivered, at);
                 self.tracer.span_end("gateway_forward", id, at);
             }
             Note::EscrowPublished(outpoint) => {
@@ -1758,9 +1587,7 @@ impl Sim {
                 let adversarial = self.adversarial.contains(&ex.gateway);
                 self.auditor
                     .watch(outpoint, exchange, ex.gateway, adversarial);
-                let _ = ex.fsm.apply(FsmEvent::EscrowPublished, at);
-                // The settlement watchdog takes over from here.
-                self.arm_deadline(exchange, queue);
+                ex.escrowed = true;
             }
             Note::Claiming => {
                 self.tracer.span_end("confirmation_wait", id, at);
@@ -1788,31 +1615,24 @@ impl Sim {
                 ex.done = true;
                 self.failed += 1;
             }
-            Note::Equivocation => {
-                // Keep the settlement watchdog hot, so the exchange still
-                // terminates through whichever claim confirms or,
-                // failing both, the CLTV refund.
-                self.registry.inc(self.meters.equivocations_detected);
-                if ex.fsm.phase() == Phase::Escrowed {
-                    self.arm_deadline(exchange, queue);
-                }
+            Note::Equivocation => self.registry.inc(self.meters.equivocations_detected),
+            // The CLTV branch closed the exchange: the gateway never
+            // revealed the key, so the reading is lost but the coins came
+            // home.
+            Note::Settlement(FsmEvent::RefundConfirmed) if !ex.done => {
+                ex.done = true;
+                self.failed += 1;
             }
-            Note::Settlement(event) => match ex.fsm.apply(event, at) {
-                // Money is back at stake: restart the watchdog, which
-                // re-broadcasts the stored claim/refund.
-                Ok(_) if matches!(event, FsmEvent::ClaimOrphaned | FsmEvent::RefundOrphaned) => {
-                    self.arm_deadline(exchange, queue)
-                }
-                // The CLTV branch closed the exchange: the gateway never
-                // revealed the key, so the reading is lost but the coins
-                // came home.
-                Ok(_) if event == FsmEvent::RefundConfirmed && !ex.done => {
-                    ex.done = true;
-                    self.failed += 1;
-                }
-                Ok(_) => {}
-                Err(_) => self.registry.inc(self.meters.illegal_transitions),
-            },
+            Note::Settlement(_) => {}
+            Note::IllegalSettlement(_) => self.registry.inc(self.meters.illegal_transitions),
+            Note::Redelivered => self.registry.inc(self.meters.deliver_retries),
+            Note::Rebroadcast(_) => self.registry.inc(self.meters.rebroadcasts),
+            Note::Refunding => self.registry.inc(self.meters.refunds_submitted),
+            // The mining model routes around the suspect.
+            Note::CensorshipSuspected(miner) => {
+                self.registry.inc(self.meters.censorship_suspected);
+                self.censor_suspects.insert(miner.0);
+            }
         }
     }
 }
@@ -1823,105 +1643,6 @@ struct Env<'a> {
     queue: &'a mut EventQueue<Event>,
     /// The host this environment is bound to.
     me: u32,
-    /// The hosts below and above `me`, for the sync-source oracle.
-    left: &'a [Node],
-    right: &'a [Node],
-}
-
-impl Env<'_> {
-    /// Every other host, in id order.
-    fn others(&self) -> impl Iterator<Item = &Node> {
-        self.left.iter().chain(self.right)
-    }
-
-    fn other(&self, id: u32) -> &Node {
-        match id.checked_sub(self.me + 1) {
-            Some(above) => &self.right[above as usize],
-            None => &self.left[id as usize],
-        }
-    }
-
-    fn is_down(&self, host: u32, now: SimTime) -> bool {
-        !self.sim.chaos.is_idle() && self.sim.chaos.host_down(host, now)
-    }
-
-    /// The best catch-up peer for `to`: the master (host 0) while it is
-    /// up *and a gossip neighbour* — the §5.1 topology — otherwise the
-    /// tallest linked live host, which spreads sync load across a
-    /// sparse ring-lattice overlay and is exactly what a restarted
-    /// master needs after a standby mined past it. When no linked live
-    /// peer is ahead (deep partition, tiny neighbourhood), falls back
-    /// to the tallest live host anywhere — sync dials directly by IP,
-    /// so linkage is a preference, not a constraint. Censorship
-    /// suspects rank below every clean source (a censor serving our
-    /// catch-up could keep feeding us its claim-free branch), but still
-    /// beat syncing from nobody. `None` when nobody live is strictly
-    /// ahead.
-    fn sync_source(&self, now: SimTime, my_height: u64) -> Option<u32> {
-        let to = self.me;
-        let topology = self.sim.network.topology();
-        let suspects = &self.sim.censor_suspects;
-        if to != 0
-            && !self.is_down(0, now)
-            && !suspects.contains(&0)
-            && topology.linked(NodeId(to), NodeId(0))
-        {
-            return Some(0);
-        }
-        // (linked, any) × (clean, all): clean sources win, linked breaks
-        // the tie among them — preserving the old order exactly when no
-        // host is suspected.
-        let mut best_linked: Option<(u64, u32)> = None;
-        let mut best_any: Option<(u64, u32)> = None;
-        let mut best_linked_clean: Option<(u64, u32)> = None;
-        let mut best_any_clean: Option<(u64, u32)> = None;
-        for h in self.others() {
-            let id = h.id.0;
-            if self.sim.chaos.host_down(id, now) {
-                continue;
-            }
-            let height = h.height();
-            let clean = !suspects.contains(&id);
-            let linked = topology.linked(NodeId(to), NodeId(id));
-            if best_any.is_none_or(|(best_h, _)| height > best_h) {
-                best_any = Some((height, id));
-            }
-            if linked && best_linked.is_none_or(|(best_h, _)| height > best_h) {
-                best_linked = Some((height, id));
-            }
-            if clean {
-                if best_any_clean.is_none_or(|(best_h, _)| height > best_h) {
-                    best_any_clean = Some((height, id));
-                }
-                if linked && best_linked_clean.is_none_or(|(best_h, _)| height > best_h) {
-                    best_linked_clean = Some((height, id));
-                }
-            }
-        }
-        let ahead = |o: Option<(u64, u32)>| o.filter(|&(h, _)| h > my_height);
-        ahead(best_linked_clean)
-            .or(ahead(best_any_clean))
-            .or(ahead(best_linked))
-            .or(ahead(best_any))
-            .map(|(_, id)| id)
-    }
-
-    /// Peers to stripe body batches across: the locate source first,
-    /// then the tallest other live hosts strictly ahead of us, at most
-    /// three total.
-    fn sync_peers(&self, now: SimTime, my_height: u64, primary: u32) -> Vec<NodeId> {
-        let mut candidates: Vec<(u64, u32)> = self
-            .others()
-            .filter(|h| h.id.0 != primary && !self.is_down(h.id.0, now))
-            .map(|h| (h.height(), h.id.0))
-            .filter(|&(height, _)| height > my_height)
-            .collect();
-        // Tallest first; ties broken by id for determinism.
-        candidates.sort_by(|a, b| b.cmp(a));
-        let mut peers = vec![NodeId(primary)];
-        peers.extend(candidates.into_iter().take(2).map(|(_, id)| NodeId(id)));
-        peers
-    }
 }
 
 impl NodeEnv for Env<'_> {
@@ -1943,7 +1664,7 @@ impl NodeEnv for Env<'_> {
     }
 
     fn note(&mut self, at: SimTime, tag: u64, note: Note) {
-        self.sim.note(self.queue, at, tag as usize, note);
+        self.sim.note(at, tag as usize, note);
     }
 
     /// Which exchange is this? Simulation-level bookkeeping only (the
@@ -1970,19 +1691,13 @@ impl NodeEnv for Env<'_> {
         self.sim.exchanges[tag as usize].done
     }
 
-    /// The sync-source oracle: a simulator can read every host's height,
-    /// so no tip announcements fly and the node's hint is not needed.
-    fn sync_plan(
-        &mut self,
-        now: SimTime,
-        height: u64,
-        _hint: Option<(NodeId, u64)>,
-    ) -> Option<SyncPlan> {
-        let source = self.sync_source(now, height)?;
-        Some(SyncPlan {
-            peers: self.sync_peers(now, height, source),
-            target: self.other(source).height(),
-        })
+    fn wake_at(&mut self, at: SimTime) {
+        let at = at.max(self.queue.now());
+        let wake = &mut self.sim.wakes[self.me as usize];
+        if wake.is_none_or(|pending| at < pending) {
+            *wake = Some(at);
+            self.queue.schedule_at(at, Event::Wake { host: self.me });
+        }
     }
 
     fn misbehaves(&mut self, now: SimTime, how: Misbehaviour) -> bool {
@@ -2041,10 +1756,6 @@ fn clone_chain_with_store(params: &ChainParams, source: &Chain, dir: &std::path:
     chain
 }
 
-fn recipient_bytes(addr: &[u8; 20]) -> [u8; ADDRESS_LEN] {
-    *addr
-}
-
 impl Actor<Event> for World {
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
@@ -2061,9 +1772,7 @@ impl Actor<Event> for World {
             }
             Event::Wan(delivery) => self.handle_wan(now, delivery, queue),
             Event::MineTick => self.handle_mine_tick(now, queue),
-            Event::FsmDeadline { exchange, seq } => {
-                self.handle_fsm_deadline(now, exchange, seq, queue)
-            }
+            Event::Wake { host } => self.handle_wake(now, host, queue),
             Event::ChaosRestart { host } => self.handle_chaos_restart(now, host, queue),
         }
     }
@@ -2090,8 +1799,7 @@ mod tests {
     #[test]
     fn fleet_preset_completes_on_ring_lattice() {
         // 60 gateways on a degree-6 ring: gossip reaches everyone only
-        // through re-flooding, and catch-up sync must pick linked
-        // sources. The run still completes cleanly.
+        // through re-flooding. The run still completes cleanly.
         let result = World::new(WorkloadConfig::fleet(60, 12, 5)).run();
         assert!(result.completed >= 12, "completed {}", result.completed);
         assert_eq!(result.failed, 0, "no failures expected");

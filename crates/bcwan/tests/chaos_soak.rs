@@ -57,9 +57,9 @@ fn gateway_crash_after_deliver_recovers() {
 #[test]
 fn claim_orphaned_by_reorg_reconfirms() {
     // A depth-3 fork at t=50s orphans the blocks holding the early
-    // escrows and claims. Mempool repair re-pools them, the settlement
-    // watchdog re-broadcasts anything the miner lost, and every claim
-    // must re-confirm on the winning branch.
+    // escrows and claims. Mempool repair re-pools them, each node
+    // re-publishes what the new branch's blocks leave out, and every
+    // claim must re-confirm on the winning branch.
     let plan = ChaosPlan {
         faults: vec![ChaosFault::Fork {
             at: secs(50),
@@ -309,9 +309,9 @@ fn equivocating_gateway_is_detected_and_recipient_made_whole() {
 #[test]
 fn censoring_miner_is_suspected_and_routed_around() {
     // The master miner silently excludes claim/refund transactions from
-    // its templates for most of the run. The per-exchange suspicion
-    // counter must demote it, mining must rotate to a clean standby,
-    // and every escrow must still settle.
+    // its templates for most of the run. A node whose claim its blocks
+    // keep leaving out must name it by its coinbase, mining must rotate
+    // to a clean standby, and every escrow must still settle.
     let plan = ChaosPlan {
         faults: vec![ChaosFault::CensorClaims {
             miner: 0,

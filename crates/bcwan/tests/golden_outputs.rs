@@ -1,9 +1,12 @@
-//! Golden same-seed outputs: every simulated number below was recorded
-//! at the commit *before* the world-shared verification memo, the
-//! overlay block connect and the id-stamped gossip landed. Those are
-//! host-time savings only, so the UTXO fingerprint, simulated duration,
-//! block count and every exchange latency (in microseconds, the
-//! simulator's resolution) must still be bit-identical.
+//! Golden same-seed outputs: the two clean runs were recorded at the
+//! commit *before* the world-shared verification memo, the overlay block
+//! connect and the id-stamped gossip landed. Those are host-time savings
+//! only, so the UTXO fingerprint, simulated duration, block count and
+//! every exchange latency (in microseconds, the simulator's resolution)
+//! must still be bit-identical — and so must they under the node-local
+//! watchdog, which takes no action in a fault-free run. The two chaos
+//! runs were re-recorded once, when recovery moved into the node
+//! (EXPERIMENTS.md § "Recovery in the node").
 
 use bcwan::world::{ExperimentResult, WorkloadConfig, World};
 use bcwan_sim::{ChaosFault, ChaosPlan, ChaosProfile, SimDuration, SimRng, SimTime};
@@ -63,7 +66,7 @@ fn chaos_soak_seed_101() {
     cfg.refund_delta = 12;
     let result = World::new(cfg).run();
     assert_eq!(result.invariant_violations, 0);
-    assert_eq!(digest(&result), "fp=11808267718655309535 sim_us=453238049 blocks=26 completed=6 lat_us=[464992, 464992, 464992, 464992, 75464992, 464992]");
+    assert_eq!(digest(&result), "fp=4346592772911062419 sim_us=393238049 blocks=23 completed=7 lat_us=[464992, 464992, 464992, 464992, 15464992, 35464992, 464992]");
 }
 
 /// The `byzantine_soak` bin's seed-11 run at 40 % Byzantine gateways:
@@ -122,8 +125,8 @@ fn byzantine_soak_seed_11() {
     assert_eq!(
         digest(&result),
         format!(
-            "fp=4932378167854601667 sim_us=589037473 blocks=230 completed=36 lat_us={:?}",
-            [464_992u64; 36]
+            "fp=7789561902514587463 sim_us=630696162 blocks=250 completed=34 lat_us={:?}",
+            [464_992u64; 34]
         )
     );
 }

@@ -98,6 +98,58 @@ fn confirmation_depth_defeats_theft_but_costs_blocks() {
 }
 
 #[test]
+fn confirmation_depth_is_never_bypassed() {
+    // Regression: the simulator's watchdog used to claim late for any
+    // gateway that had not claimed yet, skipping the depth rule — at
+    // depth 2 every claim of this run was built at 0 or 1 confirmations
+    // (mean 11.45 s). Through the one confirmation-depth path every
+    // claim waits for the second block on the escrow: 17.5 s here, short
+    // of the 30 s analytic wait only because this seed draws quick
+    // blocks (5.5 s between the second and the third).
+    let cfg = WorkloadConfig {
+        target_exchanges: 60,
+        seed: 2018,
+        confirmation_depth: 2,
+        ..WorkloadConfig::paper_fig5()
+    };
+    let result = World::new(cfg).run();
+    assert_eq!(result.completed, 60);
+    let mean = result.latencies.summary().unwrap().mean;
+    assert!(
+        mean >= 15.0,
+        "claims revealed short of the depth: mean {mean:.2}s"
+    );
+}
+
+#[test]
+fn clean_runs_recover_nothing() {
+    // Every recovery rule is silent without faults — the property the
+    // benchmark's `exact.*` equality rests on.
+    let mut miniature_fig5 = WorkloadConfig::paper_fig5();
+    miniature_fig5.actor_hosts = 3;
+    miniature_fig5.sensors_per_host = 4;
+    miniature_fig5.target_exchanges = 12;
+    miniature_fig5.seed = 5;
+    for cfg in [
+        WorkloadConfig::fleet(50, 10, 2018),
+        WorkloadConfig::fleet(50, 10, 7),
+        miniature_fig5,
+        WorkloadConfig::tiny(12, 5),
+    ] {
+        let seed = cfg.seed;
+        let result = World::new(cfg).run();
+        for row in [
+            "fsm.rebroadcasts_total",
+            "fsm.deliver_retries_total",
+            "wan.messages.sync_total",
+            "byzantine.censorship_suspected_total",
+        ] {
+            assert_eq!(result.metrics.counter(row), Some(0), "seed {seed}: {row}");
+        }
+    }
+}
+
+#[test]
 fn rsa_1024_works_end_to_end_with_bigger_frames() {
     use bcwan_crypto::rsa::RsaKeySize;
     let mut cfg = WorkloadConfig::tiny(3, 24);
