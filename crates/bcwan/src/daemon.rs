@@ -10,7 +10,8 @@
 
 use crate::costs::CostModel;
 use bcwan_chain::{
-    Block, BlockAction, Chain, ChainError, Mempool, MempoolError, ReorgInfo, SigCache, Transaction,
+    BlockAction, Chain, ChainError, HashedBlock, HashedTx, Mempool, MempoolError, ReorgInfo,
+    SigCache, Transaction,
 };
 use bcwan_p2p::RelayState;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
@@ -45,8 +46,8 @@ pub struct Daemon {
 }
 
 /// The transactions the last accepted block moved on the main chain.
-/// Cloning bumps a reference count: the extending block is the chain's
-/// own copy.
+/// Cloning bumps a reference count: the extending block is the body the
+/// chain indexed.
 #[derive(Debug, Clone, Default)]
 pub enum ChainChange {
     /// The last block left the main chain as it was (a side-chain, known
@@ -54,7 +55,7 @@ pub enum ChainChange {
     #[default]
     None,
     /// A block extended the tip.
-    Extended(Arc<Block>),
+    Extended(HashedBlock),
     /// A longer branch replaced part of the main chain.
     Reorganized(Arc<ReorgInfo>),
 }
@@ -145,7 +146,7 @@ impl Daemon {
     pub fn accept_transaction(
         &mut self,
         now: SimTime,
-        tx: Transaction,
+        tx: impl Into<HashedTx>,
         costs: &CostModel,
     ) -> (SimTime, Result<u64, MempoolError>) {
         let done = self.occupy(now, costs.tx_validate);
@@ -165,9 +166,10 @@ impl Daemon {
     pub fn accept_block(
         &mut self,
         now: SimTime,
-        block: Block,
+        block: impl Into<HashedBlock>,
         rng: &mut SimRng,
     ) -> (SimTime, Result<BlockAction, ChainError>) {
+        let block = block.into();
         // The stall models the verification work itself, so it is charged
         // whether or not the block extends the chain.
         let stall = self
@@ -181,19 +183,13 @@ impl Daemon {
             self.stats.total_stall += stall;
         }
         let done = self.occupy(now, stall);
-        let hash = block.hash();
-        let result = self.chain.add_block(block);
+        let result = self.chain.add_block(block.clone());
         match result {
             Ok(BlockAction::Extended(_)) => {
                 self.stats.blocks_accepted += 1;
-                let (block, txids) = self
-                    .chain
-                    .shared_block(&hash)
-                    .zip(self.chain.block_txids(&hash))
-                    .expect("extended with this block");
                 self.mempool
-                    .remove_confirmed_ids(&block.transactions, txids);
-                self.last_change = ChainChange::Extended(block.clone());
+                    .remove_confirmed_ids(&block.transactions, block.txids());
+                self.last_change = ChainChange::Extended(block);
             }
             Ok(BlockAction::Reorganized { .. }) => {
                 self.stats.blocks_accepted += 1;
@@ -220,13 +216,11 @@ impl Daemon {
         self.mempool.remove_confirmed(&info.connected_txs);
         let height = self.chain.height();
         for tx in &info.disconnected_txs {
+            let tx = HashedTx::new(tx.clone());
             self.relay.forget(&tx.txid().0);
-            let _ = self.mempool.insert(
-                tx.clone(),
-                self.chain.utxo(),
-                height + 1,
-                self.chain.params(),
-            );
+            let _ = self
+                .mempool
+                .insert(tx, self.chain.utxo(), height + 1, self.chain.params());
         }
         self.mempool
             .evict_invalid(self.chain.utxo(), height + 1, self.chain.params());
@@ -255,7 +249,7 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcwan_chain::{ChainParams, StallModel, TxOut, Wallet};
+    use bcwan_chain::{Block, ChainParams, StallModel, TxOut, Wallet};
     use bcwan_script::Script;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

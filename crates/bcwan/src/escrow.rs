@@ -9,7 +9,7 @@ use bcwan_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use bcwan_script::templates::{
     ephemeral_key_release, extract_revealed_key, key_reveal_sig, refund_sig,
 };
-use bcwan_script::Script;
+use bcwan_script::{Instruction, Opcode, Script};
 
 /// The number of blocks after which the refund branch opens; the paper's
 /// Listing 1 uses `block_height + 100`.
@@ -178,22 +178,21 @@ pub fn build_refund(
 /// the output index and value.
 pub fn find_escrow_for_key(tx: &Transaction, e_pk: &RsaPublicKey) -> Option<(u32, u64)> {
     let needle = e_pk.to_bytes();
-    for (vout, output) in tx.outputs.iter().enumerate() {
-        if let Some(bcwan_script::Instruction::Push(first)) =
-            output.script_pubkey.instructions().first()
-        {
-            let has_pair_op = output.script_pubkey.instructions().get(1).is_some_and(|i| {
-                matches!(
-                    i,
-                    bcwan_script::Instruction::Op(bcwan_script::Opcode::CheckRsa512Pair)
-                )
-            });
-            if has_pair_op && *first == needle {
-                return Some((vout as u32, output.value));
-            }
-        }
+    tx.outputs
+        .iter()
+        .position(|output| escrow_key(&output.script_pubkey) == Some(needle.as_slice()))
+        .map(|vout| (vout as u32, tx.outputs[vout].value))
+}
+
+/// The serialized ephemeral public key a Listing 1 locking script opens
+/// with — its leading push, when `OP_CHECKRSA512PAIR` follows — or
+/// `None` for any other script. Reading it costs no key parsing, so a
+/// gateway can look the push up among its open sessions directly.
+pub fn escrow_key(script_pubkey: &Script) -> Option<&[u8]> {
+    match script_pubkey.instructions() {
+        [Instruction::Push(key), Instruction::Op(Opcode::CheckRsa512Pair), ..] => Some(key),
+        _ => None,
     }
-    None
 }
 
 /// Extracts the ephemeral private key from a transaction that spends

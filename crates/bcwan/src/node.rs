@@ -30,8 +30,8 @@ use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
 use crate::wire::WanMessage;
 use bcwan_chain::{
-    Address, Block, BlockAction, BlockHash, Chain, ChainError, OutPoint, Transaction, TxId, TxOut,
-    Wallet,
+    Address, Block, BlockAction, BlockHash, Chain, ChainError, HashedBlock, HashedTx, OutPoint,
+    Transaction, TxId, TxOut, Wallet,
 };
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
 use bcwan_p2p::{ChainMessage, NodeId};
@@ -39,48 +39,94 @@ use bcwan_script::{templates::p2pkh, Script};
 use bcwan_sim::{SimDuration, SimRng, SimTime};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A WAN message as a node handles it: stamped once where it originates
-/// with what every hop would otherwise recompute, then shared by all
-/// copies in flight — fan-out is a refcount bump, and a duplicate
-/// delivery costs a hash-set probe on the id instead of a serialization
-/// and a double SHA-256. The simulator shares one parcel across all of
-/// its hosts (one address space, so a host can observe no difference);
-/// a live node stamps each frame as it comes off the socket.
+/// A WAN message as a node handles it: stamped once with what every hop
+/// would otherwise recompute, then shared by all copies in flight —
+/// fan-out is a refcount bump, a duplicate delivery costs a hash-set
+/// probe on the stamped id, and every host hands the same hashed body to
+/// its pool or chain, so one transaction or block is serialized, hashed
+/// and held once however many hosts take it. The simulator shares one
+/// parcel across all of its hosts (one address space, so a host can
+/// observe no difference); a live node stamps each frame it decodes.
 #[derive(Debug)]
 pub struct Parcel {
     /// The message.
     pub msg: WanMessage,
-    /// Flood-dedup id (txid or block hash); `None` for request/response
-    /// traffic, which is never re-flooded.
-    id: Option<[u8; 32]>,
-    /// [`WanMessage::wire_size`], for traffic accounting.
-    pub wire_size: usize,
+    /// The hashed body of a transaction or block message: set where a
+    /// node publishes it, or computed from `msg` on first use, so a
+    /// parcel nobody reads the stamp of never pays for it.
+    stamp: OnceLock<Stamp>,
+}
+
+/// What a parcel is stamped with.
+#[derive(Debug)]
+enum Stamp {
+    Tx(HashedTx),
+    Block(HashedBlock),
+    /// Request/response traffic, never re-flooded.
+    Unstamped,
 }
 
 impl Parcel {
-    /// Stamps `msg`.
+    /// Wraps `msg`; its stamp is computed on first use.
     pub fn new(msg: WanMessage) -> Arc<Self> {
-        let id = match &msg {
-            WanMessage::Chain(cm) => cm.flood_id(),
-            WanMessage::Deliver { .. } => None,
-        };
-        let wire_size = msg.wire_size();
-        Arc::new(Parcel { msg, id, wire_size })
+        Arc::new(Parcel {
+            msg,
+            stamp: OnceLock::new(),
+        })
     }
 
-    fn tx(tx: Transaction) -> Arc<Self> {
-        Self::new(WanMessage::Chain(ChainMessage::Tx(tx)))
+    /// A transaction this node publishes, already hashed.
+    fn tx(tx: HashedTx) -> Arc<Self> {
+        Arc::new(Parcel {
+            msg: WanMessage::Chain(ChainMessage::Tx(tx.tx().clone())),
+            stamp: OnceLock::from(Stamp::Tx(tx)),
+        })
     }
 
-    fn block(block: Block) -> Arc<Self> {
-        Self::new(WanMessage::Chain(ChainMessage::Block(block)))
+    /// A block this node publishes, already hashed.
+    fn block(block: HashedBlock) -> Arc<Self> {
+        Arc::new(Parcel {
+            msg: WanMessage::Chain(ChainMessage::Block(block.block().clone())),
+            stamp: OnceLock::from(Stamp::Block(block)),
+        })
     }
 
-    /// The stamped id of a transaction or block parcel.
-    fn flood_id(&self) -> [u8; 32] {
-        self.id.expect("transaction and block parcels carry an id")
+    fn stamp(&self) -> &Stamp {
+        self.stamp.get_or_init(|| match &self.msg {
+            WanMessage::Chain(ChainMessage::Tx(tx)) => Stamp::Tx(HashedTx::new(tx.clone())),
+            WanMessage::Chain(ChainMessage::Block(block)) => {
+                Stamp::Block(HashedBlock::new(block.clone()))
+            }
+            _ => Stamp::Unstamped,
+        })
+    }
+
+    /// [`WanMessage::wire_size`], for traffic accounting — read off the
+    /// stamp for a transaction or block.
+    pub fn wire_size(&self) -> usize {
+        match self.stamp() {
+            Stamp::Tx(tx) => 1 + tx.size(),
+            Stamp::Block(block) => 1 + block.size(),
+            Stamp::Unstamped => self.msg.wire_size(),
+        }
+    }
+
+    /// The hashed body of a transaction parcel.
+    fn hashed_tx(&self) -> &HashedTx {
+        match self.stamp() {
+            Stamp::Tx(tx) => tx,
+            _ => unreachable!("only transaction parcels are read as one"),
+        }
+    }
+
+    /// The hashed body of a block parcel.
+    fn hashed_block(&self) -> &HashedBlock {
+        match self.stamp() {
+            Stamp::Block(block) => block,
+            _ => unreachable!("only block parcels are read as one"),
+        }
     }
 }
 
@@ -227,7 +273,7 @@ struct Held {
 /// exists, kept published until a block on this node's main chain spends
 /// that output.
 struct Claim {
-    tx: Transaction,
+    tx: HashedTx,
     published: Published,
     settled: bool,
 }
@@ -256,11 +302,13 @@ struct Sealed {
 /// Recipient role: one escrowed exchange.
 struct Escrowed {
     escrow: Escrow,
+    /// `escrow.tx`, hashed once where it was built.
+    tx: HashedTx,
     /// The exchange from delivery on: settlement phase and the
     /// watchdog's sweep schedule.
     fsm: ExchangeFsm,
     published: Published,
-    refund: Option<(Transaction, Published)>,
+    refund: Option<(HashedTx, Published)>,
     /// First key-revealing claim seen spending the escrow; a second
     /// *distinct* one is an equivocation (reported once).
     seen_claim: Option<TxId>,
@@ -274,15 +322,21 @@ struct EscrowOutput {
     value: u64,
 }
 
-fn escrow_output(tx: &Transaction, e_pk: &RsaPublicKey) -> Option<EscrowOutput> {
-    let (vout, value) = escrow::find_escrow_for_key(tx, e_pk)?;
+/// The first output of `tx` (whose id is `txid`) locked to the
+/// serialized ephemeral key `e_pk_bytes`.
+fn escrow_output(txid: TxId, tx: &Transaction, e_pk_bytes: &[u8]) -> Option<EscrowOutput> {
+    let (vout, output) = tx
+        .outputs
+        .iter()
+        .enumerate()
+        .find(|(_, output)| escrow::escrow_key(&output.script_pubkey) == Some(e_pk_bytes))?;
     Some(EscrowOutput {
         outpoint: OutPoint {
-            txid: tx.txid(),
-            vout,
+            txid,
+            vout: vout as u32,
         },
-        script: tx.outputs[vout as usize].script_pubkey.clone(),
-        value,
+        script: output.script_pubkey.clone(),
+        value: output.value,
     })
 }
 
@@ -409,8 +463,12 @@ impl Node {
 
     /// A transaction this node keeps for exchange `tag`.
     pub fn stored(&self, tag: u64, which: Stored) -> Option<&Transaction> {
+        self.stored_hashed(tag, which).map(HashedTx::tx)
+    }
+
+    fn stored_hashed(&self, tag: u64, which: Stored) -> Option<&HashedTx> {
         match which {
-            Stored::Escrow => self.escrow(tag).map(|e| &e.tx),
+            Stored::Escrow => self.escrows.get(&tag).map(|e| &e.tx),
             Stored::Claim => self.claims.get(&tag).map(|c| &c.tx),
             Stored::Refund => self.escrows.get(&tag)?.refund.as_ref().map(|(tx, _)| tx),
         }
@@ -476,7 +534,7 @@ impl Node {
                 e_pk_bytes,
                 uplink,
             } => self.on_deliver(now, from, *device_id, e_pk_bytes, uplink, env),
-            WanMessage::Chain(ChainMessage::Tx(tx)) => self.on_tx(now, &parcel, tx, env),
+            WanMessage::Chain(ChainMessage::Tx(_)) => self.on_tx(now, &parcel, env),
             WanMessage::Chain(ChainMessage::Block(_)) => self.on_block(now, from, parcel, env),
             WanMessage::Chain(ChainMessage::GetBlocksFrom(height)) => {
                 // A bounded batch (the §5.1 start-up sync, reused after
@@ -587,16 +645,16 @@ impl Node {
         );
         let built_at = self.daemon.occupy(verified_at, terms.costs.tx_build);
         // Admit into own mempool and flood.
+        let tx = HashedTx::new(escrow.tx.clone());
         let (admitted_at, result) =
             self.daemon
-                .accept_transaction(built_at, escrow.tx.clone(), &terms.costs);
+                .accept_transaction(built_at, tx.clone(), &terms.costs);
         if result.is_err() {
             env.note(admitted_at, tag, Note::Abort);
             return;
         }
-        let parcel = Parcel::tx(escrow.tx.clone());
         let outpoint = OutPoint {
-            txid: TxId(parcel.flood_id()),
+            txid: tx.txid(),
             vout: escrow.vout,
         };
         let sealed = Sealed {
@@ -610,8 +668,10 @@ impl Node {
         if let Some(at) = fsm.deadline(&terms.fsm) {
             env.wake_at(at);
         }
+        let parcel = Parcel::tx(tx.clone());
         let escrowed = Escrowed {
             escrow,
+            tx,
             fsm,
             published: Published::at(admitted_at),
             refund: None,
@@ -619,20 +679,16 @@ impl Node {
             equivocated: false,
         };
         self.escrows.insert(tag, Box::new(escrowed));
-        self.daemon.relay.mark_seen(parcel.flood_id());
+        self.daemon.relay.mark_seen(outpoint.txid.0);
         env.flood(admitted_at, &parcel);
         env.note(admitted_at, tag, Note::EscrowPublished(outpoint));
     }
 
     /// Chain transaction gossip: mempool admission + protocol reactions.
-    fn on_tx(
-        &mut self,
-        now: SimTime,
-        parcel: &Arc<Parcel>,
-        tx: &Transaction,
-        env: &mut dyn NodeEnv,
-    ) {
-        let txid = TxId(parcel.flood_id());
+    /// The pool takes the parcel's hashed body: no copy, no re-hash.
+    fn on_tx(&mut self, now: SimTime, parcel: &Arc<Parcel>, env: &mut dyn NodeEnv) {
+        let tx = parcel.hashed_tx();
+        let txid = tx.txid();
         // Seen before — but a reorg may have evicted it from the pool
         // since, in which case a re-broadcast must be re-admitted, not
         // dropped. Cheap check first (the common duplicate sits in the
@@ -673,7 +729,6 @@ impl Node {
         if self.settle_watch.is_empty() {
             return;
         }
-        let txid = tx.txid();
         for input in &tx.inputs {
             let Some(&tag) = self.settle_watch.get(&input.prevout) else {
                 continue;
@@ -685,6 +740,8 @@ impl Node {
                 .escrows
                 .get_mut(&tag)
                 .expect("watched escrows are held");
+            // Hashed only here, for a claim on a watched escrow.
+            let txid = tx.txid();
             match held.seen_claim {
                 None => held.seen_claim = Some(txid),
                 Some(seen) if seen != txid && !held.equivocated => {
@@ -696,22 +753,37 @@ impl Node {
         }
     }
 
+    /// The gateway's escrow check: does `tx` lock payment to the key of
+    /// one of this node's open sessions? Each escrow-shaped output's
+    /// leading push is looked up among the sessions directly, so the
+    /// cost follows the transaction's outputs, not the number of open
+    /// sessions, and no key is parsed.
     fn gateway_check_escrow(&mut self, now: SimTime, tx: &Transaction, env: &mut dyn NodeEnv) {
-        let session_keys: Vec<Vec<u8>> = self.sessions.keys().cloned().collect();
-        for key_bytes in session_keys {
-            let Ok(e_pk) = RsaPublicKey::from_bytes(&key_bytes) else {
+        if self.sessions.is_empty() {
+            return;
+        }
+        // The first output naming each session, in output order.
+        let mut named: Vec<&[u8]> = Vec::new();
+        for output in &tx.outputs {
+            let Some(key) = escrow::escrow_key(&output.script_pubkey) else {
                 continue;
             };
-            let Some(found) = escrow_output(tx, &e_pk) else {
-                continue;
-            };
+            if self.sessions.contains_key(key) && !named.contains(&key) {
+                named.push(key);
+            }
+        }
+        if named.is_empty() {
+            return;
+        }
+        let txid = tx.txid();
+        for key in named {
             // The escrow proves the delivery landed: stop re-delivering.
-            if let Some(session) = self.sessions.get_mut(&key_bytes) {
+            if let Some(session) = self.sessions.get_mut(key) {
                 session.held = None;
             }
             // The same escrow can be offered twice: once as gossip, once
             // from the block that confirms it.
-            let entry = (key_bytes, found.outpoint.txid);
+            let entry = (key.to_vec(), txid);
             if !self.awaiting_conf.contains(&entry) {
                 self.awaiting_conf.push(entry);
             }
@@ -755,7 +827,7 @@ impl Node {
                 fee,
             )
         };
-        let claim = sign(&self.wallet, terms.fee);
+        let claim = HashedTx::new(sign(&self.wallet, terms.fee));
         let built = self.daemon.occupy(now, terms.costs.tx_build);
 
         // Byzantine equivocation: the gateway signs a *second* claim
@@ -766,7 +838,7 @@ impl Node {
         // the attack creates settlement ambiguity, which first-seen
         // mempools, the recipient's detector and the auditor resolve.
         let rival = (env.misbehaves(now, Misbehaviour::Equivocate) && terms.fee + 1 < found.value)
-            .then(|| sign(&self.wallet, terms.fee + 1));
+            .then(|| HashedTx::new(sign(&self.wallet, terms.fee + 1)));
         let (admitted, result) = self
             .daemon
             .accept_transaction(built, claim.clone(), &terms.costs);
@@ -784,13 +856,12 @@ impl Node {
         if result.is_err() {
             return;
         }
+        self.daemon.relay.mark_seen(claim.txid().0);
         let claim = Parcel::tx(claim);
-        self.daemon.relay.mark_seen(claim.flood_id());
         match rival {
             Some(rival) => {
-                let rival = Parcel::tx(rival);
-                self.daemon.relay.mark_seen(rival.flood_id());
-                env.flood_split(admitted, &claim, &rival);
+                self.daemon.relay.mark_seen(rival.txid().0);
+                env.flood_split(admitted, &claim, &Parcel::tx(rival));
             }
             None => env.flood(admitted, &claim),
         }
@@ -835,15 +906,17 @@ impl Node {
     fn accept_block(
         &mut self,
         now: SimTime,
-        block: &Block,
+        block: &HashedBlock,
         salt: u64,
     ) -> (SimTime, Result<BlockAction, ChainError>) {
         let mut rng = self.rng.fork(salt);
         self.daemon.accept_block(now, block.clone(), &mut rng)
     }
 
+    /// Chain block gossip: the chain indexes the parcel's hashed body —
+    /// one body however many hosts connect it.
     fn on_block(&mut self, now: SimTime, from: NodeId, parcel: Arc<Parcel>, env: &mut dyn NodeEnv) {
-        if !self.daemon.relay.mark_seen(parcel.flood_id()) {
+        if !self.daemon.relay.mark_seen(parcel.hashed_block().hash().0) {
             return;
         }
         // Blocks can arrive out of order over the WAN; buffer orphans and
@@ -855,9 +928,7 @@ impl Node {
         // relayed by whoever.
         let mut sender = Some(from);
         while let Some(parcel) = pending.pop() {
-            let WanMessage::Chain(ChainMessage::Block(block)) = &parcel.msg else {
-                unreachable!("only block parcels are queued here");
-            };
+            let block = parcel.hashed_block();
             let (done, action) = self.accept_block(at, block, 0xb10c ^ u64::from(self.id.0));
             match action {
                 Err(ChainError::Orphan(parent)) => {
@@ -896,7 +967,7 @@ impl Node {
             // Confirmation-depth gateways: check their waiting escrows.
             self.gateway_check_confirmations(done, env);
             // Any orphans waiting on this block connect next.
-            if let Some(children) = self.orphans.remove(&BlockHash(parcel.flood_id())) {
+            if let Some(children) = self.orphans.remove(&block.hash()) {
                 pending.extend(children);
             }
         }
@@ -1008,10 +1079,7 @@ impl Node {
                 self.awaiting_conf.push((key_bytes, escrow_txid));
                 continue;
             };
-            let found = RsaPublicKey::from_bytes(&key_bytes)
-                .ok()
-                .and_then(|e_pk| escrow_output(tx, &e_pk));
-            if let Some(found) = found {
+            if let Some(found) = escrow_output(escrow_txid, tx, &key_bytes) {
                 self.gateway_claim(now, key_bytes, found, env);
             }
         }
@@ -1170,15 +1238,20 @@ impl Node {
         txs.extend(self.daemon.mempool.block_template_excluding(budget, |tx| {
             tx.inputs.iter().any(|i| censored.contains(&i.prevout))
         }));
-        let block = Block::mine(chain.tip(), now.as_micros(), params.difficulty_bits, txs);
+        let block = HashedBlock::new(Block::mine(
+            chain.tip(),
+            now.as_micros(),
+            params.difficulty_bits,
+            txs,
+        ));
         let (done, action) = self.accept_block(now, &block, 0x113e);
         if !matches!(action, Ok(BlockAction::Extended(_))) {
             return None;
         }
         // This node's own blocks never echo back through the relay, so
         // the bookkeeping a received block gets runs here.
+        self.daemon.relay.mark_seen(block.hash().0);
         let parcel = Parcel::block(block);
-        self.daemon.relay.mark_seen(parcel.flood_id());
         env.flood(done, &parcel);
         self.apply_settlements(done, env);
         self.gateway_check_confirmations(done, env);
@@ -1194,12 +1267,13 @@ impl Node {
         block: Block,
         env: &mut dyn NodeEnv,
     ) -> bool {
+        let block = HashedBlock::new(block);
         let (done, action) = self.accept_block(now, &block, 0xf04c);
         if action.is_err() {
             return false;
         }
+        self.daemon.relay.mark_seen(block.hash().0);
         let parcel = Parcel::block(block);
-        self.daemon.relay.mark_seen(parcel.flood_id());
         self.apply_settlements(done, env);
         env.flood(done, &parcel);
         true
@@ -1281,14 +1355,18 @@ impl Node {
         for tag in escrowed {
             let held = self.escrows.get_mut(&tag).expect("due escrow");
             held.fsm.note_retry(now);
-            let (outpoint, refund_height) = (held.escrow.outpoint(), held.escrow.refund_height);
+            let outpoint = OutPoint {
+                txid: held.tx.txid(),
+                vout: held.escrow.vout,
+            };
+            let refund_height = held.escrow.refund_height;
             if held.refund.is_none() && self.daemon.chain.height() >= refund_height {
-                let refund = escrow::build_refund(
+                let refund = HashedTx::new(escrow::build_refund(
                     &self.wallet,
                     &held.escrow,
                     self.terms.reward,
                     self.terms.fee,
-                );
+                ));
                 held.refund = Some((refund, Published::at(now)));
                 env.note(now, tag, Note::Refunding);
             }
@@ -1321,7 +1399,7 @@ impl Node {
         confirmed: bool,
         env: &mut dyn NodeEnv,
     ) {
-        let Some(txid) = self.stored(tag, which).map(Transaction::txid) else {
+        let Some(txid) = self.stored_hashed(tag, which).map(HashedTx::txid) else {
             return;
         };
         let published = *self.published(tag, which).expect("stored");
@@ -1386,7 +1464,7 @@ impl Node {
         which: Stored,
         env: &mut dyn NodeEnv,
     ) -> Option<SimTime> {
-        let tx = self.stored(tag, which)?.clone();
+        let tx = self.stored_hashed(tag, which)?.clone();
         let txid = tx.txid();
         let mut at = now;
         if !self.daemon.mempool.contains(&txid) {

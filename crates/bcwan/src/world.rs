@@ -101,10 +101,12 @@ pub struct WorkloadConfig {
     pub refund_delta: u64,
     /// Extra escrow-sized genesis coins allocated per actor beyond the
     /// even `target_exchanges` split, absorbing workload skew. The
-    /// classic presets keep 64; the fleet preset shrinks it to 4 —
-    /// every genesis coin lands in all 1 000+ per-host UTXO clones, so
-    /// headroom is the knob that decides whether a big fleet fits in
-    /// memory.
+    /// classic presets keep 64; the fleet preset keeps 4. Every host's
+    /// chain shares one genesis block and one copy-on-write UTXO base
+    /// (`Chain::fork`), so the coins are held once per run, not once
+    /// per host; what the headroom still sizes is that genesis
+    /// coinbase and the set each actor's `reserve_coin` scans per
+    /// escrow.
     pub escrow_coin_headroom: u64,
     /// Root directory for persistent chain stores. `None` (all presets)
     /// keeps every chain in memory. `Some(dir)` gives each host an
@@ -1321,8 +1323,10 @@ impl Sim {
         }
         let k = parcel.msg.kind_index();
         self.registry.add(self.meters.wan_msgs[k], copies as u64);
-        self.registry
-            .add(self.meters.wan_bytes[k], (parcel.wire_size * copies) as u64);
+        self.registry.add(
+            self.meters.wan_bytes[k],
+            (parcel.wire_size() * copies) as u64,
+        );
     }
 
     /// Unicasts a WAN message over a direct TCP-like dial (the paper's

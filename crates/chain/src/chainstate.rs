@@ -1,9 +1,10 @@
 //! The block chain: storage, best-chain selection, and reorganization.
 
 use crate::block::{Block, BlockHash};
+use crate::hashed::HashedBlock;
 use crate::params::ChainParams;
 use crate::store::{ChainStore, CoinsCache, Probe, StoreConfig, StoreError, StoreStats};
-use crate::tx::{txids_of, OutPoint, Transaction, TxId, TxOut};
+use crate::tx::{OutPoint, Transaction, TxId, TxOut};
 use crate::utxo::{UndoData, UtxoSet};
 use crate::validate::{validate_block_txids, BlockError, BlockValidationOptions, SigCache};
 use crate::wallet::Address;
@@ -56,31 +57,52 @@ impl fmt::Display for ChainError {
 impl std::error::Error for ChainError {}
 
 /// One indexed block. Body and ids sit behind `Arc`s, so the chains of
-/// one [`Chain::fork`] family index the same allocations.
+/// one [`Chain::fork`] family — and every chain a [`HashedBlock`] was
+/// handed to — index the same allocations.
 #[derive(Clone)]
 struct StoredBlock {
     block: Arc<Block>,
     height: u64,
-    /// `block.transactions[i].txid()`, hashed at most once per stored
-    /// block: validation, connect, disconnect and transaction lookup
-    /// all reuse them. Filled by connect (which needs them anyway) or on
-    /// first use, so reopening a store or shelving a side-chain block
-    /// hashes nothing.
-    txids: OnceLock<Arc<[TxId]>>,
+    /// `block.transactions[i].txid()` and the block's serialized size:
+    /// validation, connect, disconnect and transaction lookup all reuse
+    /// them. Taken from the [`HashedBlock`] the block was added as, or —
+    /// for a block read back from a store — computed on first use, so
+    /// reopening a store hashes nothing.
+    digests: OnceLock<(Arc<[TxId]>, usize)>,
 }
 
 impl StoredBlock {
+    /// A block read back from a store: digests on first use.
     fn new(block: Block, height: u64) -> Self {
         StoredBlock {
             block: Arc::new(block),
             height,
-            txids: OnceLock::new(),
+            digests: OnceLock::new(),
         }
     }
 
+    /// A block that arrived hashed: its digests come along.
+    fn hashed(block: HashedBlock, height: u64) -> Self {
+        StoredBlock {
+            digests: OnceLock::from((block.txids().clone(), block.size())),
+            block: block.shared().clone(),
+            height,
+        }
+    }
+
+    fn digests(&self) -> &(Arc<[TxId]>, usize) {
+        self.digests.get_or_init(|| {
+            let (txids, size) = self.block.txids_and_size();
+            (txids.into(), size)
+        })
+    }
+
     fn txids(&self) -> &[TxId] {
-        self.txids
-            .get_or_init(|| txids_of(&self.block.transactions).into())
+        &self.digests().0
+    }
+
+    fn size(&self) -> usize {
+        self.digests().1
     }
 }
 
@@ -601,14 +623,17 @@ impl Chain {
         None
     }
 
-    /// Submits a block.
+    /// Submits a block. A bare [`Block`] is hashed here; a
+    /// [`HashedBlock`] brings its digests along and is indexed without a
+    /// copy.
     ///
     /// # Errors
     ///
     /// [`ChainError::Orphan`] when the parent is unknown,
     /// [`ChainError::Invalid`] when the block fails validation on the main
     /// tip, [`ChainError::BranchInvalid`] when a reorg target is bad.
-    pub fn add_block(&mut self, block: Block) -> Result<BlockAction, ChainError> {
+    pub fn add_block(&mut self, block: impl Into<HashedBlock>) -> Result<BlockAction, ChainError> {
+        let block = block.into();
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
             return Ok(BlockAction::AlreadyKnown);
@@ -618,16 +643,11 @@ impl Chain {
             return Err(ChainError::Orphan(parent_hash));
         };
         let height = parent.height + 1;
+        let stored = StoredBlock::hashed(block, height);
 
         if parent_hash == self.tip() {
             // Fast path: extending the best chain.
-            let (txids, size) = block.txids_and_size();
-            let stored = StoredBlock {
-                block: Arc::new(block),
-                height,
-                txids: OnceLock::from(Arc::from(txids)),
-            };
-            let undo = self.connect(&stored, size).map_err(ChainError::Invalid)?;
+            let undo = self.connect(&stored).map_err(ChainError::Invalid)?;
             self.undo.insert(hash, Arc::new(undo));
             self.main.push(hash);
             self.blocks.insert(hash, stored);
@@ -638,7 +658,7 @@ impl Chain {
         // Side-chain block: store, then check whether its branch is now
         // strictly longer than the main chain (same per-block work, so
         // longest = most work).
-        self.blocks.insert(hash, StoredBlock::new(block, height));
+        self.blocks.insert(hash, stored);
         if height <= self.height() {
             return Ok(BlockAction::SideChain);
         }
@@ -682,8 +702,7 @@ impl Chain {
             // Taken out of the index while it connects, so the block is
             // borrowed, not cloned, next to `&mut self`.
             let stored = self.blocks.remove(hash).expect("stored");
-            let size = stored.block.size();
-            let validated = self.connect(&stored, size);
+            let validated = self.connect(&stored);
             self.blocks.insert(*hash, stored);
             match validated {
                 Ok(undo) => {
@@ -777,13 +796,13 @@ impl Chain {
     /// shared by the extend path and every step of a reorganization.
     /// Returns the block's undo data; the caller records it and pushes
     /// the block onto the main chain.
-    fn connect(&mut self, stored: &StoredBlock, size: usize) -> Result<UndoData, BlockError> {
+    fn connect(&mut self, stored: &StoredBlock) -> Result<UndoData, BlockError> {
         let (block, height, txids) = (&stored.block, stored.height, stored.txids());
         self.prefetch(block, txids);
         validate_block_txids(
             block,
             txids,
-            size,
+            stored.size(),
             self.coins.set(),
             height,
             &self.params,

@@ -1,0 +1,125 @@
+//! Transactions and blocks carried with their digests.
+//!
+//! A body is hashed once where it enters a process — decoded off a
+//! socket, built by a wallet, mined — and from then on travels as a
+//! reference-counted handle next to its ids, so every host, pool and
+//! chain that sees it reads the digests instead of re-serializing and
+//! re-hashing. The only constructors hash the body themselves, so a
+//! digest can never disagree with the body it names: the txid-keyed
+//! signature memo ([`SigCache`](crate::validate::SigCache)) relies on
+//! exactly that.
+
+use crate::block::{Block, BlockHash};
+use crate::tx::{Transaction, TxId};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A transaction with its id and serialized size.
+#[derive(Debug, Clone)]
+pub struct HashedTx {
+    tx: Arc<Transaction>,
+    txid: TxId,
+    size: usize,
+}
+
+impl HashedTx {
+    /// Hashes `tx` (one serialization).
+    pub fn new(tx: Transaction) -> Self {
+        let (txid, size) = tx.txid_and_size();
+        HashedTx {
+            tx: Arc::new(tx),
+            txid,
+            size,
+        }
+    }
+
+    /// The transaction.
+    pub fn tx(&self) -> &Transaction {
+        &self.tx
+    }
+
+    /// `tx().txid()`.
+    pub fn txid(&self) -> TxId {
+        self.txid
+    }
+
+    /// `tx().size()`.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+}
+
+impl Deref for HashedTx {
+    type Target = Transaction;
+
+    fn deref(&self) -> &Transaction {
+        &self.tx
+    }
+}
+
+impl From<Transaction> for HashedTx {
+    fn from(tx: Transaction) -> Self {
+        HashedTx::new(tx)
+    }
+}
+
+/// A block with its hash, its transactions' ids and its serialized size.
+#[derive(Debug, Clone)]
+pub struct HashedBlock {
+    block: Arc<Block>,
+    hash: BlockHash,
+    txids: Arc<[TxId]>,
+    size: usize,
+}
+
+impl HashedBlock {
+    /// Hashes `block`: the header, and every transaction once.
+    pub fn new(block: Block) -> Self {
+        let (txids, size) = block.txids_and_size();
+        HashedBlock {
+            hash: block.hash(),
+            txids: txids.into(),
+            size,
+            block: Arc::new(block),
+        }
+    }
+
+    /// The block.
+    pub fn block(&self) -> &Block {
+        &self.block
+    }
+
+    /// The shared body: cloning it keeps the block without copying it.
+    pub fn shared(&self) -> &Arc<Block> {
+        &self.block
+    }
+
+    /// `block().hash()`.
+    pub fn hash(&self) -> BlockHash {
+        self.hash
+    }
+
+    /// `block().transactions[i].txid()`, in block order.
+    pub fn txids(&self) -> &Arc<[TxId]> {
+        &self.txids
+    }
+
+    /// `block().size()`.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+}
+
+impl Deref for HashedBlock {
+    type Target = Block;
+
+    fn deref(&self) -> &Block {
+        &self.block
+    }
+}
+
+impl From<Block> for HashedBlock {
+    fn from(block: Block) -> Self {
+        HashedBlock::new(block)
+    }
+}

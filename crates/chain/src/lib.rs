@@ -9,6 +9,8 @@
 //!   blockchain identity `@R`),
 //! - [`merkle`] — merkle roots and inclusion proofs,
 //! - [`block`] — headers, proof-of-work, block assembly,
+//! - [`hashed`] — transactions and blocks carried with their digests,
+//!   hashed once where they enter,
 //! - [`params`] — the tunable consensus knobs Multichain advertises
 //!   (block interval, block size) and the **block-verification stall
 //!   model** behind the paper's Fig. 6,
@@ -47,6 +49,7 @@
 pub mod block;
 pub mod chainstate;
 pub mod codec;
+pub mod hashed;
 pub mod mempool;
 pub mod merkle;
 pub mod params;
@@ -61,6 +64,7 @@ pub use chainstate::{
     BlockAction, Chain, ChainError, ChainStats, OpenedChain, ReorgInfo, StoreSummary,
 };
 pub use codec::CodecError;
+pub use hashed::{HashedBlock, HashedTx};
 pub use mempool::{Mempool, MempoolError, MempoolStats};
 pub use params::{ChainParams, StallModel};
 pub use store::{CoinsCache, StoreConfig, StoreError};

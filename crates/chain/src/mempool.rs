@@ -5,6 +5,7 @@
 //! discussion turns on — whichever conflicting transaction reaches the
 //! miner's pool first wins the block.
 
+use crate::hashed::HashedTx;
 use crate::params::ChainParams;
 use crate::tx::{txids_of, OutPoint, Transaction, TxId};
 use crate::utxo::UtxoSet;
@@ -44,12 +45,11 @@ impl fmt::Display for MempoolError {
 impl std::error::Error for MempoolError {}
 
 struct PoolEntry {
-    tx: Transaction,
+    /// The shared body with the id and size it was hashed with where it
+    /// entered, so neither admission nor template building re-serializes
+    /// or re-hashes a pooled transaction.
+    tx: HashedTx,
     fee: u64,
-    /// `tx.txid()` and `tx.size()`, recorded at admission so template
-    /// building never re-serializes or re-hashes a pooled transaction.
-    txid: TxId,
-    size: usize,
 }
 
 bcwan_sim::counters! {
@@ -153,23 +153,25 @@ impl Mempool {
 
     /// Fetches a pooled transaction.
     pub fn get(&self, txid: &TxId) -> Option<&Transaction> {
-        self.entries.get(txid).map(|e| &e.tx)
+        self.entries.get(txid).map(|e| e.tx.tx())
     }
 
     /// Admits a transaction after validating it against `utxo` at `height`.
-    /// Returns the fee on success.
+    /// Returns the fee on success. A bare [`Transaction`] is hashed here;
+    /// a [`HashedTx`] brings its id along and is pooled without a copy.
     ///
     /// # Errors
     ///
     /// [`MempoolError`] on duplicates, conflicts, or validation failure.
     pub fn insert(
         &mut self,
-        tx: Transaction,
+        tx: impl Into<HashedTx>,
         utxo: &UtxoSet,
         height: u64,
         params: &ChainParams,
     ) -> Result<u64, MempoolError> {
-        let (txid, size) = tx.txid_and_size();
+        let tx = tx.into();
+        let txid = tx.txid();
         if self.entries.contains_key(&txid) {
             self.stats.rejected_duplicate += 1;
             return Err(MempoolError::Duplicate(txid));
@@ -221,15 +223,7 @@ impl Mempool {
         }
         self.next_seq += 1;
         self.stats.accepted += 1;
-        self.entries.insert(
-            txid,
-            PoolEntry {
-                tx,
-                fee,
-                txid,
-                size,
-            },
-        );
+        self.entries.insert(txid, PoolEntry { tx, fee });
         Ok(fee)
     }
 
@@ -254,15 +248,18 @@ impl Mempool {
     where
         F: Fn(&Transaction) -> bool,
     {
-        let mut candidates: Vec<&PoolEntry> =
-            self.entries.values().filter(|e| !exclude(&e.tx)).collect();
+        let mut candidates: Vec<&PoolEntry> = self
+            .entries
+            .values()
+            .filter(|e| !exclude(e.tx.tx()))
+            .collect();
         candidates.sort_by(|a, b| {
-            let rate_a = a.fee as f64 / a.size as f64;
-            let rate_b = b.fee as f64 / b.size as f64;
+            let rate_a = a.fee as f64 / a.tx.size() as f64;
+            let rate_b = b.fee as f64 / b.tx.size() as f64;
             rate_b
                 .partial_cmp(&rate_a)
                 .expect("finite rates")
-                .then_with(|| a.txid.cmp(&b.txid))
+                .then_with(|| a.tx.txid().cmp(&b.tx.txid()))
         });
         let mut out: Vec<Transaction> = Vec::new();
         let mut selected: std::collections::HashSet<TxId> = std::collections::HashSet::new();
@@ -271,7 +268,8 @@ impl Mempool {
         while progressed {
             progressed = false;
             for entry in &candidates {
-                if selected.contains(&entry.txid) {
+                let txid = entry.tx.txid();
+                if selected.contains(&txid) {
                     continue;
                 }
                 // Parents must be confirmed (not pooled) or already chosen.
@@ -282,12 +280,12 @@ impl Mempool {
                 if !deps_ok {
                     continue;
                 }
-                if used + entry.size > max_bytes {
+                if used + entry.tx.size() > max_bytes {
                     continue;
                 }
-                used += entry.size;
-                selected.insert(entry.txid);
-                out.push(entry.tx.clone());
+                used += entry.tx.size();
+                selected.insert(txid);
+                out.push(entry.tx.tx().clone());
                 progressed = true;
             }
         }
@@ -379,9 +377,11 @@ impl Mempool {
         if before == 0 {
             return 0;
         }
-        let mut pending: Vec<PoolEntry> = std::mem::take(&mut self.entries).into_values().collect();
-        pending.sort_by_key(|e| e.txid);
-        let mut pending: Vec<Transaction> = pending.into_iter().map(|e| e.tx).collect();
+        let mut pending: Vec<HashedTx> = std::mem::take(&mut self.entries)
+            .into_values()
+            .map(|e| e.tx)
+            .collect();
+        pending.sort_by_key(HashedTx::txid);
         // Rebuild the pool by re-admission: survivors re-validate against
         // the new UTXO view (cheap — the shared sig cache still holds
         // their script verdicts), everything else stays out.
@@ -426,7 +426,7 @@ impl Mempool {
 
     /// Iterates over pooled transactions (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.entries.values().map(|e| &e.tx)
+        self.entries.values().map(|e| e.tx.tx())
     }
 }
 

@@ -2,12 +2,13 @@
 //! a shared signature cache and parallel per-block script verification.
 
 use crate::block::Block;
+use crate::hashed::HashedTx;
 use crate::merkle::merkle_root;
 use crate::params::ChainParams;
 use crate::tx::{Transaction, TxId};
 use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
 use bcwan_crypto::ecdsa::{batch_verify, EcdsaPublicKey, Signature};
-use bcwan_crypto::sha256;
+use bcwan_crypto::Sha256;
 use bcwan_script::interpreter::{verify_spend, DeferringChecker, DigestChecker, ExecContext};
 use bcwan_script::{Opcode, Script, ScriptError};
 use bcwan_sim::metrics::Registry;
@@ -209,11 +210,19 @@ impl SigKind {
 
 /// A shared cache of script verifications that already succeeded.
 ///
-/// Keyed on `sha256(sighash digest || script_sig || script_pubkey)` — the
-/// full evaluation context of [`verify_spend`] minus the lock-time fields,
-/// which are re-checked structurally on every validation — so a hit is safe
-/// to treat as "this exact spend already verified". Mempool admission
-/// populates it; `connect_block` then skips re-verifying the same spends.
+/// Keyed on `sha256(txid || input index || script_pubkey)`, so a lookup
+/// hashes what admission already knows and the sighash is computed only
+/// on a miss, when the script actually runs. The key covers every input
+/// of [`verify_spend`]: the txid commits to all unlocking scripts, every
+/// sequence (hence `input_final`), the lock time and the outputs — all
+/// that the interpreter and the sighash read — the index picks the input,
+/// and the spent script is in the key itself. A hit therefore means "this
+/// exact interpreter input already returned true" (Bitcoin Core keys its
+/// script-execution cache by wtxid for the same reason). Only
+/// constructors that hash the body themselves ([`HashedTx`],
+/// [`HashedBlock`](crate::hashed::HashedBlock) and the chain's own block
+/// index) supply the txid. Mempool admission populates the cache;
+/// `connect_block` then skips re-verifying the same spends.
 ///
 /// Eviction is two-generation (as in Bitcoin Core's sigcache): when the
 /// current generation fills half the capacity it becomes the previous
@@ -256,18 +265,16 @@ impl SigCache {
         }
     }
 
-    /// The cache key for one spend: `sha256` over the sighash digest and
-    /// both scripts (length-prefixed, so boundaries can't be confused).
-    pub fn key(digest: &[u8; 32], script_sig: &Script, script_pubkey: &Script) -> [u8; 32] {
-        let sig = script_sig.to_bytes();
-        let pk = script_pubkey.to_bytes();
-        let mut buf = Vec::with_capacity(32 + 16 + sig.len() + pk.len());
-        buf.extend_from_slice(digest);
-        buf.extend_from_slice(&(sig.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&sig);
-        buf.extend_from_slice(&(pk.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&pk);
-        sha256(&buf)
+    /// The cache key for input `input_index` of transaction `txid`
+    /// spending an output locked by `script_pubkey`.
+    pub fn key(txid: &TxId, input_index: usize, script_pubkey: &Script) -> [u8; 32] {
+        // Two fixed-width fields, then the script to the end: no
+        // boundary can be confused, so no length prefix is needed.
+        let mut hasher = Sha256::new();
+        hasher.update(&txid.0);
+        hasher.update(&(input_index as u64).to_le_bytes());
+        hasher.update(&script_pubkey.to_bytes());
+        hasher.finalize()
     }
 
     /// Whether this spend already verified successfully, counted against
@@ -424,44 +431,51 @@ fn validate_transaction_structure<'a, V: UtxoView>(
     Ok((input_value - output_value, entries))
 }
 
-/// Runs one spend's script, consulting and populating `cache`.
-fn verify_script_with_cache(
-    digest: &[u8; 32],
-    script_sig: &Script,
-    script_pubkey: &Script,
-    lock_time: u64,
-    input_final: bool,
-    input_index: usize,
-    cache: Option<&SigCache>,
+/// Verifies every input's script of a structurally valid `tx`,
+/// consulting and populating the memo when one comes with the
+/// transaction's id.
+fn verify_inputs(
+    tx: &Transaction,
+    entries: &[&UtxoEntry],
+    memo: Option<(&SigCache, TxId)>,
 ) -> Result<(), TxError> {
-    let key = cache.map(|_| SigCache::key(digest, script_sig, script_pubkey));
-    if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-        if cache.contains(key, SigKind::of(script_pubkey)) {
-            return Ok(());
-        }
-    }
-    let checker = DigestChecker { digest: *digest };
-    let ctx = ExecContext {
-        checker: &checker,
-        lock_time,
-        input_final,
-    };
-    match verify_spend(script_sig, script_pubkey, &ctx) {
-        Ok(true) => {
-            if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(key);
+    for (i, (input, entry)) in tx.inputs.iter().zip(entries).enumerate() {
+        let script_pubkey = &entry.output.script_pubkey;
+        let key = memo.map(|(cache, txid)| (cache, SigCache::key(&txid, i, script_pubkey)));
+        if let Some((cache, key)) = &key {
+            if cache.contains(key, SigKind::of(script_pubkey)) {
+                continue;
             }
-            Ok(())
         }
-        Ok(false) => Err(TxError::ScriptFailed {
-            input: input_index,
-            error: None,
-        }),
-        Err(e) => Err(TxError::ScriptFailed {
-            input: input_index,
-            error: Some(e),
-        }),
+        let checker = DigestChecker {
+            digest: tx.sighash(i, script_pubkey),
+        };
+        let ctx = ExecContext {
+            checker: &checker,
+            lock_time: tx.lock_time,
+            input_final: input.is_final(),
+        };
+        match verify_spend(&input.script_sig, script_pubkey, &ctx) {
+            Ok(true) => {
+                if let Some((cache, key)) = key {
+                    cache.insert(key);
+                }
+            }
+            Ok(false) => {
+                return Err(TxError::ScriptFailed {
+                    input: i,
+                    error: None,
+                })
+            }
+            Err(e) => {
+                return Err(TxError::ScriptFailed {
+                    input: i,
+                    error: Some(e),
+                })
+            }
+        }
     }
+    Ok(())
 }
 
 /// Validates a non-coinbase transaction against the UTXO set at `height`
@@ -479,36 +493,28 @@ pub fn validate_transaction<V: UtxoView>(
     height: u64,
     params: &ChainParams,
 ) -> Result<u64, TxError> {
-    validate_transaction_cached(tx, utxo, height, params, None)
+    let (fee, entries) = validate_transaction_structure(tx, utxo, height, params)?;
+    verify_inputs(tx, &entries, None)?;
+    Ok(fee)
 }
 
-/// [`validate_transaction`] with a shared [`SigCache`]: spends whose exact
-/// `(sighash, script_sig, script_pubkey)` already verified are accepted
-/// without re-running the interpreter, and fresh successes are recorded.
+/// [`validate_transaction`] with a shared [`SigCache`]: spends whose
+/// exact `(txid, input, script_pubkey)` already verified are accepted
+/// without computing a sighash or running the interpreter, and fresh
+/// successes are recorded.
 ///
 /// # Errors
 ///
 /// The specific [`TxError`].
 pub fn validate_transaction_cached<V: UtxoView>(
-    tx: &Transaction,
+    tx: &HashedTx,
     utxo: &V,
     height: u64,
     params: &ChainParams,
     cache: Option<&SigCache>,
 ) -> Result<u64, TxError> {
     let (fee, entries) = validate_transaction_structure(tx, utxo, height, params)?;
-    for (i, (input, entry)) in tx.inputs.iter().zip(&entries).enumerate() {
-        let digest = tx.sighash(i, &entry.output.script_pubkey);
-        verify_script_with_cache(
-            &digest,
-            &input.script_sig,
-            &entry.output.script_pubkey,
-            tx.lock_time,
-            input.is_final(),
-            i,
-            cache,
-        )?;
-    }
+    verify_inputs(tx, &entries, cache.map(|cache| (cache, tx.txid())))?;
     Ok(fee)
 }
 
@@ -541,7 +547,8 @@ impl Default for BlockValidationOptions<'_> {
 
 /// One input's script verification, detached from the rolling UTXO view:
 /// everything the interpreter needs is snapshotted (digest computed, both
-/// scripts cloned) so jobs can run on any thread in any order.
+/// scripts cloned) so jobs can run on any thread in any order. Only a
+/// memo miss becomes a job.
 struct ScriptJob {
     tx_index: usize,
     input_index: usize,
@@ -865,7 +872,7 @@ pub(crate) fn validate_block_txids(
         let applied = validate_transaction_structure(tx, &view, height, params)
             .map(|(fee, entries)| {
                 fees += fee;
-                collect_script_jobs(tx, index, &entries, opts.cache, &mut jobs);
+                collect_script_jobs(tx, txids[index], index, &entries, opts.cache, &mut jobs);
             })
             .and_then(|()| Ok(view.apply(tx, txids[index], height)?));
         if let Err(error) = applied {
@@ -932,29 +939,30 @@ fn check_block_context_free(
 }
 
 /// Snapshots one structurally valid transaction's script jobs, skipping
-/// spends the cache already holds (verified at mempool admission).
+/// spends the cache already holds (verified at mempool admission) before
+/// any sighash is computed.
 fn collect_script_jobs(
     tx: &Transaction,
+    txid: TxId,
     tx_index: usize,
     entries: &[&UtxoEntry],
     cache: Option<&SigCache>,
     jobs: &mut Vec<ScriptJob>,
 ) {
     for (i, (input, entry)) in tx.inputs.iter().zip(entries).enumerate() {
-        let digest = tx.sighash(i, &entry.output.script_pubkey);
-        let key =
-            cache.map(|_| SigCache::key(&digest, &input.script_sig, &entry.output.script_pubkey));
+        let script_pubkey = &entry.output.script_pubkey;
+        let key = cache.map(|_| SigCache::key(&txid, i, script_pubkey));
         if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if cache.contains(key, SigKind::of(&entry.output.script_pubkey)) {
+            if cache.contains(key, SigKind::of(script_pubkey)) {
                 continue;
             }
         }
         jobs.push(ScriptJob {
             tx_index,
             input_index: i,
-            digest,
+            digest: tx.sighash(i, script_pubkey),
             script_sig: input.script_sig.clone(),
-            script_pubkey: entry.output.script_pubkey.clone(),
+            script_pubkey: script_pubkey.clone(),
             lock_time: tx.lock_time,
             input_final: input.is_final(),
             key,
@@ -1023,9 +1031,9 @@ mod tests {
         assert_eq!(SigKind::of(&p2pkh), SigKind::Ecdsa);
 
         let cache = SigCache::default();
-        let digest = [9u8; 32];
-        let rsa_key = SigCache::key(&digest, &Script::new(), &escrow);
-        let ecdsa_key = SigCache::key(&digest, &Script::new(), &p2pkh);
+        let txid = TxId([9u8; 32]);
+        let rsa_key = SigCache::key(&txid, 0, &escrow);
+        let ecdsa_key = SigCache::key(&txid, 0, &p2pkh);
         // Miss, insert, hit — per kind, without cross-talk.
         assert!(!cache.contains(&rsa_key, SigKind::of(&escrow)));
         cache.insert(rsa_key);
