@@ -26,6 +26,7 @@ use crate::directory::{Directory, IpAnnouncement};
 use crate::escrow::{self, Escrow};
 use crate::exchange::{open_reading, verify_uplink, SealedUplink};
 use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent};
+use crate::keyahead::KeyAhead;
 use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
 use crate::wire::WanMessage;
@@ -33,7 +34,7 @@ use bcwan_chain::{
     Address, Block, BlockAction, BlockHash, Chain, ChainError, HashedBlock, HashedTx, OutPoint,
     Transaction, TxId, TxOut, Wallet,
 };
-use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
+use bcwan_crypto::rsa::{RsaKeySize, RsaPrivateKey, RsaPublicKey};
 use bcwan_p2p::{ChainMessage, NodeId};
 use bcwan_script::{templates::p2pkh, Script};
 use bcwan_sim::{SimDuration, SimRng, SimTime};
@@ -360,7 +361,8 @@ pub struct Node {
     pub sync_batches_served: u64,
     /// `GetHeadersFrom` batches served.
     pub header_batches_served: u64,
-    pub(crate) rng: SimRng,
+    /// The node's RNG, drawn from only through `keypair` and `fork`.
+    pub(crate) rng: KeyAhead,
     terms: Arc<Terms>,
     /// Every peer's wallet address by node id, filled by the operator.
     address_book: Arc<[Address]>,
@@ -423,7 +425,7 @@ impl Node {
             apps,
             sync_batches_served: 0,
             header_batches_served: 0,
-            rng,
+            rng: KeyAhead::new(rng),
             terms,
             address_book,
             reserved: HashSet::new(),
@@ -705,10 +707,9 @@ impl Node {
         // conflict, and the recipient must still see it to know its
         // gateway equivocated.
         self.detect_equivocation(now, tx, env);
-        let terms = self.terms.clone();
         let (done, result) = self
             .daemon
-            .accept_transaction(now, tx.clone(), &terms.costs);
+            .accept_transaction(now, tx.clone(), &self.terms.costs);
         if result.is_err() {
             return; // double spends, orphans: dropped, not relayed
         }
@@ -909,8 +910,8 @@ impl Node {
         block: &HashedBlock,
         salt: u64,
     ) -> (SimTime, Result<BlockAction, ChainError>) {
-        let mut rng = self.rng.fork(salt);
-        self.daemon.accept_block(now, block.clone(), &mut rng)
+        self.daemon
+            .accept_block(now, block.clone(), &mut self.rng.fork(salt))
     }
 
     /// Chain block gossip: the chain indexes the parcel's hashed body —
@@ -1158,7 +1159,7 @@ impl Node {
     /// exchange `tag` on the host CPU. Returns `ePk` and when the keygen
     /// finishes.
     pub fn open_session(&mut self, now: SimTime, tag: u64) -> (RsaPublicKey, SimTime) {
-        let (e_pk, e_sk) = generate_keypair(&mut self.rng, self.terms.rsa_size);
+        let (e_pk, e_sk) = self.rng.keypair(self.terms.rsa_size);
         let session = Session {
             tag,
             e_sk,
@@ -1468,10 +1469,9 @@ impl Node {
         let txid = tx.txid();
         let mut at = now;
         if !self.daemon.mempool.contains(&txid) {
-            let terms = self.terms.clone();
             let (done, result) = self
                 .daemon
-                .accept_transaction(now, tx.clone(), &terms.costs);
+                .accept_transaction(now, tx.clone(), &self.terms.costs);
             result.ok()?;
             at = done;
         }

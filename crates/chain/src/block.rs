@@ -81,6 +81,12 @@ impl BlockHeader {
         BlockHash(sha256d(&self.serialize()))
     }
 
+    /// Whether this header's merkle root commits to `txids`, a block's
+    /// transaction ids in order: the one merkle rule validation applies.
+    pub(crate) fn commits_to(&self, txids: &[TxId]) -> bool {
+        merkle_root(txids) == self.merkle_root
+    }
+
     /// Whether the hash meets this header's own difficulty claim.
     pub fn meets_target(&self) -> bool {
         self.hash().leading_zero_bits() >= self.bits
@@ -157,19 +163,15 @@ impl Block {
             .collect();
         (txids, size)
     }
-
-    /// Recomputes the merkle root from the transactions and compares with
-    /// the header.
-    pub fn merkle_root_valid(&self) -> bool {
-        let txids: Vec<_> = self.transactions.iter().map(|t| t.txid()).collect();
-        merkle_root(&txids) == self.header.merkle_root
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chainstate::{BlockAction, Chain, ChainError};
+    use crate::params::ChainParams;
     use crate::tx::TxOut;
+    use crate::validate::BlockError;
     use bcwan_script::Script;
 
     fn coinbase(height: u64) -> Transaction {
@@ -188,7 +190,6 @@ mod tests {
         let block = Block::mine(BlockHash::GENESIS_PREV, 0, 8, vec![coinbase(0)]);
         assert!(block.header.meets_target());
         assert!(block.hash().leading_zero_bits() >= 8);
-        assert!(block.merkle_root_valid());
     }
 
     #[test]
@@ -211,17 +212,26 @@ mod tests {
         assert_eq!(BlockHash(h2).leading_zero_bits(), 8);
     }
 
+    /// The merkle rule lives in block validation: a chain refuses a
+    /// body its header's root does not commit to, and takes the honest
+    /// body under the very same header.
     #[test]
     fn merkle_root_detects_tx_swap() {
-        let mut block = Block::mine(
-            BlockHash::GENESIS_PREV,
-            0,
-            4,
-            vec![coinbase(0), coinbase(1)],
+        let params = ChainParams::fast_test();
+        let bits = params.difficulty_bits;
+        let mut chain = Chain::new(
+            params,
+            Block::mine(BlockHash::GENESIS_PREV, 0, bits, vec![coinbase(0)]),
         );
-        assert!(block.merkle_root_valid());
-        block.transactions.swap(0, 1);
-        assert!(!block.merkle_root_valid());
+        let honest = Block::mine(chain.tip(), 1, bits, vec![coinbase(1)]);
+        let mut swapped = honest.clone();
+        swapped.transactions[0] = coinbase(2);
+        let refused = Err(ChainError::Invalid(BlockError::BadMerkleRoot));
+        assert_eq!(chain.add_block(swapped), refused);
+        let mut pair = Block::mine(chain.tip(), 1, bits, vec![coinbase(1), coinbase(2)]);
+        pair.transactions.swap(0, 1);
+        assert_eq!(chain.add_block(pair), refused);
+        assert_eq!(chain.add_block(honest), Ok(BlockAction::Extended(1)));
     }
 
     #[test]

@@ -6,7 +6,9 @@ use crate::params::ChainParams;
 use crate::store::{ChainStore, CoinsCache, Probe, StoreConfig, StoreError, StoreStats};
 use crate::tx::{OutPoint, Transaction, TxId, TxOut};
 use crate::utxo::{UndoData, UtxoSet};
-use crate::validate::{validate_block_txids, BlockError, BlockValidationOptions, SigCache};
+use crate::validate::{
+    validate_block_digests, BlockError, BlockValidationOptions, Digests, SigCache,
+};
 use crate::wallet::Address;
 use bcwan_script::templates::p2pkh;
 use std::collections::HashMap;
@@ -69,6 +71,11 @@ struct StoredBlock {
     /// for a block read back from a store — computed on first use, so
     /// reopening a store hashes nothing.
     digests: OnceLock<(Arc<[TxId]>, usize)>,
+    /// Whether the header's merkle root commits to the ids: the
+    /// [`HashedBlock`]'s verdict, or decided on a stored block's first
+    /// connect, so a reopen that only rolls blocks forward never builds
+    /// a merkle tree.
+    merkle_ok: OnceLock<bool>,
 }
 
 impl StoredBlock {
@@ -78,6 +85,7 @@ impl StoredBlock {
             block: Arc::new(block),
             height,
             digests: OnceLock::new(),
+            merkle_ok: OnceLock::new(),
         }
     }
 
@@ -85,6 +93,7 @@ impl StoredBlock {
     fn hashed(block: HashedBlock, height: u64) -> Self {
         StoredBlock {
             digests: OnceLock::from((block.txids().clone(), block.size())),
+            merkle_ok: OnceLock::from(block.merkle_ok()),
             block: block.shared().clone(),
             height,
         }
@@ -103,6 +112,12 @@ impl StoredBlock {
 
     fn size(&self) -> usize {
         self.digests().1
+    }
+
+    fn merkle_ok(&self) -> bool {
+        *self
+            .merkle_ok
+            .get_or_init(|| self.block.header.commits_to(self.txids()))
     }
 }
 
@@ -647,7 +662,7 @@ impl Chain {
 
         if parent_hash == self.tip() {
             // Fast path: extending the best chain.
-            let undo = self.connect(&stored).map_err(ChainError::Invalid)?;
+            let undo = self.connect(hash, &stored).map_err(ChainError::Invalid)?;
             self.undo.insert(hash, Arc::new(undo));
             self.main.push(hash);
             self.blocks.insert(hash, stored);
@@ -702,7 +717,7 @@ impl Chain {
             // Taken out of the index while it connects, so the block is
             // borrowed, not cloned, next to `&mut self`.
             let stored = self.blocks.remove(hash).expect("stored");
-            let validated = self.connect(&stored);
+            let validated = self.connect(*hash, &stored);
             self.blocks.insert(*hash, stored);
             match validated {
                 Ok(undo) => {
@@ -791,18 +806,23 @@ impl Chain {
         }
     }
 
-    /// Validates `stored` against the current UTXO view at its height
-    /// and, if it passes, applies it: the one body of block connect,
-    /// shared by the extend path and every step of a reorganization.
-    /// Returns the block's undo data; the caller records it and pushes
-    /// the block onto the main chain.
-    fn connect(&mut self, stored: &StoredBlock) -> Result<UndoData, BlockError> {
+    /// Validates `stored` (whose hash is `hash`) against the current UTXO
+    /// view at its height and, if it passes, applies it: the one body of
+    /// block connect, shared by the extend path and every step of a
+    /// reorganization. Returns the block's undo data; the caller records
+    /// it and pushes the block onto the main chain.
+    fn connect(&mut self, hash: BlockHash, stored: &StoredBlock) -> Result<UndoData, BlockError> {
         let (block, height, txids) = (&stored.block, stored.height, stored.txids());
         self.prefetch(block, txids);
-        validate_block_txids(
-            block,
+        let digests = Digests {
+            hash,
             txids,
-            stored.size(),
+            size: stored.size(),
+            merkle_ok: stored.merkle_ok(),
+        };
+        validate_block_digests(
+            block,
+            &digests,
             self.coins.set(),
             height,
             &self.params,

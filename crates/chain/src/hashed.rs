@@ -63,21 +63,26 @@ impl From<Transaction> for HashedTx {
     }
 }
 
-/// A block with its hash, its transactions' ids and its serialized size.
+/// A block with its hash, its transactions' ids, its serialized size and
+/// whether its header's merkle root commits to those ids.
 #[derive(Debug, Clone)]
 pub struct HashedBlock {
     block: Arc<Block>,
     hash: BlockHash,
     txids: Arc<[TxId]>,
     size: usize,
+    merkle_ok: bool,
 }
 
 impl HashedBlock {
-    /// Hashes `block`: the header, and every transaction once.
+    /// Hashes `block`: the header, every transaction once, and the merkle
+    /// root over their ids — so every chain the block is handed to reads
+    /// the root's verdict instead of recomputing it.
     pub fn new(block: Block) -> Self {
         let (txids, size) = block.txids_and_size();
         HashedBlock {
             hash: block.hash(),
+            merkle_ok: block.header.commits_to(&txids),
             txids: txids.into(),
             size,
             block: Arc::new(block),
@@ -107,6 +112,11 @@ impl HashedBlock {
     /// `block().size()`.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Whether the header's merkle root commits to [`txids`](Self::txids).
+    pub(crate) fn merkle_ok(&self) -> bool {
+        self.merkle_ok
     }
 }
 

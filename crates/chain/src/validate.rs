@@ -1,9 +1,8 @@
 //! Transaction and block validation rules, plus the validation fast path:
 //! a shared signature cache and parallel per-block script verification.
 
-use crate::block::Block;
+use crate::block::{Block, BlockHash};
 use crate::hashed::HashedTx;
-use crate::merkle::merkle_root;
 use crate::params::ChainParams;
 use crate::tx::{Transaction, TxId};
 use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
@@ -837,22 +836,49 @@ pub fn validate_block_with(
     opts: &BlockValidationOptions<'_>,
 ) -> Result<(), BlockError> {
     let (txids, size) = block.txids_and_size();
-    validate_block_txids(block, &txids, size, utxo, height, params, opts)
+    let digests = Digests::of(block, &txids, size);
+    validate_block_digests(block, &digests, utxo, height, params, opts)
+}
+
+/// What block validation reads off a block besides its body: computed
+/// once per body — by [`HashedBlock::new`](crate::HashedBlock::new), or
+/// on a stored block's first connect — however many chains validate it.
+pub(crate) struct Digests<'a> {
+    /// The header's hash, for the proof-of-work check.
+    pub(crate) hash: BlockHash,
+    /// Every transaction's id, in block order.
+    pub(crate) txids: &'a [TxId],
+    /// The serialized size.
+    pub(crate) size: usize,
+    /// Whether the header's merkle root commits to `txids`
+    /// ([`BlockHeader::commits_to`](crate::BlockHeader::commits_to)).
+    pub(crate) merkle_ok: bool,
+}
+
+impl<'a> Digests<'a> {
+    /// Hashes the header and builds the merkle tree over `txids`.
+    fn of(block: &Block, txids: &'a [TxId], size: usize) -> Self {
+        Digests {
+            hash: block.hash(),
+            txids,
+            size,
+            merkle_ok: block.header.commits_to(txids),
+        }
+    }
 }
 
 /// [`validate_block_with`] for a caller that already holds the block's
-/// transaction ids and serialized size ([`Block::txids_and_size`]): the
-/// chain computes them once per connect and reuses them below.
-pub(crate) fn validate_block_txids(
+/// [`Digests`]: the chain reuses the ones its block arrived with.
+pub(crate) fn validate_block_digests(
     block: &Block,
-    txids: &[TxId],
-    size: usize,
+    digests: &Digests<'_>,
     utxo: &UtxoSet,
     height: u64,
     params: &ChainParams,
     opts: &BlockValidationOptions<'_>,
 ) -> Result<(), BlockError> {
-    check_block_context_free(block, txids, size, params)?;
+    check_block_context_free(block, digests, params)?;
+    let txids = digests.txids;
 
     // Sequential pass: context-dependent checks against a rolling view so
     // intra-block chains (tx B spends tx A's output) work, snapshotting
@@ -900,8 +926,7 @@ pub(crate) fn validate_block_txids(
 /// work, merkle root, size, coinbase placement — in that order.
 fn check_block_context_free(
     block: &Block,
-    txids: &[TxId],
-    size: usize,
+    digests: &Digests<'_>,
     params: &ChainParams,
 ) -> Result<(), BlockError> {
     if block.transactions.is_empty() {
@@ -913,19 +938,19 @@ fn check_block_context_free(
             required: params.difficulty_bits,
         });
     }
-    let achieved = block.hash().leading_zero_bits();
+    let achieved = digests.hash.leading_zero_bits();
     if achieved < params.difficulty_bits {
         return Err(BlockError::InsufficientWork {
             achieved,
             required: params.difficulty_bits,
         });
     }
-    if merkle_root(txids) != block.header.merkle_root {
+    if !digests.merkle_ok {
         return Err(BlockError::BadMerkleRoot);
     }
-    if size > params.max_block_size {
+    if digests.size > params.max_block_size {
         return Err(BlockError::TooLarge {
-            size,
+            size: digests.size,
             limit: params.max_block_size,
         });
     }
@@ -1326,7 +1351,7 @@ mod tests {
         params: &ChainParams,
     ) -> Result<UtxoSet, BlockError> {
         let txids = crate::tx::txids_of(&block.transactions);
-        check_block_context_free(block, &txids, block.size(), params)?;
+        check_block_context_free(block, &Digests::of(block, &txids, block.size()), params)?;
         let mut view = utxo.clone();
         let mut undo = crate::utxo::UndoData::default();
         let mut fees = 0;

@@ -10,8 +10,8 @@
 //! the on-disk undo records first.
 
 use bcwan_chain::{
-    Block, BlockAction, Chain, ChainParams, OutPoint, StoreConfig, Transaction, TxOut, UtxoEntry,
-    Wallet,
+    Block, BlockAction, BlockError, Chain, ChainError, ChainParams, OutPoint, StoreConfig,
+    Transaction, TxOut, UtxoEntry, Wallet,
 };
 use bcwan_script::Script;
 use rand::rngs::StdRng;
@@ -217,6 +217,67 @@ fn reorg_across_restart_consumes_undo_records() {
     );
     assert_eq!(opened.chain.tip(), tip);
     assert_eq!(utxo_pairs(&opened.chain), utxo);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `block` with its coinbase swapped for another: the header — hash,
+/// proof of work — stays, and its merkle root no longer commits to the
+/// body.
+fn lying(block: &Block, height: u64) -> Block {
+    let mut lie = block.clone();
+    let outputs = lie.transactions[0].outputs.clone();
+    lie.transactions[0] = Transaction::coinbase(height, b"lie", outputs);
+    lie
+}
+
+/// A header that lies about its merkle root is refused on a store-backed
+/// chain as on a memory-only one: extending, on a reorg branch, and
+/// after a reopen, when the branch it would join holds blocks read back
+/// from disk (whose root is checked on their first connect).
+#[test]
+fn lying_merkle_root_is_refused_with_a_store() {
+    let dir = temp_dir("merkle");
+    let (mut chain, wallet, coins) = setup(&dir, StoreConfig::default());
+    let g = chain.tip();
+    let refused = Err(ChainError::Invalid(BlockError::BadMerkleRoot));
+    let branch_refused = Err(ChainError::BranchInvalid(BlockError::BadMerkleRoot));
+
+    let (tx_b, _) = churn(&wallet, coins[0].clone());
+    let b1 = mine_on(&chain, g, 1, vec![tx_b]);
+    assert_eq!(chain.add_block(lying(&b1, 1)), refused);
+    assert_eq!(chain.add_block(b1.clone()), Ok(BlockAction::Extended(1)));
+
+    // Branch A overtakes B; its lying tip is refused first.
+    let (tx_a, _) = churn(&wallet, coins[1].clone());
+    let a1 = mine_on(&chain, g, 1, vec![tx_a]);
+    assert_eq!(chain.add_block(a1.clone()), Ok(BlockAction::SideChain));
+    let a2 = mine_on(&chain, a1.hash(), 2, vec![]);
+    assert_eq!(chain.add_block(lying(&a2, 2)), branch_refused);
+    assert_eq!(chain.tip(), b1.hash());
+    assert!(matches!(
+        chain.add_block(a2.clone()),
+        Ok(BlockAction::Reorganized { .. })
+    ));
+    drop(chain);
+
+    // B1 is on disk, off the main chain: reorging back connects it.
+    let mut chain = Chain::open_store(params(), &dir, StoreConfig::default())
+        .expect("reopens")
+        .chain;
+    assert_eq!(chain.tip(), a2.hash());
+    let b2 = mine_on(&chain, b1.hash(), 2, vec![]);
+    assert_eq!(chain.add_block(b2.clone()), Ok(BlockAction::SideChain));
+    let b3 = mine_on(&chain, b2.hash(), 3, vec![]);
+    assert_eq!(chain.add_block(lying(&b3, 3)), branch_refused);
+    assert_eq!(chain.tip(), a2.hash());
+    assert_eq!(
+        chain.add_block(b3.clone()),
+        Ok(BlockAction::Reorganized {
+            disconnected: 2,
+            connected: 3
+        })
+    );
+    assert_eq!(chain.tip(), b3.hash());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,6 +8,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// The simulation RNG: a seeded [`StdRng`] plus distribution helpers.
+///
+/// A clone continues from the same state: it draws exactly what the
+/// original would have drawn next.
+#[derive(Clone)]
 pub struct SimRng {
     inner: StdRng,
 }
@@ -140,6 +144,16 @@ mod tests {
     fn deterministic_for_same_seed() {
         let mut a = SimRng::seed_from_u64(99);
         let mut b = SimRng::seed_from_u64(99);
+        for _ in 0..20 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn clone_draws_what_the_original_would() {
+        let mut a = SimRng::seed_from_u64(12);
+        a.next_u64();
+        let mut b = a.clone();
         for _ in 0..20 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
