@@ -5,10 +5,15 @@
 //! signatures, as in Bitcoin/Multichain.
 //!
 //! The entire module runs on fixed-limb arithmetic: scalars mod `n` are
-//! Montgomery [`Scalar`]s and points use [`crate::field::FieldElement`]
-//! coordinates — no `BigUint` anywhere on this path. Verification takes
-//! the GLV fast path ([`crate::msm::glv_mul`]) and skips the final field
-//! inversion by comparing `x(R')` against `r` projectively.
+//! Montgomery [`Scalar`]s and points use lazily reduced
+//! [`crate::field::FieldElement`] coordinates — no `BigUint` anywhere on
+//! this path. Verification inverts the public `s` in variable time
+//! ([`Scalar::invert_vartime`]), computes `u1·G + u2·Q` on one doubling
+//! chain ([`crate::msm::ecmult`]: GLV halves of `u2` over `Q`, 128-bit
+//! halves of `u1` over baked tables of `G`), and skips the final field
+//! inversion by comparing `x(R')` against `r` projectively. Signing keeps
+//! the fixed-sequence Fermat inverse for its secret nonce and the
+//! fixed-window base table for its lone `k·G`.
 //!
 //! [`batch_verify`] amortizes further across many signatures: sub-batches
 //! share one Strauss multi-scalar multiplication and one scalar batch
@@ -22,11 +27,11 @@
 use crate::field::FieldElement;
 use crate::hmac::hmac_sha256;
 use crate::msm::{
-    glv_mul, glv_terms, normalize_batch, odd_multiples, small_mul, strauss_affine, AffineTerm,
-    HALF_TABLE_LEN,
+    base_terms, ecmult, glv_terms, normalize_batch, odd_multiples, small_mul, strauss_affine,
+    AffineTerm, HALF_TABLE_LEN,
 };
 use crate::scalar::{Scalar, N};
-use crate::secp256k1::{scalar_mul_base, scalar_mul_base_jacobian, AffinePoint, JacobianPoint};
+use crate::secp256k1::{scalar_mul_base, AffinePoint, JacobianPoint};
 use crate::sha256::{sha256, Sha256};
 use rand::RngCore;
 use std::fmt;
@@ -167,7 +172,7 @@ impl EcdsaPrivateKey {
             if r.is_zero() {
                 continue;
             }
-            // s = k⁻¹ (z + r·d) mod n
+            // s = k⁻¹ (z + r·d) mod n; k is secret, so the Fermat inverse.
             let s = k.invert().mul(&z.add(&r.mul(&self.d)));
             if s.is_zero() {
                 continue;
@@ -203,8 +208,8 @@ impl EcdsaPublicKey {
 
     /// Verifies a signature over a precomputed digest.
     ///
-    /// `u1·G` walks the const-baked base-point table (mixed additions
-    /// only); `u2·Q` takes the GLV half-width path; and the final check
+    /// `s` is public, so it is inverted in variable time; `u1·G + u2·Q`
+    /// shares one doubling chain ([`ecmult`]); and the final check
     /// compares `x(R')` with `r` projectively, saving the affine
     /// normalization inversion.
     pub fn verify_digest(&self, digest: &[u8; 32], sig: &Signature) -> bool {
@@ -212,11 +217,10 @@ impl EcdsaPublicKey {
             return false;
         }
         let z = Scalar::reduce_bytes_be(digest);
-        let s_inv = sig.s.invert();
+        let s_inv = sig.s.invert_vartime();
         let u1 = z.mul(&s_inv);
         let u2 = sig.r.mul(&s_inv);
-        let acc = scalar_mul_base_jacobian(&u1)
-            .add(&glv_mul(&u2, &JacobianPoint::from_affine(&self.point)));
+        let acc = ecmult(&u1, &u2, &JacobianPoint::from_affine(&self.point));
         x_equals_r(&acc, &sig.r)
     }
 }
@@ -360,9 +364,11 @@ fn blinders(chunk: &[(&[u8; 32], &Signature, &EcdsaPublicKey)]) -> Vec<u64> {
     ws
 }
 
-/// Batched modular inversion (Montgomery's trick): one [`Scalar::invert`]
-/// plus 3 multiplications per element. All inputs must be non-zero (the
-/// `Signature` invariant guarantees it for `s`).
+/// Batched modular inversion (Montgomery's trick): one
+/// [`Scalar::invert_vartime`] plus 3 multiplications per element. All
+/// inputs must be non-zero (the `Signature` invariant guarantees it for
+/// `s`) and public: the only caller inverts the `s` of signatures being
+/// verified.
 fn batch_invert(vals: &[Scalar]) -> Vec<Scalar> {
     let mut prefix = Vec::with_capacity(vals.len());
     let mut acc = Scalar::ONE;
@@ -370,7 +376,7 @@ fn batch_invert(vals: &[Scalar]) -> Vec<Scalar> {
         prefix.push(acc);
         acc = acc.mul(v);
     }
-    let mut inv = acc.invert();
+    let mut inv = acc.invert_vartime();
     let mut out = vec![Scalar::ZERO; vals.len()];
     for i in (0..vals.len()).rev() {
         out[i] = prefix[i].mul(&inv);
@@ -427,7 +433,8 @@ fn sub_batch_holds(chunk: &[(&[u8; 32], &Signature, &EcdsaPublicKey)]) -> bool {
     }
 
     // One shared normalization: every unique-Q odd-multiple table plus all
-    // Dᵢ = 2Pᵢ, then A = Σ bQ·Q (Strauss over GLV halves) + e·G.
+    // Dᵢ = 2Pᵢ, then A = Σ bQ·Q + e·G in one Strauss loop: GLV halves over
+    // the Q tables, e's 128-bit halves over the baked G tables.
     let mut to_norm: Vec<JacobianPoint> = Vec::with_capacity(unique_q.len() * HALF_TABLE_LEN + t);
     for (q, _) in &unique_q {
         to_norm.extend(odd_multiples(
@@ -442,7 +449,7 @@ fn sub_batch_holds(chunk: &[(&[u8; 32], &Signature, &EcdsaPublicKey)]) -> bool {
         return false;
     };
     let (q_tables, d_pts) = normalized.split_at(unique_q.len() * HALF_TABLE_LEN);
-    let mut terms: Vec<AffineTerm> = Vec::with_capacity(unique_q.len() * 2);
+    let mut terms: Vec<AffineTerm> = Vec::with_capacity(unique_q.len() * 2 + 2);
     for (qi, (_, coeff)) in unique_q.iter().enumerate() {
         glv_terms(
             coeff,
@@ -450,7 +457,8 @@ fn sub_batch_holds(chunk: &[(&[u8; 32], &Signature, &EcdsaPublicKey)]) -> bool {
             &mut terms,
         );
     }
-    let a = strauss_affine(&terms).add(&scalar_mul_base_jacobian(&e));
+    terms.extend(base_terms(&e));
+    let a = strauss_affine(&terms);
 
     // Sign search: S(ε) = Σ εᵢPᵢ must hit ±A for some pattern ε with
     // ε₀ = +1 (the global sign is absorbed by comparing x only: if

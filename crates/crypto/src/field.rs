@@ -1,47 +1,72 @@
-//! Dedicated secp256k1 field element: fixed 4×u64 limbs, pseudo-Mersenne
-//! reduction, no heap.
+//! Dedicated secp256k1 field element: five 52-bit limbs, lazily reduced,
+//! no heap.
 //!
 //! [`FieldElement`] wraps the raw-limb `const fn` core in
-//! [`crate::field_core`] with an ergonomic, always-reduced value type. It
-//! replaces [`BigUint`] inside the elliptic-curve hot paths
-//! ([`crate::secp256k1`]): point doubling/addition and affine normalization
-//! run entirely on these limbs, converting to/from `BigUint` only at the
-//! ECDSA scalar layer (scalar arithmetic mod `n` stays on the Montgomery
-//! path in [`crate::bignum`]).
+//! [`crate::field_core`] (libsecp256k1's `field_5x52` layout) and carries
+//! each value's *magnitude* — how far its limbs may have grown past 52
+//! bits. Additions, doublings and negations do no carry and no
+//! conditional subtract; a multiplication or squaring reduces its product
+//! to magnitude 1 and accepts operands up to [`field_core::MUL_MAX_MAG`].
+//! The bound is enforced, never assumed: an operand past it is weakly
+//! normalized (one carry pass) first, and no value exceeds
+//! [`field_core::MAX_MAG`]. The magnitude depends only on the sequence of
+//! operations, never on the values, so these checks do not branch on
+//! data.
 //!
+//! A value is fully normalized — reduced to the canonical representative
+//! below `p` — only where a canonical value is observed: `==`,
+//! [`FieldElement::is_zero`], [`FieldElement::is_odd`],
+//! [`FieldElement::to_bytes_be`], and when a curve point is built in affine
+//! coordinates. A normalized value is flagged as such, so comparing two of
+//! them is a limb compare.
+//!
+//! These coordinates carry the elliptic-curve hot paths
+//! ([`crate::secp256k1`]); scalars mod `n` live in [`crate::scalar`].
 //! `BigUint` is deliberately retained as the *oracle*: every operation here
 //! is fuzz-checked against the generic implementation in
-//! `tests/field_fuzz.rs`, the same pattern `fastpath_fuzz.rs` uses for the
-//! Montgomery layer.
+//! `tests/field_fuzz.rs`, at and past the magnitude bounds.
+//!
+//! [`field_core::MUL_MAX_MAG`]: crate::field_core::MUL_MAX_MAG
+//! [`field_core::MAX_MAG`]: crate::field_core::MAX_MAG
 
 use crate::bignum::BigUint;
 use crate::field_core as fc;
+use std::fmt;
 
-/// An element of the secp256k1 base field, always fully reduced modulo
-/// `p = 2^256 − 2^32 − 977`.
+/// `mag` of a fully normalized value; it counts as magnitude 1.
+const NORMALIZED: u32 = 0;
+
+/// An element of the secp256k1 base field `p = 2^256 − 2^32 − 977`, held
+/// lazily reduced.
 ///
-/// Limbs are little-endian `u64`s. The type is `Copy` and heap-free; all
-/// arithmetic lowers to the `const fn` core shared with the build-time
-/// base-point table generator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FieldElement([u64; 4]);
+/// Limbs are little-endian radix-2^52 `u64`s; see the module docs for the
+/// magnitude rule. The type is `Copy` and heap-free; all arithmetic lowers
+/// to the `const fn` core shared with the build-time table generator.
+/// Equality compares values, not limbs.
+#[derive(Clone, Copy)]
+pub struct FieldElement {
+    n: [u64; 5],
+    /// Magnitude bound of `n`, or [`NORMALIZED`] for the canonical limbs.
+    mag: u32,
+}
 
 impl FieldElement {
     /// The additive identity.
-    pub const ZERO: FieldElement = FieldElement([0, 0, 0, 0]);
+    pub const ZERO: FieldElement = FieldElement::from_u64(0);
     /// The multiplicative identity.
-    pub const ONE: FieldElement = FieldElement([1, 0, 0, 0]);
+    pub const ONE: FieldElement = FieldElement::from_u64(1);
 
-    /// Wrap raw little-endian limbs. The caller must guarantee the value is
-    /// already reduced (`< p`); the const-baked base table and curve
-    /// constants are the intended users.
+    /// Wrap a value given as little-endian 4×64 limbs. The value must be
+    /// reduced (`< p`); this is asserted, at compile time for the
+    /// const-baked base tables and curve constants, its intended users.
     pub const fn from_raw_limbs(limbs: [u64; 4]) -> Self {
-        FieldElement(limbs)
+        assert!(lt_p(&limbs), "from_raw_limbs needs a value below p");
+        FieldElement::new(fc::from_u64x4(&limbs), NORMALIZED)
     }
 
     /// A small scalar as a field element.
     pub const fn from_u64(v: u64) -> Self {
-        FieldElement([v, 0, 0, 0])
+        FieldElement::from_raw_limbs([v, 0, 0, 0])
     }
 
     /// Parse a 32-byte big-endian encoding. Returns `None` when the value
@@ -52,17 +77,15 @@ impl FieldElement {
         for (i, chunk) in bytes.chunks_exact(8).enumerate() {
             limbs[3 - i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
         }
-        if ge_p(&limbs) {
-            return None;
-        }
-        Some(FieldElement(limbs))
+        lt_p(&limbs).then(|| FieldElement::new(fc::from_u64x4(&limbs), NORMALIZED))
     }
 
     /// The canonical 32-byte big-endian encoding.
     pub fn to_bytes_be(&self) -> [u8; 32] {
+        let limbs = fc::to_u64x4(&self.normalize().n);
         let mut out = [0u8; 32];
         for i in 0..4 {
-            out[8 * i..8 * i + 8].copy_from_slice(&self.0[3 - i].to_be_bytes());
+            out[8 * i..8 * i + 8].copy_from_slice(&limbs[3 - i].to_be_bytes());
         }
         out
     }
@@ -82,51 +105,130 @@ impl FieldElement {
         BigUint::from_bytes_be(&self.to_bytes_be())
     }
 
-    /// True iff this is the additive identity.
+    /// A value from limbs the caller has bounded by `mag` (or normalized,
+    /// for [`NORMALIZED`]). Debug builds check the claim.
+    #[inline]
+    const fn new(n: [u64; 5], mag: u32) -> FieldElement {
+        debug_assert!(fc::fe_within(&n, if mag == NORMALIZED { 1 } else { mag }));
+        debug_assert!(mag <= fc::MAX_MAG);
+        FieldElement { n, mag }
+    }
+
+    /// The magnitude bound the limbs currently satisfy (1 when normalized).
+    #[inline]
+    pub fn magnitude(&self) -> u32 {
+        self.mag.max(1)
+    }
+
+    /// Whether the limbs are the canonical representative.
+    #[inline]
+    pub fn is_normalized(&self) -> bool {
+        self.mag == NORMALIZED
+    }
+
+    /// The canonical representative of the same value.
+    #[must_use]
+    #[inline]
+    pub fn normalize(&self) -> FieldElement {
+        if self.is_normalized() {
+            return *self;
+        }
+        FieldElement::new(fc::fe_normalize(&self.n), NORMALIZED)
+    }
+
+    /// The same value at magnitude 1: one carry pass, no reduction below
+    /// `p`.
+    #[inline]
+    fn normalize_weak(&self) -> FieldElement {
+        if self.mag <= 1 {
+            return *self;
+        }
+        FieldElement::new(fc::fe_normalize_weak(&self.n), 1)
+    }
+
+    /// True iff this is the additive identity. Branchless in the value.
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        fc::fe_is_zero(&self.0)
+        if self.is_normalized() {
+            return self.n == [0; 5];
+        }
+        fc::fe_normalizes_to_zero(&self.n)
+    }
+
+    /// [`Self::is_zero`] with an early exit that usually decides from one
+    /// limb. For values that are not secret: the point-at-infinity and
+    /// equal-points checks of the curve formulas.
+    #[inline]
+    pub(crate) fn is_zero_vartime(&self) -> bool {
+        fc::fe_normalizes_to_zero_var(&self.n)
     }
 
     /// True iff the canonical representative is odd (used for compressed
     /// point parity).
+    #[inline]
     pub fn is_odd(&self) -> bool {
-        self.0[0] & 1 == 1
+        self.normalize().n[0] & 1 == 1
     }
 
-    /// Field addition.
+    /// Field addition. No carry: the magnitudes add.
     #[must_use]
+    #[inline]
     pub fn add(&self, rhs: &FieldElement) -> FieldElement {
-        FieldElement(fc::fe_add(&self.0, &rhs.0))
+        let (a, b) = if self.magnitude() + rhs.magnitude() > fc::MAX_MAG {
+            (self.normalize_weak(), rhs.normalize_weak())
+        } else {
+            (*self, *rhs)
+        };
+        FieldElement::new(fc::fe_add(&a.n, &b.n), a.magnitude() + b.magnitude())
     }
 
-    /// Field subtraction.
+    /// Field subtraction, as the addition of the negation.
     #[must_use]
+    #[inline]
     pub fn sub(&self, rhs: &FieldElement) -> FieldElement {
-        FieldElement(fc::fe_sub(&self.0, &rhs.0))
+        self.add(&rhs.negate())
     }
 
-    /// Field multiplication.
+    /// Field multiplication; the result has magnitude 1.
     #[must_use]
+    #[inline]
     pub fn mul(&self, rhs: &FieldElement) -> FieldElement {
-        FieldElement(fc::fe_mul(&self.0, &rhs.0))
+        FieldElement::new(fc::fe_mul(&self.mul_operand().n, &rhs.mul_operand().n), 1)
     }
 
-    /// Field squaring (cheaper than `self.mul(self)`).
+    /// Field squaring, with its own product (15 limb multiplies, not 25).
     #[must_use]
+    #[inline]
     pub fn sqr(&self) -> FieldElement {
-        FieldElement(fc::fe_sqr(&self.0))
+        FieldElement::new(fc::fe_sqr(&self.mul_operand().n), 1)
     }
 
     /// Doubling, `2·self`.
     #[must_use]
+    #[inline]
     pub fn double(&self) -> FieldElement {
-        FieldElement(fc::fe_add(&self.0, &self.0))
+        self.add(self)
     }
 
-    /// Additive inverse, `p − self` (zero maps to zero).
+    /// `self / 2`, without a branch on the value's parity.
     #[must_use]
+    #[inline]
+    pub(crate) fn half(&self) -> FieldElement {
+        FieldElement::new(fc::fe_half(&self.n), self.magnitude() / 2 + 1)
+    }
+
+    /// Additive inverse, `p − self` (zero maps to zero). No carry: the
+    /// magnitude grows by one.
+    #[must_use]
+    #[inline]
     pub fn negate(&self) -> FieldElement {
-        FieldElement(fc::fe_neg(&self.0))
+        let a = if self.magnitude() >= fc::MAX_MAG {
+            self.normalize_weak()
+        } else {
+            *self
+        };
+        let m = a.magnitude();
+        FieldElement::new(fc::fe_negate(&a.n, m), m + 1)
     }
 
     /// Multiplicative inverse by Fermat's little theorem (`a^(p−2)`), via a
@@ -134,33 +236,53 @@ impl FieldElement {
     /// the projective point-at-infinity case before inverting `Z`.
     #[must_use]
     pub fn invert(&self) -> FieldElement {
-        FieldElement(fc::fe_inv(&self.0))
+        FieldElement::new(fc::fe_inv(&self.mul_operand().n), 1)
     }
 
     /// Modular square root: `Some(r)` with `r² = self` when `self` is a
     /// quadratic residue (via the `(p+1)/4` exponent chain, `p ≡ 3 mod 4`),
     /// `None` otherwise.
     pub fn sqrt(&self) -> Option<FieldElement> {
-        let r = FieldElement(fc::fe_sqrt_candidate(&self.0));
-        if r.sqr() == *self {
-            Some(r)
+        let r = FieldElement::new(fc::fe_sqrt_candidate(&self.mul_operand().n), 1);
+        (r.sqr() == *self).then_some(r)
+    }
+
+    /// `self`, weakly normalized if its magnitude is past what a product
+    /// accepts.
+    #[inline]
+    fn mul_operand(&self) -> FieldElement {
+        if self.magnitude() > fc::MUL_MAX_MAG {
+            self.normalize_weak()
         } else {
-            None
+            *self
         }
     }
 }
 
-/// True iff `limbs ≥ p` (big-endian limb comparison).
-fn ge_p(limbs: &[u64; 4]) -> bool {
-    for i in (0..4).rev() {
-        if limbs[i] > fc::P[i] {
-            return true;
-        }
-        if limbs[i] < fc::P[i] {
-            return false;
-        }
+impl PartialEq for FieldElement {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.normalize().n == other.normalize().n
     }
-    true // equal to p
+}
+
+impl Eq for FieldElement {}
+
+impl fmt::Debug for FieldElement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "FieldElement({})",
+            crate::hex::encode(&self.to_bytes_be())
+        )
+    }
+}
+
+/// True iff little-endian 4×64 limbs hold a value below `p`.
+const fn lt_p(limbs: &[u64; 4]) -> bool {
+    // p = 2^256 − 0x1000003D1: below p iff the top three limbs are not all
+    // ones, or limb 0 is below p's.
+    limbs[3] & limbs[2] & limbs[1] != u64::MAX || limbs[0] < 0xFFFF_FFFE_FFFF_FC2F
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@
 //! width bound over random scalars.
 
 use crate::field::FieldElement;
-use crate::field_core::{adc, mul_wide};
-use crate::scalar::Scalar;
+use crate::scalar::{adc, Scalar};
 
 /// `λ`: cube root of unity mod `n`, acting as `φ` on the curve group.
 pub const LAMBDA: Scalar = Scalar::from_canonical_limbs([
@@ -99,6 +98,23 @@ impl SplitScalar {
             s
         }
     }
+}
+
+/// Schoolbook 4×4 multiply into a 512-bit product (8 limbs,
+/// little-endian): the rounded high-half extraction below needs the full
+/// product.
+fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+    let mut t = [0u64; 8];
+    for i in 0..4 {
+        let mut carry = 0u128;
+        for j in 0..4 {
+            let cur = t[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry;
+            t[i + j] = cur as u64;
+            carry = cur >> 64;
+        }
+        t[i + 4] = carry as u64;
+    }
+    t
 }
 
 /// `round(k · g / 2^384)` for canonical limbs `k` and multiplier `g`:

@@ -44,11 +44,13 @@ pub mod aes;
 pub mod bignum;
 pub mod ecdsa;
 pub mod field;
-/// Raw 4×u64-limb `const fn` arithmetic over the secp256k1 field prime
-/// `p = 2^256 − 2^32 − 977` (pseudo-Mersenne carry-fold reduction, Fermat
-/// inversion/sqrt chains). Shared with `build.rs`, which `include!`s the
-/// same file to const-bake the fixed-window base-point table. Prefer the
-/// [`field::FieldElement`] wrapper unless you are operating on raw limbs.
+/// Raw 5×52-limb `const fn` arithmetic over the secp256k1 field prime
+/// `p = 2^256 − 2^32 − 977` (lazily reduced limbs under a magnitude rule,
+/// products folded through `2^256 ≡ 2^32 + 977`, branchless
+/// normalization, Fermat inversion/sqrt chains). Shared with `build.rs`,
+/// which `include!`s the same file to const-bake the base-point tables.
+/// Prefer the [`field::FieldElement`] wrapper, which enforces the
+/// magnitude rule, unless you are operating on raw limbs.
 pub mod field_core;
 pub mod glv;
 pub mod hex;

@@ -1,15 +1,18 @@
-//! Multi-scalar multiplication: wNAF, Strauss joint loops, and the GLV
-//! point multiply.
+//! Multi-scalar multiplication: wNAF, Strauss joint loops, and the
+//! verification multiply `u1·G + u2·Q`.
 //!
 //! Three layers of the verification fast path live here:
 //!
-//! - [`glv_mul`] — single `k·Q` via the GLV split ([`crate::glv`]): two
-//!   half-width (≤129-bit) wNAF streams over `Q` and `φ(Q)` share one
-//!   doubling chain, halving the ~256 doublings of a plain double-and-add.
+//! - [`ecmult`] — the single-signature multiply `u1·G + u2·Q` on one
+//!   doubling chain: `u2` goes through the GLV split ([`crate::glv`]) as
+//!   two half-width (≤129-bit) wNAF streams over `Q`'s and `φ(Q)`'s odd
+//!   multiples, and `u1`, split at bit 128, as two more streams over the
+//!   const-baked affine odd multiples of `G` and `2^128·G` (`G_ODD`). About
+//!   130 doublings serve all four.
 //! - `strauss_affine` — the batch-verification workhorse: any number of
 //!   signed wNAF terms with *affine* precomputed tables (batch-normalized
-//!   via `normalize_batch`'s shared inversion) folded over a single
-//!   doubling chain with mixed additions.
+//!   via `normalize_batch`'s shared inversion, or the baked `G_ODD`) folded
+//!   over a single doubling chain with mixed additions.
 //! - `small_mul` — an individual product by a blinder-width scalar
 //!   (≤ 64 bits), used for the per-signature `wᵢ·Rᵢ` terms that the batch
 //!   equation cannot share.
@@ -21,6 +24,16 @@ use crate::field::FieldElement;
 use crate::glv::{split_lambda, BETA};
 use crate::scalar::Scalar;
 use crate::secp256k1::JacobianPoint;
+use std::borrow::Cow;
+
+// `G_ODD[h][i] = (2i + 1) · 2^(128·h) · G` as affine (x, y) pairs,
+// generated at build time from the same `field_core` limb arithmetic (see
+// build.rs).
+include!(concat!(env!("OUT_DIR"), "/g_odd.rs"));
+
+/// wNAF window of the baked `G_ODD` tables, read back from their length
+/// (`2^(w−2)` odd multiples).
+const W_BASE: u32 = G_ODD[0].len().trailing_zeros() + 2;
 
 /// wNAF window for half-width (≤129-bit) GLV coefficients: digits in
 /// `{±1, ±3, …, ±15}`, 8-entry odd-multiple tables, ~1 non-zero digit
@@ -101,12 +114,12 @@ pub(crate) fn odd_multiples(p: &JacobianPoint, count: usize) -> Vec<JacobianPoin
     table
 }
 
-/// Normalizes a slice of Jacobian points to affine `(x, y)` pairs with a
-/// single field inversion (Montgomery's trick: prefix-product the `Z`s,
-/// invert once, unwind). Returns `None` if any point is the identity —
-/// callers on the batch path fall back to per-item verification rather
-/// than special-casing, since a prime-order curve only yields ∞ here for
-/// degenerate inputs.
+/// Normalizes a slice of Jacobian points to affine `(x, y)` pairs of
+/// fully normalized field elements with a single field inversion
+/// (Montgomery's trick: prefix-product the `Z`s, invert once, unwind).
+/// Returns `None` if any point is the identity — callers on the batch path
+/// fall back to per-item verification rather than special-casing, since a
+/// prime-order curve only yields ∞ here for degenerate inputs.
 pub(crate) fn normalize_batch(pts: &[JacobianPoint]) -> Option<Vec<(FieldElement, FieldElement)>> {
     let mut prefix = Vec::with_capacity(pts.len());
     let mut acc = FieldElement::ONE;
@@ -124,26 +137,25 @@ pub(crate) fn normalize_batch(pts: &[JacobianPoint]) -> Option<Vec<(FieldElement
         inv = inv.mul(&pts[i].z);
         let z2 = z_inv.sqr();
         let z3 = z2.mul(&z_inv);
-        out[i] = (pts[i].x.mul(&z2), pts[i].y.mul(&z3));
+        out[i] = (pts[i].x.mul(&z2).normalize(), pts[i].y.mul(&z3).normalize());
     }
     Some(out)
 }
 
-/// `k·Q` via GLV: split `k = k1 + λ·k2`, run the two half-width wNAF
-/// streams over shared doublings with tables for `Q` and `φ(Q)` (the
-/// endomorphism image is one field multiplication per table entry).
+/// `u1·G + u2·Q` on one doubling chain — the single-signature verify.
 ///
-/// ~130 doublings + ~43 additions instead of the ~256 doublings of the
-/// bitwise ladder — the single-verification hot path. Tables stay in
-/// Jacobian form here: a normalizing inversion costs more than the ~43
-/// general-vs-mixed addition deltas it would save on a single multiply
-/// (the batch path amortizes one inversion across many tables instead).
-pub fn glv_mul(k: &Scalar, q: &JacobianPoint) -> JacobianPoint {
-    if q.is_infinity() || k.is_zero() {
-        return JacobianPoint::infinity();
-    }
-    let (k1, k2) = split_lambda(k);
-    let t1 = odd_multiples(q, 1 << (W_HALF - 2));
+/// `u2` is split `k1 + λ·k2` and its two half-width wNAF streams run over
+/// Jacobian odd multiples of `Q` and `φ(Q)` (the endomorphism image is one
+/// field multiplication per entry); `u1` is split at bit 128 and its two
+/// halves run over the affine `G_ODD` tables with mixed additions. About
+/// 130 doublings, ~43 general and ~28 mixed additions, against the ~130
+/// doublings plus ~60 base-table additions of computing the two products
+/// apart. `Q`'s tables stay Jacobian: a normalizing inversion costs more
+/// than the general-vs-mixed difference on ~43 additions (the batch path
+/// amortizes one inversion across many tables instead).
+pub fn ecmult(u1: &Scalar, u2: &Scalar, q: &JacobianPoint) -> JacobianPoint {
+    let (k1, k2) = split_lambda(u2);
+    let t1 = odd_multiples(q, HALF_TABLE_LEN);
     // φ maps (X : Y : Z) ↦ (β·X : Y : Z) directly in Jacobian coordinates.
     let t2: Vec<JacobianPoint> = t1
         .iter()
@@ -155,7 +167,16 @@ pub fn glv_mul(k: &Scalar, q: &JacobianPoint) -> JacobianPoint {
         .collect();
     let d1 = wnaf_digits(&k1.abs, W_HALF);
     let d2 = wnaf_digits(&k2.abs, W_HALF);
-    let len = d1.len().max(d2.len());
+    let base = base_terms(u1);
+    let len = [
+        d1.len(),
+        d2.len(),
+        base[0].digits.len(),
+        base[1].digits.len(),
+    ]
+    .into_iter()
+    .max()
+    .unwrap_or(0);
     let mut acc = JacobianPoint::infinity();
     for i in (0..len).rev() {
         acc = acc.double();
@@ -171,8 +192,22 @@ pub fn glv_mul(k: &Scalar, q: &JacobianPoint) -> JacobianPoint {
                 };
             }
         }
+        for term in &base {
+            acc = term.add_digit(acc, i);
+        }
     }
     acc
+}
+
+/// The two [`AffineTerm`]s of `k·G`: the low and high 128 bits of `k` as
+/// wNAF digits over the baked odd multiples of `G` and `2^128·G`.
+pub(crate) fn base_terms(k: &Scalar) -> [AffineTerm<'static>; 2] {
+    let l = k.to_canonical_limbs();
+    std::array::from_fn(|h| AffineTerm {
+        neg: false,
+        digits: wnaf_digits(&[l[2 * h], l[2 * h + 1], 0, 0], W_BASE),
+        table: Cow::Borrowed(&G_ODD[h]),
+    })
 }
 
 /// An individual `k·P` for a small magnitude `k` (≤ 64 bits): the
@@ -208,13 +243,31 @@ pub(crate) fn small_mul(k: u64, p: &JacobianPoint) -> JacobianPoint {
 
 /// One signed wNAF term of a Strauss sum: `±(Σ digitsᵢ·2^i)` times the
 /// point whose affine odd multiples `[P, 3P, 5P, …]` are in `table`.
-pub(crate) struct AffineTerm {
+pub(crate) struct AffineTerm<'a> {
     /// Whether the whole term is negated (GLV split sign).
     pub neg: bool,
     /// wNAF digits, least significant first.
     pub digits: Vec<i32>,
-    /// Affine odd multiples of the base point.
-    pub table: Vec<(FieldElement, FieldElement)>,
+    /// Affine odd multiples of the base point: built per call, or the
+    /// baked `G_ODD`.
+    pub table: Cow<'a, [(FieldElement, FieldElement)]>,
+}
+
+impl AffineTerm<'_> {
+    /// `acc` plus this term's digit `i` times its point (one mixed
+    /// addition, or none for a zero digit).
+    fn add_digit(&self, acc: JacobianPoint, i: usize) -> JacobianPoint {
+        let d = self.digits.get(i).copied().unwrap_or(0);
+        if d == 0 {
+            return acc;
+        }
+        let (x, y) = &self.table[(d.unsigned_abs() as usize - 1) / 2];
+        if (d < 0) != self.neg {
+            acc.add_mixed(x, &y.negate())
+        } else {
+            acc.add_mixed(x, y)
+        }
+    }
 }
 
 /// Strauss interleaving: evaluates `Σ termⱼ` over a single doubling chain
@@ -226,15 +279,7 @@ pub(crate) fn strauss_affine(terms: &[AffineTerm]) -> JacobianPoint {
     for i in (0..len).rev() {
         acc = acc.double();
         for term in terms {
-            let d = term.digits.get(i).copied().unwrap_or(0);
-            if d != 0 {
-                let (x, y) = &term.table[(d.unsigned_abs() as usize - 1) / 2];
-                acc = if (d < 0) != term.neg {
-                    acc.add_mixed(x, &y.negate())
-                } else {
-                    acc.add_mixed(x, y)
-                };
-            }
+            acc = term.add_digit(acc, i);
         }
     }
     acc
@@ -246,10 +291,10 @@ pub(crate) const HALF_TABLE_LEN: usize = 1 << (W_HALF - 2);
 /// Builds the two GLV half-width [`AffineTerm`]s for `coeff·Q` given `Q`'s
 /// normalized odd-multiple table ([`HALF_TABLE_LEN`] entries). The φ-table
 /// is derived entry-wise (`x ↦ β·x`), one multiplication per entry.
-pub(crate) fn glv_terms(
+pub(crate) fn glv_terms<'a>(
     coeff: &Scalar,
-    q_table: &[(FieldElement, FieldElement)],
-    out: &mut Vec<AffineTerm>,
+    q_table: &'a [(FieldElement, FieldElement)],
+    out: &mut Vec<AffineTerm<'a>>,
 ) {
     let (k1, k2) = split_lambda(coeff);
     let phi_table: Vec<(FieldElement, FieldElement)> =
@@ -257,19 +302,19 @@ pub(crate) fn glv_terms(
     out.push(AffineTerm {
         neg: k1.neg,
         digits: wnaf_digits(&k1.abs, W_HALF),
-        table: q_table.to_vec(),
+        table: Cow::Borrowed(q_table),
     });
     out.push(AffineTerm {
         neg: k2.neg,
         digits: wnaf_digits(&k2.abs, W_HALF),
-        table: phi_table,
+        table: Cow::Owned(phi_table),
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::secp256k1::{scalar_mul_base, GENERATOR};
+    use crate::secp256k1::{scalar_mul_base, AffinePoint, GENERATOR};
     use rand::{RngCore, SeedableRng};
 
     fn random_scalar(rng: &mut impl RngCore) -> Scalar {
@@ -305,33 +350,68 @@ mod tests {
         }
     }
 
+    /// `u1·G + u2·Q` by double-and-add on each term, summed.
+    fn ecmult_reference(u1: &Scalar, u2: &Scalar, q: &JacobianPoint) -> AffinePoint {
+        let g = JacobianPoint::from_affine(&GENERATOR);
+        g.scalar_mul(u1).add(&q.scalar_mul(u2)).to_affine()
+    }
+
     #[test]
-    fn glv_mul_matches_reference_ladder() {
+    fn ecmult_matches_reference_ladder() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let g = JacobianPoint::from_affine(&GENERATOR);
         for _ in 0..25 {
-            let k = random_scalar(&mut rng);
-            let fast = glv_mul(&k, &g).to_affine();
-            let slow = g.scalar_mul(&k).to_affine();
-            assert_eq!(fast, slow);
+            let (u1, u2) = (random_scalar(&mut rng), random_scalar(&mut rng));
+            assert_eq!(
+                ecmult(&u1, &u2, &g).to_affine(),
+                ecmult_reference(&u1, &u2, &g)
+            );
         }
-        // Edge scalars.
-        assert!(glv_mul(&Scalar::ZERO, &g).is_infinity());
-        assert_eq!(glv_mul(&Scalar::ONE, &g).to_affine(), GENERATOR);
+        // Edge scalars, including u1·G + u2·G = ∞.
         let n_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
+        assert!(ecmult(&Scalar::ZERO, &Scalar::ZERO, &g).is_infinity());
         assert_eq!(
-            glv_mul(&n_minus_1, &g).to_affine(),
-            g.scalar_mul(&n_minus_1).to_affine()
+            ecmult(&Scalar::ONE, &Scalar::ZERO, &g).to_affine(),
+            GENERATOR
+        );
+        assert_eq!(
+            ecmult(&Scalar::ZERO, &Scalar::ONE, &g).to_affine(),
+            GENERATOR
+        );
+        assert!(ecmult(&Scalar::ONE, &n_minus_1, &g).is_infinity());
+        assert_eq!(
+            ecmult(&n_minus_1, &n_minus_1, &g).to_affine(),
+            ecmult_reference(&n_minus_1, &n_minus_1, &g)
         );
     }
 
     #[test]
-    fn glv_mul_on_non_generator_points() {
+    fn ecmult_on_non_generator_points() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let q = JacobianPoint::from_affine(&scalar_mul_base(&Scalar::from_u64(0xabcdef)));
         for _ in 0..10 {
-            let k = random_scalar(&mut rng);
-            assert_eq!(glv_mul(&k, &q).to_affine(), q.scalar_mul(&k).to_affine());
+            let (u1, u2) = (random_scalar(&mut rng), random_scalar(&mut rng));
+            assert_eq!(
+                ecmult(&u1, &u2, &q).to_affine(),
+                ecmult_reference(&u1, &u2, &q)
+            );
+        }
+    }
+
+    #[test]
+    fn g_odd_tables_match_runtime() {
+        // G_ODD[h][i] == (2i + 1) · 2^(128·h) · G, sampled at both ends.
+        let g = JacobianPoint::from_affine(&GENERATOR);
+        let last = G_ODD[0].len() - 1;
+        let two_128 = Scalar::from_canonical_limbs([0, 0, 1, 0]);
+        for (h, base) in [Scalar::ONE, two_128].iter().enumerate() {
+            for i in [0, 1, last / 2, last] {
+                let k = Scalar::from_u64(2 * i as u64 + 1).mul(base);
+                let (x, y) = G_ODD[h][i];
+                let got = AffinePoint::Coords { x, y };
+                assert_eq!(got, g.scalar_mul(&k).to_affine(), "table {h}, entry {i}");
+                assert!(x.is_normalized() && y.is_normalized());
+            }
         }
     }
 
@@ -362,7 +442,7 @@ mod tests {
         let norm = normalize_batch(&pts).expect("no infinities");
         for (p, (x, y)) in pts.iter().zip(&norm) {
             match p.to_affine() {
-                crate::secp256k1::AffinePoint::Coords { x: ax, y: ay } => {
+                AffinePoint::Coords { x: ax, y: ay } => {
                     assert_eq!((ax, ay), (*x, *y));
                 }
                 _ => panic!("unexpected infinity"),
@@ -384,17 +464,17 @@ mod tests {
             AffineTerm {
                 neg: false,
                 digits: wnaf_digits(&[3, 0, 0, 0], W_SMALL),
-                table: g_table.clone(),
+                table: Cow::Borrowed(&g_table),
             },
             AffineTerm {
                 neg: false,
                 digits: wnaf_digits(&[5, 0, 0, 0], W_SMALL),
-                table: q_table,
+                table: Cow::Borrowed(&q_table),
             },
             AffineTerm {
                 neg: true,
                 digits: wnaf_digits(&[2, 0, 0, 0], W_SMALL),
-                table: g_table,
+                table: Cow::Borrowed(&g_table),
             },
         ];
         let got = strauss_affine(&terms).to_affine();

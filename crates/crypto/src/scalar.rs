@@ -7,7 +7,9 @@
 //! 4-limb CIOS loop, the same algorithm as the generic
 //! [`crate::bignum::MontgomeryCtx`] but fully unrolled and allocation-free)
 //! and inversion uses Fermat's little theorem (`a^(n−2)`) with a 4-bit
-//! window.
+//! window. Where the input is public — the `s` of a signature being
+//! verified — [`Scalar::invert_vartime`] runs Bernstein–Yang's safegcd
+//! instead, about six times faster.
 //!
 //! Values are kept in Montgomery form (`a·R mod n`, `R = 2^256`)
 //! internally; conversion happens only at the byte boundary
@@ -20,7 +22,18 @@
 //! digit cannot survive: `tests/scalar_fuzz.rs` checks every operation
 //! against the `BigUint` oracle.
 
-use crate::field_core::{adc, sbb};
+/// Add with carry: returns `(sum, carry_out)` for `a + b + carry`.
+pub(crate) const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// Subtract with borrow: returns `(diff, borrow_out)` for `a − b − borrow`.
+pub(crate) const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, (b1 | b2) as u64)
+}
 
 /// The group order `n`, little-endian limbs.
 pub const N: [u64; 4] = [
@@ -49,6 +62,10 @@ const R_MOD_N: [u64; 4] = DELTA;
 
 /// `R² mod n`, computed by doubling `R mod n` 256 times.
 const R2_MOD_N: [u64; 4] = compute_r2();
+
+/// `R³ mod n`: turns the plain inverse of a Montgomery residue `a·R` back
+/// into Montgomery form, `mont_mul((aR)⁻¹, R³) = a⁻¹·R`.
+const R3_MOD_N: [u64; 4] = mont_mul(&R2_MOD_N, &R2_MOD_N);
 
 /// `−n⁻¹ mod 2^64`, by Newton iteration (each step doubles the number of
 /// correct low bits; 6 steps cover 64).
@@ -83,7 +100,7 @@ const fn sub_256(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
 }
 
 /// Subtract `n` once if the value is `≥ n` (value must be `< 2n`).
-/// Branchless mask select, mirroring `field_core::cond_sub_p`.
+/// Branchless mask select.
 const fn cond_sub_n(r: [u64; 4]) -> [u64; 4] {
     let (d, borrow) = sub_256(&r, &N);
     let keep = borrow.wrapping_neg();
@@ -278,6 +295,10 @@ impl Scalar {
     /// with a 4-bit fixed window over the constant exponent (≈256
     /// squarings plus 78 multiplies). Zero maps to zero; ECDSA guards
     /// `s ≠ 0` and `k ≠ 0` before inverting.
+    ///
+    /// The operation sequence is fixed by `n`, not by `self`: this is the
+    /// inverse for secret inputs (a signing nonce `k`). Public inputs take
+    /// [`Self::invert_vartime`].
     #[must_use]
     pub fn invert(&self) -> Scalar {
         // table[d] = a^d in Montgomery form, d = 0..15.
@@ -307,6 +328,257 @@ impl Scalar {
             }
         }
         Scalar(acc)
+    }
+
+    /// Multiplicative inverse by safegcd (Bernstein–Yang divsteps, in
+    /// libsecp256k1's variable-time form). Zero maps to zero.
+    ///
+    /// Its running time depends on the value, so it may only see public
+    /// inputs: a signature's `s` during verification. Secrets (a signing
+    /// nonce) take the fixed-sequence [`Self::invert`].
+    #[must_use]
+    pub fn invert_vartime(&self) -> Scalar {
+        // Inverting the Montgomery residue aR gives a⁻¹R⁻¹; one product
+        // with R³ brings it back to a⁻¹R.
+        Scalar(mont_mul(&safegcd::invert_mod_n(&self.0), &R3_MOD_N))
+    }
+}
+
+/// Variable-time modular inversion mod `n` by safegcd: batches of 62
+/// divsteps on the low word decide a 2×2 transition matrix, which is then
+/// applied to the full-width `(f, g)` and to the Bézout coefficients
+/// `(d, e)`, until `g` reaches zero. A transcription of libsecp256k1's
+/// `modinv64_var`; values are five signed 62-bit limbs.
+mod safegcd {
+    use super::{N, N0_INV};
+
+    /// `Σ v[i]·2^(62·i)`; each limb in `(−2^62, 2^62)` between steps.
+    type Signed62 = [i64; 5];
+
+    const M62: u64 = u64::MAX >> 2;
+
+    const N62: Signed62 = to_signed62(&N);
+
+    /// `n⁻¹ mod 2^62` (`N0_INV` is `−n⁻¹ mod 2^64`).
+    const N_INV62: u64 = N0_INV.wrapping_neg() & M62;
+
+    /// The 2×2 matrix of 62 divsteps, scaled by 2^62:
+    /// `[f', g'] = [[u, v], [q, r]]·[f, g] / 2^62`.
+    struct Trans {
+        u: i64,
+        v: i64,
+        q: i64,
+        r: i64,
+    }
+
+    const fn to_signed62(a: &[u64; 4]) -> Signed62 {
+        [
+            (a[0] & M62) as i64,
+            ((a[0] >> 62 | a[1] << 2) & M62) as i64,
+            ((a[1] >> 60 | a[2] << 4) & M62) as i64,
+            ((a[2] >> 58 | a[3] << 6) & M62) as i64,
+            (a[3] >> 56) as i64,
+        ]
+    }
+
+    /// Limbs in `[0, 2^62)` and value below 2^256 back to 4×64.
+    fn from_signed62(v: &Signed62) -> [u64; 4] {
+        let [v0, v1, v2, v3, v4] = v.map(|l| l as u64);
+        [
+            v0 | v1 << 62,
+            v1 >> 2 | v2 << 60,
+            v2 >> 4 | v3 << 58,
+            v3 >> 6 | v4 << 56,
+        ]
+    }
+
+    /// `a⁻¹ mod n` for limbs `a < n`; zero maps to zero.
+    pub(super) fn invert_mod_n(a: &[u64; 4]) -> [u64; 4] {
+        let mut d: Signed62 = [0; 5];
+        let mut e: Signed62 = [1, 0, 0, 0, 0];
+        let mut f = N62;
+        let mut g = to_signed62(a);
+        let mut len = 5;
+        // eta = −delta; delta starts at 1.
+        let mut eta: i64 = -1;
+        loop {
+            let (next_eta, t) = divsteps_62_var(eta, f[0] as u64, g[0] as u64);
+            eta = next_eta;
+            update_de(&mut d, &mut e, &t);
+            update_fg(len, &mut f, &mut g, &t);
+            if g[0] == 0 && g[1..len].iter().all(|&l| l == 0) {
+                break;
+            }
+            // Shrink the active length once the top limbs of f and g are
+            // both 0 or −1, folding the sign into the limb below.
+            let (fl, gl) = (f[len - 1], g[len - 1]);
+            if len > 1 && (fl ^ (fl >> 63)) == 0 && (gl ^ (gl >> 63)) == 0 {
+                f[len - 2] |= ((fl as u64) << 62) as i64;
+                g[len - 2] |= ((gl as u64) << 62) as i64;
+                len -= 1;
+            }
+        }
+        // g = 0 and f = ±gcd = ±1, so d = ±a⁻¹: fix the sign and range.
+        from_signed62(&normalize(d, f[len - 1]))
+    }
+
+    /// 62 divsteps on the low words `f0`, `g0` (`f0` odd), skipping runs of
+    /// zero bits at once and cancelling up to 6 bits of `g` per step.
+    /// Returns the new `eta` and the transition matrix.
+    fn divsteps_62_var(mut eta: i64, f0: u64, g0: u64) -> (i64, Trans) {
+        let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+        let (mut f, mut g) = (f0, g0);
+        let mut i: u32 = 62;
+        loop {
+            // A sentinel bit stops the zero count at i.
+            let zeros = (g | (u64::MAX << i)).trailing_zeros();
+            g >>= zeros;
+            u <<= zeros;
+            v <<= zeros;
+            eta -= i64::from(zeros);
+            i -= zeros;
+            if i == 0 {
+                break;
+            }
+            debug_assert!(f & 1 == 1 && g & 1 == 1);
+            debug_assert_eq!(
+                u.wrapping_mul(f0).wrapping_add(v.wrapping_mul(g0)),
+                f << (62 - i)
+            );
+            debug_assert_eq!(
+                q.wrapping_mul(f0).wrapping_add(r.wrapping_mul(g0)),
+                g << (62 - i)
+            );
+            // At most i steps remain, and at most eta + 1 before the
+            // sign of eta flips again.
+            let w = if eta < 0 {
+                // Swap: (f, g) ← (g, −f), and the matrix rows likewise.
+                eta = -eta;
+                (f, g) = (g, f.wrapping_neg());
+                (u, q) = (q, u.wrapping_neg());
+                (v, r) = (r, v.wrapping_neg());
+                // Cancel up to 6 bits of g: −g/f mod 2^6, with
+                // f⁻¹ ≡ f·(2 − f²) (mod 2^6).
+                let limit = (eta + 1).min(i64::from(i)) as u32;
+                let m = (u64::MAX >> (64 - limit)) & 63;
+                f.wrapping_mul(g)
+                    .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                    & m
+            } else {
+                // Cancel up to 4 bits of g: f⁻¹ mod 16 is f + 8·[f ≡ 3 mod 4].
+                let limit = (eta + 1).min(i64::from(i)) as u32;
+                let m = (u64::MAX >> (64 - limit)) & 15;
+                let inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+                inv.wrapping_neg().wrapping_mul(g) & m
+            };
+            g = g.wrapping_add(f.wrapping_mul(w));
+            q = q.wrapping_add(u.wrapping_mul(w));
+            r = r.wrapping_add(v.wrapping_mul(w));
+        }
+        let t = Trans {
+            u: u as i64,
+            v: v as i64,
+            q: q as i64,
+            r: r as i64,
+        };
+        (eta, t)
+    }
+
+    /// `[d, e] ← ([[u, v], [q, r]]·[d, e] + n·[md, me]) / 2^62`, with
+    /// `md`, `me` chosen so the division is exact and the results stay in
+    /// `(−2n, n)`.
+    fn update_de(d: &mut Signed62, e: &mut Signed62, t: &Trans) {
+        let (d_in, e_in) = (*d, *e);
+        let (u, v, q, r) = (
+            i128::from(t.u),
+            i128::from(t.v),
+            i128::from(t.q),
+            i128::from(t.r),
+        );
+        // Start md, me at [u, q] if d < 0, plus [v, r] if e < 0.
+        let sd = d_in[4] >> 63;
+        let se = e_in[4] >> 63;
+        let mut md = (t.u & sd) + (t.v & se);
+        let mut me = (t.q & sd) + (t.r & se);
+        let mut cd = u * i128::from(d_in[0]) + v * i128::from(e_in[0]);
+        let mut ce = q * i128::from(d_in[0]) + r * i128::from(e_in[0]);
+        // Correct md, me so the low 62 bits of the sums cancel.
+        md -= (N_INV62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+        me -= (N_INV62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+        cd += i128::from(N62[0]) * i128::from(md);
+        ce += i128::from(N62[0]) * i128::from(me);
+        debug_assert!(cd as u64 & M62 == 0 && ce as u64 & M62 == 0);
+        cd >>= 62;
+        ce >>= 62;
+        for k in 1..5 {
+            cd += u * i128::from(d_in[k])
+                + v * i128::from(e_in[k])
+                + i128::from(N62[k]) * i128::from(md);
+            ce += q * i128::from(d_in[k])
+                + r * i128::from(e_in[k])
+                + i128::from(N62[k]) * i128::from(me);
+            d[k - 1] = (cd as u64 & M62) as i64;
+            e[k - 1] = (ce as u64 & M62) as i64;
+            cd >>= 62;
+            ce >>= 62;
+        }
+        d[4] = cd as i64;
+        e[4] = ce as i64;
+    }
+
+    /// `[f, g] ← [[u, v], [q, r]]·[f, g] / 2^62` over the first `len`
+    /// limbs (the rest are sign extension).
+    fn update_fg(len: usize, f: &mut Signed62, g: &mut Signed62, t: &Trans) {
+        let (u, v, q, r) = (
+            i128::from(t.u),
+            i128::from(t.v),
+            i128::from(t.q),
+            i128::from(t.r),
+        );
+        let mut cf = u * i128::from(f[0]) + v * i128::from(g[0]);
+        let mut cg = q * i128::from(f[0]) + r * i128::from(g[0]);
+        debug_assert!(cf as u64 & M62 == 0 && cg as u64 & M62 == 0);
+        cf >>= 62;
+        cg >>= 62;
+        for k in 1..len {
+            let (fk, gk) = (i128::from(f[k]), i128::from(g[k]));
+            cf += u * fk + v * gk;
+            cg += q * fk + r * gk;
+            f[k - 1] = (cf as u64 & M62) as i64;
+            g[k - 1] = (cg as u64 & M62) as i64;
+            cf >>= 62;
+            cg >>= 62;
+        }
+        f[len - 1] = cf as i64;
+        g[len - 1] = cg as i64;
+    }
+
+    /// `r` in `(−2n, n)`, negated when `sign < 0`, brought into `[0, n)`
+    /// with limbs in `[0, 2^62)`.
+    fn normalize(mut r: Signed62, sign: i64) -> Signed62 {
+        let add_n = |r: &mut Signed62| {
+            let mask = r[4] >> 63;
+            for (limb, n) in r.iter_mut().zip(N62) {
+                *limb += n & mask;
+            }
+        };
+        let carry = |r: &mut Signed62| {
+            for k in 0..4 {
+                r[k + 1] += r[k] >> 62;
+                r[k] &= M62 as i64;
+            }
+        };
+        // (−2n, n) → (−n, n), then negate if asked.
+        add_n(&mut r);
+        let neg = sign >> 63;
+        for limb in &mut r {
+            *limb = (*limb ^ neg) - neg;
+        }
+        carry(&mut r);
+        // (−n, n) → [0, n).
+        add_n(&mut r);
+        carry(&mut r);
+        r
     }
 }
 

@@ -5,13 +5,15 @@
 //! does. Points use Jacobian projective coordinates internally so scalar
 //! multiplication needs a single field inversion at the end.
 //!
-//! Everything here is fixed-limb: coordinates are
-//! [`FieldElement`]s (pseudo-Mersenne reduction) and scalars are
-//! Montgomery [`Scalar`]s modulo the group order — `BigUint` does not
-//! appear on this path at all (it survives only as the fuzz oracle, bridged
-//! through the byte encodings). The fixed-window base-point table is
-//! const-baked by `build.rs` into `.rodata`, so processes pay nothing to
-//! build it and `k·G` uses mixed addition against affine entries.
+//! Everything here is fixed-limb: coordinates are lazily reduced
+//! [`FieldElement`]s (5×52 limbs) and scalars are Montgomery [`Scalar`]s
+//! modulo the group order — `BigUint` does not appear on this path at all
+//! (it survives only as the fuzz oracle, bridged through the byte
+//! encodings). An [`AffinePoint`]'s coordinates are fully normalized when
+//! it is built, so comparing points is a limb compare. The fixed-window
+//! base-point table is const-baked by `build.rs` into `.rodata`, so
+//! processes pay nothing to build it and `k·G` uses mixed addition against
+//! affine entries.
 
 use crate::field::FieldElement;
 use crate::scalar::Scalar;
@@ -19,6 +21,8 @@ use std::fmt;
 
 // `BASE_TABLE[w][d-1] = (d · 16^w) · G` as affine (x, y) pairs, generated
 // at build time from the same `field_core` limb arithmetic (see build.rs).
+// Signing and key derivation use it; verification walks the wNAF tables
+// in `crate::msm` instead.
 include!(concat!(env!("OUT_DIR"), "/base_table.rs"));
 
 /// The curve coefficient `b = 7` in `y² = x³ + 7`.
@@ -48,7 +52,8 @@ pub const GENERATOR: AffinePoint = AffinePoint::Coords { x: GEN_X, y: GEN_Y };
 pub enum AffinePoint {
     /// The identity element.
     Infinity,
-    /// A finite point `(x, y)` with fully reduced field coordinates.
+    /// A finite point `(x, y)`. Every constructor in this crate stores
+    /// fully normalized coordinates.
     Coords {
         /// x-coordinate.
         x: FieldElement,
@@ -93,10 +98,10 @@ impl AffinePoint {
         let x = FieldElement::from_bytes_be(&xb)?;
         // y² = x³ + 7; sqrt via exponent (p+1)/4 since p ≡ 3 (mod 4).
         let rhs = x.sqr().mul(&x).add(&CURVE_B);
-        let mut y = rhs.sqrt()?; // None when x is not on the curve
+        let mut y = rhs.sqrt()?.normalize(); // None when x is not on the curve
         let want_odd = bytes[0] == 0x03;
         if y.is_odd() != want_odd {
-            y = y.negate();
+            y = y.negate().normalize();
         }
         let point = AffinePoint::Coords { x, y };
         debug_assert!(point.is_on_curve());
@@ -109,11 +114,14 @@ impl AffinePoint {
     /// equation fixes the even-y representative and searches signs.
     pub fn lift_x_even_y(x: FieldElement) -> Option<Self> {
         let rhs = x.sqr().mul(&x).add(&CURVE_B);
-        let mut y = rhs.sqrt()?;
+        let mut y = rhs.sqrt()?.normalize();
         if y.is_odd() {
-            y = y.negate();
+            y = y.negate().normalize();
         }
-        Some(AffinePoint::Coords { x, y })
+        Some(AffinePoint::Coords {
+            x: x.normalize(),
+            y,
+        })
     }
 }
 
@@ -138,9 +146,11 @@ impl JacobianPoint {
         }
     }
 
-    /// Whether this is the identity.
+    /// Whether this is the identity. Decided from `Z`'s low limb in all
+    /// but a vanishing share of cases, so the curve formulas can ask on
+    /// every addition without paying a full normalization.
     pub fn is_infinity(&self) -> bool {
-        self.z.is_zero()
+        self.z.is_zero_vartime()
     }
 
     /// Lifts an affine point.
@@ -155,7 +165,8 @@ impl JacobianPoint {
         }
     }
 
-    /// Projects back to affine coordinates (one field inversion).
+    /// Projects back to affine coordinates (one field inversion), fully
+    /// normalized.
     pub fn to_affine(&self) -> AffinePoint {
         if self.is_infinity() {
             return AffinePoint::Infinity;
@@ -164,8 +175,8 @@ impl JacobianPoint {
         let z2 = z_inv.sqr();
         let z3 = z2.mul(&z_inv);
         AffinePoint::Coords {
-            x: self.x.mul(&z2),
-            y: self.y.mul(&z3),
+            x: self.x.mul(&z2).normalize(),
+            y: self.y.mul(&z3).normalize(),
         }
     }
 
@@ -180,29 +191,30 @@ impl JacobianPoint {
         }
     }
 
-    /// Point doubling (handles the identity and 2-torsion edge cases).
+    /// Point doubling (handles the identity and 2-torsion edge cases):
+    /// 3M + 4S. libsecp256k1's formula, which returns the doubled point
+    /// scaled by `λ = 1/2` (`Z3 = Y·Z` instead of `2·Y·Z`) and keeps every
+    /// intermediate at magnitude ≤ 4, so no operand needs a carry pass.
     pub fn double(&self) -> Self {
-        if self.is_infinity() || self.y.is_zero() {
+        if self.is_infinity() || self.y.is_zero_vartime() {
             return Self::infinity();
         }
-        // Standard dbl-2007-bl-style formulas for a = 0.
-        let xx = self.x.sqr(); // X²
-        let yy = self.y.sqr(); // Y²
-        let yyyy = yy.sqr(); // Y⁴
-        let s = self.x.mul(&yy).double().double(); // S = 4·X·Y²
-        let m = xx.double().add(&xx); // M = 3·X²
-        let x3 = m.sqr().sub(&s.double()); // X' = M² − 2·S
-        let eight_yyyy = yyyy.double().double().double();
-        let y3 = m.mul(&s.sub(&x3)).sub(&eight_yyyy); // Y' = M·(S − X') − 8·Y⁴
-        let z3 = self.y.mul(&self.z).double(); // Z' = 2·Y·Z
+        // S = Y², L = 3/2·X², T = −X·S.
+        let s = self.y.sqr();
+        let xx = self.x.sqr();
+        let l = xx.double().add(&xx).half();
+        let t = s.negate().mul(&self.x);
+        // X3 = L² − 2·X·S, Y3 = −(L·(X3 − X·S) + S²), Z3 = Y·Z.
+        let x3 = l.sqr().add(&t).add(&t);
+        let y3 = x3.add(&t).mul(&l).add(&s.sqr()).negate();
         JacobianPoint {
             x: x3,
             y: y3,
-            z: z3,
+            z: self.z.mul(&self.y),
         }
     }
 
-    /// Point addition.
+    /// Point addition: 12M + 4S (libsecp256k1's `gej_add_var`).
     pub fn add(&self, other: &Self) -> Self {
         if self.is_infinity() {
             return other.clone();
@@ -210,40 +222,18 @@ impl JacobianPoint {
         if other.is_infinity() {
             return self.clone();
         }
-        // add-2007-bl
-        let z1z1 = self.z.sqr();
-        let z2z2 = other.z.sqr();
-        let u1 = self.x.mul(&z2z2);
-        let u2 = other.x.mul(&z1z1);
-        let s1 = self.y.mul(&other.z).mul(&z2z2);
-        let s2 = other.y.mul(&self.z).mul(&z1z1);
-        if u1 == u2 {
-            if s1 == s2 {
-                return self.double();
-            }
-            return Self::infinity(); // P + (−P)
-        }
-        let h = u2.sub(&u1);
-        let i = h.double().sqr();
-        let j = h.mul(&i);
-        let r = s2.sub(&s1).double();
-        let v = u1.mul(&i);
-        // X3 = r² − J − 2·V
-        let x3 = r.sqr().sub(&j).sub(&v.double());
-        // Y3 = r·(V − X3) − 2·S1·J
-        let y3 = r.mul(&v.sub(&x3)).sub(&s1.mul(&j).double());
-        // Z3 = ((Z1+Z2)² − Z1Z1 − Z2Z2)·H
-        let z3 = self.z.add(&other.z).sqr().sub(&z1z1).sub(&z2z2).mul(&h);
-        JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let z22 = other.z.sqr();
+        let z12 = self.z.sqr();
+        let u1 = self.x.mul(&z22);
+        let u2 = other.x.mul(&z12);
+        let s1 = self.y.mul(&z22).mul(&other.z);
+        let s2 = other.y.mul(&z12).mul(&self.z);
+        self.add_tail(&u1, &u2, &s1, &s2, &self.z.mul(&other.z))
     }
 
-    /// Mixed addition with an affine point (`Z2 = 1`): 7M + 4S instead of
-    /// the 11M + 5S of the general formula. Used for the const-baked
-    /// affine [`BASE_TABLE`] and for the batch-normalized tables in
+    /// Mixed addition with an affine point (`Z2 = 1`): 8M + 3S instead of
+    /// the 12M + 4S of the general formula. Used for the const-baked
+    /// affine tables and for the batch-normalized tables in
     /// [`crate::msm`].
     pub(crate) fn add_mixed(&self, x2: &FieldElement, y2: &FieldElement) -> Self {
         if self.is_infinity() {
@@ -253,36 +243,52 @@ impl JacobianPoint {
                 z: FieldElement::ONE,
             };
         }
-        // madd-2007-bl
-        let z1z1 = self.z.sqr();
-        let u2 = x2.mul(&z1z1);
-        let s2 = y2.mul(&self.z).mul(&z1z1);
-        if u2 == self.x {
-            if s2 == self.y {
+        let z12 = self.z.sqr();
+        let u2 = x2.mul(&z12);
+        let s2 = y2.mul(&z12).mul(&self.z);
+        self.add_tail(&self.x, &u2, &self.y, &s2, &self.z)
+    }
+
+    /// The shared end of both additions, given both points brought to the
+    /// common denominator (`U = X·Z'²`, `S = Y·Z'³`) and `Z1·Z2`. Equal
+    /// points are caught by `H = U2 − U1 = 0` — one zero test instead of
+    /// two normalizations — and handed to [`Self::double`]; opposite
+    /// points give the identity.
+    fn add_tail(
+        &self,
+        u1: &FieldElement,
+        u2: &FieldElement,
+        s1: &FieldElement,
+        s2: &FieldElement,
+        z1z2: &FieldElement,
+    ) -> Self {
+        let h = u2.sub(u1);
+        let i = s1.sub(s2);
+        if h.is_zero_vartime() {
+            if i.is_zero_vartime() {
                 return self.double();
             }
             return Self::infinity(); // P + (−P)
         }
-        let h = u2.sub(&self.x);
-        let hh = h.sqr();
-        let i = hh.double().double();
-        let j = h.mul(&i);
-        let r = s2.sub(&self.y).double();
-        let v = self.x.mul(&i);
-        let x3 = r.sqr().sub(&j).sub(&v.double());
-        let y3 = r.mul(&v.sub(&x3)).sub(&self.y.mul(&j).double());
-        let z3 = self.z.add(&h).sqr().sub(&z1z1).sub(&hh);
+        // With I = S1 − S2 = −(S2 − S1), H2 = −H², H3 = −H³, T = −U1·H²:
+        // X3 = I² − H³ − 2·U1·H², Y3 = (U1·H² − X3)·(S2 − S1) − S1·H³,
+        // Z3 = Z1·Z2·H.
+        let h2 = h.sqr().negate();
+        let h3 = h2.mul(&h);
+        let t = u1.mul(&h2);
+        let x3 = i.sqr().add(&h3).add(&t).add(&t);
+        let y3 = t.add(&x3).mul(&i).add(&h3.mul(s1));
         JacobianPoint {
             x: x3,
             y: y3,
-            z: z3,
+            z: z1z2.mul(&h),
         }
     }
 
     /// Scalar multiplication by double-and-add (MSB first) over the
-    /// canonical bits of `k`. Kept as the simple reference path; the hot
-    /// paths use the windowed base table and the GLV/wNAF routines in
-    /// [`crate::msm`].
+    /// canonical bits of `k`. Kept as the simple reference path the fuzz
+    /// suites check the fast ones against; the hot paths use the windowed
+    /// base table and the GLV/wNAF routines in [`crate::msm`].
     pub fn scalar_mul(&self, k: &Scalar) -> Self {
         let limbs = k.to_canonical_limbs();
         let mut acc = Self::infinity();
@@ -307,14 +313,11 @@ impl fmt::Display for AffinePoint {
     }
 }
 
-/// `k·G` accumulated in Jacobian coordinates via the const-baked
-/// fixed-window `BASE_TABLE`: one mixed addition per non-zero nibble of
-/// `k` (≤ 64 additions, no doublings, no table build at runtime).
-///
-/// Exposed within the crate so ECDSA verification and the batch MSM can
-/// fold the base-point term into a larger sum without paying the affine
-/// normalization per call.
-pub(crate) fn scalar_mul_base_jacobian(k: &Scalar) -> JacobianPoint {
+/// `k·G` for the curve generator via the const-baked fixed-window table:
+/// one mixed addition per non-zero nibble of `k` (≤ 64 additions, no
+/// doublings, no table build at runtime). A lone `k·G` with no doubling
+/// chain to share — signing and key derivation — is cheapest this way.
+pub fn scalar_mul_base(k: &Scalar) -> AffinePoint {
     let limbs = k.to_canonical_limbs();
     let mut acc = JacobianPoint::infinity();
     for w in 0..64 {
@@ -324,42 +327,7 @@ pub(crate) fn scalar_mul_base_jacobian(k: &Scalar) -> JacobianPoint {
             acc = acc.add_mixed(x, y);
         }
     }
-    acc
-}
-
-/// `k·G` for the curve generator via the const-baked fixed-window table.
-pub fn scalar_mul_base(k: &Scalar) -> AffinePoint {
-    scalar_mul_base_jacobian(k).to_affine()
-}
-
-/// Shamir's trick: `k1·P1 + k2·P2` with one shared doubling chain.
-///
-/// Precomputes `P1 + P2` and walks both scalars' bits together — 256
-/// doublings plus at most one addition per bit. Retained as the reference
-/// double-multiplication (the verify hot path now uses GLV + wNAF via
-/// [`crate::msm`], which the fuzz suite pins against this).
-pub fn double_scalar_mul(
-    k1: &Scalar,
-    p1: &JacobianPoint,
-    k2: &Scalar,
-    p2: &JacobianPoint,
-) -> JacobianPoint {
-    let sum = p1.add(p2);
-    let l1 = k1.to_canonical_limbs();
-    let l2 = k2.to_canonical_limbs();
-    let mut acc = JacobianPoint::infinity();
-    for i in (0..256).rev() {
-        acc = acc.double();
-        let b1 = (l1[i / 64] >> (i % 64)) & 1 == 1;
-        let b2 = (l2[i / 64] >> (i % 64)) & 1 == 1;
-        match (b1, b2) {
-            (true, true) => acc = acc.add(&sum),
-            (true, false) => acc = acc.add(p1),
-            (false, true) => acc = acc.add(p2),
-            (false, false) => {}
-        }
-    }
-    acc
+    acc.to_affine()
 }
 
 #[cfg(test)]

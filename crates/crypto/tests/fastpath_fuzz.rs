@@ -1,14 +1,16 @@
 //! Randomized equivalence tests for the validation fast path.
 //!
-//! The Montgomery modexp and the windowed / Shamir scalar multiplication
-//! are pure speedups: for every input they must produce bit-identical
-//! results to the schoolbook routines they replaced. These tests pin that
-//! equivalence over seeded random inputs plus the edge cases that tend to
-//! break fixed-window ladders (zero, one, exponent zero, scalars at and
-//! past the group order).
+//! The Montgomery modexp, the windowed base multiplication and the
+//! one-chain verify multiply `u1·G + u2·Q` are pure speedups: for every
+//! input they must produce bit-identical results to the schoolbook
+//! routines they replaced. These tests pin that equivalence over seeded
+//! random inputs plus the edge cases that tend to break fixed-window and
+//! wNAF ladders (zero, one, exponent zero, scalars at and past the group
+//! order, the 128-bit split point of `u1`).
 
+use bcwan_crypto::msm::ecmult;
 use bcwan_crypto::rsa::{generate_prime, is_probable_prime};
-use bcwan_crypto::secp256k1::{double_scalar_mul, scalar_mul_base, JacobianPoint, GENERATOR};
+use bcwan_crypto::secp256k1::{scalar_mul_base, AffinePoint, JacobianPoint, GENERATOR};
 use bcwan_crypto::{
     generate_keypair, BigUint, MontgomeryCtx, RsaKeySize, RsaPrivateKey, RsaPublicKey, Scalar,
 };
@@ -348,21 +350,6 @@ fn parsed_keys_and_crt_keys_compute_the_same_values() {
     }
 }
 
-/// Reference scalar multiplication: plain MSB-first double-and-add over
-/// the canonical bits, independent of the windowed base table, the GLV
-/// path, and Shamir's trick.
-fn scalar_mul_reference(k: &Scalar, p: &JacobianPoint) -> JacobianPoint {
-    let limbs = k.to_canonical_limbs();
-    let mut acc = JacobianPoint::infinity();
-    for i in (0..256).rev() {
-        acc = acc.double();
-        if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
-            acc = acc.add(p);
-        }
-    }
-    acc
-}
-
 /// A scalar with roughly `bits` random bits (reduced mod `n`).
 fn random_scalar(rng: &mut StdRng, bits: usize) -> Scalar {
     let mut buf = [0u8; 32];
@@ -395,47 +382,104 @@ fn windowed_base_mul_matches_double_and_add() {
     }
     for k in &cases {
         let fast = scalar_mul_base(k);
-        let slow = scalar_mul_reference(k, &g).to_affine();
+        let slow = g.scalar_mul(k).to_affine();
         assert_eq!(fast, slow, "scalar_mul_base diverged for k={k:?}");
     }
 }
 
+/// The oracle for the one-chain multiply: double-and-add on each term,
+/// summed.
+fn ecmult_reference(u1: &Scalar, u2: &Scalar, q: &JacobianPoint) -> AffinePoint {
+    let g = JacobianPoint::from_affine(&GENERATOR);
+    g.scalar_mul(u1).add(&q.scalar_mul(u2)).to_affine()
+}
+
+/// A random point `d·G`.
+fn random_point(rng: &mut StdRng) -> JacobianPoint {
+    JacobianPoint::from_affine(&scalar_mul_base(&random_scalar(rng, 256)))
+}
+
 #[test]
 fn shamir_double_mul_matches_separate_muls() {
-    let g = JacobianPoint::from_affine(&GENERATOR);
     let mut rng = StdRng::seed_from_u64(0x54a3);
-
     for round in 0..24 {
-        // A random second point: q = d·G for random d.
-        let d = random_scalar(&mut rng, 256);
-        let q = g.scalar_mul(&d);
-        let k1 = match round % 4 {
+        let q = random_point(&mut rng);
+        let u1 = match round % 4 {
             0 => Scalar::ZERO,
             1 => random_scalar(&mut rng, 1 + (round % 25) * 10),
             _ => random_scalar(&mut rng, 256),
         };
-        let k2 = match round % 3 {
+        let u2 = match round % 3 {
             0 => Scalar::ZERO,
             _ => random_scalar(&mut rng, 256),
         };
-        let fast = double_scalar_mul(&k1, &g, &k2, &q).to_affine();
-        let slow = scalar_mul_reference(&k1, &g)
-            .add(&scalar_mul_reference(&k2, &q))
-            .to_affine();
-        assert_eq!(fast, slow, "round {round}: double_scalar_mul diverged");
+        assert_eq!(
+            ecmult(&u1, &u2, &q).to_affine(),
+            ecmult_reference(&u1, &u2, &q),
+            "round {round}: ecmult diverged"
+        );
     }
 }
 
 #[test]
-fn glv_mul_matches_reference_across_widths() {
-    let g = JacobianPoint::from_affine(&GENERATOR);
+fn one_chain_mul_matches_reference_across_widths() {
+    // Each width of u1 and u2 from 1 to 256 bits, so both wNAF stream
+    // pairs end at every length relative to each other.
     let mut rng = StdRng::seed_from_u64(0x61f);
     for round in 0..16 {
-        let d = random_scalar(&mut rng, 256);
-        let q = g.scalar_mul(&d);
-        let k = random_scalar(&mut rng, 1 + (round * 16) % 256);
-        let fast = bcwan_crypto::msm::glv_mul(&k, &q).to_affine();
-        let slow = scalar_mul_reference(&k, &q).to_affine();
-        assert_eq!(fast, slow, "round {round}: glv_mul diverged");
+        let q = random_point(&mut rng);
+        let u1 = random_scalar(&mut rng, 256 - (round * 16) % 256);
+        let u2 = random_scalar(&mut rng, 1 + (round * 16) % 256);
+        assert_eq!(
+            ecmult(&u1, &u2, &q).to_affine(),
+            ecmult_reference(&u1, &u2, &q),
+            "round {round}: ecmult diverged"
+        );
+    }
+}
+
+#[test]
+fn one_chain_mul_edge_scalars() {
+    let mut rng = StdRng::seed_from_u64(0xed6e);
+    let n_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
+    let two_128 = Scalar::from_bytes_be(&{
+        let mut b = [0u8; 32];
+        b[15] = 1;
+        b
+    })
+    .expect("2^128 < n");
+    let edges = [
+        Scalar::ZERO,
+        Scalar::ONE,
+        n_minus_1,
+        two_128.sub(&Scalar::ONE),    // top of the low half
+        two_128,                      // first value with a high half
+        two_128.add(&Scalar::ONE),    // both halves non-zero
+        random_scalar(&mut rng, 128), // u1 < 2^128
+        random_scalar(&mut rng, 127),
+        n_minus_1.sub(&two_128), // u1 ≥ 2^128, low half all but full
+        random_scalar(&mut rng, 256),
+    ];
+    let g = JacobianPoint::from_affine(&GENERATOR);
+    for q in [g.clone(), random_point(&mut rng)] {
+        for u1 in &edges {
+            for u2 in &edges {
+                assert_eq!(
+                    ecmult(u1, u2, &q).to_affine(),
+                    ecmult_reference(u1, u2, &q),
+                    "u1 = {u1:?}, u2 = {u2:?}"
+                );
+            }
+        }
+    }
+    // Over Q = G the two terms cancel (u2 = −u1) and coincide (u2 = u1),
+    // so the chain's additions meet P + (−P) and P + P.
+    for u1 in &edges {
+        assert!(ecmult(u1, &u1.negate(), &g).is_infinity(), "u1 = {u1:?}");
+        assert_eq!(
+            ecmult(u1, u1, &g).to_affine(),
+            scalar_mul_base(&u1.add(u1)),
+            "u1 = {u1:?}"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Randomized equivalence tests for the fixed-limb secp256k1 field.
+//! Randomized equivalence tests for the lazily reduced secp256k1 field.
 //!
 //! [`FieldElement`] is a pure speedup over the generic `BigUint` modular
 //! arithmetic it replaced inside point operations: for every input, every
@@ -7,8 +7,12 @@
 //! elements plus the edge cases that break carry-fold reductions — 0, 1,
 //! `p−1`, values just below `p`, and limb-boundary patterns like
 //! `2^64 − 1` / `2^192` — mirroring the `fastpath_fuzz.rs` pattern used
-//! for the Montgomery layer. A fixed-vector test pins known secp256k1
-//! points (G, 2G, 3G) through the new arithmetic end to end.
+//! for the Montgomery layer. The 5×52 limbs are only reduced lazily, so
+//! the suite also runs chains of carry-free operations up to and past the
+//! magnitude bounds, and sends non-canonical encodings of 0 and of values
+//! in `[p, 2^256)` through every observation of a canonical value. A
+//! fixed-vector test pins known secp256k1 points (G, 2G, 3G) through the
+//! arithmetic end to end.
 
 use bcwan_crypto::field::FieldElement;
 use bcwan_crypto::secp256k1::{scalar_mul_base, AffinePoint};
@@ -247,62 +251,231 @@ fn byte_round_trip_rejects_unreduced() {
     }
 }
 
+/// Raw 5×52 limbs as a big integer (no reduction).
+fn limbs_value(n: &[u64; 5]) -> BigUint {
+    n.iter().rev().fold(BigUint::zero(), |acc, &l| {
+        acc.shl(52).add(&BigUint::from_u64(l))
+    })
+}
+
 #[test]
 fn branchless_cond_sub_matches_branchy_reference() {
-    use bcwan_crypto::field_core::{cond_sub_p, sbb, P};
+    use bcwan_crypto::field_core::{
+        fe_normalize, fe_normalize_weak, fe_normalizes_to_zero, fe_normalizes_to_zero_var, FOLD,
+        M48, M52, MAX_MAG, P,
+    };
 
-    // The obvious branchy normalization the constant-time mask-select
-    // version replaced. Valid for any input < 2p.
-    fn branchy(r: [u64; 4]) -> [u64; 4] {
-        let (d0, borrow) = sbb(r[0], P[0], 0);
-        let (d1, borrow) = sbb(r[1], P[1], borrow);
-        let (d2, borrow) = sbb(r[2], P[2], borrow);
-        let (d3, borrow) = sbb(r[3], P[3], borrow);
-        if borrow == 0 {
-            [d0, d1, d2, d3]
-        } else {
-            r
+    // The obvious branchy normalization the constant-time one replaces:
+    // carry and fold until the top limb fits, then subtract p while the
+    // value is ≥ p.
+    fn branchy(n: [u64; 5]) -> [u64; 5] {
+        let mut t = n;
+        loop {
+            for i in 0..4 {
+                t[i + 1] += t[i] >> 52;
+                t[i] &= M52;
+            }
+            let x = t[4] >> 48;
+            if x == 0 {
+                break;
+            }
+            t[4] &= M48;
+            t[0] += x * FOLD;
         }
+        // t ≥ p: equal to p, or above it at the top differing limb.
+        while (0..5)
+            .rev()
+            .find(|&i| t[i] != P[i])
+            .is_none_or(|i| t[i] > P[i])
+        {
+            let mut borrow = 0;
+            for i in 0..5 {
+                let width = if i == 4 { 48 } else { 52 };
+                let d = (t[i] | 1 << width) - P[i] - borrow;
+                borrow = u64::from(d >> width == 0);
+                t[i] = d & ((1 << width) - 1);
+            }
+        }
+        t
     }
 
-    // Limb patterns straddling every decision boundary: p − 1 (keep), p
-    // (subtract to zero), p + k (subtract), values that differ from p only
-    // in one limb, and saturated limbs that force borrows to ripple the
-    // whole width.
-    let mut cases: Vec<[u64; 4]> = vec![
-        [0, 0, 0, 0],
-        [1, 0, 0, 0],
+    // Limb patterns straddling every decision boundary at the largest
+    // magnitude normalization accepts: p − 1 (keep), p (subtract to
+    // zero), p + 1, 2p, limbs that differ from p's only in one place,
+    // all-ones limbs (2^256 − 1), and every limb at its magnitude bound.
+    let bound = |m: u64| {
+        [
+            2 * m * M52,
+            2 * m * M52,
+            2 * m * M52,
+            2 * m * M52,
+            2 * m * M48,
+        ]
+    };
+    let mut cases: Vec<[u64; 5]> = vec![
+        [0; 5],
+        [1, 0, 0, 0, 0],
         P,
-        [P[0] - 1, P[1], P[2], P[3]], // p − 1: borrow decided by limb 0
-        [P[0] + 1, P[1], P[2], P[3]], // p + 1
-        [P[0], P[1] - 1, P[2], P[3]], // below p via limb 1
-        [P[0], P[1], P[2], P[3] - 1], // below p via the top limb
-        [u64::MAX; 4],                // 2^256 − 1 ≈ p + 2^32 + 976
-        [0, u64::MAX, u64::MAX, u64::MAX],
-        [u64::MAX, 0, u64::MAX, u64::MAX],
-        [u64::MAX, u64::MAX, 0, u64::MAX],
+        [P[0] - 1, P[1], P[2], P[3], P[4]],
+        [P[0] + 1, P[1], P[2], P[3], P[4]],
+        P.map(|l| 2 * l),
+        [P[0], P[1] - 1, P[2], P[3], P[4]],
+        [P[0], P[1], P[2], P[3], P[4] - 1],
+        [M52, M52, M52, M52, M48],
+        [0, M52, M52, M52, M48],
+        [M52, 0, M52, M52, M48],
+        [M52, M52, M52, M52, 0],
+        bound(1),
+        bound(u64::from(MAX_MAG)),
     ];
     let mut rng = StdRng::seed_from_u64(0xcd5);
     for _ in 0..500 {
-        let mut limbs = [0u64; 4];
-        for l in &mut limbs {
-            let mut b = [0u8; 8];
-            rng.fill_bytes(&mut b);
-            *l = u64::from_le_bytes(b);
-        }
+        // Random limbs under a random magnitude up to the maximum.
+        let m = 1 + rng.next_u64() % u64::from(MAX_MAG);
+        let limbs = bound(m).map(|b| rng.next_u64() % (b + 1));
         cases.push(limbs);
-        // Bias toward the boundary: same value with the top limbs pinned
-        // to p's (all-ones), so only the low limbs decide.
-        cases.push([limbs[0], limbs[1], P[2], P[3]]);
-        cases.push([limbs[0], P[1], P[2], P[3]]);
+        // Bias toward the boundary: the same low limbs with the upper
+        // limbs pinned to p's, so only the low limbs decide.
+        cases.push([limbs[0] & M52, limbs[1] & M52, P[2], P[3], P[4]]);
+        cases.push([limbs[0] & M52, P[1], P[2], P[3], P[4]]);
     }
+    let p = p();
     for r in cases {
+        let want = limbs_value(&r).rem(&p);
         assert_eq!(
-            cond_sub_p(r),
+            fe_normalize(&r),
             branchy(r),
-            "cond_sub_p diverged for limbs {r:x?}"
+            "normalize diverged for {r:x?}"
+        );
+        assert_eq!(
+            limbs_value(&fe_normalize(&r)),
+            want,
+            "normalize value {r:x?}"
+        );
+        let weak = fe_normalize_weak(&r);
+        assert!(weak[..4].iter().all(|&l| l <= M52) && weak[4] >> 49 == 0);
+        assert_eq!(
+            limbs_value(&weak).rem(&p),
+            want,
+            "weak normalize value {r:x?}"
+        );
+        assert_eq!(
+            fe_normalizes_to_zero(&r),
+            want.is_zero(),
+            "zero test {r:x?}"
+        );
+        assert_eq!(
+            fe_normalizes_to_zero_var(&r),
+            want.is_zero(),
+            "zero test {r:x?}"
         );
     }
+}
+
+#[test]
+fn carry_free_chains_up_to_and_past_the_magnitude_bounds() {
+    use bcwan_crypto::field_core::{MAX_MAG, MUL_MAX_MAG};
+    let p = p();
+    let mut rng = StdRng::seed_from_u64(0x3a6);
+    // p − 1 has every limb near the top of its range and 0's negation has
+    // every limb at 2·(m + 1)·p's: the worst cases for carry-free growth.
+    let mut seeds = vec![fe(&p.sub(&BigUint::one())), FieldElement::ZERO.negate()];
+    for _ in 0..40 {
+        seeds.push(fe(&random_element(&mut rng)));
+    }
+    for (i, seed) in seeds.iter().enumerate() {
+        let other = fe(&random_element(&mut rng));
+        let (mut a, mut want) = (*seed, seed.to_biguint());
+        // Grow the magnitude one op at a time through every value up to
+        // one step past MUL_MAX_MAG, multiplying and squaring at each.
+        let mut step = 0;
+        while a.magnitude() <= MUL_MAX_MAG {
+            (a, want) = match step % 4 {
+                0 => (a.add(seed), want.add_mod(&seed.to_biguint(), &p)),
+                1 => (a.negate(), BigUint::zero().sub_mod(&want, &p)),
+                2 => (a.sub(&FieldElement::ONE), want.sub_mod(&BigUint::one(), &p)),
+                _ => (a.double(), want.add_mod(&want, &p)),
+            };
+            step += 1;
+            assert_eq!(a.to_biguint(), want, "seed {i}, step {step}");
+            assert_eq!(
+                a.mul(&other).to_biguint(),
+                want.mul_mod(&other.to_biguint(), &p)
+            );
+            assert_eq!(a.sqr().to_biguint(), want.mul_mod(&want, &p));
+            assert_eq!(a.mul(&a).magnitude(), 1);
+        }
+        assert!(a.magnitude() > MUL_MAX_MAG, "the chain went one step past");
+        // Keep going to the hard ceiling: sums and negations weakly
+        // normalize rather than pass MAX_MAG.
+        for step in 0..200 {
+            (a, want) = if step % 3 == 0 {
+                (a.negate(), BigUint::zero().sub_mod(&want, &p))
+            } else {
+                (a.add(&a), want.add_mod(&want, &p))
+            };
+            assert!(
+                a.magnitude() <= MAX_MAG,
+                "seed {i}: magnitude {}",
+                a.magnitude()
+            );
+            assert_eq!(a.to_biguint(), want, "seed {i}, ceiling step {step}");
+        }
+        assert_eq!(
+            a.mul(&other).to_biguint(),
+            want.mul_mod(&other.to_biguint(), &p)
+        );
+        assert_eq!(
+            a.invert().mul(&a).to_biguint(),
+            BigUint::from_u64(u64::from(!want.is_zero()))
+        );
+    }
+}
+
+#[test]
+fn non_canonical_encodings_observe_canonical_values() {
+    // Built by carry-free arithmetic, whose limbs are exactly the sums:
+    // p − 1 plus 1 has the limbs of p, and so on.
+    let p = p();
+    let pm1 = fe(&p.sub(&BigUint::one()));
+    let one = FieldElement::ONE;
+    let fold = FieldElement::from_u64(0x1_0000_03D1);
+    let two = FieldElement::from_u64(2);
+    let cases = [
+        ("p", pm1.add(&one), BigUint::zero()),
+        ("2p", pm1.add(&pm1).add(&two), BigUint::zero()),
+        ("p + 1", pm1.add(&two), BigUint::one()),
+        (
+            "2^256 − 1 (all-ones limbs)",
+            pm1.add(&fold),
+            BigUint::from_u64(0x1_0000_03D0),
+        ),
+        ("4p (−0)", FieldElement::ZERO.negate(), BigUint::zero()),
+        ("x − x", pm1.sub(&pm1), BigUint::zero()),
+        (
+            "p + 977",
+            pm1.add(&FieldElement::from_u64(978)),
+            BigUint::from_u64(977),
+        ),
+    ];
+    for (name, v, want) in cases {
+        assert!(!v.is_normalized(), "{name} must stay lazily reduced");
+        let canonical = FieldElement::from_biguint(&want).expect("< p");
+        assert_eq!(v, canonical, "{name}: ==");
+        assert_eq!(canonical, v, "{name}: == (swapped)");
+        assert_eq!(v.is_zero(), want.is_zero(), "{name}: is_zero");
+        assert_eq!(v.is_odd(), want.bit(0), "{name}: is_odd");
+        assert_eq!(v.to_biguint(), want, "{name}: to_bytes_be");
+        assert_eq!(
+            v.normalize().to_bytes_be(),
+            canonical.to_bytes_be(),
+            "{name}"
+        );
+        assert_eq!(format!("{v:?}"), format!("{canonical:?}"), "{name}: Debug");
+    }
+    // Distinct values stay distinct however they are encoded.
+    assert_ne!(pm1.add(&two), FieldElement::ZERO);
+    assert_ne!(pm1.add(&one), FieldElement::ONE);
 }
 
 #[test]

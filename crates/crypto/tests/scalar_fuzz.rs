@@ -1,15 +1,19 @@
 //! Randomized equivalence tests for the Montgomery `Scalar` type and for
-//! batch signature verification.
+//! signature verification.
 //!
 //! `Scalar` replaced `BigUint` arithmetic mod `n` on the ECDSA hot path;
 //! like the field layer it is a pure speedup, so every operation must be
 //! bit-identical to the generic big-integer oracle — including at the
 //! awkward spots: values adjacent to `n`, to `n/2` (the low-S boundary)
-//! and around limb carries. Batch verification likewise must agree with
-//! the per-signature verdicts on every input, and name the first bad
-//! index when it rejects.
+//! and around limb carries. The variable-time inverse must equal the
+//! Fermat one. Single verification must give a textbook double-and-add
+//! verifier's verdict on every signature and on its mutations, and batch
+//! verification must agree with the per-signature verdicts on every input
+//! and name the first bad index when it rejects.
 
 use bcwan_crypto::ecdsa::{batch_verify, EcdsaPrivateKey, EcdsaPublicKey, Signature};
+use bcwan_crypto::field::FieldElement;
+use bcwan_crypto::secp256k1::{AffinePoint, JacobianPoint, GENERATOR};
 use bcwan_crypto::sha256::sha256;
 use bcwan_crypto::{BigUint, Scalar};
 use rand::rngs::StdRng;
@@ -114,6 +118,37 @@ fn invert_matches_oracle() {
 }
 
 #[test]
+fn invert_vartime_matches_fermat_and_oracle() {
+    let mut rng = StdRng::seed_from_u64(0x1a7e);
+    let n = n();
+    let mut values = interesting_values(&mut rng, 40);
+    // Powers of two, and long runs of trailing zeros under random odd
+    // heads and below n: the shapes that stretch safegcd's zero-skipping
+    // divsteps.
+    for k in 0..256 {
+        values.push(BigUint::one().shl(k));
+        values.push(n.sub(&BigUint::one().shl(k)));
+        let mut head = [0u8; 8];
+        rng.fill_bytes(&mut head);
+        let mut odd = BigUint::from_bytes_be(&head);
+        odd.set_bit(0);
+        values.push(odd.shl(k).rem(&n));
+    }
+    for (i, v) in values.iter().enumerate() {
+        let red = v.rem(&n);
+        let s = from_big(v);
+        let fast = s.invert_vartime();
+        assert_eq!(fast, s.invert(), "invert_vartime vs Fermat, case {i}");
+        if red.is_zero() {
+            assert!(fast.is_zero(), "0⁻¹ convention, case {i}");
+            continue;
+        }
+        let oracle = red.mod_inverse(&n).expect("n prime, value non-zero");
+        assert_eq!(to_big(&fast), oracle, "invert_vartime {i}");
+    }
+}
+
+#[test]
 fn strict_parse_and_is_high_match_oracle() {
     let mut rng = StdRng::seed_from_u64(0xb0b);
     let n = n();
@@ -209,4 +244,146 @@ fn batch_rejects_swapped_digests() {
     let items: Vec<(&[u8; 32], &Signature, &EcdsaPublicKey)> =
         (0..8).map(|i| (&digests[i], &sigs[i], &pubs[i])).collect();
     assert_eq!(batch_verify(&items), Err(2));
+}
+
+/// Textbook ECDSA verification with the Fermat inverse and double-and-add
+/// products: the oracle for `verify_digest`.
+fn reference_verdict(q: &AffinePoint, digest: &[u8; 32], sig: &[u8; 64]) -> bool {
+    let scalar = |b: &[u8]| Scalar::from_bytes_be(b.try_into().expect("32 bytes"));
+    let (Some(r), Some(s)) = (scalar(&sig[..32]), scalar(&sig[32..])) else {
+        return false;
+    };
+    if r.is_zero() || s.is_zero() {
+        return false;
+    }
+    let w = s.invert();
+    let z = Scalar::reduce_bytes_be(digest);
+    let g = JacobianPoint::from_affine(&GENERATOR);
+    let q = JacobianPoint::from_affine(q);
+    match g
+        .scalar_mul(&z.mul(&w))
+        .add(&q.scalar_mul(&r.mul(&w)))
+        .to_affine()
+    {
+        AffinePoint::Infinity => false,
+        AffinePoint::Coords { x, .. } => Scalar::reduce_bytes_be(&x.to_bytes_be()) == r,
+    }
+}
+
+/// Signatures checked against the reference: CI runs this file in release
+/// at the full count; the debug tier-1 run takes a twentieth.
+const VERIFY_TRIPLES: usize = if cfg!(debug_assertions) { 500 } else { 10_000 };
+
+#[test]
+fn verify_matches_double_and_add_reference() {
+    let mut rng = StdRng::seed_from_u64(0x7e51f);
+    let n_bytes: [u8; 32] = n().to_bytes_be_padded(32).unwrap().try_into().unwrap();
+    let mut accepted = 0;
+    for i in 0..VERIFY_TRIPLES {
+        let key = EcdsaPrivateKey::generate(&mut rng);
+        let pk = key.public_key();
+        let q = AffinePoint::from_compressed(&pk.to_bytes()).expect("valid key");
+        let mut digest = [0u8; 32];
+        rng.fill_bytes(&mut digest);
+        let sig = key.sign_digest(&digest).to_bytes();
+        // The signature as made, then one mutation in turn: a flipped
+        // digest bit, r and s swapped, s negated (high-S, still valid),
+        // a digest ≡ 0 (mod n).
+        let (mut d2, mut s2) = (digest, sig);
+        match i % 4 {
+            0 => d2[rng.gen_range(0..32)] ^= 1u8 << rng.gen_range(0..8u32),
+            1 => {
+                s2[..32].copy_from_slice(&sig[32..]);
+                s2[32..].copy_from_slice(&sig[..32]);
+            }
+            2 => {
+                let s = Scalar::from_bytes_be(sig[32..].try_into().unwrap()).unwrap();
+                s2[32..].copy_from_slice(&s.negate().to_bytes_be());
+            }
+            _ => d2 = if i % 8 == 3 { [0; 32] } else { n_bytes },
+        }
+        for (digest, sig) in [(&digest, &sig), (&d2, &s2)] {
+            let want = reference_verdict(&q, digest, sig);
+            let parsed = Signature::from_bytes(sig).expect("r, s in [1, n−1]");
+            assert_eq!(
+                pk.verify_digest(digest, &parsed),
+                want,
+                "triple {i}, mutation {}",
+                i % 4
+            );
+            accepted += usize::from(want);
+        }
+    }
+    // Every original and every high-S twin verifies; the other mutations
+    // do not.
+    assert_eq!(accepted, VERIFY_TRIPLES + VERIFY_TRIPLES / 4);
+}
+
+#[test]
+fn verify_accepts_a_point_whose_x_is_r_plus_n() {
+    // A point R with x(R) in [n, p) signs as r = x − n, and only the
+    // second x-candidate of verification (r + n) matches it. Build R from
+    // x = r + n, pick s and z, and recover the one key the signature
+    // verifies under: Q = r⁻¹·(s·R − z·G). Both ends of the range: r small,
+    // and r just below p − n, where x = r + n is just below p.
+    let n = n();
+    let p = BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+        .unwrap();
+    let p_minus_n = p.sub(&n);
+    let g = JacobianPoint::from_affine(&GENERATOR);
+    let mut rng = StdRng::seed_from_u64(0x4a11a5);
+    let mut made = 0;
+    for start in [BigUint::one(), p_minus_n.sub(&BigUint::from_u64(64))] {
+        let mut r_big = start;
+        let (r_pt, r_big) = loop {
+            let x = FieldElement::from_biguint(&r_big.add(&n)).expect("r + n < p");
+            if let Some(y) = x.sqr().mul(&x).add(&FieldElement::from_u64(7)).sqrt() {
+                break (
+                    AffinePoint::Coords {
+                        x,
+                        y: y.normalize(),
+                    },
+                    r_big,
+                );
+            }
+            r_big = r_big.add(&BigUint::one());
+        };
+        assert!(r_big < p_minus_n);
+        let r = from_big(&r_big);
+        let mut z_bytes = [0u8; 32];
+        rng.fill_bytes(&mut z_bytes);
+        let z = Scalar::reduce_bytes_be(&z_bytes);
+        let s = Scalar::from_u64(rng.gen_range(1..u64::MAX));
+        let q = JacobianPoint::from_affine(&r_pt)
+            .scalar_mul(&s)
+            .add(&g.scalar_mul(&z).neg())
+            .scalar_mul(&r.invert())
+            .to_affine();
+        let pk = EcdsaPublicKey::from_bytes(&q.to_compressed()).unwrap();
+        let mut sig_bytes = [0u8; 64];
+        sig_bytes[..32].copy_from_slice(&r.to_bytes_be());
+        sig_bytes[32..].copy_from_slice(&s.to_bytes_be());
+        let sig = Signature::from_bytes(&sig_bytes).unwrap();
+        let digest = z.to_bytes_be();
+        assert!(pk.verify_digest(&digest, &sig), "r = {r_big:?}");
+        assert!(reference_verdict(&q, &digest, &sig_bytes));
+        // The r-only candidate misses: x(R) itself is not r.
+        let AffinePoint::Coords { x, .. } = r_pt else {
+            unreachable!()
+        };
+        assert_ne!(x.to_biguint(), r_big);
+        // A neighbouring r is refused.
+        let mut wrong = sig_bytes;
+        wrong[..32].copy_from_slice(&r.add(&Scalar::ONE).to_bytes_be());
+        assert!(!pk.verify_digest(&digest, &Signature::from_bytes(&wrong).unwrap()));
+        // In a batch, the even-y lift of r is not R: the sub-batch falls
+        // back to per-signature verification and still accepts.
+        let (digests, sigs, pubs) = valid_batch(&mut rng, 7, 2);
+        let mut items: Vec<(&[u8; 32], &Signature, &EcdsaPublicKey)> =
+            (0..7).map(|i| (&digests[i], &sigs[i], &pubs[i])).collect();
+        items.insert(3, (&digest, &sig, &pk));
+        assert_eq!(batch_verify(&items), Ok(()));
+        made += 1;
+    }
+    assert_eq!(made, 2);
 }
