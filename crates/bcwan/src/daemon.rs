@@ -11,7 +11,7 @@
 use crate::costs::CostModel;
 use bcwan_chain::{
     BlockAction, Chain, ChainError, HashedBlock, HashedTx, Mempool, MempoolError, ReorgInfo,
-    SigCache, Transaction,
+    Transaction,
 };
 use bcwan_p2p::RelayState;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
@@ -93,19 +93,12 @@ impl std::fmt::Debug for Daemon {
 impl Daemon {
     /// Wraps a chain into a fresh daemon. The mempool shares the chain's
     /// signature cache, so scripts verified at admission are not re-run
-    /// when the containing block connects.
+    /// when the containing block connects. (The simulator binds every
+    /// host to one memo: it hands in `chain.with_sig_cache(shared)`.)
     pub fn new(chain: Chain) -> Self {
-        let cache = chain.sig_cache().clone();
-        Self::with_sig_cache(chain, cache)
-    }
-
-    /// [`Daemon::new`] with the verification memo handed in: chain and
-    /// mempool are both bound to `cache` (which the simulator shares
-    /// across all of its hosts).
-    pub fn with_sig_cache(chain: Chain, cache: Arc<SigCache>) -> Self {
         Daemon {
-            chain: chain.with_sig_cache(cache.clone()),
-            mempool: Mempool::with_cache(cache),
+            mempool: Mempool::with_cache(chain.sig_cache().clone()),
+            chain,
             relay: RelayState::new(),
             busy_until: SimTime::ZERO,
             stats: DaemonStats::default(),
@@ -249,7 +242,7 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcwan_chain::{Block, ChainParams, StallModel, TxOut, Wallet};
+    use bcwan_chain::{Block, ChainParams, SigCache, StallModel, TxOut, Wallet};
     use bcwan_script::Script;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -369,7 +362,7 @@ mod tests {
         let mut daemons: Vec<Daemon> = (0..n)
             .map(|_| {
                 let chain = Chain::new(params.clone(), genesis.clone());
-                Daemon::with_sig_cache(chain, cache.clone())
+                Daemon::new(chain.with_sig_cache(cache.clone()))
             })
             .collect();
         let mut rng = SimRng::seed_from_u64(3);
@@ -478,7 +471,7 @@ mod tests {
         let store = bcwan_chain::StoreConfig::default();
         let chain = Chain::create_with_store(params.clone(), genesis, &dir, store.clone()).unwrap();
         let cache = Arc::new(SigCache::default());
-        let mut daemon = Daemon::with_sig_cache(chain, cache.clone());
+        let mut daemon = Daemon::new(chain.with_sig_cache(cache.clone()));
 
         // Crash and warm restart: the store reopens into a new `Chain`.
         daemon.crash_restart(SimTime::ZERO);

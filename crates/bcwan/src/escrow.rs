@@ -210,7 +210,7 @@ pub fn extract_key_from_claim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcwan_chain::{validate_transaction, Chain, ChainParams};
+    use bcwan_chain::{validate_transaction, Chain, ChainParams, SigCache, TxError, UtxoSet};
     use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -253,6 +253,22 @@ mod tests {
         }
     }
 
+    /// [`validate_transaction`] of `tx` with an empty memo.
+    fn validate(
+        tx: &Transaction,
+        utxo: &UtxoSet,
+        height: u64,
+        params: &ChainParams,
+    ) -> Result<u64, TxError> {
+        validate_transaction(
+            &tx.clone().into(),
+            utxo,
+            height,
+            params,
+            &SigCache::default(),
+        )
+    }
+
     /// Height at which the genesis coin is mature.
     fn mature(s: &Setup) -> u64 {
         s.params.coinbase_maturity
@@ -274,8 +290,8 @@ mod tests {
         assert_eq!(escrow.tx.outputs[0].value, 100);
         assert_eq!(escrow.tx.outputs[1].value, 9_890);
         assert_eq!(escrow.refund_height, REFUND_DELTA);
-        let fee = validate_transaction(&escrow.tx, s.chain.utxo(), mature(&s), &s.params)
-            .expect("escrow valid");
+        let fee =
+            validate(&escrow.tx, s.chain.utxo(), mature(&s), &s.params).expect("escrow valid");
         assert_eq!(fee, 10);
     }
 
@@ -305,7 +321,7 @@ mod tests {
             &s.e_sk,
             5,
         );
-        let fee = validate_transaction(&claim, &utxo, mature(&s), &s.params)
+        let fee = validate(&claim, &utxo, mature(&s), &s.params)
             .expect("claim valid without any lock time");
         assert_eq!(fee, 5);
 
@@ -341,7 +357,7 @@ mod tests {
             &wrong_sk,
             5,
         );
-        assert!(validate_transaction(&claim, &utxo, mature(&s), &s.params).is_err());
+        assert!(validate(&claim, &utxo, mature(&s), &s.params).is_err());
     }
 
     #[test]
@@ -363,9 +379,9 @@ mod tests {
 
         let refund = build_refund(&s.recipient, &escrow, 100, 5);
         // Too early: the transaction itself is not final.
-        assert!(validate_transaction(&refund, &utxo, 50, &s.params).is_err());
+        assert!(validate(&refund, &utxo, 50, &s.params).is_err());
         // After the lock height it validates.
-        let fee = validate_transaction(&refund, &utxo, escrow.refund_height, &s.params)
+        let fee = validate(&refund, &utxo, escrow.refund_height, &s.params)
             .expect("refund valid after lock height");
         assert_eq!(fee, 5);
     }
@@ -395,7 +411,7 @@ mod tests {
             refund_height: escrow.refund_height,
         };
         let theft = build_refund(&s.gateway, &fake, 100, 5);
-        assert!(validate_transaction(&theft, &utxo, escrow.refund_height + 10, &s.params).is_err());
+        assert!(validate(&theft, &utxo, escrow.refund_height + 10, &s.params).is_err());
     }
 
     #[test]

@@ -596,7 +596,7 @@ impl World {
             hosts.push(Node::new(
                 NodeId(i as u32),
                 wallet,
-                Daemon::with_sig_cache(chain, sig_cache.clone()),
+                Daemon::new(chain.with_sig_cache(sig_cache.clone())),
                 rng.fork(i as u64 + 1),
                 terms.clone(),
                 address_book.clone(),

@@ -11,8 +11,8 @@
 
 use bcwan::escrow;
 use bcwan_chain::{
-    validate_transaction, Block, BlockAction, Chain, ChainParams, OutPoint, Transaction, TxOut,
-    UtxoSet, Wallet,
+    validate_transaction, Block, BlockAction, Chain, ChainParams, OutPoint, SigCache, Transaction,
+    TxOut, UtxoSet, Wallet,
 };
 use bcwan_crypto::{generate_keypair, RsaKeySize};
 use bcwan_script::Script;
@@ -102,7 +102,14 @@ fn unclaimed_escrow_refunds_after_locktime_and_rejects_late_claim() {
     let early_height = chain.height() + 1;
     assert!(early_height < escrow.refund_height, "still inside the lock");
     assert!(
-        validate_transaction(&refund, chain.utxo(), early_height, chain.params()).is_err(),
+        validate_transaction(
+            &refund.clone().into(),
+            chain.utxo(),
+            early_height,
+            chain.params(),
+            &SigCache::default()
+        )
+        .is_err(),
         "CLTV refund invalid before the lock height"
     );
     let premature = mine_on(&chain, chain.tip(), early_height, vec![refund.clone()]);
@@ -123,9 +130,14 @@ fn unclaimed_escrow_refunds_after_locktime_and_rejects_late_claim() {
     }
 
     // …after which the same refund transaction confirms.
-    assert!(
-        validate_transaction(&refund, chain.utxo(), escrow.refund_height, chain.params()).is_ok()
-    );
+    assert!(validate_transaction(
+        &refund.clone().into(),
+        chain.utxo(),
+        escrow.refund_height,
+        chain.params(),
+        &SigCache::default()
+    )
+    .is_ok());
     let b = mine_on(
         &chain,
         chain.tip(),
@@ -149,7 +161,14 @@ fn unclaimed_escrow_refunds_after_locktime_and_rejects_late_claim() {
     );
     let late_height = chain.height() + 1;
     assert!(
-        validate_transaction(&claim, chain.utxo(), late_height, chain.params()).is_err(),
+        validate_transaction(
+            &claim.clone().into(),
+            chain.utxo(),
+            late_height,
+            chain.params(),
+            &SigCache::default()
+        )
+        .is_err(),
         "escrow outpoint already spent by the refund"
     );
     let late = mine_on(&chain, chain.tip(), late_height, vec![claim]);

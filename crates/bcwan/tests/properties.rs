@@ -118,7 +118,11 @@ fn escrow_value_balance() {
             height,
         );
         // Outputs: escrow + optional change; total = coin - fee.
-        assert_eq!(escrow.tx.total_output(), coin_value - fee, "seed {seed:#x}");
+        assert_eq!(
+            escrow.tx.total_output(),
+            Some(coin_value - fee),
+            "seed {seed:#x}"
+        );
         assert_eq!(escrow.tx.outputs[0].value, reward, "seed {seed:#x}");
         assert_eq!(
             escrow.refund_height,

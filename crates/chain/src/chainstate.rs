@@ -6,9 +6,7 @@ use crate::params::ChainParams;
 use crate::store::{ChainStore, CoinsCache, Probe, StoreConfig, StoreError, StoreStats};
 use crate::tx::{OutPoint, Transaction, TxId, TxOut};
 use crate::utxo::{UndoData, UtxoSet};
-use crate::validate::{
-    validate_block_digests, BlockError, BlockValidationOptions, Digests, SigCache,
-};
+use crate::validate::{validate_block_digests, BlockError, Digests, SigCache};
 use crate::wallet::Address;
 use bcwan_script::templates::p2pkh;
 use std::collections::HashMap;
@@ -529,15 +527,6 @@ impl Chain {
         self
     }
 
-    /// Validation options for connecting blocks to this chain.
-    fn validation_options(&self) -> BlockValidationOptions<'_> {
-        BlockValidationOptions {
-            cache: Some(&self.sig_cache),
-            workers: 0, // auto
-            batch: true,
-        }
-    }
-
     /// Lifetime activity counters.
     pub fn stats(&self) -> ChainStats {
         self.stats
@@ -826,7 +815,7 @@ impl Chain {
             self.coins.set(),
             height,
             &self.params,
-            &self.validation_options(),
+            &self.sig_cache,
         )?;
         // Validation walked the block over an overlay of this very set
         // with the checks `apply_block` repeats, so it cannot fail.

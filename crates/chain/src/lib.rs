@@ -16,7 +16,8 @@
 //!   model** behind the paper's Fig. 6,
 //! - [`utxo`] — the UTXO set with reorg-grade undo data,
 //! - [`validate`] — transaction and block validation (full script
-//!   verification, BIP-65 lock-time finality, coinbase maturity),
+//!   verification, BIP-65 lock-time finality, coinbase maturity, checked
+//!   value sums): one path through the [`SigCache`], with no settings,
 //! - [`mempool`] — first-seen transaction pool with fee-ordered templates,
 //! - [`chainstate`] — best-chain selection and reorganization,
 //! - [`codec`] — canonical binary decoding shared by the wire layer and
@@ -70,8 +71,5 @@ pub use params::{ChainParams, StallModel};
 pub use store::{CoinsCache, StoreConfig, StoreError};
 pub use tx::{OutPoint, Transaction, TxId, TxIn, TxOut, SEQUENCE_FINAL};
 pub use utxo::{UtxoEntry, UtxoSet};
-pub use validate::{
-    validate_block, validate_block_with, validate_transaction, validate_transaction_cached,
-    BlockError, BlockValidationOptions, SigCache, SigKind, TxError,
-};
+pub use validate::{validate_block, validate_transaction, BlockError, SigCache, SigKind, TxError};
 pub use wallet::{Address, Wallet};

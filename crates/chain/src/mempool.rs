@@ -9,7 +9,7 @@ use crate::hashed::HashedTx;
 use crate::params::ChainParams;
 use crate::tx::{txids_of, OutPoint, Transaction, TxId};
 use crate::utxo::UtxoSet;
-use crate::validate::{validate_transaction_cached, SigCache, TxError};
+use crate::validate::{validate_transaction, SigCache, TxError};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -103,9 +103,9 @@ pub struct Mempool {
     created: HashMap<OutPoint, crate::utxo::UtxoEntry>,
     next_seq: u64,
     stats: MempoolStats,
-    /// Shared signature cache populated at admission so block connect can
-    /// skip re-verifying the same spends. `None` = caching disabled.
-    sig_cache: Option<Arc<SigCache>>,
+    /// Signature cache populated at admission; shared with a chain, it
+    /// lets block connect skip re-verifying the same spends.
+    sig_cache: Arc<SigCache>,
 }
 
 impl fmt::Debug for Mempool {
@@ -117,7 +117,7 @@ impl fmt::Debug for Mempool {
 }
 
 impl Mempool {
-    /// An empty pool (no signature cache).
+    /// An empty pool with a private signature cache.
     pub fn new() -> Self {
         Mempool::default()
     }
@@ -126,7 +126,7 @@ impl Mempool {
     /// done at admission are not repeated when a block later connects.
     pub fn with_cache(cache: Arc<SigCache>) -> Self {
         Mempool {
-            sig_cache: Some(cache),
+            sig_cache: cache,
             ..Mempool::default()
         }
     }
@@ -192,13 +192,7 @@ impl Mempool {
             created: &self.created,
             spent: &self.by_outpoint,
         };
-        let fee = match validate_transaction_cached(
-            &tx,
-            &view,
-            height,
-            params,
-            self.sig_cache.as_deref(),
-        ) {
+        let fee = match validate_transaction(&tx, &view, height, params, &self.sig_cache) {
             Ok(fee) => fee,
             Err(e) => {
                 self.stats.rejected_invalid += 1;
@@ -386,11 +380,7 @@ impl Mempool {
         // the new UTXO view (cheap — the shared sig cache still holds
         // their script verdicts), everything else stays out.
         let saved_stats = self.stats;
-        let cache = self.sig_cache.take();
-        *self = Mempool {
-            sig_cache: cache,
-            ..Mempool::default()
-        };
+        *self = Mempool::with_cache(self.sig_cache.clone());
         // Fixpoint over dependency order: a child only re-admits after
         // its pooled parent, so loop until no transaction makes it in.
         let mut progressed = true;

@@ -167,9 +167,11 @@ impl Transaction {
         self.serialize().len()
     }
 
-    /// Sum of output values.
-    pub fn total_output(&self) -> u64 {
-        self.outputs.iter().map(|o| o.value).sum()
+    /// Sum of output values; `None` if it passes `u64::MAX`.
+    pub fn total_output(&self) -> Option<u64> {
+        self.outputs
+            .iter()
+            .try_fold(0u64, |sum, o| sum.checked_add(o.value))
     }
 
     /// The SIGHASH_ALL signature hash for `input_index`.
@@ -307,8 +309,12 @@ mod tests {
     #[test]
     fn totals_and_size() {
         let tx = sample_tx();
-        assert_eq!(tx.total_output(), 50);
+        assert_eq!(tx.total_output(), Some(50));
         assert_eq!(tx.size(), tx.serialize().len());
+        let mut rich = tx.clone();
+        rich.outputs.extend(tx.outputs.clone());
+        rich.outputs[0].value = u64::MAX;
+        assert_eq!(rich.total_output(), None, "past u64::MAX is no total");
     }
 
     #[test]

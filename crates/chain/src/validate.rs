@@ -8,13 +8,16 @@ use crate::tx::{Transaction, TxId};
 use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
 use bcwan_crypto::ecdsa::{batch_verify, EcdsaPublicKey, Signature};
 use bcwan_crypto::Sha256;
-use bcwan_script::interpreter::{verify_spend, DeferringChecker, DigestChecker, ExecContext};
+use bcwan_script::interpreter::{
+    verify_spend, DeferringChecker, DigestChecker, ExecContext, SignatureChecker,
+};
 use bcwan_script::{Opcode, Script, ScriptError};
 use bcwan_sim::metrics::Registry;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Why a transaction was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +65,8 @@ pub enum TxError {
     /// it is byte-identical to an earlier transaction (in practice a
     /// replayed coinbase; the rule is Bitcoin's BIP-30).
     DuplicateOutput(crate::tx::OutPoint),
+    /// The input or the output values sum past `u64::MAX`.
+    ValueOverflow,
 }
 
 impl From<UtxoError> for TxError {
@@ -95,6 +100,7 @@ impl fmt::Display for TxError {
             },
             TxError::ValueInOpReturn => write!(f, "op_return output carries value"),
             TxError::DuplicateOutput(op) => write!(f, "output {op} already exists unspent"),
+            TxError::ValueOverflow => write!(f, "values sum past u64::MAX"),
         }
     }
 }
@@ -138,6 +144,9 @@ pub enum BlockError {
         /// Subsidy plus collected fees.
         allowed: u64,
     },
+    /// The coinbase's outputs, or the subsidy plus the fees, sum past
+    /// `u64::MAX`.
+    ValueOverflow,
     /// A transaction in the block is invalid.
     BadTransaction {
         /// Index within the block.
@@ -168,6 +177,7 @@ impl fmt::Display for BlockError {
             BlockError::ExcessiveCoinbase { paid, allowed } => {
                 write!(f, "coinbase pays {paid}, allowed {allowed}")
             }
+            BlockError::ValueOverflow => write!(f, "coinbase values sum past u64::MAX"),
             BlockError::BadTransaction { index, error } => {
                 write!(f, "transaction {index} invalid: {error}")
             }
@@ -224,11 +234,12 @@ impl SigKind {
 /// `connect_block` then skips re-verifying the same spends.
 ///
 /// Eviction is two-generation (as in Bitcoin Core's sigcache): when the
-/// current generation fills half the capacity it becomes the previous
-/// generation and a fresh one starts, so memory is bounded and recently
-/// verified entries survive at least one rotation. Only *successful*
-/// verifications are stored; failures always re-run.
-#[derive(Debug)]
+/// current generation holds `SIG_CACHE_GENERATION` entries it becomes the
+/// previous generation and a fresh one starts, so memory is bounded and
+/// recently verified entries survive at least one rotation. Only
+/// *successful* verifications are stored; failures always re-run, so an
+/// empty cache gives every verdict a full one does.
+#[derive(Debug, Default)]
 pub struct SigCache {
     inner: Mutex<SigCacheInner>,
     hits: AtomicU64,
@@ -237,33 +248,16 @@ pub struct SigCache {
     rsa_misses: AtomicU64,
 }
 
-#[derive(Debug)]
+/// Entries per [`SigCache`] generation: the cache holds at most twice this.
+const SIG_CACHE_GENERATION: usize = 1 << 15;
+
+#[derive(Debug, Default)]
 struct SigCacheInner {
     current: HashSet<[u8; 32]>,
     previous: HashSet<[u8; 32]>,
-    /// Generation size: half the nominal capacity.
-    half: usize,
 }
 
 impl SigCache {
-    /// Default nominal capacity (entries across both generations).
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-    /// Creates a cache holding roughly `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        SigCache {
-            inner: Mutex::new(SigCacheInner {
-                current: HashSet::new(),
-                previous: HashSet::new(),
-                half: (capacity / 2).max(1),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            rsa_hits: AtomicU64::new(0),
-            rsa_misses: AtomicU64::new(0),
-        }
-    }
-
     /// The cache key for input `input_index` of transaction `txid`
     /// spending an output locked by `script_pubkey`.
     pub fn key(txid: &TxId, input_index: usize, script_pubkey: &Script) -> [u8; 32] {
@@ -306,7 +300,7 @@ impl SigCache {
     }
 
     fn insert_locked(inner: &mut SigCacheInner, key: [u8; 32]) {
-        if inner.current.len() >= inner.half {
+        if inner.current.len() >= SIG_CACHE_GENERATION {
             inner.previous = std::mem::take(&mut inner.current);
         }
         inner.current.insert(key);
@@ -357,12 +351,6 @@ impl SigCache {
         registry.set_counter("validate.sigcache.miss", self.misses());
         registry.set_counter("validate.sigcache.rsa.hit", self.rsa_hits());
         registry.set_counter("validate.sigcache.rsa.miss", self.rsa_misses());
-    }
-}
-
-impl Default for SigCache {
-    fn default() -> Self {
-        SigCache::new(Self::DEFAULT_CAPACITY)
     }
 }
 
@@ -417,10 +405,12 @@ fn validate_transaction_structure<'a, V: UtxoView>(
                 spend: height,
             });
         }
-        input_value += entry.output.value;
+        input_value = input_value
+            .checked_add(entry.output.value)
+            .ok_or(TxError::ValueOverflow)?;
         entries.push(entry);
     }
-    let output_value = tx.total_output();
+    let output_value = tx.total_output().ok_or(TxError::ValueOverflow)?;
     if output_value > input_value {
         return Err(TxError::ValueOutOfRange {
             input: input_value,
@@ -430,159 +420,119 @@ fn validate_transaction_structure<'a, V: UtxoView>(
     Ok((input_value - output_value, entries))
 }
 
-/// Verifies every input's script of a structurally valid `tx`,
-/// consulting and populating the memo when one comes with the
-/// transaction's id.
-fn verify_inputs(
-    tx: &Transaction,
-    entries: &[&UtxoEntry],
-    memo: Option<(&SigCache, TxId)>,
-) -> Result<(), TxError> {
-    for (i, (input, entry)) in tx.inputs.iter().zip(entries).enumerate() {
-        let script_pubkey = &entry.output.script_pubkey;
-        let key = memo.map(|(cache, txid)| (cache, SigCache::key(&txid, i, script_pubkey)));
-        if let Some((cache, key)) = &key {
-            if cache.contains(key, SigKind::of(script_pubkey)) {
-                continue;
-            }
-        }
-        let checker = DigestChecker {
-            digest: tx.sighash(i, script_pubkey),
-        };
-        let ctx = ExecContext {
-            checker: &checker,
-            lock_time: tx.lock_time,
-            input_final: input.is_final(),
-        };
-        match verify_spend(&input.script_sig, script_pubkey, &ctx) {
-            Ok(true) => {
-                if let Some((cache, key)) = key {
-                    cache.insert(key);
-                }
-            }
-            Ok(false) => {
-                return Err(TxError::ScriptFailed {
-                    input: i,
-                    error: None,
-                })
-            }
-            Err(e) => {
-                return Err(TxError::ScriptFailed {
-                    input: i,
-                    error: Some(e),
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a non-coinbase transaction against the UTXO set at `height`
+/// Validates a non-coinbase transaction against the UTXO view at `height`
 /// and returns its fee.
 ///
-/// Checks: structure, finality, input existence, coinbase maturity, value
-/// balance, and full script verification on every input.
+/// Everything that depends on the view is checked first: structure,
+/// finality, input existence, coinbase maturity and value balance. Then
+/// each input goes through `script_job` and `run_script_job` in order,
+/// stopping at the first failure: a spend `memo` already holds is accepted
+/// without a sighash or a script run, and a fresh success is recorded. An
+/// empty memo (`&SigCache::default()`) gives the same verdict.
 ///
 /// # Errors
 ///
 /// The specific [`TxError`].
 pub fn validate_transaction<V: UtxoView>(
-    tx: &Transaction,
-    utxo: &V,
-    height: u64,
-    params: &ChainParams,
-) -> Result<u64, TxError> {
-    let (fee, entries) = validate_transaction_structure(tx, utxo, height, params)?;
-    verify_inputs(tx, &entries, None)?;
-    Ok(fee)
-}
-
-/// [`validate_transaction`] with a shared [`SigCache`]: spends whose
-/// exact `(txid, input, script_pubkey)` already verified are accepted
-/// without computing a sighash or running the interpreter, and fresh
-/// successes are recorded.
-///
-/// # Errors
-///
-/// The specific [`TxError`].
-pub fn validate_transaction_cached<V: UtxoView>(
     tx: &HashedTx,
     utxo: &V,
     height: u64,
     params: &ChainParams,
-    cache: Option<&SigCache>,
+    memo: &SigCache,
 ) -> Result<u64, TxError> {
     let (fee, entries) = validate_transaction_structure(tx, utxo, height, params)?;
-    verify_inputs(tx, &entries, cache.map(|cache| (cache, tx.txid())))?;
+    for (i, entry) in entries.iter().enumerate() {
+        if let Some(job) = script_job(tx, tx.txid(), 0, i, &entry.output.script_pubkey, memo) {
+            run_script_job(&job, memo)?;
+        }
+    }
     Ok(fee)
 }
 
-/// Tuning for [`validate_block_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct BlockValidationOptions<'a> {
-    /// Shared signature cache consulted before (and populated after) each
-    /// script run. `None` disables caching.
-    pub cache: Option<&'a SigCache>,
-    /// Script-verification worker threads: `0` picks one per available
-    /// CPU, `1` forces the sequential path.
-    pub workers: usize,
-    /// Verify cache-miss ECDSA spends with randomized batch verification
-    /// (one multi-scalar multiplication per [`BATCH_CHUNK`] of jobs)
-    /// instead of one-at-a-time. Semantically identical to per-signature
-    /// verification: any batch failure falls back to sequential re-runs,
-    /// so the accept/reject decision and the reported error never change.
-    pub batch: bool,
+/// One input's script run: the spending transaction (whose unlocking
+/// script, sequence and lock time the interpreter reads), the spent
+/// script, the sighash, and the memo key a success is recorded under.
+/// Admission borrows the spent script from its view; block connect owns
+/// it ([`ScriptJob::detach`]), because its view moves on before any job
+/// runs.
+struct ScriptJob<'t, 's> {
+    tx: &'t Transaction,
+    /// Position in the block (`0` at admission).
+    tx_index: usize,
+    input_index: usize,
+    script_pubkey: Cow<'s, Script>,
+    digest: [u8; 32],
+    key: [u8; 32],
 }
 
-impl Default for BlockValidationOptions<'_> {
-    fn default() -> Self {
-        BlockValidationOptions {
-            cache: None,
-            workers: 0,
-            batch: true,
+impl<'t> ScriptJob<'t, '_> {
+    /// Runs the interpreter with `checker` answering signature checks.
+    fn run(&self, checker: &dyn SignatureChecker) -> Result<bool, ScriptError> {
+        let input = &self.tx.inputs[self.input_index];
+        let ctx = ExecContext {
+            checker,
+            lock_time: self.tx.lock_time,
+            input_final: input.is_final(),
+        };
+        verify_spend(&input.script_sig, &self.script_pubkey, &ctx)
+    }
+
+    /// The error this job's input is refused with.
+    fn failed(&self, error: Option<ScriptError>) -> TxError {
+        TxError::ScriptFailed {
+            input: self.input_index,
+            error,
+        }
+    }
+
+    /// The same job owning its spent script.
+    fn detach(self) -> ScriptJob<'t, 'static> {
+        ScriptJob {
+            tx: self.tx,
+            tx_index: self.tx_index,
+            input_index: self.input_index,
+            script_pubkey: Cow::Owned(self.script_pubkey.into_owned()),
+            digest: self.digest,
+            key: self.key,
         }
     }
 }
 
-/// One input's script verification, detached from the rolling UTXO view:
-/// everything the interpreter needs is snapshotted (digest computed, both
-/// scripts cloned) so jobs can run on any thread in any order. Only a
-/// memo miss becomes a job.
-struct ScriptJob {
+/// The one place an input becomes a job: looks input `input_index` of
+/// `tx` (whose id is `txid`), spending `script_pubkey`, up in `memo`, and
+/// only on a miss computes its sighash. `None` means the spend already
+/// verified.
+fn script_job<'t, 's>(
+    tx: &'t Transaction,
+    txid: TxId,
     tx_index: usize,
     input_index: usize,
-    digest: [u8; 32],
-    script_sig: Script,
-    script_pubkey: Script,
-    lock_time: u64,
-    input_final: bool,
-    /// Precomputed cache key (present iff a cache is configured).
-    key: Option<[u8; 32]>,
+    script_pubkey: &'s Script,
+    memo: &SigCache,
+) -> Option<ScriptJob<'t, 's>> {
+    let key = SigCache::key(&txid, input_index, script_pubkey);
+    if memo.contains(&key, SigKind::of(script_pubkey)) {
+        return None;
+    }
+    Some(ScriptJob {
+        tx,
+        tx_index,
+        input_index,
+        digest: tx.sighash(input_index, script_pubkey),
+        script_pubkey: Cow::Borrowed(script_pubkey),
+        key,
+    })
 }
 
-/// Runs one snapshotted job; inserts the key into `cache` on success.
-fn run_script_job(job: &ScriptJob, cache: Option<&SigCache>) -> Result<(), TxError> {
-    let checker = DigestChecker { digest: job.digest };
-    let ctx = ExecContext {
-        checker: &checker,
-        lock_time: job.lock_time,
-        input_final: job.input_final,
-    };
-    match verify_spend(&job.script_sig, &job.script_pubkey, &ctx) {
+/// Runs one job with an exact checker; records a success in `memo`.
+fn run_script_job(job: &ScriptJob<'_, '_>, memo: &SigCache) -> Result<(), TxError> {
+    match job.run(&DigestChecker { digest: job.digest }) {
         Ok(true) => {
-            if let (Some(cache), Some(key)) = (cache, job.key.as_ref()) {
-                cache.insert(*key);
-            }
+            memo.insert(job.key);
             Ok(())
         }
-        Ok(false) => Err(TxError::ScriptFailed {
-            input: job.input_index,
-            error: None,
-        }),
-        Err(e) => Err(TxError::ScriptFailed {
-            input: job.input_index,
-            error: Some(e),
-        }),
+        Ok(false) => Err(job.failed(None)),
+        Err(e) => Err(job.failed(Some(e))),
     }
 }
 
@@ -598,24 +548,24 @@ pub const BATCH_CHUNK: usize = 32;
 ///
 /// Each job first executes with a [`DeferringChecker`]: parseable ECDSA
 /// `(pubkey, signature)` pairs are recorded and assumed valid, malformed
-/// ones are rejected exactly. Three outcomes per job:
+/// ones are rejected exactly. Outcomes per job:
 ///
 /// - passed with nothing recorded — the run was exact; done;
 /// - passed with recorded pairs — the verdict is conditional on those
 ///   signatures, which go into one chunk-wide [`batch_verify`] call;
 /// - failed with nothing recorded — the failure is exact; reported;
 /// - anything else (failed with recorded pairs, or the chunk's batch
-///   rejected) — re-run sequentially with a real checker, because an
-///   optimistic `true` may have steered execution down a branch the real
-///   verdict wouldn't take.
+///   rejected) — re-run with [`run_script_job`], because an optimistic
+///   `true` may have steered execution down a branch the real verdict
+///   wouldn't take.
 ///
 /// The fallback makes the path semantically identical to per-signature
 /// verification: same accept/reject per spend, same error. Only the cost
 /// changes — on clean blocks (the overwhelming case) one multi-scalar
 /// multiplication replaces up to [`BATCH_CHUNK`] double-scalar ones.
 fn run_chunk_batched(
-    chunk: &[ScriptJob],
-    cache: Option<&SigCache>,
+    chunk: &[ScriptJob<'_, '_>],
+    memo: &SigCache,
     failures: &mut Vec<(usize, usize, TxError)>,
 ) {
     // Optimistic pass: (chunk-local job index, recorded pairs).
@@ -623,39 +573,16 @@ fn run_chunk_batched(
     let mut rerun: Vec<usize> = Vec::new();
     for (j, job) in chunk.iter().enumerate() {
         let checker = DeferringChecker::new();
-        let ctx = ExecContext {
-            checker: &checker,
-            lock_time: job.lock_time,
-            input_final: job.input_final,
-        };
-        let result = verify_spend(&job.script_sig, &job.script_pubkey, &ctx);
+        let result = job.run(&checker);
         let recorded = checker.into_recorded();
         match result {
-            Ok(true) if recorded.is_empty() => {
-                if let (Some(cache), Some(key)) = (cache, job.key.as_ref()) {
-                    cache.insert(*key);
-                }
-            }
+            Ok(true) if recorded.is_empty() => memo.insert(job.key),
             Ok(true) => deferred.push((j, recorded)),
             Ok(false) if recorded.is_empty() => {
-                failures.push((
-                    job.tx_index,
-                    job.input_index,
-                    TxError::ScriptFailed {
-                        input: job.input_index,
-                        error: None,
-                    },
-                ));
+                failures.push((job.tx_index, job.input_index, job.failed(None)));
             }
             Err(e) if recorded.is_empty() => {
-                failures.push((
-                    job.tx_index,
-                    job.input_index,
-                    TxError::ScriptFailed {
-                        input: job.input_index,
-                        error: Some(e),
-                    },
-                ));
+                failures.push((job.tx_index, job.input_index, job.failed(Some(e))));
             }
             Ok(false) | Err(_) => rerun.push(j),
         }
@@ -671,15 +598,11 @@ fn run_chunk_batched(
             })
             .collect();
         match batch_verify(&items) {
-            Ok(()) => {
-                // Every deferred signature is individually valid, so each
-                // optimistic run was identical to a real one: all pass.
-                for (j, _) in &deferred {
-                    if let (Some(cache), Some(key)) = (cache, chunk[*j].key.as_ref()) {
-                        cache.insert(*key);
-                    }
-                }
-            }
+            // Every deferred signature is individually valid, so each
+            // optimistic run was identical to a real one: all pass.
+            Ok(()) => deferred
+                .iter()
+                .for_each(|(j, _)| memo.insert(chunk[*j].key)),
             // Some signature in the chunk is bad. Re-run every deferred
             // job with a real checker for exact per-job verdicts (rare:
             // this only triggers on invalid blocks).
@@ -689,93 +612,57 @@ fn run_chunk_batched(
     rerun.sort_unstable();
     for j in rerun {
         let job = &chunk[j];
-        if let Err(error) = run_script_job(job, cache) {
+        if let Err(error) = run_script_job(job, memo) {
             failures.push((job.tx_index, job.input_index, error));
         }
     }
 }
 
-/// Runs the collected script jobs and returns the positionally-first
-/// failure as `(tx_index, error)`, or `None` if all verified.
+/// Runs the collected jobs on up to `cpus` threads and returns the
+/// positionally-first failure as `(tx_index, error)`, or `None` if all
+/// verified.
 ///
-/// The parallel path never aborts early: every job runs, all failures are
-/// collected, and the one with the smallest `(tx_index, input_index)` is
-/// reported — exactly what the sequential path (jobs are in that order)
-/// returns — so the accept/reject decision and the reported error are
-/// independent of thread count and scheduling. With `opts.batch` set the
-/// jobs are processed in fixed [`BATCH_CHUNK`]-sized chunks through
-/// [`run_chunk_batched`]; chunk boundaries depend only on job order, so
-/// the batches (and thus every verification outcome) are deterministic
-/// too.
+/// One worker loop: a worker claims the next whole [`BATCH_CHUNK`] from an
+/// atomic counter and runs it through [`run_chunk_batched`], so chunk
+/// boundaries — hence the batches and every verdict — depend only on job
+/// order. With one worker (one CPU, or at most one job) the loop runs
+/// inline, otherwise on a `std::thread::scope` pool. Nobody stops early:
+/// every chunk runs, and the failure with the smallest `(tx_index,
+/// input_index)` is reported — the one a sequential loop over the jobs
+/// (they are in that order) would hit first.
 fn run_script_jobs(
-    jobs: &[ScriptJob],
-    opts: &BlockValidationOptions<'_>,
+    jobs: &[ScriptJob<'_, '_>],
+    memo: &SigCache,
+    cpus: usize,
 ) -> Option<(usize, TxError)> {
-    if jobs.is_empty() {
-        return None;
-    }
-    let workers = match opts.workers {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        w => w,
-    }
-    .min(jobs.len());
-    if workers <= 1 {
-        if opts.batch {
-            let mut failures = Vec::new();
-            for chunk in jobs.chunks(BATCH_CHUNK) {
-                run_chunk_batched(chunk, opts.cache, &mut failures);
-                if !failures.is_empty() {
-                    break; // chunks are in job order: the min is in here
-                }
-            }
-            return failures
-                .into_iter()
-                .min_by_key(|(tx, input, _)| (*tx, *input))
-                .map(|(tx, _, error)| (tx, error));
-        }
-        for job in jobs {
-            if let Err(error) = run_script_job(job, opts.cache) {
-                return Some((job.tx_index, error));
-            }
-        }
-        return None;
-    }
     let next = AtomicUsize::new(0);
-    let failures: Mutex<Vec<(usize, usize, TxError)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                if opts.batch {
-                    loop {
-                        let base = next.fetch_add(BATCH_CHUNK, Ordering::Relaxed);
-                        if base >= jobs.len() {
-                            break;
-                        }
-                        let end = (base + BATCH_CHUNK).min(jobs.len());
-                        let mut local = Vec::new();
-                        run_chunk_batched(&jobs[base..end], opts.cache, &mut local);
-                        if !local.is_empty() {
-                            failures
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .extend(local);
-                        }
-                    }
-                } else {
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        if let Err(error) = run_script_job(job, opts.cache) {
-                            failures
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((job.tx_index, job.input_index, error));
-                        }
-                    }
-                }
-            });
+    let failures = Mutex::new(Vec::new());
+    let work = || loop {
+        let base = next.fetch_add(BATCH_CHUNK, Ordering::Relaxed);
+        if base >= jobs.len() {
+            break;
         }
-    });
+        let mut local = Vec::new();
+        run_chunk_batched(
+            &jobs[base..jobs.len().min(base + BATCH_CHUNK)],
+            memo,
+            &mut local,
+        );
+        if !local.is_empty() {
+            failures
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(local);
+        }
+    };
+    match cpus.min(jobs.len()) {
+        0 | 1 => work(),
+        workers => std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        }),
+    }
     failures
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -785,11 +672,9 @@ fn run_script_jobs(
 }
 
 /// Validates a block body against the UTXO state at `height` (the height
-/// this block would occupy). Header linkage is the chain's job; this
+/// this block would occupy), consulting and filling `memo` as
+/// [`validate_transaction`] does. Header linkage is the chain's job; this
 /// checks PoW, merkle, size, coinbase rules and every transaction.
-///
-/// Equivalent to [`validate_block_with`] under default options (no cache,
-/// auto-sized worker pool).
 ///
 /// # Errors
 ///
@@ -799,45 +684,11 @@ pub fn validate_block(
     utxo: &UtxoSet,
     height: u64,
     params: &ChainParams,
-) -> Result<(), BlockError> {
-    validate_block_with(
-        block,
-        utxo,
-        height,
-        params,
-        &BlockValidationOptions::default(),
-    )
-}
-
-/// [`validate_block`] with explicit fast-path options.
-///
-/// Validation runs in two passes. The sequential pass walks transactions in
-/// order against a borrow-only overlay of `utxo` (so intra-block chains
-/// work and the set is never copied), performs every context-dependent
-/// check, and snapshots each input's script job — sighash digest plus both
-/// scripts — before the overlay moves on. Jobs whose cache key is already
-/// present (verified at mempool admission) are dropped on the spot. The
-/// remaining context-free script runs then execute on a
-/// `std::thread::scope` worker pool (or inline when `workers == 1`).
-///
-/// A structural failure at transaction `s` stops job collection at `s`, so
-/// any script failure that surfaces is at an index `< s` and positionally
-/// precedes it; the reported error is therefore identical to fully
-/// sequential validation.
-///
-/// # Errors
-///
-/// The specific [`BlockError`].
-pub fn validate_block_with(
-    block: &Block,
-    utxo: &UtxoSet,
-    height: u64,
-    params: &ChainParams,
-    opts: &BlockValidationOptions<'_>,
+    memo: &SigCache,
 ) -> Result<(), BlockError> {
     let (txids, size) = block.txids_and_size();
     let digests = Digests::of(block, &txids, size);
-    validate_block_digests(block, &digests, utxo, height, params, opts)
+    validate_block_digests(block, &digests, utxo, height, params, memo)
 }
 
 /// What block validation reads off a block besides its body: computed
@@ -867,23 +718,51 @@ impl<'a> Digests<'a> {
     }
 }
 
-/// [`validate_block_with`] for a caller that already holds the block's
-/// [`Digests`]: the chain reuses the ones its block arrived with.
+/// [`validate_block`] for a caller that already holds the block's
+/// [`Digests`]: the chain reuses the ones its block arrived with. Script
+/// jobs run on one thread per available CPU.
 pub(crate) fn validate_block_digests(
     block: &Block,
     digests: &Digests<'_>,
     utxo: &UtxoSet,
     height: u64,
     params: &ChainParams,
-    opts: &BlockValidationOptions<'_>,
+    memo: &SigCache,
+) -> Result<(), BlockError> {
+    // Read once: on Linux the answer comes from the affinity mask and the
+    // cgroup quota files, too slow to ask on every block of a fleet run.
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    validate_block_on(cpus, block, digests, utxo, height, params, memo)
+}
+
+/// [`validate_block_digests`] with script jobs on up to `cpus` threads.
+///
+/// Validation runs in two passes. The sequential pass walks transactions in
+/// order against a borrow-only overlay of `utxo` (so intra-block chains
+/// work and the set is never copied), performs every context-dependent
+/// check, and turns each input the memo misses into a job before the
+/// overlay moves on. The context-free jobs then run through
+/// [`run_script_jobs`].
+///
+/// A structural failure at transaction `s` stops job collection at `s`, so
+/// any script failure that surfaces is at an index `< s` and positionally
+/// precedes it; the reported error is therefore identical to fully
+/// sequential validation.
+fn validate_block_on(
+    cpus: usize,
+    block: &Block,
+    digests: &Digests<'_>,
+    utxo: &UtxoSet,
+    height: u64,
+    params: &ChainParams,
+    memo: &SigCache,
 ) -> Result<(), BlockError> {
     check_block_context_free(block, digests, params)?;
     let txids = digests.txids;
 
-    // Sequential pass: context-dependent checks against a rolling view so
-    // intra-block chains (tx B spends tx A's output) work, snapshotting
-    // script jobs before each apply. The coinbase goes through the view
-    // too: its outputs must not collide with unspent ones.
+    // The coinbase goes through the view too: its outputs must not
+    // collide with unspent ones.
     let mut view = BlockOverlay::new(utxo);
     if let Err(e) = view.apply(&block.transactions[0], txids[0], height) {
         return Err(BlockError::BadTransaction {
@@ -891,14 +770,19 @@ pub(crate) fn validate_block_digests(
             error: e.into(),
         });
     }
-    let mut fees: u64 = 0;
-    let mut jobs: Vec<ScriptJob> = Vec::new();
+    // `None` once the fees sum past `u64::MAX`.
+    let mut fees = Some(0u64);
+    let mut jobs: Vec<ScriptJob<'_, 'static>> = Vec::new();
     let mut structural_failure: Option<(usize, TxError)> = None;
     for (index, tx) in block.transactions.iter().enumerate().skip(1) {
         let applied = validate_transaction_structure(tx, &view, height, params)
             .map(|(fee, entries)| {
-                fees += fee;
-                collect_script_jobs(tx, txids[index], index, &entries, opts.cache, &mut jobs);
+                fees = fees.and_then(|total| total.checked_add(fee));
+                jobs.extend(entries.iter().enumerate().filter_map(|(i, entry)| {
+                    let script_pubkey = &entry.output.script_pubkey;
+                    script_job(tx, txids[index], index, i, script_pubkey, memo)
+                        .map(ScriptJob::detach)
+                }));
             })
             .and_then(|()| Ok(view.apply(tx, txids[index], height)?));
         if let Err(error) = applied {
@@ -907,15 +791,19 @@ pub(crate) fn validate_block_digests(
         }
     }
 
-    if let Some((index, error)) = run_script_jobs(&jobs, opts) {
+    if let Some((index, error)) = run_script_jobs(&jobs, memo, cpus) {
         return Err(BlockError::BadTransaction { index, error });
     }
     if let Some((index, error)) = structural_failure {
         return Err(BlockError::BadTransaction { index, error });
     }
 
-    let allowed = params.coinbase_reward + fees;
-    let paid = block.transactions[0].total_output();
+    let allowed = fees
+        .and_then(|fees| fees.checked_add(params.coinbase_reward))
+        .ok_or(BlockError::ValueOverflow)?;
+    let paid = block.transactions[0]
+        .total_output()
+        .ok_or(BlockError::ValueOverflow)?;
     if paid > allowed {
         return Err(BlockError::ExcessiveCoinbase { paid, allowed });
     }
@@ -963,38 +851,6 @@ fn check_block_context_free(
     Ok(())
 }
 
-/// Snapshots one structurally valid transaction's script jobs, skipping
-/// spends the cache already holds (verified at mempool admission) before
-/// any sighash is computed.
-fn collect_script_jobs(
-    tx: &Transaction,
-    txid: TxId,
-    tx_index: usize,
-    entries: &[&UtxoEntry],
-    cache: Option<&SigCache>,
-    jobs: &mut Vec<ScriptJob>,
-) {
-    for (i, (input, entry)) in tx.inputs.iter().zip(entries).enumerate() {
-        let script_pubkey = &entry.output.script_pubkey;
-        let key = cache.map(|_| SigCache::key(&txid, i, script_pubkey));
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if cache.contains(key, SigKind::of(script_pubkey)) {
-                continue;
-            }
-        }
-        jobs.push(ScriptJob {
-            tx_index,
-            input_index: i,
-            digest: tx.sighash(i, script_pubkey),
-            script_sig: input.script_sig.clone(),
-            script_pubkey: script_pubkey.clone(),
-            lock_time: tx.lock_time,
-            input_final: input.is_final(),
-            key,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,43 +861,88 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    const COINS: usize = 8;
+
     struct Fixture {
         params: ChainParams,
         utxo: UtxoSet,
         wallet: Wallet,
-        coin: OutPoint,
-        coin_script: Script,
+        coins: Vec<OutPoint>,
     }
 
-    /// UTXO with one mature 1000-value coin owned by `wallet`.
+    /// UTXO with `COINS` 1000-value coins owned by `wallet`, minted by a
+    /// coinbase at height 0.
     fn fixture() -> Fixture {
         let mut rng = StdRng::seed_from_u64(42);
         let params = ChainParams::fast_test();
         let wallet = Wallet::generate(&mut rng);
-        let cb = Transaction::coinbase(
-            0,
-            b"f",
-            vec![TxOut {
-                value: 1000,
-                script_pubkey: wallet.locking_script(),
-            }],
-        );
+        let coin = TxOut {
+            value: 1000,
+            script_pubkey: wallet.locking_script(),
+        };
+        let cb = Transaction::coinbase(0, b"f", vec![coin; COINS]);
         let mut utxo = UtxoSet::new();
         utxo.apply_block(std::slice::from_ref(&cb), 0).unwrap();
+        let coins = (0..COINS as u32)
+            .map(|vout| OutPoint {
+                txid: cb.txid(),
+                vout,
+            })
+            .collect();
         Fixture {
             params,
             utxo,
-            coin: OutPoint {
-                txid: cb.txid(),
-                vout: 0,
-            },
-            coin_script: wallet.locking_script(),
             wallet,
+            coins,
         }
     }
 
     fn spend_height(f: &Fixture) -> u64 {
-        f.params.coinbase_maturity // first height the coin is mature
+        f.params.coinbase_maturity // first height the coins are mature
+    }
+
+    /// An output locked by the empty script.
+    fn out(value: u64) -> TxOut {
+        TxOut {
+            value,
+            script_pubkey: Script::new(),
+        }
+    }
+
+    /// `f.wallet` paying `coin` into one `value` output.
+    fn spend(f: &Fixture, coin: OutPoint, value: u64) -> Transaction {
+        let input = (coin, f.wallet.locking_script());
+        f.wallet.build_payment(vec![input], vec![out(value)], 0)
+    }
+
+    /// [`validate_transaction`] with an empty memo.
+    fn validate_tx(
+        tx: &Transaction,
+        utxo: &impl UtxoView,
+        height: u64,
+        params: &ChainParams,
+    ) -> Result<u64, TxError> {
+        let tx = HashedTx::new(tx.clone());
+        validate_transaction(&tx, utxo, height, params, &SigCache::default())
+    }
+
+    /// [`validate_block`] with an empty memo.
+    fn validate(f: &Fixture, block: &Block, height: u64) -> Result<(), BlockError> {
+        validate_block(block, &f.utxo, height, &f.params, &SigCache::default())
+    }
+
+    /// Block validation with script jobs on up to `cpus` threads.
+    fn validate_on(
+        cpus: usize,
+        block: &Block,
+        utxo: &UtxoSet,
+        height: u64,
+        params: &ChainParams,
+        memo: &SigCache,
+    ) -> Result<(), BlockError> {
+        let (txids, size) = block.txids_and_size();
+        let digests = Digests::of(block, &txids, size);
+        validate_block_on(cpus, block, &digests, utxo, height, params, memo)
     }
 
     #[test]
@@ -1080,78 +981,50 @@ mod tests {
     #[test]
     fn valid_spend_passes_and_reports_fee() {
         let f = fixture();
-        let tx = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 990,
-                script_pubkey: Script::new(),
-            }],
-            0,
+        let tx = spend(&f, f.coins[0], 990);
+        assert_eq!(
+            validate_tx(&tx, &f.utxo, spend_height(&f), &f.params),
+            Ok(10)
         );
-        let fee = validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params).unwrap();
-        assert_eq!(fee, 10);
     }
 
     #[test]
     fn immature_coinbase_rejected() {
         let f = fixture();
-        let tx = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 1000,
-                script_pubkey: Script::new(),
-            }],
-            0,
-        );
-        let err = validate_transaction(&tx, &f.utxo, 1, &f.params).unwrap_err();
-        assert!(matches!(
-            err,
-            TxError::ImmatureCoinbase {
+        let tx = spend(&f, f.coins[0], 1000);
+        assert_eq!(
+            validate_tx(&tx, &f.utxo, 1, &f.params),
+            Err(TxError::ImmatureCoinbase {
                 created: 0,
                 spend: 1
-            }
-        ));
+            })
+        );
     }
 
     #[test]
     fn overspend_rejected() {
         let f = fixture();
-        let tx = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 2000,
-                script_pubkey: Script::new(),
-            }],
-            0,
-        );
-        assert!(matches!(
-            validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params),
+        let tx = spend(&f, f.coins[0], 2000);
+        assert_eq!(
+            validate_tx(&tx, &f.utxo, spend_height(&f), &f.params),
             Err(TxError::ValueOutOfRange {
                 input: 1000,
                 output: 2000
             })
-        ));
+        );
     }
 
     #[test]
     fn missing_input_rejected() {
         let f = fixture();
         let ghost = OutPoint {
-            txid: crate::tx::TxId([9; 32]),
+            txid: TxId([9; 32]),
             vout: 0,
         };
-        let tx = f.wallet.build_payment(
-            vec![(ghost, f.coin_script.clone())],
-            vec![TxOut {
-                value: 1,
-                script_pubkey: Script::new(),
-            }],
-            0,
+        assert_eq!(
+            validate_tx(&spend(&f, ghost, 1), &f.utxo, spend_height(&f), &f.params),
+            Err(TxError::MissingInput(ghost))
         );
-        assert!(matches!(
-            validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params),
-            Err(TxError::MissingInput(_))
-        ));
     }
 
     #[test]
@@ -1159,16 +1032,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let f = fixture();
         let thief = Wallet::generate(&mut rng);
-        let tx = thief.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 1000,
-                script_pubkey: Script::new(),
-            }],
-            0,
-        );
+        let input = (f.coins[0], f.wallet.locking_script());
+        let tx = thief.build_payment(vec![input], vec![out(1000)], 0);
         assert!(matches!(
-            validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params),
+            validate_tx(&tx, &f.utxo, spend_height(&f), &f.params),
             Err(TxError::ScriptFailed { input: 0, .. })
         ));
     }
@@ -1176,16 +1043,11 @@ mod tests {
     #[test]
     fn non_final_transaction_rejected() {
         let f = fixture();
-        let tx = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 1000,
-                script_pubkey: Script::new(),
-            }],
-            1_000, // lock_time in the future
-        );
+        let input = (f.coins[0], f.wallet.locking_script());
+        // lock_time in the future
+        let tx = f.wallet.build_payment(vec![input], vec![out(1000)], 1_000);
         assert!(matches!(
-            validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params),
+            validate_tx(&tx, &f.utxo, spend_height(&f), &f.params),
             Err(TxError::NotFinal {
                 lock_time: 1000,
                 ..
@@ -1196,87 +1058,54 @@ mod tests {
     #[test]
     fn duplicate_input_rejected() {
         let f = fixture();
-        let mut tx = f.wallet.build_payment(
-            vec![
-                (f.coin, f.coin_script.clone()),
-                (f.coin, f.coin_script.clone()),
-            ],
-            vec![TxOut {
-                value: 100,
-                script_pubkey: Script::new(),
-            }],
-            0,
-        );
+        let input = (f.coins[0], f.wallet.locking_script());
+        let mut tx = f
+            .wallet
+            .build_payment(vec![input.clone(), input], vec![out(100)], 0);
         // keep both inputs identical
         tx.inputs[1] = TxIn {
-            prevout: f.coin,
+            prevout: f.coins[0],
             script_sig: tx.inputs[0].script_sig.clone(),
             sequence: 0,
         };
-        assert!(matches!(
-            validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params),
-            Err(TxError::DuplicateInput(_))
-        ));
+        assert_eq!(
+            validate_tx(&tx, &f.utxo, spend_height(&f), &f.params),
+            Err(TxError::DuplicateInput(f.coins[0]))
+        );
     }
 
     #[test]
     fn op_return_with_value_rejected() {
         let f = fixture();
-        let tx = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 5,
-                script_pubkey: bcwan_script::templates::op_return(b"data"),
-            }],
-            0,
-        );
-        assert!(matches!(
-            validate_transaction(&tx, &f.utxo, spend_height(&f), &f.params),
+        let input = (f.coins[0], f.wallet.locking_script());
+        let burn = TxOut {
+            value: 5,
+            script_pubkey: bcwan_script::templates::op_return(b"data"),
+        };
+        let tx = f.wallet.build_payment(vec![input], vec![burn], 0);
+        assert_eq!(
+            validate_tx(&tx, &f.utxo, spend_height(&f), &f.params),
             Err(TxError::ValueInOpReturn)
-        ));
+        );
     }
 
     #[test]
     fn valid_block_accepted() {
         let f = fixture();
         let height = spend_height(&f);
-        let spend = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 980,
-                script_pubkey: Script::new(),
-            }],
-            0,
-        );
-        let cb = Transaction::coinbase(
-            height,
-            b"miner",
-            vec![TxOut {
-                value: f.params.coinbase_reward + 20,
-                script_pubkey: Script::new(),
-            }],
-        );
-        let block = Block::mine(
-            BlockHash::GENESIS_PREV,
-            0,
-            f.params.difficulty_bits,
-            vec![cb, spend],
-        );
-        assert_eq!(validate_block(&block, &f.utxo, height, &f.params), Ok(()));
+        let payment = spend(&f, f.coins[0], 980);
+        let cb = Transaction::coinbase(height, b"miner", vec![out(f.params.coinbase_reward + 20)]);
+        let bits = f.params.difficulty_bits;
+        let block = Block::mine(BlockHash::GENESIS_PREV, 0, bits, vec![cb, payment]);
+        assert_eq!(validate(&f, &block, height), Ok(()));
     }
 
     #[test]
     fn coinbase_overpay_rejected() {
         let f = fixture();
         let height = spend_height(&f);
-        let cb = Transaction::coinbase(
-            height,
-            b"miner",
-            vec![TxOut {
-                value: f.params.coinbase_reward + 1, // no fees collected
-                script_pubkey: Script::new(),
-            }],
-        );
+        // No fees collected.
+        let cb = Transaction::coinbase(height, b"miner", vec![out(f.params.coinbase_reward + 1)]);
         let block = Block::mine(
             BlockHash::GENESIS_PREV,
             0,
@@ -1284,7 +1113,7 @@ mod tests {
             vec![cb],
         );
         assert!(matches!(
-            validate_block(&block, &f.utxo, height, &f.params),
+            validate(&f, &block, height),
             Err(BlockError::ExcessiveCoinbase { .. })
         ));
     }
@@ -1292,17 +1121,10 @@ mod tests {
     #[test]
     fn wrong_difficulty_rejected() {
         let f = fixture();
-        let cb = Transaction::coinbase(
-            0,
-            b"m",
-            vec![TxOut {
-                value: 1,
-                script_pubkey: Script::new(),
-            }],
-        );
+        let cb = Transaction::coinbase(0, b"m", vec![out(1)]);
         let block = Block::mine(BlockHash::GENESIS_PREV, 0, 2, vec![cb]);
         assert!(matches!(
-            validate_block(&block, &f.utxo, 0, &f.params),
+            validate(&f, &block, 0),
             Err(BlockError::WrongBits { claimed: 2, .. })
         ));
     }
@@ -1310,29 +1132,17 @@ mod tests {
     #[test]
     fn tampered_merkle_rejected() {
         let f = fixture();
-        let cb = Transaction::coinbase(
-            0,
-            b"m",
-            vec![TxOut {
-                value: 1,
-                script_pubkey: Script::new(),
-            }],
-        );
+        let cb = Transaction::coinbase(0, b"m", vec![out(1)]);
         let mut block = Block::mine(
             BlockHash::GENESIS_PREV,
             0,
             f.params.difficulty_bits,
-            vec![cb.clone()],
+            vec![cb],
         );
-        block.transactions.push(Transaction::coinbase(
-            1,
-            b"x",
-            vec![TxOut {
-                value: 1,
-                script_pubkey: Script::new(),
-            }],
-        ));
-        let result = validate_block(&block, &f.utxo, 0, &f.params);
+        block
+            .transactions
+            .push(Transaction::coinbase(1, b"x", vec![out(1)]));
+        let result = validate(&f, &block, 0);
         assert!(
             matches!(result, Err(BlockError::BadMerkleRoot)),
             "{result:?}"
@@ -1354,17 +1164,22 @@ mod tests {
         check_block_context_free(block, &Digests::of(block, &txids, block.size()), params)?;
         let mut view = utxo.clone();
         let mut undo = crate::utxo::UndoData::default();
-        let mut fees = 0;
+        let mut fees = Some(params.coinbase_reward);
         for (index, tx) in block.transactions.iter().enumerate() {
             let bad = |error| BlockError::BadTransaction { index, error };
             if index > 0 {
-                fees += validate_transaction(tx, &view, height, params).map_err(bad)?;
+                let fee = validate_tx(tx, &view, height, params).map_err(bad)?;
+                fees = fees.and_then(|sum| sum.checked_add(fee));
             }
             view.apply_transaction(tx, height, &mut undo)
                 .map_err(|e| bad(e.into()))?;
         }
-        let allowed = params.coinbase_reward + fees;
-        let paid = block.transactions[0].total_output();
+        let allowed = fees.ok_or(BlockError::ValueOverflow)?;
+        let paid = block.transactions[0]
+            .outputs
+            .iter()
+            .try_fold(0u64, |sum, o| sum.checked_add(o.value))
+            .ok_or(BlockError::ValueOverflow)?;
         if paid > allowed {
             return Err(BlockError::ExcessiveCoinbase { paid, allowed });
         }
@@ -1419,8 +1234,8 @@ mod tests {
             )
         };
 
-        let (mut accepted, mut refused) = (0, 0);
-        for round in 0..120 {
+        let (mut accepted, mut refused, mut overflowed) = (0, 0, 0);
+        for round in 0..180 {
             // Each round spends a fresh slice of the mature coins (rounds
             // are independent: `base` is never mutated).
             let mut txs: Vec<Transaction> = Vec::new();
@@ -1438,7 +1253,7 @@ mod tests {
             // two make the positionally-first-error rule matter.
             for _ in 0..rng.gen_range(1..3u32) {
                 let at = rng.gen_range(0..txs.len() + 1);
-                match rng.gen_range(0..9u32) {
+                match rng.gen_range(0..10u32) {
                     0 => {} // plain valid block
                     1 => {
                         // Intra-block chain: spend the output of an earlier tx.
@@ -1491,7 +1306,17 @@ mod tests {
                         txs.insert(at, spend((op, script, (owner + 1) % 3), 1_000, 0));
                     }
                     7 => fees += 1, // coinbase overpays by one
-                    _ => {}         // replayed coinbase, below
+                    8 => {
+                        // Outputs summing past u64::MAX: with wrapping
+                        // sums, one coin minted u64::MAX for a fee of 1.
+                        let (op, script, owner) = coin(&mature, (round * 7 + 23) % 40);
+                        let outputs = vec![pay(&wallets[1], u64::MAX), pay(&wallets[2], 1_000)];
+                        txs.insert(
+                            at,
+                            wallets[owner].build_payment(vec![(op, script)], outputs, 0),
+                        );
+                    }
+                    _ => {} // replayed coinbase, below
                 }
             }
             let replay = round % 9 == 8;
@@ -1508,17 +1333,14 @@ mod tests {
             let block = Block::mine(BlockHash::GENESIS_PREV, 0, params.difficulty_bits, txs);
 
             let oracle = validate_block_by_clone(&block, &base, height, &params);
-            for workers in [1, 0] {
-                let opts = BlockValidationOptions {
-                    workers,
-                    ..BlockValidationOptions::default()
-                };
-                let verdict = validate_block_with(&block, &base, height, &params, &opts);
-                assert_eq!(
-                    verdict,
-                    oracle.as_ref().map(|_| ()).map_err(Clone::clone),
-                    "round {round}, workers {workers}"
-                );
+            let expected = oracle.as_ref().map(|_| ()).map_err(Clone::clone);
+            for cpus in [1, 2, 4] {
+                // Cold, then warm: the memo never changes a verdict.
+                let memo = SigCache::default();
+                for pass in ["cold", "warm"] {
+                    let verdict = validate_on(cpus, &block, &base, height, &params, &memo);
+                    assert_eq!(verdict, expected, "round {round}, cpus {cpus}, {pass}");
+                }
             }
             match oracle {
                 Ok(expected) => {
@@ -1531,52 +1353,235 @@ mod tests {
                     );
                     accepted += 1;
                 }
+                Err(BlockError::BadTransaction {
+                    error: TxError::ValueOverflow,
+                    ..
+                }) => overflowed += 1,
                 Err(_) => refused += 1,
             }
         }
         assert!(accepted >= 20 && refused >= 40, "{accepted} / {refused}");
+        assert!(overflowed >= 5, "{overflowed} refused as overflowing");
     }
 
     #[test]
     fn intra_block_chains_validate() {
         let f = fixture();
         let height = spend_height(&f);
-        let first = f.wallet.build_payment(
-            vec![(f.coin, f.coin_script.clone())],
-            vec![TxOut {
-                value: 1000,
-                script_pubkey: f.wallet.locking_script(),
-            }],
-            0,
+        let input = (f.coins[0], f.wallet.locking_script());
+        let relock = TxOut {
+            value: 1000,
+            script_pubkey: f.wallet.locking_script(),
+        };
+        let first = f.wallet.build_payment(vec![input], vec![relock], 0);
+        let parent = OutPoint {
+            txid: first.txid(),
+            vout: 0,
+        };
+        let second = spend(&f, parent, 1000);
+        let cb = Transaction::coinbase(height, b"m", vec![out(f.params.coinbase_reward)]);
+        let bits = f.params.difficulty_bits;
+        let block = Block::mine(BlockHash::GENESIS_PREV, 0, bits, vec![cb, first, second]);
+        assert_eq!(validate(&f, &block, height), Ok(()));
+    }
+
+    // Scheduling independence: the same verdict and the *same* error at
+    // every thread count and every memo state, for a valid block, a bad
+    // mid-block signature, and a mid-block structural failure.
+
+    /// Each coin paid on with a fee of 10.
+    fn spends(f: &Fixture) -> Vec<Transaction> {
+        f.coins.iter().map(|&c| spend(f, c, 990)).collect()
+    }
+
+    fn mine(f: &Fixture, spends: Vec<Transaction>) -> Block {
+        let coinbase = out(f.params.coinbase_reward);
+        let mut txs = vec![Transaction::coinbase(
+            spend_height(f),
+            b"pd-block",
+            vec![coinbase],
+        )];
+        txs.extend(spends);
+        Block::mine(BlockHash([0u8; 32]), 0, f.params.difficulty_bits, txs)
+    }
+
+    fn validate_at(
+        f: &Fixture,
+        block: &Block,
+        cpus: usize,
+        memo: &SigCache,
+    ) -> Result<(), BlockError> {
+        validate_on(cpus, block, &f.utxo, spend_height(f), &f.params, memo)
+    }
+
+    /// `validate_at` on an empty memo, then on the same memo once the
+    /// first run has recorded its successes: both must equal `expected`.
+    /// Returns the memo.
+    fn assert_cold_and_warm(
+        f: &Fixture,
+        block: &Block,
+        cpus: usize,
+        expected: &Result<(), BlockError>,
+    ) -> SigCache {
+        let memo = SigCache::default();
+        for pass in ["cold", "warm"] {
+            let verdict = validate_at(f, block, cpus, &memo);
+            assert_eq!(&verdict, expected, "cpus {cpus}, {pass}");
+        }
+        memo
+    }
+
+    #[test]
+    fn valid_block_accepted_at_every_worker_count() {
+        let f = fixture();
+        let block = mine(&f, spends(&f));
+        for cpus in [1, 2, 4] {
+            let memo = assert_cold_and_warm(&f, &block, cpus, &Ok(()));
+            // The warm run hit every spend the cold one recorded.
+            let coins = COINS as u64;
+            assert_eq!((memo.hits(), memo.misses()), (coins, coins), "cpus {cpus}");
+        }
+    }
+
+    #[test]
+    fn bad_mid_block_signature_reported_identically() {
+        let f = fixture();
+        let mut txs = spends(&f);
+        // Corrupt transaction #4's signature by editing an output after
+        // signing: the sighash no longer matches, scripts still parse.
+        txs[4].outputs[0].value = 989;
+        let block = mine(&f, txs);
+
+        let expected = validate_at(&f, &block, 1, &SigCache::default());
+        let Err(BlockError::BadTransaction { index, ref error }) = expected else {
+            panic!("corrupted block unexpectedly validated: {expected:?}");
+        };
+        assert_eq!(index, 5, "coinbase is tx 0, corrupted spend is tx 5");
+        assert!(matches!(error, TxError::ScriptFailed { input: 0, .. }));
+        // Valid inputs are recorded, the bad one never is: a warm memo
+        // still reports the same failure.
+        for cpus in [1, 2, 4] {
+            assert_cold_and_warm(&f, &block, cpus, &expected);
+        }
+    }
+
+    #[test]
+    fn batched_verification_reports_identical_error_as_sequential() {
+        let f = fixture();
+        let mut txs = spends(&f);
+        // One bad signature mid-block: tx 3 (block index 4), input 0. The
+        // batch over its chunk must reject, fall back to per-signature
+        // verification, and surface the exact same (tx, input) error the
+        // clone oracle — one transaction, then one input, at a time —
+        // reports.
+        txs[3].outputs[0].value = 989;
+        let block = mine(&f, txs);
+        let height = spend_height(&f);
+        let expected = validate_block_by_clone(&block, &f.utxo, height, &f.params).map(|_| ());
+        let Err(BlockError::BadTransaction {
+            index: 4,
+            ref error,
+        }) = expected
+        else {
+            panic!("corrupted block unexpectedly validated: {expected:?}");
+        };
+        assert!(matches!(error, TxError::ScriptFailed { input: 0, .. }));
+        for cpus in [1, 2, 4] {
+            assert_cold_and_warm(&f, &block, cpus, &expected);
+        }
+
+        // A clean block accepts as the oracle does, on every CPU.
+        let good = mine(&f, spends(&f));
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        assert!(validate_block_by_clone(&good, &f.utxo, height, &f.params).is_ok());
+        assert_cold_and_warm(&f, &good, cpus, &Ok(()));
+    }
+
+    #[test]
+    fn structural_failure_beats_later_script_failures() {
+        let f = fixture();
+        let mut txs = spends(&f);
+        // Tx 3 (index 4 in the block) overspends: structural failure. Jobs
+        // are only collected for txs before it, all of which are valid, so
+        // tx 5's bad signature never runs and every thread count must
+        // report the structural error.
+        txs[3] = spend(&f, f.coins[3], 2000);
+        txs[5].outputs[0].value = 989;
+        let block = mine(&f, txs);
+
+        let expected = validate_at(&f, &block, 1, &SigCache::default());
+        assert!(matches!(
+            expected,
+            Err(BlockError::BadTransaction {
+                index: 4,
+                error: TxError::ValueOutOfRange { .. }
+            })
+        ));
+        for cpus in [2, 4] {
+            assert_cold_and_warm(&f, &block, cpus, &expected);
+        }
+    }
+
+    /// A chain whose genesis pays `wallet` one 1 000-value coin, spendable
+    /// at height 1, and a spend of it paying `outputs`.
+    fn one_coin_chain(outputs: &[u64]) -> (crate::Chain, Transaction) {
+        let mut rng = StdRng::seed_from_u64(42);
+        let wallet = Wallet::generate(&mut rng);
+        let mut params = ChainParams::fast_test();
+        params.coinbase_maturity = 0;
+        let genesis = crate::Chain::make_genesis(&params, &[(wallet.address(), 1_000)]);
+        let chain = crate::Chain::new(params, genesis);
+        let coin = OutPoint {
+            txid: chain.block_at(0).unwrap().transactions[0].txid(),
+            vout: 0,
+        };
+        let outputs = outputs.iter().map(|&value| out(value)).collect();
+        let tx = wallet.build_payment(vec![(coin, wallet.locking_script())], outputs, 0);
+        (chain, tx)
+    }
+
+    /// Block 1 on `chain`: a coinbase paying `coinbase`, then `txs`.
+    fn block_on(chain: &crate::Chain, coinbase: &[u64], txs: Vec<Transaction>) -> Block {
+        let outputs = coinbase.iter().map(|&value| out(value)).collect();
+        let mut all = vec![Transaction::coinbase(1, b"overflow", outputs)];
+        all.extend(txs);
+        Block::mine(chain.tip(), 1, chain.params().difficulty_bits, all)
+    }
+
+    #[test]
+    fn outputs_summing_past_u64_max_are_refused_at_admission_and_connect() {
+        // One 1 000-value coin paying [u64::MAX, 1 000]. Wrapping sums
+        // admitted it with a fee of 1 in a release build (and panicked in
+        // a debug one), minting an output worth u64::MAX.
+        let (mut chain, inflate) = one_coin_chain(&[u64::MAX, 1_000]);
+        let mut pool = crate::Mempool::with_cache(chain.sig_cache().clone());
+        let params = chain.params().clone();
+        assert_eq!(
+            pool.insert(inflate.clone(), chain.utxo(), 1, &params),
+            Err(crate::MempoolError::Invalid(TxError::ValueOverflow))
         );
-        let second = f.wallet.build_payment(
-            vec![(
-                OutPoint {
-                    txid: first.txid(),
-                    vout: 0,
-                },
-                f.wallet.locking_script(),
-            )],
-            vec![TxOut {
-                value: 1000,
-                script_pubkey: Script::new(),
-            }],
-            0,
+        assert!(pool.is_empty());
+
+        let block = block_on(&chain, &[params.coinbase_reward], vec![inflate]);
+        assert_eq!(
+            chain.add_block(block),
+            Err(crate::ChainError::Invalid(BlockError::BadTransaction {
+                index: 1,
+                error: TxError::ValueOverflow
+            }))
         );
-        let cb = Transaction::coinbase(
-            height,
-            b"m",
-            vec![TxOut {
-                value: f.params.coinbase_reward,
-                script_pubkey: Script::new(),
-            }],
+        assert_eq!(chain.height(), 0);
+    }
+
+    #[test]
+    fn a_coinbase_paying_past_u64_max_is_refused() {
+        // [u64::MAX, 2] wrapped to 1, which the subsidy allows.
+        let (mut chain, _) = one_coin_chain(&[]);
+        let block = block_on(&chain, &[u64::MAX, 2], Vec::new());
+        assert_eq!(
+            chain.add_block(block),
+            Err(crate::ChainError::Invalid(BlockError::ValueOverflow))
         );
-        let block = Block::mine(
-            BlockHash::GENESIS_PREV,
-            0,
-            f.params.difficulty_bits,
-            vec![cb, first, second],
-        );
-        assert_eq!(validate_block(&block, &f.utxo, height, &f.params), Ok(()));
+        assert_eq!(chain.height(), 0);
     }
 }

@@ -10,9 +10,9 @@
 //! while a forged one is refused with the error it gets with no memo.
 
 use bcwan_chain::{
-    validate_block_with, validate_transaction, Block, BlockAction, BlockHash,
-    BlockValidationOptions, Chain, ChainError, ChainParams, HashedBlock, HashedTx, Mempool,
-    MempoolError, OutPoint, SigCache, Transaction, TxError, TxId, TxIn, TxOut, Wallet,
+    validate_block, validate_transaction, Block, BlockAction, BlockHash, Chain, ChainError,
+    ChainParams, HashedBlock, HashedTx, Mempool, MempoolError, OutPoint, SigCache, Transaction,
+    TxError, TxId, TxIn, TxOut, Wallet,
 };
 use bcwan_script::{Opcode, Script};
 use rand::rngs::StdRng;
@@ -236,7 +236,8 @@ fn every_change_the_interpreter_sees_is_a_fresh_miss_with_the_uncached_verdict()
 
     let mut valid = 0;
     for (what, variant) in variants(&f) {
-        let uncached = validate_transaction(&variant, b.utxo(), 1, &f.params);
+        let hashed = HashedTx::new(variant.clone());
+        let uncached = validate_transaction(&hashed, b.utxo(), 1, &f.params, &SigCache::default());
         let (hits, misses) = counts(&cache);
         let mut pool_b = Mempool::with_cache(cache.clone());
         let verdict = pool_b.insert(variant.clone(), b.utxo(), 1, &f.params);
@@ -286,15 +287,11 @@ fn a_block_connects_on_hits_only_and_a_forged_one_fails_as_without_a_memo() {
     assert_eq!(counts(&cache), (hits + 3, misses));
 
     // Each variant in a block: the memo never changes the verdict.
-    let no_memo = BlockValidationOptions {
-        cache: None,
-        ..BlockValidationOptions::default()
-    };
     let mut refused = 0;
     for (what, variant) in variants(&f) {
         let mut c = chain(&f, &cache);
         let forged = block_on(&c, &[variant]);
-        let expected = validate_block_with(&forged, c.utxo(), 1, &f.params, &no_memo);
+        let expected = validate_block(&forged, c.utxo(), 1, &f.params, &SigCache::default());
         let (hits, _) = counts(&cache);
         let verdict = c.add_block(forged);
         match expected {

@@ -8,7 +8,7 @@
 //! read exactly as a flat one does, under validation too.
 
 use bcwan_chain::{
-    validate_block, Block, BlockAction, BlockHash, Chain, ChainParams, Mempool, OutPoint,
+    validate_block, Block, BlockAction, BlockHash, Chain, ChainParams, Mempool, OutPoint, SigCache,
     Transaction, TxId, TxIn, TxOut, UtxoEntry, UtxoSet, Wallet, SEQUENCE_FINAL,
 };
 use bcwan_script::Script;
@@ -363,8 +363,8 @@ fn validation_over_a_based_set_gives_the_flat_verdicts() {
     ];
     let mut valid = 0;
     for block in &candidates {
-        let over_flat = validate_block(block, flat.utxo(), height, &params);
-        let over_based = validate_block(block, based.utxo(), height, &params);
+        let over_flat = validate_block(block, flat.utxo(), height, &params, &SigCache::default());
+        let over_based = validate_block(block, based.utxo(), height, &params, &SigCache::default());
         assert_eq!(over_flat, over_based);
         valid += usize::from(over_based.is_ok());
     }

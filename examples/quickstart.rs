@@ -10,7 +10,7 @@
 use bcwan::escrow::{build_claim, build_escrow, extract_key_from_claim, find_escrow_for_key};
 use bcwan::exchange::{open_reading, seal_reading, verify_uplink};
 use bcwan::provisioning::{DeviceId, DeviceRegistry};
-use bcwan_chain::{validate_transaction, Chain, ChainParams, OutPoint, Wallet};
+use bcwan_chain::{validate_transaction, Chain, ChainParams, HashedTx, OutPoint, SigCache, Wallet};
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
 use bcwan_lora::frame::LoraFrame;
 use rand::rngs::StdRng;
@@ -103,10 +103,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         10,  // fee
         chain.height(),
     );
-    let fee = validate_transaction(&escrow.tx, chain.utxo(), chain.height() + 1, &params)?;
+    // An empty memo: every script runs (a chain keeps its own, shared
+    // with its mempool, so admission and connect verify each spend once).
+    let escrow_tx = HashedTx::new(escrow.tx.clone());
+    let memo = SigCache::default();
+    let fee = validate_transaction(&escrow_tx, chain.utxo(), chain.height() + 1, &params, &memo)?;
     println!(
         "\n[step 9]   escrow tx {} valid (fee {fee}), locked by:\n           {}",
-        escrow.tx.txid(),
+        escrow_tx.txid(),
         escrow.script
     );
 

@@ -5,7 +5,7 @@
 use bcwan::escrow::{build_claim, build_escrow, extract_key_from_claim, find_escrow_for_key};
 use bcwan::exchange::{open_reading, seal_reading, verify_uplink};
 use bcwan::provisioning::{DeviceId, DeviceRegistry};
-use bcwan_chain::{validate_transaction, Chain, ChainParams, OutPoint, Wallet};
+use bcwan_chain::{validate_transaction, Chain, ChainParams, OutPoint, SigCache, Wallet};
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
 use bcwan_lora::frame::{LoraFrame, ADDRESS_LEN};
 use rand::rngs::StdRng;
@@ -107,7 +107,14 @@ fn full_figure3_sequence() {
         5,
         t.chain.height(),
     );
-    validate_transaction(&escrow.tx, t.chain.utxo(), 1, &t.params).expect("escrow valid");
+    validate_transaction(
+        &escrow.tx.clone().into(),
+        t.chain.utxo(),
+        1,
+        &t.params,
+        &SigCache::default(),
+    )
+    .expect("escrow valid");
 
     // Step 10: claim reveals the key; the recipient decrypts.
     let (vout, value) = find_escrow_for_key(&escrow.tx, &received_pk).expect("found");
