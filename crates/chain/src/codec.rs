@@ -129,8 +129,8 @@ impl<'a> Reader<'a> {
     /// [`CodecError::Truncated`] on overrun, [`CodecError::BadScript`]
     /// if the bytes are not a valid script.
     pub fn script(&mut self) -> Result<Script, CodecError> {
-        let bytes = self.vec()?;
-        Script::from_bytes(&bytes).map_err(|e| CodecError::BadScript(e.to_string()))
+        let len = self.u32()? as usize;
+        Script::from_bytes(self.take(len)?).map_err(|e| CodecError::BadScript(e.to_string()))
     }
 
     /// Asserts the input is fully consumed.
@@ -150,6 +150,13 @@ impl<'a> Reader<'a> {
 pub fn push_vec(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
+}
+
+/// Appends a `u32`-length-prefixed script, encoded in place: the bytes
+/// [`push_vec`] would write for its [`Script::to_bytes`].
+pub fn push_script(out: &mut Vec<u8>, script: &Script) {
+    out.extend_from_slice(&(script.byte_len() as u32).to_le_bytes());
+    script.encode_into(out);
 }
 
 /// Reads back [`Transaction::serialize`]'s layout, field by field.
@@ -258,7 +265,7 @@ fn decode_txout(r: &mut Reader<'_>) -> Result<TxOut, CodecError> {
 /// creation height, one coinbase flag byte.
 pub fn encode_utxo_entry(out: &mut Vec<u8>, entry: &UtxoEntry) {
     out.extend_from_slice(&entry.output.value.to_le_bytes());
-    push_vec(out, &entry.output.script_pubkey.to_bytes());
+    push_script(out, &entry.output.script_pubkey);
     out.extend_from_slice(&entry.height.to_le_bytes());
     out.push(entry.coinbase as u8);
 }

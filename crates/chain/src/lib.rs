@@ -71,5 +71,7 @@ pub use params::{ChainParams, StallModel};
 pub use store::{CoinsCache, StoreConfig, StoreError};
 pub use tx::{OutPoint, Transaction, TxId, TxIn, TxOut, SEQUENCE_FINAL};
 pub use utxo::{UtxoEntry, UtxoSet};
-pub use validate::{validate_block, validate_transaction, BlockError, SigCache, SigKind, TxError};
+pub use validate::{
+    validate_block, validate_transaction, BlockError, SigCache, SigKey, SigKind, TxError,
+};
 pub use wallet::{Address, Wallet};

@@ -8,7 +8,7 @@
 use crate::hashed::HashedTx;
 use crate::params::ChainParams;
 use crate::tx::{txids_of, OutPoint, Transaction, TxId};
-use crate::utxo::UtxoSet;
+use crate::utxo::{UtxoEntry, UtxoSet};
 use crate::validate::{validate_transaction, SigCache, TxError};
 use std::collections::HashMap;
 use std::fmt;
@@ -75,12 +75,12 @@ bcwan_sim::counters! {
 /// pooled spends. A borrow-only overlay — no cloning.
 struct PoolView<'a> {
     base: &'a UtxoSet,
-    created: &'a HashMap<OutPoint, crate::utxo::UtxoEntry>,
+    created: &'a HashMap<OutPoint, UtxoEntry>,
     spent: &'a HashMap<OutPoint, TxId>,
 }
 
 impl crate::utxo::UtxoView for PoolView<'_> {
-    fn view_get(&self, outpoint: &OutPoint) -> Option<&crate::utxo::UtxoEntry> {
+    fn view_get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
         if self.spent.contains_key(outpoint) {
             return None;
         }
@@ -100,7 +100,7 @@ pub struct Mempool {
     entries: HashMap<TxId, PoolEntry>,
     by_outpoint: HashMap<OutPoint, TxId>,
     /// Outputs created by pooled transactions, for the overlay view.
-    created: HashMap<OutPoint, crate::utxo::UtxoEntry>,
+    created: HashMap<OutPoint, UtxoEntry>,
     next_seq: u64,
     stats: MempoolStats,
     /// Signature cache populated at admission; shared with a chain, it
@@ -156,6 +156,12 @@ impl Mempool {
         self.entries.get(txid).map(|e| e.tx.tx())
     }
 
+    /// The output a pooled transaction created at `outpoint`, whether or
+    /// not another pooled transaction spends it.
+    pub fn created_output(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
+        self.created.get(outpoint)
+    }
+
     /// Admits a transaction after validating it against `utxo` at `height`.
     /// Returns the fee on success. A bare [`Transaction`] is hashed here;
     /// a [`HashedTx`] brings its id along and is pooled without a copy.
@@ -208,7 +214,7 @@ impl Mempool {
                     txid,
                     vout: vout as u32,
                 },
-                crate::utxo::UtxoEntry {
+                UtxoEntry {
                     output: output.clone(),
                     height,
                     coinbase: false,

@@ -1,5 +1,6 @@
 //! Transactions: the UTXO model, serialization, ids and signature hashes.
 
+use crate::codec::push_script;
 use bcwan_crypto::sha256d;
 use bcwan_script::Script;
 use std::fmt;
@@ -133,17 +134,13 @@ impl Transaction {
         for input in &self.inputs {
             out.extend_from_slice(&input.prevout.txid.0);
             out.extend_from_slice(&input.prevout.vout.to_le_bytes());
-            let sig = input.script_sig.to_bytes();
-            out.extend_from_slice(&(sig.len() as u32).to_le_bytes());
-            out.extend_from_slice(&sig);
+            push_script(&mut out, &input.script_sig);
             out.extend_from_slice(&input.sequence.to_le_bytes());
         }
         out.extend_from_slice(&(self.outputs.len() as u32).to_le_bytes());
         for output in &self.outputs {
             out.extend_from_slice(&output.value.to_le_bytes());
-            let spk = output.script_pubkey.to_bytes();
-            out.extend_from_slice(&(spk.len() as u32).to_le_bytes());
-            out.extend_from_slice(&spk);
+            push_script(&mut out, &output.script_pubkey);
         }
         out.extend_from_slice(&self.lock_time.to_le_bytes());
         out

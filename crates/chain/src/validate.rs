@@ -7,15 +7,14 @@ use crate::params::ChainParams;
 use crate::tx::{Transaction, TxId};
 use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
 use bcwan_crypto::ecdsa::{batch_verify, EcdsaPublicKey, Signature};
-use bcwan_crypto::Sha256;
 use bcwan_script::interpreter::{
     verify_spend, DeferringChecker, DigestChecker, ExecContext, SignatureChecker,
 };
 use bcwan_script::{Opcode, Script, ScriptError};
 use bcwan_sim::metrics::Registry;
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -219,8 +218,8 @@ impl SigKind {
 
 /// A shared cache of script verifications that already succeeded.
 ///
-/// Keyed on `sha256(txid || input index || script_pubkey)`, so a lookup
-/// hashes what admission already knows and the sighash is computed only
+/// Keyed on `(txid, input index, spent script)` ([`SigKey`]), so a lookup
+/// compares what admission already knows and the sighash is computed only
 /// on a miss, when the script actually runs. The key covers every input
 /// of [`verify_spend`]: the txid commits to all unlocking scripts, every
 /// sequence (hence `input_final`), the lock time and the outputs — all
@@ -233,10 +232,17 @@ impl SigKind {
 /// index) supply the txid. Mempool admission populates the cache;
 /// `connect_block` then skips re-verifying the same spends.
 ///
+/// Nothing is digested to look a spend up: the set hashes the txid and
+/// index, and equality then compares the script, which is a pointer check
+/// when both sides share one body's [`Script`] (the usual case — a UTXO
+/// entry holds a clone of the output that created it).
+///
 /// Eviction is two-generation (as in Bitcoin Core's sigcache): when the
 /// current generation holds `SIG_CACHE_GENERATION` entries it becomes the
-/// previous generation and a fresh one starts, so memory is bounded and
-/// recently verified entries survive at least one rotation. Only
+/// previous generation and a fresh one starts, so memory is bounded: at
+/// most two generations of keys, each holding a txid, an index and a
+/// reference count on a script the UTXO set usually still shares.
+/// Recently verified entries survive at least one rotation. Only
 /// *successful* verifications are stored; failures always re-run, so an
 /// empty cache gives every verdict a full one does.
 #[derive(Debug, Default)]
@@ -253,32 +259,51 @@ const SIG_CACHE_GENERATION: usize = 1 << 15;
 
 #[derive(Debug, Default)]
 struct SigCacheInner {
-    current: HashSet<[u8; 32]>,
-    previous: HashSet<[u8; 32]>,
+    current: HashSet<SigKey>,
+    previous: HashSet<SigKey>,
+}
+
+/// A [`SigCache`] key: input `input_index` of transaction `txid`,
+/// spending an output locked by `script_pubkey`.
+///
+/// Hashing reads only `(txid, input_index)`; equality also compares the
+/// script, so the same input spending a different script is a different
+/// key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SigKey {
+    txid: TxId,
+    input_index: usize,
+    script_pubkey: Script,
+}
+
+impl Hash for SigKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.txid.hash(state);
+        self.input_index.hash(state);
+    }
 }
 
 impl SigCache {
     /// The cache key for input `input_index` of transaction `txid`
-    /// spending an output locked by `script_pubkey`.
-    pub fn key(txid: &TxId, input_index: usize, script_pubkey: &Script) -> [u8; 32] {
-        // Two fixed-width fields, then the script to the end: no
-        // boundary can be confused, so no length prefix is needed.
-        let mut hasher = Sha256::new();
-        hasher.update(&txid.0);
-        hasher.update(&(input_index as u64).to_le_bytes());
-        hasher.update(&script_pubkey.to_bytes());
-        hasher.finalize()
+    /// spending an output locked by `script_pubkey`: the script is shared,
+    /// not copied, and nothing is hashed.
+    pub fn key(txid: &TxId, input_index: usize, script_pubkey: &Script) -> SigKey {
+        SigKey {
+            txid: *txid,
+            input_index,
+            script_pubkey: script_pubkey.clone(),
+        }
     }
 
     /// Whether this spend already verified successfully, counted against
     /// the counters for `kind`; a previous-generation hit is promoted to
     /// the current one.
-    pub fn contains(&self, key: &[u8; 32], kind: SigKind) -> bool {
+    pub fn contains(&self, key: &SigKey, kind: SigKind) -> bool {
         let mut inner = self.lock();
         let found = if inner.current.contains(key) {
             true
         } else if inner.previous.contains(key) {
-            Self::insert_locked(&mut inner, *key);
+            Self::insert_locked(&mut inner, key.clone());
             true
         } else {
             false
@@ -295,11 +320,11 @@ impl SigCache {
     }
 
     /// Records a successful verification.
-    pub fn insert(&self, key: [u8; 32]) {
+    pub fn insert(&self, key: SigKey) {
         Self::insert_locked(&mut self.lock(), key);
     }
 
-    fn insert_locked(inner: &mut SigCacheInner, key: [u8; 32]) {
+    fn insert_locked(inner: &mut SigCacheInner, key: SigKey) {
         if inner.current.len() >= SIG_CACHE_GENERATION {
             inner.previous = std::mem::take(&mut inner.current);
         }
@@ -450,50 +475,40 @@ pub fn validate_transaction<V: UtxoView>(
 }
 
 /// One input's script run: the spending transaction (whose unlocking
-/// script, sequence and lock time the interpreter reads), the spent
-/// script, the sighash, and the memo key a success is recorded under.
-/// Admission borrows the spent script from its view; block connect owns
-/// it ([`ScriptJob::detach`]), because its view moves on before any job
-/// runs.
-struct ScriptJob<'t, 's> {
+/// script, sequence and lock time the interpreter reads), the sighash,
+/// and the memo key a success is recorded under — which also names the
+/// input and holds the spent script, so a job outlives the view it was
+/// collected from.
+struct ScriptJob<'t> {
     tx: &'t Transaction,
     /// Position in the block (`0` at admission).
     tx_index: usize,
-    input_index: usize,
-    script_pubkey: Cow<'s, Script>,
     digest: [u8; 32],
-    key: [u8; 32],
+    key: SigKey,
 }
 
-impl<'t> ScriptJob<'t, '_> {
+impl ScriptJob<'_> {
+    /// Which input of `tx` this job runs.
+    fn input_index(&self) -> usize {
+        self.key.input_index
+    }
+
     /// Runs the interpreter with `checker` answering signature checks.
     fn run(&self, checker: &dyn SignatureChecker) -> Result<bool, ScriptError> {
-        let input = &self.tx.inputs[self.input_index];
+        let input = &self.tx.inputs[self.input_index()];
         let ctx = ExecContext {
             checker,
             lock_time: self.tx.lock_time,
             input_final: input.is_final(),
         };
-        verify_spend(&input.script_sig, &self.script_pubkey, &ctx)
+        verify_spend(&input.script_sig, &self.key.script_pubkey, &ctx)
     }
 
     /// The error this job's input is refused with.
     fn failed(&self, error: Option<ScriptError>) -> TxError {
         TxError::ScriptFailed {
-            input: self.input_index,
+            input: self.input_index(),
             error,
-        }
-    }
-
-    /// The same job owning its spent script.
-    fn detach(self) -> ScriptJob<'t, 'static> {
-        ScriptJob {
-            tx: self.tx,
-            tx_index: self.tx_index,
-            input_index: self.input_index,
-            script_pubkey: Cow::Owned(self.script_pubkey.into_owned()),
-            digest: self.digest,
-            key: self.key,
         }
     }
 }
@@ -502,14 +517,14 @@ impl<'t> ScriptJob<'t, '_> {
 /// `tx` (whose id is `txid`), spending `script_pubkey`, up in `memo`, and
 /// only on a miss computes its sighash. `None` means the spend already
 /// verified.
-fn script_job<'t, 's>(
+fn script_job<'t>(
     tx: &'t Transaction,
     txid: TxId,
     tx_index: usize,
     input_index: usize,
-    script_pubkey: &'s Script,
+    script_pubkey: &Script,
     memo: &SigCache,
-) -> Option<ScriptJob<'t, 's>> {
+) -> Option<ScriptJob<'t>> {
     let key = SigCache::key(&txid, input_index, script_pubkey);
     if memo.contains(&key, SigKind::of(script_pubkey)) {
         return None;
@@ -517,18 +532,16 @@ fn script_job<'t, 's>(
     Some(ScriptJob {
         tx,
         tx_index,
-        input_index,
         digest: tx.sighash(input_index, script_pubkey),
-        script_pubkey: Cow::Borrowed(script_pubkey),
         key,
     })
 }
 
 /// Runs one job with an exact checker; records a success in `memo`.
-fn run_script_job(job: &ScriptJob<'_, '_>, memo: &SigCache) -> Result<(), TxError> {
+fn run_script_job(job: &ScriptJob<'_>, memo: &SigCache) -> Result<(), TxError> {
     match job.run(&DigestChecker { digest: job.digest }) {
         Ok(true) => {
-            memo.insert(job.key);
+            memo.insert(job.key.clone());
             Ok(())
         }
         Ok(false) => Err(job.failed(None)),
@@ -564,7 +577,7 @@ pub const BATCH_CHUNK: usize = 32;
 /// changes — on clean blocks (the overwhelming case) one multi-scalar
 /// multiplication replaces up to [`BATCH_CHUNK`] double-scalar ones.
 fn run_chunk_batched(
-    chunk: &[ScriptJob<'_, '_>],
+    chunk: &[ScriptJob<'_>],
     memo: &SigCache,
     failures: &mut Vec<(usize, usize, TxError)>,
 ) {
@@ -576,13 +589,13 @@ fn run_chunk_batched(
         let result = job.run(&checker);
         let recorded = checker.into_recorded();
         match result {
-            Ok(true) if recorded.is_empty() => memo.insert(job.key),
+            Ok(true) if recorded.is_empty() => memo.insert(job.key.clone()),
             Ok(true) => deferred.push((j, recorded)),
             Ok(false) if recorded.is_empty() => {
-                failures.push((job.tx_index, job.input_index, job.failed(None)));
+                failures.push((job.tx_index, job.input_index(), job.failed(None)));
             }
             Err(e) if recorded.is_empty() => {
-                failures.push((job.tx_index, job.input_index, job.failed(Some(e))));
+                failures.push((job.tx_index, job.input_index(), job.failed(Some(e))));
             }
             Ok(false) | Err(_) => rerun.push(j),
         }
@@ -602,7 +615,7 @@ fn run_chunk_batched(
             // optimistic run was identical to a real one: all pass.
             Ok(()) => deferred
                 .iter()
-                .for_each(|(j, _)| memo.insert(chunk[*j].key)),
+                .for_each(|(j, _)| memo.insert(chunk[*j].key.clone())),
             // Some signature in the chunk is bad. Re-run every deferred
             // job with a real checker for exact per-job verdicts (rare:
             // this only triggers on invalid blocks).
@@ -613,7 +626,7 @@ fn run_chunk_batched(
     for j in rerun {
         let job = &chunk[j];
         if let Err(error) = run_script_job(job, memo) {
-            failures.push((job.tx_index, job.input_index, error));
+            failures.push((job.tx_index, job.input_index(), error));
         }
     }
 }
@@ -631,7 +644,7 @@ fn run_chunk_batched(
 /// input_index)` is reported — the one a sequential loop over the jobs
 /// (they are in that order) would hit first.
 fn run_script_jobs(
-    jobs: &[ScriptJob<'_, '_>],
+    jobs: &[ScriptJob<'_>],
     memo: &SigCache,
     cpus: usize,
 ) -> Option<(usize, TxError)> {
@@ -772,7 +785,7 @@ fn validate_block_on(
     }
     // `None` once the fees sum past `u64::MAX`.
     let mut fees = Some(0u64);
-    let mut jobs: Vec<ScriptJob<'_, 'static>> = Vec::new();
+    let mut jobs: Vec<ScriptJob<'_>> = Vec::new();
     let mut structural_failure: Option<(usize, TxError)> = None;
     for (index, tx) in block.transactions.iter().enumerate().skip(1) {
         let applied = validate_transaction_structure(tx, &view, height, params)
@@ -781,7 +794,6 @@ fn validate_block_on(
                 jobs.extend(entries.iter().enumerate().filter_map(|(i, entry)| {
                     let script_pubkey = &entry.output.script_pubkey;
                     script_job(tx, txids[index], index, i, script_pubkey, memo)
-                        .map(ScriptJob::detach)
                 }));
             })
             .and_then(|()| Ok(view.apply(tx, txids[index], height)?));
@@ -962,7 +974,7 @@ mod tests {
         let ecdsa_key = SigCache::key(&txid, 0, &p2pkh);
         // Miss, insert, hit — per kind, without cross-talk.
         assert!(!cache.contains(&rsa_key, SigKind::of(&escrow)));
-        cache.insert(rsa_key);
+        cache.insert(rsa_key.clone());
         assert!(cache.contains(&rsa_key, SigKind::of(&escrow)));
         assert!(!cache.contains(&ecdsa_key, SigKind::of(&p2pkh)));
         assert_eq!((cache.rsa_hits(), cache.rsa_misses()), (1, 1));
@@ -976,6 +988,52 @@ mod tests {
         assert_eq!(counters["validate.sigcache.rsa.miss"], 1);
         assert_eq!(counters["validate.sigcache.hit"], 0);
         assert_eq!(counters["validate.sigcache.miss"], 1);
+    }
+
+    #[test]
+    fn sigcache_key_compares_the_spent_script() {
+        let p2pkh = bcwan_script::templates::p2pkh(&[3u8; 20]);
+        let other = bcwan_script::templates::p2pkh(&[4u8; 20]);
+        let cache = SigCache::default();
+        let txid = TxId([9u8; 32]);
+        cache.insert(SigCache::key(&txid, 0, &p2pkh));
+
+        // Same txid and index, a different spent script: a miss.
+        assert!(!cache.contains(&SigCache::key(&txid, 0, &other), SigKind::Ecdsa));
+        // The same script parsed on its own (no shared buffer): a hit.
+        let parsed = Script::from_bytes(&p2pkh.to_bytes()).unwrap();
+        assert_ne!(
+            parsed.instructions().as_ptr(),
+            p2pkh.instructions().as_ptr()
+        );
+        assert!(cache.contains(&SigCache::key(&txid, 0, &parsed), SigKind::Ecdsa));
+        // Another input or another transaction: a miss.
+        assert!(!cache.contains(&SigCache::key(&txid, 1, &p2pkh), SigKind::Ecdsa));
+        let other_txid = TxId([8u8; 32]);
+        assert!(!cache.contains(&SigCache::key(&other_txid, 0, &p2pkh), SigKind::Ecdsa));
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+    }
+
+    #[test]
+    fn sigcache_rotation_keeps_two_generations() {
+        let script = bcwan_script::templates::p2pkh(&[3u8; 20]);
+        let key = |n: usize| SigCache::key(&TxId([0u8; 32]), n, &script);
+        let cache = SigCache::default();
+        for n in 0..2 * SIG_CACHE_GENERATION {
+            cache.insert(key(n));
+        }
+        assert_eq!(cache.len(), 2 * SIG_CACHE_GENERATION);
+        // Filling the second generation rotated the first into `previous`;
+        // one more insert rotates again and drops the oldest generation.
+        cache.insert(key(2 * SIG_CACHE_GENERATION));
+        assert_eq!(cache.len(), SIG_CACHE_GENERATION + 1);
+        assert!(!cache.contains(&key(0), SigKind::Ecdsa));
+        assert!(cache.contains(&key(SIG_CACHE_GENERATION), SigKind::Ecdsa));
+        assert!(cache.contains(&key(2 * SIG_CACHE_GENERATION), SigKind::Ecdsa));
+        for n in 0..4 * SIG_CACHE_GENERATION {
+            cache.insert(key(n));
+            assert!(cache.len() <= 2 * SIG_CACHE_GENERATION);
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The verification memo keyed by txid is sound.
 //!
-//! [`SigCache`] keys a spend by `sha256(txid ‖ input index ‖
-//! script_pubkey)` and computes a sighash only on a miss. Pinned here:
-//! the hashed types' digests are exactly what a fresh hash of the body
-//! gives; any change to a transaction the interpreter could see — one
-//! signature byte, the lock time, the *other* input's unlocking script —
-//! is a fresh miss whose verdict equals uncached validation; and a block
-//! connects on memo hits only when it carries exactly what was admitted,
-//! while a forged one is refused with the error it gets with no memo.
+//! [`SigCache`] keys a spend by `(txid, input index, spent script)` and
+//! computes a sighash only on a miss. Pinned here: the hashed types'
+//! digests are exactly what a fresh hash of the body gives; any change to
+//! a transaction the interpreter could see — one signature byte, the lock
+//! time, the *other* input's unlocking script — is a fresh miss whose
+//! verdict equals uncached validation; a block connects on memo hits only
+//! when it carries exactly what was admitted, while a forged one is
+//! refused with the error it gets with no memo; and the outputs a pool or
+//! a chain records share the body's scripts instead of copying them.
 
 use bcwan_chain::{
     validate_block, validate_transaction, Block, BlockAction, BlockHash, Chain, ChainError,
@@ -305,4 +306,65 @@ fn a_block_connects_on_hits_only_and_a_forged_one_fails_as_without_a_memo() {
         assert_eq!(cache.hits(), hits, "{what}: no lookup may hit");
     }
     assert_eq!(refused, 3);
+}
+
+/// The instruction buffer `script` shares with every clone of it.
+fn body_of(script: &Script) -> *const bcwan_script::Instruction {
+    script.instructions().as_ptr()
+}
+
+#[test]
+fn recorded_outputs_share_the_bodys_scripts() {
+    let f = fixture();
+    let cache = Arc::new(SigCache::default());
+    let mut chain = chain(&f, &cache);
+    let genesis = chain.block(&f.genesis.hash()).expect("genesis stored");
+    let coinbase = &genesis.transactions[0];
+    let coin = OutPoint {
+        txid: coinbase.txid(),
+        vout: 2,
+    };
+    let entry = chain.utxo().get(&coin).expect("unspent");
+    assert_eq!(
+        body_of(&entry.output.script_pubkey),
+        body_of(&coinbase.outputs[2].script_pubkey)
+    );
+
+    // Pool admission: the created entry shares the pooled body's output.
+    let mut pool = Mempool::with_cache(cache.clone());
+    let txid = f.single.txid();
+    pool.insert(f.single.clone(), chain.utxo(), 1, &f.params)
+        .expect("admitted");
+    let created = pool
+        .created_output(&OutPoint { txid, vout: 0 })
+        .expect("pool output");
+    let pooled = pool.get(&txid).expect("pooled");
+    assert_eq!(
+        body_of(&created.output.script_pubkey),
+        body_of(&pooled.outputs[0].script_pubkey)
+    );
+    // A clone of the body is shallow, so even the caller's copy shares it.
+    assert_eq!(
+        body_of(&pooled.outputs[0].script_pubkey),
+        body_of(&f.single.outputs[0].script_pubkey)
+    );
+
+    // Block connect: every new UTXO entry shares the stored body's output.
+    let block = block_on(&chain, &[f.single.clone(), f.double.clone()]);
+    let hash = block.hash();
+    assert_eq!(chain.add_block(block), Ok(BlockAction::Extended(1)));
+    let stored = chain.block(&hash).expect("block stored");
+    for tx in &stored.transactions {
+        for (vout, output) in tx.outputs.iter().enumerate() {
+            let outpoint = OutPoint {
+                txid: tx.txid(),
+                vout: vout as u32,
+            };
+            let entry = chain.utxo().get(&outpoint).expect("unspent");
+            assert_eq!(
+                body_of(&entry.output.script_pubkey),
+                body_of(&output.script_pubkey)
+            );
+        }
+    }
 }

@@ -125,14 +125,28 @@ impl Network {
         to: NodeId,
         msg: M,
     ) -> Vec<(SimDuration, Delivery<M>)> {
+        let mut out = Vec::new();
+        self.transmit_into(rng, from, to, msg, &mut out);
+        out
+    }
+
+    /// [`Network::transmit`], appending its deliveries to `out`.
+    fn transmit_into<M: Clone>(
+        &self,
+        rng: &mut SimRng,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        out: &mut Vec<(SimDuration, Delivery<M>)>,
+    ) {
         self.count(|s| s.sent += 1);
         if !self.topology.linked(from, to) {
             self.count(|s| s.dropped_partition += 1);
-            return Vec::new();
+            return;
         }
         if rng.chance(self.faults.drop_probability) {
             self.count(|s| s.dropped_fault += 1);
-            return Vec::new();
+            return;
         }
         // Draw order (delay, duplicate coin, duplicate's delay) is part of
         // every same-seed result; the payload is cloned only for the
@@ -141,7 +155,6 @@ impl Network {
         let duplicate = rng
             .chance(self.faults.duplicate_probability)
             .then(|| self.latency.sample(rng));
-        let mut out = Vec::with_capacity(1 + usize::from(duplicate.is_some()));
         if let Some(delay2) = duplicate {
             let copy = Delivery {
                 from,
@@ -150,12 +163,14 @@ impl Network {
             };
             out.push((delay, copy));
             out.push((delay2, Delivery { from, to, msg }));
-            self.count(|s| s.duplicated += 1);
+            self.count(|s| {
+                s.duplicated += 1;
+                s.delivered += 2;
+            });
         } else {
             out.push((delay, Delivery { from, to, msg }));
+            self.count(|s| s.delivered += 1);
         }
-        self.count(|s| s.delivered += out.len() as u64);
-        out
     }
 
     /// Like [`Network::transmit`] but immune to the drop/duplicate fault
@@ -198,16 +213,18 @@ impl Network {
         Some((delay, Delivery { from, to, msg }))
     }
 
-    /// Computes deliveries for a broadcast to every peer of `from`.
+    /// Computes deliveries for a broadcast to every peer of `from`, in
+    /// ascending peer order, into one vector sized for the peer count.
     pub fn broadcast<M: Clone>(
         &self,
         rng: &mut SimRng,
         from: NodeId,
         msg: &M,
     ) -> Vec<(SimDuration, Delivery<M>)> {
-        let mut out = Vec::new();
-        for peer in self.topology.peers_of(from) {
-            out.extend(self.transmit(rng, from, peer, msg.clone()));
+        let peers = self.topology.peers_of(from);
+        let mut out = Vec::with_capacity(peers.len());
+        for &peer in peers {
+            self.transmit_into(rng, from, peer, msg.clone(), &mut out);
         }
         out
     }
@@ -367,6 +384,27 @@ mod tests {
         assert!(targets.contains(&NodeId(0)));
         assert!(targets.contains(&NodeId(1)));
         assert!(targets.contains(&NodeId(3)));
+    }
+
+    #[test]
+    fn broadcast_is_transmit_to_each_peer_in_order() {
+        let mut topology = Topology::empty(6);
+        for peer in [4, 1, 5, 2] {
+            topology.connect(NodeId(0), NodeId(peer));
+        }
+        let network = Network::new(topology, LatencyModel::planetlab()).with_faults(FaultModel {
+            drop_probability: 0.2,
+            duplicate_probability: 0.3,
+        });
+        let (mut rng, mut reference) = (SimRng::seed_from_u64(8), SimRng::seed_from_u64(8));
+        for _ in 0..200 {
+            let flood = network.broadcast(&mut rng, NodeId(0), &7u8);
+            let expected: Vec<_> = [1, 2, 4, 5]
+                .into_iter()
+                .flat_map(|peer| network.transmit(&mut reference, NodeId(0), NodeId(peer), 7u8))
+                .collect();
+            assert_eq!(flood, expected);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Node identities and overlay topology.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A peer identifier on the overlay.
@@ -18,9 +18,12 @@ impl fmt::Display for NodeId {
 /// BcWAN gateways "communicate directly with another gateway in a
 /// peer-to-peer manner"; the paper's five-node PlanetLab deployment is a
 /// full mesh, but sparse topologies are useful for gossip experiments.
+///
+/// Each node's peers are kept sorted, so a flood walks them in a
+/// deterministic order without collecting or sorting anything.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    adjacency: HashMap<NodeId, HashSet<NodeId>>,
+    adjacency: HashMap<NodeId, Vec<NodeId>>,
 }
 
 impl Topology {
@@ -28,7 +31,7 @@ impl Topology {
     pub fn full_mesh(n: u32) -> Self {
         let mut adjacency = HashMap::new();
         for i in 0..n {
-            let peers: HashSet<NodeId> = (0..n).filter(|&j| j != i).map(NodeId).collect();
+            let peers: Vec<NodeId> = (0..n).filter(|&j| j != i).map(NodeId).collect();
             adjacency.insert(NodeId(i), peers);
         }
         Topology { adjacency }
@@ -36,22 +39,17 @@ impl Topology {
 
     /// A ring over `n` nodes (each node sees its two neighbours).
     pub fn ring(n: u32) -> Self {
-        let mut adjacency: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
+        let mut ring = Topology::empty(n);
         for i in 0..n {
-            let mut peers = HashSet::new();
-            if n > 1 {
-                peers.insert(NodeId((i + 1) % n));
-                peers.insert(NodeId((i + n - 1) % n));
-            }
-            adjacency.insert(NodeId(i), peers);
+            ring.connect(NodeId(i), NodeId((i + 1) % n));
         }
-        Topology { adjacency }
+        ring
     }
 
     /// An empty topology to build up with [`Topology::connect`].
     pub fn empty(n: u32) -> Self {
         Topology {
-            adjacency: (0..n).map(|i| (NodeId(i), HashSet::new())).collect(),
+            adjacency: (0..n).map(|i| (NodeId(i), Vec::new())).collect(),
         }
     }
 
@@ -60,17 +58,22 @@ impl Topology {
         if a == b {
             return;
         }
-        self.adjacency.entry(a).or_default().insert(b);
-        self.adjacency.entry(b).or_default().insert(a);
+        for (from, to) in [(a, b), (b, a)] {
+            let peers = self.adjacency.entry(from).or_default();
+            if let Err(at) = peers.binary_search(&to) {
+                peers.insert(at, to);
+            }
+        }
     }
 
     /// Removes a bidirectional link (partition injection).
     pub fn disconnect(&mut self, a: NodeId, b: NodeId) {
-        if let Some(peers) = self.adjacency.get_mut(&a) {
-            peers.remove(&b);
-        }
-        if let Some(peers) = self.adjacency.get_mut(&b) {
-            peers.remove(&a);
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(peers) = self.adjacency.get_mut(&from) {
+                if let Ok(at) = peers.binary_search(&to) {
+                    peers.remove(at);
+                }
+            }
         }
     }
 
@@ -89,22 +92,14 @@ impl Topology {
         self.adjacency.is_empty()
     }
 
-    /// Peers of `node` (empty for unknown nodes).
-    pub fn peers_of(&self, node: NodeId) -> Vec<NodeId> {
-        let mut peers: Vec<NodeId> = self
-            .adjacency
-            .get(&node)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        peers.sort_unstable(); // deterministic iteration for the simulator
-        peers
+    /// Peers of `node` in ascending id order (empty for unknown nodes).
+    pub fn peers_of(&self, node: NodeId) -> &[NodeId] {
+        self.adjacency.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// Whether a direct link exists.
     pub fn linked(&self, a: NodeId, b: NodeId) -> bool {
-        self.adjacency
-            .get(&a)
-            .is_some_and(|peers| peers.contains(&b))
+        self.peers_of(a).binary_search(&b).is_ok()
     }
 }
 
@@ -149,10 +144,24 @@ mod tests {
     }
 
     #[test]
+    fn connect_keeps_peers_sorted_and_unique() {
+        let mut t = Topology::empty(8);
+        for j in [5, 2, 7, 2, 1, 5] {
+            t.connect(NodeId(0), NodeId(j));
+        }
+        assert_eq!(t.peers_of(NodeId(0)), [1, 2, 5, 7].map(NodeId));
+        assert_eq!(t.peers_of(NodeId(5)), [NodeId(0)]);
+        t.disconnect(NodeId(2), NodeId(0));
+        assert_eq!(t.peers_of(NodeId(0)), [1, 5, 7].map(NodeId));
+        assert!(t.peers_of(NodeId(2)).is_empty());
+        assert!(t.peers_of(NodeId(99)).is_empty());
+    }
+
+    #[test]
     fn peers_sorted_for_determinism() {
         let t = Topology::full_mesh(10);
         let peers = t.peers_of(NodeId(3));
-        let mut sorted = peers.clone();
+        let mut sorted = peers.to_vec();
         sorted.sort_unstable();
         assert_eq!(peers, sorted);
     }

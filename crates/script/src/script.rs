@@ -2,6 +2,7 @@
 
 use crate::opcode::Opcode;
 use std::fmt;
+use std::sync::Arc;
 
 /// One element of a script: a data push or an operator.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -13,6 +14,12 @@ pub enum Instruction {
 }
 
 /// A script: an ordered list of instructions.
+///
+/// The instructions live behind an [`Arc`], so a clone is a reference
+/// count bump: an output's locking script is one allocation however many
+/// UTXO entries, pool entries, undo records and memo keys hold it. Equal
+/// scripts compare equal whether or not they share that allocation, and
+/// two clones of one script compare by pointer first.
 ///
 /// # Examples
 ///
@@ -34,7 +41,7 @@ pub enum Instruction {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Script {
-    instructions: Vec<Instruction>,
+    instructions: Arc<[Instruction]>,
 }
 
 /// Error from parsing script bytes.
@@ -74,6 +81,34 @@ impl std::error::Error for ParseScriptError {}
 const MAX_DIRECT_PUSH: usize = 75;
 const OP_PUSHDATA1: u8 = 0x4c;
 const OP_PUSHDATA2: u8 = 0x4d;
+/// The longest push `OP_PUSHDATA2`'s 16-bit length can encode.
+const MAX_PUSH: usize = u16::MAX as usize;
+
+/// Refuses a push the wire format cannot encode.
+fn check_push(instr: &Instruction) {
+    if let Instruction::Push(data) = instr {
+        assert!(
+            data.len() <= MAX_PUSH,
+            "a {}-byte push exceeds the {MAX_PUSH}-byte OP_PUSHDATA2 limit",
+            data.len()
+        );
+    }
+}
+
+/// Wire size of one instruction: its prefix byte(s) plus any push data.
+fn encoded_len(instr: &Instruction) -> usize {
+    match instr {
+        Instruction::Op(_) => 1,
+        Instruction::Push(data) => {
+            let prefix = match data.len() {
+                len if len <= MAX_DIRECT_PUSH => 1,
+                len if len <= u8::MAX as usize => 2,
+                _ => 3,
+            };
+            prefix + data.len()
+        }
+    }
+}
 
 impl Script {
     /// An empty script.
@@ -83,14 +118,20 @@ impl Script {
 
     /// Starts a builder.
     pub fn builder() -> ScriptBuilder {
-        ScriptBuilder {
-            instructions: Vec::new(),
-        }
+        ScriptBuilder::default()
     }
 
     /// Builds a script from instructions.
+    ///
+    /// # Panics
+    ///
+    /// If a push is longer than 65 535 bytes, which the wire format
+    /// cannot encode.
     pub fn from_instructions(instructions: Vec<Instruction>) -> Self {
-        Script { instructions }
+        instructions.iter().for_each(check_push);
+        Script {
+            instructions: instructions.into(),
+        }
     }
 
     /// The instruction list.
@@ -124,7 +165,7 @@ impl Script {
 
     /// Extracts the data payload of an `OP_RETURN` script, if it is one.
     pub fn op_return_data(&self) -> Option<&[u8]> {
-        match self.instructions.as_slice() {
+        match &self.instructions[..] {
             [Instruction::Op(Opcode::Return), Instruction::Push(data)] => Some(data),
             _ => None,
         }
@@ -132,8 +173,14 @@ impl Script {
 
     /// Serializes to wire bytes (Bitcoin-style push prefixes).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for instr in &self.instructions {
+        let mut out = Vec::with_capacity(self.byte_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the wire bytes of [`Script::to_bytes`] to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        for instr in self.instructions.iter() {
             match instr {
                 Instruction::Op(op) => out.push(op.to_byte()),
                 Instruction::Push(data) => {
@@ -154,7 +201,6 @@ impl Script {
                 }
             }
         }
-        out
     }
 
     /// Parses wire bytes.
@@ -206,27 +252,34 @@ impl Script {
                 },
             }
         }
-        Ok(Script { instructions })
+        Ok(Script {
+            instructions: instructions.into(),
+        })
     }
 
-    /// Wire size in bytes.
+    /// Wire size in bytes, counted without encoding.
     pub fn byte_len(&self) -> usize {
-        self.to_bytes().len()
+        self.instructions.iter().map(encoded_len).sum()
     }
 
     /// Concatenates two scripts (scriptSig ‖ scriptPubKey evaluation order
     /// is handled by the interpreter; this is for assembling templates).
     pub fn concat(&self, other: &Script) -> Script {
-        let mut instructions = self.instructions.clone();
-        instructions.extend(other.instructions.iter().cloned());
-        Script { instructions }
+        Script {
+            instructions: self
+                .instructions
+                .iter()
+                .chain(other.instructions.iter())
+                .cloned()
+                .collect(),
+        }
     }
 }
 
 impl fmt::Display for Script {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for instr in &self.instructions {
+        for instr in self.instructions.iter() {
             if !first {
                 write!(f, " ")?;
             }
@@ -251,8 +304,15 @@ pub struct ScriptBuilder {
 
 impl ScriptBuilder {
     /// Appends a data push.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is longer than 65 535 bytes, which the wire format
+    /// cannot encode.
     pub fn push(mut self, data: Vec<u8>) -> Self {
-        self.instructions.push(Instruction::Push(data));
+        let push = Instruction::Push(data);
+        check_push(&push);
+        self.instructions.push(push);
         self
     }
 
@@ -271,7 +331,7 @@ impl ScriptBuilder {
     /// Finishes the script.
     pub fn build(self) -> Script {
         Script {
-            instructions: self.instructions,
+            instructions: self.instructions.into(),
         }
     }
 }
@@ -337,11 +397,39 @@ mod tests {
             .push(vec![3; 76])
             .push(vec![4; 255])
             .push(vec![5; 256])
+            .push(vec![6; 65_535])
             .op(Opcode::Dup)
             .op(Opcode::CheckRsa512Pair)
             .build();
-        let round = Script::from_bytes(&s.to_bytes()).unwrap();
+        let bytes = s.to_bytes();
+        assert_eq!(bytes.len(), s.byte_len());
+        let round = Script::from_bytes(&bytes).unwrap();
         assert_eq!(round, s);
+    }
+
+    #[test]
+    #[should_panic(expected = "65536-byte push")]
+    fn builder_refuses_a_push_past_pushdata2() {
+        let _ = Script::builder().push(vec![0; 65_536]);
+    }
+
+    #[test]
+    #[should_panic(expected = "65536-byte push")]
+    fn from_instructions_refuses_a_push_past_pushdata2() {
+        let _ = Script::from_instructions(vec![Instruction::Push(vec![0; 65_536])]);
+    }
+
+    #[test]
+    fn clones_share_the_instructions() {
+        let s = Script::builder()
+            .push(vec![1; 33])
+            .op(Opcode::CheckSig)
+            .build();
+        let copy = s.clone();
+        assert_eq!(copy.instructions().as_ptr(), s.instructions().as_ptr());
+        let parsed = Script::from_bytes(&s.to_bytes()).unwrap();
+        assert_ne!(parsed.instructions().as_ptr(), s.instructions().as_ptr());
+        assert_eq!(parsed, s);
     }
 
     #[test]

@@ -66,6 +66,18 @@ fn script_wire_round_trip() {
 }
 
 #[test]
+fn byte_len_counts_the_encoding() {
+    for_each_case(|seed, rng| {
+        let script = Script::from_instructions(instructions(rng, 24));
+        let bytes = script.to_bytes();
+        assert_eq!(script.byte_len(), bytes.len(), "seed {seed:#x}");
+        let mut appended = vec![0xa5];
+        script.encode_into(&mut appended);
+        assert_eq!(appended[1..], bytes[..], "seed {seed:#x}");
+    });
+}
+
+#[test]
 fn op0_normalizes_to_the_empty_push() {
     let script = Script::from_instructions(vec![Instruction::Op(Opcode::Op0)]);
     let parsed = Script::from_bytes(&script.to_bytes()).unwrap();
