@@ -19,11 +19,11 @@
 //!    also records a per-segment metric timeline into the report's
 //!    `timeline` section.
 //! 3. **Speedup**: at `--scalar-nodes` sensors on a 6-hour metering
-//!    cadence, steps the per-`Radio` scalar reference and the columnar
-//!    world (both single-threaded, best of three runs each) over the
-//!    same 1800 s window, asserts their counters are bit-identical, and
-//!    reports the wall-clock ratio. With `--check-speedup X`, exits 1
-//!    below `X×`.
+//!    cadence, steps the per-`Radio` scalar reference (best of three
+//!    runs) and the columnar world (best of 25) over the same 1800 s
+//!    window, both single-threaded, asserts every run's counters are
+//!    bit-identical, and reports both walls in microseconds and their
+//!    ratio. With `--check-speedup X`, exits 1 below `X×`.
 //!
 //! Usage: `lora_scale [--nodes N,N,…] [--sim-secs S] [--threads T]
 //! [--seed S] [--no-curve] [--scalar-nodes N] [--check-speedup X]
@@ -37,7 +37,7 @@
 use bcwan_bench::BenchReport;
 use bcwan_lora::mac::MacConfig;
 use bcwan_lora::params::{RadioConfig, SpreadingFactor};
-use bcwan_lora::shard::{ScalarFleet, ShardConfig, ShardedLora};
+use bcwan_lora::shard::{ScalarFleet, ShardConfig, ShardCounters, ShardedLora};
 use bcwan_lora::time_on_air;
 use bcwan_sim::{Json, Registry, SimDuration, SimTime, SnapshotSeries};
 
@@ -49,6 +49,13 @@ const SEGMENTS: u64 = 12;
 /// the columnar wall time (a few ms at 10⁵ nodes) sits well above
 /// timer/scheduler noise.
 const SPEEDUP_SIM_S: u64 = 1800;
+/// Speedup-phase runs of the scalar path: ~0.2 s each at 10⁵ nodes, so
+/// the best of three is already steady.
+const SCALAR_RUNS: usize = 3;
+/// Speedup-phase runs of the columnar path: a few milliseconds each,
+/// where a best of three swings by half and would hide a 1.5× slowdown
+/// of the sparse regime.
+const COLUMNAR_RUNS: usize = 25;
 
 struct Args {
     nodes: Vec<u64>,
@@ -297,39 +304,49 @@ fn main() {
 
     // Phase 3 — columnar vs scalar speedup + embedded equivalence check.
     // Both paths single-threaded: the ratio measures the data layout and
-    // the wake-heap, not the core count. The workload is a metering
+    // the calendar wheel, not the core count. The workload is a metering
     // fleet — one report per sensor every 6 h, the cadence of smart
     // water/gas meters — so almost every per-node visit the scalar path
     // makes is an idle scan. That scan is exactly the cost the columnar
-    // wake-heap eliminates; denser traffic shifts both paths towards the
-    // shared per-event math and shrinks the ratio.
+    // wheel eliminates: a shard jumps from one occupied tick to the
+    // next, most wakes waiting hours ahead in the wheel's overflow heap.
+    // Denser traffic shifts both paths towards the shared per-event math
+    // and shrinks the ratio.
     let speedup_cfg = ShardConfig {
         mean_interval: SimDuration::from_secs(21_600),
         ..scale_cfg(args.scalar_nodes, args.seed)
     };
     let until = SimTime::from_micros(SPEEDUP_SIM_S * 1_000_000);
-    // Best of three runs per path: at these wall times (tens of ms) a
-    // single scheduler hiccup would swing the ratio.
+    // Best of several runs per path, walls in microseconds: the columnar
+    // side takes a few milliseconds, where one scheduler hiccup would
+    // swing the ratio and a three-decimal seconds reading hides a 1.5×
+    // change. Every run's counters must equal the first scalar run's.
     let mut scalar_wall = f64::MAX;
     let mut columnar_wall = f64::MAX;
-    for _ in 0..3 {
+    let mut reference = None;
+    let mut check = |path: &str, counters: ShardCounters| {
+        let expected = *reference.get_or_insert(counters);
+        if counters != expected {
+            eprintln!(
+                "EQUIVALENCE FAILED at {} sensors:\n  scalar   {expected:?}\n  {path:<8} {counters:?}",
+                args.scalar_nodes
+            );
+            gate_failed = true;
+        }
+    };
+    for _ in 0..SCALAR_RUNS {
         let mut scalar = ScalarFleet::new(&speedup_cfg);
         let t0 = std::time::Instant::now();
         scalar.step_until(until);
         scalar_wall = scalar_wall.min(t0.elapsed().as_secs_f64());
+        check("scalar", scalar.counters());
+    }
+    for _ in 0..COLUMNAR_RUNS {
         let mut columnar = ShardedLora::new(&speedup_cfg);
         let t0 = std::time::Instant::now();
         columnar.step_until(until, 1);
         columnar_wall = columnar_wall.min(t0.elapsed().as_secs_f64());
-        if scalar.counters() != columnar.counters() {
-            eprintln!(
-                "EQUIVALENCE FAILED at {} sensors:\n  scalar   {:?}\n  columnar {:?}",
-                args.scalar_nodes,
-                scalar.counters(),
-                columnar.counters()
-            );
-            gate_failed = true;
-        }
+        check("columnar", columnar.counters());
     }
     let speedup = scalar_wall / columnar_wall.max(1e-12);
     println!(
@@ -337,7 +354,9 @@ fn main() {
         args.scalar_nodes
     );
     println!(
-        "scalar {scalar_wall:.3}s, columnar {columnar_wall:.3}s → {speedup:.1}× (counters bit-identical)"
+        "scalar {:.0} µs (best of {SCALAR_RUNS}), columnar {:.0} µs (best of {COLUMNAR_RUNS}) → {speedup:.1}× (counters bit-identical)",
+        scalar_wall * 1e6,
+        columnar_wall * 1e6
     );
     if let Some(min) = args.check_speedup {
         if speedup < min {

@@ -41,36 +41,50 @@ impl LoadKey {
 /// order, which keeps the floating-point sum identical between the
 /// scalar and columnar simulation paths.
 ///
-/// Backed by a small sorted vector rather than a map: the sharded
-/// simulator clears and refills one table per tick, and a vector's
-/// capacity survives [`clear`](OfferedLoads::clear), so the steady-state
-/// tick loop allocates nothing.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A flat `channels × 6` array indexed by `channel · 6 + (SF − 7)`: a
+/// lookup or an add is one index, and [`clear`](OfferedLoads::clear)
+/// zeroes just the keys added to since the last clear, so the sharded
+/// simulator's per-tick refill allocates nothing and a quiet tick costs
+/// nothing. An untouched key reads `0.0`, and the first contribution
+/// lands as `0.0 + g == g`, so sums are the same as those of a table
+/// that stores only the keys it has seen. A key's channel must be below
+/// the table's channel count: [`add`](OfferedLoads::add) and
+/// [`g`](OfferedLoads::g) panic otherwise.
+#[derive(Debug, Clone)]
 pub struct OfferedLoads {
-    /// `(key, G)` pairs, sorted by key.
-    loads: Vec<(LoadKey, f64)>,
+    /// `G` per key, at `channel · 6 + (SF − 7)`.
+    loads: Vec<f64>,
+    /// Indices into `loads` that may be non-zero.
+    touched: Vec<usize>,
 }
 
 impl OfferedLoads {
-    /// An empty (zero-load) table.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty (zero-load) table over uplink channels `0..channels`.
+    pub fn new(channels: u8) -> Self {
+        OfferedLoads {
+            loads: vec![0.0; usize::from(channels) * SpreadingFactor::ALL.len()],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Index of `key` in the flat table.
+    fn slot(key: LoadKey) -> usize {
+        usize::from(key.channel) * SpreadingFactor::ALL.len() + (key.sf.value() - 7) as usize
     }
 
     /// Adds `g` frame-airtimes of offered load to `key`.
     pub fn add(&mut self, key: LoadKey, g: f64) {
         assert!(g >= 0.0, "negative load contribution");
-        match self.loads.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.loads[i].1 += g,
-            Err(i) => self.loads.insert(i, (key, g)),
+        let slot = Self::slot(key);
+        if self.loads[slot] == 0.0 {
+            self.touched.push(slot);
         }
+        self.loads[slot] += g;
     }
 
     /// Total offered load `G` on `key`.
     pub fn g(&self, key: LoadKey) -> f64 {
-        self.loads
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .map_or(0.0, |i| self.loads[i].1)
+        self.loads[Self::slot(key)]
     }
 
     /// Offered load on `key` seen by one frame that itself contributes
@@ -79,15 +93,12 @@ impl OfferedLoads {
         (self.g(key) - own_g).max(0.0)
     }
 
-    /// Clears all keys, keeping the allocation (reused tick-to-tick by
-    /// the sharded simulator).
+    /// Zeroes every key in place (reused tick-to-tick by the sharded
+    /// simulator).
     pub fn clear(&mut self) {
-        self.loads.clear();
-    }
-
-    /// Iterates `(key, G)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (LoadKey, f64)> + '_ {
-        self.loads.iter().copied()
+        for slot in self.touched.drain(..) {
+            self.loads[slot] = 0.0;
+        }
     }
 }
 
@@ -153,7 +164,7 @@ mod tests {
     fn zero_load_always_succeeds() {
         assert_eq!(aloha_success_probability(0.0), 1.0);
         let mut rng = SimRng::seed_from_u64(1);
-        let loads = OfferedLoads::new();
+        let loads = OfferedLoads::new(1);
         assert!(frame_survives(&loads, sf7_key(), 0.0, &mut rng));
     }
 
@@ -181,12 +192,12 @@ mod tests {
         // 30 sensors per gateway sending the 160 B data frame at the
         // (throttled) Fig. 5 rate of ~1 frame/50 s each.
         let cfg = RadioConfig::paper_sf7();
-        let mut per_gw = OfferedLoads::new();
+        let mut per_gw = OfferedLoads::new(1);
         add_population(&mut per_gw, sf7_key(), &cfg, (160, 30, 1.0 / 50.0));
         let p = aloha_success_probability(per_gw.g(sf7_key()));
         assert!(p > 0.6, "per-gateway success {p:.3}");
         // All 150 sensors sharing ONE channel/gateway would hurt badly.
-        let mut all = OfferedLoads::new();
+        let mut all = OfferedLoads::new(1);
         add_population(&mut all, sf7_key(), &cfg, (160, 150, 1.0 / 50.0));
         let p_all = aloha_success_probability(all.g(sf7_key()));
         assert!(p_all < p - 0.2, "{p_all} vs {p}");
@@ -198,7 +209,7 @@ mod tests {
         // untouched, as are SF12 frames on another channel.
         let cfg = RadioConfig::paper_sf7();
         let sf12 = LoadKey::new(0, SpreadingFactor::Sf12);
-        let mut loads = OfferedLoads::new();
+        let mut loads = OfferedLoads::new(2);
         add_population(&mut loads, sf12, &cfg, (51, 500, 1.0 / 20.0));
         assert!(aloha_success_probability(loads.g(sf12)) < 0.01);
         assert_eq!(aloha_success_probability(loads.g(sf7_key())), 1.0);
@@ -208,7 +219,7 @@ mod tests {
 
     #[test]
     fn own_contribution_excluded_from_competing_load() {
-        let mut loads = OfferedLoads::new();
+        let mut loads = OfferedLoads::new(1);
         let key = sf7_key();
         loads.add(key, 0.3);
         // A frame that IS the whole 0.3 load competes against nothing.
@@ -224,7 +235,7 @@ mod tests {
     fn sampling_matches_analytic_rate() {
         let mut rng = SimRng::seed_from_u64(2);
         let g = 0.35;
-        let mut loads = OfferedLoads::new();
+        let mut loads = OfferedLoads::new(1);
         loads.add(sf7_key(), g);
         let n = 20_000;
         let survived = (0..n)
@@ -242,15 +253,27 @@ mod tests {
     }
 
     #[test]
-    fn table_clear_and_iter() {
-        let mut loads = OfferedLoads::new();
-        loads.add(LoadKey::new(1, SpreadingFactor::Sf8), 0.25);
+    fn keys_are_independent_and_clear_zeroes() {
+        let mut loads = OfferedLoads::new(2);
+        let sf8_ch1 = LoadKey::new(1, SpreadingFactor::Sf8);
+        let sf12_ch1 = LoadKey::new(1, SpreadingFactor::Sf12);
+        loads.add(sf8_ch1, 0.25);
         loads.add(sf7_key(), 0.5);
-        let pairs: Vec<_> = loads.iter().collect();
-        assert_eq!(pairs.len(), 2);
-        // Key-sorted iteration: channel 0 before channel 1.
-        assert_eq!(pairs[0].0, sf7_key());
+        loads.add(sf8_ch1, 0.125);
+        assert_eq!(loads.g(sf8_ch1), 0.375);
+        assert_eq!(loads.g(sf7_key()), 0.5);
+        assert_eq!(loads.g(sf12_ch1), 0.0);
         loads.clear();
+        assert_eq!(loads.g(sf8_ch1), 0.0);
         assert_eq!(loads.g(sf7_key()), 0.0);
+        // Cleared keys accumulate from zero again.
+        loads.add(sf8_ch1, 0.125);
+        assert_eq!(loads.g(sf8_ch1), 0.125);
+    }
+
+    #[test]
+    #[should_panic]
+    fn channel_outside_the_table_panics() {
+        OfferedLoads::new(1).g(LoadKey::new(1, SpreadingFactor::Sf7));
     }
 }

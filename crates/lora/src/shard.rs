@@ -9,13 +9,14 @@
 //!   sensors on the same gateway's `(channel, SF)` keys, so shards are
 //!   fully independent and step concurrently via [`std::thread::scope`].
 //! - **Columnar node state**: per-node fields live in parallel arrays
-//!   (`wake`, `next_fire`, `next_allowed`, `backoff_until`, `pending`,
-//!   `sf`, `channel`, `mean_rssi`) instead of one ~140-byte struct per
-//!   node, so the per-tick scan touches one u64 per idle node — and a
-//!   wake-heap over the `wake` column skips idle nodes entirely.
+//!   (`next_fire`, `next_allowed`, `backoff_until`, `pending`, `sf`,
+//!   `channel`, `mean_rssi`) instead of one ~140-byte struct per node,
+//!   and a calendar wheel files each node under the tick it next wakes
+//!   at, so a tick touches only the nodes due on it and the clock jumps
+//!   straight over idle ticks.
 //! - **Batched contention math**: per tick, transmissions accumulate into
-//!   a per-`(channel, SF)` [`OfferedLoads`] table and the ALOHA / capture
-//!   / demodulator decisions run over that batch, instead of a
+//!   a flat per-`(channel, SF)` [`OfferedLoads`] table and the ALOHA /
+//!   capture / demodulator decisions run over that batch, instead of a
 //!   per-frame `Radio::transmit` + `try_deliver` call pair.
 //! - **Deterministic RNG streams**: shard `k` draws from
 //!   [`SimRng::stream`]`(seed, k)`, a pure function of the experiment
@@ -52,8 +53,9 @@ use crate::mac::MacConfig;
 use crate::params::{RadioConfig, SpreadingFactor};
 use crate::radio::Radio;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use wheel::TickWheel;
+
+mod wheel;
 
 /// Configuration for a sharded LoRa population.
 #[derive(Debug, Clone)]
@@ -242,14 +244,10 @@ fn build_frame(device_id: u32, frame_len: usize) -> LoraFrame {
 /// One gateway region holding columnar per-node state.
 pub struct Shard {
     cfg: ShardConfig,
-    now: SimTime,
+    /// Tick boundaries stepped: the shard's clock is `ticks × tick`.
+    ticks: u64,
     rng: SimRng,
     // --- columns, indexed by node ---
-    /// Next instant (µs) at which the node can possibly act: the minimum
-    /// of its next arrival and, if it has queued frames, the instant its
-    /// duty-cycle and backoff windows both clear. Nodes with `wake > now`
-    /// are skipped without touching any other column.
-    wake: Vec<u64>,
     next_fire: Vec<u64>,
     next_allowed: Vec<u64>,
     backoff_until: Vec<u64>,
@@ -259,11 +257,16 @@ pub struct Shard {
     mean_rssi: Vec<f64>,
     // --- per-SF precomputed tables ---
     airtime_by_sf: [SimDuration; SF_COUNT],
+    /// Airtime plus the duty-cycle off-time that follows it.
+    blocked_by_sf: [SimDuration; SF_COUNT],
     airtime_s_by_sf: [f64; SF_COUNT],
     energy_by_sf: [f64; SF_COUNT],
     own_g_by_sf: [f64; SF_COUNT],
     // --- wake index + per-tick scratch ---
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Every node, filed under the first tick boundary at or after the
+    /// instant it can next act (see [`Shard::wake_tick`]). Nodes not
+    /// due are never touched.
+    wheel: TickWheel,
     due: Vec<u32>,
     txs: Vec<u32>,
     demod: Vec<(u32, SimDuration)>,
@@ -278,7 +281,8 @@ impl Shard {
         cfg.validate();
         let mut rng = SimRng::stream(cfg.seed, u64::from(shard_id));
         let n = cfg.nodes_per_shard as usize;
-        let mut wake = Vec::with_capacity(n);
+        let tick_us = cfg.tick.as_micros();
+        let mut wheel = TickWheel::new(n);
         let mut next_fire = Vec::with_capacity(n);
         let mut sf = Vec::with_capacity(n);
         let mut channel = Vec::with_capacity(n);
@@ -290,17 +294,19 @@ impl Shard {
             let node_sf = cfg
                 .sf_fixed
                 .unwrap_or_else(|| assign_sf(&cfg.link, distance, cfg.frame_len));
-            wake.push(first.as_micros());
+            wheel.push(i as u32, first.as_micros().div_ceil(tick_us));
             next_fire.push(first.as_micros());
             sf.push(sf_index(node_sf) as u8);
             channel.push((i % cfg.channels as usize) as u8);
             mean_rssi.push(cfg.link.mean_rssi_dbm(distance));
         }
         let mut airtime_by_sf = [SimDuration::ZERO; SF_COUNT];
+        let mut blocked_by_sf = [SimDuration::ZERO; SF_COUNT];
         let mut airtime_s_by_sf = [0.0; SF_COUNT];
         let mut energy_by_sf = [0.0; SF_COUNT];
         let mut own_g_by_sf = [0.0; SF_COUNT];
         let tick_s = cfg.tick.as_secs_f64();
+        let duty_factor = 1.0 / cfg.duty - 1.0;
         for (i, factor) in SpreadingFactor::ALL.into_iter().enumerate() {
             let rc = RadioConfig {
                 spreading_factor: factor,
@@ -308,20 +314,16 @@ impl Shard {
             };
             let airtime = time_on_air(&rc, cfg.frame_len);
             airtime_by_sf[i] = airtime;
+            blocked_by_sf[i] =
+                airtime + SimDuration::from_secs_f64(airtime.as_secs_f64() * duty_factor);
             airtime_s_by_sf[i] = airtime.as_secs_f64();
             energy_by_sf[i] = cfg.energy.tx_energy(airtime);
             own_g_by_sf[i] = airtime.as_secs_f64() / tick_s;
         }
-        let heap = wake
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| Reverse((w, i as u32)))
-            .collect();
         Shard {
             cfg: cfg.clone(),
-            now: SimTime::ZERO,
+            ticks: 0,
             rng,
-            wake,
             next_fire,
             next_allowed: vec![0; n],
             backoff_until: vec![0; n],
@@ -330,22 +332,23 @@ impl Shard {
             channel,
             mean_rssi,
             airtime_by_sf,
+            blocked_by_sf,
             airtime_s_by_sf,
             energy_by_sf,
             own_g_by_sf,
-            heap,
+            wheel,
             due: Vec::new(),
             txs: Vec::new(),
             demod: Vec::new(),
-            loads: OfferedLoads::new(),
-            util_prev: OfferedLoads::new(),
+            loads: OfferedLoads::new(cfg.channels),
+            util_prev: OfferedLoads::new(cfg.channels),
             counters: ShardCounters::default(),
         }
     }
 
     /// Current shard time.
     pub fn now(&self) -> SimTime {
-        self.now
+        SimTime::from_micros(self.ticks * self.cfg.tick.as_micros())
     }
 
     /// This shard's outcome counters.
@@ -361,54 +364,46 @@ impl Shard {
     /// `util_prev` table must be emptied, as an idle tick offers no load
     /// for the next tick's CCA to observe.
     pub fn step_until(&mut self, until: SimTime) {
-        let tick_us = self.cfg.tick.as_micros();
-        while self.now < until {
-            let wake = self.heap.peek().map_or(u64::MAX, |&Reverse((w, _))| w);
-            let now_us = self.now.as_micros();
-            if wake > now_us + tick_us {
-                // Jump to one tick before the boundary the earliest wake
-                // lands on (clamped so the window's final boundary is
-                // still processed, exactly as the scalar loop does).
-                let target = wake.min(until.as_micros());
-                let ticks = (target - now_us).div_ceil(tick_us);
-                if ticks > 1 {
-                    self.now = SimTime::from_micros(now_us + (ticks - 1) * tick_us);
-                    self.util_prev.clear();
-                }
+        // The window's final boundary, which is processed even if idle,
+        // exactly as the scalar loop does.
+        let last = until.as_micros().div_ceil(self.cfg.tick.as_micros());
+        while self.ticks < last {
+            let due = self.wheel.next_due().map_or(last, |due| due.min(last));
+            if due > self.ticks + 1 {
+                // Jump to one tick before the earliest due boundary.
+                self.ticks = due - 1;
+                self.util_prev.clear();
             }
             self.step_tick();
         }
     }
 
-    fn recompute_wake(&mut self, i: usize) -> u64 {
+    /// The tick boundary at which node `i` can next act: the first one
+    /// at or after the minimum of its next arrival and, if it has queued
+    /// frames, the instant its duty-cycle and backoff windows both clear.
+    fn wake_tick(&self, i: usize) -> u64 {
         let ready = if self.pending[i] > 0 {
             self.next_allowed[i].max(self.backoff_until[i])
         } else {
             u64::MAX
         };
-        let w = self.next_fire[i].min(ready);
-        self.wake[i] = w;
-        w
+        self.next_fire[i]
+            .min(ready)
+            .div_ceil(self.cfg.tick.as_micros())
     }
 
     /// Advances the shard by one tick.
     pub fn step_tick(&mut self) {
-        self.now += self.cfg.tick;
-        let now_us = self.now.as_micros();
+        self.ticks += 1;
+        let now = self.now();
+        let now_us = now.as_micros();
         let mean_s = self.cfg.mean_interval.as_secs_f64();
-        let duty_factor = 1.0 / self.cfg.duty - 1.0;
 
         // Pass 1 — arrivals and transmit attempts, in node order. The
-        // wake heap yields exactly the nodes a full column scan would
-        // touch; sorting restores node order for draw alignment.
+        // wheel yields exactly the nodes a full column scan would touch;
+        // sorting restores node order for draw alignment.
         self.due.clear();
-        while let Some(&Reverse((w, i))) = self.heap.peek() {
-            if w > now_us {
-                break;
-            }
-            self.heap.pop();
-            self.due.push(i);
-        }
+        self.wheel.take(self.ticks, &mut self.due);
         self.due.sort_unstable();
         let due = std::mem::take(&mut self.due);
         for &i in &due {
@@ -417,7 +412,7 @@ impl Shard {
                 self.counters.fired += 1;
                 self.pending[i] = self.pending[i].saturating_add(1);
                 let gap = SimDuration::from_secs_f64(self.rng.exponential(mean_s));
-                self.next_fire[i] = (self.now + gap).as_micros();
+                self.next_fire[i] = (now + gap).as_micros();
             }
             if self.pending[i] > 0
                 && self.next_allowed[i] <= now_us
@@ -433,14 +428,12 @@ impl Shard {
                         self.rng
                             .uniform_range(0.0, 2.0 * self.cfg.mac.backoff_base_s),
                     );
-                    self.backoff_until[i] = (self.now + backoff).as_micros();
+                    self.backoff_until[i] = (now + backoff).as_micros();
                     self.counters.cca_busy += 1;
                     deferred = true;
                 }
                 if !deferred {
-                    let airtime = self.airtime_by_sf[sf_i];
-                    let off = SimDuration::from_secs_f64(airtime.as_secs_f64() * duty_factor);
-                    self.next_allowed[i] = (self.now + airtime + off).as_micros();
+                    self.next_allowed[i] = (now + self.blocked_by_sf[sf_i]).as_micros();
                     self.pending[i] -= 1;
                     self.counters.attempted += 1;
                     self.counters.airtime_s += self.airtime_s_by_sf[sf_i];
@@ -501,13 +494,13 @@ impl Shard {
             }
         }
 
-        // Bookkeeping: re-index touched nodes, roll the utilization table.
-        let due = std::mem::take(&mut self.due);
-        for &i in &due {
-            let w = self.recompute_wake(i as usize);
-            self.heap.push(Reverse((w, i)));
+        // Bookkeeping: re-file touched nodes (a wake already past comes
+        // due at the next tick), roll the utilization table.
+        for d in 0..self.due.len() {
+            let i = self.due[d];
+            let tick = self.wake_tick(i as usize);
+            self.wheel.push(i, tick);
         }
-        self.due = due;
         self.txs.clear();
         self.demod.clear();
         std::mem::swap(&mut self.util_prev, &mut self.loads);
@@ -541,7 +534,7 @@ impl ShardedLora {
     /// Current simulation time (all shards advance in lock-step between
     /// `step_until` calls).
     pub fn now(&self) -> SimTime {
-        self.shards.first().map_or(SimTime::ZERO, |s| s.now)
+        self.shards.first().map_or(SimTime::ZERO, Shard::now)
     }
 
     /// Steps every shard up to (at least) `until`, using up to `threads`
@@ -632,8 +625,8 @@ impl ScalarShard {
             now: SimTime::ZERO,
             rng,
             nodes,
-            loads: OfferedLoads::new(),
-            util_prev: OfferedLoads::new(),
+            loads: OfferedLoads::new(cfg.channels),
+            util_prev: OfferedLoads::new(cfg.channels),
             txs: Vec::new(),
             demod: Vec::new(),
             counters: ShardCounters::default(),

@@ -11,6 +11,11 @@
 //!   `SimRng::stream`s plus merge-in-shard-order).
 //! - **Determinism**: same seed ⇒ same counters; different seed ⇒
 //!   different counters.
+//! - **Sparse wakes**: the columnar shard files nodes in a 1 024-tick
+//!   calendar wheel with an overflow heap past it, and jumps its clock
+//!   to the next due tick. Metering cadences, duty off-times longer than
+//!   the ring, odd tick lengths and stepping in uneven pieces all cross
+//!   that horizon or that jump, and must still match the scalar walk.
 
 use bcwan_lora::mac::MacConfig;
 use bcwan_lora::params::SpreadingFactor;
@@ -77,6 +82,93 @@ fn scalar_and_columnar_agree_fixed_sf_saturated_gateway() {
     let scalar = run_scalar(&cfg, 300);
     assert_eq!(columnar, scalar);
     assert!(columnar.demod_dropped > 0, "{columnar:?}");
+}
+
+/// Ticks the columnar shard's wheel holds before wakes overflow.
+const RING_TICKS: u64 = 1024;
+
+/// A metering fleet: one reading per sensor every 6 h, so nearly every
+/// first arrival starts past the ring and every wake is a long jump.
+/// With 40 sensors a shard the ring is empty most of the time and the
+/// next wake is in the overflow heap; with 1 000 it never empties.
+#[test]
+fn scalar_and_columnar_agree_metering_cadence() {
+    for (shards, per_shard, seed) in [(8, 40, 606), (2, 1_000, 607)] {
+        let cfg = ShardConfig {
+            mean_interval: SimDuration::from_secs(21_600),
+            ..ShardConfig::dense(shards, per_shard, seed)
+        };
+        let horizon_s = 12 * RING_TICKS;
+        let columnar = run_columnar(&cfg, horizon_s, 1);
+        let scalar = run_scalar(&cfg, horizon_s);
+        assert_eq!(columnar, scalar, "{shards} × {per_shard}");
+        assert!(columnar.attempted > 100, "{columnar:?}");
+    }
+}
+
+/// A 0.1 %-duty cell wide enough that many sensors sit on SF12: after a
+/// ~2.3 s SF12 frame the governor blocks for ~38 min, past the ring,
+/// while arrivals keep queueing behind it.
+#[test]
+fn scalar_and_columnar_agree_low_duty_sf12() {
+    let cfg = ShardConfig {
+        duty: 0.001,
+        region_radius_m: 9_000.0,
+        mean_interval: SimDuration::from_secs(600),
+        ..ShardConfig::dense(2, 300, 707)
+    };
+    let horizon_s = 3 * RING_TICKS;
+    let columnar = run_columnar(&cfg, horizon_s, 1);
+    let scalar = run_scalar(&cfg, horizon_s);
+    assert_eq!(columnar, scalar);
+    assert!(
+        columnar.attempted < columnar.fired,
+        "no frame waited on the duty governor: {columnar:?}"
+    );
+}
+
+#[test]
+fn scalar_and_columnar_agree_at_other_tick_lengths() {
+    for (tick_ms, seed) in [(250, 808), (3_000, 909)] {
+        let cfg = ShardConfig {
+            tick: SimDuration::from_millis(tick_ms),
+            ..busy_cfg(seed, MacConfig::csma(), None)
+        };
+        let columnar = run_columnar(&cfg, 300, 1);
+        let scalar = run_scalar(&cfg, 300);
+        assert_eq!(columnar, scalar, "tick {tick_ms} ms");
+        assert!(columnar.cca_busy > 0, "tick {tick_ms} ms: {columnar:?}");
+    }
+}
+
+/// Stepping to the same instant in uneven pieces — under a tick, across
+/// idle stretches, past the ring — ends in the same state as one call.
+#[test]
+fn stepping_in_uneven_pieces_equals_one_call() {
+    let pieces_us = [
+        300_000,
+        1_700_000,
+        2_000_000,
+        45_123_456,
+        45_123_457,
+        700_000_000,
+        2_500_000_000,
+        3_100_000_000,
+    ];
+    let dense = busy_cfg(111, MacConfig::csma(), None);
+    let metering = ShardConfig {
+        mean_interval: SimDuration::from_secs(21_600),
+        ..ShardConfig::dense(2, 1_000, 222)
+    };
+    for cfg in [dense, metering] {
+        let mut world = ShardedLora::new(&cfg);
+        for &until in &pieces_us {
+            world.step_until(SimTime::from_micros(until), 2);
+        }
+        let until_s = pieces_us[pieces_us.len() - 1] / 1_000_000;
+        assert_eq!(world.counters(), run_columnar(&cfg, until_s, 1));
+        assert_eq!(world.counters(), run_scalar(&cfg, until_s));
+    }
 }
 
 #[test]
