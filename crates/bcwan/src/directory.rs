@@ -11,10 +11,11 @@
 //! blockchain address announces multiple times, the highest sequence wins
 //! (ties broken by chain order), so a relocated gateway (§4.3: "the
 //! latter can change if the recipient gateway is moved") republishes with
-//! a larger `seq`.
+//! a larger `seq`. A federation starts from [`bootstrap_chain`], whose
+//! genesis announces every host.
 
-use bcwan_chain::{Address, Chain, Transaction, TxOut};
-use bcwan_script::templates::op_return;
+use bcwan_chain::{Address, Block, BlockHash, Chain, ChainParams, Transaction, TxOut, Wallet};
+use bcwan_script::templates::{op_return, p2pkh};
 use bcwan_script::Script;
 use std::collections::HashMap;
 use std::fmt;
@@ -118,6 +119,40 @@ impl IpAnnouncement {
             seq: 0,
         }
     }
+}
+
+/// The chain a federation starts from (§5.2's bootstrap phase): a
+/// genesis paying each of `allocations` and announcing every
+/// `(host, address)` of `announced` (seq 0), then `coinbase_maturity`
+/// empty blocks paying `miner`, so the genesis coins are spendable from
+/// the start. Every host runs a fork of it.
+pub fn bootstrap_chain(
+    params: &ChainParams,
+    allocations: &[(Address, u64)],
+    announced: impl IntoIterator<Item = (usize, Address)>,
+    miner: &Wallet,
+) -> Chain {
+    let paid = allocations.iter().map(|(address, value)| TxOut {
+        value: *value,
+        script_pubkey: p2pkh(&address.0),
+    });
+    let announced = announced
+        .into_iter()
+        .map(|(host, address)| IpAnnouncement::genesis(host, address).to_output());
+    let coinbase = Transaction::coinbase(0, b"bcwan-genesis", paid.chain(announced).collect());
+    let bits = params.difficulty_bits;
+    let genesis = Block::mine(BlockHash::GENESIS_PREV, 0, bits, vec![coinbase]);
+    let mut chain = Chain::new(params.clone(), genesis);
+    for h in 1..=params.coinbase_maturity {
+        let reward = TxOut {
+            value: params.coinbase_reward,
+            script_pubkey: miner.locking_script(),
+        };
+        let coinbase = Transaction::coinbase(h, b"warmup", vec![reward]);
+        let block = Block::mine(chain.tip(), h, bits, vec![coinbase]);
+        chain.add_block(block).expect("warm-up block valid");
+    }
+    chain
 }
 
 /// The directory view a gateway maintains by scanning the chain.

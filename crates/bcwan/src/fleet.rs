@@ -11,7 +11,10 @@
 //! runs unmodified over [`BusFleet`] (in-process channels, instant
 //! delivery) or [`TcpFleet`] (real `TcpHost` sockets multiplexed on one
 //! shared event-driven [`TcpRuntime`]); the only difference is which
-//! transport value the caller constructs.
+//! transport value the caller constructs. A scenario's sensor is the
+//! simulator's [`Device`] too, driven over an instant, lossless
+//! in-process link into the gateway's [`Node::on_uplink`]; the fleet
+//! adds no radio and no loss model.
 //!
 //! Live nodes run the same watchdog as simulated ones: each node asks
 //! for a wake-up whenever it arms a deadline ([`NodeEnv::wake_at`]), and
@@ -29,21 +32,19 @@
 
 use crate::app_server::AppServerId;
 use crate::costs::CostModel;
-use crate::directory::IpAnnouncement;
+use crate::device::{Device, DeviceEnv, DeviceNote, DeviceSpec, Downlink, Timer, Uplink};
+use crate::directory::bootstrap_chain;
 use crate::escrow::REFUND_DELTA;
-use crate::exchange::seal_reading;
 use crate::fsm::{FsmConfig, FsmEvent};
 use crate::net::WanCodec;
-use crate::node::{Node, NodeEnv, Note, Parcel, Stored, Terms};
+use crate::node::{delivery_tag, Node, NodeEnv, Note, Parcel, Stored, Terms};
 use crate::provisioning::DeviceId;
 use crate::wire::WanMessage;
 use crate::Daemon;
-use bcwan_chain::{Address, Block, BlockHash, Chain, ChainParams, Transaction, TxOut, Wallet};
+use bcwan_chain::{Address, ChainParams, Wallet};
 use bcwan_crypto::rsa::RsaKeySize;
-use bcwan_crypto::sha256::sha256;
 use bcwan_p2p::transport::{TcpConfig, TcpHost, TcpRuntime};
 use bcwan_p2p::{Envelope, Inbox, LiveBus, NodeId};
-use bcwan_script::templates::p2pkh;
 use bcwan_sim::{SimRng, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -246,7 +247,7 @@ pub struct FleetNode {
     /// The gateway daemon.
     pub node: Node,
     /// What the node reported, in order, by exchange tag. Tags are the
-    /// operator's on the gateway side ([`Node::open_session`]) and
+    /// operator's on the gateway side ([`Node::on_uplink`]) and
     /// [`delivery_tag`]s on the recipient side.
     pub notes: Vec<(u64, Note)>,
     /// When the node asked to run its watchdog next.
@@ -264,14 +265,6 @@ struct LiveEnv<'a> {
     wake: &'a mut Option<SimTime>,
 }
 
-/// The tag a live recipient files an exchange under: a digest of the
-/// ephemeral key its `Deliver` names, so telling deliveries apart keeps
-/// no state a peer's traffic could grow.
-pub fn delivery_tag(e_pk_bytes: &[u8]) -> u64 {
-    let digest = sha256(e_pk_bytes);
-    u64::from_le_bytes(digest[..8].try_into().expect("eight bytes"))
-}
-
 impl NodeEnv for LiveEnv<'_> {
     fn flood(&mut self, _at: SimTime, parcel: &Arc<Parcel>) {
         self.out.push(Outbound::Flood(parcel.msg.clone()));
@@ -285,8 +278,9 @@ impl NodeEnv for LiveEnv<'_> {
         self.notes.push((tag, note));
     }
 
-    fn delivery(&mut self, e_pk_bytes: &[u8]) -> Option<u64> {
-        Some(delivery_tag(e_pk_bytes))
+    /// A live recipient files an exchange under its [`delivery_tag`].
+    fn delivery(&mut self, key: u64) -> Option<u64> {
+        Some(key)
     }
 
     fn closed(&self, tag: u64) -> bool {
@@ -375,24 +369,6 @@ impl<T: FleetTransport> Fleet<T> {
         params.coinbase_maturity = 0;
         let wallets: Vec<Wallet> = (0..n).map(|_| Wallet::generate(&mut rng)).collect();
         let address_book: Arc<[Address]> = wallets.iter().map(Wallet::address).collect();
-        // Four coins for the recipient, and — as `World::new` does — one
-        // directory announcement per node, so step 7's lookup resolves.
-        let mut outputs = vec![
-            TxOut {
-                value: 250,
-                script_pubkey: p2pkh(&address_book[2].0),
-            };
-            4
-        ];
-        for (i, address) in address_book.iter().enumerate() {
-            outputs.push(IpAnnouncement::genesis(i, *address).to_output());
-        }
-        let genesis = Block::mine(
-            BlockHash::GENESIS_PREV,
-            0,
-            params.difficulty_bits,
-            vec![Transaction::coinbase(0, b"bcwan-genesis", outputs)],
-        );
         let terms = Arc::new(Terms {
             costs: CostModel::pi_class(),
             reward: 100,
@@ -402,9 +378,12 @@ impl<T: FleetTransport> Fleet<T> {
             rsa_size: RsaKeySize::Rsa512,
             fsm: FsmConfig::default(),
         });
-        // One bootstrap, as in `World::new`: every node's chain is a fork
-        // of it.
-        let mut bootstrapped = Chain::new(params, genesis);
+        // One bootstrap, as in `World::new`: four coins for the recipient
+        // and one directory announcement per node, so step 7's lookup
+        // resolves. Every node's chain is a fork of it.
+        let coins = [(address_book[2], 250); 4];
+        let announced = address_book.iter().copied().enumerate();
+        let mut bootstrapped = bootstrap_chain(&params, &coins, announced, &wallets[0]);
         let started = Instant::now();
         let nodes = wallets
             .into_iter()
@@ -554,29 +533,66 @@ impl<T: FleetTransport> Fleet<T> {
     }
 }
 
-/// The stimulus of one exchange, Fig. 3 steps 1–7: a device provisioned
-/// at `recipient` seals `reading` under the ephemeral key of the session
-/// `gateway` opens as `tag`, and the gateway looks the recipient up and
-/// forwards it ([`Node::forward_uplink`]). Returns the tag the recipient
-/// files the exchange under, if the directory knew the recipient.
+/// An instant, lossless radio between one device and one gateway: the
+/// frames the device sends wait for the caller to carry them, and no
+/// timer ever comes due. Its one RNG provisions the device and seals.
+struct Link {
+    rng: SimRng,
+    air: Vec<Uplink>,
+}
+
+impl DeviceEnv for Link {
+    fn transmit(&mut self, at: SimTime, _tag: u64, frame: Uplink) -> SimTime {
+        self.air.push(frame);
+        at
+    }
+
+    fn arm(&mut self, _at: SimTime, _timer: Timer) {}
+
+    fn note(&mut self, _at: SimTime, _tag: u64, _note: DeviceNote) {}
+
+    fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
+    }
+}
+
+/// The stimulus of one exchange, Fig. 3 steps 1–7: a [`Device`]
+/// provisioned at `recipient` runs exchange `tag` through `gateway` over
+/// a [`Link`]: the gateway opens the session, the device seals `reading`
+/// under its key, and the gateway looks the recipient up and forwards it
+/// ([`Node::on_uplink`]). Returns the tag the recipient files the
+/// exchange under, if the directory knew the recipient.
 fn deliver_reading<T: FleetTransport>(
     fleet: &mut Fleet<T>,
     (gateway, recipient): (usize, usize),
     tag: u64,
     reading: &[u8],
 ) -> Option<u64> {
-    let mut rng = StdRng::seed_from_u64(0xf1e3 ^ tag);
+    let mut link = Link {
+        rng: SimRng::seed_from_u64(0xf1e3 ^ tag),
+        air: Vec::new(),
+    };
     let home = &mut fleet.nodes[recipient].node;
-    let device_id = DeviceId(tag as u32 + 1);
-    let (to, address) = (NodeId(recipient as u32), home.wallet.address());
-    let device = home.registry.provision(&mut rng, device_id, address);
-    let (e_pk, _) = fleet.act(gateway, |node, now, _| node.open_session(now, tag));
-    let uplink = seal_reading(&mut rng, &device, &e_pk, reading).expect("seal");
-    fleet
-        .act(gateway, |node, now, env| {
-            node.forward_uplink(now, tag, (to, &address), device_id, uplink, env)
-        })
-        .then(|| delivery_tag(&e_pk.to_bytes()))
+    let address = home.wallet.address();
+    let credentials = home
+        .registry
+        .provision(&mut link.rng, DeviceId(tag as u32 + 1), address);
+    let mut device = Device::new(credentials, DeviceSpec::default());
+    // The link is instant, so the device's clock goes unread.
+    device.start(SimTime::ZERO, tag, reading, &mut link);
+    let mut key = None;
+    while let Some(frame) = link.air.pop() {
+        let reply = fleet.act(gateway, |node, now, env| {
+            node.on_uplink(now, tag, frame, env)
+        });
+        if let Some((_, downlink)) = reply {
+            if let Downlink::Key(e_pk) = &downlink {
+                key = Some(delivery_tag(&e_pk.to_bytes()));
+            }
+            device.receive(SimTime::ZERO, tag, downlink, &mut link);
+        }
+    }
+    key.filter(|_| !fleet.nodes[gateway].noted(tag, Note::Abort))
 }
 
 /// What [`fig3_partition_recovery`] proved, for the caller to assert on.

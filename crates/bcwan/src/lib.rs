@@ -13,6 +13,9 @@
 //! - [`provisioning`] — the shared-key setup of §4.4 (`K`, `Sk`/`Pk`),
 //! - [`exchange`] — the double encryption and signatures of Fig. 3
 //!   steps 3–4, 8 and 10,
+//! - [`device`] — the end device: the sensor's half of Fig. 3 (request,
+//!   seal, send, retransmit) and its duty-cycle gate, written once
+//!   against [`DeviceEnv`] and run by both [`world`] and [`fleet`],
 //! - [`directory`] — the `OP_RETURN` IP directory of §4.3/§5.1,
 //! - [`app_server`] — the final hop of Figs. 1–2: device→application-server
 //!   routing at the recipient,
@@ -56,6 +59,7 @@ pub mod app_server;
 pub mod audit;
 pub mod costs;
 pub mod daemon;
+pub mod device;
 pub mod directory;
 pub mod escrow;
 pub mod exchange;
@@ -72,6 +76,7 @@ pub mod world;
 pub use audit::{FinalAudit, GatewayOutcome, SettleKind, SettlementAuditor};
 pub use costs::CostModel;
 pub use daemon::{Daemon, DaemonStats};
+pub use device::{Device, DeviceEnv};
 pub use directory::{Directory, IpAnnouncement, NetAddr};
 pub use escrow::{build_claim, build_escrow, build_escrow_with_delta, build_refund, Escrow};
 pub use exchange::{open_reading, seal_reading, verify_uplink, ExchangeError, SealedUplink};

@@ -4,14 +4,14 @@
 //! every gateway keeps a chain, finds recipients in the on-chain
 //! directory and plays Fig. 3 in either role. [`Node`] is that daemon.
 //! It owns every reaction a host has to an inbound
-//! [`WanMessage`] ([`Node::handle`]), its own recovery watchdog
-//! ([`Node::on_deadline`]: re-deliver, re-publish, refund, suspect a
-//! censoring miner) and catch-up source choice, and the host-local
-//! actions an operator invokes (open a session, forward an uplink, mine,
-//! restart), and it reaches everything outside the host through
-//! [`NodeEnv`]. Every decision uses only what the host itself knows: its
-//! pool and chain, its clock, the blocks it connected and the tips its
-//! peers announced or relayed.
+//! [`WanMessage`] ([`Node::handle`]) and to every device frame its radio
+//! hears ([`Node::on_uplink`]: open a session, forward an uplink), its
+//! own recovery watchdog ([`Node::on_deadline`]: re-deliver, re-publish,
+//! refund, suspect a censoring miner) and catch-up source choice, and the
+//! host-local actions an operator invokes (mine, restart), and it reaches
+//! everything outside the host through [`NodeEnv`]. Every decision uses
+//! only what the host itself knows: its pool and chain, its clock, the
+//! blocks it connected and the tips its peers announced or relayed.
 //!
 //! The simulator ([`World`](crate::world::World)) implements `NodeEnv`
 //! over its event queue, latency model and chaos engine; a live
@@ -22,6 +22,7 @@
 use crate::app_server::{AppRouter, AppServer, AppServerId};
 use crate::costs::CostModel;
 use crate::daemon::Daemon;
+use crate::device::{Downlink, Uplink};
 use crate::directory::{Directory, IpAnnouncement};
 use crate::escrow::{self, Escrow};
 use crate::exchange::{open_reading, verify_uplink, SealedUplink};
@@ -35,6 +36,7 @@ use bcwan_chain::{
     Transaction, TxId, TxOut, Wallet,
 };
 use bcwan_crypto::rsa::{RsaKeySize, RsaPrivateKey, RsaPublicKey};
+use bcwan_crypto::sha256::sha256;
 use bcwan_p2p::{ChainMessage, NodeId};
 use bcwan_script::{templates::p2pkh, Script};
 use bcwan_sim::{SimDuration, SimRng, SimTime};
@@ -137,6 +139,9 @@ impl Parcel {
 /// mining model and latency series from these; a live fleet logs them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Note {
+    /// Gateway: a request opened a session; its ephemeral keypair is
+    /// being generated (Fig. 3 step 2).
+    SessionOpened,
     /// Recipient: the delivery could not be verified or funded. Gateway:
     /// the re-deliveries ran out with no escrow in sight. Either way the
     /// exchange is over for this node before it moved any money.
@@ -207,10 +212,10 @@ pub trait NodeEnv {
     /// Reports `note` about exchange `tag`, observed at `at`.
     fn note(&mut self, at: SimTime, tag: u64, note: Note);
 
-    /// The tag of the open exchange a `Deliver` under this ephemeral key
-    /// starts, or `None` to drop it (no such exchange, or one already
-    /// over).
-    fn delivery(&mut self, e_pk_bytes: &[u8]) -> Option<u64>;
+    /// The tag of the open exchange a `Deliver` starts, given its
+    /// ephemeral key's [`delivery_tag`], or `None` to drop it (no such
+    /// exchange, or one already over).
+    fn delivery(&mut self, key: u64) -> Option<u64>;
 
     /// Whether exchange `tag` was already closed by a confirmed refund,
     /// so a key revealed now opens nothing.
@@ -226,6 +231,14 @@ pub trait NodeEnv {
     fn misbehaves(&mut self, _now: SimTime, _how: Misbehaviour) -> bool {
         false
     }
+}
+
+/// The digest a recipient knows a delivery by: the first eight bytes of
+/// the SHA-256 of its ephemeral key's encoding. Telling deliveries apart
+/// this way keeps no state a peer's traffic could grow.
+pub fn delivery_tag(e_pk_bytes: &[u8]) -> u64 {
+    let digest = sha256(e_pk_bytes);
+    u64::from_le_bytes(digest[..8].try_into().expect("eight bytes"))
 }
 
 /// What the operator fixes for every exchange its nodes take part in.
@@ -256,6 +269,9 @@ pub enum Stored {
 struct Session {
     tag: u64,
     e_sk: RsaPrivateKey,
+    /// Whether a data frame for the session was forwarded: the one
+    /// forward, whose copies are dropped.
+    forwarded: bool,
     /// Until an escrow paying this session shows up: the uplink held for
     /// re-delivery.
     held: Option<Held>,
@@ -602,7 +618,7 @@ impl Node {
         uplink: &SealedUplink,
         env: &mut dyn NodeEnv,
     ) {
-        let Some(tag) = env.delivery(e_pk_bytes) else {
+        let Some(tag) = env.delivery(delivery_tag(e_pk_bytes)) else {
             return;
         };
         // Idempotent re-delivery: a duplicate must not double-escrow.
@@ -1153,44 +1169,60 @@ impl Node {
         }
     }
 
-    // ---- host-local actions the operator invokes --------------------
+    // ---- the radio ----------------------------------------------------
 
-    /// Gateway, Fig. 3 steps 1–2: generates the ephemeral keypair for
-    /// exchange `tag` on the host CPU. Returns `ePk` and when the keygen
-    /// finishes.
-    pub fn open_session(&mut self, now: SimTime, tag: u64) -> (RsaPublicKey, SimTime) {
-        let (e_pk, e_sk) = self.rng.keypair(self.terms.rsa_size);
-        let session = Session {
-            tag,
-            e_sk,
-            held: None,
-        };
-        self.sessions.insert(e_pk.to_bytes(), session);
-        let done = self.occupy_cpu(now, self.terms.costs.rsa_keygen);
-        (e_pk, done)
-    }
-
-    /// Gateway, step 7: looks `recipient` up in the directory (§4.3) and
-    /// forwards the sealed uplink of session `tag` to it at node `to`,
-    /// holding it for re-delivery until an escrow paying the session
-    /// shows up. `false` when the recipient is not in the directory or
-    /// the session is not open.
-    pub fn forward_uplink(
+    /// Gateway, Fig. 3 steps 1–2 and 6–7: a device's frame for exchange
+    /// `tag` reached this gateway's radio. Returns what goes back down,
+    /// and when.
+    ///
+    /// - A request opens the session ([`Note::SessionOpened`]: the
+    ///   ephemeral keypair is generated on the host CPU) or, if `tag`
+    ///   already has one, answers at once with the same key.
+    /// - A data frame is heard ([`Downlink::Ack`]). The first is forwarded
+    ///   to the recipient the directory names (§4.3) and held for
+    ///   re-delivery until an escrow paying the session shows up; a copy
+    ///   gets no answer. A recipient missing from the directory, or no
+    ///   session under `tag`, ends the exchange here ([`Note::Abort`]).
+    pub fn on_uplink(
         &mut self,
         now: SimTime,
         tag: u64,
-        (to, recipient): (NodeId, &Address),
-        device_id: DeviceId,
-        uplink: SealedUplink,
+        frame: Uplink,
         env: &mut dyn NodeEnv,
-    ) -> bool {
-        if self.directory.lookup(recipient).is_none() {
-            return false;
-        }
-        let Some((e_pk_bytes, session)) = self.sessions.iter_mut().find(|(_, s)| s.tag == tag)
+    ) -> Option<(SimTime, Downlink)> {
+        let session = self.sessions.iter_mut().find(|(_, s)| s.tag == tag);
+        let Uplink::Data {
+            device_id,
+            recipient,
+            uplink,
+        } = frame
         else {
-            return false;
+            if let Some((_, session)) = session {
+                return Some((now, Downlink::Key(session.e_sk.public_key())));
+            }
+            env.note(now, tag, Note::SessionOpened);
+            let (e_pk, e_sk) = self.rng.keypair(self.terms.rsa_size);
+            let session = Session {
+                tag,
+                e_sk,
+                forwarded: false,
+                held: None,
+            };
+            self.sessions.insert(e_pk.to_bytes(), session);
+            let done = self.occupy_cpu(now, self.terms.costs.rsa_keygen);
+            return Some((done, Downlink::Key(e_pk)));
         };
+        if session.as_ref().is_some_and(|(_, s)| s.forwarded) {
+            return None;
+        }
+        let node = self.address_book.iter().position(|a| *a == recipient);
+        let to = self.directory.lookup(&recipient).and(node);
+        let (Some((e_pk_bytes, session)), Some(to)) = (session, to) else {
+            env.note(now, tag, Note::Abort);
+            return Some((now, Downlink::Ack));
+        };
+        let to = NodeId(to as u32);
+        session.forwarded = true;
         let mut fsm = ExchangeFsm::new(now);
         let _ = fsm.apply(FsmEvent::Sealed, now);
         if let Some(at) = fsm.deadline(&self.terms.fsm) {
@@ -1209,8 +1241,10 @@ impl Node {
         });
         let done = self.occupy_cpu(now, self.terms.costs.directory_lookup);
         env.unicast(done, to, msg);
-        true
+        Some((now, Downlink::Ack))
     }
+
+    // ---- host-local actions the operator invokes --------------------
 
     /// Mines one block from this node's pool on top of its tip, leaving
     /// out transactions that spend a `censored` outpoint (the Byzantine
@@ -1259,25 +1293,43 @@ impl Node {
         Some(done)
     }
 
-    /// Connects and gossips a block this node produced on a side branch
-    /// (the chaos engine's fork injection). `false` if the chain refused
-    /// it.
-    pub(crate) fn connect_fork_block(
+    /// The chaos engine's fork injection: mines `depth + 1` empty blocks
+    /// on the block `depth` below this node's tip, and every host that
+    /// hears them reorganizes; the orphaned transactions re-pool and
+    /// confirm on the new branch. Returns how many blocks connected, and
+    /// whether all of them did.
+    pub(crate) fn mine_fork(
         &mut self,
         now: SimTime,
-        block: Block,
+        depth: u32,
         env: &mut dyn NodeEnv,
-    ) -> bool {
-        let block = HashedBlock::new(block);
-        let (done, action) = self.accept_block(now, &block, 0xf04c);
-        if action.is_err() {
-            return false;
+    ) -> (u64, bool) {
+        let (params, height) = (self.daemon.chain.params().clone(), self.height());
+        let reward = TxOut {
+            value: params.coinbase_reward,
+            script_pubkey: self.wallet.locking_script(),
+        };
+        let depth = u64::from(depth).min(height);
+        let fork_height = height - depth;
+        let fork_point = self.daemon.chain.block_at(fork_height);
+        let mut parent = fork_point.expect("fork point on main chain").hash();
+        for i in 0..=depth {
+            let coinbase =
+                Transaction::coinbase(fork_height + 1 + i, b"fork", vec![reward.clone()]);
+            let time = now.as_micros() + i;
+            let block = Block::mine(parent, time, params.difficulty_bits, vec![coinbase]);
+            let block = HashedBlock::new(block);
+            parent = block.hash();
+            let (done, action) = self.accept_block(now, &block, 0xf04c);
+            if action.is_err() {
+                return (i, false);
+            }
+            self.daemon.relay.mark_seen(block.hash().0);
+            let parcel = Parcel::block(block);
+            self.apply_settlements(done, env);
+            env.flood(done, &parcel);
         }
-        self.daemon.relay.mark_seen(block.hash().0);
-        let parcel = Parcel::block(block);
-        self.apply_settlements(done, env);
-        env.flood(done, &parcel);
-        true
+        (depth + 1, true)
     }
 
     /// A crashed host comes back. Volatile state (mempool, relay
@@ -1479,5 +1531,82 @@ impl Node {
         self.daemon.relay.mark_seen(txid.0);
         env.flood(at, &Parcel::tx(tx));
         Some(at)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exchange::seal_reading;
+    use crate::fleet::{BusFleet, Fleet, Outbound};
+    use rand::RngCore;
+
+    const GATEWAY: usize = 1;
+    const RECIPIENT: usize = 2;
+
+    fn fleet(seed: u64) -> Fleet<BusFleet> {
+        Fleet::new(BusFleet::new(3), 3, seed)
+    }
+
+    /// Hands `frame` of exchange `tag` to the gateway's radio.
+    fn hear(
+        fleet: &mut Fleet<BusFleet>,
+        tag: u64,
+        frame: Uplink,
+    ) -> (Option<(SimTime, Downlink)>, Vec<Outbound>) {
+        fleet.nodes[GATEWAY].act(|node, now, env| node.on_uplink(now, tag, frame, env))
+    }
+
+    /// The key a request for exchange `tag` brings down.
+    fn request(fleet: &mut Fleet<BusFleet>, tag: u64) -> RsaPublicKey {
+        match hear(fleet, tag, Uplink::Request) {
+            (Some((_, Downlink::Key(e_pk))), out) if out.is_empty() => e_pk,
+            other => panic!("a request brings a key down and sends nothing: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_retransmitted_request_gets_the_same_key_without_a_second_keygen() {
+        let (mut once, mut twice) = (fleet(5), fleet(5));
+        let key = request(&mut once, 7);
+        assert_eq!(request(&mut twice, 7), key);
+        assert_eq!(request(&mut twice, 7), key, "the session's key again");
+        let opened = twice.nodes[GATEWAY].notes.iter();
+        let opened = opened.filter(|note| **note == (7, Note::SessionOpened));
+        assert_eq!(opened.count(), 1);
+        // The gateway's RNG stands where one keygen left it.
+        let next = |f: &mut Fleet<BusFleet>| f.nodes[GATEWAY].node.rng.fork(0).next_u64();
+        assert_eq!(next(&mut twice), next(&mut once));
+    }
+
+    #[test]
+    fn a_data_frame_is_forwarded_once() {
+        let mut fleet = fleet(6);
+        let e_pk = request(&mut fleet, 3);
+        let mut rng = SimRng::seed_from_u64(1);
+        let home = &mut fleet.nodes[RECIPIENT].node;
+        let recipient = home.wallet.address();
+        let creds = home.registry.provision(&mut rng, DeviceId(9), recipient);
+        let uplink = seal_reading(&mut rng, &creds, &e_pk, b"once").expect("fits");
+        let frame = Uplink::Data {
+            device_id: DeviceId(9),
+            recipient,
+            uplink,
+        };
+        let (reply, out) = hear(&mut fleet, 3, frame.clone());
+        assert!(matches!(reply, Some((_, Downlink::Ack))));
+        assert!(matches!(
+            out.as_slice(),
+            [Outbound::To(NodeId(2), WanMessage::Deliver { .. })]
+        ));
+        let (reply, out) = hear(&mut fleet, 3, frame.clone());
+        assert!(reply.is_none(), "a copy gets no answer");
+        assert!(out.is_empty(), "and goes nowhere");
+        // A data frame for no open session is heard, and ends the
+        // exchange at the gateway.
+        let (reply, out) = hear(&mut fleet, 4, frame);
+        assert!(matches!(reply, Some((_, Downlink::Ack))));
+        assert!(out.is_empty());
+        assert!(fleet.nodes[GATEWAY].noted(4, Note::Abort));
     }
 }

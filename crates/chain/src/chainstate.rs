@@ -462,6 +462,34 @@ impl Chain {
         }
     }
 
+    /// This chain's main chain replayed into a fresh persistent store at
+    /// `dir` (wiping any previous store there): the stored counterpart of
+    /// [`Chain::fork`], for a host that must reopen its own directory
+    /// after a crash. Every block is connected and written again.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the store cannot be created.
+    ///
+    /// # Panics
+    ///
+    /// If a block of the main chain fails to connect again.
+    pub fn replay_into_store(
+        &self,
+        dir: impl AsRef<Path>,
+        cfg: StoreConfig,
+    ) -> Result<Chain, StoreError> {
+        let mut blocks = self.iter_main().cloned();
+        let genesis = blocks.next().expect("a chain has a genesis");
+        let mut chain = Chain::create_with_store(self.params.clone(), genesis, dir, cfg)?;
+        for block in blocks {
+            chain
+                .add_block(block)
+                .expect("main-chain blocks connect again");
+        }
+        Ok(chain)
+    }
+
     /// Whether this chain has a persistent store attached.
     pub fn has_store(&self) -> bool {
         self.store.is_some()

@@ -254,6 +254,24 @@ impl UtxoSet {
         self.iter().map(|(_, e)| e.output.value).sum()
     }
 
+    /// An order-independent fingerprint of the set: the XOR of one
+    /// FNV-1a hash per entry over its outpoint and value. Two sets that
+    /// hold the same coins agree however they were built, so same-seed
+    /// runs can be compared by one number.
+    pub fn fingerprint(&self) -> u64 {
+        let mut fp = 0u64;
+        for (op, entry) in self.iter() {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let (vout, value) = (op.vout.to_le_bytes(), entry.output.value.to_le_bytes());
+            for b in op.txid.0.iter().chain(&vout).chain(&value) {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x1_0000_01b3);
+            }
+            fp ^= h;
+        }
+        fp
+    }
+
     /// Iterates over all entries (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (&OutPoint, &UtxoEntry)> {
         self.map.iter().chain(self.base.iter().flat_map(Base::iter))
@@ -614,6 +632,26 @@ mod tests {
         }));
         assert_eq!(set.len(), snapshot_len);
         assert_eq!(set.total_value(), snapshot_value);
+    }
+
+    #[test]
+    fn fingerprint_ignores_order_and_sees_every_coin() {
+        let (a, b) = ([coinbase(0, 50)], [coinbase(1, 70)]);
+        let mut forward = UtxoSet::new();
+        forward.apply_block(&a, 0).unwrap();
+        forward.apply_block(&b, 1).unwrap();
+        let mut backward = UtxoSet::new();
+        backward.apply_block(&b, 1).unwrap();
+        backward.apply_block(&a, 0).unwrap();
+        assert_eq!(forward.fingerprint(), backward.fingerprint());
+        let prev = OutPoint {
+            txid: a[0].txid(),
+            vout: 0,
+        };
+        let before = forward.fingerprint();
+        forward.apply_block(&[spend(prev, &[50])], 2).unwrap();
+        assert_ne!(forward.fingerprint(), before, "a spend moves it");
+        assert_ne!(UtxoSet::new().fingerprint(), before);
     }
 
     #[test]

@@ -149,6 +149,25 @@ fn reopen_restores_tip_and_utxo_exactly() {
 }
 
 #[test]
+fn replay_into_store_copies_the_main_chain() {
+    let (source_dir, dir) = (temp_dir("replay-src"), temp_dir("replay"));
+    let (mut source, wallet, coins) = setup(&source_dir, StoreConfig::default());
+    grow(&mut source, &wallet, coins[0].clone(), 5);
+    let copy = source
+        .replay_into_store(&dir, StoreConfig::default())
+        .expect("store creates");
+    assert!(copy.has_store());
+    assert_eq!((copy.tip(), copy.height()), (source.tip(), source.height()));
+    drop(copy);
+
+    let opened = Chain::open_store(params(), &dir, StoreConfig::default()).expect("reopens");
+    assert_eq!(opened.chain.tip(), source.tip());
+    assert_eq!(utxo_pairs(&opened.chain), utxo_pairs(&source));
+    let _ = std::fs::remove_dir_all(&source_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stale_snapshot_rolls_forward_without_revalidation() {
     let dir = temp_dir("rollfwd");
     // A flush interval the run never reaches: the only durable coins

@@ -39,11 +39,26 @@ impl Topology {
 
     /// A ring over `n` nodes (each node sees its two neighbours).
     pub fn ring(n: u32) -> Self {
-        let mut ring = Topology::empty(n);
-        for i in 0..n {
-            ring.connect(NodeId(i), NodeId((i + 1) % n));
+        Topology::ring_lattice(n, 2)
+    }
+
+    /// A ring lattice: every node links to its `degree` nearest
+    /// neighbours (`degree/2` on each side, minimum one hop).
+    /// `O(n·degree)` links keep 1 000-node fleets constructible where a
+    /// full mesh would need half a million; gossip still reaches everyone
+    /// through re-flooding, in `O(n/degree)` hops worst case.
+    pub fn ring_lattice(n: u32, degree: u32) -> Self {
+        let mut topology = Topology::empty(n);
+        if n < 2 {
+            return topology;
         }
-        ring
+        let half = (degree / 2).max(1).min(n.saturating_sub(1) / 2 + 1);
+        for i in 0..n {
+            for hop in 1..=half {
+                topology.connect(NodeId(i), NodeId((i + hop) % n));
+            }
+        }
+        topology
     }
 
     /// An empty topology to build up with [`Topology::connect`].
@@ -127,6 +142,20 @@ mod tests {
         }
         assert!(t.linked(NodeId(0), NodeId(5)));
         assert!(!t.linked(NodeId(0), NodeId(3)));
+    }
+
+    #[test]
+    fn ring_lattice_shape() {
+        let topo = Topology::ring_lattice(10, 6);
+        for i in 0..10u32 {
+            // Degree 6: three neighbours each side.
+            assert_eq!(topo.peers_of(NodeId(i)).len(), 6, "node {i}");
+        }
+        assert!(topo.linked(NodeId(0), NodeId(3)));
+        assert!(!topo.linked(NodeId(0), NodeId(5)));
+        // Degenerate sizes stay connected.
+        let tiny = Topology::ring_lattice(2, 6);
+        assert!(tiny.linked(NodeId(0), NodeId(1)));
     }
 
     #[test]

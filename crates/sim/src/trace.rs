@@ -136,9 +136,10 @@ impl Tracer {
         self.closed.get(name)
     }
 
-    /// All phase names with at least one closed span, sorted.
-    pub fn phase_names(&self) -> Vec<&'static str> {
-        self.closed.keys().copied().collect()
+    /// Every phase with at least one closed span and its durations
+    /// (seconds), sorted by name.
+    pub fn phases(&self) -> impl Iterator<Item = (&'static str, &Series)> {
+        self.closed.iter().map(|(name, series)| (*name, series))
     }
 
     /// Per-phase summaries, sorted by phase name. Empty when disabled.
