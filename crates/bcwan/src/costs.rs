@@ -66,22 +66,6 @@ impl CostModel {
             directory_lookup: SimDuration::ZERO,
         }
     }
-
-    /// Scales every cost by `factor` (e.g. RSA-2048 keygen in the
-    /// key-size ablation).
-    pub fn scaled(&self, factor: f64) -> Self {
-        let scale = |d: SimDuration| SimDuration::from_secs_f64(d.as_secs_f64() * factor);
-        CostModel {
-            rsa_keygen: scale(self.rsa_keygen),
-            node_encrypt: scale(self.node_encrypt),
-            node_sign: scale(self.node_sign),
-            verify_signature: scale(self.verify_signature),
-            tx_build: scale(self.tx_build),
-            tx_validate: scale(self.tx_validate),
-            open_reading: scale(self.open_reading),
-            directory_lookup: scale(self.directory_lookup),
-        }
-    }
 }
 
 impl Default for CostModel {
@@ -115,13 +99,5 @@ mod tests {
         let c = CostModel::zero();
         assert_eq!(c.rsa_keygen, SimDuration::ZERO);
         assert_eq!(c.open_reading, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn scaling() {
-        let c = CostModel::pi_class().scaled(2.0);
-        assert_eq!(c.rsa_keygen.as_millis(), 520);
-        let half = CostModel::pi_class().scaled(0.5);
-        assert_eq!(half.tx_build.as_millis(), 60);
     }
 }

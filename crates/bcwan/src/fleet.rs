@@ -20,11 +20,11 @@
 //! for a wake-up whenever it arms a deadline ([`NodeEnv::wake_at`]), and
 //! [`Fleet::step`] — which [`Fleet::run_until`] drives, waiting no longer
 //! than the earliest wake-up — fires every due one through
-//! [`Node::on_deadline`] under [`FsmConfig::default`]: re-delivery,
-//! re-publishing lost or left-out settlements, the CLTV refund,
-//! censorship suspicion. What stays on the operator's side is what no
-//! daemon decides for itself in this harness: when to mine
-//! ([`Fleet::mine`]) and which tip announcements to send
+//! [`Node::on_deadline`] on the [`fsm`](crate::fsm) module's fixed
+//! schedules: re-delivery, re-publishing lost or left-out settlements,
+//! the CLTV refund, censorship suspicion. What stays on the operator's
+//! side is what no daemon decides for itself in this harness: when to
+//! mine ([`Fleet::mine`]) and which tip announcements to send
 //! ([`Fleet::announce_tip`] — how a healed node learns who is ahead).
 //! Partitions are enforced at the overlay routing layer on both
 //! backends: a cut link silently drops the message, exactly what a
@@ -35,7 +35,7 @@ use crate::costs::CostModel;
 use crate::device::{Device, DeviceEnv, DeviceNote, DeviceSpec, Downlink, Timer, Uplink};
 use crate::directory::bootstrap_chain;
 use crate::escrow::REFUND_DELTA;
-use crate::fsm::{FsmConfig, FsmEvent};
+use crate::fsm::FsmEvent;
 use crate::net::WanCodec;
 use crate::node::{delivery_tag, Node, NodeEnv, Note, Parcel, Stored, Terms};
 use crate::provisioning::DeviceId;
@@ -376,7 +376,6 @@ impl<T: FleetTransport> Fleet<T> {
             confirmation_depth: 1,
             refund_delta: REFUND_DELTA,
             rsa_size: RsaKeySize::Rsa512,
-            fsm: FsmConfig::default(),
         });
         // One bootstrap, as in `World::new`: four coins for the recipient
         // and one directory announcement per node, so step 7's lookup

@@ -121,43 +121,31 @@ impl RetryPolicy {
     }
 }
 
-/// Deadline configuration for the machine's driven phases.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FsmConfig {
-    /// Re-delivery schedule while `Sealed` (gateway → recipient): bounded,
-    /// so a dead recipient eventually abandons the exchange.
-    pub deliver_retry: RetryPolicy,
-    /// Settlement watchdog while `Escrowed`: re-floods a vanished or
-    /// left-out escrow or refund and drives the CLTV refund. Unbounded —
-    /// escrowed money must terminate on chain. Its `base` is also how
-    /// long after a settlement went out a block may still leave it out.
-    pub settle_check: RetryPolicy,
-    /// Re-floods in a row that blocks from one miner kept leaving out —
-    /// each block mined at least `settle_check.base` after the
-    /// settlement last went out — before the node suspects that miner of
-    /// censorship. An honest miner includes a pooled transaction in its
-    /// next block, so it essentially never trips this — and a spurious
-    /// trip only rotates mining duty, it never loses money.
-    pub censor_suspect_sweeps: u32,
-}
+/// Re-delivery schedule while `Sealed` (gateway → recipient): bounded,
+/// so a dead recipient eventually abandons the exchange.
+pub const DELIVER_RETRY: RetryPolicy = RetryPolicy {
+    base: SimDuration::from_secs(5),
+    max: SimDuration::from_secs(40),
+    max_retries: 4,
+};
 
-impl Default for FsmConfig {
-    fn default() -> Self {
-        FsmConfig {
-            deliver_retry: RetryPolicy {
-                base: SimDuration::from_secs(5),
-                max: SimDuration::from_secs(40),
-                max_retries: 4,
-            },
-            settle_check: RetryPolicy {
-                base: SimDuration::from_secs(10),
-                max: SimDuration::from_secs(60),
-                max_retries: u32::MAX,
-            },
-            censor_suspect_sweeps: 4,
-        }
-    }
-}
+/// Settlement watchdog while `Escrowed`: re-floods a vanished or
+/// left-out escrow or refund and drives the CLTV refund. Unbounded —
+/// escrowed money must terminate on chain. Its `base` is also how long
+/// after a settlement went out a block may still leave it out.
+pub const SETTLE_CHECK: RetryPolicy = RetryPolicy {
+    base: SimDuration::from_secs(10),
+    max: SimDuration::from_secs(60),
+    max_retries: u32::MAX,
+};
+
+/// Re-floods in a row that blocks from one miner kept leaving out — each
+/// block mined at least `SETTLE_CHECK.base` after the settlement last
+/// went out — before a node suspects that miner of censorship. An honest
+/// miner includes a pooled transaction in its next block, so it
+/// essentially never trips this — and a spurious trip only rotates
+/// mining duty, it never loses money.
+pub const CENSOR_SUSPECT_SWEEPS: u32 = 4;
 
 /// The state machine for one exchange.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,22 +251,23 @@ impl ExchangeFsm {
         self.armed_at = now;
     }
 
-    /// The next deadline for the current phase under `cfg`. `None` for
-    /// phases that are not deadline-driven.
-    pub fn deadline(&self, cfg: &FsmConfig) -> Option<SimTime> {
+    /// The next deadline for the current phase ([`DELIVER_RETRY`] while
+    /// `Sealed`, [`SETTLE_CHECK`] while `Escrowed`). `None` for phases
+    /// that are not deadline-driven.
+    pub fn deadline(&self) -> Option<SimTime> {
         let policy = match self.phase {
-            Phase::Sealed => &cfg.deliver_retry,
-            Phase::Escrowed => &cfg.settle_check,
+            Phase::Sealed => &DELIVER_RETRY,
+            Phase::Escrowed => &SETTLE_CHECK,
             _ => return None,
         };
         Some(self.armed_at + policy.backoff(self.retries))
     }
 
-    /// Whether the phase's retry budget is spent under `cfg`.
-    pub fn retries_exhausted(&self, cfg: &FsmConfig) -> bool {
+    /// Whether the phase's retry budget is spent.
+    pub fn retries_exhausted(&self) -> bool {
         match self.phase {
-            Phase::Sealed => cfg.deliver_retry.exhausted(self.retries),
-            Phase::Escrowed => cfg.settle_check.exhausted(self.retries),
+            Phase::Sealed => DELIVER_RETRY.exhausted(self.retries),
+            Phase::Escrowed => SETTLE_CHECK.exhausted(self.retries),
             _ => false,
         }
     }
@@ -353,25 +342,23 @@ mod tests {
 
     #[test]
     fn deadlines_and_backoff() {
-        let cfg = FsmConfig::default();
         let mut fsm = ExchangeFsm::new(t(0));
-        assert!(fsm.deadline(&cfg).is_none(), "Created is not driven");
+        assert!(fsm.deadline().is_none(), "Created is not driven");
         fsm.apply(FsmEvent::Sealed, t(10)).unwrap();
-        assert_eq!(fsm.deadline(&cfg), Some(t(15)), "base 5 s");
+        assert_eq!(fsm.deadline(), Some(t(15)), "base 5 s");
         fsm.note_retry(t(15));
-        let d1 = fsm.deadline(&cfg).unwrap();
+        let d1 = fsm.deadline().unwrap();
         assert_eq!(d1, t(25), "doubled to 10 s, anchored at the retry");
         fsm.note_retry(t(25));
         fsm.note_retry(t(45));
         fsm.note_retry(t(85));
-        let d4 = fsm.deadline(&cfg).unwrap();
+        let d4 = fsm.deadline().unwrap();
         assert_eq!(d4, t(125), "capped at 40 s");
-        assert!(fsm.retries_exhausted(&cfg), "4 retries = budget spent");
+        assert!(fsm.retries_exhausted(), "4 retries = budget spent");
     }
 
     #[test]
     fn settle_watchdog_is_unbounded() {
-        let cfg = FsmConfig::default();
         let mut fsm = ExchangeFsm::new(t(0));
         fsm.apply(FsmEvent::Sealed, t(1)).unwrap();
         fsm.apply(FsmEvent::Delivered, t(2)).unwrap();
@@ -379,9 +366,9 @@ mod tests {
         for i in 0..1000 {
             fsm.note_retry(t(3 + i));
         }
-        assert!(!fsm.retries_exhausted(&cfg));
+        assert!(!fsm.retries_exhausted());
         assert_eq!(
-            fsm.deadline(&cfg).unwrap(),
+            fsm.deadline().unwrap(),
             t(1002 + 60),
             "capped at 60 s past the last retry — always in the future"
         );
@@ -389,14 +376,13 @@ mod tests {
 
     #[test]
     fn recipient_machine_starts_delivered() {
-        let cfg = FsmConfig::default();
         let mut fsm = ExchangeFsm::delivered(t(2));
-        assert_eq!(fsm.deadline(&cfg), None, "Delivered is not driven");
+        assert_eq!(fsm.deadline(), None, "Delivered is not driven");
         assert_eq!(
             fsm.apply(FsmEvent::EscrowPublished, t(3)).unwrap(),
             Phase::Escrowed
         );
-        assert_eq!(fsm.deadline(&cfg), Some(t(13)), "first settlement sweep");
+        assert_eq!(fsm.deadline(), Some(t(13)), "first settlement sweep");
         assert!(fsm.apply(FsmEvent::Abort, t(4)).is_err());
     }
 }

@@ -83,7 +83,7 @@ pub use exchange::{open_reading, seal_reading, verify_uplink, ExchangeError, Sea
 pub use fleet::{
     fig3_partition_recovery, BusFleet, Fleet, FleetNode, FleetOutcome, FleetTransport, TcpFleet,
 };
-pub use fsm::{ExchangeFsm, FsmConfig, FsmEvent, Phase, RetryPolicy};
+pub use fsm::{ExchangeFsm, FsmEvent, Phase, RetryPolicy};
 pub use net::{DialError, OverlayDialer, WanCodec};
 pub use node::{Node, NodeEnv, Note};
 pub use provisioning::{DeviceCredentials, DeviceId, DeviceRecord, DeviceRegistry};

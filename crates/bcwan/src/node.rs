@@ -26,7 +26,7 @@ use crate::device::{Downlink, Uplink};
 use crate::directory::{Directory, IpAnnouncement};
 use crate::escrow::{self, Escrow};
 use crate::exchange::{open_reading, verify_uplink, SealedUplink};
-use crate::fsm::{ExchangeFsm, FsmConfig, FsmEvent};
+use crate::fsm::{ExchangeFsm, FsmEvent, CENSOR_SUSPECT_SWEEPS, SETTLE_CHECK};
 use crate::keyahead::KeyAhead;
 use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
@@ -177,7 +177,7 @@ pub enum Note {
     /// refund was built.
     Refunding,
     /// Blocks from this miner kept leaving out a settlement this node
-    /// re-published (`FsmConfig::censor_suspect_sweeps` times in a row).
+    /// re-published ([`CENSOR_SUSPECT_SWEEPS`] times in a row).
     CensorshipSuspected(NodeId),
 }
 
@@ -250,7 +250,6 @@ pub(crate) struct Terms {
     pub(crate) confirmation_depth: u64,
     pub(crate) refund_delta: u64,
     pub(crate) rsa_size: RsaKeySize,
-    pub(crate) fsm: FsmConfig,
 }
 
 /// A transaction a node keeps for an exchange, by role.
@@ -683,7 +682,7 @@ impl Node {
         self.pending_open.insert(outpoint, sealed);
         self.settle_watch.insert(outpoint, tag);
         let _ = fsm.apply(FsmEvent::EscrowPublished, admitted_at);
-        if let Some(at) = fsm.deadline(&terms.fsm) {
+        if let Some(at) = fsm.deadline() {
             env.wake_at(at);
         }
         let parcel = Parcel::tx(tx.clone());
@@ -1047,7 +1046,7 @@ impl Node {
                         continue;
                     }
                     // Orphaned back to Escrowed: the watchdog takes over.
-                    if let Some(at) = fsm.deadline(&self.terms.fsm) {
+                    if let Some(at) = fsm.deadline() {
                         env.wake_at(at);
                     }
                     env.note(now, tag, Note::Settlement(event));
@@ -1225,7 +1224,7 @@ impl Node {
         session.forwarded = true;
         let mut fsm = ExchangeFsm::new(now);
         let _ = fsm.apply(FsmEvent::Sealed, now);
-        if let Some(at) = fsm.deadline(&self.terms.fsm) {
+        if let Some(at) = fsm.deadline() {
             env.wake_at(at);
         }
         let msg = WanMessage::Deliver {
@@ -1361,10 +1360,10 @@ impl Node {
     /// then asks for the next one ([`NodeEnv::wake_at`]):
     ///
     /// - gateway, `Sealed`: no escrow paying the session has shown up, so
-    ///   the held uplink goes out again — or, the `deliver_retry` budget
+    ///   the held uplink goes out again — or, the `DELIVER_RETRY` budget
     ///   spent, the node gives the exchange up ([`Note::Abort`]);
     /// - recipient, `Escrowed`: re-floods the escrow if this node's pool
-    ///   and chain lost it or a block mined `settle_check.base` after it
+    ///   and chain lost it or a block mined `SETTLE_CHECK.base` after it
     ///   went out left it out, and from the refund height on builds the
     ///   CLTV refund and keeps that published the same way.
     ///
@@ -1372,8 +1371,7 @@ impl Node {
     /// checks it. A late claim goes through the confirmation-depth path
     /// like any other.
     pub fn on_deadline(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
-        let cfg = self.terms.fsm.clone();
-        let due = |fsm: &ExchangeFsm| fsm.deadline(&cfg).is_some_and(|at| at <= now);
+        let due = |fsm: &ExchangeFsm| fsm.deadline().is_some_and(|at| at <= now);
         let mut sealed: Vec<(u64, Vec<u8>)> = self
             .sessions
             .iter()
@@ -1384,7 +1382,7 @@ impl Node {
         for (tag, e_pk_bytes) in sealed {
             let session = self.sessions.get_mut(&e_pk_bytes).expect("due session");
             let held = session.held.as_mut().expect("due uplink");
-            if held.fsm.retries_exhausted(&cfg) {
+            if held.fsm.retries_exhausted() {
                 session.held = None;
                 env.note(now, tag, Note::Abort);
                 continue;
@@ -1431,7 +1429,7 @@ impl Node {
         let next = sessions
             .map(|held| &held.fsm)
             .chain(self.escrows.values().map(|e| &e.fsm))
-            .filter_map(|fsm| fsm.deadline(&cfg))
+            .filter_map(ExchangeFsm::deadline)
             .min();
         if let Some(at) = next {
             env.wake_at(at);
@@ -1440,10 +1438,10 @@ impl Node {
 
     /// Keeps one stored settlement transaction on its way into a block:
     /// re-floods it when this node's own pool and chain have lost it, or
-    /// when the tip — a block mined at least `settle_check.base` after it
+    /// when the tip — a block mined at least `SETTLE_CHECK.base` after it
     /// last went out — still left it out. The tip's miner is named
     /// ([`Note::CensorshipSuspected`]) once its blocks have left it out
-    /// `censor_suspect_sweeps` re-floods in a row.
+    /// [`CENSOR_SUSPECT_SWEEPS`] re-floods in a row.
     fn keep_published(
         &mut self,
         now: SimTime,
@@ -1462,7 +1460,7 @@ impl Node {
         let chain = &self.daemon.chain;
         let tip = chain.block(&chain.tip()).expect("the tip is stored");
         let mined = SimTime::from_micros(tip.header.time_us);
-        let left_out = mined >= published.at + self.terms.fsm.settle_check.base;
+        let left_out = mined >= published.at + SETTLE_CHECK.base;
         if !left_out && self.daemon.mempool.contains(&txid) {
             return;
         }
@@ -1474,7 +1472,7 @@ impl Node {
                     _ => 1,
                 };
                 republished.left_out = Some((miner, run));
-                if run == self.terms.fsm.censor_suspect_sweeps {
+                if run == CENSOR_SUSPECT_SWEEPS {
                     env.note(now, tag, Note::CensorshipSuspected(miner));
                 }
             }

@@ -69,6 +69,10 @@ impl fmt::Debug for DeviceRecord {
     }
 }
 
+/// The modulus of every device's `Sk`/`Pk` pair: a data frame's `Sig`
+/// is one block of it, whatever the ephemeral key's size.
+pub(crate) const DEVICE_KEY_SIZE: RsaKeySize = RsaKeySize::Rsa512;
+
 /// One device's freshly drawn key material, before either side holds
 /// its half.
 pub struct DeviceKeys {
@@ -82,7 +86,7 @@ impl DeviceKeys {
     pub fn mint<R: RngCore>(rng: &mut R) -> Self {
         let mut aes_key = [0u8; 32];
         rng.fill_bytes(&mut aes_key);
-        let (verify_key, signing_key) = generate_keypair(rng, RsaKeySize::Rsa512);
+        let (verify_key, signing_key) = generate_keypair(rng, DEVICE_KEY_SIZE);
         DeviceKeys {
             aes_key,
             verify_key,

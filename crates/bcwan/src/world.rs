@@ -17,6 +17,10 @@
 //! (airtimes, the loss coin, a crashed gateway's deafness), the WAN's
 //! latency and the chaos engine; the mining schedule; and the paper's
 //! measurement marks, tracer spans, settlement auditor and metrics.
+//!
+//! What the testbed never varies is a constant, not a [`WorkloadConfig`]
+//! field: the escrow reward and fee, the SF7 radio and the EU868 duty
+//! cycle here, the recovery schedules in [`fsm`](crate::fsm).
 
 use crate::audit::{GatewayOutcome, SettlementAuditor};
 use crate::costs::CostModel;
@@ -24,17 +28,17 @@ use crate::daemon::{Daemon, DaemonStats};
 use crate::device::{Device, DeviceEnv, DeviceNote, DeviceSpec, Downlink, Timer, Uplink};
 use crate::directory::bootstrap_chain;
 use crate::escrow;
-use crate::fsm::{FsmConfig, FsmEvent, Phase};
+use crate::fsm::{FsmEvent, Phase};
 use crate::node::{delivery_tag, Misbehaviour, Node, NodeEnv, Note, Parcel, Terms};
-use crate::provisioning::{mint_all, DeviceId};
+use crate::provisioning::{mint_all, DeviceId, DEVICE_KEY_SIZE};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
     Address, Chain, ChainParams, MempoolStats, OutPoint, SigCache, StoreConfig, Wallet,
 };
 use bcwan_crypto::rsa::{RsaKeySize, RsaPublicKey};
 use bcwan_lora::airtime::time_on_air;
-use bcwan_lora::frame::LoraFrame;
-use bcwan_lora::params::RadioConfig;
+use bcwan_lora::frame::{data_uplink_phy_len, LoraFrame, REQUEST_PHY_LEN};
+use bcwan_lora::params::{RadioConfig, EU868_DUTY_CYCLE};
 use bcwan_p2p::{ChainMessage, Delivery, FaultModel, Network, NodeId, Topology};
 use bcwan_sim::{
     run, Actor, ChaosEngine, ChaosPlan, CounterId, EventQueue, HistogramId, LatencyModel, Metric,
@@ -44,6 +48,15 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Escrow reward per delivered message; the §5.2 testbed never varies
+/// it.
+const REWARD: u64 = 10;
+/// Transaction fee budgeted per escrow, claim and refund.
+const FEE: u64 = 1;
+/// Every sensor's radio: the paper's SF7, 125 kHz, CR 4/5, under the
+/// EU868 duty cycle ([`EU868_DUTY_CYCLE`]).
+const RADIO: RadioConfig = RadioConfig::paper_sf7();
+
 /// Workload and environment configuration.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -51,10 +64,6 @@ pub struct WorkloadConfig {
     pub actor_hosts: u32,
     /// Sensors per actor host. Paper: 30.
     pub sensors_per_host: u32,
-    /// Radio duty-cycle fraction. Paper: 0.01.
-    pub duty_cycle: f64,
-    /// Radio configuration. Paper: SF7.
-    pub radio: RadioConfig,
     /// Stop after this many completed exchanges. Paper: 2000.
     pub target_exchanges: usize,
     /// Per-sensor mean send interval as a multiple of the duty-cycle
@@ -72,10 +81,6 @@ pub struct WorkloadConfig {
     pub chain_params: ChainParams,
     /// CPU cost table.
     pub costs: CostModel,
-    /// Escrow reward per delivered message.
-    pub reward: u64,
-    /// Transaction fee budgeted per transaction.
-    pub fee: u64,
     /// Escrow confirmations the gateway waits for before revealing the
     /// key. Paper's PoC: 0 (discussed as a double-spend risk in §6).
     pub confirmation_depth: u64,
@@ -92,12 +97,10 @@ pub struct WorkloadConfig {
     /// Off by default: with tracing disabled every tracer call is a
     /// single branch, keeping `World::run` within its overhead budget.
     pub tracing: bool,
-    /// Seeded fault schedule; [`ChaosPlan::none`] by default, so clean
-    /// runs take a single `is_idle` branch per chaos query.
+    /// Seeded fault schedule; [`ChaosPlan::none`] by default, so in a
+    /// clean run every chaos query scans an empty plan and answers at
+    /// once (see [`ChaosEngine`]).
     pub chaos: ChaosPlan,
-    /// Every node's deadline and retry policy (re-delivery, settlement
-    /// watchdog, censorship suspicion).
-    pub fsm: FsmConfig,
     /// Blocks until the escrow's CLTV refund branch opens. The paper's
     /// Listing 1 uses 100; chaos soaks shrink it so a withheld claim
     /// reaches the refund branch within a short run.
@@ -131,16 +134,12 @@ impl WorkloadConfig {
         WorkloadConfig {
             actor_hosts: 5,
             sensors_per_host: 30,
-            duty_cycle: 0.01,
-            radio: RadioConfig::paper_sf7(),
             target_exchanges: 2000,
             load_factor: 1.5,
             latency: LatencyModel::planetlab(),
             gossip_degree: None,
             chain_params: ChainParams::multichain_like(),
             costs: CostModel::pi_class(),
-            reward: 10,
-            fee: 1,
             confirmation_depth: 0,
             rsa_size: RsaKeySize::Rsa512,
             faults: FaultModel::none(),
@@ -148,7 +147,6 @@ impl WorkloadConfig {
             max_sim_time: SimDuration::from_secs(24 * 3600),
             tracing: false,
             chaos: ChaosPlan::none(),
-            fsm: FsmConfig::default(),
             refund_delta: escrow::REFUND_DELTA,
             escrow_coin_headroom: 64,
             store_dir: None,
@@ -474,7 +472,7 @@ impl World {
 
         // Genesis: a pile of escrow-sized coins per actor host, plus one
         // directory announcement per actor.
-        let coin_value = cfg.reward + 2 * cfg.fee;
+        let coin_value = REWARD + 2 * FEE;
         let coins_per_actor =
             cfg.target_exchanges / cfg.actor_hosts as usize + cfg.escrow_coin_headroom as usize;
         let address_book: Arc<[Address]> = wallets.iter().map(Wallet::address).collect();
@@ -491,12 +489,11 @@ impl World {
         let sig_cache = Arc::new(SigCache::default());
         let terms = Arc::new(Terms {
             costs: cfg.costs.clone(),
-            reward: cfg.reward,
-            fee: cfg.fee,
+            reward: REWARD,
+            fee: FEE,
             confirmation_depth: cfg.confirmation_depth,
             refund_delta: cfg.refund_delta,
             rsa_size: cfg.rsa_size,
-            fsm: cfg.fsm.clone(),
         });
         let mut hosts: Vec<Node> = Vec::with_capacity(n_hosts);
         for (i, wallet) in wallets.into_iter().enumerate() {
@@ -533,11 +530,11 @@ impl World {
             .collect();
         // Workload pacing: the duty-cycle minimum interval for one full
         // exchange (request + data frames), scaled by load_factor.
-        let request_air = time_on_air(&cfg.radio, 28);
-        let data_air = time_on_air(&cfg.radio, 160);
-        let per_exchange_air = request_air + data_air;
+        let request_air = time_on_air(&RADIO, REQUEST_PHY_LEN);
+        let data_len = data_uplink_phy_len(cfg.rsa_size.block_len(), DEVICE_KEY_SIZE.block_len());
+        let per_exchange_air = request_air + time_on_air(&RADIO, data_len);
         let min_interval =
-            SimDuration::from_secs_f64(per_exchange_air.as_secs_f64() / cfg.duty_cycle);
+            SimDuration::from_secs_f64(per_exchange_air.as_secs_f64() / EU868_DUTY_CYCLE);
         let send_interval =
             SimDuration::from_secs_f64(min_interval.as_secs_f64() * cfg.load_factor);
         let spec = DeviceSpec {
@@ -864,7 +861,7 @@ impl World {
         }
         // A crashed gateway's radio hears nothing; the device's timeout
         // resends until the gateway restarts or the retries run out.
-        if !sim.chaos.is_idle() && sim.chaos.host_down(gateway, now) {
+        if sim.chaos.host_down(gateway, now) {
             sim.registry.inc(sim.chaos.meters().crash_drops);
             return;
         }
@@ -898,7 +895,7 @@ impl World {
         let to = delivery.to.0;
         // A message can be in flight when its receiver crashes; it is
         // lost on arrival, not retroactively.
-        if !self.sim.chaos.is_idle() && self.sim.chaos.host_down(to, now) {
+        if self.sim.chaos.host_down(to, now) {
             self.sim.registry.inc(self.sim.chaos.meters().crash_drops);
             return;
         }
@@ -965,8 +962,7 @@ impl World {
             return;
         }
         *wake = None;
-        let chaos = &self.sim.chaos;
-        if !chaos.is_idle() && chaos.host_down(host, now) {
+        if self.sim.chaos.host_down(host, now) {
             return;
         }
         self.at_host(host, queue, |node, env| node.on_deadline(now, env));
@@ -1063,7 +1059,7 @@ impl World {
         // from its template. The pool keeps them (censorship is not
         // eviction), so an honest miner taking over mines them at once.
         let mut escrow_ops: HashSet<OutPoint> = HashSet::new();
-        if !sim.chaos.is_idle() && sim.chaos.censoring_miner(miner, now) {
+        if sim.chaos.censoring_miner(miner, now) {
             escrow_ops.extend(self.hosts.iter().flat_map(Node::escrow_outpoints));
             let withheld = self.hosts[miner as usize]
                 .daemon
@@ -1106,9 +1102,7 @@ impl Sim {
     ) {
         let deliveries = self.network.broadcast(&mut self.rng, NodeId(from), parcel);
         // Chaos: block propagation can be artificially delayed.
-        let extra = if self.chaos.is_idle() {
-            SimDuration::ZERO
-        } else if matches!(parcel.msg, WanMessage::Chain(ChainMessage::Block(_))) {
+        let extra = if matches!(parcel.msg, WanMessage::Chain(ChainMessage::Block(_))) {
             let d = self.chaos.block_delay(at);
             if d > SimDuration::ZERO {
                 self.registry.inc(self.chaos.meters().blocks_delayed);
@@ -1133,9 +1127,6 @@ impl Sim {
     /// `at` (crashed endpoint, partition cut, or an armed connection
     /// kill). Counts the drop it attributes.
     fn chaos_drops(&mut self, at: SimTime, from: u32, to: u32) -> bool {
-        if self.chaos.is_idle() {
-            return false;
-        }
         let meters = self.chaos.meters();
         if self.chaos.host_down(from, at) || self.chaos.host_down(to, at) {
             self.registry.inc(meters.crash_drops);
@@ -1195,14 +1186,9 @@ impl Sim {
         phy_len: usize,
         air: Air,
     ) -> SimTime {
-        let end = at + time_on_air(&self.cfg.radio, phy_len);
+        let end = at + time_on_air(&RADIO, phy_len);
         let chaos = &self.chaos;
-        let loss = if chaos.is_idle() {
-            0.0
-        } else {
-            chaos.lora_loss_boost(at)
-        };
-        if self.rng.chance(loss) {
+        if self.rng.chance(chaos.lora_loss_boost(at)) {
             let gateway = self.exchanges[exchange].gateway as usize;
             self.radio_by_gw[gateway - 1].frames_lost += 1;
             self.registry.inc(chaos.meters().lora_drops);
@@ -1343,9 +1329,6 @@ impl NodeEnv for Env<'_> {
 
     fn misbehaves(&mut self, now: SimTime, how: Misbehaviour) -> bool {
         let sim = &mut *self.sim;
-        if sim.chaos.is_idle() {
-            return false;
-        }
         match how {
             Misbehaviour::WithholdClaim => {
                 let withholds = sim.chaos.withhold_claim(self.me, now);
@@ -1373,12 +1356,12 @@ struct RadioEnv<'a> {
 impl DeviceEnv for RadioEnv<'_> {
     fn transmit(&mut self, at: SimTime, tag: u64, frame: Uplink) -> SimTime {
         let sim = &mut *self.sim;
-        let phy_len = match frame {
+        let phy_len = match &frame {
             Uplink::Request => {
                 sim.tracer.span_start("request_uplink", tag, at);
-                28
+                REQUEST_PHY_LEN
             }
-            Uplink::Data { .. } => 160,
+            Uplink::Data { uplink, .. } => data_uplink_phy_len(uplink.em.len(), uplink.sig.len()),
         };
         let air = Air::Up(Box::new(frame));
         sim.send_frame(self.queue, at, tag as usize, phy_len, air)

@@ -17,7 +17,8 @@
 use bcwan_bench::{harness_args, BenchReport};
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey};
 use bcwan_lora::airtime::{max_messages_per_hour, time_on_air};
-use bcwan_lora::params::{RadioConfig, SpreadingFactor};
+use bcwan_lora::frame::data_uplink_phy_len;
+use bcwan_lora::params::{RadioConfig, SpreadingFactor, EU868_DUTY_CYCLE};
 use bcwan_sim::{Json, Registry, Series};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,8 +49,8 @@ fn main() {
     let mut rows = Vec::new();
     println!("RSA    frame(B)  SF    fits  airtime(ms)  msgs/h@1%");
     for size in [RsaKeySize::Rsa512, RsaKeySize::Rsa1024, RsaKeySize::Rsa2048] {
-        // DataUplink wire: 4 header + 4 device + 20 @R + 2+Em + 2+Sig.
-        let phy = 4 + 4 + 20 + 2 + size.block_len() + 2 + size.block_len();
+        // Em and Sig both one block of this modulus.
+        let phy = data_uplink_phy_len(size.block_len(), size.block_len());
         for sf in [
             SpreadingFactor::Sf7,
             SpreadingFactor::Sf9,
@@ -58,7 +59,7 @@ fn main() {
             let cfg = RadioConfig::with_sf(sf);
             let fits = phy <= sf.max_payload() + 4;
             let airtime = time_on_air(&cfg, phy);
-            let rate = max_messages_per_hour(&cfg, phy, 0.01);
+            let rate = max_messages_per_hour(&cfg, phy, EU868_DUTY_CYCLE);
             println!(
                 "{:>5}  {:>8}  SF{:<3} {:>4}  {:>11.1}  {:>9.1}",
                 size.bits(),
@@ -120,7 +121,7 @@ fn main() {
     println!("the paper's §6 justification for accepting RSA-512's weakness.");
     if let Some(path) = json {
         BenchReport::new("ablation_keysize")
-            .config("duty_cycle", Json::num(0.01))
+            .config("duty_cycle", Json::num(EU868_DUTY_CYCLE))
             .rows(Json::Array(rows))
             .metrics(registry.snapshot())
             .write(&path)

@@ -10,14 +10,13 @@
 
 use bcwan_bench::{harness_args, BenchReport};
 use bcwan_lora::airtime::{max_messages_per_hour, time_on_air};
-use bcwan_lora::params::{RadioConfig, SpreadingFactor};
+use bcwan_lora::params::{RadioConfig, SpreadingFactor, EU868_DUTY_CYCLE as DUTY};
 use bcwan_sim::{Json, Registry};
 
 fn main() {
     let json = harness_args().json;
     // The paper's frame: 128-byte payload + 4-byte length header.
     const PHY_LEN: usize = 132;
-    const DUTY: f64 = 0.01;
 
     let mut registry = Registry::new();
     let rows_counter = registry.counter("bench.rows_total");

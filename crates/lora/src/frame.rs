@@ -27,6 +27,18 @@ pub const HEADER_LEN: usize = 4;
 
 const MAGIC: u8 = 0xbc;
 
+/// On-air size of a [`LoraFrame::UplinkRequest`]: header, device id and
+/// `@R`.
+pub const REQUEST_PHY_LEN: usize = HEADER_LEN + 4 + ADDRESS_LEN;
+
+/// On-air size of a [`LoraFrame::DataUplink`] whose `Em` is `em_len`
+/// bytes and whose `Sig` is `sig_len`: header, device id, `@R`, then
+/// each block behind its 2-byte length. RSA-512 blocks give the
+/// paper's 160 bytes.
+pub const fn data_uplink_phy_len(em_len: usize, sig_len: usize) -> usize {
+    HEADER_LEN + 4 + ADDRESS_LEN + 2 + em_len + 2 + sig_len
+}
+
 /// The inner encrypted message of paper Fig. 4.
 ///
 /// For a ≤16-byte sensor reading under AES-256-CBC this serializes to
@@ -302,6 +314,26 @@ impl LoraFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn layout_lengths_match_the_encoding() {
+        let request = LoraFrame::UplinkRequest {
+            device_id: 7,
+            recipient: [1; ADDRESS_LEN],
+        };
+        assert_eq!(request.phy_len(), REQUEST_PHY_LEN);
+        for (em, sig) in [(64, 64), (128, 64), (256, 256)] {
+            let data = LoraFrame::DataUplink {
+                device_id: 7,
+                recipient: [1; ADDRESS_LEN],
+                em: vec![2; em],
+                sig: vec![3; sig],
+            };
+            assert_eq!(data.phy_len(), data_uplink_phy_len(em, sig));
+        }
+        assert_eq!(REQUEST_PHY_LEN, 28);
+        assert_eq!(data_uplink_phy_len(64, 64), 160, "§5.2's RSA-512 frame");
+    }
 
     #[test]
     fn fig4_encrypted_reading_is_34_bytes() {

@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+/// The ETSI EU868 duty-cycle limit a LoRaWAN end device keeps on the
+/// g1 sub-band: 1 % of airtime.
+pub const EU868_DUTY_CYCLE: f64 = 0.01;
+
 /// LoRa spreading factor (chirp length exponent). Higher factors trade
 /// data rate for range and receiver sensitivity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -156,7 +160,7 @@ pub struct RadioConfig {
 impl RadioConfig {
     /// The paper's evaluation configuration: SF7, 125 kHz, CR 4/5,
     /// 8-symbol preamble, explicit header + CRC.
-    pub fn paper_sf7() -> Self {
+    pub const fn paper_sf7() -> Self {
         RadioConfig {
             spreading_factor: SpreadingFactor::Sf7,
             bandwidth: Bandwidth::Khz125,

@@ -50,7 +50,7 @@ use crate::energy::EnergyModel;
 use crate::frame::{LoraFrame, ADDRESS_LEN, HEADER_LEN};
 use crate::link::{LinkModel, Position};
 use crate::mac::MacConfig;
-use crate::params::{RadioConfig, SpreadingFactor};
+use crate::params::{RadioConfig, SpreadingFactor, EU868_DUTY_CYCLE};
 use crate::radio::Radio;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
 use wheel::TickWheel;
@@ -76,7 +76,7 @@ pub struct ShardConfig {
     /// PHY frame length in bytes for every uplink (≥ 32; ≤ the payload
     /// cap of every spreading factor in use).
     pub frame_len: usize,
-    /// Duty-cycle fraction (ETSI EU868: 0.01).
+    /// Duty-cycle fraction ([`EU868_DUTY_CYCLE`] in the dense preset).
     pub duty: f64,
     /// Mean of the exponential inter-arrival time per sensor.
     pub mean_interval: SimDuration,
@@ -107,7 +107,7 @@ impl ShardConfig {
             radio: RadioConfig::paper_sf7(),
             sf_fixed: None,
             frame_len: 55,
-            duty: 0.01,
+            duty: EU868_DUTY_CYCLE,
             mean_interval: SimDuration::from_secs(180),
             region_radius_m: 4_000.0,
             link: LinkModel::suburban(),

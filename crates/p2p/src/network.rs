@@ -1,8 +1,9 @@
 //! The simulated wide-area network: latency, loss, duplication, partitions.
 //!
-//! [`Network::transmit`] is *passive*: it computes the deliveries a send
-//! produces (zero on loss, two on duplication) and hands back their
-//! arrival delays; the caller owns the event queue and schedules them.
+//! [`Network::broadcast`] and [`Network::dial`] are *passive*: they
+//! compute the deliveries a send produces (zero on loss, two on
+//! duplication) and hand back their arrival delays; the caller owns the
+//! event queue and schedules them.
 //! This keeps the network model independent of any particular event type.
 
 use crate::topology::{NodeId, Topology};
@@ -52,7 +53,7 @@ bcwan_sim::counters! {
     /// methods can count without forcing `&mut` through every call site.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct NetStats {
-        /// Unicast sends attempted (including reliable/TCP sends).
+        /// Sends attempted: one per flood peer, one per dial.
         pub sent: u64 => "net.sent_total",
         /// Deliveries produced (≥ sent minus drops; duplicates add
         /// extras).
@@ -104,33 +105,14 @@ impl Network {
         self
     }
 
-    /// The topology (for partition injection, use
-    /// [`Network::topology_mut`]).
+    /// The topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
 
-    /// Mutable topology access.
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
-    }
-
-    /// Computes the deliveries for a unicast send. Empty when the link is
-    /// down/partitioned or the message is dropped; two entries on
-    /// duplication.
-    pub fn transmit<M: Clone>(
-        &self,
-        rng: &mut SimRng,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    ) -> Vec<(SimDuration, Delivery<M>)> {
-        let mut out = Vec::new();
-        self.transmit_into(rng, from, to, msg, &mut out);
-        out
-    }
-
-    /// [`Network::transmit`], appending its deliveries to `out`.
+    /// Appends the deliveries of one send over the `from → to` overlay
+    /// link to `out`: none when the link is missing or the message is
+    /// dropped, two on duplication.
     fn transmit_into<M: Clone>(
         &self,
         rng: &mut SimRng,
@@ -173,33 +155,14 @@ impl Network {
         }
     }
 
-    /// Like [`Network::transmit`] but immune to the drop/duplicate fault
-    /// model — models a TCP connection (the paper's gateway→recipient
-    /// leg), which retransmits below our abstraction. Partitions still
-    /// apply: TCP cannot cross a cut link.
-    pub fn transmit_reliable<M>(
-        &self,
-        rng: &mut SimRng,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    ) -> Option<(SimDuration, Delivery<M>)> {
-        self.count(|s| s.sent += 1);
-        if !self.topology.linked(from, to) {
-            self.count(|s| s.dropped_partition += 1);
-            return None;
-        }
-        let delay = self.latency.sample(rng);
-        self.count(|s| s.delivered += 1);
-        Some((delay, Delivery { from, to, msg }))
-    }
-
-    /// A directory-driven direct dial: like [`Network::transmit_reliable`]
-    /// but independent of the static gossip adjacency — the sender
-    /// looked the peer's IP up (on chain, §4.3) and opens a TCP
-    /// connection straight to it, so the overlay graph that shapes
-    /// flood fan-out does not constrain it. Chaos-level cuts are the
-    /// caller's concern (they model live failures, not graph shape).
+    /// A directory-driven direct dial. It is immune to the drop/duplicate
+    /// fault model: a TCP connection (the paper's gateway→recipient leg)
+    /// retransmits below this abstraction. It is also independent of the
+    /// static gossip adjacency: the sender looked the peer's IP up (on
+    /// chain, §4.3) and opens a TCP connection straight to it, so the
+    /// overlay graph that shapes flood fan-out does not constrain it.
+    /// Chaos-level cuts are the caller's concern (they model live
+    /// failures, not graph shape).
     pub fn dial<M>(
         &self,
         rng: &mut SimRng,
@@ -271,15 +234,39 @@ impl SeenFilter {
 mod tests {
     use super::*;
 
-    fn net(drop: f64, dup: f64) -> Network {
+    impl Network {
+        /// The deliveries of one overlay send, in a fresh vector.
+        fn transmit<M: Clone>(
+            &self,
+            rng: &mut SimRng,
+            from: NodeId,
+            to: NodeId,
+            msg: M,
+        ) -> Vec<(SimDuration, Delivery<M>)> {
+            let mut out = Vec::new();
+            self.transmit_into(rng, from, to, msg, &mut out);
+            out
+        }
+    }
+
+    /// A 4-node full mesh, minus the links in `cut`.
+    fn net_without(cut: &[(u32, u32)], drop: f64, dup: f64) -> Network {
+        let mut topology = Topology::full_mesh(4);
+        for &(a, b) in cut {
+            topology.disconnect(NodeId(a), NodeId(b));
+        }
         Network::new(
-            Topology::full_mesh(4),
+            topology,
             LatencyModel::Constant(SimDuration::from_millis(10)),
         )
         .with_faults(FaultModel {
             drop_probability: drop,
             duplicate_probability: dup,
         })
+    }
+
+    fn net(drop: f64, dup: f64) -> Network {
+        net_without(&[], drop, dup)
     }
 
     #[test]
@@ -295,8 +282,7 @@ mod tests {
 
     #[test]
     fn unlinked_nodes_cannot_talk() {
-        let mut network = net(0.0, 0.0);
-        network.topology_mut().disconnect(NodeId(0), NodeId(1));
+        let network = net_without(&[(0, 1)], 0.0, 0.0);
         let mut rng = SimRng::seed_from_u64(2);
         assert!(network
             .transmit(&mut rng, NodeId(0), NodeId(1), ())
@@ -408,28 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn reliable_transmit_ignores_drops_not_partitions() {
-        let mut network = net(1.0, 0.0); // every unreliable frame drops
-        let mut rng = SimRng::seed_from_u64(6);
-        assert!(network
-            .transmit(&mut rng, NodeId(0), NodeId(1), ())
-            .is_empty());
-        assert!(network
-            .transmit_reliable(&mut rng, NodeId(0), NodeId(1), ())
-            .is_some());
-        network.topology_mut().disconnect(NodeId(0), NodeId(1));
-        assert!(network
-            .transmit_reliable(&mut rng, NodeId(0), NodeId(1), ())
-            .is_none());
-    }
-
-    #[test]
     fn stats_count_traffic() {
-        let mut network = net(0.0, 0.0);
+        let network = net_without(&[(0, 3)], 0.0, 0.0);
         let mut rng = SimRng::seed_from_u64(9);
         network.transmit(&mut rng, NodeId(0), NodeId(1), ());
-        network.transmit_reliable(&mut rng, NodeId(0), NodeId(2), ());
-        network.topology_mut().disconnect(NodeId(0), NodeId(3));
+        network.dial(&mut rng, NodeId(0), NodeId(2), ());
         network.transmit(&mut rng, NodeId(0), NodeId(3), ());
         let s = network.stats();
         assert_eq!(s.sent, 3);

@@ -493,7 +493,10 @@ impl ChaosMeters {
 }
 
 /// Executes a [`ChaosPlan`]: point-in-time queries plus one-shot
-/// consumption, all deterministic.
+/// consumption, all deterministic. Every query is a scan of the plan's
+/// faults, so on an empty plan ([`ChaosEngine::is_idle`]) it answers
+/// false, zero or `None` at once, with no side effect: a clean run's
+/// callers ask without guarding.
 #[derive(Debug)]
 pub struct ChaosEngine {
     plan: ChaosPlan,
@@ -685,6 +688,24 @@ mod tests {
     fn engine(faults: Vec<ChaosFault>) -> ChaosEngine {
         let mut reg = Registry::new();
         ChaosEngine::new(ChaosPlan { faults }, &mut reg)
+    }
+
+    #[test]
+    fn idle_engine_answers_nothing_and_keeps_nothing_armed() {
+        let mut e = engine(Vec::new());
+        assert!(e.is_idle());
+        for now in [t(0), t(10), t(1_000_000)] {
+            assert!(!e.host_down(1, now));
+            assert!(!e.partitioned(1, 2, now));
+            assert!(!e.equivocate_claim(1, now));
+            assert!(!e.censoring_miner(0, now));
+            assert!(!e.withhold_claim(1, now));
+            assert_eq!(e.block_delay(now), SimDuration::ZERO);
+            assert_eq!(e.lora_loss_boost(now), 0.0);
+            assert!(!e.take_conn_kill(1, 2, now));
+            assert_eq!(e.take_fork(now), None);
+        }
+        assert!(e.restarts().is_empty());
     }
 
     #[test]

@@ -68,12 +68,12 @@ impl SimDuration {
     }
 
     /// Builds a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 
     /// Builds a duration from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
     }
 

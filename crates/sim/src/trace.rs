@@ -13,7 +13,7 @@
 //! config), every call is a single branch on a `bool` and returns
 //! immediately — no allocation, no map lookup.
 
-use crate::metrics::{Registry, Series, Summary};
+use crate::metrics::{Registry, Series};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -38,8 +38,6 @@ pub struct Tracer {
     open: HashMap<SpanKey, SimTime>,
     /// Closed span durations (seconds), per phase name.
     closed: BTreeMap<&'static str, Series>,
-    /// Count of instant events, per name.
-    instants: BTreeMap<&'static str, u64>,
     /// span_end calls with no matching span_start (indicates an
     /// instrumentation bug; surfaced in reports rather than panicking).
     unmatched_ends: u64,
@@ -98,25 +96,6 @@ impl Tracer {
         }
     }
 
-    /// Drops an open span without recording it (e.g. a failed exchange
-    /// whose phase never completed).
-    #[inline]
-    pub fn span_cancel(&mut self, name: &'static str, id: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.open.remove(&(name, id));
-    }
-
-    /// Records a zero-duration point event.
-    #[inline]
-    pub fn instant(&mut self, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        *self.instants.entry(name).or_insert(0) += 1;
-    }
-
     /// Records an externally measured duration directly, without a
     /// start/end pair — for phases whose endpoints live in different
     /// actors where threading an id through would distort the protocol.
@@ -140,19 +119,6 @@ impl Tracer {
     /// (seconds), sorted by name.
     pub fn phases(&self) -> impl Iterator<Item = (&'static str, &Series)> {
         self.closed.iter().map(|(name, series)| (*name, series))
-    }
-
-    /// Per-phase summaries, sorted by phase name. Empty when disabled.
-    pub fn phase_summaries(&self) -> Vec<(&'static str, Summary)> {
-        self.closed
-            .iter()
-            .filter_map(|(name, series)| series.summary().map(|s| (*name, s)))
-            .collect()
-    }
-
-    /// Instant-event counts, sorted by name.
-    pub fn instant_counts(&self) -> Vec<(&'static str, u64)> {
-        self.instants.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
     /// Spans opened but never closed (in-flight work at end of run).
@@ -188,10 +154,9 @@ mod tests {
         let mut tr = Tracer::disabled();
         tr.span_start("phase", 0, t(0));
         tr.span_end("phase", 0, t(100));
-        tr.instant("tick");
+        tr.record_span("settle", SimDuration::from_millis(40));
         assert!(tr.durations("phase").is_none());
-        assert!(tr.phase_summaries().is_empty());
-        assert!(tr.instant_counts().is_empty());
+        assert_eq!(tr.phases().count(), 0);
         assert_eq!(tr.open_spans(), 0);
     }
 
@@ -224,26 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_discards_open_span() {
+    fn recorded_spans_fold_into_phases() {
         let mut tr = Tracer::enabled();
-        tr.span_start("fail", 3, t(0));
-        tr.span_cancel("fail", 3);
-        tr.span_end("fail", 3, t(10));
-        assert_eq!(tr.unmatched_ends(), 1);
-        assert_eq!(tr.open_spans(), 0);
-    }
-
-    #[test]
-    fn instants_and_summaries() {
-        let mut tr = Tracer::enabled();
-        tr.instant("mined");
-        tr.instant("mined");
         tr.record_span("settle", SimDuration::from_millis(40));
-        assert_eq!(tr.instant_counts(), vec![("mined", 2)]);
-        let summaries = tr.phase_summaries();
-        assert_eq!(summaries.len(), 1);
-        assert_eq!(summaries[0].0, "settle");
-        assert_eq!(summaries[0].1.count, 1);
+        tr.span_start("mined", 1, t(0));
+        tr.span_end("mined", 1, t(10));
+        let phases: Vec<_> = tr.phases().map(|(name, s)| (name, s.len())).collect();
+        assert_eq!(phases, vec![("mined", 1), ("settle", 1)]);
+        assert_eq!(tr.durations("settle").unwrap().samples(), &[0.04]);
     }
 
     #[test]

@@ -154,13 +154,47 @@ fn rsa_1024_works_end_to_end_with_bigger_frames() {
     use bcwan_crypto::rsa::RsaKeySize;
     let mut cfg = WorkloadConfig::tiny(3, 24);
     cfg.rsa_size = RsaKeySize::Rsa1024;
-    // 1024-bit frames exceed SF7's regional cap in the radio model, so the
-    // world charges airtime for a larger frame; the exchange still works
-    // because airtime is computed, not enforced, on the simulated uplink
-    // path (the ablation bench reports the regulatory violation).
+    // Under a 1024-bit ePk the data frame is 224 bytes (a 128-byte Em, the
+    // device's 64-byte Sig), past SF7's 222-byte regional payload cap.
+    // The world charges the frame's real airtime but enforces no cap on
+    // the simulated uplink path, so the exchange still works (the
+    // ablation bench reports the regulatory violation).
     let result = World::new(cfg).run();
     assert_eq!(result.failed, 0);
     assert!(result.completed >= 3);
+}
+
+#[test]
+fn rsa_1024_data_frame_pays_its_own_airtime() {
+    use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
+    use bcwan_lora::airtime::time_on_air;
+    use bcwan_lora::frame::LoraFrame;
+    use bcwan_lora::params::RadioConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut cfg = WorkloadConfig::tiny(3, 24);
+    cfg.rsa_size = RsaKeySize::Rsa1024;
+    cfg.latency = LatencyModel::instant();
+    let result = World::new(cfg).run();
+    assert!(result.completed >= 3);
+
+    // With no CPU cost and an instant WAN, a sample is at least the
+    // key downlink's airtime plus the data uplink's: 4 + 4 + 20 + 2 +
+    // 128 (Em under the 1024-bit ePk) + 2 + 64 (Sig, RSA-512) = 224 B.
+    let (e_pk, _) = generate_keypair(&mut StdRng::seed_from_u64(1), RsaKeySize::Rsa1024);
+    let down = LoraFrame::DownlinkEphemeralKey {
+        device_id: 0,
+        public_key: e_pk.to_bytes(),
+    };
+    let sf7 = RadioConfig::paper_sf7();
+    let floor = (time_on_air(&sf7, down.phy_len()) + time_on_air(&sf7, 224)).as_secs_f64();
+    for &sample in result.latencies.samples() {
+        assert!(
+            sample >= floor,
+            "sample {sample} s under the airtime floor {floor} s"
+        );
+    }
 }
 
 #[test]
