@@ -395,6 +395,7 @@ impl<T: FleetTransport> Fleet<T> {
                     // keeps a private verification memo.
                     Daemon::new(bootstrapped.fork()),
                     SimRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9)),
+                    seed,
                     terms.clone(),
                     address_book.clone(),
                 ),

@@ -2,24 +2,23 @@
 //! core before the gateway asks for it.
 //!
 //! A gateway draws a fresh RSA keypair for every exchange it opens
-//! (Fig. 3 steps 1–2), and [`generate_keypair`] is a pure function of the
-//! RNG state it is handed (its draw order is a documented contract). So
-//! the keypair a node will draw next is already decided by its RNG's
-//! current state. [`KeyAhead`] owns a node's RNG and exposes exactly the
-//! two draws a node makes, [`keypair`](KeyAhead::keypair) and
-//! [`fork`](KeyAhead::fork). After a keygen it hands a *clone* of the
-//! state to a helper thread, which runs the next keygen from it. The next
-//! `keypair` call adopts that result — the keypair and the RNG state
-//! after it — and a `fork` first cancels the job, since it moves the
-//! state the job was cloned from. No other path reaches the RNG, so
-//! whatever the thread timing, every key, every later draw and every
-//! simulated number are the ones the inline keygen would have produced.
+//! (Fig. 3 steps 1–2) from its own key stream ([`key_stream`]), which
+//! nothing else draws from, and [`generate_keypair`] is a pure function
+//! of the RNG state it is handed (its draw order is a documented
+//! contract). So the keypair a node will draw next is decided the moment
+//! its last keygen returns. After a keygen, [`KeyAhead`] hands a *clone*
+//! of the stream to a helper thread, which runs the next keygen from it,
+//! and the next [`keypair`](KeyAhead::keypair) adopts that result — the
+//! keypair and the stream state after it. Whatever the thread timing,
+//! every key and every simulated number are the ones the inline keygen
+//! would have produced.
 //!
 //! How often a keypair was adopted, waited for or taken back depends on
 //! timing, so those counts ([`Claims`]) stay inside the value: a node's
 //! never reach a metrics registry or a report.
 
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPrivateKey, RsaPublicKey};
+use bcwan_p2p::NodeId;
 use bcwan_sim::SimRng;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -34,6 +33,18 @@ use std::thread;
 /// benchmark 17 % of its exchanges per second on 2 vCPUs (EXPERIMENTS
 /// § KA); arming after the second left it flat.
 const ARM_AFTER: u64 = 2;
+
+/// The high half of every key stream's label, so no node's stream is
+/// another subsystem's stream `k` of the same seed.
+const KEY_STREAMS: u64 = 0x6b65_7973 << 32;
+
+/// Node `node`'s key stream in the experiment seeded `seed`: a pure
+/// function of the two ([`SimRng::stream`]), so a node's keys depend on
+/// nothing it does between keygens — not on how many blocks it accepted,
+/// nor on how many keys any other node drew.
+pub fn key_stream(seed: u64, node: NodeId) -> SimRng {
+    SimRng::stream(seed, KEY_STREAMS | u64::from(node.0))
+}
 
 /// A keypair computed ahead, and the RNG state its keygen left behind.
 struct Ahead {
@@ -50,8 +61,8 @@ enum State {
     Running,
     /// Ready to adopt.
     Done(Box<Ahead>),
-    /// Claimed, taken back, or made stale by a fork or a drop — or its
-    /// keygen panicked. Nothing will come of it.
+    /// Claimed, taken back, or dropped with its node — or its keygen
+    /// panicked. Nothing will come of it.
     Cancelled,
 }
 
@@ -70,8 +81,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Job {
-    /// A helper takes the job: the state to draw from, unless the job was
-    /// cancelled while it sat in the queue.
+    /// A helper takes the job: the state to draw from, unless its node
+    /// took it back or was dropped while it sat in the queue.
     fn start(&self) -> Option<SimRng> {
         let mut state = lock(&self.state);
         match std::mem::replace(&mut *state, State::Running) {
@@ -84,7 +95,8 @@ impl Job {
     }
 
     /// A helper publishes its result — `None` if the keygen panicked — and
-    /// wakes a claim waiting on it. A job cancelled meanwhile stays so.
+    /// wakes a claim waiting on it. A job whose node was dropped
+    /// meanwhile stays cancelled.
     fn finish(&self, done: Option<Ahead>) {
         let mut state = lock(&self.state);
         if matches!(*state, State::Running) {
@@ -93,16 +105,10 @@ impl Job {
         }
     }
 
-    /// Marks the job stale; a helper that is running it discards the
-    /// result.
-    fn cancel(&self) {
-        *lock(&self.state) = State::Cancelled;
-    }
-
     /// The owner's claim: the finished keypair (waiting for a running
-    /// one), or `None` — taken back from the queue, cancelled (a fork,
-    /// or a panicked keygen), or for another key size — in which case
-    /// the owner computes it inline.
+    /// one), or `None` — taken back from the queue, a panicked keygen,
+    /// or for another key size — in which case the owner computes it
+    /// inline.
     fn claim(&self, size: RsaKeySize, claims: &mut Claims) -> Option<Ahead> {
         let mut state = lock(&self.state);
         if matches!(*state, State::Running) {
@@ -203,9 +209,9 @@ pub struct Claims {
     pub taken_back: u64,
 }
 
-/// A node's RNG, drawn from only through [`keypair`](Self::keypair) and
-/// [`fork`](Self::fork), with the next keypair computed ahead on a spare
-/// core once the node has opened two sessions.
+/// A node's key stream, drawn from only through
+/// [`keypair`](Self::keypair), with the next keypair computed ahead on a
+/// spare core once the node has opened two sessions.
 pub struct KeyAhead {
     rng: SimRng,
     keygens: u64,
@@ -214,7 +220,7 @@ pub struct KeyAhead {
 }
 
 impl KeyAhead {
-    /// Takes ownership of a node's RNG.
+    /// Takes ownership of a node's key stream.
     pub fn new(rng: SimRng) -> Self {
         KeyAhead {
             rng,
@@ -245,23 +251,9 @@ impl KeyAhead {
         keys
     }
 
-    /// [`SimRng::fork`]. A job computed from the state before the fork is
-    /// stale; it is cancelled and a new one armed from the state after.
-    pub fn fork(&mut self, label: u64) -> SimRng {
-        let stale = self.job.take();
-        if let Some(job) = &stale {
-            job.cancel();
-        }
-        let child = self.rng.fork(label);
-        if let Some(job) = stale {
-            self.arm(job.size);
-        }
-        child
-    }
-
     /// Blocks until the job armed for the next keypair, if any, has been
-    /// run or cancelled — so the next [`keypair`](Self::keypair) adopts
-    /// it. For tests; a node never waits for its helper except to claim.
+    /// run — so the next [`keypair`](Self::keypair) adopts it. For tests;
+    /// a node never waits for its helper except to claim.
     pub fn wait_ahead(&self) {
         if let Some(job) = &self.job {
             let state = lock(&job.state);
@@ -299,10 +291,12 @@ impl KeyAhead {
     }
 }
 
+/// A helper that has not started the job skips it; one running it
+/// discards the result.
 impl Drop for KeyAhead {
     fn drop(&mut self) {
         if let Some(job) = &self.job {
-            job.cancel();
+            *lock(&job.state) = State::Cancelled;
         }
     }
 }

@@ -25,7 +25,7 @@
 //! - [`daemon`] — the per-host chain daemon with the Multichain
 //!   block-verification **stall model** (§5.2),
 //! - [`costs`] — CPU cost table for Nucleo/Pi/VM-class hardware,
-//! - [`keyahead`] — a node's RNG, with its next ephemeral keypair
+//! - [`keyahead`] — a node's key stream, with its next ephemeral keypair
 //!   generated ahead on a spare core, bit-identical to the inline draw,
 //! - [`world`] — the full §5.2 testbed simulation (Figs. 5 and 6),
 //! - [`audit`] — the always-on settlement auditor: per-block value

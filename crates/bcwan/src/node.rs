@@ -27,7 +27,7 @@ use crate::directory::{Directory, IpAnnouncement};
 use crate::escrow::{self, Escrow};
 use crate::exchange::{open_reading, verify_uplink, SealedUplink};
 use crate::fsm::{ExchangeFsm, FsmEvent, CENSOR_SUSPECT_SWEEPS, SETTLE_CHECK};
-use crate::keyahead::KeyAhead;
+use crate::keyahead::{key_stream, KeyAhead};
 use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
 use crate::wire::WanMessage;
@@ -376,8 +376,11 @@ pub struct Node {
     pub sync_batches_served: u64,
     /// `GetHeadersFrom` batches served.
     pub header_batches_served: u64,
-    /// The node's RNG, drawn from only through `keypair` and `fork`.
-    pub(crate) rng: KeyAhead,
+    /// The node's RNG: one fork per accepted block (its verification
+    /// stall) and, at provisioning, one per device it enrolls.
+    pub(crate) rng: SimRng,
+    /// Gateway: the node's key stream, drawn from only for session keys.
+    pub(crate) keys: KeyAhead,
     terms: Arc<Terms>,
     /// Every peer's wallet address by node id, filled by the operator.
     address_book: Arc<[Address]>,
@@ -420,11 +423,14 @@ pub struct Node {
 }
 
 impl Node {
+    /// A node of the experiment seeded `seed`, which it draws its session
+    /// keys from alone ([`key_stream`]); `rng` is for everything else.
     pub(crate) fn new(
         id: NodeId,
         wallet: Wallet,
         daemon: Daemon,
         rng: SimRng,
+        seed: u64,
         terms: Arc<Terms>,
         address_book: Arc<[Address]>,
     ) -> Self {
@@ -440,7 +446,8 @@ impl Node {
             apps,
             sync_batches_served: 0,
             header_batches_served: 0,
-            rng: KeyAhead::new(rng),
+            rng,
+            keys: KeyAhead::new(key_stream(seed, id)),
             terms,
             address_book,
             reserved: HashSet::new(),
@@ -1200,7 +1207,7 @@ impl Node {
                 return Some((now, Downlink::Key(session.e_sk.public_key())));
             }
             env.note(now, tag, Note::SessionOpened);
-            let (e_pk, e_sk) = self.rng.keypair(self.terms.rsa_size);
+            let (e_pk, e_sk) = self.keys.keypair(self.terms.rsa_size);
             let session = Session {
                 tag,
                 e_sk,
@@ -1537,7 +1544,6 @@ mod tests {
     use super::*;
     use crate::exchange::seal_reading;
     use crate::fleet::{BusFleet, Fleet, Outbound};
-    use rand::RngCore;
 
     const GATEWAY: usize = 1;
     const RECIPIENT: usize = 2;
@@ -1572,8 +1578,11 @@ mod tests {
         let opened = twice.nodes[GATEWAY].notes.iter();
         let opened = opened.filter(|note| **note == (7, Note::SessionOpened));
         assert_eq!(opened.count(), 1);
-        // The gateway's RNG stands where one keygen left it.
-        let next = |f: &mut Fleet<BusFleet>| f.nodes[GATEWAY].node.rng.fork(0).next_u64();
+        // The gateway's key stream stands where one keygen left it.
+        let next = |f: &mut Fleet<BusFleet>| {
+            let keys = &mut f.nodes[GATEWAY].node.keys;
+            keys.keypair(RsaKeySize::Rsa512).0
+        };
         assert_eq!(next(&mut twice), next(&mut once));
     }
 

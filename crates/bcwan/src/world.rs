@@ -510,6 +510,7 @@ impl World {
                 wallet,
                 Daemon::new(chain.with_sig_cache(sig_cache.clone())),
                 rng.fork(i as u64 + 1),
+                cfg.seed,
                 terms.clone(),
                 address_book.clone(),
             ));

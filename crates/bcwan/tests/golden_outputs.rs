@@ -31,8 +31,8 @@ fn digest(result: &ExperimentResult) -> String {
 #[test]
 fn fleet_50_hosts_10_exchanges() {
     for (seed, golden) in [
-        (2018, "fp=17634472254263644510 sim_us=57501646 blocks=4 completed=10 lat_us=[584992, 504992, 504992, 544992, 744992, 464992, 664992, 544992, 704992, 624992]"),
-        (7, "fp=4829779450491894212 sim_us=76865769 blocks=12 completed=10 lat_us=[464992, 504992, 464992, 544992, 544992, 744992, 504992, 504992, 464992, 504992]"),
+        (2018, "fp=17846157588567955404 sim_us=57501646 blocks=4 completed=10 lat_us=[584992, 504992, 504992, 544992, 744992, 464992, 664992, 544992, 704992, 624992]"),
+        (7, "fp=12838608288839509952 sim_us=76865769 blocks=12 completed=10 lat_us=[464992, 504992, 464992, 544992, 544992, 744992, 504992, 504992, 464992, 504992]"),
     ] {
         let result = World::new(WorkloadConfig::fleet(50, 10, seed)).run();
         assert_eq!(digest(&result), golden, "seed {seed}");
@@ -47,7 +47,7 @@ fn miniature_fig5() {
     cfg.target_exchanges = 12;
     cfg.seed = 5;
     let result = World::new(cfg).run();
-    assert_eq!(digest(&result), "fp=6432002427602309950 sim_us=168232404 blocks=2 completed=12 lat_us=[1516339, 1495210, 1433040, 1556919, 1437038, 1520639, 1440827, 1462155, 1454395, 1555496, 1439248, 1476625]");
+    assert_eq!(digest(&result), "fp=1869101859094229732 sim_us=168232404 blocks=2 completed=12 lat_us=[1516339, 1495210, 1433040, 1556919, 1437038, 1520639, 1440827, 1462155, 1454395, 1555496, 1439248, 1476625]");
 }
 
 /// The `chaos_soak` bin's seed-101 run: soak-profile plan over the
@@ -66,7 +66,7 @@ fn chaos_soak_seed_101() {
     cfg.refund_delta = 12;
     let result = World::new(cfg).run();
     assert_eq!(result.invariant_violations, 0);
-    assert_eq!(digest(&result), "fp=4346592772911062419 sim_us=393238049 blocks=23 completed=7 lat_us=[464992, 464992, 464992, 464992, 15464992, 35464992, 464992]");
+    assert_eq!(digest(&result), "fp=5660733886755421292 sim_us=393238049 blocks=23 completed=7 lat_us=[464992, 464992, 464992, 464992, 15464992, 35464992, 464992]");
 }
 
 /// The `byzantine_soak` bin's seed-11 run at 40 % Byzantine gateways:
@@ -125,7 +125,7 @@ fn byzantine_soak_seed_11() {
     assert_eq!(
         digest(&result),
         format!(
-            "fp=7789561902514587463 sim_us=630696162 blocks=250 completed=34 lat_us={:?}",
+            "fp=5332802087798962514 sim_us=630696162 blocks=250 completed=34 lat_us={:?}",
             [464_992u64; 34]
         )
     );

@@ -1,94 +1,111 @@
-//! Key ahead is invisible: a node's RNG behind [`KeyAhead`] draws exactly
-//! what a plain [`SimRng`] doing the same operations inline draws, under
-//! any thread timing — every keypair, every fork, the state left after.
+//! A node's keys are its own, and key ahead is invisible: a node draws
+//! its session keys from its key stream alone ([`key_stream`]), so key
+//! *k* is the *k*-th keypair of that stream whatever else the node does,
+//! and its other draws — a verification stall per accepted block — do not
+//! depend on how many keys it drew. Under any thread timing, a keypair
+//! computed ahead on a helper is the one the inline keygen would draw.
 //!
-//! The timing is randomized (no wait, a yield, or a wait for the helper)
-//! so that every way a claim can be served — adopted, waited for, taken
-//! back from the queue — is taken, on any machine with a spare core.
-//! A debug build runs a tenth of the operations and 40 armed drops;
+//! The timing is randomized (no wait, a yield, or a sleep long enough for
+//! the helper) so that every way a claim can be served — adopted, waited
+//! for, taken back from the queue — is taken, on any machine with a spare
+//! core. A debug build draws a fifth of the keys and runs 40 armed drops;
 //! `cargo test --release -p bcwan --test key_ahead` runs the full counts.
 
-use bcwan::keyahead::{Claims, KeyAhead};
+use bcwan::daemon::Daemon;
+use bcwan::device::{Downlink, Uplink};
+use bcwan::fleet::{BusFleet, Fleet};
+use bcwan::keyahead::{key_stream, KeyAhead};
 use bcwan::world::{ExperimentResult, WorkloadConfig, World};
-use bcwan_crypto::rsa::{generate_keypair, RsaKeySize};
-use bcwan_sim::SimRng;
-use rand::RngCore;
+use bcwan_chain::{Chain, StallModel};
+use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPublicKey};
+use bcwan_p2p::NodeId;
+use bcwan_sim::{SimDuration, SimRng};
 use std::sync::Barrier;
 use std::thread;
+use std::time::Duration;
 
 const SIZE: RsaKeySize = RsaKeySize::Rsa512;
+const SEED: u64 = 2018;
 
-/// One stream two ways: behind [`KeyAhead`], and plain.
-struct Stream {
-    ahead: KeyAhead,
-    plain: SimRng,
+/// Three live nodes on an in-process bus; node 0 mines.
+fn fleet() -> Fleet<BusFleet> {
+    Fleet::new(BusFleet::new(3), 3, SEED)
 }
 
-impl Stream {
-    fn new(seed: u64) -> Self {
-        Stream {
-            ahead: KeyAhead::new(SimRng::seed_from_u64(seed)),
-            plain: SimRng::seed_from_u64(seed),
-        }
-    }
-
-    fn keypair(&mut self, at: &str) {
-        let (pk, sk) = self.ahead.keypair(SIZE);
-        let (want_pk, want_sk) = generate_keypair(&mut self.plain, SIZE);
-        assert_eq!(pk.to_bytes(), want_pk.to_bytes(), "{at}: public key");
-        assert_eq!(sk.to_bytes(), want_sk.to_bytes(), "{at}: private key");
-    }
-
-    /// A fork of both; equal children also mean equal parents, since a
-    /// fork is one draw.
-    fn fork(&mut self, label: u64, at: &str) {
-        let got = self.ahead.fork(label).next_u64();
-        assert_eq!(got, self.plain.fork(label).next_u64(), "{at}: fork {label}");
+/// Node `node` hears a key request for exchange `tag` and opens a session:
+/// the key it sends down.
+fn open_session(fleet: &mut Fleet<BusFleet>, node: usize, tag: u64) -> RsaPublicKey {
+    match fleet.act(node, |n, now, env| {
+        n.on_uplink(now, tag, Uplink::Request, env)
+    }) {
+        Some((_, Downlink::Key(e_pk))) => e_pk,
+        other => panic!("a request brings a key down: {other:?}"),
     }
 }
 
-fn add(total: &mut Claims, c: Claims) {
-    total.adopted += c.adopted;
-    total.waited += c.waited;
-    total.taken_back += c.taken_back;
+/// Node 0 mines `blocks` blocks, and every node accepts each.
+fn mine(fleet: &mut Fleet<BusFleet>, blocks: usize) {
+    for _ in 0..blocks {
+        fleet.mine(0);
+        while fleet.step() > 0 {}
+    }
 }
 
 #[test]
-fn interleavings_draw_what_the_inline_rng_draws() {
-    let ops = if cfg!(debug_assertions) { 160 } else { 1_600 };
+fn a_nodes_kth_key_is_the_kth_keypair_of_its_stream() {
+    let rounds = if cfg!(debug_assertions) { 12 } else { 60 };
+    let mut fleet = fleet();
+    let mut plain = [1, 2].map(|node| key_stream(SEED, NodeId(node)));
     let mut script = SimRng::seed_from_u64(0x6b65_7961_6865_6164);
-    let mut next_seed = 0..;
-    let mut streams: Vec<Stream> = (0..4)
-        .map(|_| Stream::new(next_seed.next().expect("unbounded")))
-        .collect();
-    let mut total = Claims::default();
-    for step in 0..ops {
-        let i = script.index(streams.len());
-        let at = format!("step {step}, stream {i}");
-        match script.index(10) {
-            0..=5 => streams[i].keypair(&at),
-            6..=8 => streams[i].fork(script.next_u64(), &at),
-            _ => {
-                let fresh = Stream::new(next_seed.next().expect("unbounded"));
-                let dropped = std::mem::replace(&mut streams[i], fresh);
-                add(&mut total, dropped.ahead.claims());
-            }
-        }
+    for tag in 0..rounds {
+        // Either gateway, after any number of accepted blocks.
+        let node = 1 + script.index(2);
+        mine(&mut fleet, script.index(4));
         match script.index(3) {
             0 => {}
             1 => thread::yield_now(),
-            _ => streams[script.index(streams.len())].ahead.wait_ahead(),
+            _ => thread::sleep(Duration::from_millis(5)),
         }
+        let got = open_session(&mut fleet, node, tag);
+        let (want, _) = generate_keypair(&mut plain[node - 1], SIZE);
+        assert_eq!(got, want, "exchange {tag} at node {node}");
     }
-    for (i, mut stream) in streams.into_iter().enumerate() {
-        stream.fork(0, &format!("end, stream {i}"));
-        add(&mut total, stream.ahead.claims());
+    assert!(
+        fleet.nodes[1].node.height() > 0,
+        "the gateways accepted blocks"
+    );
+}
+
+/// The verification stalls node 1 suffers over eight blocks, one total
+/// per block, after it drew `keys` session keys. Its daemon is swapped for
+/// one over the same genesis that stalls on every block, so each accepted
+/// block takes a draw from the node's RNG.
+fn stalls_after(keys: u64) -> Vec<SimDuration> {
+    let mut fleet = fleet();
+    let node = &mut fleet.nodes[1].node;
+    let genesis = node.daemon.chain.block_at(0).expect("genesis").clone();
+    let mut params = node.daemon.chain.params().clone();
+    params.stall = StallModel::multichain_observed();
+    node.daemon = Daemon::new(Chain::new(params, genesis));
+    for tag in 0..keys {
+        open_session(&mut fleet, 1, tag);
     }
-    if KeyAhead::helpers() > 0 {
-        assert!(total.adopted > 0, "{total:?}");
-        assert!(total.waited > 0, "{total:?}");
-        assert!(total.taken_back > 0, "{total:?}");
-    }
+    (0..8)
+        .map(|_| {
+            mine(&mut fleet, 1);
+            fleet.nodes[1].node.daemon.stats().total_stall
+        })
+        .collect()
+}
+
+#[test]
+fn stall_draws_do_not_depend_on_how_many_keys_were_drawn() {
+    let none = stalls_after(0);
+    assert!(
+        none.windows(2).all(|w| w[0] < w[1]),
+        "every block stalls: {none:?}"
+    );
+    assert_eq!(stalls_after(50), none);
 }
 
 #[test]
@@ -102,26 +119,20 @@ fn armed_drops_leave_the_pool_serving() {
         stream.keypair(SIZE);
         drop(stream);
     }
-    // And a thousand re-arms: every fork cancels the job and queues one.
-    let mut stream = Stream::new(7);
-    stream.keypair("prime 1");
-    stream.keypair("prime 2");
-    for label in 0..1_000 {
-        stream.fork(label, "re-arm");
-    }
-    drop(stream);
 
-    let mut fresh = Stream::new(8);
+    let mut fresh = KeyAhead::new(SimRng::seed_from_u64(8));
+    let mut plain = SimRng::seed_from_u64(8);
     for k in 0..4 {
-        fresh.ahead.wait_ahead();
-        fresh.keypair(&format!("fresh keypair {k}"));
+        fresh.wait_ahead();
+        let (got, _) = fresh.keypair(SIZE);
+        assert_eq!(
+            got,
+            generate_keypair(&mut plain, SIZE).0,
+            "fresh keypair {k}"
+        );
     }
     if KeyAhead::helpers() > 0 {
-        assert!(
-            fresh.ahead.claims().adopted >= 2,
-            "{:?}",
-            fresh.ahead.claims()
-        );
+        assert!(fresh.claims().adopted >= 2, "{:?}", fresh.claims());
     }
 }
 
@@ -144,12 +155,12 @@ fn digest(result: &ExperimentResult) -> String {
 
 /// Two gateways with about 30 sessions each, so both keep a keypair
 /// ahead for almost every exchange (the other goldens open one to three
-/// per gateway). Recorded before keys were generated ahead; it must
-/// reproduce alone and with two copies competing for the helpers.
+/// per gateway). It must reproduce alone and with two copies competing
+/// for the helpers.
 #[test]
 fn many_session_world_reproduces_across_threads() {
     let golden = format!(
-        "fp=12725717858446455502 sim_us=992540861 blocks=63 completed=60 lat_us={:?}",
+        "fp=11407545848137729256 sim_us=992540861 blocks=63 completed=60 lat_us={:?}",
         [464_992u64; 60]
     );
     let run = || digest(&World::new(WorkloadConfig::tiny(60, 2018)).run());

@@ -160,7 +160,11 @@ impl fmt::Debug for RsaPrivateKey {
 
 /// Generates an RSA keypair of the given size.
 ///
-/// Primes come from Miller–Rabin with a small-prime sieve; `e = 65537`.
+/// Primes come from [`generate_prime`] (a sieved window, then 20 rounds
+/// of Miller–Rabin), `p` first, then `q`; `e = 65537`. Both primes have
+/// their top two bits set, so `n` always has exactly `size.bits()` bits
+/// and no pair is drawn again for its length — only, rarely, for
+/// `p = q` or `gcd(e, φ) ≠ 1`.
 /// Determinism: pass a seeded RNG to get reproducible keys in simulations.
 pub fn generate_keypair<R: RngCore>(
     rng: &mut R,
@@ -175,9 +179,8 @@ pub fn generate_keypair<R: RngCore>(
             continue;
         }
         let n = p.mul(&q);
-        if n.bit_len() != size.bits() {
-            continue;
-        }
+        // Both primes are at least 1.5·2^(h−1), so n ≥ 2.25·2^(2h−2) > 2^(2h−1).
+        debug_assert_eq!(n.bit_len(), size.bits(), "top two bits set on both primes");
         let one = BigUint::one();
         let phi = p.sub(&one).mul(&q.sub(&one));
         let Some(d) = e.mod_inverse(&phi) else {
@@ -472,21 +475,65 @@ fn signature_block(digest: &[u8; 32], k: usize) -> Vec<u8> {
     block
 }
 
-/// The 54 odd primes up to 257, for trial division before Miller–Rabin.
-const SMALL_PRIMES: [u64; 54] = [
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
-    197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257,
-];
+/// Whether an odd `n ≥ 3` is prime, by trial division.
+const fn is_odd_prime(n: u64) -> bool {
+    let mut d = 3;
+    while d * d <= n && !n.is_multiple_of(d) {
+        d += 2;
+    }
+    d * d > n
+}
 
-/// [`SMALL_PRIMES`] cut greedily into runs whose product fits one word, as
-/// `(product, end index)`: a candidate is reduced once per run, and the
-/// run's primes then divide that single word instead of the candidate.
-const SIEVE_RUNS: [(u64, usize); 6] = {
-    let mut runs = [(1u64, 0usize); 6];
+/// How many odd primes lie below `bound`.
+const fn odd_primes_below(bound: u64) -> usize {
+    let (mut count, mut n) = (0, 3);
+    while n < bound {
+        count += is_odd_prime(n) as usize;
+        n += 2;
+    }
+    count
+}
+
+/// The first `N` odd primes.
+const fn odd_primes<const N: usize>() -> [u64; N] {
+    let mut primes = [0u64; N];
+    let (mut found, mut n) = (0, 3);
+    while found < N {
+        if is_odd_prime(n) {
+            primes[found] = n;
+            found += 1;
+        }
+        n += 2;
+    }
+    primes
+}
+
+/// How many runs [`word_runs`] cuts `primes` into.
+const fn word_run_count(primes: &[u64]) -> usize {
+    let (mut count, mut product, mut i) = (1, 1u64, 0);
+    while i < primes.len() {
+        match product.checked_mul(primes[i]) {
+            Some(next) => {
+                product = next;
+                i += 1;
+            }
+            None => {
+                count += 1;
+                product = 1;
+            }
+        }
+    }
+    count
+}
+
+/// `primes` cut greedily into `R` runs whose product fits one word, as
+/// `(product, end index)`: a number is reduced once per run, and the
+/// run's primes then divide that single word instead of the number.
+const fn word_runs<const R: usize>(primes: &[u64]) -> [(u64, usize); R] {
+    let mut runs = [(1u64, 0usize); R];
     let (mut run, mut i) = (0, 0);
-    while i < SMALL_PRIMES.len() {
-        match runs[run].0.checked_mul(SMALL_PRIMES[i]) {
+    while i < primes.len() {
+        match runs[run].0.checked_mul(primes[i]) {
             Some(product) => {
                 runs[run] = (product, i + 1);
                 i += 1;
@@ -494,30 +541,56 @@ const SIEVE_RUNS: [(u64, usize); 6] = {
             None => run += 1,
         }
     }
-    assert!(run + 1 == runs.len());
     runs
-};
+}
 
-/// Trial division of an odd `n ≥ 3` by [`SMALL_PRIMES`]: `Some(true)` if
-/// `n` is one of them, `Some(false)` if one of them divides it properly,
-/// `None` if it has no factor up to 257.
+/// Every odd prime below this bound sieves [`generate_prime`]'s windows.
+///
+/// A measured constant, not a tuning knob: raising it removes fewer and
+/// fewer survivors (a fraction `∏(1 − 1/p)` ≈ `1.12 / ln bound` of odd
+/// numbers is left) while the per-window residues cost grows with the
+/// prime count. RSA-512 keygen is fastest around here (EXPERIMENTS § KS).
+pub const SIEVE_BOUND: u64 = 4096;
+
+/// The odd primes below [`SIEVE_BOUND`].
+const SIEVE_PRIMES: [u64; odd_primes_below(SIEVE_BOUND)] = odd_primes();
+
+/// [`SIEVE_PRIMES`] in word-sized runs.
+const SIEVE_RUNS: [(u64, usize); word_run_count(&SIEVE_PRIMES)] = word_runs(&SIEVE_PRIMES);
+
+/// [`is_probable_prime`] trial-divides by the first 54 of
+/// [`SIEVE_PRIMES`], 3 to 257: which candidates reach Miller–Rabin is
+/// part of its draw contract.
+const TRIAL_PRIMES: usize = 54;
+
+/// `(p, n mod p)` for each of [`SIEVE_PRIMES`] in order, one word
+/// reduction per run, computed as the iterator is drawn.
+fn residues(n: &BigUint) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let starts = std::iter::once(0).chain(SIEVE_RUNS.iter().map(|&(_, end)| end));
+    SIEVE_RUNS
+        .iter()
+        .zip(starts)
+        .flat_map(move |(&(product, end), start)| {
+            let residue = n.rem_u64(product);
+            SIEVE_PRIMES[start..end]
+                .iter()
+                .map(move |&p| (p, residue % p))
+        })
+}
+
+/// Trial division of an odd `n ≥ 3` by the first [`TRIAL_PRIMES`] odd
+/// primes: `Some(true)` if `n` is one of them, `Some(false)` if one of
+/// them divides it properly, `None` if it has no factor up to 257.
 fn sieve(n: &BigUint) -> Option<bool> {
-    if let Some(small) = n.to_u64().filter(|&v| v <= 257) {
+    let trial = &SIEVE_PRIMES[..TRIAL_PRIMES];
+    if let Some(small) = n.to_u64().filter(|v| v <= &trial[TRIAL_PRIMES - 1]) {
         // Every odd composite this small has a factor in the table.
-        return Some(SMALL_PRIMES.contains(&small));
+        return Some(trial.contains(&small));
     }
-    let mut start = 0;
-    for &(product, end) in &SIEVE_RUNS {
-        let residue = n.rem_u64(product);
-        if SMALL_PRIMES[start..end]
-            .iter()
-            .any(|&p| residue.is_multiple_of(p))
-        {
-            return Some(false);
-        }
-        start = end;
-    }
-    None
+    residues(n)
+        .take(TRIAL_PRIMES)
+        .any(|(_, r)| r == 0)
+        .then_some(false)
 }
 
 /// Miller–Rabin probabilistic primality test with `rounds` random bases.
@@ -553,16 +626,54 @@ pub fn is_probable_prime<R: RngCore>(rng: &mut R, n: &BigUint, rounds: usize) ->
     })
 }
 
-/// Generates a random prime with exactly `bits` bits.
+/// The offsets `2j`, `j < 2·bits`, at which `start + 2j` has no factor
+/// below [`SIEVE_BOUND`] — a window over `2·bits` odd numbers from an odd
+/// `start`, which holds a `bits`-bit prime with probability ≈ 1 − e^−5.8.
+///
+/// One residue per prime, then each prime crosses out every `p`-th slot:
+/// `start + 2j ≡ 0 (mod p)` exactly when `j ≡ −r·2⁻¹ (mod p)`, with `r`
+/// the residue of `start` and `2⁻¹ = (p + 1) / 2`.
+pub fn sieve_window(start: &BigUint, bits: usize) -> Vec<u64> {
+    debug_assert!(start.is_odd(), "windows hold odd numbers");
+    let width = 2 * bits;
+    let mut composite = vec![false; width];
+    for (p, r) in residues(start) {
+        let p = p as usize;
+        let mut j = (p - r as usize) % p * p.div_ceil(2) % p;
+        while j < width {
+            composite[j] = true;
+            j += p;
+        }
+    }
+    (0..width)
+        .filter(|&j| !composite[j])
+        .map(|j| 2 * j as u64)
+        .collect()
+}
+
+/// Generates a random prime with exactly `bits` bits, the top two set (so
+/// the product of two is exactly `2·bits` bits long).
+///
+/// Draw order is part of the contract (seeded runs must reproduce their
+/// keys): one `bits`-bit start per window ([`BigUint::random_bits`], then
+/// bits `bits − 2` and 0 set), then [`is_probable_prime`]'s 20 bases for
+/// each survivor of [`sieve_window`], in order, up to the first that
+/// passes every round. A window with no prime, or one that runs past
+/// `bits` bits, is followed by a fresh start.
 pub fn generate_prime<R: RngCore>(rng: &mut R, bits: usize) -> BigUint {
     assert!(bits >= 16, "prime size too small");
     loop {
-        let mut candidate = BigUint::random_bits(rng, bits);
-        if candidate.is_even() {
-            candidate = candidate.add(&BigUint::one());
-        }
-        if is_probable_prime(rng, &candidate, 20) {
-            return candidate;
+        let mut start = BigUint::random_bits(rng, bits);
+        start.set_bit(bits - 2);
+        start.set_bit(0);
+        for offset in sieve_window(&start, bits) {
+            let candidate = start.add(&BigUint::from_u64(offset));
+            if candidate.bit_len() > bits {
+                break;
+            }
+            if is_probable_prime(rng, &candidate, 20) {
+                return candidate;
+            }
         }
     }
 }

@@ -6,10 +6,11 @@
 //! routines they replaced. These tests pin that equivalence over seeded
 //! random inputs plus the edge cases that tend to break fixed-window and
 //! wNAF ladders (zero, one, exponent zero, scalars at and past the group
-//! order, the 128-bit split point of `u1`).
+//! order, the 128-bit split point of `u1`). Key generation's window sieve
+//! and prime search are checked the same way, against trial division.
 
 use bcwan_crypto::msm::ecmult;
-use bcwan_crypto::rsa::{generate_prime, is_probable_prime};
+use bcwan_crypto::rsa::{generate_prime, is_probable_prime, sieve_window, SIEVE_BOUND};
 use bcwan_crypto::secp256k1::{scalar_mul_base, AffinePoint, JacobianPoint, GENERATOR};
 use bcwan_crypto::{
     generate_keypair, BigUint, MontgomeryCtx, RsaKeySize, RsaPrivateKey, RsaPublicKey, Scalar,
@@ -347,6 +348,164 @@ fn parsed_keys_and_crt_keys_compute_the_same_values() {
         }
         assert!(parsed_public.matches_private(&plain));
         assert!(public.matches_private(&plain) && parsed_public.matches_private(&private));
+    }
+}
+
+/// The odd primes below [`SIEVE_BOUND`], by trial division: the oracle's
+/// own table.
+fn sieve_primes() -> Vec<u64> {
+    (3..SIEVE_BOUND)
+        .step_by(2)
+        .filter(|&n| {
+            (3..)
+                .step_by(2)
+                .take_while(|d| d * d <= n)
+                .all(|d| n % d != 0)
+        })
+        .collect()
+}
+
+/// `start mod p` for each sieve prime, by full bignum division.
+fn residues(start: &BigUint, primes: &[u64]) -> Vec<u64> {
+    primes
+        .iter()
+        .map(|&p| start.rem(&BigUint::from_u64(p)).to_u64().expect("below p"))
+        .collect()
+}
+
+/// Whether `start + offset` has a factor among `primes`, given `start`'s
+/// residues.
+fn has_small_factor(residues: &[u64], primes: &[u64], offset: u64) -> bool {
+    primes
+        .iter()
+        .zip(residues)
+        .any(|(&p, &r)| (r + offset % p).is_multiple_of(p))
+}
+
+/// A `bits`-bit odd window start as `generate_prime` draws it: top two
+/// bits and bit 0 set.
+fn window_start<R: RngCore>(rng: &mut R, bits: usize) -> BigUint {
+    let mut start = BigUint::random_bits(rng, bits);
+    start.set_bit(bits - 2);
+    start.set_bit(0);
+    start
+}
+
+#[test]
+fn sieve_window_skips_exactly_what_trial_division_rejects() {
+    let primes = sieve_primes();
+    let mut rng = StdRng::seed_from_u64(0x5e1e);
+    let per_size = if cfg!(debug_assertions) { 2 } else { 12 };
+    for bits in [16, 17, 63, 64, 65, 128, 256, 512, 1024] {
+        for round in 0..per_size {
+            let start = window_start(&mut rng, bits);
+            let residues = residues(&start, &primes);
+            let want: Vec<u64> = (0..2 * bits as u64)
+                .map(|j| 2 * j)
+                .filter(|&offset| !has_small_factor(&residues, &primes, offset))
+                .collect();
+            assert_eq!(
+                sieve_window(&start, bits),
+                want,
+                "{bits} bits, round {round}"
+            );
+        }
+    }
+}
+
+/// `generate_prime` rebuilt from public parts and the oracle's trial
+/// division: one start per window, then every odd offset without a small
+/// factor through `is_probable_prime` at 20 rounds, in order.
+fn generate_prime_reference(rng: &mut StdRng, bits: usize, primes: &[u64]) -> BigUint {
+    loop {
+        let start = window_start(rng, bits);
+        let residues = residues(&start, primes);
+        for offset in (0..2 * bits as u64).map(|j| 2 * j) {
+            if has_small_factor(&residues, primes, offset) {
+                continue;
+            }
+            let candidate = start.add(&BigUint::from_u64(offset));
+            if candidate.bit_len() > bits {
+                break;
+            }
+            if is_probable_prime(rng, &candidate, 20) {
+                return candidate;
+            }
+        }
+    }
+}
+
+#[test]
+fn generated_primes_have_the_top_two_bits_and_every_survivor_is_tested() {
+    let primes = sieve_primes();
+    let mut seeds = 0..;
+    let per_size = if cfg!(debug_assertions) { 2 } else { 10 };
+    for bits in [16, 24, 64, 256, 512] {
+        for _ in 0..per_size {
+            let seed = seeds.next().expect("unbounded");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = rng.clone();
+            let p = generate_prime(&mut rng, bits);
+            let label = format!("{bits} bits, seed {seed}");
+            assert_eq!(p.bit_len(), bits, "{label}");
+            assert!(p.bit(bits - 2) && p.is_odd(), "{label}");
+            assert_eq!(
+                p,
+                generate_prime_reference(&mut reference_rng, bits, &primes),
+                "{label}"
+            );
+            assert_eq!(rng.next_u64(), reference_rng.next_u64(), "{label}: draws");
+        }
+    }
+}
+
+/// `d` of a private key, from its `len ‖ n ‖ len ‖ e ‖ len ‖ d` encoding.
+fn private_exponent(private: &RsaPrivateKey) -> BigUint {
+    let bytes = private.to_bytes();
+    let mut rest = bytes.as_slice();
+    let mut chunks = Vec::new();
+    while let [hi, lo, tail @ ..] = rest {
+        let len = usize::from(u16::from_be_bytes([*hi, *lo]));
+        chunks.push(BigUint::from_bytes_be(&tail[..len]));
+        rest = &tail[len..];
+    }
+    chunks.pop().expect("three chunks")
+}
+
+#[test]
+fn keygen_takes_its_first_pair_at_every_size() {
+    let one = BigUint::one();
+    let e = BigUint::from_u64(65537);
+    let sizes = if cfg!(debug_assertions) {
+        [
+            (RsaKeySize::Rsa512, 8),
+            (RsaKeySize::Rsa1024, 2),
+            (RsaKeySize::Rsa2048, 0),
+        ]
+    } else {
+        [
+            (RsaKeySize::Rsa512, 64),
+            (RsaKeySize::Rsa1024, 8),
+            (RsaKeySize::Rsa2048, 2),
+        ]
+    };
+    for (size, count) in sizes {
+        for seed in 0..count {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // The pair a keygen with no retry of any kind would take.
+            let mut primes_rng = rng.clone();
+            let p = generate_prime(&mut primes_rng, size.bits() / 2);
+            let q = generate_prime(&mut primes_rng, size.bits() / 2);
+            let (public, private) = generate_keypair(&mut rng, size);
+            let label = format!("{size}, seed {seed}");
+            assert_ne!(p, q, "{label}");
+            assert_eq!(*public.modulus(), p.mul(&q), "{label}: the first pair");
+            assert_eq!(public.modulus().bit_len(), size.bits(), "{label}");
+            assert_eq!(rng.next_u64(), primes_rng.next_u64(), "{label}: draws");
+            let phi = p.sub(&one).mul(&q.sub(&one));
+            let d = private_exponent(&private);
+            assert_eq!(e.mul(&d).rem(&phi), one, "{label}: e·d ≡ 1 (mod φ)");
+        }
     }
 }
 

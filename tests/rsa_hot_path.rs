@@ -1,11 +1,12 @@
 //! Integration test R1: the RSA hot path is a pure speed-up.
 //!
-//! The constants below were recorded at the commit *before* RSA moved onto
-//! the fixed-width Montgomery engine. For a seeded RNG, key generation must
-//! keep returning exactly these keys and leave the RNG in exactly this
-//! state — same candidates, same accept/reject decisions, same Miller–Rabin
-//! bases — because every txid, fingerprint and simulated latency in the
-//! repository is downstream of them.
+//! The constants below were recorded when prime generation moved onto
+//! sieved windows with the top two bits set (the Montgomery engine before
+//! it left them unchanged). For a seeded RNG, key generation must keep
+//! returning exactly these keys and leave the RNG in exactly this state —
+//! same window starts, same accept/reject decisions, same Miller–Rabin
+//! bases — because every txid and fingerprint in the repository is
+//! downstream of them.
 //!
 //! The second half pins the malformed-key hardening: keys with a zero, one
 //! or even modulus, or a zero exponent, are refused at parse time, so a
@@ -35,30 +36,30 @@ const GOLDEN_PAIRS: [GoldenPair; 4] = [
     GoldenPair {
         seed: 2018,
         size: RsaKeySize::Rsa512,
-        public: "0040d43c33eec7c8e5668119cf9955b33e1a6ad1f6ffae6729c76280c3bca079c0f82f4d660c6c13f067ea1a398cad344b83b4e1912661b2180c3e0ed6f0168d4b990003010001",
-        private: "0040d43c33eec7c8e5668119cf9955b33e1a6ad1f6ffae6729c76280c3bca079c0f82f4d660c6c13f067ea1a398cad344b83b4e1912661b2180c3e0ed6f0168d4b990003010001004090448034cf3fa39883278d73b8cac7eb633368c832c053a9022f6f5e98634b24ecf0ca572c5c4e4f017d5834e6751b2b77a795b654527a145c1870c2f98491f5",
-        next_u64: 0x18559494da971f13,
+        public: "0040a16d262b354c308c6aafd11295397e78864b43b4fc81b0d3635150e2a25a340128c4ad98ab33876945204c41743a3916143e6c0ca36de9c8ea687249e6bffdaf0003010001",
+        private: "0040a16d262b354c308c6aafd11295397e78864b43b4fc81b0d3635150e2a25a340128c4ad98ab33876945204c41743a3916143e6c0ca36de9c8ea687249e6bffdaf000301000100409c33ba1365676c32f3a95d6dd5e7e4714bc1d8aa710c2dc6defbf880d508e3f81159c00057dd7ceba80ed60802a8a75b0873631f7ff9eda6c45cfffe3ee8f201",
+        next_u64: 0x930fa1b0799495c3,
     },
     GoldenPair {
         seed: 4242,
         size: RsaKeySize::Rsa512,
-        public: "0040a1ef15826005e143da81ae99e1d09452c909d3588a982353493efe7f168fb773f5d1fef5994922a71538734e1b6dc62f66be069b41266df5a5fd81994a2677ad0003010001",
-        private: "0040a1ef15826005e143da81ae99e1d09452c909d3588a982353493efe7f168fb773f5d1fef5994922a71538734e1b6dc62f66be069b41266df5a5fd81994a2677ad00030100010040113324d4b94046a1ff6680d6256f13220bea7841524f40894b215ec4beefbaeb71de276554234311de1d24a6873e11e5369098f98a09f297b107db88485fb3bd",
-        next_u64: 0xe9fc8344f91fa093,
+        public: "0040d2ced7f193f156d94eed383cc4fc82bfba7812b840718215124b2c9db8767a6b77acbe4f4d2a59c11deb8d1b68209ca399fd38220126a7098a6c795aaf7dc35b0003010001",
+        private: "0040d2ced7f193f156d94eed383cc4fc82bfba7812b840718215124b2c9db8767a6b77acbe4f4d2a59c11deb8d1b68209ca399fd38220126a7098a6c795aaf7dc35b00030100010040ae2bada8efe5af2ede120aabd2c91a31d49b8e43e322a52a49b2088bcb3340527702fd154ba39a9bf652537e115d73fb37c35d0245ae87377c5f873386250b09",
+        next_u64: 0x5c9e506e039c0aa8,
     },
     GoldenPair {
         seed: 0xbc1a2018,
         size: RsaKeySize::Rsa512,
-        public: "0040b569c5b443de2241f40cdae9c2a323f57be8012e8b863ed7bd78f30a73f6fe324162910d212076e3c6e2c8909d9d265d324b5c26096b085c57f63e276aaa3adb0003010001",
-        private: "0040b569c5b443de2241f40cdae9c2a323f57be8012e8b863ed7bd78f30a73f6fe324162910d212076e3c6e2c8909d9d265d324b5c26096b085c57f63e276aaa3adb0003010001004039a32f734494d0e18f7e7e170305fe28c28345ccd9fb7effe06d0b1ae919324d9027e779e834c3bf4f0d1e188bd528143570395513e9f6d06723bd4a2221e9b1",
-        next_u64: 0x9b99066eac3b80d5,
+        public: "0040c9d1684f70fd737a7e7daeaf2c6e4b227a0a4a753bb0fcd9345c1ec42a4998393ab6852ca95738c3d44b729d6bc82990ea37b458e6962cb7c6adfa481ca02a130003010001",
+        private: "0040c9d1684f70fd737a7e7daeaf2c6e4b227a0a4a753bb0fcd9345c1ec42a4998393ab6852ca95738c3d44b729d6bc82990ea37b458e6962cb7c6adfa481ca02a130003010001004081a83f538a4bca7ccff6fedb1bb8601cee3ade4b22e63a0b71501d93f976fe8be197c3c4efea9cb9bcf19251a4ebcae51fae20807dd7a5fbe7214c1dcd22dd41",
+        next_u64: 0xc77092e3f5b37060,
     },
     GoldenPair {
         seed: 7,
         size: RsaKeySize::Rsa1024,
-        public: "0080bef39c3716d96be1ea82e7218883f09f81a31770a9d932f75bfd0c705e4a25b0ea66b079f14f6beeb6ee2c82abada30aef5cb1aad0e944a63efed285f91a619769a6a6a362a689c6f4b9863e6152fd9139edccb783566eafec3c0283544cfcb62dc41529827e9170363cce953ab60b2e79ed45316be6a7a18627b453fbc50a230003010001",
-        private: "0080bef39c3716d96be1ea82e7218883f09f81a31770a9d932f75bfd0c705e4a25b0ea66b079f14f6beeb6ee2c82abada30aef5cb1aad0e944a63efed285f91a619769a6a6a362a689c6f4b9863e6152fd9139edccb783566eafec3c0283544cfcb62dc41529827e9170363cce953ab60b2e79ed45316be6a7a18627b453fbc50a23000301000100806db0a54924100ba00045e81de43cdea9d21f6ce4a43d07c0fe8fb3688d518cab3f4b740ee8a6d5fa900ceb76b8c60b05ca107663089527815468af68947b2a19816486b6405a87230606945a12132be885a4c498dad79f21ee9ab3ff4308d540a0a4d5ceefc8aad05d8e9c12ed553f2b3cbee10b99d5be0303171c19dffa87f9",
-        next_u64: 0x403fbec872986d96,
+        public: "0080d923b8c780089455d8829726062047c104dca17e4ace3efed41b32952f78e33ac98283d0221b30f2be7f74e9022503c47e86afc560f8b4375b3a924b0058e1f49ef828a5c1a6ca2bcd22e3f39595518a3382abf1692f57c048a67859788aa35b747933f9db40c18f091e6044522314e8f29128abd118b7c56c40ad720e73092b0003010001",
+        private: "0080d923b8c780089455d8829726062047c104dca17e4ace3efed41b32952f78e33ac98283d0221b30f2be7f74e9022503c47e86afc560f8b4375b3a924b0058e1f49ef828a5c1a6ca2bcd22e3f39595518a3382abf1692f57c048a67859788aa35b747933f9db40c18f091e6044522314e8f29128abd118b7c56c40ad720e73092b00030100010080bb8a01beb4d334228cd4056dbedec47a6e138c9b824a6dd83423a5657a51e397d39118fd7b6796b82155fe087d64b0c3563047c1a6c64708848faae8824d4221278f52c313c631ef8112f1583395c5a32426f01f1092de130d9c9fbbd76d61f2d69b30b7ec88de019085500a8acbb84e3929bf38dbe5ed8744ca62cfa257ad01",
+        next_u64: 0xf2414f88495287b5,
     },
 ];
 
@@ -66,18 +67,18 @@ const GOLDEN_PAIRS: [GoldenPair; 4] = [
 const GOLDEN_PRIMES: [(u64, &str, u64); 3] = [
     (
         2018,
-        "eb8c3a8613f0836b21b7467ccf80845192810c44d2bea81e3799fd404fa2ad23",
-        0x18d0d4e8377390fa,
+        "d500a17ecec89878b0effd4883e3c37e66bc6a26b765ec52641b8fa46967e6cf",
+        0xde0a153bd13503c2,
     ),
     (
         4242,
-        "a120b498d3968c0ecc0236b7331bd21d99614a88dbec5318d2b7750ce4a39d51",
-        0xed5bfb4fe9d79759,
+        "fd32e5f77e20065b439793df51e2ef25bd47de1154b3e7b382104c8cf3a29d75",
+        0xdb55f27221e323d5,
     ),
     (
         0xbc1a2018,
-        "ccef9baf84c693fa948076c059f32adba7719b0db03ab91611759cf93c4bac2d",
-        0x41665a43bf109b01,
+        "da493460a48cac66dfcf75d1b2a6ca9fc266d943169d7606c005262938950285",
+        0x97a1232e14d3af2c,
     ),
 ];
 
