@@ -3,24 +3,11 @@
 //! "[the recipient] will in its turn send it to the right application
 //! server. The choice of the application server is not different to what
 //! we have in legacy LoRaWAN network" (§4.2). This module supplies that
-//! last hop: a per-recipient routing table from devices to application
-//! servers, and an in-memory server that stores decrypted readings for
-//! the customer application.
+//! last hop: each recipient node hands every reading it opens to one
+//! in-memory server that stores it for the customer application.
 
 use crate::provisioning::DeviceId;
 use bcwan_sim::SimTime;
-use std::collections::HashMap;
-use std::fmt;
-
-/// An application-server identifier within one recipient's deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AppServerId(pub u32);
-
-impl fmt::Display for AppServerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "app{}", self.0)
-    }
-}
 
 /// A decrypted reading as handed to the customer application.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,24 +23,10 @@ pub struct Reading {
 /// An in-memory application server: stores readings in arrival order.
 #[derive(Debug, Default)]
 pub struct AppServer {
-    name: String,
     readings: Vec<Reading>,
 }
 
 impl AppServer {
-    /// Creates a named server.
-    pub fn new(name: impl Into<String>) -> Self {
-        AppServer {
-            name: name.into(),
-            readings: Vec::new(),
-        }
-    }
-
-    /// The server's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Accepts one reading.
     pub fn deliver(&mut self, reading: Reading) {
         self.readings.push(reading);
@@ -72,192 +45,5 @@ impl AppServer {
     /// Whether the server holds no readings.
     pub fn is_empty(&self) -> bool {
         self.readings.is_empty()
-    }
-
-    /// The most recent reading from a device.
-    pub fn latest_from(&self, device: &DeviceId) -> Option<&Reading> {
-        self.readings.iter().rev().find(|r| r.device_id == *device)
-    }
-}
-
-/// Routing failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteError {
-    /// No route for the device and no default server configured.
-    NoRoute(DeviceId),
-    /// The routed server id is not registered.
-    UnknownServer(AppServerId),
-}
-
-impl fmt::Display for RouteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RouteError::NoRoute(d) => write!(f, "no application server routed for {d}"),
-            RouteError::UnknownServer(s) => write!(f, "application server {s} not registered"),
-        }
-    }
-}
-
-impl std::error::Error for RouteError {}
-
-/// The recipient's device→application-server routing table.
-#[derive(Debug, Default)]
-pub struct AppRouter {
-    servers: HashMap<AppServerId, AppServer>,
-    routes: HashMap<DeviceId, AppServerId>,
-    default_server: Option<AppServerId>,
-}
-
-impl AppRouter {
-    /// An empty router.
-    pub fn new() -> Self {
-        AppRouter::default()
-    }
-
-    /// Registers a server and returns its id handle.
-    pub fn register(&mut self, id: AppServerId, server: AppServer) {
-        self.servers.insert(id, server);
-    }
-
-    /// Routes a device to a server.
-    pub fn route(&mut self, device: DeviceId, server: AppServerId) {
-        self.routes.insert(device, server);
-    }
-
-    /// Sets the fallback server for unrouted devices.
-    pub fn set_default(&mut self, server: AppServerId) {
-        self.default_server = Some(server);
-    }
-
-    /// Which server a device's data goes to.
-    pub fn server_for(&self, device: &DeviceId) -> Option<AppServerId> {
-        self.routes.get(device).copied().or(self.default_server)
-    }
-
-    /// Dispatches a decrypted reading to the right server (the final hop
-    /// of the exchange). Returns the server that received it.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError`] when no route/default exists or the routed server
-    /// was never registered.
-    pub fn dispatch(
-        &mut self,
-        device_id: DeviceId,
-        payload: Vec<u8>,
-        received_at: SimTime,
-    ) -> Result<AppServerId, RouteError> {
-        let target = self
-            .server_for(&device_id)
-            .ok_or(RouteError::NoRoute(device_id))?;
-        let server = self
-            .servers
-            .get_mut(&target)
-            .ok_or(RouteError::UnknownServer(target))?;
-        server.deliver(Reading {
-            device_id,
-            payload,
-            received_at,
-        });
-        Ok(target)
-    }
-
-    /// Read access to a server.
-    pub fn server(&self, id: &AppServerId) -> Option<&AppServer> {
-        self.servers.get(id)
-    }
-
-    /// Total readings across all servers.
-    pub fn total_readings(&self) -> usize {
-        self.servers.values().map(AppServer::len).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn at(s: u64) -> SimTime {
-        SimTime::from_micros(s * 1_000_000)
-    }
-
-    #[test]
-    fn dispatch_follows_routes() {
-        let mut router = AppRouter::new();
-        router.register(AppServerId(1), AppServer::new("metering"));
-        router.register(AppServerId(2), AppServer::new("parking"));
-        router.route(DeviceId(10), AppServerId(1));
-        router.route(DeviceId(20), AppServerId(2));
-
-        assert_eq!(
-            router.dispatch(DeviceId(10), b"water=3".to_vec(), at(1)),
-            Ok(AppServerId(1))
-        );
-        assert_eq!(
-            router.dispatch(DeviceId(20), b"spot=free".to_vec(), at(2)),
-            Ok(AppServerId(2))
-        );
-        assert_eq!(router.server(&AppServerId(1)).unwrap().len(), 1);
-        assert_eq!(
-            router.server(&AppServerId(2)).unwrap().readings()[0].payload,
-            b"spot=free".to_vec()
-        );
-        assert_eq!(router.total_readings(), 2);
-    }
-
-    #[test]
-    fn default_server_catches_unrouted_devices() {
-        let mut router = AppRouter::new();
-        router.register(AppServerId(9), AppServer::new("catch-all"));
-        router.set_default(AppServerId(9));
-        assert_eq!(
-            router.dispatch(DeviceId(77), b"x".to_vec(), at(1)),
-            Ok(AppServerId(9))
-        );
-    }
-
-    #[test]
-    fn routing_errors() {
-        let mut router = AppRouter::new();
-        assert_eq!(
-            router.dispatch(DeviceId(1), vec![], at(0)),
-            Err(RouteError::NoRoute(DeviceId(1)))
-        );
-        router.route(DeviceId(1), AppServerId(5)); // never registered
-        assert_eq!(
-            router.dispatch(DeviceId(1), vec![], at(0)),
-            Err(RouteError::UnknownServer(AppServerId(5)))
-        );
-    }
-
-    #[test]
-    fn latest_from_tracks_per_device() {
-        let mut server = AppServer::new("s");
-        assert!(server.is_empty());
-        server.deliver(Reading {
-            device_id: DeviceId(1),
-            payload: b"old".to_vec(),
-            received_at: at(1),
-        });
-        server.deliver(Reading {
-            device_id: DeviceId(2),
-            payload: b"other".to_vec(),
-            received_at: at(2),
-        });
-        server.deliver(Reading {
-            device_id: DeviceId(1),
-            payload: b"new".to_vec(),
-            received_at: at(3),
-        });
-        assert_eq!(
-            server.latest_from(&DeviceId(1)).unwrap().payload,
-            b"new".to_vec()
-        );
-        assert_eq!(
-            server.latest_from(&DeviceId(2)).unwrap().payload,
-            b"other".to_vec()
-        );
-        assert!(server.latest_from(&DeviceId(3)).is_none());
-        assert_eq!(server.name(), "s");
     }
 }

@@ -3,7 +3,7 @@
 //! The chaos soak used to check its fairness invariants once, at the end
 //! of the run — a violation that appeared at block 40 and was masked by
 //! block 90 would never be seen, and a failing run gave no hint *where*
-//! the books first stopped balancing. [`SettlementAuditor`] replaces
+//! the books first stopped balancing. `SettlementAuditor` replaces
 //! that with per-block incremental auditing of the master's main chain:
 //! every block that connects (or disconnects, in a reorg) updates the
 //! minted/fee ledger and the settlement census, and every reconcile
@@ -32,7 +32,7 @@ use crate::fsm::Phase;
 
 /// Which branch of the Listing 1 script a confirmed spend took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SettleKind {
+pub(crate) enum SettleKind {
     /// The gateway's key-revealing claim.
     Claim,
     /// The recipient's CLTV refund.
@@ -72,7 +72,7 @@ struct AuditedBlock {
 /// Settlement census returned by [`SettlementAuditor::census`] and
 /// [`SettlementAuditor::final_audit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FinalAudit {
+pub(crate) struct FinalAudit {
     /// Escrows settled through the claim branch.
     pub claimed: usize,
     /// Escrows settled through the refund branch.
@@ -106,7 +106,7 @@ pub struct GatewayOutcome {
 /// new tip, detects double settlements the moment the second spend
 /// connects, and keeps the honest-vs-adversarial revenue split current.
 #[derive(Debug)]
-pub struct SettlementAuditor {
+pub(crate) struct SettlementAuditor {
     /// Audited main-chain prefix; index = height.
     blocks: Vec<AuditedBlock>,
     /// Output values of every transaction ever audited, for fee
@@ -156,7 +156,13 @@ impl SettlementAuditor {
 
     /// Starts auditing an escrow outpoint for `exchange`, paying
     /// `gateway`. Call once when the escrow transaction is built.
-    pub fn watch(&mut self, outpoint: OutPoint, exchange: usize, gateway: u32, adversarial: bool) {
+    pub(crate) fn watch(
+        &mut self,
+        outpoint: OutPoint,
+        exchange: usize,
+        gateway: u32,
+        adversarial: bool,
+    ) {
         self.watched.insert(
             outpoint,
             WatchedEscrow {
@@ -205,7 +211,7 @@ impl SettlementAuditor {
     /// Per-gateway settled/refunded counts on the current main chain,
     /// sorted by gateway id — the observed-behavior feed for the
     /// reputation baseline (A3, `bcwan_bench::reputation`).
-    pub fn gateway_outcomes(&self) -> Vec<GatewayOutcome> {
+    pub(crate) fn gateway_outcomes(&self) -> Vec<GatewayOutcome> {
         let mut by_gateway: HashMap<u32, GatewayOutcome> = HashMap::new();
         for (outpoint, watched) in &self.watched {
             let entry = by_gateway.entry(watched.gateway).or_insert(GatewayOutcome {
@@ -231,7 +237,7 @@ impl SettlementAuditor {
     /// chain) disconnected, audits every new block, and re-checks value
     /// conservation at the new tip. Cheap no-op when the tip is
     /// unchanged.
-    pub fn reconcile(&mut self, chain: &Chain, reg: &mut Registry) {
+    pub(crate) fn reconcile(&mut self, chain: &Chain, reg: &mut Registry) {
         let tip_height = chain.height();
         if self.blocks.len() as u64 == tip_height + 1
             && self.blocks.last().map(|b| b.hash) == Some(chain.tip())
@@ -409,7 +415,7 @@ impl SettlementAuditor {
     /// Final census: reconciles one last time, then takes the
     /// [`census`](Self::census), keeps its FSM↔chain mismatches as
     /// violations and publishes every `invariant.*` row.
-    pub fn final_audit(
+    pub(crate) fn final_audit(
         &mut self,
         chain: &Chain,
         phases: &[(usize, Phase, bool)],

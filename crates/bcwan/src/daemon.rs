@@ -13,7 +13,7 @@ use bcwan_chain::{
     BlockAction, Chain, ChainError, HashedBlock, HashedTx, Mempool, MempoolError, ReorgInfo,
     Transaction,
 };
-use bcwan_p2p::RelayState;
+use bcwan_p2p::SeenFilter;
 use bcwan_sim::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ pub struct Daemon {
     /// The host's mempool.
     pub mempool: Mempool,
     /// Gossip dedup state.
-    pub relay: RelayState,
+    pub relay: SeenFilter,
     busy_until: SimTime,
     stats: DaemonStats,
     last_change: ChainChange,
@@ -49,7 +49,7 @@ pub struct Daemon {
 /// Cloning bumps a reference count: the extending block is the body the
 /// chain indexed.
 #[derive(Debug, Clone, Default)]
-pub enum ChainChange {
+pub(crate) enum ChainChange {
     /// The last block left the main chain as it was (a side-chain, known
     /// or refused block), or the daemon restarted since.
     #[default]
@@ -99,7 +99,7 @@ impl Daemon {
         Daemon {
             mempool: Mempool::with_cache(chain.sig_cache().clone()),
             chain,
-            relay: RelayState::new(),
+            relay: SeenFilter::new(),
             busy_until: SimTime::ZERO,
             stats: DaemonStats::default(),
             last_change: ChainChange::default(),
@@ -110,7 +110,7 @@ impl Daemon {
     /// binding the newcomer to the memo the outgoing chain and the
     /// mempool share — a reopened chain arrives with a fresh private
     /// cache, and leaving it would split admission from connect.
-    pub fn replace_chain(&mut self, chain: Chain) {
+    pub(crate) fn replace_chain(&mut self, chain: Chain) {
         let cache = self.chain.sig_cache().clone();
         self.chain = chain.with_sig_cache(cache);
     }
@@ -118,11 +118,6 @@ impl Daemon {
     /// Accumulated statistics.
     pub fn stats(&self) -> DaemonStats {
         self.stats
-    }
-
-    /// When the daemon can next start work.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 
     /// Charges `cost` of daemon time starting no earlier than `now`;
@@ -136,7 +131,7 @@ impl Daemon {
 
     /// Processes an incoming transaction at `now`. Returns the completion
     /// time (when downstream reactions may fire) and the admission result.
-    pub fn accept_transaction(
+    pub(crate) fn accept_transaction(
         &mut self,
         now: SimTime,
         tx: impl Into<HashedTx>,
@@ -156,7 +151,7 @@ impl Daemon {
     /// Processes an incoming block at `now`: chain acceptance, mempool
     /// cleanup, and — when the chain's stall model is enabled — the
     /// verification freeze. Returns the completion time and the action.
-    pub fn accept_block(
+    pub(crate) fn accept_block(
         &mut self,
         now: SimTime,
         block: impl Into<HashedBlock>,
@@ -223,16 +218,16 @@ impl Daemon {
     /// [`ChainChange::None`] unless that block changed the main chain, so
     /// a side-chain, known or refused block never re-reports the block
     /// before it.
-    pub fn last_change(&self) -> &ChainChange {
+    pub(crate) fn last_change(&self) -> &ChainChange {
         &self.last_change
     }
 
     /// Models a crash-restart: durable state (the chain) survives,
     /// volatile state (mempool contents, relay dedup filters, queue
     /// backlog) is lost. Returns how many pooled transactions vanished.
-    pub fn crash_restart(&mut self, now: SimTime) -> usize {
+    pub(crate) fn crash_restart(&mut self, now: SimTime) -> usize {
         let lost = self.mempool.clear();
-        self.relay = RelayState::new();
+        self.relay = SeenFilter::new();
         self.busy_until = now;
         self.last_change = ChainChange::default();
         lost
@@ -315,7 +310,7 @@ mod tests {
         assert!(done.as_secs_f64() > 3.0, "stall should freeze, got {done}");
         assert_eq!(daemon.stats().stalls, 1);
         // A transaction arriving during the freeze waits it out.
-        assert!(daemon.busy_until() > SimTime::ZERO);
+        assert!(daemon.busy_until > SimTime::ZERO);
     }
 
     #[test]

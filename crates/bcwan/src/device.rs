@@ -4,9 +4,9 @@
 //! A sensor asks the gateway in range for a session key (step 1), seals
 //! and signs its reading under the `ePk` that comes down (steps 2–4) and
 //! sends the sealed frame (step 5) until the gateway hears it, retrying
-//! each unanswered frame up to [`MAX_RADIO_RETRIES`] times. A duty-cycle
-//! gate spaces its exchanges. [`Device`] reaches the radio only through
-//! [`DeviceEnv`], as [`Node`](crate::node::Node) reaches the WAN through
+//! each unanswered frame up to `MAX_RADIO_RETRIES` times. A duty-cycle
+//! gate spaces its exchanges. `Device` reaches the radio only through
+//! `DeviceEnv`, as [`Node`](crate::node::Node) reaches the WAN through
 //! [`NodeEnv`](crate::node::NodeEnv): the simulator implements it over
 //! its event queue, airtimes and loss coin, a live fleet over an instant
 //! in-process link. A gateway hears each [`Uplink`] in
@@ -21,7 +21,7 @@ use bcwan_sim::{SimDuration, SimRng, SimTime};
 
 /// Retransmissions per radio frame before the device gives the exchange
 /// up.
-pub const MAX_RADIO_RETRIES: u32 = 3;
+pub(crate) const MAX_RADIO_RETRIES: u32 = 3;
 
 /// Seconds past a request's airtime the device waits for the key: the
 /// downlink should be back within a couple of seconds.
@@ -59,7 +59,7 @@ pub enum Downlink {
 
 /// A device timer, armed through [`DeviceEnv::arm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Timer {
+pub(crate) enum Timer {
     /// Time to try a new exchange ([`Device::fire`]).
     Fire,
     /// Request `attempt` of exchange `tag` brought no key down.
@@ -80,7 +80,7 @@ pub enum Timer {
 
 /// Something a device reports about one of its exchanges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceNote {
+pub(crate) enum DeviceNote {
     /// A new exchange starts under this tag; its request goes out next.
     Started,
     /// The key came down: the reading is sealed and its frame goes out.
@@ -93,7 +93,7 @@ pub enum DeviceNote {
 
 /// The radio around one device, as the device sees it. An environment
 /// value is bound to the device it is handed to.
-pub trait DeviceEnv {
+pub(crate) trait DeviceEnv {
     /// Puts `frame` of exchange `tag` on the air at `at`; returns when its
     /// airtime ends.
     fn transmit(&mut self, at: SimTime, tag: u64, frame: Uplink) -> SimTime;
@@ -116,7 +116,7 @@ pub trait DeviceEnv {
 
 /// What a device's CPU and duty cycle cost it, fixed by the operator.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DeviceSpec {
+pub(crate) struct DeviceSpec {
     /// Node CPU to seal and sign one reading.
     pub seal_cost: SimDuration,
     /// How long after an exchange starts the duty cycle keeps the device
@@ -141,7 +141,7 @@ enum State {
 /// One end device: its provisioned credentials, its duty-cycle gate and
 /// its exchanges in flight.
 #[derive(Debug)]
-pub struct Device {
+pub(crate) struct Device {
     credentials: DeviceCredentials,
     spec: DeviceSpec,
     /// No new exchange starts before this.
@@ -221,7 +221,7 @@ impl Device {
     /// A retransmission timer came due: the frame goes out again unless
     /// it was answered; with the retries spent, the device gives up.
     /// ([`Timer::Fire`] is [`Device::fire`]'s, which the caller runs.)
-    pub fn on_timeout(&mut self, now: SimTime, timer: Timer, env: &mut dyn DeviceEnv) {
+    pub(crate) fn on_timeout(&mut self, now: SimTime, timer: Timer, env: &mut dyn DeviceEnv) {
         let (Timer::Request { tag, attempt } | Timer::Data { tag, attempt }) = timer else {
             return;
         };

@@ -11,7 +11,7 @@
 //! blockchain address announces multiple times, the highest sequence wins
 //! (ties broken by chain order), so a relocated gateway (§4.3: "the
 //! latter can change if the recipient gateway is moved") republishes with
-//! a larger `seq`. A federation starts from [`bootstrap_chain`], whose
+//! a larger `seq`. A federation starts from `bootstrap_chain`, whose
 //! genesis announces every host.
 
 use bcwan_chain::{Address, Block, BlockHash, Chain, ChainParams, Transaction, TxOut, Wallet};
@@ -126,7 +126,7 @@ impl IpAnnouncement {
 /// `(host, address)` of `announced` (seq 0), then `coinbase_maturity`
 /// empty blocks paying `miner`, so the genesis coins are spendable from
 /// the start. Every host runs a fork of it.
-pub fn bootstrap_chain(
+pub(crate) fn bootstrap_chain(
     params: &ChainParams,
     allocations: &[(Address, u64)],
     announced: impl IntoIterator<Item = (usize, Address)>,

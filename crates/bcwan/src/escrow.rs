@@ -188,7 +188,7 @@ pub fn find_escrow_for_key(tx: &Transaction, e_pk: &RsaPublicKey) -> Option<(u32
 /// with — its leading push, when `OP_CHECKRSA512PAIR` follows — or
 /// `None` for any other script. Reading it costs no key parsing, so a
 /// gateway can look the push up among its open sessions directly.
-pub fn escrow_key(script_pubkey: &Script) -> Option<&[u8]> {
+pub(crate) fn escrow_key(script_pubkey: &Script) -> Option<&[u8]> {
     match script_pubkey.instructions() {
         [Instruction::Push(key), Instruction::Op(Opcode::CheckRsa512Pair), ..] => Some(key),
         _ => None,

@@ -81,7 +81,7 @@ impl From<CbcError> for ExchangeError {
 /// RSA-512 wrap: the 34-byte frame (16-byte ciphertext = one AES block)
 /// holds ≤ 15 plaintext bytes after PKCS#7 (16 bytes pad to two blocks →
 /// 50-byte frame, still under the 53-byte RSA-512 ceiling — so 31).
-pub fn max_reading_len(e_pk: &RsaPublicKey) -> usize {
+pub(crate) fn max_reading_len(e_pk: &RsaPublicKey) -> usize {
     let rsa_capacity = e_pk.block_len().saturating_sub(11); // PKCS#1 overhead
     let frame_overhead = 2 + 16; // two length bytes + IV
     let ct_capacity = rsa_capacity.saturating_sub(frame_overhead);

@@ -12,25 +12,24 @@
 //! delivery) or [`TcpFleet`] (real `TcpHost` sockets multiplexed on one
 //! shared event-driven [`TcpRuntime`]); the only difference is which
 //! transport value the caller constructs. A scenario's sensor is the
-//! simulator's [`Device`] too, driven over an instant, lossless
+//! simulator's `Device` too, driven over an instant, lossless
 //! in-process link into the gateway's [`Node::on_uplink`]; the fleet
 //! adds no radio and no loss model.
 //!
 //! Live nodes run the same watchdog as simulated ones: each node asks
 //! for a wake-up whenever it arms a deadline ([`NodeEnv::wake_at`]), and
-//! [`Fleet::step`] — which [`Fleet::run_until`] drives, waiting no longer
+//! [`Fleet::step`] — which `Fleet::run_until` drives, waiting no longer
 //! than the earliest wake-up — fires every due one through
-//! [`Node::on_deadline`] on the [`fsm`](crate::fsm) module's fixed
+//! `Node::on_deadline` on the [`fsm`](crate::fsm) module's fixed
 //! schedules: re-delivery, re-publishing lost or left-out settlements,
 //! the CLTV refund, censorship suspicion. What stays on the operator's
 //! side is what no daemon decides for itself in this harness: when to
 //! mine ([`Fleet::mine`]) and which tip announcements to send
-//! ([`Fleet::announce_tip`] — how a healed node learns who is ahead).
+//! (`Fleet::announce_tip` — how a healed node learns who is ahead).
 //! Partitions are enforced at the overlay routing layer on both
 //! backends: a cut link silently drops the message, exactly what a
 //! severed WAN path does to a datagram in flight.
 
-use crate::app_server::AppServerId;
 use crate::costs::CostModel;
 use crate::device::{Device, DeviceEnv, DeviceNote, DeviceSpec, Downlink, Timer, Uplink};
 use crate::directory::bootstrap_chain;
@@ -125,7 +124,7 @@ impl FleetTransport for BusFleet {
     fn try_recv(&mut self, host: NodeId) -> Option<Envelope<WanMessage>> {
         self.inboxes
             .get(host.0 as usize)
-            .and_then(|inbox| inbox.try_recv().message())
+            .and_then(|inbox| inbox.try_recv())
     }
 
     fn set_link(&mut self, a: NodeId, b: NodeId, up: bool) {
@@ -205,7 +204,7 @@ impl FleetTransport for TcpFleet {
     fn try_recv(&mut self, host: NodeId) -> Option<Envelope<WanMessage>> {
         self.inboxes
             .get(host.0 as usize)
-            .and_then(|inbox| inbox.try_recv().message())
+            .and_then(|inbox| inbox.try_recv())
     }
 
     fn set_link(&mut self, a: NodeId, b: NodeId, up: bool) {
@@ -248,7 +247,7 @@ pub struct FleetNode {
     pub node: Node,
     /// What the node reported, in order, by exchange tag. Tags are the
     /// operator's on the gateway side ([`Node::on_uplink`]) and
-    /// [`delivery_tag`]s on the recipient side.
+    /// `delivery_tag`s on the recipient side.
     pub notes: Vec<(u64, Note)>,
     /// When the node asked to run its watchdog next.
     wake: Option<SimTime>,
@@ -320,7 +319,7 @@ impl FleetNode {
     }
 
     /// Whether this node reported `note` for exchange `tag`.
-    pub fn noted(&self, tag: u64, note: Note) -> bool {
+    pub(crate) fn noted(&self, tag: u64, note: Note) -> bool {
         self.notes.contains(&(tag, note))
     }
 
@@ -460,7 +459,7 @@ impl<T: FleetTransport> Fleet<T> {
     /// With nothing to step, blocks until the fabric delivers something
     /// (in-flight TCP frames land on the runtime's threads), a node's
     /// wake-up comes due, or the deadline.
-    pub fn run_until(
+    pub(crate) fn run_until(
         &mut self,
         timeout: Duration,
         mut pred: impl FnMut(&Fleet<T>) -> bool,
@@ -507,7 +506,7 @@ impl<T: FleetTransport> Fleet<T> {
 
     /// Sends `from`'s tip announcement directly to `to` — how a healed
     /// node learns it is behind.
-    pub fn announce_tip(&mut self, from: usize, to: usize) {
+    pub(crate) fn announce_tip(&mut self, from: usize, to: usize) {
         let msg = self.nodes[from].node.tip_announce();
         self.transport
             .send(NodeId(from as u32), NodeId(to as u32), &msg);
@@ -515,7 +514,7 @@ impl<T: FleetTransport> Fleet<T> {
 
     /// Cuts (or heals) every link between `node` and the rest of the
     /// fleet.
-    pub fn set_isolated(&mut self, node: usize, isolated: bool) {
+    pub(crate) fn set_isolated(&mut self, node: usize, isolated: bool) {
         let n = self.nodes.len();
         for peer in 0..n {
             if peer != node {
@@ -523,13 +522,6 @@ impl<T: FleetTransport> Fleet<T> {
                     .set_link(NodeId(node as u32), NodeId(peer as u32), !isolated);
             }
         }
-    }
-
-    /// Sends one message directly from `from` to `to` through the
-    /// fabric (scenario-level stimulus, e.g. the initial `Deliver`).
-    pub fn send_direct(&mut self, from: usize, to: usize, msg: &WanMessage) -> bool {
-        self.transport
-            .send(NodeId(from as u32), NodeId(to as u32), msg)
     }
 }
 
@@ -695,10 +687,7 @@ pub fn fig3_partition_recovery<T: FleetTransport>(
         let chain = &fleet.nodes[straggler].node.daemon.chain;
         chain.find_transaction(&claim.txid()).is_some()
     });
-    let recipient_app = &fleet.nodes[recipient].node.apps;
-    let delivered = recipient_app
-        .server(&AppServerId(0))
-        .and_then(|s| s.readings().last());
+    let delivered = fleet.nodes[recipient].node.app.readings().last();
     FleetOutcome {
         decrypted: delivered.map(|reading| reading.payload.clone()),
         gateway_claimed: claim.is_some(),
@@ -870,10 +859,9 @@ mod tests {
                 .iter()
                 .all(|tag| f.nodes[RECIPIENT].noted(*tag, confirmed))
         }));
-        let apps = &fleet.nodes[RECIPIENT].node.apps;
-        let mut readings: Vec<&[u8]> = apps
-            .server(&AppServerId(0))
-            .expect("default server")
+        let mut readings: Vec<&[u8]> = fleet.nodes[RECIPIENT]
+            .node
+            .app
             .readings()
             .iter()
             .map(|r| r.payload.as_slice())
@@ -1019,8 +1007,8 @@ mod tests {
         let tcp = TcpFleet::new(5, 1, TcpConfig::fast_test()).expect("bind");
         let mut fleet = Fleet::new(tcp, 5, 20);
         let announce = fleet.nodes[0].node.tip_announce();
-        assert!(fleet.send_direct(0, 1, &announce));
-        assert!(fleet.send_direct(0, 4, &announce));
+        assert!(fleet.transport.send(NodeId(0), NodeId(1), &announce));
+        assert!(fleet.transport.send(NodeId(0), NodeId(4), &announce));
         let stats = |f: &Fleet<TcpFleet>| {
             let stats = f.transport.hosts()[0].stats();
             (
@@ -1031,12 +1019,12 @@ mod tests {
         assert_eq!(stats(&fleet), (2, 0));
         fleet.transport.set_link(NodeId(0), NodeId(4), false);
         // 0 → 1 is not across the cut: its pooled connection is reused.
-        assert!(fleet.send_direct(0, 1, &announce));
+        assert!(fleet.transport.send(NodeId(0), NodeId(1), &announce));
         assert_eq!(stats(&fleet), (2, 1));
         // 0 → 4 is: dropped while cut, dialled afresh once healed.
-        assert!(!fleet.send_direct(0, 4, &announce));
+        assert!(!fleet.transport.send(NodeId(0), NodeId(4), &announce));
         fleet.transport.set_link(NodeId(0), NodeId(4), true);
-        assert!(fleet.send_direct(0, 4, &announce));
+        assert!(fleet.transport.send(NodeId(0), NodeId(4), &announce));
         assert_eq!(stats(&fleet), (3, 1));
     }
 
@@ -1045,8 +1033,8 @@ mod tests {
         let mut fleet = Fleet::new(BusFleet::new(3), 3, 11);
         let announce = fleet.nodes[0].node.tip_announce();
         fleet.set_isolated(2, true);
-        assert!(!fleet.send_direct(0, 2, &announce));
+        assert!(!fleet.transport.send(NodeId(0), NodeId(2), &announce));
         fleet.set_isolated(2, false);
-        assert!(fleet.send_direct(0, 2, &announce));
+        assert!(fleet.transport.send(NodeId(0), NodeId(2), &announce));
     }
 }

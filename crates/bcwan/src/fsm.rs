@@ -9,7 +9,7 @@
 //! settlement published until the chain settles it again. The machines
 //! live in the nodes that act on them: a gateway's session holds one
 //! while it re-delivers, a recipient's escrow record from delivery on
-//! ([`Node::on_deadline`](crate::node::Node::on_deadline) fires both).
+//! (`Node::on_deadline` fires both).
 //!
 //! ```text
 //!                 Sealed        Delivered      EscrowPublished
@@ -97,7 +97,7 @@ impl std::error::Error for IllegalTransition {}
 
 /// Exponential-backoff retry schedule for one phase.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Delay before the first retry.
     pub base: SimDuration,
     /// Ceiling the doubling never exceeds.
@@ -123,7 +123,7 @@ impl RetryPolicy {
 
 /// Re-delivery schedule while `Sealed` (gateway → recipient): bounded,
 /// so a dead recipient eventually abandons the exchange.
-pub const DELIVER_RETRY: RetryPolicy = RetryPolicy {
+pub(crate) const DELIVER_RETRY: RetryPolicy = RetryPolicy {
     base: SimDuration::from_secs(5),
     max: SimDuration::from_secs(40),
     max_retries: 4,
@@ -133,7 +133,7 @@ pub const DELIVER_RETRY: RetryPolicy = RetryPolicy {
 /// left-out escrow or refund and drives the CLTV refund. Unbounded —
 /// escrowed money must terminate on chain. Its `base` is also how long
 /// after a settlement went out a block may still leave it out.
-pub const SETTLE_CHECK: RetryPolicy = RetryPolicy {
+pub(crate) const SETTLE_CHECK: RetryPolicy = RetryPolicy {
     base: SimDuration::from_secs(10),
     max: SimDuration::from_secs(60),
     max_retries: u32::MAX,
@@ -145,14 +145,12 @@ pub const SETTLE_CHECK: RetryPolicy = RetryPolicy {
 /// miner includes a pooled transaction in its next block, so it
 /// essentially never trips this — and a spurious trip only rotates
 /// mining duty, it never loses money.
-pub const CENSOR_SUSPECT_SWEEPS: u32 = 4;
+pub(crate) const CENSOR_SUSPECT_SWEEPS: u32 = 4;
 
 /// The state machine for one exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeFsm {
     phase: Phase,
-    /// When the current phase was entered.
-    entered_at: SimTime,
     /// When the current deadline window was armed: phase entry, or the
     /// last retry. Anchoring here (not at phase entry) keeps capped
     /// backoff from scheduling deadlines in the past once a phase has
@@ -167,7 +165,6 @@ impl ExchangeFsm {
     pub fn new(now: SimTime) -> Self {
         ExchangeFsm {
             phase: Phase::Created,
-            entered_at: now,
             armed_at: now,
             retries: 0,
         }
@@ -187,11 +184,6 @@ impl ExchangeFsm {
         self.phase
     }
 
-    /// When the current phase was entered.
-    pub fn entered_at(&self) -> SimTime {
-        self.entered_at
-    }
-
     /// Retries burned inside the current phase.
     pub fn retries(&self) -> u32 {
         self.retries
@@ -200,19 +192,10 @@ impl ExchangeFsm {
     /// Whether the machine reached a phase that needs no further driving.
     /// `Claimed`/`Refunded` can still be orphaned back by a reorg, so
     /// "settled" is only final once mining stops.
-    pub fn is_settled(&self) -> bool {
+    pub(crate) fn is_settled(&self) -> bool {
         matches!(
             self.phase,
             Phase::Claimed | Phase::Refunded | Phase::Abandoned
-        )
-    }
-
-    /// Whether money sits in an escrow output that the chain has not yet
-    /// definitively claimed or refunded.
-    pub fn money_at_stake(&self) -> bool {
-        matches!(
-            self.phase,
-            Phase::Escrowed | Phase::Claimed | Phase::Refunded
         )
     }
 
@@ -238,7 +221,6 @@ impl ExchangeFsm {
             (from, event) => return Err(IllegalTransition { from, event }),
         };
         self.phase = next;
-        self.entered_at = now;
         self.armed_at = now;
         self.retries = 0;
         Ok(next)
@@ -246,13 +228,13 @@ impl ExchangeFsm {
 
     /// Records one retry in the current phase at `now`, re-arming the
     /// deadline from there.
-    pub fn note_retry(&mut self, now: SimTime) {
+    pub(crate) fn note_retry(&mut self, now: SimTime) {
         self.retries += 1;
         self.armed_at = now;
     }
 
-    /// The next deadline for the current phase ([`DELIVER_RETRY`] while
-    /// `Sealed`, [`SETTLE_CHECK`] while `Escrowed`). `None` for phases
+    /// The next deadline for the current phase (`DELIVER_RETRY` while
+    /// `Sealed`, `SETTLE_CHECK` while `Escrowed`). `None` for phases
     /// that are not deadline-driven.
     pub fn deadline(&self) -> Option<SimTime> {
         let policy = match self.phase {
@@ -264,7 +246,7 @@ impl ExchangeFsm {
     }
 
     /// Whether the phase's retry budget is spent.
-    pub fn retries_exhausted(&self) -> bool {
+    pub(crate) fn retries_exhausted(&self) -> bool {
         match self.phase {
             Phase::Sealed => DELIVER_RETRY.exhausted(self.retries),
             Phase::Escrowed => SETTLE_CHECK.exhausted(self.retries),
@@ -293,7 +275,6 @@ mod tests {
             assert_eq!(fsm.apply(event, t(1)).unwrap(), phase);
         }
         assert!(fsm.is_settled());
-        assert!(fsm.money_at_stake());
     }
 
     #[test]

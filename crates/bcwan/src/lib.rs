@@ -15,10 +15,10 @@
 //!   steps 3–4, 8 and 10,
 //! - [`device`] — the end device: the sensor's half of Fig. 3 (request,
 //!   seal, send, retransmit) and its duty-cycle gate, written once
-//!   against [`DeviceEnv`] and run by both [`world`] and [`fleet`],
+//!   against its `DeviceEnv` and run by both [`world`] and [`fleet`],
 //! - [`directory`] — the `OP_RETURN` IP directory of §4.3/§5.1,
-//! - [`app_server`] — the final hop of Figs. 1–2: device→application-server
-//!   routing at the recipient,
+//! - [`app_server`] — the final hop of Figs. 1–2: the recipient's
+//!   application server,
 //! - [`escrow`] — the Listing 1 escrow, claim and refund transactions,
 //! - [`fsm`] — the per-exchange fault-tolerance state machine (named
 //!   phases, per-phase deadlines, reorg-aware settlement),
@@ -73,17 +73,16 @@ pub mod sync;
 pub mod wire;
 pub mod world;
 
-pub use audit::{FinalAudit, GatewayOutcome, SettleKind, SettlementAuditor};
+pub use audit::GatewayOutcome;
 pub use costs::CostModel;
 pub use daemon::{Daemon, DaemonStats};
-pub use device::{Device, DeviceEnv};
 pub use directory::{Directory, IpAnnouncement, NetAddr};
 pub use escrow::{build_claim, build_escrow, build_escrow_with_delta, build_refund, Escrow};
 pub use exchange::{open_reading, seal_reading, verify_uplink, ExchangeError, SealedUplink};
 pub use fleet::{
     fig3_partition_recovery, BusFleet, Fleet, FleetNode, FleetOutcome, FleetTransport, TcpFleet,
 };
-pub use fsm::{ExchangeFsm, FsmEvent, Phase, RetryPolicy};
+pub use fsm::{ExchangeFsm, FsmEvent, Phase};
 pub use net::{DialError, OverlayDialer, WanCodec};
 pub use node::{Node, NodeEnv, Note};
 pub use provisioning::{DeviceCredentials, DeviceId, DeviceRecord, DeviceRegistry};

@@ -12,7 +12,7 @@
 //!   the chain, then send over whatever `SocketAddr` transport it wraps.
 
 use crate::directory::{Directory, NetAddr};
-use crate::wire::{WanMessage, KIND_COUNT};
+use crate::wire::{WanMessage, KIND_COUNT, KIND_LABELS};
 use bcwan_chain::Address;
 use bcwan_p2p::transport::{Codec, CodecError, Transport, TransportError};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, SocketAddrV4};
@@ -39,13 +39,13 @@ impl Codec<WanMessage> for WanCodec {
     }
 
     fn kind_label(&self, index: usize) -> &'static str {
-        ["tx", "block", "sync", "deliver"][index.min(KIND_COUNT - 1)]
+        KIND_LABELS[index]
     }
 }
 
 impl NetAddr {
     /// The `std::net` socket address this endpoint names.
-    pub fn to_socket_addr(self) -> SocketAddr {
+    pub(crate) fn to_socket_addr(self) -> SocketAddr {
         SocketAddr::V4(SocketAddrV4::new(
             Ipv4Addr::new(self.ip[0], self.ip[1], self.ip[2], self.ip[3]),
             self.port,

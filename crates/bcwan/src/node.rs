@@ -6,7 +6,7 @@
 //! It owns every reaction a host has to an inbound
 //! [`WanMessage`] ([`Node::handle`]) and to every device frame its radio
 //! hears ([`Node::on_uplink`]: open a session, forward an uplink), its
-//! own recovery watchdog ([`Node::on_deadline`]: re-deliver, re-publish,
+//! own recovery watchdog (`Node::on_deadline`: re-deliver, re-publish,
 //! refund, suspect a censoring miner) and catch-up source choice, and the
 //! host-local actions an operator invokes (mine, restart), and it reaches
 //! everything outside the host through [`NodeEnv`]. Every decision uses
@@ -19,7 +19,7 @@
 //! [`Outbound`](crate::fleet::Outbound)s for a transport. Both run the
 //! code in this file, so each protocol rule lives here once.
 
-use crate::app_server::{AppRouter, AppServer, AppServerId};
+use crate::app_server::{AppServer, Reading};
 use crate::costs::CostModel;
 use crate::daemon::Daemon;
 use crate::device::{Downlink, Uplink};
@@ -108,7 +108,7 @@ impl Parcel {
 
     /// [`WanMessage::wire_size`], for traffic accounting — read off the
     /// stamp for a transaction or block.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self.stamp() {
             Stamp::Tx(tx) => 1 + tx.size(),
             Stamp::Block(block) => 1 + block.size(),
@@ -177,7 +177,7 @@ pub enum Note {
     /// refund was built.
     Refunding,
     /// Blocks from this miner kept leaving out a settlement this node
-    /// re-published ([`CENSOR_SUSPECT_SWEEPS`] times in a row).
+    /// re-published (`CENSOR_SUSPECT_SWEEPS` times in a row).
     CensorshipSuspected(NodeId),
 }
 
@@ -213,7 +213,7 @@ pub trait NodeEnv {
     fn note(&mut self, at: SimTime, tag: u64, note: Note);
 
     /// The tag of the open exchange a `Deliver` starts, given its
-    /// ephemeral key's [`delivery_tag`], or `None` to drop it (no such
+    /// ephemeral key's `delivery_tag`, or `None` to drop it (no such
     /// exchange, or one already over).
     fn delivery(&mut self, key: u64) -> Option<u64>;
 
@@ -221,7 +221,7 @@ pub trait NodeEnv {
     /// so a key revealed now opens nothing.
     fn closed(&self, tag: u64) -> bool;
 
-    /// Asks for [`Node::on_deadline`] to run at `at`. An earlier pending
+    /// Asks for `Node::on_deadline` to run at `at`. An earlier pending
     /// wake-up covers a later request: the node asks again for whatever
     /// is left after each run.
     fn wake_at(&mut self, at: SimTime);
@@ -236,7 +236,7 @@ pub trait NodeEnv {
 /// The digest a recipient knows a delivery by: the first eight bytes of
 /// the SHA-256 of its ephemeral key's encoding. Telling deliveries apart
 /// this way keeps no state a peer's traffic could grow.
-pub fn delivery_tag(e_pk_bytes: &[u8]) -> u64 {
+pub(crate) fn delivery_tag(e_pk_bytes: &[u8]) -> u64 {
     let digest = sha256(e_pk_bytes);
     u64::from_le_bytes(digest[..8].try_into().expect("eight bytes"))
 }
@@ -370,8 +370,8 @@ pub struct Node {
     /// Recipient role: provisioned devices this node verifies and
     /// decrypts for.
     pub registry: DeviceRegistry,
-    /// Recipient role: the application servers readings end up at.
-    pub apps: AppRouter,
+    /// Recipient role: the application server readings end up at.
+    pub app: AppServer,
     /// `GetBlocksFrom` batches served.
     pub sync_batches_served: u64,
     /// `GetHeadersFrom` batches served.
@@ -434,16 +434,13 @@ impl Node {
         terms: Arc<Terms>,
         address_book: Arc<[Address]>,
     ) -> Self {
-        let mut apps = AppRouter::new();
-        apps.register(AppServerId(0), AppServer::new("default"));
-        apps.set_default(AppServerId(0));
         Node {
             id,
             wallet,
             directory: Directory::from_chain(&daemon.chain),
             daemon,
             registry: DeviceRegistry::new(),
-            apps,
+            app: AppServer::default(),
             sync_batches_served: 0,
             header_batches_served: 0,
             rng,
@@ -473,7 +470,7 @@ impl Node {
     }
 
     /// This node's tip as an inventory announcement.
-    pub fn tip_announce(&self) -> WanMessage {
+    pub(crate) fn tip_announce(&self) -> WanMessage {
         WanMessage::Chain(ChainMessage::TipAnnounce {
             hash: self.daemon.chain.tip(),
             height: self.height(),
@@ -505,7 +502,7 @@ impl Node {
     }
 
     /// Outpoints of every escrow this node published.
-    pub fn escrow_outpoints(&self) -> impl Iterator<Item = &OutPoint> {
+    pub(crate) fn escrow_outpoints(&self) -> impl Iterator<Item = &OutPoint> {
         self.settle_watch.keys()
     }
 
@@ -703,7 +700,7 @@ impl Node {
             equivocated: false,
         };
         self.escrows.insert(tag, Box::new(escrowed));
-        self.daemon.relay.mark_seen(outpoint.txid.0);
+        self.daemon.relay.first_sighting(outpoint.txid.0);
         env.flood(admitted_at, &parcel);
         env.note(admitted_at, tag, Note::EscrowPublished(outpoint));
     }
@@ -718,7 +715,7 @@ impl Node {
         // dropped. Cheap check first (the common duplicate sits in the
         // pool); the chain scan only runs for the rare
         // gossip-after-confirmation stragglers.
-        if !self.daemon.relay.mark_seen(txid.0)
+        if !self.daemon.relay.first_sighting(txid.0)
             && (self.daemon.mempool.contains(&txid)
                 || self.daemon.chain.find_transaction(&txid).is_some())
         {
@@ -879,11 +876,11 @@ impl Node {
         if result.is_err() {
             return;
         }
-        self.daemon.relay.mark_seen(claim.txid().0);
+        self.daemon.relay.first_sighting(claim.txid().0);
         let claim = Parcel::tx(claim);
         match rival {
             Some(rival) => {
-                self.daemon.relay.mark_seen(rival.txid().0);
+                self.daemon.relay.first_sighting(rival.txid().0);
                 env.flood_split(admitted, &claim, &Parcel::tx(rival));
             }
             None => env.flood(admitted, &claim),
@@ -916,9 +913,11 @@ impl Node {
                 Ok(reading) => {
                     // Final hop (Figs. 1–2): hand the plaintext to the
                     // customer's application server.
-                    self.apps
-                        .dispatch(device_id, reading, done)
-                        .expect("default app server registered");
+                    self.app.deliver(Reading {
+                        device_id,
+                        payload: reading,
+                        received_at: done,
+                    });
                     env.note(done, tag, Note::Opened);
                 }
                 Err(_) => env.note(done, tag, Note::OpenFailed),
@@ -939,7 +938,11 @@ impl Node {
     /// Chain block gossip: the chain indexes the parcel's hashed body —
     /// one body however many hosts connect it.
     fn on_block(&mut self, now: SimTime, from: NodeId, parcel: Arc<Parcel>, env: &mut dyn NodeEnv) {
-        if !self.daemon.relay.mark_seen(parcel.hashed_block().hash().0) {
+        if !self
+            .daemon
+            .relay
+            .first_sighting(parcel.hashed_block().hash().0)
+        {
             return;
         }
         // Blocks can arrive out of order over the WAN; buffer orphans and
@@ -1291,7 +1294,7 @@ impl Node {
         }
         // This node's own blocks never echo back through the relay, so
         // the bookkeeping a received block gets runs here.
-        self.daemon.relay.mark_seen(block.hash().0);
+        self.daemon.relay.first_sighting(block.hash().0);
         let parcel = Parcel::block(block);
         env.flood(done, &parcel);
         self.apply_settlements(done, env);
@@ -1330,7 +1333,7 @@ impl Node {
             if action.is_err() {
                 return (i, false);
             }
-            self.daemon.relay.mark_seen(block.hash().0);
+            self.daemon.relay.first_sighting(block.hash().0);
             let parcel = Parcel::block(block);
             self.apply_settlements(done, env);
             env.flood(done, &parcel);
@@ -1346,7 +1349,12 @@ impl Node {
     /// announces its tip — every peer that is ahead answers with its own,
     /// which starts the catch-up — and runs the watchdog for every
     /// deadline it slept through.
-    pub fn crash_restart(&mut self, now: SimTime, reopened: Option<Chain>, env: &mut dyn NodeEnv) {
+    pub(crate) fn crash_restart(
+        &mut self,
+        now: SimTime,
+        reopened: Option<Chain>,
+        env: &mut dyn NodeEnv,
+    ) {
         if let Some(chain) = reopened {
             self.daemon.replace_chain(chain);
             self.directory = Directory::from_chain(&self.daemon.chain);
@@ -1377,7 +1385,7 @@ impl Node {
     /// A gateway's claim needs no deadline: every block it connects
     /// checks it. A late claim goes through the confirmation-depth path
     /// like any other.
-    pub fn on_deadline(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
+    pub(crate) fn on_deadline(&mut self, now: SimTime, env: &mut dyn NodeEnv) {
         let due = |fsm: &ExchangeFsm| fsm.deadline().is_some_and(|at| at <= now);
         let mut sealed: Vec<(u64, Vec<u8>)> = self
             .sessions
@@ -1533,7 +1541,7 @@ impl Node {
             at = done;
         }
         self.daemon.relay.forget(&txid.0);
-        self.daemon.relay.mark_seen(txid.0);
+        self.daemon.relay.first_sighting(txid.0);
         env.flood(at, &Parcel::tx(tx));
         Some(at)
     }

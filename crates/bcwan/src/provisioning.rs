@@ -5,9 +5,9 @@
 //! node, and a public key (Pk), on the recipient. A provisioning phase is
 //! therefore needed in order to load the necessary keys on the node."
 //!
-//! Provisioning is two steps. *Minting* ([`DeviceKeys::mint`]) draws the
+//! Provisioning is two steps. *Minting* (`DeviceKeys::mint`) draws the
 //! keys and is a function of its RNG alone; *enrolling*
-//! ([`DeviceRegistry::enroll`]) stores the recipient half and hands out
+//! (`DeviceRegistry::enroll`) stores the recipient half and hands out
 //! the node half. A fleet's keys can therefore be minted on as many
 //! threads as the machine has (`mint_all`) without the thread count
 //! reaching a single key: each device's RNG is fixed before any thread
@@ -75,7 +75,7 @@ pub(crate) const DEVICE_KEY_SIZE: RsaKeySize = RsaKeySize::Rsa512;
 
 /// One device's freshly drawn key material, before either side holds
 /// its half.
-pub struct DeviceKeys {
+pub(crate) struct DeviceKeys {
     aes_key: [u8; 32],
     verify_key: RsaPublicKey,
     signing_key: RsaPrivateKey,
@@ -83,7 +83,7 @@ pub struct DeviceKeys {
 
 impl DeviceKeys {
     /// Draws `K` and the `Sk`/`Pk` pair from `rng`, and from nothing else.
-    pub fn mint<R: RngCore>(rng: &mut R) -> Self {
+    pub(crate) fn mint<R: RngCore>(rng: &mut R) -> Self {
         let mut aes_key = [0u8; 32];
         rng.fill_bytes(&mut aes_key);
         let (verify_key, signing_key) = generate_keypair(rng, DEVICE_KEY_SIZE);
@@ -158,7 +158,7 @@ impl DeviceRegistry {
 
     /// Stores the recipient half of already minted `keys` under
     /// `device_id` and returns the node half.
-    pub fn enroll(
+    pub(crate) fn enroll(
         &mut self,
         device_id: DeviceId,
         recipient_address: Address,

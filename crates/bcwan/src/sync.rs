@@ -2,7 +2,7 @@
 //!
 //! "On start-up, each node retrieves the recent blocks from other nodes
 //! and scans their content for foreign gateways IPs." A joining or
-//! restarted gateway syncs in two phases driven by [`HeaderSync`]:
+//! restarted gateway syncs in two phases driven by `HeaderSync`:
 //!
 //! 1. **Locate** — fetch bounded header batches
 //!    (`ChainMessage::GetHeadersFrom` / `Headers`) from a peer, walking
@@ -16,7 +16,7 @@
 //!    striped across every known sync peer, keeping one batch in
 //!    flight per peer until the located best height is reached.
 //!
-//! [`serve_headers_from`] / [`serve_blocks_from_bounded`] are the
+//! `serve_headers_from` / `serve_blocks_from_bounded` are the
 //! server half both the simulated world and the live fleet answer with.
 //!
 //! [`GetBlocksFrom`]: bcwan_p2p::ChainMessage::GetBlocksFrom
@@ -29,7 +29,7 @@ use bcwan_p2p::NodeId;
 /// cannot make a daemon serialize its whole chain into a single
 /// response. The requester re-asks from its new tip until it stops
 /// making progress.
-pub fn serve_blocks_from_bounded(chain: &Chain, height: u64, max: usize) -> Vec<Block> {
+pub(crate) fn serve_blocks_from_bounded(chain: &Chain, height: u64, max: usize) -> Vec<Block> {
     let mut out = Vec::new();
     let mut h = height + 1;
     while out.len() < max {
@@ -45,7 +45,7 @@ pub fn serve_blocks_from_bounded(chain: &Chain, height: u64, max: usize) -> Vec<
 /// Blocks served per `GetBlocksFrom` answer, so one lagging peer cannot
 /// make a daemon serialize its whole chain into a single response. A
 /// still-behind requester asks again from its new height.
-pub const SYNC_BATCH: usize = 32;
+pub(crate) const SYNC_BATCH: usize = 32;
 
 /// Maximum headers per [`Headers`] batch. At 88 serialized bytes per
 /// header a full batch is ~22 KiB — small enough for one WAN datagram
@@ -53,11 +53,11 @@ pub const SYNC_BATCH: usize = 32;
 /// hundred blocks back takes one or two round-trips.
 ///
 /// [`Headers`]: bcwan_p2p::ChainMessage::Headers
-pub const HEADER_BATCH: usize = 256;
+pub(crate) const HEADER_BATCH: usize = 256;
 
 /// Serves a `GetHeadersFrom(height)` request: headers of main-chain
 /// blocks strictly above `height`, parent before child, at most `max`.
-pub fn serve_headers_from(chain: &Chain, height: u64, max: usize) -> Vec<BlockHeader> {
+pub(crate) fn serve_headers_from(chain: &Chain, height: u64, max: usize) -> Vec<BlockHeader> {
     let mut out = Vec::new();
     let mut h = height + 1;
     while out.len() < max {
@@ -74,7 +74,7 @@ pub fn serve_headers_from(chain: &Chain, height: u64, max: usize) -> Vec<BlockHe
 /// (sim world or live fleet node) owns the transport, so the machine
 /// only *describes* traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncRequest {
+pub(crate) enum SyncRequest {
     /// Send `ChainMessage::GetHeadersFrom(from)` to `peer`.
     Headers {
         /// Peer to ask.
@@ -127,7 +127,7 @@ enum HeaderSyncState {
 /// [`on_headers`]: HeaderSync::on_headers
 /// [`on_progress`]: HeaderSync::on_progress
 #[derive(Debug, Clone)]
-pub struct HeaderSync {
+pub(crate) struct HeaderSync {
     peers: Vec<NodeId>,
     target: u64,
     state: HeaderSyncState,
@@ -156,45 +156,22 @@ impl HeaderSync {
     }
 
     /// Raises the target when a taller tip is announced mid-sync.
-    pub fn on_tip(&mut self, height: u64) {
+    pub(crate) fn on_tip(&mut self, height: u64) {
         if height > self.target {
             self.target = height;
         }
     }
 
     /// Whether the machine still wants traffic.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !matches!(self.state, HeaderSyncState::Done | HeaderSyncState::Failed)
-    }
-
-    /// Whether the peer's chain turned out unlinkable or invalid.
-    pub fn failed(&self) -> bool {
-        matches!(self.state, HeaderSyncState::Failed)
-    }
-
-    /// The phase name, for metrics and debugging.
-    pub fn phase(&self) -> &'static str {
-        match self.state {
-            HeaderSyncState::Locating { .. } => "locating",
-            HeaderSyncState::Fetching { .. } => "fetching",
-            HeaderSyncState::Done => "done",
-            HeaderSyncState::Failed => "failed",
-        }
-    }
-
-    /// The height both chains are known to share, once located.
-    pub fn fork_height(&self) -> Option<u64> {
-        match self.state {
-            HeaderSyncState::Fetching { fork, .. } => Some(fork),
-            _ => None,
-        }
     }
 
     /// Feeds a received `Headers` batch. Finds the highest batch entry
     /// that matches our main chain (or links `headers[0]` onto it); on
     /// a hit, switches to body fetching; on a miss, walks the request
     /// back with a doubling look-behind.
-    pub fn on_headers(
+    pub(crate) fn on_headers(
         &mut self,
         chain: &Chain,
         start_height: u64,
@@ -278,7 +255,7 @@ impl HeaderSync {
     /// Call after connecting received blocks: retires completed body
     /// batches and keeps one batch in flight per peer until the target
     /// height is reached.
-    pub fn on_progress(&mut self, chain: &Chain) -> Vec<SyncRequest> {
+    pub(crate) fn on_progress(&mut self, chain: &Chain) -> Vec<SyncRequest> {
         if chain.height() >= self.target {
             if matches!(self.state, HeaderSyncState::Fetching { .. }) {
                 self.state = HeaderSyncState::Done;
@@ -324,6 +301,29 @@ impl HeaderSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The machine's phase name.
+    fn phase(hs: &HeaderSync) -> &'static str {
+        match hs.state {
+            HeaderSyncState::Locating { .. } => "locating",
+            HeaderSyncState::Fetching { .. } => "fetching",
+            HeaderSyncState::Done => "done",
+            HeaderSyncState::Failed => "failed",
+        }
+    }
+
+    /// The height both chains are known to share, once located.
+    fn fork_height(hs: &HeaderSync) -> Option<u64> {
+        match hs.state {
+            HeaderSyncState::Fetching { fork, .. } => Some(fork),
+            _ => None,
+        }
+    }
+
+    /// Whether the peer's chain turned out unlinkable or invalid.
+    fn failed(hs: &HeaderSync) -> bool {
+        matches!(hs.state, HeaderSyncState::Failed)
+    }
     use bcwan_chain::{BlockAction, ChainParams, Transaction, TxOut, Wallet};
     use bcwan_script::Script;
     use rand::rngs::StdRng;
@@ -436,8 +436,8 @@ mod tests {
         let headers = serve_headers_from(&veteran, 0, HEADER_BATCH);
         assert_eq!(headers.len(), 40);
         let reqs = hs.on_headers(&newcomer, 0, &headers);
-        assert_eq!(hs.phase(), "fetching");
-        assert_eq!(hs.fork_height(), Some(0));
+        assert_eq!(phase(&hs), "fetching");
+        assert_eq!(fork_height(&hs), Some(0));
         // One body batch in flight per peer, striped round-robin.
         assert_eq!(
             reqs,
@@ -461,7 +461,7 @@ mod tests {
         }
         let reqs = hs.on_progress(&newcomer);
         assert!(reqs.is_empty());
-        assert_eq!(hs.phase(), "done");
+        assert_eq!(phase(&hs), "done");
         assert!(!hs.is_active());
         assert_eq!(newcomer.tip(), veteran.tip());
     }
@@ -492,7 +492,7 @@ mod tests {
         let (mut hs, mut reqs) =
             HeaderSync::start(vec![NodeId(0)], newcomer.height(), veteran.height());
         let mut hops = 0;
-        while hs.phase() == "locating" {
+        while phase(&hs) == "locating" {
             let SyncRequest::Headers { from, .. } = reqs[0] else {
                 panic!("locating only issues header requests");
             };
@@ -503,7 +503,7 @@ mod tests {
         }
         // Doubling look-behind found the exact common ancestor without
         // a single block body moving.
-        assert_eq!(hs.fork_height(), Some(4));
+        assert_eq!(fork_height(&hs), Some(4));
         for req in reqs {
             let SyncRequest::Bodies { from, .. } = req else {
                 panic!("fetching only issues body requests");
@@ -531,7 +531,7 @@ mod tests {
         let headers = serve_headers_from(&veteran, 0, HEADER_BATCH);
         let reqs = hs.on_headers(&stranger, 0, &headers);
         assert!(reqs.is_empty());
-        assert!(hs.failed(), "a chain with a foreign genesis never links");
+        assert!(failed(&hs), "a chain with a foreign genesis never links");
         let _ = &mut stranger;
     }
 
@@ -545,7 +545,7 @@ mod tests {
         headers.swap(1, 2);
         let (mut hs, _) = HeaderSync::start(vec![NodeId(0)], 0, veteran.height());
         assert!(hs.on_headers(&newcomer, 0, &headers).is_empty());
-        assert!(hs.failed());
+        assert!(failed(&hs));
     }
 
     #[test]
@@ -554,7 +554,7 @@ mod tests {
         // Peer announced height 5 but serves nothing above 0.
         let (mut hs, _) = HeaderSync::start(vec![NodeId(0)], 0, 5);
         assert!(hs.on_headers(&newcomer, 0, &[]).is_empty());
-        assert!(hs.failed());
+        assert!(failed(&hs));
     }
 
     #[test]

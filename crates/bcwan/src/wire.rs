@@ -55,17 +55,16 @@ pub enum WanMessage {
 
 /// Number of distinct [`WanMessage::kind`] labels (`tx`, `block`, `sync`,
 /// `deliver`) — the width of per-kind counter arrays.
-pub const KIND_COUNT: usize = 4;
+pub(crate) const KIND_COUNT: usize = 4;
+
+/// The [`WanMessage::kind`] labels, indexed by [`WanMessage::kind_index`]:
+/// the one spelling of each per-kind metric row's `{kind}`.
+pub(crate) const KIND_LABELS: [&str; KIND_COUNT] = ["tx", "block", "sync", "deliver"];
 
 impl WanMessage {
     /// Short label for logs/metrics.
     pub fn kind(&self) -> &'static str {
-        match self {
-            WanMessage::Chain(ChainMessage::Tx(_)) => "tx",
-            WanMessage::Chain(ChainMessage::Block(_)) => "block",
-            WanMessage::Chain(_) => "sync",
-            WanMessage::Deliver { .. } => "deliver",
-        }
+        KIND_LABELS[self.kind_index()]
     }
 
     /// Dense index of [`WanMessage::kind`], for per-kind counter arrays
@@ -82,7 +81,7 @@ impl WanMessage {
     /// Approximate on-the-wire size in bytes: one tag byte plus the
     /// payload's serialized size. Used for traffic accounting, not for
     /// actual framing.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self {
             WanMessage::Chain(ChainMessage::Tx(tx)) => 1 + tx.size(),
             WanMessage::Chain(ChainMessage::Block(block)) => 1 + block.size(),

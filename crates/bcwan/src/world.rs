@@ -12,7 +12,7 @@
 //! recipient".
 //!
 //! The protocol runs in the same code as on a live fleet: every host is
-//! a [`Node`] and every sensor a [`Device`]. `World` supplies what
+//! a [`Node`] and every sensor a `Device`. `World` supplies what
 //! neither decides for itself: the event queue; the radio leg's timing
 //! (airtimes, the loss coin, a crashed gateway's deafness), the WAN's
 //! latency and the chaos engine; the mining schedule; and the paper's
@@ -634,7 +634,7 @@ impl World {
             .iter_main()
             .map(|b| b.transactions.len().saturating_sub(1))
             .sum();
-        let app_readings = self.hosts.iter().map(|h| h.apps.total_readings()).sum();
+        let app_readings = self.hosts.iter().map(|h| h.app.len()).sum();
 
         let phases = self.sim.tracer.phases();
         let phases = phases

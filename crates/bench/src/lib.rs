@@ -39,7 +39,7 @@ use bcwan_sim::{Bucket, Json, Registry, Series, Snapshot, SnapshotSeries, Summar
 ///
 /// Bump when the shape of [`BenchReport::to_json`] changes incompatibly
 /// (renamed keys, moved sections). Adding new keys is not a bump.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// The one machine-readable document shape all bench binaries emit.
 ///

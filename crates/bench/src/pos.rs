@@ -69,15 +69,10 @@ impl ValidatorSet {
         self.validators.is_empty()
     }
 
-    /// Total stake.
-    pub fn total_stake(&self) -> u64 {
-        self.total_stake
-    }
-
     /// The slot leader for block `height` under chain `seed`: a
     /// deterministic, stake-weighted draw (follow-the-satoshi style).
     /// Every honest node computes the same leader.
-    pub fn slot_leader(&self, height: u64, seed: &[u8]) -> Address {
+    pub(crate) fn slot_leader(&self, height: u64, seed: &[u8]) -> Address {
         let mut material = Vec::with_capacity(seed.len() + 8);
         material.extend_from_slice(seed);
         material.extend_from_slice(&height.to_le_bytes());
@@ -123,7 +118,7 @@ mod tests {
         ));
         let set = ValidatorSet::new(vec![(addr(1), 10), (addr(2), 30)]).unwrap();
         assert_eq!(set.len(), 2);
-        assert_eq!(set.total_stake(), 40);
+        assert_eq!(set.total_stake, 40);
     }
 
     #[test]

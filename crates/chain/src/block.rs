@@ -14,7 +14,7 @@ impl BlockHash {
     pub const GENESIS_PREV: BlockHash = BlockHash([0; 32]);
 
     /// Number of leading zero bits — the proof-of-work measure.
-    pub fn leading_zero_bits(&self) -> u32 {
+    pub(crate) fn leading_zero_bits(&self) -> u32 {
         let mut bits = 0;
         for &b in &self.0 {
             if b == 0 {

@@ -512,6 +512,12 @@ impl Chain {
     /// Evicts clean, disk-backed coins entries from memory; they read
     /// back through the store on demand. Returns the eviction count.
     /// No-op (0) for memory-only chains.
+    ///
+    /// Only tests call it today. It stays because it is the only way to
+    /// evict a coin: the store's read-through on a cache miss and the
+    /// refusal of a replayed coinbase whose twin was evicted are live
+    /// connect-path code that nothing else reaches. A node that bounds
+    /// its coins cache would call it after each flush.
     pub fn trim_coins(&mut self) -> usize {
         if self.store.is_none() {
             return 0;

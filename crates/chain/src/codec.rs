@@ -154,7 +154,7 @@ pub fn push_vec(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// Appends a `u32`-length-prefixed script, encoded in place: the bytes
 /// [`push_vec`] would write for its [`Script::to_bytes`].
-pub fn push_script(out: &mut Vec<u8>, script: &Script) {
+pub(crate) fn push_script(out: &mut Vec<u8>, script: &Script) {
     out.extend_from_slice(&(script.byte_len() as u32).to_le_bytes());
     script.encode_into(out);
 }
@@ -237,7 +237,7 @@ pub fn encode_block(block: &Block) -> Vec<u8> {
 }
 
 /// Appends an outpoint: 32-byte txid, then `u32` vout.
-pub fn encode_outpoint(out: &mut Vec<u8>, op: &OutPoint) {
+pub(crate) fn encode_outpoint(out: &mut Vec<u8>, op: &OutPoint) {
     out.extend_from_slice(&op.txid.0);
     out.extend_from_slice(&op.vout.to_le_bytes());
 }
@@ -247,7 +247,7 @@ pub fn encode_outpoint(out: &mut Vec<u8>, op: &OutPoint) {
 /// # Errors
 ///
 /// [`CodecError::Truncated`] if fewer than 36 bytes remain.
-pub fn decode_outpoint(r: &mut Reader<'_>) -> Result<OutPoint, CodecError> {
+pub(crate) fn decode_outpoint(r: &mut Reader<'_>) -> Result<OutPoint, CodecError> {
     Ok(OutPoint {
         txid: TxId(r.array32()?),
         vout: r.u32()?,
@@ -263,7 +263,7 @@ fn decode_txout(r: &mut Reader<'_>) -> Result<TxOut, CodecError> {
 
 /// Appends a UTXO entry: `u64` value, `u32`-prefixed script, `u64`
 /// creation height, one coinbase flag byte.
-pub fn encode_utxo_entry(out: &mut Vec<u8>, entry: &UtxoEntry) {
+pub(crate) fn encode_utxo_entry(out: &mut Vec<u8>, entry: &UtxoEntry) {
     out.extend_from_slice(&entry.output.value.to_le_bytes());
     push_script(out, &entry.output.script_pubkey);
     out.extend_from_slice(&entry.height.to_le_bytes());
@@ -275,7 +275,7 @@ pub fn encode_utxo_entry(out: &mut Vec<u8>, entry: &UtxoEntry) {
 /// # Errors
 ///
 /// A [`CodecError`] for truncated or malformed input.
-pub fn decode_utxo_entry(r: &mut Reader<'_>) -> Result<UtxoEntry, CodecError> {
+pub(crate) fn decode_utxo_entry(r: &mut Reader<'_>) -> Result<UtxoEntry, CodecError> {
     let output = decode_txout(r)?;
     let height = r.u64()?;
     let coinbase = r.u8()? != 0;
@@ -288,7 +288,7 @@ pub fn decode_utxo_entry(r: &mut Reader<'_>) -> Result<UtxoEntry, CodecError> {
 
 /// Serializes a block's undo data: `u32` spent-entry count, then per
 /// entry an outpoint followed by the [`UtxoEntry`] it restores.
-pub fn encode_undo(undo: &UndoData) -> Vec<u8> {
+pub(crate) fn encode_undo(undo: &UndoData) -> Vec<u8> {
     let spent = undo.spent_entries();
     let mut out = Vec::with_capacity(4 + spent.len() * 64);
     out.extend_from_slice(&(spent.len() as u32).to_le_bytes());
@@ -304,7 +304,7 @@ pub fn encode_undo(undo: &UndoData) -> Vec<u8> {
 /// # Errors
 ///
 /// A [`CodecError`] for truncated or malformed input.
-pub fn decode_undo(r: &mut Reader<'_>) -> Result<UndoData, CodecError> {
+pub(crate) fn decode_undo(r: &mut Reader<'_>) -> Result<UndoData, CodecError> {
     let count = r.u32()?;
     let mut spent = Vec::new();
     for _ in 0..count {

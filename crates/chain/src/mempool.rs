@@ -156,12 +156,6 @@ impl Mempool {
         self.entries.get(txid).map(|e| e.tx.tx())
     }
 
-    /// The output a pooled transaction created at `outpoint`, whether or
-    /// not another pooled transaction spends it.
-    pub fn created_output(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
-        self.created.get(outpoint)
-    }
-
     /// Admits a transaction after validating it against `utxo` at `height`.
     /// Returns the fee on success. A bare [`Transaction`] is hashed here;
     /// a [`HashedTx`] brings its id along and is pooled without a copy.
@@ -290,11 +284,6 @@ impl Mempool {
             }
         }
         out
-    }
-
-    /// Total fees of all pooled transactions.
-    pub fn total_fees(&self) -> u64 {
-        self.entries.values().map(|e| e.fee).sum()
     }
 
     /// Removes transactions confirmed in a block, plus any pooled
@@ -500,7 +489,31 @@ mod tests {
             .unwrap();
         assert_eq!(fee, 25);
         assert!(pool.contains(&tx.txid()));
-        assert_eq!(pool.total_fees(), 25);
+    }
+
+    #[test]
+    fn created_outputs_share_the_pooled_body() {
+        let f = fixture(1);
+        let mut pool = Mempool::new();
+        let tx = f.wallet.build_payment(
+            vec![f.coins[0].clone()],
+            vec![TxOut {
+                value: 990,
+                script_pubkey: f.wallet.locking_script(),
+            }],
+            0,
+        );
+        pool.insert(tx.clone(), &f.utxo, f.height, &f.params)
+            .unwrap();
+        let txid = tx.txid();
+        let created = &pool.created[&OutPoint { txid, vout: 0 }];
+        let pooled = pool.get(&txid).expect("pooled");
+        // Pointer-equal instruction buffers: the overlay's entry is the
+        // pooled body's script, not a copy of it.
+        assert_eq!(
+            created.output.script_pubkey.instructions().as_ptr(),
+            pooled.outputs[0].script_pubkey.instructions().as_ptr()
+        );
     }
 
     #[test]

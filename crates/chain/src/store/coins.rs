@@ -73,7 +73,7 @@ pub enum Probe {
     /// Resident in the cache (counted as a hit).
     InCache,
     /// Not resident, but the coins file holds it (counted as a miss —
-    /// the caller should read it back and [`CoinsCache::insert_clean`]).
+    /// the caller should read it back and `CoinsCache::insert_clean`).
     OnDisk,
     /// Unknown to both cache and backing.
     Absent,
@@ -89,7 +89,7 @@ impl CoinsCache {
     /// An empty cache that will never be flushed and so tracks nothing.
     /// [`CoinsCache::mark_all_fresh`] turns tracking on when a store is
     /// attached after all.
-    pub fn memory_only() -> Self {
+    pub(crate) fn memory_only() -> Self {
         CoinsCache::over(UtxoSet::new(), false)
     }
 
@@ -114,7 +114,7 @@ impl CoinsCache {
 
     /// A cache warmed from a loaded coins snapshot: every entry is
     /// resident, clean, and known to be in the backing.
-    pub fn from_backed(entries: HashMap<OutPoint, UtxoEntry>) -> Self {
+    pub(crate) fn from_backed(entries: HashMap<OutPoint, UtxoEntry>) -> Self {
         let mut cache = CoinsCache::new();
         cache.backed.reserve(entries.len());
         for (op, entry) in entries {
@@ -128,16 +128,6 @@ impl CoinsCache {
     /// wallets, coin selection) keep working against this view.
     pub fn set(&self) -> &UtxoSet {
         &self.set
-    }
-
-    /// Number of dirty (unflushed) entries.
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Number of keys the on-disk backing holds.
-    pub fn backed_len(&self) -> usize {
-        self.backed.len()
     }
 
     /// Cache hits counted by [`CoinsCache::probe`].
@@ -164,7 +154,7 @@ impl CoinsCache {
     }
 
     /// Whether `op` is unspent but only the coins file holds it (evicted
-    /// by [`CoinsCache::trim_clean`]). Uncounted: block connect asks
+    /// by `CoinsCache::trim_clean`). Uncounted: block connect asks
     /// this about the outputs a block would *create*, which are expected
     /// to be absent, so they are no cache traffic.
     pub fn trimmed(&self, op: &OutPoint) -> bool {
@@ -175,7 +165,7 @@ impl CoinsCache {
 
     /// Re-inserts an entry read back from the coins file after a
     /// [`Probe::OnDisk`] miss. The entry is clean (it matches disk).
-    pub fn insert_clean(&mut self, op: OutPoint, entry: UtxoEntry) {
+    pub(crate) fn insert_clean(&mut self, op: OutPoint, entry: UtxoEntry) {
         debug_assert!(self.backed.contains(&op), "insert_clean without backing");
         self.set.insert_loaded(op, entry);
     }
@@ -268,7 +258,7 @@ impl CoinsCache {
     /// of flush operations and marks everything clean. The `backed` key
     /// set is updated to reflect the coins file after these operations
     /// are applied.
-    pub fn flush_ops(&mut self) -> Vec<FlushOp> {
+    pub(crate) fn flush_ops(&mut self) -> Vec<FlushOp> {
         let mut keys: Vec<(OutPoint, Dirty)> = self.dirty.drain().collect();
         keys.sort_unstable_by_key(|(op, _)| *op);
         let mut ops = Vec::with_capacity(keys.len());
@@ -295,7 +285,7 @@ impl CoinsCache {
     /// Marks every resident entry fresh-dirty, as after a reindex: the
     /// coins file is being rebuilt from scratch, so the next flush must
     /// write the full set into a new generation.
-    pub fn mark_all_fresh(&mut self) {
+    pub(crate) fn mark_all_fresh(&mut self) {
         self.tracking = true;
         self.backed.clear();
         self.dirty.clear();
@@ -308,7 +298,7 @@ impl CoinsCache {
     /// Evicts clean, backed entries from the resident set (they can be
     /// read back through [`CoinsCache::probe`] / `insert_clean`).
     /// Returns how many were evicted.
-    pub fn trim_clean(&mut self) -> usize {
+    pub(crate) fn trim_clean(&mut self) -> usize {
         let evict: Vec<OutPoint> = self
             .set
             .iter()
@@ -367,7 +357,7 @@ mod tests {
         cache
             .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
             .unwrap();
-        assert_eq!(cache.dirty_len(), 1);
+        assert_eq!(cache.dirty.len(), 1);
         let sp = spend(op, 50);
         let cb2 = coinbase(2, 50);
         let txs = [cb2, sp];
@@ -394,7 +384,7 @@ mod tests {
         let undo = cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
         cache.undo_block(&txs, &txids_of(&txs), &undo);
         cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
-        assert_eq!((cache.dirty_len(), cache.backed_len()), (0, 0));
+        assert_eq!((cache.dirty.len(), cache.backed.len()), (0, 0));
         assert!(cache.flush_ops().is_empty());
 
         // `Chain::create_with_store`: the whole resident set is owed to
@@ -418,7 +408,7 @@ mod tests {
             .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
             .unwrap();
         cache.flush_ops();
-        assert_eq!(cache.backed_len(), 1);
+        assert_eq!(cache.backed.len(), 1);
 
         // Spend the backed coin: flush must delete it.
         let sp = spend(op, 49);

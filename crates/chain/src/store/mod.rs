@@ -55,7 +55,7 @@ const KIND_COINS_MARK: u8 = b'F';
 /// Compaction floor: a coins log smaller than this is never rewritten.
 const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
-/// Tuning knobs for a [`ChainStore`].
+/// Tuning knobs for a `ChainStore`.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// fsync at commit/flush boundaries (durability against power loss,
@@ -128,7 +128,7 @@ impl From<io::Error> for StoreError {
 
 /// What [`ChainStore::open`] recovered from disk, for the chain to
 /// rebuild its in-memory state from.
-pub struct LoadedChain {
+pub(crate) struct LoadedChain {
     /// Every committed block, in append (= first-connect) order. Parents
     /// always precede children; stale branch blocks are included.
     pub blocks: Vec<Block>,
@@ -147,7 +147,7 @@ pub struct LoadedChain {
 /// A chain's persistent backing: one directory of record-framed files
 /// (see module docs). Holds paths, never open descriptors.
 #[derive(Debug, Clone)]
-pub struct ChainStore {
+pub(crate) struct ChainStore {
     dir: PathBuf,
     cfg: StoreConfig,
     blocks_len: u64,
@@ -357,11 +357,6 @@ impl ChainStore {
             stats: StoreStats::default(),
         };
         Ok((store, loaded))
-    }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Lifetime counters.

@@ -62,7 +62,7 @@ pub struct TxIn {
 
 impl TxIn {
     /// Whether this input is final.
-    pub fn is_final(&self) -> bool {
+    pub(crate) fn is_final(&self) -> bool {
         self.sequence == SEQUENCE_FINAL
     }
 }
@@ -96,7 +96,7 @@ pub(crate) fn txids_of(transactions: &[Transaction]) -> Vec<TxId> {
 }
 
 /// The null outpoint used by coinbase inputs.
-pub fn null_outpoint() -> OutPoint {
+pub(crate) fn null_outpoint() -> OutPoint {
     OutPoint {
         txid: TxId([0; 32]),
         vout: u32::MAX,
@@ -154,7 +154,7 @@ impl Transaction {
     /// The transaction id and the serialized size, from one
     /// serialization — for callers that need both (block connect, pool
     /// admission) and would otherwise serialize twice.
-    pub fn txid_and_size(&self) -> (TxId, usize) {
+    pub(crate) fn txid_and_size(&self) -> (TxId, usize) {
         let bytes = self.serialize();
         (TxId(sha256d(&bytes)), bytes.len())
     }
@@ -198,7 +198,7 @@ impl Transaction {
 
     /// Whether the transaction is final at `height`: lock-time reached or
     /// all inputs final.
-    pub fn is_final_at(&self, height: u64) -> bool {
+    pub(crate) fn is_final_at(&self, height: u64) -> bool {
         if self.lock_time == 0 || self.lock_time <= height {
             return true;
         }

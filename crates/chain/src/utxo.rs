@@ -26,12 +26,12 @@ pub struct UndoData {
 impl UndoData {
     /// Rebuilds undo data from a spent-entry list, as read back from a
     /// persistent undo record (see [`crate::codec::decode_undo`]).
-    pub fn from_spent(spent: Vec<(OutPoint, UtxoEntry)>) -> Self {
+    pub(crate) fn from_spent(spent: Vec<(OutPoint, UtxoEntry)>) -> Self {
         UndoData { spent }
     }
 
     /// The entries this block's transactions spent, in spend order.
-    pub fn spent_entries(&self) -> &[(OutPoint, UtxoEntry)] {
+    pub(crate) fn spent_entries(&self) -> &[(OutPoint, UtxoEntry)] {
         &self.spent
     }
 }

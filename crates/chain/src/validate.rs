@@ -348,12 +348,12 @@ impl SigCache {
     }
 
     /// `OP_CHECKRSA512PAIR`-classified lookup hits so far.
-    pub fn rsa_hits(&self) -> u64 {
+    pub(crate) fn rsa_hits(&self) -> u64 {
         self.rsa_hits.load(Ordering::Relaxed)
     }
 
     /// `OP_CHECKRSA512PAIR`-classified lookup misses so far.
-    pub fn rsa_misses(&self) -> u64 {
+    pub(crate) fn rsa_misses(&self) -> u64 {
         self.rsa_misses.load(Ordering::Relaxed)
     }
 
@@ -554,7 +554,7 @@ fn run_script_job(job: &ScriptJob<'_>, memo: &SigCache) -> Result<(), TxError> {
 /// and therefore the exact batches handed to [`batch_verify`] — depend
 /// only on job order, never on thread count or scheduling. Four of the
 /// verifier's 8-signature sub-batches fit in one chunk.
-pub const BATCH_CHUNK: usize = 32;
+pub(crate) const BATCH_CHUNK: usize = 32;
 
 /// Runs one chunk of jobs through the batch-verification fast path,
 /// appending any failures as `(tx_index, input_index, error)`.

@@ -19,7 +19,7 @@ pub struct Address(pub [u8; 20]);
 
 impl Address {
     /// Builds the address of a public key.
-    pub fn from_pubkey(pk: &EcdsaPublicKey) -> Self {
+    pub(crate) fn from_pubkey(pk: &EcdsaPublicKey) -> Self {
         Address(hash160(&pk.to_bytes()))
     }
 
@@ -67,7 +67,7 @@ impl Wallet {
     }
 
     /// Wraps an existing key.
-    pub fn from_key(key: EcdsaPrivateKey) -> Self {
+    pub(crate) fn from_key(key: EcdsaPrivateKey) -> Self {
         let public = key.public_key();
         let pubkey_bytes = public.to_bytes();
         let address = Address::from_pubkey(&public);

@@ -7,9 +7,9 @@
 //! for plaintexts of at most 16 bytes.
 
 /// AES block size in bytes.
-pub const BLOCK_SIZE: usize = 16;
+pub(crate) const BLOCK_SIZE: usize = 16;
 /// AES-256 key size in bytes.
-pub const KEY_SIZE: usize = 32;
+pub(crate) const KEY_SIZE: usize = 32;
 
 const NK: usize = 8; // 256-bit key words
 const NR: usize = 14; // rounds for AES-256

@@ -4,8 +4,8 @@
 //! generation and the secp256k1 field/scalar arithmetic). It stores
 //! little-endian `u64` limbs with `u128` intermediates, is always kept
 //! normalized (no trailing zero limbs), and implements the handful of
-//! number-theoretic operations the crate needs: modular exponentiation,
-//! modular inverse, and gcd.
+//! number-theoretic operations the crate needs: modular exponentiation
+//! and modular inverse.
 //!
 //! The implementation favours clarity and testability over raw speed;
 //! schoolbook multiplication and long division are entirely adequate for
@@ -195,7 +195,7 @@ impl BigUint {
     /// Value of the `i`-th 4-bit group (zero-indexed from the least
     /// significant nibble) — the digit consumed per window by the
     /// fixed-window exponentiation and EC scalar-multiplication paths.
-    pub fn nibble(&self, i: usize) -> u8 {
+    pub(crate) fn nibble(&self, i: usize) -> u8 {
         let (limb, off) = (i / 16, (i % 16) * 4);
         self.limbs.get(limb).map_or(0, |l| ((l >> off) & 0xf) as u8)
     }
@@ -459,7 +459,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `m` is zero.
-    pub fn rem_u64(&self, m: u64) -> u64 {
+    pub(crate) fn rem_u64(&self, m: u64) -> u64 {
         assert!(m != 0, "BigUint division by zero");
         let m = u128::from(m);
         let rem = self
@@ -536,19 +536,6 @@ impl BigUint {
             base = base.mul_mod(&base, m);
         }
         result
-    }
-
-    /// Greatest common divisor (binary-free Euclid; divisions dominate but
-    /// operand sizes here are small).
-    pub fn gcd(&self, other: &Self) -> Self {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        while !b.is_zero() {
-            let r = a.rem(&b);
-            a = b;
-            b = r;
-        }
-        a
     }
 
     /// Modular multiplicative inverse: `self^-1 mod m`, if it exists.
@@ -1150,14 +1137,6 @@ mod tests {
             .is_none());
         // Zero has no inverse
         assert!(BigUint::zero().mod_inverse(&BigUint::from_u64(7)).is_none());
-    }
-
-    #[test]
-    fn gcd_known() {
-        let a = BigUint::from_u64(48);
-        let b = BigUint::from_u64(36);
-        assert_eq!(a.gcd(&b), BigUint::from_u64(12));
-        assert_eq!(a.gcd(&BigUint::zero()), a);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl FieldElement {
     /// Wrap a value given as little-endian 4×64 limbs. The value must be
     /// reduced (`< p`); this is asserted, at compile time for the
     /// const-baked base tables and curve constants, its intended users.
-    pub const fn from_raw_limbs(limbs: [u64; 4]) -> Self {
+    pub(crate) const fn from_raw_limbs(limbs: [u64; 4]) -> Self {
         assert!(lt_p(&limbs), "from_raw_limbs needs a value below p");
         FieldElement::new(fc::from_u64x4(&limbs), NORMALIZED)
     }

@@ -51,7 +51,7 @@ pub const MAX_MAG: u32 = 32;
 const R260: u64 = FOLD << 4;
 
 /// Whether every limb is within the bound of magnitude `m`.
-pub const fn fe_within(a: &[u64; 5], m: u32) -> bool {
+pub(crate) const fn fe_within(a: &[u64; 5], m: u32) -> bool {
     let k = 2 * m as u64;
     a[0] <= k * M52 && a[1] <= k * M52 && a[2] <= k * M52 && a[3] <= k * M52 && a[4] <= k * M48
 }
@@ -65,7 +65,7 @@ const fn wide(x: u64, y: u64) -> u128 {
 /// 5×52 limbs of a 256-bit value given as little-endian 4×64 limbs. No
 /// reduction: the value may be anything below 2^256.
 #[inline]
-pub const fn from_u64x4(a: &[u64; 4]) -> [u64; 5] {
+pub(crate) const fn from_u64x4(a: &[u64; 4]) -> [u64; 5] {
     [
         a[0] & M52,
         (a[0] >> 52 | a[1] << 12) & M52,
@@ -77,7 +77,7 @@ pub const fn from_u64x4(a: &[u64; 4]) -> [u64; 5] {
 
 /// Little-endian 4×64 limbs of a normalized value.
 #[inline]
-pub const fn to_u64x4(a: &[u64; 5]) -> [u64; 4] {
+pub(crate) const fn to_u64x4(a: &[u64; 5]) -> [u64; 4] {
     [
         a[0] | a[1] << 52,
         a[1] >> 12 | a[2] << 40,
@@ -88,7 +88,7 @@ pub const fn to_u64x4(a: &[u64; 5]) -> [u64; 4] {
 
 /// Limb-wise sum; magnitudes add.
 #[inline]
-pub const fn fe_add(a: &[u64; 5], b: &[u64; 5]) -> [u64; 5] {
+pub(crate) const fn fe_add(a: &[u64; 5], b: &[u64; 5]) -> [u64; 5] {
     [
         a[0] + b[0],
         a[1] + b[1],
@@ -102,7 +102,7 @@ pub const fn fe_add(a: &[u64; 5], b: &[u64; 5]) -> [u64; 5] {
 /// negation, of magnitude `m + 1`. Every limb of the multiple of `p`
 /// exceeds the matching limb of `a`, so nothing borrows.
 #[inline]
-pub const fn fe_negate(a: &[u64; 5], m: u32) -> [u64; 5] {
+pub(crate) const fn fe_negate(a: &[u64; 5], m: u32) -> [u64; 5] {
     debug_assert!(fe_within(a, m));
     let k = 2 * (m as u64 + 1);
     [
@@ -119,7 +119,7 @@ pub const fn fe_negate(a: &[u64; 5], m: u32) -> [u64; 5] {
 /// limb's low bit down to the limb below. The result has magnitude
 /// `m / 2 + 1`.
 #[inline]
-pub const fn fe_half(a: &[u64; 5]) -> [u64; 5] {
+pub(crate) const fn fe_half(a: &[u64; 5]) -> [u64; 5] {
     debug_assert!(fe_within(a, MAX_MAG));
     let mask = (a[0] & 1).wrapping_neg() >> 12;
     let t0 = a[0] + (P[0] & mask);
@@ -225,7 +225,7 @@ pub const fn fe_normalizes_to_zero_var(a: &[u64; 5]) -> bool {
 /// `2^260 ≡ R260 (mod p)`, with `c` carrying the low output limbs and
 /// `d` the columns still to fold.
 #[inline]
-pub const fn fe_mul(a: &[u64; 5], b: &[u64; 5]) -> [u64; 5] {
+pub(crate) const fn fe_mul(a: &[u64; 5], b: &[u64; 5]) -> [u64; 5] {
     debug_assert!(fe_within(a, MUL_MAX_MAG) && fe_within(b, MUL_MAX_MAG));
     let [a0, a1, a2, a3, a4] = *a;
     let [b0, b1, b2, b3, b4] = *b;
@@ -277,7 +277,7 @@ pub const fn fe_mul(a: &[u64; 5], b: &[u64; 5]) -> [u64; 5] {
 /// [`fe_mul`] with each cross product `aᵢ·aⱼ` (`i ≠ j`) formed once and
 /// doubled by pre-doubling one factor: 15 limb products instead of 25.
 #[inline]
-pub const fn fe_sqr(a: &[u64; 5]) -> [u64; 5] {
+pub(crate) const fn fe_sqr(a: &[u64; 5]) -> [u64; 5] {
     debug_assert!(fe_within(a, MUL_MAX_MAG));
     let [a0, a1, a2, a3, a4] = *a;
 
@@ -358,7 +358,7 @@ const fn fe_chain_prefix(a: &[u64; 5]) -> ([u64; 5], [u64; 5], [u64; 5]) {
 /// 255-squaring/15-multiply addition chain from libsecp256k1, for `a` of
 /// magnitude ≤ 8. Maps zero to zero (callers guard the projective `Z = 0`
 /// case explicitly).
-pub const fn fe_inv(a: &[u64; 5]) -> [u64; 5] {
+pub(crate) const fn fe_inv(a: &[u64; 5]) -> [u64; 5] {
     let (x2, x22, x223) = fe_chain_prefix(a);
     // p − 2 = 2^256 − 2^32 − 979: tail bits 11111111 11111111 11111100 0010 1101.
     let t = fe_sqrn_mul(&x223, 23, &x22);
@@ -370,7 +370,7 @@ pub const fn fe_inv(a: &[u64; 5]) -> [u64; 5] {
 /// Square-root candidate `a^((p+1)/4) mod p` (valid because `p ≡ 3 mod 4`)
 /// for `a` of magnitude ≤ 8. The result only squares back to `a` when `a`
 /// is a quadratic residue — callers must check `r² == a`.
-pub const fn fe_sqrt_candidate(a: &[u64; 5]) -> [u64; 5] {
+pub(crate) const fn fe_sqrt_candidate(a: &[u64; 5]) -> [u64; 5] {
     let (x2, x22, x223) = fe_chain_prefix(a);
     // (p + 1) / 4 = 2^254 − 2^30 − 244: tail bits 111111 1111111111 1111110000 1100.
     let t = fe_sqrn_mul(&x223, 23, &x22);

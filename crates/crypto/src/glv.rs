@@ -21,7 +21,7 @@ use crate::field::FieldElement;
 use crate::scalar::{adc, Scalar};
 
 /// `λ`: cube root of unity mod `n`, acting as `φ` on the curve group.
-pub const LAMBDA: Scalar = Scalar::from_canonical_limbs([
+pub(crate) const LAMBDA: Scalar = Scalar::from_canonical_limbs([
     0xDF02_967C_1B23_BD72,
     0x122E_22EA_2081_6678,
     0xA526_1C02_8812_645A,
@@ -29,7 +29,7 @@ pub const LAMBDA: Scalar = Scalar::from_canonical_limbs([
 ]);
 
 /// `β`: cube root of unity mod `p`; `φ(x, y) = (β·x, y)`.
-pub const BETA: FieldElement = FieldElement::from_raw_limbs([
+pub(crate) const BETA: FieldElement = FieldElement::from_raw_limbs([
     0xC139_6C28_7195_01EE,
     0x9CF0_4975_12F5_8995,
     0x6E64_479E_AC34_34E9,
@@ -71,33 +71,11 @@ const G2: [u64; 4] = [
 /// applied by negating the *point* (free in Jacobian coordinates), never
 /// the scalar.
 #[derive(Clone, Copy, Debug)]
-pub struct SplitScalar {
+pub(crate) struct SplitScalar {
     /// Whether the signed value is negative (magnitude is `abs` either way).
     pub neg: bool,
     /// Little-endian limbs of the magnitude, `< 2^129`.
     pub abs: [u64; 4],
-}
-
-impl SplitScalar {
-    /// Number of significant bits in the magnitude.
-    pub fn bit_len(&self) -> u32 {
-        for i in (0..4).rev() {
-            if self.abs[i] != 0 {
-                return 64 * i as u32 + 64 - self.abs[i].leading_zeros();
-            }
-        }
-        0
-    }
-
-    /// The represented value as a [`Scalar`] (sign applied mod `n`).
-    pub fn to_scalar(&self) -> Scalar {
-        let s = Scalar::from_canonical_limbs(self.abs);
-        if self.neg {
-            s.negate()
-        } else {
-            s
-        }
-    }
 }
 
 /// Schoolbook 4×4 multiply into a 512-bit product (8 limbs,
@@ -136,7 +114,7 @@ fn mul_shift_384(k: &[u64; 4], g: &[u64; 4]) -> [u64; 4] {
 /// `k1 = k − k2·λ`, all mod `n`. Signs are extracted through
 /// [`Scalar::is_high`], which is exact here because the magnitudes are
 /// far below `n/2`.
-pub fn split_lambda(k: &Scalar) -> (SplitScalar, SplitScalar) {
+pub(crate) fn split_lambda(k: &Scalar) -> (SplitScalar, SplitScalar) {
     let kl = k.to_canonical_limbs();
     let c1 = Scalar::from_canonical_limbs(mul_shift_384(&kl, &G1));
     let c2 = Scalar::from_canonical_limbs(mul_shift_384(&kl, &G2));
@@ -164,6 +142,27 @@ mod tests {
     use super::*;
     use crate::secp256k1::{scalar_mul_base, AffinePoint, GEN_X, GEN_Y};
     use rand::{RngCore, SeedableRng};
+
+    /// Number of significant bits in a split half's magnitude.
+    fn bit_len(half: &SplitScalar) -> u32 {
+        for i in (0..4).rev() {
+            if half.abs[i] != 0 {
+                return 64 * i as u32 + 64 - half.abs[i].leading_zeros();
+            }
+        }
+        0
+    }
+
+    /// The value a split half represents, as a [`Scalar`] (sign applied
+    /// mod `n`): how these tests rebuild k to check [`split_lambda`].
+    fn to_scalar(half: &SplitScalar) -> Scalar {
+        let s = Scalar::from_canonical_limbs(half.abs);
+        if half.neg {
+            s.negate()
+        } else {
+            s
+        }
+    }
 
     #[test]
     fn lambda_is_a_nontrivial_cube_root_of_unity_mod_n() {
@@ -201,11 +200,11 @@ mod tests {
             let k = Scalar::reduce_bytes_be(&bytes);
             let (k1, k2) = split_lambda(&k);
             // k ≡ k1 + λ·k2 (mod n)
-            let recon = k1.to_scalar().add(&LAMBDA.mul(&k2.to_scalar()));
+            let recon = to_scalar(&k1).add(&LAMBDA.mul(&to_scalar(&k2)));
             assert_eq!(recon, k, "iteration {i}");
             // Half-width bound from the lattice basis.
-            assert!(k1.bit_len() <= 129, "k1 too wide: {}", k1.bit_len());
-            assert!(k2.bit_len() <= 129, "k2 too wide: {}", k2.bit_len());
+            assert!(bit_len(&k1) <= 129, "k1 too wide: {}", bit_len(&k1));
+            assert!(bit_len(&k2) <= 129, "k2 too wide: {}", bit_len(&k2));
         }
     }
 
@@ -219,8 +218,8 @@ mod tests {
             LAMBDA.negate(),
         ] {
             let (k1, k2) = split_lambda(&k);
-            assert_eq!(k1.to_scalar().add(&LAMBDA.mul(&k2.to_scalar())), k);
-            assert!(k1.bit_len() <= 129 && k2.bit_len() <= 129);
+            assert_eq!(to_scalar(&k1).add(&LAMBDA.mul(&to_scalar(&k2))), k);
+            assert!(bit_len(&k1) <= 129 && bit_len(&k2) <= 129);
         }
     }
 
@@ -230,12 +229,12 @@ mod tests {
             neg: false,
             abs: [0, 0, 1, 0],
         };
-        assert_eq!(s.bit_len(), 129);
+        assert_eq!(bit_len(&s), 129);
         let z = SplitScalar {
             neg: true,
             abs: [0, 0, 0, 0],
         };
-        assert_eq!(z.bit_len(), 0);
-        assert!(z.to_scalar().is_zero());
+        assert_eq!(bit_len(&z), 0);
+        assert!(to_scalar(&z).is_zero());
     }
 }

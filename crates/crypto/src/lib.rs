@@ -52,7 +52,7 @@ pub mod field;
 /// Prefer the [`field::FieldElement`] wrapper, which enforces the
 /// magnitude rule, unless you are operating on raw limbs.
 pub mod field_core;
-pub mod glv;
+pub(crate) mod glv;
 pub mod hex;
 pub mod hmac;
 pub mod msm;

@@ -4,7 +4,7 @@
 //! Three layers of the verification fast path live here:
 //!
 //! - [`ecmult`] — the single-signature multiply `u1·G + u2·Q` on one
-//!   doubling chain: `u2` goes through the GLV split ([`crate::glv`]) as
+//!   doubling chain: `u2` goes through the GLV split (`crate::glv`) as
 //!   two half-width (≤129-bit) wNAF streams over `Q`'s and `φ(Q)`'s odd
 //!   multiples, and `u1`, split at bit 128, as two more streams over the
 //!   const-baked affine odd multiples of `G` and `2^128·G` (`G_ODD`). About

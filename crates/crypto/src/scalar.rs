@@ -235,7 +235,7 @@ impl Scalar {
 
     /// The canonical (non-Montgomery) little-endian limbs. Used by the
     /// point-multiplication layers, which window over canonical bits.
-    pub fn to_canonical_limbs(&self) -> [u64; 4] {
+    pub(crate) fn to_canonical_limbs(self) -> [u64; 4] {
         mont_mul(&self.0, &[1, 0, 0, 0])
     }
 

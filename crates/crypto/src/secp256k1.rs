@@ -29,7 +29,7 @@ include!(concat!(env!("OUT_DIR"), "/base_table.rs"));
 const CURVE_B: FieldElement = FieldElement::from_u64(7);
 
 /// Generator x-coordinate.
-pub const GEN_X: FieldElement = FieldElement::from_raw_limbs([
+pub(crate) const GEN_X: FieldElement = FieldElement::from_raw_limbs([
     0x59F2_815B_16F8_1798,
     0x029B_FCDB_2DCE_28D9,
     0x55A0_6295_CE87_0B07,
@@ -37,7 +37,7 @@ pub const GEN_X: FieldElement = FieldElement::from_raw_limbs([
 ]);
 
 /// Generator y-coordinate.
-pub const GEN_Y: FieldElement = FieldElement::from_raw_limbs([
+pub(crate) const GEN_Y: FieldElement = FieldElement::from_raw_limbs([
     0x9C47_D08F_FB10_D4B8,
     0xFD17_B448_A685_5419,
     0x5DA4_FBFC_0E11_08A8,
@@ -64,7 +64,7 @@ pub enum AffinePoint {
 
 impl AffinePoint {
     /// Whether the point satisfies the curve equation (or is infinity).
-    pub fn is_on_curve(&self) -> bool {
+    pub(crate) fn is_on_curve(&self) -> bool {
         match self {
             AffinePoint::Infinity => true,
             AffinePoint::Coords { x, y } => y.sqr() == x.sqr().mul(x).add(&CURVE_B),
@@ -112,7 +112,7 @@ impl AffinePoint {
     /// exists. This is the `R` recovery step of batch verification: an
     /// ECDSA `(r, s)` pair determines `R` only up to sign, so the batch
     /// equation fixes the even-y representative and searches signs.
-    pub fn lift_x_even_y(x: FieldElement) -> Option<Self> {
+    pub(crate) fn lift_x_even_y(x: FieldElement) -> Option<Self> {
         let rhs = x.sqr().mul(&x).add(&CURVE_B);
         let mut y = rhs.sqrt()?.normalize();
         if y.is_odd() {
@@ -138,7 +138,7 @@ pub struct JacobianPoint {
 
 impl JacobianPoint {
     /// The identity element.
-    pub fn infinity() -> Self {
+    pub(crate) fn infinity() -> Self {
         JacobianPoint {
             x: FieldElement::ONE,
             y: FieldElement::ONE,

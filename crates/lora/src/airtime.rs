@@ -10,13 +10,13 @@ use crate::params::RadioConfig;
 use bcwan_sim::SimDuration;
 
 /// Symbol duration for the configuration, in seconds.
-pub fn symbol_time_s(config: &RadioConfig) -> f64 {
+pub(crate) fn symbol_time_s(config: &RadioConfig) -> f64 {
     let sf = config.spreading_factor.value();
     (1u64 << sf) as f64 / config.bandwidth.hz() as f64
 }
 
 /// Number of payload symbols for a PHY payload of `payload_len` bytes.
-pub fn payload_symbols(config: &RadioConfig, payload_len: usize) -> u32 {
+pub(crate) fn payload_symbols(config: &RadioConfig, payload_len: usize) -> u32 {
     let sf = config.spreading_factor.value() as i64;
     let pl = payload_len as i64;
     let ih = if config.explicit_header { 0 } else { 1 };

@@ -89,7 +89,7 @@ impl OfferedLoads {
 
     /// Offered load on `key` seen by one frame that itself contributes
     /// `own_g` — i.e. the *competing* load (clamped at zero).
-    pub fn g_excluding(&self, key: LoadKey, own_g: f64) -> f64 {
+    pub(crate) fn g_excluding(&self, key: LoadKey, own_g: f64) -> f64 {
         (self.g(key) - own_g).max(0.0)
     }
 
@@ -120,16 +120,15 @@ pub fn aloha_success_probability(g: f64) -> f64 {
     (-2.0 * g).exp()
 }
 
-/// Goodput (successful frame-airtimes per airtime): `G · e^(−2G)`,
-/// maximized at `G = 0.5` with ≈ 0.184.
-pub fn aloha_goodput(g: f64) -> f64 {
-    g * aloha_success_probability(g)
-}
-
 /// Samples whether a single frame on `key`, itself contributing `own_g`
 /// to the table, survives contention from the *other* traffic on its
 /// collision domain. Always consumes exactly one draw.
-pub fn frame_survives(loads: &OfferedLoads, key: LoadKey, own_g: f64, rng: &mut SimRng) -> bool {
+pub(crate) fn frame_survives(
+    loads: &OfferedLoads,
+    key: LoadKey,
+    own_g: f64,
+    rng: &mut SimRng,
+) -> bool {
     rng.chance(aloha_success_probability(loads.g_excluding(key, own_g)))
 }
 
@@ -166,15 +165,6 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let loads = OfferedLoads::new(1);
         assert!(frame_survives(&loads, sf7_key(), 0.0, &mut rng));
-    }
-
-    #[test]
-    fn goodput_peaks_at_half() {
-        let peak = aloha_goodput(0.5);
-        assert!((peak - 0.5 * (-1.0f64).exp()).abs() < 1e-12);
-        for g in [0.1, 0.3, 0.7, 1.0, 2.0] {
-            assert!(aloha_goodput(g) <= peak + 1e-12, "g={g}");
-        }
     }
 
     #[test]

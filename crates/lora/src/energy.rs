@@ -41,22 +41,22 @@ impl EnergyModel {
     }
 
     /// Energy (J) to transmit for `airtime`.
-    pub fn tx_energy(&self, airtime: SimDuration) -> f64 {
+    pub(crate) fn tx_energy(&self, airtime: SimDuration) -> f64 {
         self.voltage * self.tx_current * airtime.as_secs_f64()
     }
 
     /// Energy (J) to receive for `airtime`.
-    pub fn rx_energy(&self, airtime: SimDuration) -> f64 {
+    pub(crate) fn rx_energy(&self, airtime: SimDuration) -> f64 {
         self.voltage * self.rx_current * airtime.as_secs_f64()
     }
 
     /// Energy (J) for `cpu_time` of MCU work (the node's crypto).
-    pub fn cpu_energy(&self, cpu_time: SimDuration) -> f64 {
+    pub(crate) fn cpu_energy(&self, cpu_time: SimDuration) -> f64 {
         self.voltage * self.mcu_current * cpu_time.as_secs_f64()
     }
 
     /// Sleep energy (J) over `duration`.
-    pub fn sleep_energy(&self, duration: SimDuration) -> f64 {
+    pub(crate) fn sleep_energy(&self, duration: SimDuration) -> f64 {
         self.voltage * self.sleep_current * duration.as_secs_f64()
     }
 }

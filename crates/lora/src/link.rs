@@ -55,36 +55,20 @@ impl LinkModel {
         }
     }
 
-    /// Deterministic free-space preset for unit tests.
-    pub fn free_space() -> Self {
-        LinkModel {
-            tx_power_dbm: 14.0,
-            pl0_db: 40.0,
-            exponent: 2.0,
-            shadowing_db: 0.0,
-        }
-    }
-
     /// Mean received power at `distance_m` (no shadowing draw).
-    pub fn mean_rssi_dbm(&self, distance_m: f64) -> f64 {
+    pub(crate) fn mean_rssi_dbm(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(1.0);
         self.tx_power_dbm - (self.pl0_db + 10.0 * self.exponent * d.log10())
     }
 
     /// Received power with a shadowing draw.
-    pub fn sample_rssi_dbm(&self, distance_m: f64, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_rssi_dbm(&self, distance_m: f64, rng: &mut SimRng) -> f64 {
         let shadow = if self.shadowing_db > 0.0 {
             rng.normal(0.0, self.shadowing_db)
         } else {
             0.0
         };
         self.mean_rssi_dbm(distance_m) + shadow
-    }
-
-    /// Whether a frame at `distance_m` is received at spreading factor
-    /// `sf`, sampling shadowing.
-    pub fn frame_received(&self, distance_m: f64, sf: SpreadingFactor, rng: &mut SimRng) -> bool {
-        self.sample_rssi_dbm(distance_m, rng) >= sf.sensitivity_dbm()
     }
 
     /// Deterministic maximum range (mean RSSI = sensitivity) in metres.
@@ -98,6 +82,27 @@ impl LinkModel {
 mod tests {
     use super::*;
 
+    /// Deterministic free-space link: exponent 2, no shadowing.
+    fn free_space() -> LinkModel {
+        LinkModel {
+            tx_power_dbm: 14.0,
+            pl0_db: 40.0,
+            exponent: 2.0,
+            shadowing_db: 0.0,
+        }
+    }
+
+    /// Whether one sampled RSSI at `distance_m` clears `sf`'s sensitivity,
+    /// the test `Radio::try_deliver_rssi` applies.
+    fn frame_received(
+        link: &LinkModel,
+        distance_m: f64,
+        sf: SpreadingFactor,
+        rng: &mut SimRng,
+    ) -> bool {
+        link.sample_rssi_dbm(distance_m, rng) >= sf.sensitivity_dbm()
+    }
+
     #[test]
     fn distance_math() {
         let a = Position::new(0.0, 0.0);
@@ -108,7 +113,7 @@ mod tests {
 
     #[test]
     fn rssi_decreases_with_distance() {
-        let link = LinkModel::free_space();
+        let link = free_space();
         let mut prev = f64::INFINITY;
         for d in [1.0, 10.0, 100.0, 1000.0, 10_000.0] {
             let rssi = link.mean_rssi_dbm(d);
@@ -119,7 +124,7 @@ mod tests {
 
     #[test]
     fn sub_metre_clamps_to_reference() {
-        let link = LinkModel::free_space();
+        let link = free_space();
         assert_eq!(link.mean_rssi_dbm(0.0), link.mean_rssi_dbm(1.0));
     }
 
@@ -140,11 +145,21 @@ mod tests {
 
     #[test]
     fn reception_deterministic_without_shadowing() {
-        let link = LinkModel::free_space();
+        let link = free_space();
         let mut rng = SimRng::seed_from_u64(1);
         let range = link.max_range_m(SpreadingFactor::Sf7);
-        assert!(link.frame_received(range * 0.9, SpreadingFactor::Sf7, &mut rng));
-        assert!(!link.frame_received(range * 1.1, SpreadingFactor::Sf7, &mut rng));
+        assert!(frame_received(
+            &link,
+            range * 0.9,
+            SpreadingFactor::Sf7,
+            &mut rng
+        ));
+        assert!(!frame_received(
+            &link,
+            range * 1.1,
+            SpreadingFactor::Sf7,
+            &mut rng
+        ));
     }
 
     #[test]
@@ -153,7 +168,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let range = link.max_range_m(SpreadingFactor::Sf7);
         let received = (0..500)
-            .filter(|_| link.frame_received(range, SpreadingFactor::Sf7, &mut rng))
+            .filter(|_| frame_received(&link, range, SpreadingFactor::Sf7, &mut rng))
             .count();
         // At exactly the mean-RSSI threshold, shadowing gives ≈50 %.
         assert!((150..350).contains(&received), "{received}/500");

@@ -48,12 +48,12 @@ impl SpreadingFactor {
     }
 
     /// Parses a numeric factor.
-    pub fn from_value(v: u32) -> Option<Self> {
+    pub(crate) fn from_value(v: u32) -> Option<Self> {
         Self::ALL.into_iter().find(|sf| sf.value() == v)
     }
 
     /// Receiver sensitivity in dBm at 125 kHz (SX1276 datasheet values).
-    pub fn sensitivity_dbm(self) -> f64 {
+    pub(crate) fn sensitivity_dbm(self) -> f64 {
         match self {
             SpreadingFactor::Sf7 => -123.0,
             SpreadingFactor::Sf8 => -126.0,
@@ -180,7 +180,7 @@ impl RadioConfig {
     }
 
     /// Whether low-data-rate optimization applies (SF11/SF12 at 125 kHz).
-    pub fn low_data_rate_optimization(&self) -> bool {
+    pub(crate) fn low_data_rate_optimization(&self) -> bool {
         self.bandwidth == Bandwidth::Khz125 && self.spreading_factor.value() >= 11
     }
 }

@@ -24,7 +24,7 @@ pub enum RadioError {
         /// Earliest legal transmit time.
         next_allowed: SimTime,
     },
-    /// Receiver out of range / fade (only reported by `try_deliver`).
+    /// Receiver out of range / fade (only reported by `try_deliver_rssi`).
     LinkLost {
         /// Distance of the failed link in metres.
         distance_m: f64,
@@ -98,11 +98,6 @@ impl Radio {
         self.position
     }
 
-    /// Moves the radio (gateway relocation scenario, §4.3).
-    pub fn set_position(&mut self, position: Position) {
-        self.position = position;
-    }
-
     /// Read access to the duty-cycle governor.
     pub fn governor(&self) -> &DutyCycleGovernor {
         &self.governor
@@ -132,29 +127,16 @@ impl Radio {
     }
 
     /// Whether a frame transmitted from `self` reaches a receiver at
-    /// `receiver_pos` under `link`, sampling shadowing from `rng`.
+    /// `receiver_pos` under `link`, sampling shadowing from `rng`. On
+    /// success it reports the sampled RSSI (dBm) so callers can apply
+    /// capture-effect logic: a frame that later loses an ALOHA collision
+    /// still survives if its margin over sensitivity exceeds the capture
+    /// threshold.
     ///
     /// # Errors
     ///
     /// [`RadioError::LinkLost`] when the sampled RSSI is under sensitivity.
-    pub fn try_deliver(
-        &self,
-        receiver_pos: Position,
-        link: &LinkModel,
-        rng: &mut SimRng,
-    ) -> Result<(), RadioError> {
-        self.try_deliver_rssi(receiver_pos, link, rng).map(|_| ())
-    }
-
-    /// Like [`Radio::try_deliver`], but reports the sampled RSSI (dBm) on
-    /// success so callers can apply capture-effect logic: a frame that
-    /// later loses an ALOHA collision still survives if its margin over
-    /// sensitivity exceeds the capture threshold.
-    ///
-    /// # Errors
-    ///
-    /// [`RadioError::LinkLost`] when the sampled RSSI is under sensitivity.
-    pub fn try_deliver_rssi(
+    pub(crate) fn try_deliver_rssi(
         &self,
         receiver_pos: Position,
         link: &LinkModel,
@@ -227,23 +209,19 @@ mod tests {
 
     #[test]
     fn delivery_depends_on_distance() {
-        let link = LinkModel::free_space();
+        let link = LinkModel {
+            shadowing_db: 0.0,
+            ..LinkModel::suburban()
+        };
         let mut rng = SimRng::seed_from_u64(3);
         let radio = Radio::new(RadioConfig::paper_sf7(), 0.01, Position::new(0.0, 0.0));
         let near = Position::new(100.0, 0.0);
         let far = Position::new(1e9, 0.0);
-        assert!(radio.try_deliver(near, &link, &mut rng).is_ok());
+        assert!(radio.try_deliver_rssi(near, &link, &mut rng).is_ok());
         assert!(matches!(
-            radio.try_deliver(far, &link, &mut rng),
+            radio.try_deliver_rssi(far, &link, &mut rng),
             Err(RadioError::LinkLost { .. })
         ));
-    }
-
-    #[test]
-    fn position_updates() {
-        let mut radio = Radio::new(RadioConfig::paper_sf7(), 0.01, Position::default());
-        radio.set_position(Position::new(5.0, 5.0));
-        assert_eq!(radio.position(), Position::new(5.0, 5.0));
     }
 
     #[test]

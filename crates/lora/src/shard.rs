@@ -17,7 +17,7 @@
 //! - **Batched contention math**: per tick, transmissions accumulate into
 //!   a flat per-`(channel, SF)` [`OfferedLoads`] table and the ALOHA /
 //!   capture / demodulator decisions run over that batch, instead of a
-//!   per-frame `Radio::transmit` + `try_deliver` call pair.
+//!   per-frame `Radio::transmit` + `Radio::try_deliver_rssi` call pair.
 //! - **Deterministic RNG streams**: shard `k` draws from
 //!   [`SimRng::stream`]`(seed, k)`, a pure function of the experiment
 //!   seed — results are identical at 1, 4 or 8 worker threads.
@@ -393,7 +393,7 @@ impl Shard {
     }
 
     /// Advances the shard by one tick.
-    pub fn step_tick(&mut self) {
+    pub(crate) fn step_tick(&mut self) {
         self.ticks += 1;
         let now = self.now();
         let now_us = now.as_micros();

@@ -1,12 +1,12 @@
-//! Chain gossip messages and relay bookkeeping.
+//! Chain gossip messages.
 //!
 //! In BcWAN each gateway runs a full node: transactions and blocks flood
 //! the overlay, and "on start-up, each node retrieves the recent blocks
 //! from other nodes" (paper §5.1). [`ChainMessage`] is the wire
-//! vocabulary; [`RelayState`] decides what to re-flood.
+//! vocabulary; a [`SeenFilter`](crate::SeenFilter) over txids and block
+//! hashes decides what to re-flood.
 
-use crate::network::SeenFilter;
-use bcwan_chain::{Block, BlockHash, BlockHeader, Transaction, TxId};
+use bcwan_chain::{Block, BlockHash, BlockHeader, Transaction};
 
 /// Messages gateways exchange about the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,60 +50,10 @@ pub enum ChainMessage {
     },
 }
 
-impl ChainMessage {
-    /// A 32-byte relay-dedup id for floodable messages (`None` for
-    /// request/response traffic, which is never re-flooded).
-    pub fn flood_id(&self) -> Option<[u8; 32]> {
-        match self {
-            ChainMessage::Tx(tx) => Some(tx.txid().0),
-            ChainMessage::Block(block) => Some(block.hash().0),
-            _ => None,
-        }
-    }
-}
-
-/// Per-node relay state: which transactions/blocks it already saw.
-#[derive(Debug, Clone, Default)]
-pub struct RelayState {
-    seen: SeenFilter,
-}
-
-impl RelayState {
-    /// Fresh state.
-    pub fn new() -> Self {
-        RelayState::default()
-    }
-
-    /// Whether `msg` is new to this node and should be processed and
-    /// re-flooded. Request/response messages always process, never flood.
-    pub fn should_relay(&mut self, msg: &ChainMessage) -> bool {
-        match msg.flood_id() {
-            Some(id) => self.seen.first_sighting(id),
-            None => false,
-        }
-    }
-
-    /// Marks an id as seen without receiving it (e.g. self-originated
-    /// messages), returning whether it was new.
-    pub fn mark_seen(&mut self, id: [u8; 32]) -> bool {
-        self.seen.first_sighting(id)
-    }
-
-    /// Whether a transaction id was seen.
-    pub fn saw_tx(&mut self, txid: &TxId) -> bool {
-        !self.seen.first_sighting(txid.0)
-    }
-
-    /// Forgets an id so a future re-broadcast relays again — required
-    /// when a reorg orphans a transaction that must propagate anew.
-    pub fn forget(&mut self, id: &[u8; 32]) -> bool {
-        self.seen.forget(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeenFilter;
     use bcwan_chain::{ChainParams, Wallet};
     use rand::SeedableRng;
 
@@ -115,73 +65,24 @@ mod tests {
     }
 
     #[test]
-    fn flood_ids_for_tx_and_block() {
-        let block = sample_block();
-        let tx = block.transactions[0].clone();
-        assert_eq!(ChainMessage::Tx(tx.clone()).flood_id(), Some(tx.txid().0));
-        assert_eq!(
-            ChainMessage::Block(block.clone()).flood_id(),
-            Some(block.hash().0)
-        );
-        assert_eq!(ChainMessage::GetBlock(block.hash()).flood_id(), None);
-        assert_eq!(ChainMessage::GetBlocksFrom(0).flood_id(), None);
-        assert_eq!(ChainMessage::GetHeadersFrom(0).flood_id(), None);
-        assert_eq!(
-            ChainMessage::Headers {
-                start_height: 0,
-                headers: vec![block.header],
-            }
-            .flood_id(),
-            None,
-            "headers batches are request/response, never flooded"
-        );
-    }
-
-    #[test]
-    fn relay_state_floods_once() {
-        let block = sample_block();
-        let msg = ChainMessage::Block(block);
-        let mut relay = RelayState::new();
-        assert!(relay.should_relay(&msg));
-        assert!(!relay.should_relay(&msg));
-    }
-
-    #[test]
-    fn requests_never_flood() {
-        let mut relay = RelayState::new();
-        let msg = ChainMessage::GetBlocksFrom(3);
-        assert!(!relay.should_relay(&msg));
-    }
-
-    #[test]
     fn self_originated_marking() {
+        // A node marks its own block seen when it mines it, so the copy
+        // that echoes back through the overlay is not re-flooded.
         let block = sample_block();
-        let mut relay = RelayState::new();
-        assert!(relay.mark_seen(block.hash().0));
-        assert!(!relay.should_relay(&ChainMessage::Block(block)));
+        let mut relay = SeenFilter::new();
+        assert!(relay.first_sighting(block.hash().0));
+        assert!(!relay.first_sighting(block.hash().0));
     }
 
     #[test]
     fn forget_reopens_relay() {
         let block = sample_block();
-        let msg = ChainMessage::Block(block.clone());
-        let mut relay = RelayState::new();
-        assert!(relay.should_relay(&msg));
-        assert!(!relay.should_relay(&msg));
-        assert!(relay.forget(&block.hash().0));
-        assert!(relay.should_relay(&msg), "re-broadcast relays again");
+        let id = block.hash().0;
+        let mut relay = SeenFilter::new();
+        assert!(relay.first_sighting(id));
+        assert!(!relay.first_sighting(id));
+        assert!(relay.forget(&id));
+        assert!(relay.first_sighting(id), "re-broadcast relays again");
         assert!(!relay.forget(&[9; 32]), "unknown id");
-    }
-
-    #[test]
-    fn saw_tx_tracks() {
-        let block = sample_block();
-        let txid = block.transactions[0].txid();
-        let mut relay = RelayState::new();
-        assert!(
-            !relay.saw_tx(&txid),
-            "first sighting returns 'not seen before'"
-        );
-        assert!(relay.saw_tx(&txid));
     }
 }

@@ -40,8 +40,8 @@ pub mod network;
 pub mod topology;
 pub mod transport;
 
-pub use chain_msg::{ChainMessage, RelayState};
-pub use live::{BusError, Envelope, Inbox, LiveBus, TryRecv};
+pub use chain_msg::ChainMessage;
+pub use live::{BusError, Envelope, Inbox, LiveBus};
 pub use network::{Delivery, FaultModel, NetStats, Network, SeenFilter};
 pub use topology::{NodeId, Topology};
 pub use transport::{

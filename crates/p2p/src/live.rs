@@ -9,19 +9,13 @@
 //!
 //! # Inbox disconnect semantics
 //!
-//! [`Inbox::try_recv`] is deliberately three-state ([`TryRecv`]):
-//! `Message` / `Empty` / `Disconnected`. The distinction carries the
-//! shutdown protocol. A polling daemon loop treats `Empty` as "idle
-//! tick, keep polling" but `Disconnected` as "every sender handle is
-//! dropped — no message can ever arrive again", its cue to exit
-//! instead of spinning forever on a dead channel. Both transports share
-//! the same depth-tracked inbox (`inbox_channel`), so `Disconnected`
-//! means the same thing over mpsc channels and over real sockets, and
-//! the `inbox_depth` gauge is comparable across them. A two-state API
-//! (`Option`) was rejected in review of the original transport PR
-//! because it forced daemons to choose between busy-waiting on a dead
-//! peer and racy out-of-band liveness checks; that rationale lives here
-//! now rather than in commit prose.
+//! Every receive returns `Option`. [`Inbox::try_recv`] answers `None`
+//! when nothing is queued; the blocking [`Inbox::recv`] answers `None`
+//! only once every sender handle is dropped and no message can ever
+//! arrive again, the cue for a loop to exit. Both transports share the
+//! same depth-tracked inbox (`inbox_channel`), so a hang-up means the
+//! same thing over mpsc channels and over real sockets, and the
+//! `inbox_depth` gauge is comparable across them.
 //!
 //! # Where the retry/backoff constants live
 //!
@@ -39,7 +33,7 @@ use bcwan_sim::Registry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
@@ -119,34 +113,6 @@ impl<M> fmt::Debug for LiveBus<M> {
 impl<M> Default for LiveBus<M> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Result of a non-blocking receive — distinguishes "nothing yet" from
-/// "every sender hung up", so a live daemon can keep polling on
-/// [`TryRecv::Empty`] but shut down cleanly on [`TryRecv::Disconnected`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TryRecv<M> {
-    /// A message arrived.
-    Message(Envelope<M>),
-    /// No message queued right now; senders still exist.
-    Empty,
-    /// All senders dropped; no message will ever arrive again.
-    Disconnected,
-}
-
-impl<M> TryRecv<M> {
-    /// The envelope, if one arrived.
-    pub fn message(self) -> Option<Envelope<M>> {
-        match self {
-            TryRecv::Message(env) => Some(env),
-            _ => None,
-        }
-    }
-
-    /// Whether this is [`TryRecv::Disconnected`].
-    pub fn is_disconnected(&self) -> bool {
-        matches!(self, TryRecv::Disconnected)
     }
 }
 
@@ -270,16 +236,11 @@ impl<M> Inbox<M> {
         Some(env)
     }
 
-    /// Non-blocking receive with a three-state result.
-    pub fn try_recv(&self) -> TryRecv<M> {
-        match self.receiver.try_recv() {
-            Ok(env) => {
-                self.took_one();
-                TryRecv::Message(env)
-            }
-            Err(TryRecvError::Empty) => TryRecv::Empty,
-            Err(TryRecvError::Disconnected) => TryRecv::Disconnected,
-        }
+    /// Non-blocking receive: `None` when nothing is queued.
+    pub fn try_recv(&self) -> Option<Envelope<M>> {
+        let env = self.receiver.try_recv().ok()?;
+        self.took_one();
+        Some(env)
     }
 
     /// Blocks with a timeout.
@@ -320,11 +281,6 @@ impl<M> LiveBus<M> {
     /// drain and this call is latched, not lost.
     pub fn wait_for_delivery(&self, timeout: Duration) -> bool {
         self.doorbell.wait(timeout)
-    }
-
-    /// Removes a node from the bus.
-    pub fn unregister(&self, node: NodeId) {
-        self.registry.write().unwrap().senders.remove(&node);
     }
 
     /// Registered node count.
@@ -439,7 +395,7 @@ mod tests {
         let c = bus.register(NodeId(2));
         let delivered = bus.broadcast(NodeId(0), &7);
         assert_eq!(delivered, 2);
-        assert_eq!(a.try_recv(), TryRecv::Empty);
+        assert_eq!(a.try_recv(), None);
         assert_eq!(b.recv().unwrap().msg, 7);
         assert_eq!(c.recv().unwrap().msg, 7);
     }
@@ -448,18 +404,20 @@ mod tests {
     fn try_recv_three_states() {
         let bus: LiveBus<u8> = LiveBus::new();
         let inbox = bus.register(NodeId(1));
+        // The inbox's three states: empty, holding a message, hung up.
         // Nothing queued, but the bus still holds a sender.
-        assert_eq!(inbox.try_recv(), TryRecv::Empty);
+        assert_eq!(inbox.try_recv(), None);
         bus.send(NodeId(0), NodeId(1), 9).unwrap();
         assert_eq!(
-            inbox.try_recv().message().map(|e| e.msg),
+            inbox.try_recv().map(|e| e.msg),
             Some(9),
             "queued message surfaces"
         );
-        // Dropping the bus (the only sender) makes the state terminal.
+        // Dropping the bus (the only sender) ends the blocking receive
+        // instead of hanging it.
         drop(bus);
-        assert!(inbox.try_recv().is_disconnected());
-        assert!(inbox.try_recv().is_disconnected(), "stays disconnected");
+        assert_eq!(inbox.recv(), None);
+        assert_eq!(inbox.try_recv(), None, "stays empty");
     }
 
     #[test]
@@ -473,7 +431,7 @@ mod tests {
         assert_eq!(inbox.depth(), 3);
         inbox.recv().unwrap();
         assert_eq!(inbox.depth(), 2);
-        inbox.try_recv().message().unwrap();
+        inbox.try_recv().unwrap();
         assert_eq!(inbox.depth(), 1);
         inbox.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(inbox.depth(), 0);
@@ -563,15 +521,5 @@ mod tests {
             assert_eq!(reply.msg, i * 2);
         }
         server.join().unwrap();
-    }
-
-    #[test]
-    fn unregister_makes_unreachable() {
-        let bus: LiveBus<()> = LiveBus::new();
-        bus.register(NodeId(3));
-        assert_eq!(bus.len(), 1);
-        bus.unregister(NodeId(3));
-        assert!(bus.is_empty());
-        assert!(bus.send(NodeId(0), NodeId(3), ()).is_err());
     }
 }

@@ -108,7 +108,7 @@ impl Topology {
     }
 
     /// Peers of `node` in ascending id order (empty for unknown nodes).
-    pub fn peers_of(&self, node: NodeId) -> &[NodeId] {
+    pub(crate) fn peers_of(&self, node: NodeId) -> &[NodeId] {
         self.adjacency.get(&node).map_or(&[], Vec::as_slice)
     }
 

@@ -33,14 +33,13 @@
 
 use bcwan_crypto::hmac::{derive_key, hmac_sha256};
 use std::fmt;
-use std::io::{self, Read};
 
 /// Frame magic — first bytes of every frame on the wire.
 pub const MAGIC: [u8; 4] = *b"BCWF";
 
 /// Current frame format version. Version 2 added the mandatory
 /// authentication tag; version-1 frames are rejected.
-pub const FRAME_VERSION: u8 = 2;
+pub(crate) const FRAME_VERSION: u8 = 2;
 
 /// Length of the truncated HMAC-SHA256 authentication tag.
 pub const TAG_LEN: usize = 16;
@@ -53,7 +52,7 @@ pub const HEADER_LEN: usize = AUTH_PREFIX_LEN + TAG_LEN;
 
 /// Hard ceiling on payload size (4 MiB — far above any block this chain
 /// produces, far below anything that could wedge a host's memory).
-pub const MAX_FRAME_PAYLOAD: usize = 4 << 20;
+pub(crate) const MAX_FRAME_PAYLOAD: usize = 4 << 20;
 
 /// The provisioned symmetric key a host's transport authenticates frames
 /// with.
@@ -82,7 +81,7 @@ impl FrameKey {
     /// Derives the frame key from a federation master secret (HKDF-style
     /// expansion with a fixed info string, so the same master secret
     /// yields the same key on every host).
-    pub fn from_master(master: &[u8]) -> Self {
+    pub(crate) fn from_master(master: &[u8]) -> Self {
         let derived = derive_key(master, b"bcwan-frame-auth-v2", 32);
         let mut bytes = [0u8; 32];
         bytes.copy_from_slice(&derived);
@@ -123,7 +122,7 @@ pub struct Frame {
 
 impl Frame {
     /// Total on-the-wire size of this frame.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
     }
 }
@@ -131,14 +130,12 @@ impl Frame {
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
-    /// Underlying stream failure (includes timeouts and EOF mid-frame).
-    Io(io::Error),
     /// The stream does not start with [`MAGIC`] — peer desynchronized or
     /// not speaking the protocol.
     BadMagic([u8; 4]),
     /// Unknown frame format version.
     BadVersion(u8),
-    /// Declared payload length exceeds [`MAX_FRAME_PAYLOAD`].
+    /// Declared payload length exceeds `MAX_FRAME_PAYLOAD`.
     Oversize(u32),
     /// Payload checksum mismatch.
     BadChecksum {
@@ -156,7 +153,6 @@ pub enum FrameError {
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::Io(e) => write!(f, "stream failure: {e}"),
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
             FrameError::Oversize(len) => {
@@ -178,35 +174,13 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
 impl FrameError {
-    /// Whether this is a clean end-of-stream before any header byte — the
-    /// peer hung up between frames, which is not an error for a reader
-    /// loop.
-    pub fn is_clean_eof(&self) -> bool {
-        matches!(self, FrameError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof
-            && e.get_ref().is_some_and(|inner| inner.to_string() == CLEAN_EOF))
-    }
-
-    /// Whether the failure was a read timeout.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, FrameError::Io(e)
-            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
-    }
-
     /// Whether this is an authentication failure (for the
     /// `transport.auth.fail_total` counter).
-    pub fn is_auth(&self) -> bool {
+    pub(crate) fn is_auth(&self) -> bool {
         matches!(self, FrameError::BadAuth)
     }
 }
-
-const CLEAN_EOF: &str = "clean eof between frames";
 
 /// CRC-32/IEEE (the Ethernet/zip polynomial), bytewise table-driven.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -242,7 +216,7 @@ const fn crc32_table() -> [u32; 256] {
 ///
 /// # Panics
 ///
-/// Panics if `payload` exceeds [`MAX_FRAME_PAYLOAD`]; senders are
+/// Panics if `payload` exceeds `MAX_FRAME_PAYLOAD`; senders are
 /// expected to reject oversized messages before framing (see
 /// `TcpHost::send`).
 pub fn encode_frame(key: &FrameKey, from: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -264,8 +238,7 @@ pub fn encode_frame(key: &FrameKey, from: u64, kind: u8, payload: &[u8]) -> Vec<
     out
 }
 
-/// Validates a complete header + payload pair; shared by the blocking
-/// reader and the streaming assembler. `header` is the full
+/// Validates a complete header + payload pair. `header` is the full
 /// [`HEADER_LEN`] bytes (magic/version/oversize are assumed checked).
 fn finish_frame(key: &FrameKey, header: &[u8], payload: Vec<u8>) -> Result<Frame, FrameError> {
     let kind = header[5];
@@ -306,22 +279,6 @@ fn check_header_prefix(header: &[u8]) -> Result<u32, FrameError> {
     Ok(len)
 }
 
-/// Reads one frame from `r`, validating header, checksum, and
-/// authentication tag before trusting the payload.
-///
-/// # Errors
-///
-/// Any [`FrameError`]; a clean hang-up between frames surfaces as an
-/// `Io` error for which [`FrameError::is_clean_eof`] returns true.
-pub fn read_frame(r: &mut impl Read, key: &FrameKey) -> Result<Frame, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_tagged(r, &mut header)?;
-    let len = check_header_prefix(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    finish_frame(key, &header, payload)
-}
-
 /// Incremental frame parser for non-blocking streams.
 ///
 /// The event-driven transport workers read whatever bytes a socket has
@@ -360,8 +317,9 @@ impl FrameAssembler {
     ///
     /// # Errors
     ///
-    /// The same header/checksum/auth failures as [`read_frame`] (never
-    /// `Io` — there is no stream here).
+    /// Any [`FrameError`]: bad magic or version and an oversize declared
+    /// length as soon as the header is buffered, a checksum or
+    /// authentication failure once the payload is.
     pub fn next_frame(&mut self, key: &FrameKey) -> Result<Option<Frame>, FrameError> {
         if self.buf.len() < HEADER_LEN {
             return Ok(None);
@@ -377,46 +335,27 @@ impl FrameAssembler {
     }
 }
 
-/// Like `read_exact` for the header, but a hang-up before the *first*
-/// byte is tagged as a clean EOF so reader loops can exit quietly.
-fn read_exact_tagged(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    CLEAN_EOF,
-                )))
-            }
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-frame",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn key() -> FrameKey {
         FrameKey::dev()
+    }
+
+    /// Feeds `bytes` to a fresh assembler in one piece and asks for one
+    /// frame, as the reactor does after a single read.
+    fn decode(bytes: &[u8]) -> Result<Option<Frame>, FrameError> {
+        let mut asm = FrameAssembler::new();
+        asm.extend(bytes);
+        asm.next_frame(&key())
     }
 
     #[test]
     fn round_trip() {
         let bytes = encode_frame(&key(), 42, 3, b"hello overlay");
         assert_eq!(bytes.len(), HEADER_LEN + 13);
-        let frame = read_frame(&mut Cursor::new(&bytes), &key()).unwrap();
+        let frame = decode(&bytes).unwrap().unwrap();
         assert_eq!(frame.from, 42);
         assert_eq!(frame.kind, 3);
         assert_eq!(frame.payload, b"hello overlay");
@@ -435,7 +374,7 @@ mod tests {
             let a = encode_frame(&k, from, i as u8, &payload);
             let b = encode_frame(&k, from, i as u8, &payload);
             assert_eq!(a, b, "encoding must be deterministic");
-            let frame = read_frame(&mut Cursor::new(&a), &k).unwrap();
+            let frame = decode(&a).unwrap().unwrap();
             assert_eq!(frame.from, from);
             assert_eq!(frame.kind, i as u8);
             assert_eq!(frame.payload, payload);
@@ -453,31 +392,24 @@ mod tests {
     fn rejects_bad_magic_and_version() {
         let mut bytes = encode_frame(&key(), 1, 0, b"x");
         bytes[0] = b'X';
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
-            Err(FrameError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::BadMagic(_))));
         let mut bytes = encode_frame(&key(), 1, 0, b"x");
         bytes[4] = 9;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
-            Err(FrameError::BadVersion(9))
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::BadVersion(9))));
         // A version-1 (pre-auth) frame is rejected, not silently trusted.
         let mut bytes = encode_frame(&key(), 1, 0, b"x");
         bytes[4] = 1;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
-            Err(FrameError::BadVersion(1))
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::BadVersion(1))));
     }
 
     #[test]
     fn rejects_oversize_before_allocating() {
+        // Only the header has arrived: the declared length alone kills
+        // the frame, before any payload is buffered or allocated.
         let mut bytes = encode_frame(&key(), 1, 0, b"x");
         bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
+            decode(&bytes[..HEADER_LEN]),
             Err(FrameError::Oversize(u32::MAX))
         ));
     }
@@ -487,7 +419,7 @@ mod tests {
         let mut bytes = encode_frame(&key(), 1, 0, b"payload");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        match read_frame(&mut Cursor::new(&bytes), &key()) {
+        match decode(&bytes) {
             Err(FrameError::BadChecksum { declared, computed }) => assert_ne!(declared, computed),
             other => panic!("expected checksum failure, got {other:?}"),
         }
@@ -499,7 +431,7 @@ mod tests {
         // caught by the tag: flip one byte of `from` and the frame dies.
         let mut bytes = encode_frame(&key(), 42, 0, b"payload");
         bytes[6] ^= 0x01;
-        let err = read_frame(&mut Cursor::new(&bytes), &key()).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.is_auth(), "tampered from must fail auth, got {err:?}");
     }
 
@@ -508,24 +440,15 @@ mod tests {
         // Corrupt the tag itself.
         let mut bytes = encode_frame(&key(), 7, 1, b"reading");
         bytes[AUTH_PREFIX_LEN] ^= 0xff;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
-            Err(FrameError::BadAuth)
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::BadAuth)));
         // Zero the tag entirely ("missing" tag).
         let mut bytes = encode_frame(&key(), 7, 1, b"reading");
         bytes[AUTH_PREFIX_LEN..HEADER_LEN].fill(0);
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
-            Err(FrameError::BadAuth)
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::BadAuth)));
         // A frame honestly built under a different key.
         let other = FrameKey::from_master(b"some-other-federation");
         let bytes = encode_frame(&other, 7, 1, b"reading");
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), &key()),
-            Err(FrameError::BadAuth)
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::BadAuth)));
     }
 
     #[test]
@@ -543,24 +466,16 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_io_not_panic() {
+    fn every_strict_prefix_waits_for_more_bytes() {
         let bytes = encode_frame(&key(), 7, 1, b"truncate me");
         for cut in 0..bytes.len() {
-            let result = read_frame(&mut Cursor::new(&bytes[..cut]), &key());
-            match result {
-                Err(FrameError::Io(_)) => {}
-                other => panic!("cut at {cut}: expected Io error, got {other:?}"),
-            }
+            assert!(
+                decode(&bytes[..cut]).unwrap().is_none(),
+                "cut at {cut}: a strict prefix is incomplete, not an error"
+            );
         }
-    }
-
-    #[test]
-    fn clean_eof_is_distinguished() {
-        let err = read_frame(&mut Cursor::new(&[][..]), &key()).unwrap_err();
-        assert!(err.is_clean_eof());
-        let bytes = encode_frame(&key(), 7, 1, b"partial");
-        let err = read_frame(&mut Cursor::new(&bytes[..5]), &key()).unwrap_err();
-        assert!(!err.is_clean_eof());
+        let frame = decode(&bytes).unwrap().unwrap();
+        assert_eq!(frame.payload, b"truncate me");
     }
 
     #[test]
@@ -590,32 +505,6 @@ mod tests {
             assert_eq!(frame.from, i as u64);
             assert_eq!(frame.payload.len(), i * 7);
         }
-    }
-
-    #[test]
-    fn assembler_rejects_what_the_blocking_reader_rejects() {
-        let k = key();
-        let mut tampered = encode_frame(&k, 3, 0, b"x");
-        tampered[6] ^= 1; // forge `from`
-        let mut asm = FrameAssembler::new();
-        asm.extend(&tampered);
-        assert!(matches!(asm.next_frame(&k), Err(FrameError::BadAuth)));
-
-        let mut asm = FrameAssembler::new();
-        let mut bad = encode_frame(&k, 3, 0, b"x");
-        bad[0] = b'Z';
-        asm.extend(&bad);
-        assert!(matches!(asm.next_frame(&k), Err(FrameError::BadMagic(_))));
-
-        // Oversize dies on the header alone, before the payload arrives.
-        let mut asm = FrameAssembler::new();
-        let mut oversize = encode_frame(&k, 3, 0, b"x");
-        oversize[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
-        asm.extend(&oversize[..HEADER_LEN]);
-        assert!(matches!(
-            asm.next_frame(&k),
-            Err(FrameError::Oversize(u32::MAX))
-        ));
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub enum TransportError {
     Oversize {
         /// Encoded payload length.
         len: usize,
-        /// The ceiling ([`frame::MAX_FRAME_PAYLOAD`]).
+        /// The ceiling (`frame::MAX_FRAME_PAYLOAD`).
         max: usize,
     },
 }

@@ -87,11 +87,12 @@
 //! N connections mid-frame (half the bytes written, then a hard
 //! shutdown). The torn frame is rejected by the receiver's validation
 //! and the sender's retry path re-dials and re-sends — the failure drill
-//! the live loopback test runs. [`TcpHost::inject_recv_faults`] is the
-//! mirror image: the next N connections that deliver bytes to this host
-//! are hard-closed mid-frame, so sender-side recovery against a crashing
-//! *receiver* is testable too. Both knobs count into
-//! `transport.fault.send_total` / `transport.fault.recv_total`.
+//! the live loopback test runs. `TcpHost::inject_recv_faults`, built
+//! only into this module's tests, is the mirror image: the next N
+//! connections that deliver bytes to this host are hard-closed
+//! mid-frame, so sender-side recovery against a crashing *receiver* is
+//! testable too. Both knobs count into `transport.fault.send_total` /
+//! `transport.fault.recv_total`.
 
 use super::frame::{encode_frame, FrameAssembler, FrameKey, MAX_FRAME_PAYLOAD};
 use super::sys::{self, PollFd, Waker};
@@ -367,6 +368,7 @@ struct Inner<M, C> {
     fault_sends: AtomicU64,
     /// Shared with the workers servicing this host's connections; armed
     /// by `inject_recv_faults`.
+    #[cfg(test)]
     fault_recvs: Arc<AtomicU64>,
     /// The runtime serving this host: its threads stay alive while the
     /// host exists, and are woken when it stops.
@@ -484,6 +486,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
                 running,
                 inbox_depth,
                 fault_sends: AtomicU64::new(0),
+                #[cfg(test)]
                 fault_recvs,
                 runtime: runtime.clone(),
             }),
@@ -521,7 +524,8 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
     /// connection — the receive-side mirror of [`inject_send_faults`].
     ///
     /// [`inject_send_faults`]: TcpHost::inject_send_faults
-    pub fn inject_recv_faults(&self, n: u64) {
+    #[cfg(test)]
+    pub(crate) fn inject_recv_faults(&self, n: u64) {
         self.inner.fault_recvs.fetch_add(n, Ordering::SeqCst);
     }
 
@@ -635,7 +639,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
 
     /// Drops every pooled outbound connection (peers relocated, test
     /// hygiene). Subsequent sends re-dial.
-    pub fn drop_pool(&self) {
+    pub(crate) fn drop_pool(&self) {
         self.inner.pool.lock().unwrap().clear();
     }
 
@@ -1060,7 +1064,7 @@ mod tests {
             TransportStats::get(&bob.stats().auth_failures) >= 1
         }));
         assert!(TransportStats::get(&bob.stats().frames_rejected) >= 1);
-        assert!(bob_inbox.try_recv().message().is_none());
+        assert!(bob_inbox.try_recv().is_none());
         bob.shutdown();
     }
 
@@ -1077,7 +1081,7 @@ mod tests {
         assert!(wait_for(|| {
             TransportStats::get(&bob.stats().auth_failures) >= 1
         }));
-        assert!(bob_inbox.try_recv().message().is_none());
+        assert!(bob_inbox.try_recv().is_none());
 
         let mut reg = Registry::new();
         bob.export_metrics(&mut reg);
@@ -1212,7 +1216,7 @@ mod tests {
         let env = bob_inbox.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(env.msg, 14);
         // The torn first message was truncated, never delivered.
-        assert!(bob_inbox.try_recv().message().is_none());
+        assert!(bob_inbox.try_recv().is_none());
         alice.shutdown();
         bob.shutdown();
     }
@@ -1227,7 +1231,7 @@ mod tests {
         // The send-side fault burns the first attempt; the retry lands on
         // bob's armed connection; the next retry gets through.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while bob_inbox.try_recv().message().is_none() && std::time::Instant::now() < deadline {
+        while bob_inbox.try_recv().is_none() && std::time::Instant::now() < deadline {
             alice.drop_pool();
             let _ = alice.send(bob.local_addr(), &21);
             std::thread::sleep(Duration::from_millis(10));

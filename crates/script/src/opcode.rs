@@ -166,12 +166,12 @@ impl Opcode {
     ];
 
     /// The wire byte.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         self as u8
     }
 
     /// Decodes a wire byte into an opcode.
-    pub fn from_byte(b: u8) -> Option<Opcode> {
+    pub(crate) fn from_byte(b: u8) -> Option<Opcode> {
         Self::ALL.into_iter().find(|op| op.to_byte() == b)
     }
 
@@ -226,7 +226,7 @@ impl Opcode {
     }
 
     /// Small-integer value for `OP_0`–`OP_16` pushes, if this is one.
-    pub fn small_int(self) -> Option<i64> {
+    pub(crate) fn small_int(self) -> Option<i64> {
         match self {
             Opcode::Op0 => Some(0),
             Opcode::Op1 => Some(1),

@@ -475,11 +475,6 @@ impl Registry {
         self.histograms[id.0].1.observe(value);
     }
 
-    /// Direct access to a histogram's current state.
-    pub fn histogram_state(&self, id: HistogramId) -> &LogHistogram {
-        &self.histograms[id.0].1
-    }
-
     /// Freezes the registry into sorted rows.
     pub fn snapshot(&self) -> Snapshot {
         let mut counters: Vec<(String, u64)> = self.counters.clone();
@@ -763,19 +758,6 @@ impl Snapshot {
             .with("histograms", histograms)
     }
 
-    /// Counter rows whose [`labeled`] base equals `base`, as
-    /// `(label value, count)` pairs in name order — e.g. every host's
-    /// `store.flush_total{host="…"}` row.
-    pub fn counters_with_base<'a>(&'a self, base: &str) -> Vec<(&'a str, u64)> {
-        self.counters
-            .iter()
-            .filter_map(|(name, v)| {
-                let (b, label) = split_label(name);
-                (b == base).then_some((label?.1, *v))
-            })
-            .collect()
-    }
-
     /// Looks up a counter row by exact name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -960,8 +942,10 @@ mod tests {
         }
         reg.set_counter("store.flush_total", 6); // the unlabeled sum
         let snap = reg.snapshot();
-        let rows = snap.counters_with_base("store.flush_total");
-        assert_eq!(rows, vec![("0", 1), ("1", 2), ("2", 3)]);
+        for host in 0..3u32 {
+            let row = labeled("store.flush_total", "host", host);
+            assert_eq!(snap.counter(&row), Some(u64::from(host) + 1));
+        }
         assert_eq!(snap.counter("store.flush_total"), Some(6));
         assert_eq!(snap.counter("missing"), None);
     }
@@ -1073,7 +1057,7 @@ mod tests {
         reg.set(g, 1.5);
         let h = reg.histogram("h_seconds");
         reg.observe(h, 0.25);
-        assert_eq!(reg.histogram_state(h).count(), 1);
+        assert_eq!(reg.snapshot().histograms[0].1.count, 1);
     }
 
     #[test]

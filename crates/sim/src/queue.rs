@@ -102,7 +102,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 

@@ -111,14 +111,6 @@ impl SimRng {
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for SimRng {
@@ -210,16 +202,6 @@ mod tests {
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-5.0));
         assert!(rng.chance(7.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from_u64(10);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

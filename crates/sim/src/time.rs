@@ -44,7 +44,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is after `self`.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -52,7 +52,7 @@ impl SimTime {
         )
     }
 
-    /// Saturating version of [`SimTime::duration_since`].
+    /// Saturating version of `SimTime::duration_since`.
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }

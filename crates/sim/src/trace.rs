@@ -29,8 +29,9 @@ type SpanKey = (&'static str, u64);
 /// let mut tr = Tracer::enabled();
 /// tr.span_start("uplink", 1, SimTime::from_micros(0));
 /// tr.span_end("uplink", 1, SimTime::from_micros(1500));
-/// assert_eq!(tr.durations("uplink").unwrap().len(), 1);
-/// assert_eq!(tr.durations("uplink").unwrap().samples()[0], 0.0015);
+/// let (name, durations) = tr.phases().next().unwrap();
+/// assert_eq!(name, "uplink");
+/// assert_eq!(durations.samples(), &[0.0015]);
 /// ```
 #[derive(Debug, Default)]
 pub struct Tracer {
@@ -77,8 +78,8 @@ impl Tracer {
     }
 
     /// Closes span `name`/`id` at `now`, folding its duration into the
-    /// per-name series. An end without a matching start is counted in
-    /// [`Tracer::unmatched_ends`] and otherwise ignored.
+    /// per-name series. An end without a matching start is counted (the
+    /// `trace.unmatched_ends_total` row) and otherwise ignored.
     #[inline]
     pub fn span_end(&mut self, name: &'static str, id: u64, now: SimTime) {
         if !self.enabled {
@@ -110,25 +111,10 @@ impl Tracer {
             .record(duration.as_secs_f64());
     }
 
-    /// Closed-span durations (seconds) for `name`, if any were recorded.
-    pub fn durations(&self, name: &'static str) -> Option<&Series> {
-        self.closed.get(name)
-    }
-
     /// Every phase with at least one closed span and its durations
     /// (seconds), sorted by name.
     pub fn phases(&self) -> impl Iterator<Item = (&'static str, &Series)> {
         self.closed.iter().map(|(name, series)| (*name, series))
-    }
-
-    /// Spans opened but never closed (in-flight work at end of run).
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
-    /// `span_end` calls that had no matching `span_start`.
-    pub fn unmatched_ends(&self) -> u64 {
-        self.unmatched_ends
     }
 
     /// Publishes the tracer's own health rows (`trace.*`); a disabled
@@ -149,15 +135,35 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    fn durations<'a>(tr: &'a Tracer, name: &str) -> Option<&'a Series> {
+        tr.phases().find(|(n, _)| *n == name).map(|(_, s)| s)
+    }
+
+    /// The tracer's health rows as [`Tracer::export`] publishes them.
+    fn health(tr: &Tracer) -> crate::Snapshot {
+        let mut reg = Registry::new();
+        tr.export(&mut reg);
+        reg.snapshot()
+    }
+
+    fn open_spans(tr: &Tracer) -> f64 {
+        let snap = health(tr);
+        let row = snap.gauges.iter().find(|(n, _)| n == "trace.open_spans");
+        row.map_or(0.0, |(_, v)| *v)
+    }
+
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut tr = Tracer::disabled();
         tr.span_start("phase", 0, t(0));
         tr.span_end("phase", 0, t(100));
         tr.record_span("settle", SimDuration::from_millis(40));
-        assert!(tr.durations("phase").is_none());
+        assert!(durations(&tr, "phase").is_none());
         assert_eq!(tr.phases().count(), 0);
-        assert_eq!(tr.open_spans(), 0);
+        assert!(
+            health(&tr).gauges.is_empty(),
+            "a disabled tracer exports nothing"
+        );
     }
 
     #[test]
@@ -165,7 +171,7 @@ mod tests {
         let mut tr = Tracer::enabled();
         tr.span_start("up", 7, t(1_000_000));
         tr.span_end("up", 7, t(3_500_000));
-        let s = tr.durations("up").unwrap();
+        let s = durations(&tr, "up").unwrap();
         assert_eq!(s.samples(), &[2.5]);
     }
 
@@ -176,7 +182,7 @@ mod tests {
         tr.span_start("x", 2, t(10));
         tr.span_end("x", 2, t(20));
         tr.span_end("x", 1, t(40));
-        let samples = tr.durations("x").unwrap().samples().to_vec();
+        let samples = durations(&tr, "x").unwrap().samples().to_vec();
         assert_eq!(samples, vec![10e-6, 40e-6]);
     }
 
@@ -184,8 +190,8 @@ mod tests {
     fn unmatched_end_is_counted_not_recorded() {
         let mut tr = Tracer::enabled();
         tr.span_end("ghost", 1, t(5));
-        assert_eq!(tr.unmatched_ends(), 1);
-        assert!(tr.durations("ghost").is_none());
+        assert_eq!(health(&tr).counter("trace.unmatched_ends_total"), Some(1));
+        assert!(durations(&tr, "ghost").is_none());
     }
 
     #[test]
@@ -196,15 +202,15 @@ mod tests {
         tr.span_end("mined", 1, t(10));
         let phases: Vec<_> = tr.phases().map(|(name, s)| (name, s.len())).collect();
         assert_eq!(phases, vec![("mined", 1), ("settle", 1)]);
-        assert_eq!(tr.durations("settle").unwrap().samples(), &[0.04]);
+        assert_eq!(durations(&tr, "settle").unwrap().samples(), &[0.04]);
     }
 
     #[test]
     fn open_span_visible_until_closed() {
         let mut tr = Tracer::enabled();
         tr.span_start("long", 1, t(0));
-        assert_eq!(tr.open_spans(), 1);
+        assert_eq!(open_spans(&tr), 1.0);
         tr.span_end("long", 1, t(1));
-        assert_eq!(tr.open_spans(), 0);
+        assert_eq!(open_spans(&tr), 0.0);
     }
 }
