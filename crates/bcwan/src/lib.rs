@@ -25,8 +25,9 @@
 //! - [`daemon`] — the per-host chain daemon with the Multichain
 //!   block-verification **stall model** (§5.2),
 //! - [`costs`] — CPU cost table for Nucleo/Pi/VM-class hardware,
-//! - [`keyahead`] — a node's key stream, with its next ephemeral keypair
-//!   generated ahead on a spare core, bit-identical to the inline draw,
+//! - [`keyahead`] — a node's key stream, with its next two ephemeral
+//!   keypairs generated ahead on a spare core, bit-identical to the
+//!   inline draw,
 //! - [`world`] — the full §5.2 testbed simulation (Figs. 5 and 6),
 //! - [`audit`] — the always-on settlement auditor: per-block value
 //!   conservation, at-most-one settlement per escrow, and the

@@ -7,9 +7,12 @@
 //!
 //! The timing is randomized (no wait, a yield, or a sleep long enough for
 //! the helper) so that every way a claim can be served — adopted, waited
-//! for, taken back from the queue — is taken, on any machine with a spare
-//! core. A debug build draws a fifth of the keys and runs 40 armed drops;
-//! `cargo test --release -p bcwan --test key_ahead` runs the full counts.
+//! for, taken back from the queue, adopted from a key chained two deep —
+//! is taken, on any machine with a spare core. A debug build draws a
+//! fifth of the keys and runs 40 armed drops; `cargo test --release -p
+//! bcwan --test key_ahead` runs the full counts. The job state machine
+//! itself (chaining, promotion, cancelling a chain) is pinned exactly by
+//! the unit tests in `keyahead.rs`.
 
 use bcwan::daemon::Daemon;
 use bcwan::device::{Downlink, Uplink};
@@ -133,6 +136,111 @@ fn armed_drops_leave_the_pool_serving() {
     }
     if KeyAhead::helpers() > 0 {
         assert!(fresh.claims().adopted >= 2, "{:?}", fresh.claims());
+    }
+}
+
+/// Draws the next keypair of `keys` and checks it against the plain
+/// stream.
+fn next_matches(keys: &mut KeyAhead, plain: &mut SimRng, size: RsaKeySize, what: &str) {
+    let (got, _) = keys.keypair(size);
+    assert_eq!(got, generate_keypair(plain, size).0, "{what}");
+}
+
+/// With both keys ahead run, two claims in a row adopt them — the second
+/// is the key a helper chained after the first, from that keygen's
+/// output — and each is the stream's next keypair.
+#[test]
+fn chained_keys_are_adopted_in_stream_order() {
+    let pairs = if cfg!(debug_assertions) { 4 } else { 20 };
+    let mut keys = KeyAhead::new(SimRng::seed_from_u64(21));
+    let mut plain = SimRng::seed_from_u64(21);
+    for k in 0..2 {
+        next_matches(&mut keys, &mut plain, SIZE, &format!("inline keypair {k}"));
+    }
+    for pair in 0..pairs {
+        keys.wait_ahead();
+        let before = keys.claims();
+        next_matches(&mut keys, &mut plain, SIZE, &format!("pair {pair}, next"));
+        next_matches(
+            &mut keys,
+            &mut plain,
+            SIZE,
+            &format!("pair {pair}, chained"),
+        );
+        if KeyAhead::helpers() > 0 {
+            let after = keys.claims();
+            assert_eq!(after.adopted, before.adopted + 2, "pair {pair}: {after:?}");
+            assert_eq!(
+                (after.waited, after.taken_back),
+                (before.waited, before.taken_back),
+                "pair {pair}: both were ready"
+            );
+        }
+    }
+}
+
+/// Asking for another key size discards both keys run ahead at the old
+/// one: the new size's keys come from the stream state the last claimed
+/// key left, and once run ahead at the new size they are adopted again.
+#[test]
+fn a_size_change_cancels_the_chained_key() {
+    let mut keys = KeyAhead::new(SimRng::seed_from_u64(33));
+    let mut plain = SimRng::seed_from_u64(33);
+    let big = RsaKeySize::Rsa1024;
+    for (k, size) in [SIZE, SIZE, big, big, big, SIZE, SIZE, SIZE]
+        .into_iter()
+        .enumerate()
+    {
+        keys.wait_ahead();
+        let before = keys.claims();
+        next_matches(
+            &mut keys,
+            &mut plain,
+            size,
+            &format!("keypair {k} at {size:?}"),
+        );
+        if KeyAhead::helpers() > 0 {
+            // The stream arms after its second keygen, and keypairs 2
+            // and 5 change size: those four run inline.
+            let adopted = ![0, 1, 2, 5].contains(&k);
+            assert_eq!(
+                keys.claims().adopted,
+                before.adopted + u64::from(adopted),
+                "keypair {k}"
+            );
+        }
+    }
+}
+
+/// Nodes dropped at every stage of a chain — just armed, both keys run,
+/// just after adopting one — leave nothing running for them that delays
+/// a fresh node, whose chain is adopted in stream order.
+#[test]
+fn dropped_chains_leave_the_pool_serving() {
+    let drops = if cfg!(debug_assertions) { 12 } else { 300 };
+    for seed in 0..drops {
+        let mut keys = KeyAhead::new(SimRng::seed_from_u64(seed));
+        keys.keypair(SIZE);
+        keys.keypair(SIZE);
+        if seed % 3 > 0 {
+            keys.wait_ahead();
+        }
+        if seed % 3 == 2 {
+            keys.keypair(SIZE);
+        }
+        drop(keys);
+    }
+
+    let mut fresh = KeyAhead::new(SimRng::seed_from_u64(9));
+    let mut plain = SimRng::seed_from_u64(9);
+    for k in 0..6 {
+        if k % 2 == 0 {
+            fresh.wait_ahead();
+        }
+        next_matches(&mut fresh, &mut plain, SIZE, &format!("fresh keypair {k}"));
+    }
+    if KeyAhead::helpers() > 0 {
+        assert_eq!(fresh.claims().adopted, 4, "{:?}", fresh.claims());
     }
 }
 

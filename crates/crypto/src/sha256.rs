@@ -88,15 +88,25 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // Pad in one step: 0x80, zeros, and the 64-bit length in the last
+        // eight bytes — in this block if they fit behind the data, else in
+        // one more.
+        let len = self.buffer_len;
+        self.buffer[len] = 0x80;
+        self.buffer[len + 1..].fill(0);
+        if len >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0; 64];
         }
-        // Manually absorb the length to avoid it perturbing total_len.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
+        self.digest()
+    }
 
+    /// The state words as a big-endian digest.
+    fn digest(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -158,7 +168,15 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// Double SHA-256 (Bitcoin's block/transaction hash).
 pub fn sha256d(data: &[u8]) -> [u8; 32] {
-    sha256(&sha256(data))
+    // The second pass hashes 32 bytes: one block, padded in place — the
+    // digest, 0x80, zeros, and the bit length 256 (0x0100) at the end.
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(&sha256(data));
+    block[32] = 0x80;
+    block[62] = 0x01;
+    let mut h = Sha256::new();
+    h.compress(&block);
+    h.digest()
 }
 
 #[cfg(test)]
@@ -206,6 +224,67 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+    }
+
+    /// One-shot and byte-at-a-time hashing agree at every length up to
+    /// 200 bytes: every place the padding can fall, in one block or
+    /// spilling into a second.
+    #[test]
+    fn byte_at_a_time_matches_oneshot_at_every_length() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=200 {
+            let mut h = Sha256::new();
+            for byte in &data[..len] {
+                h.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(h.finalize(), sha256(&data[..len]), "length {len}");
+        }
+    }
+
+    /// The padding boundaries: 55 bytes leave room for the length in the
+    /// same block, 56..=63 push it into a second, 64 fills a block
+    /// exactly; 119/120 are the same edges one block later.
+    #[test]
+    fn padding_boundaries() {
+        let cases: &[(usize, &str)] = &[
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ];
+        for &(len, want) in cases {
+            assert_eq!(hex::encode(&sha256(&vec![b'a'; len])), want, "{len} x 'a'");
+        }
+    }
+
+    /// The fixed-block second pass of `sha256d` is the plain hash of the
+    /// first digest.
+    #[test]
+    fn double_sha_is_sha_of_sha() {
+        for len in [0, 1, 32, 55, 56, 63, 64, 80, 88, 119, 120, 200] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+            assert_eq!(sha256d(&data), sha256(&sha256(&data)), "length {len}");
         }
     }
 

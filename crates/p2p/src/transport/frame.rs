@@ -31,7 +31,8 @@
 //! `transport.auth.fail_total`. Version-1 frames (pre-auth) are rejected
 //! as [`FrameError::BadVersion`].
 
-use bcwan_crypto::hmac::{derive_key, hmac_sha256};
+use bcwan_crypto::hmac::derive_key;
+use bcwan_crypto::Sha256;
 use std::fmt;
 
 /// Frame magic — first bytes of every frame on the wire.
@@ -95,14 +96,24 @@ impl FrameKey {
         FrameKey::from_master(b"bcwan-dev-network")
     }
 
-    /// Computes the truncated tag over `prefix ‖ payload`.
+    /// Computes the truncated tag, `HMAC-SHA256(key, prefix ‖ payload)`
+    /// — what `hmac_sha256` returns over the two joined — with both
+    /// slices streamed into the inner hash rather than copied together (a
+    /// block frame's payload is ~80 KiB). The 32-byte key fills one
+    /// 64-byte HMAC block, zero-padded.
     fn tag(&self, prefix: &[u8], payload: &[u8]) -> [u8; TAG_LEN] {
-        let mut message = Vec::with_capacity(prefix.len() + payload.len());
-        message.extend_from_slice(prefix);
-        message.extend_from_slice(payload);
-        let full = hmac_sha256(&self.0, &message);
+        let mut key_block = [0u8; 64];
+        key_block[..32].copy_from_slice(&self.0);
+        let pad = |byte: u8| key_block.map(|k| k ^ byte);
+        let mut inner = Sha256::new();
+        inner.update(&pad(0x36));
+        inner.update(prefix);
+        inner.update(payload);
+        let mut outer = Sha256::new();
+        outer.update(&pad(0x5c));
+        outer.update(&inner.finalize());
         let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&full[..TAG_LEN]);
+        tag.copy_from_slice(&outer.finalize()[..TAG_LEN]);
         tag
     }
 }
@@ -378,6 +389,25 @@ mod tests {
             assert_eq!(frame.from, from);
             assert_eq!(frame.kind, i as u8);
             assert_eq!(frame.payload, payload);
+        }
+    }
+
+    /// The streamed tag is the RFC 2104 HMAC of the joined message, for
+    /// keys with high bits set and payloads on both sides of a block.
+    #[test]
+    fn tag_is_the_hmac_of_prefix_and_payload() {
+        use bcwan_crypto::hmac::hmac_sha256;
+        for (i, len) in [0usize, 1, 41, 42, 100, 5000].into_iter().enumerate() {
+            let bytes: [u8; 32] = std::array::from_fn(|j| (j * 29 + i * 7) as u8 | 0x80);
+            let k = FrameKey::new(bytes);
+            let prefix: Vec<u8> = (0..AUTH_PREFIX_LEN as u8).collect();
+            let payload: Vec<u8> = (0..len).map(|j| (j as u8).wrapping_mul(13)).collect();
+            let joined = [&prefix[..], &payload[..]].concat();
+            assert_eq!(
+                k.tag(&prefix, &payload)[..],
+                hmac_sha256(&bytes, &joined)[..TAG_LEN],
+                "payload of {len} bytes"
+            );
         }
     }
 

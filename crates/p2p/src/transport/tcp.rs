@@ -193,6 +193,9 @@ struct HostShared<M, C> {
     stats: Arc<TransportStats>,
     running: Arc<AtomicBool>,
     sender: InboxSender<M>,
+    /// Armed by `inject_recv_faults`, which only this module's tests
+    /// build: a production worker pays no check per read.
+    #[cfg(test)]
     fault_recvs: Arc<AtomicU64>,
     key: FrameKey,
     read_timeout: Option<Duration>,
@@ -460,6 +463,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
         let running = Arc::new(AtomicBool::new(true));
         let (tx, inbox) = inbox_channel(Arc::clone(&runtime.inner.doorbell));
         let inbox_depth = tx.depth_handle();
+        #[cfg(test)]
         let fault_recvs = Arc::new(AtomicU64::new(0));
 
         runtime.register(
@@ -469,6 +473,7 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
                 stats: Arc::clone(&stats),
                 running: Arc::clone(&running),
                 sender: tx,
+                #[cfg(test)]
                 fault_recvs: Arc::clone(&fault_recvs),
                 key: cfg.auth_key.clone(),
                 read_timeout: cfg.read_timeout,
@@ -816,6 +821,7 @@ fn poll_conn<M, C: Codec<M>>(conn: &mut ConnState<M, C>, scratch: &mut [u8]) -> 
             }
             Ok(n) => {
                 conn.last_activity = Instant::now();
+                #[cfg(test)]
                 if take_one(&shared.fault_recvs) {
                     // Injected receive fault: discard what arrived (a
                     // mid-frame truncation from the peer's point of
