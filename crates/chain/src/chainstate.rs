@@ -3,8 +3,8 @@
 use crate::block::{Block, BlockHash};
 use crate::hashed::HashedBlock;
 use crate::params::ChainParams;
-use crate::store::{ChainStore, CoinsCache, Probe, StoreConfig, StoreError, StoreStats};
-use crate::tx::{OutPoint, Transaction, TxId, TxOut};
+use crate::store::{ChainStore, CoinsCache, StoreConfig, StoreError, StoreStats};
+use crate::tx::{Transaction, TxId, TxOut};
 use crate::utxo::{UndoData, UtxoSet};
 use crate::validate::{validate_block_digests, BlockError, Digests, SigCache};
 use crate::wallet::Address;
@@ -183,15 +183,11 @@ pub struct OpenedChain {
 }
 
 bcwan_sim::counters! {
-    /// Store activity plus cache behaviour: the `store.*` rows.
+    /// Store activity: the `store.*` rows.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct StoreSummary {
         /// The store's lifetime counters.
         pub store: StoreStats => labeled "store.*",
-        /// Coins-cache hits counted while connecting blocks.
-        pub cache_hit: u64 => labeled "store.cache_hit_total",
-        /// Coins-cache misses (disk read-throughs).
-        pub cache_miss: u64 => labeled "store.cache_miss_total",
     }
 }
 
@@ -350,7 +346,7 @@ impl Chain {
         let mut rolled_forward = 0u64;
         let mut undone = 0u64;
         let restored = loaded.coins.and_then(|(ctip, cheight, entries)| {
-            let mut cache = CoinsCache::from_backed(entries);
+            let mut cache = CoinsCache::from_snapshot(entries);
             let mut h = cheight;
             if main.get(h as usize) != Some(&ctip) {
                 // Snapshot taken on a branch since reorged away: undo
@@ -444,9 +440,8 @@ impl Chain {
     ///
     /// # Panics
     ///
-    /// If a store is attached: a stored chain's resident UTXO set may be
-    /// trimmed, and two chains cannot write one directory. Replay the
-    /// blocks into [`Chain::create_with_store`] instead.
+    /// If a store is attached: two chains cannot write one directory.
+    /// Replay the blocks into [`Chain::create_with_store`] instead.
     pub fn fork(&mut self) -> Chain {
         assert!(self.store.is_none(), "only a memory-only chain forks");
         Chain {
@@ -495,8 +490,9 @@ impl Chain {
         self.store.is_some()
     }
 
-    /// Flushes the dirty coins-cache entries to the store and marks the
-    /// snapshot at the current tip. No-op for memory-only chains.
+    /// Flushes the coins changed since the last flush to the store and
+    /// marks the snapshot at the current tip. No-op for memory-only
+    /// chains.
     pub fn flush(&mut self) {
         let tip = self.tip();
         let height = self.height();
@@ -509,29 +505,11 @@ impl Chain {
             .expect("chain store: coins flush failed");
     }
 
-    /// Evicts clean, disk-backed coins entries from memory; they read
-    /// back through the store on demand. Returns the eviction count.
-    /// No-op (0) for memory-only chains.
-    ///
-    /// Only tests call it today. It stays because it is the only way to
-    /// evict a coin: the store's read-through on a cache miss and the
-    /// refusal of a replayed coinbase whose twin was evicted are live
-    /// connect-path code that nothing else reaches. A node that bounds
-    /// its coins cache would call it after each flush.
-    pub fn trim_coins(&mut self) -> usize {
-        if self.store.is_none() {
-            return 0;
-        }
-        self.coins.trim_clean()
-    }
-
-    /// Store activity and cache counters, if a store is attached.
+    /// Store activity counters, if a store is attached.
     pub fn store_summary(&self) -> Option<StoreSummary> {
         let store = self.store.as_ref()?;
         Some(StoreSummary {
             store: *store.stats(),
-            cache_hit: self.coins.hits(),
-            cache_miss: self.coins.misses(),
         })
     }
 
@@ -601,9 +579,8 @@ impl Chain {
         *self.main.last().expect("chain never empty")
     }
 
-    /// The UTXO set of the best chain (the coins cache's resident view;
-    /// with a store attached, trimmed entries fault back in during
-    /// block connect, not through this accessor).
+    /// The UTXO set of the best chain, all of it in memory with or
+    /// without a store.
     pub fn utxo(&self) -> &UtxoSet {
         self.coins.set()
     }
@@ -836,7 +813,6 @@ impl Chain {
     /// it and pushes the block onto the main chain.
     fn connect(&mut self, hash: BlockHash, stored: &StoredBlock) -> Result<UndoData, BlockError> {
         let (block, height, txids) = (&stored.block, stored.height, stored.txids());
-        self.prefetch(block, txids);
         let digests = Digests {
             hash,
             txids,
@@ -859,37 +835,6 @@ impl Chain {
             .expect("validated block applies");
         self.stats.connect(block);
         Ok(undo)
-    }
-
-    /// Faults trimmed coins entries back in from the store before a
-    /// block is validated: its inputs (counting cache hits and misses)
-    /// and — uncounted — any output it would create, so a replayed
-    /// transaction colliding with a trimmed coin is visible to
-    /// validation instead of silently overwriting it.
-    fn prefetch(&mut self, block: &Block, txids: &[TxId]) {
-        let Some(store) = self.store.as_ref() else {
-            return;
-        };
-        let fault_in = |coins: &mut CoinsCache, op: OutPoint| {
-            if let Some(entry) = store.read_coin(&op) {
-                coins.insert_clean(op, entry);
-            }
-        };
-        for (tx, &txid) in block.transactions.iter().zip(txids) {
-            if !tx.is_coinbase() {
-                for input in &tx.inputs {
-                    if self.coins.probe(&input.prevout) == Probe::OnDisk {
-                        fault_in(&mut self.coins, input.prevout);
-                    }
-                }
-            }
-            for vout in 0..tx.outputs.len() as u32 {
-                let op = OutPoint { txid, vout };
-                if self.coins.trimmed(&op) {
-                    fault_in(&mut self.coins, op);
-                }
-            }
-        }
     }
 }
 

@@ -23,8 +23,8 @@
 //! - [`codec`] — canonical binary decoding shared by the wire layer and
 //!   the store (txids survive every round-trip),
 //! - [`store`] — persistent chain storage: append-only block/undo
-//!   files, a write-back coins cache over a flat on-disk table, and a
-//!   crash-safe manifest (see `Chain::create_with_store` /
+//!   files, the in-memory UTXO set written back to a flat coins table,
+//!   and a crash-safe manifest (see `Chain::create_with_store` /
 //!   `Chain::open_store`).
 //!
 //! ## Example

@@ -1,64 +1,41 @@
-//! Write-back UTXO cache layered over the on-disk coins table.
+//! The UTXO set with a record of what changed since the last flush.
 //!
-//! [`CoinsCache`] wraps the in-memory [`UtxoSet`] and tracks, per
-//! outpoint, how the cached view diverges from the flat coins file
-//! underneath (the *backing*):
+//! [`CoinsCache`] wraps the in-memory [`UtxoSet`], which always holds
+//! every coin, and notes each outpoint a block connect or disconnect
+//! touches. [`CoinsCache::flush_ops`] drains those notes into a
+//! deterministic (outpoint-sorted) list: a `Put` for each touched coin
+//! still in the set, a `Del` for each one gone. The store's coins index
+//! is the only record of what the coins file holds, so the store writes
+//! a `Del` only for an outpoint it holds — a coin created and spent
+//! between two flushes (the common case for short-lived escrow outputs)
+//! never reaches disk.
 //!
-//! - **Fresh** — created since the last flush and never flushed; if it
-//!   is spent again before the next flush the entry vanishes without
-//!   ever touching disk (the common case for short-lived escrow
-//!   outputs).
-//! - **Write** — present in the backing but the cached value differs
-//!   (created over an erased slot, or restored by a reorg undo).
-//! - **Erase** — present in the backing but spent in the cache; the
-//!   flush must delete it.
-//!
-//! [`CoinsCache::flush_ops`] drains the dirty map into a deterministic
-//! (outpoint-sorted) list of put/delete operations for the store to
-//! append, and re-labels everything clean. Clean entries can be
-//! evicted with [`CoinsCache::trim_clean`] and read back through
-//! [`CoinsCache::insert_clean`] on a miss — the `backed` key set
-//! remembers what the coins file holds so a miss is distinguishable
-//! from a genuinely absent output.
-//!
-//! A cache with no store under it ([`CoinsCache::memory_only`]) keeps
-//! none of this: nothing will ever flush, so `dirty` and `backed` stay
-//! empty and block connect touches the set alone.
+//! A cache with no store under it ([`CoinsCache::memory_only`]) notes
+//! nothing: nothing will ever flush, so block connect touches the set
+//! alone.
 
 use crate::tx::{OutPoint, Transaction, TxId};
 use crate::utxo::{UndoData, UtxoEntry, UtxoError, UtxoSet};
 use std::collections::{HashMap, HashSet};
-
-/// How a cached entry diverges from the on-disk backing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dirty {
-    /// Created since the last flush; the backing has never seen it.
-    Fresh,
-    /// In the backing, but the cached value supersedes it.
-    Write,
-    /// In the backing, but spent in the cache; flush must delete it.
-    Erase,
-}
 
 /// One operation a flush hands to the store, in outpoint order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlushOp {
     /// Write (or overwrite) this entry in the coins table.
     Put(OutPoint, UtxoEntry),
-    /// Delete this outpoint from the coins table.
+    /// Delete this outpoint from the coins table, if the table holds it.
     Del(OutPoint),
 }
 
-/// Write-back cache over the UTXO set (see module docs).
+/// The UTXO set and what changed in it since the last flush (see
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct CoinsCache {
     set: UtxoSet,
-    /// Whether divergence from a backing is tracked at all.
+    /// Whether changes are noted at all.
     tracking: bool,
-    dirty: HashMap<OutPoint, Dirty>,
-    backed: HashSet<OutPoint>,
-    hits: u64,
-    misses: u64,
+    /// Outpoints created or spent since the last flush.
+    touched: HashSet<OutPoint>,
 }
 
 impl Default for CoinsCache {
@@ -67,27 +44,15 @@ impl Default for CoinsCache {
     }
 }
 
-/// Result of probing the cache for an outpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// Resident in the cache (counted as a hit).
-    InCache,
-    /// Not resident, but the coins file holds it (counted as a miss —
-    /// the caller should read it back and `CoinsCache::insert_clean`).
-    OnDisk,
-    /// Unknown to both cache and backing.
-    Absent,
-}
-
 impl CoinsCache {
-    /// An empty cache over an empty backing: everything applied from
-    /// here on is dirty until flushed.
+    /// An empty cache over an empty coins table: everything applied
+    /// from here on is owed to the next flush.
     pub fn new() -> Self {
         CoinsCache::over(UtxoSet::new(), true)
     }
 
-    /// An empty cache that will never be flushed and so tracks nothing.
-    /// [`CoinsCache::mark_all_fresh`] turns tracking on when a store is
+    /// An empty cache that will never be flushed and so notes nothing.
+    /// [`CoinsCache::mark_all_fresh`] turns noting on when a store is
     /// attached after all.
     pub(crate) fn memory_only() -> Self {
         CoinsCache::over(UtxoSet::new(), false)
@@ -97,86 +62,38 @@ impl CoinsCache {
         CoinsCache {
             set,
             tracking,
-            dirty: HashMap::new(),
-            backed: HashSet::new(),
-            hits: 0,
-            misses: 0,
+            touched: HashSet::new(),
         }
     }
 
     /// A memory-only cache with this one's contents, shared rather than
-    /// copied (see [`UtxoSet::fork`]). Only a cache nothing was flushed
-    /// from is sure to have its whole set resident to share.
+    /// copied (see [`UtxoSet::fork`]).
     pub fn fork(&mut self) -> Self {
-        debug_assert!(self.backed.is_empty(), "a backed cache may be trimmed");
         CoinsCache::over(self.set.fork(), false)
     }
 
-    /// A cache warmed from a loaded coins snapshot: every entry is
-    /// resident, clean, and known to be in the backing.
-    pub(crate) fn from_backed(entries: HashMap<OutPoint, UtxoEntry>) -> Self {
+    /// A cache holding a loaded coins snapshot, every entry as on disk.
+    pub(crate) fn from_snapshot(entries: HashMap<OutPoint, UtxoEntry>) -> Self {
         let mut cache = CoinsCache::new();
-        cache.backed.reserve(entries.len());
         for (op, entry) in entries {
-            cache.backed.insert(op);
             cache.set.insert_loaded(op, entry);
         }
         cache
     }
 
-    /// The resident UTXO set. Callers that only read (validation,
-    /// wallets, coin selection) keep working against this view.
+    /// The UTXO set. Callers that only read (validation, wallets, coin
+    /// selection) keep working against this view.
     pub fn set(&self) -> &UtxoSet {
         &self.set
     }
 
-    /// Cache hits counted by [`CoinsCache::probe`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses counted by [`CoinsCache::probe`].
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Where an outpoint lives, bumping the hit/miss counters.
-    pub fn probe(&mut self, op: &OutPoint) -> Probe {
-        if self.set.contains(op) {
-            self.hits += 1;
-            Probe::InCache
-        } else if self.trimmed(op) {
-            self.misses += 1;
-            Probe::OnDisk
-        } else {
-            Probe::Absent
-        }
-    }
-
-    /// Whether `op` is unspent but only the coins file holds it (evicted
-    /// by `CoinsCache::trim_clean`). Uncounted: block connect asks
-    /// this about the outputs a block would *create*, which are expected
-    /// to be absent, so they are no cache traffic.
-    pub fn trimmed(&self, op: &OutPoint) -> bool {
-        !self.set.contains(op)
-            && self.backed.contains(op)
-            && self.dirty.get(op) != Some(&Dirty::Erase)
-    }
-
-    /// Re-inserts an entry read back from the coins file after a
-    /// [`Probe::OnDisk`] miss. The entry is clean (it matches disk).
-    pub(crate) fn insert_clean(&mut self, op: OutPoint, entry: UtxoEntry) {
-        debug_assert!(self.backed.contains(&op), "insert_clean without backing");
-        self.set.insert_loaded(op, entry);
-    }
-
-    /// Applies a block through the cache, maintaining dirty flags.
+    /// Applies a block to the set, noting what it touched.
     /// `txids[i]` is `transactions[i].txid()` — the chain computes the
     /// ids once per block and every layer below reuses them.
     ///
     /// # Errors
     ///
-    /// As [`UtxoSet::apply_block`]; the cache (set and flags) is
+    /// As [`UtxoSet::apply_block`]; the cache (set and notes) is
     /// unchanged on error.
     pub fn apply_block(
         &mut self,
@@ -185,139 +102,66 @@ impl CoinsCache {
         height: u64,
     ) -> Result<UndoData, UtxoError> {
         let undo = self.set.apply_block_ids(transactions, txids, height)?;
-        if !self.tracking {
-            return Ok(undo);
-        }
-        for (tx, &txid) in transactions.iter().zip(txids) {
-            if !tx.is_coinbase() {
-                for input in &tx.inputs {
-                    self.note_remove(input.prevout);
-                }
-            }
-            for vout in 0..tx.outputs.len() as u32 {
-                self.note_write(OutPoint { txid, vout });
-            }
+        if self.tracking {
+            self.touch(transactions, txids);
         }
         Ok(undo)
     }
 
-    /// Disconnects a block through the cache, maintaining dirty flags.
+    /// Disconnects a block from the set, noting what it touched.
     pub fn undo_block(&mut self, transactions: &[Transaction], txids: &[TxId], undo: &UndoData) {
         self.set.undo_block_ids(transactions, txids, undo);
-        if !self.tracking {
-            return;
+        if self.tracking {
+            self.touch(transactions, txids);
         }
-        // Mirror the per-transaction reverse order of the set's undo so
-        // intra-block spend chains end with the right final flag.
-        for (tx, &txid) in transactions.iter().zip(txids).rev() {
-            for vout in 0..tx.outputs.len() as u32 {
-                self.note_remove(OutPoint { txid, vout });
-            }
+    }
+
+    /// Notes every outpoint the block's transactions spend or create.
+    fn touch(&mut self, transactions: &[Transaction], txids: &[TxId]) {
+        for (tx, &txid) in transactions.iter().zip(txids) {
             if !tx.is_coinbase() {
-                for input in tx.inputs.iter().rev() {
-                    self.note_write(input.prevout);
-                }
+                self.touched
+                    .extend(tx.inputs.iter().map(|input| input.prevout));
             }
+            self.touched
+                .extend((0..tx.outputs.len() as u32).map(|vout| OutPoint { txid, vout }));
         }
     }
 
-    /// An outpoint was (re)written into the set.
-    fn note_write(&mut self, op: OutPoint) {
-        let flag = match self.dirty.get(&op) {
-            Some(Dirty::Fresh) => Dirty::Fresh,
-            Some(Dirty::Write) | Some(Dirty::Erase) => Dirty::Write,
-            None => {
-                if self.backed.contains(&op) {
-                    Dirty::Write
-                } else {
-                    Dirty::Fresh
-                }
-            }
-        };
-        self.dirty.insert(op, flag);
-    }
-
-    /// An outpoint was removed from the set.
-    fn note_remove(&mut self, op: OutPoint) {
-        match self.dirty.get(&op) {
-            // Never hit disk: spending a fresh entry cancels it outright.
-            Some(Dirty::Fresh) => {
-                self.dirty.remove(&op);
-            }
-            _ => {
-                if self.backed.contains(&op) {
-                    self.dirty.insert(op, Dirty::Erase);
-                } else {
-                    self.dirty.remove(&op);
-                }
-            }
-        }
-    }
-
-    /// Drains the dirty map into a deterministic, outpoint-sorted list
-    /// of flush operations and marks everything clean. The `backed` key
-    /// set is updated to reflect the coins file after these operations
-    /// are applied.
+    /// Drains the notes into an outpoint-sorted list of flush
+    /// operations: each touched outpoint is put if the set holds it and
+    /// deleted if not.
     pub(crate) fn flush_ops(&mut self) -> Vec<FlushOp> {
-        let mut keys: Vec<(OutPoint, Dirty)> = self.dirty.drain().collect();
-        keys.sort_unstable_by_key(|(op, _)| *op);
-        let mut ops = Vec::with_capacity(keys.len());
-        for (op, flag) in keys {
-            match flag {
-                Dirty::Fresh | Dirty::Write => {
-                    let entry = self
-                        .set
-                        .get(&op)
-                        .expect("dirty put entry resident in cache")
-                        .clone();
-                    self.backed.insert(op);
-                    ops.push(FlushOp::Put(op, entry));
-                }
-                Dirty::Erase => {
-                    self.backed.remove(&op);
-                    ops.push(FlushOp::Del(op));
-                }
-            }
-        }
-        ops
+        let mut keys: Vec<OutPoint> = self.touched.drain().collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|op| match self.set.get(&op) {
+                Some(entry) => FlushOp::Put(op, entry.clone()),
+                None => FlushOp::Del(op),
+            })
+            .collect()
     }
 
-    /// Marks every resident entry fresh-dirty, as after a reindex: the
-    /// coins file is being rebuilt from scratch, so the next flush must
-    /// write the full set into a new generation.
+    /// Notes every entry in the set, as after a reindex: the coins file
+    /// is being rebuilt from scratch, so the next flush must write the
+    /// full set into a new generation.
     pub(crate) fn mark_all_fresh(&mut self) {
         self.tracking = true;
-        self.backed.clear();
-        self.dirty.clear();
-        let keys: Vec<OutPoint> = self.set.iter().map(|(op, _)| *op).collect();
-        for op in keys {
-            self.dirty.insert(op, Dirty::Fresh);
-        }
-    }
-
-    /// Evicts clean, backed entries from the resident set (they can be
-    /// read back through [`CoinsCache::probe`] / `insert_clean`).
-    /// Returns how many were evicted.
-    pub(crate) fn trim_clean(&mut self) -> usize {
-        let evict: Vec<OutPoint> = self
-            .set
-            .iter()
-            .map(|(op, _)| *op)
-            .filter(|op| self.backed.contains(op) && !self.dirty.contains_key(op))
-            .collect();
-        for op in &evict {
-            self.set.remove_loaded(op);
-        }
-        evict.len()
+        self.touched.clear();
+        self.touched.extend(self.set.iter().map(|(op, _)| *op));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockHash;
+    use crate::codec::{decode_outpoint, Reader};
+    use crate::store::{coins_path, files, ChainStore, StoreConfig, KIND_DEL, KIND_PUT};
     use crate::tx::{txids_of, TxIn, TxOut, SEQUENCE_FINAL};
     use crate::Transaction;
     use bcwan_script::Script;
+    use std::path::PathBuf;
 
     fn coinbase(height: u64, value: u64) -> Transaction {
         Transaction::coinbase(
@@ -346,125 +190,135 @@ mod tests {
         }
     }
 
+    /// A real store the cache flushes into, read back one flush at a time.
+    struct Disk {
+        dir: PathBuf,
+        store: ChainStore,
+        seen: usize,
+    }
+
+    impl Disk {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("bcwan-coins-{tag}-{}", std::process::id()));
+            let store = ChainStore::create(&dir, StoreConfig::default()).unwrap();
+            Disk {
+                dir,
+                store,
+                seen: 0,
+            }
+        }
+
+        /// Flushes `cache` and returns the (kind, outpoint) of each
+        /// coins-log record the flush appended.
+        fn flush(&mut self, cache: &mut CoinsCache) -> Vec<(u8, OutPoint)> {
+            let ops = cache.flush_ops();
+            self.store.flush_coins(&ops, BlockHash([0; 32]), 0).unwrap();
+            let path = coins_path(&self.dir, self.store.coins_gen);
+            let (records, _) = files::read_valid_prefix(&path).unwrap();
+            let new = records[self.seen..]
+                .iter()
+                .map(|r| {
+                    (
+                        r.kind,
+                        decode_outpoint(&mut Reader::new(&r.payload)).unwrap(),
+                    )
+                })
+                .collect();
+            self.seen = records.len();
+            new
+        }
+    }
+
+    impl Drop for Disk {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn coin(tx: &Transaction) -> OutPoint {
+        OutPoint {
+            txid: tx.txid(),
+            vout: 0,
+        }
+    }
+
     #[test]
     fn fresh_spent_before_flush_never_reaches_disk() {
+        let mut disk = Disk::new("fresh");
         let mut cache = CoinsCache::new();
         let cb = coinbase(1, 50);
-        let op = OutPoint {
-            txid: cb.txid(),
-            vout: 0,
-        };
+        let op = coin(&cb);
         cache
             .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
             .unwrap();
-        assert_eq!(cache.dirty.len(), 1);
-        let sp = spend(op, 50);
-        let cb2 = coinbase(2, 50);
-        let txs = [cb2, sp];
+        assert_eq!(cache.touched.len(), 1);
+        let txs = [coinbase(2, 50), spend(op, 50)];
         cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
-        let ops = cache.flush_ops();
         // The spent-then-created chain flushes only the survivors: the
         // spender's output and block 2's coinbase — never `op`.
-        assert_eq!(ops.len(), 2);
-        assert!(ops
-            .iter()
-            .all(|o| !matches!(o, FlushOp::Put(p, _) if *p == op)));
-        assert!(!ops.iter().any(|o| matches!(o, FlushOp::Del(_))));
+        let mut survivors: Vec<OutPoint> = txs.iter().map(coin).collect();
+        survivors.sort_unstable();
+        let written = disk.flush(&mut cache);
+        assert_eq!(
+            written,
+            survivors.iter().map(|&o| (KIND_PUT, o)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn memory_only_cache_tracks_nothing_until_a_store_is_attached() {
         let mut cache = CoinsCache::memory_only();
         let cb = coinbase(1, 50);
-        let op = OutPoint {
-            txid: cb.txid(),
-            vout: 0,
-        };
+        let op = coin(&cb);
         let txs = [cb];
         let undo = cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
         cache.undo_block(&txs, &txids_of(&txs), &undo);
         cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
-        assert_eq!((cache.dirty.len(), cache.backed.len()), (0, 0));
+        assert!(cache.touched.is_empty());
         assert!(cache.flush_ops().is_empty());
 
-        // `Chain::create_with_store`: the whole resident set is owed to
-        // the new coins table, and later blocks are tracked.
+        // `Chain::create_with_store`: the whole set is owed to the new
+        // coins table, and later blocks are tracked.
+        let mut disk = Disk::new("attach");
         cache.mark_all_fresh();
-        assert_eq!(cache.flush_ops().len(), 1);
+        assert_eq!(disk.flush(&mut cache), [(KIND_PUT, op)]);
         let txs = [coinbase(2, 50), spend(op, 50)];
         cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
-        assert_eq!(cache.dirty.get(&op), Some(&Dirty::Erase));
+        assert!(disk.flush(&mut cache).contains(&(KIND_DEL, op)));
     }
 
     #[test]
     fn backed_spend_erases_and_undo_restores() {
+        let mut disk = Disk::new("backed");
         let mut cache = CoinsCache::new();
         let cb = coinbase(1, 50);
-        let op = OutPoint {
-            txid: cb.txid(),
-            vout: 0,
-        };
+        let op = coin(&cb);
         cache
             .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
             .unwrap();
-        cache.flush_ops();
-        assert_eq!(cache.backed.len(), 1);
+        assert_eq!(disk.flush(&mut cache), [(KIND_PUT, op)]);
 
-        // Spend the backed coin: flush must delete it.
-        let sp = spend(op, 49);
-        let txs = [coinbase(2, 50), sp];
-        let undo = cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
-        assert!(cache
-            .dirty
-            .iter()
-            .any(|(k, f)| *k == op && *f == Dirty::Erase));
+        // Spend the flushed coin: the flush deletes it, once.
+        let txs = [coinbase(2, 50), spend(op, 49)];
+        let ids = txids_of(&txs);
+        let undo = cache.apply_block(&txs, &ids, 2).unwrap();
+        let written = disk.flush(&mut cache);
+        assert_eq!(written.iter().filter(|w| **w == (KIND_DEL, op)).count(), 1);
 
-        // Undo before flushing: the coin is back and clean-equivalent
-        // (flag Write — the backing still holds the same value, a
-        // redundant but safe re-put).
-        cache.undo_block(&txs, &txids_of(&txs), &undo);
-        let ops = cache.flush_ops();
-        assert!(ops
-            .iter()
-            .all(|o| !matches!(o, FlushOp::Del(d) if *d == op)));
+        // Undo the spend: the coin is put back, and block 2's outputs,
+        // flushed a moment ago, are deleted.
+        cache.undo_block(&txs, &ids, &undo);
+        let mut expect: Vec<(u8, OutPoint)> = txs.iter().map(|t| (KIND_DEL, coin(t))).collect();
+        expect.push((KIND_PUT, op));
+        expect.sort_unstable_by_key(|(_, o)| *o);
+        assert_eq!(disk.flush(&mut cache), expect);
+
+        // Spent and restored between two flushes: a redundant re-put of
+        // the same value, never a delete.
+        let undo = cache.apply_block(&txs, &ids, 2).unwrap();
+        cache.undo_block(&txs, &ids, &undo);
+        assert_eq!(disk.flush(&mut cache), [(KIND_PUT, op)]);
         assert!(cache.set().contains(&op));
-    }
-
-    #[test]
-    fn trim_and_readthrough_counts_hits_and_misses() {
-        let mut cache = CoinsCache::new();
-        let cb = coinbase(1, 50);
-        let op = OutPoint {
-            txid: cb.txid(),
-            vout: 0,
-        };
-        cache
-            .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
-            .unwrap();
-        cache.flush_ops();
-        assert_eq!(cache.probe(&op), Probe::InCache);
-        assert_eq!(cache.hits(), 1);
-
-        assert_eq!(cache.trim_clean(), 1);
-        assert!(!cache.set().contains(&op));
-        assert_eq!(cache.probe(&op), Probe::OnDisk);
-        assert_eq!(cache.misses(), 1);
-
-        let entry = UtxoEntry {
-            output: TxOut {
-                value: 50,
-                script_pubkey: Script::new(),
-            },
-            height: 1,
-            coinbase: true,
-        };
-        cache.insert_clean(op, entry);
-        assert_eq!(cache.probe(&op), Probe::InCache);
-
-        let absent = OutPoint {
-            txid: crate::TxId([9; 32]),
-            vout: 0,
-        };
-        assert_eq!(cache.probe(&absent), Probe::Absent);
     }
 }

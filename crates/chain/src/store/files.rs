@@ -21,7 +21,7 @@
 //! stays within default fd limits.
 
 use std::fs::OpenOptions;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// Leading sentinel of every record.
@@ -129,16 +129,6 @@ pub(crate) fn read_valid_prefix(path: &Path) -> io::Result<(Vec<Record>, u64)> {
         pos = end;
     }
     Ok((records, pos as u64))
-}
-
-/// Reads `len` payload bytes at `offset` (which must point at a payload,
-/// not a record header) — the random-access path for coins-cache misses.
-pub(crate) fn read_payload_at(path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-    let mut file = OpenOptions::new().read(true).open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
-    Ok(buf)
 }
 
 /// Truncates `path` to `len` bytes, discarding a torn tail. Missing

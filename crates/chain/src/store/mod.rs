@@ -31,7 +31,7 @@
 mod coins;
 mod files;
 
-pub use coins::{CoinsCache, FlushOp, Probe};
+pub use coins::{CoinsCache, FlushOp};
 
 use crate::block::{Block, BlockHash};
 use crate::codec::{
@@ -155,7 +155,9 @@ pub(crate) struct ChainStore {
     coins_gen: u32,
     coins_len: u64,
     coins_live_bytes: u64,
-    coins_index: HashMap<OutPoint, (u64, u32)>,
+    /// Payload length of each live coin's record: what the coins file
+    /// holds, for the live-byte and compaction accounting.
+    coins_index: HashMap<OutPoint, u32>,
     stored_blocks: HashSet<BlockHash>,
     stored_undo: HashSet<BlockHash>,
     connects_since_flush: u64,
@@ -418,8 +420,10 @@ impl ChainStore {
         self.connects_since_flush >= self.cfg.coins_flush_interval
     }
 
-    /// Applies a drained dirty set to the coins log and marks it with an
-    /// `F` record; compacts the log first when it has bloated.
+    /// Appends a drained set of flush operations to the coins log and
+    /// marks it with an `F` record; compacts the log first when it has
+    /// bloated. A `Del` for an outpoint the log does not hold (a coin
+    /// created and spent since the last flush) writes nothing.
     pub(crate) fn flush_coins(
         &mut self,
         ops: &[FlushOp],
@@ -429,9 +433,6 @@ impl ChainStore {
         self.maybe_compact()?;
         let mut framed = Vec::new();
         for op in ops {
-            // Where this record's payload will land in the log: current
-            // file length + what the batch holds so far + the frame.
-            let before = framed.len() as u64;
             match op {
                 FlushOp::Put(outpoint, entry) => {
                     let mut payload = Vec::with_capacity(70);
@@ -439,19 +440,19 @@ impl ChainStore {
                     encode_utxo_entry(&mut payload, entry);
                     files::frame(&mut framed, KIND_PUT, &payload);
                     let len = payload.len() as u32;
-                    let offset = self.coins_len + before + files::RECORD_HEADER;
-                    if let Some((_, old)) = self.coins_index.insert(*outpoint, (offset, len)) {
+                    if let Some(old) = self.coins_index.insert(*outpoint, len) {
                         self.coins_live_bytes -= old as u64;
                     }
                     self.coins_live_bytes += len as u64;
                 }
                 FlushOp::Del(outpoint) => {
+                    let Some(old) = self.coins_index.remove(outpoint) else {
+                        continue;
+                    };
+                    self.coins_live_bytes -= old as u64;
                     let mut payload = Vec::with_capacity(36);
                     encode_outpoint(&mut payload, outpoint);
                     files::frame(&mut framed, KIND_DEL, &payload);
-                    if let Some((_, old)) = self.coins_index.remove(outpoint) {
-                        self.coins_live_bytes -= old as u64;
-                    }
                 }
             }
         }
@@ -475,17 +476,6 @@ impl ChainStore {
         let _ = std::fs::remove_file(coins_path(&self.dir, old));
         self.stats.reindex_total += 1;
         Ok(())
-    }
-
-    /// Random-access read of a single coin for a cache miss.
-    pub(crate) fn read_coin(&self, op: &OutPoint) -> Option<UtxoEntry> {
-        let (offset, len) = *self.coins_index.get(op)?;
-        let path = coins_path(&self.dir, self.coins_gen);
-        let payload = files::read_payload_at(&path, offset, len as usize).ok()?;
-        let mut r = Reader::new(&payload);
-        let read_back = decode_outpoint(&mut r).ok()?;
-        debug_assert_eq!(read_back, *op, "coins index points at the right record");
-        decode_utxo_entry(&mut r).ok()
     }
 
     fn append_coins_mark(&mut self, tip: BlockHash, height: u64) -> io::Result<()> {
@@ -524,8 +514,7 @@ impl ChainStore {
             let mut payload = Vec::with_capacity(70);
             encode_outpoint(&mut payload, op);
             encode_utxo_entry(&mut payload, entry);
-            let offset = framed.len() as u64 + files::RECORD_HEADER;
-            index.insert(*op, (offset, payload.len() as u32));
+            index.insert(*op, payload.len() as u32);
             live_bytes += payload.len() as u64;
             files::frame(&mut framed, KIND_PUT, &payload);
         }
@@ -572,24 +561,19 @@ fn remove_coins_logs(dir: &Path, keep: Option<u32>) {
 }
 
 /// Replays `P`/`D` records up to `limit` bytes into a live-entry map,
-/// also building the random-access index and live-byte total. `None` if
+/// also building the record-length index and live-byte total. `None` if
 /// a record fails to decode.
 #[allow(clippy::type_complexity)]
 fn replay_coins(
     records: &[files::Record],
     limit: u64,
-) -> Option<(
-    HashMap<OutPoint, UtxoEntry>,
-    HashMap<OutPoint, (u64, u32)>,
-    u64,
-)> {
+) -> Option<(HashMap<OutPoint, UtxoEntry>, HashMap<OutPoint, u32>, u64)> {
     let mut entries = HashMap::new();
     let mut index = HashMap::new();
     let mut live_bytes = 0u64;
     let mut pos = 0u64;
     for rec in records {
-        let payload_offset = pos + files::RECORD_HEADER;
-        let end = payload_offset + rec.payload.len() as u64;
+        let end = pos + files::RECORD_HEADER + rec.payload.len() as u64;
         if end > limit {
             break;
         }
@@ -601,7 +585,7 @@ fn replay_coins(
                 let entry = decode_utxo_entry(&mut r).ok()?;
                 r.finish().ok()?;
                 let len = rec.payload.len() as u32;
-                if let Some((_, old)) = index.insert(op, (payload_offset, len)) {
+                if let Some(old) = index.insert(op, len) {
                     live_bytes -= old as u64;
                 }
                 live_bytes += len as u64;
@@ -610,7 +594,7 @@ fn replay_coins(
             KIND_DEL => {
                 let op = decode_outpoint(&mut r).ok()?;
                 r.finish().ok()?;
-                if let Some((_, old)) = index.remove(&op) {
+                if let Some(old) = index.remove(&op) {
                     live_bytes -= old as u64;
                 }
                 entries.remove(&op);

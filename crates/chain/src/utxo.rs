@@ -410,12 +410,6 @@ impl UtxoSet {
         self.insert(op, entry);
     }
 
-    /// Evicts an entry without spending it — the store's cache layer
-    /// trimming a clean, disk-backed entry from memory.
-    pub(crate) fn remove_loaded(&mut self, op: &OutPoint) {
-        self.remove(op);
-    }
-
     /// Disconnects a block previously applied with [`UtxoSet::apply_block`].
     ///
     /// `transactions` must be the same list, and `undo` its undo data.

@@ -99,6 +99,16 @@ fn utxo_pairs(chain: &Chain) -> Vec<(OutPoint, UtxoEntry)> {
     pairs
 }
 
+/// Mines one block of `txs` on the tip.
+fn extend(chain: &mut Chain, txs: Vec<Transaction>) {
+    let height = chain.height() + 1;
+    let block = mine_on(chain, chain.tip(), height, txs);
+    assert!(matches!(
+        chain.add_block(block).unwrap(),
+        BlockAction::Extended(_)
+    ));
+}
+
 /// Mines `n` blocks of wallet churn onto `chain`, threading the coin.
 fn grow(
     chain: &mut Chain,
@@ -109,12 +119,7 @@ fn grow(
     for _ in 0..n {
         let (tx, next) = churn(wallet, coin);
         coin = next;
-        let height = chain.height() + 1;
-        let block = mine_on(chain, chain.tip(), height, vec![tx]);
-        assert!(matches!(
-            chain.add_block(block).unwrap(),
-            BlockAction::Extended(_)
-        ));
+        extend(chain, vec![tx]);
     }
     coin
 }
@@ -360,53 +365,123 @@ fn torn_tail_rolls_back_to_last_commit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn trimmed_coins_read_back_through_the_store() {
-    let dir = temp_dir("trim");
-    let (mut chain, wallet, coins) = setup(&dir, StoreConfig::default());
-    // Leave coin[1] untouched while churning coin[0] long enough for
-    // several flushes, then evict the clean residents.
-    grow(&mut chain, &wallet, coins[0].clone(), 10);
-    chain.flush();
-    let full = utxo_pairs(&chain);
-    let trimmed = chain.trim_coins();
-    assert!(trimmed > 0, "clean backed entries were evicted");
-    assert!(
-        chain.utxo().len() < full.len(),
-        "resident set shrank after trim"
-    );
+/// A store that flushes its coins only when told to.
+fn manual_flush() -> StoreConfig {
+    StoreConfig {
+        fsync: false,
+        coins_flush_interval: u64::MAX,
+    }
+}
 
-    // Spending the evicted coin[1] faults it back in from disk.
-    let (tx, _) = churn(&wallet, coins[1].clone());
-    let height = chain.height() + 1;
-    let block = mine_on(&chain, chain.tip(), height, vec![tx]);
-    assert!(matches!(
-        chain.add_block(block).unwrap(),
-        BlockAction::Extended(_)
-    ));
-    let summary = chain.store_summary().expect("store attached");
-    assert!(summary.cache_miss > 0, "the spend read through the store");
+/// Coins-log bytes one `flush` appends: what the store wrote, less the
+/// manifest's coins mark every flush writes (framing + generation,
+/// length, tip, height).
+fn flushed_coins_bytes(chain: &mut Chain) -> u64 {
+    const COINS_MARK: u64 = 13 + 4 + 8 + 32 + 8;
+    let written = |c: &Chain| {
+        c.store_summary()
+            .expect("store attached")
+            .store
+            .bytes_written
+    };
+    let before = written(chain);
+    chain.flush();
+    written(chain) - before - COINS_MARK
+}
+
+#[test]
+fn coin_created_and_spent_between_flushes_adds_no_coins_bytes() {
+    let dir = temp_dir("transient");
+    let (mut chain, wallet, coins) = setup(&dir, manual_flush());
+    assert_eq!(flushed_coins_bytes(&mut chain), 0, "nothing changed");
+    extend(&mut chain, vec![]);
+    let coinbase_put = flushed_coins_bytes(&mut chain);
+
+    // One spend of a flushed coin: its delete, the coinbase's put and
+    // the new coin's put.
+    let (tx, c1) = churn(&wallet, coins[0].clone());
+    extend(&mut chain, vec![tx]);
+    let one_spend = flushed_coins_bytes(&mut chain);
+
+    // c1 → c2 → c3 across two blocks and one flush: c2 is created and
+    // spent in between and costs nothing; only the second coinbase is
+    // extra.
+    let (tx, c2) = churn(&wallet, c1);
+    extend(&mut chain, vec![tx]);
+    let (tx, _) = churn(&wallet, c2.clone());
+    extend(&mut chain, vec![tx]);
+    assert_eq!(flushed_coins_bytes(&mut chain), one_spend + coinbase_put);
+
+    let utxo = utxo_pairs(&chain);
+    drop(chain);
+    let opened = Chain::open_store(params(), &dir, manual_flush()).expect("reopens");
+    assert_eq!(opened.rolled_forward, 0);
+    assert_eq!(utxo_pairs(&opened.chain), utxo);
+    assert!(!opened.chain.utxo().contains(&c2.0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn replayed_coinbase_is_refused_even_when_its_twin_is_trimmed() {
-    // The duplicate-output rule must see coins the cache evicted to
-    // disk: block connect faults a would-be-created outpoint back in,
-    // so the replay is refused instead of overwriting the stored coin.
-    let dir = temp_dir("trim-replay");
+fn spending_a_flushed_coin_adds_one_del_record_and_undo_puts_it_back() {
+    const DEL_RECORD: u64 = 13 + 36; // framing + outpoint
+    let dir = temp_dir("del");
+    let (mut chain, wallet, coins) = setup(&dir, manual_flush());
+    let (tx, c1) = churn(&wallet, coins[0].clone());
+    extend(&mut chain, vec![tx]);
+    let one_spend = flushed_coins_bytes(&mut chain);
+    let fork = chain.tip();
+
+    // The same shape, spending one more flushed coin: one more `D`.
+    let tx = wallet.build_payment(
+        vec![c1.clone(), coins[1].clone()],
+        vec![TxOut {
+            value: 1_000,
+            script_pubkey: wallet.locking_script(),
+        }],
+        0,
+    );
+    extend(&mut chain, vec![tx]);
+    assert_eq!(flushed_coins_bytes(&mut chain), one_spend + DEL_RECORD);
+    assert!(!chain.utxo().contains(&coins[1].0));
+
+    // A longer branch from `fork` disconnects the spend: both coins
+    // come back, and a reopen reads them from the coins file.
+    let height = chain.height();
+    let b1 = mine_on(&chain, fork, height, vec![]);
+    assert_eq!(chain.add_block(b1.clone()).unwrap(), BlockAction::SideChain);
+    let b2 = mine_on(&chain, b1.hash(), height + 1, vec![]);
+    assert!(matches!(
+        chain.add_block(b2).unwrap(),
+        BlockAction::Reorganized { .. }
+    ));
+    chain.flush();
+    let utxo = utxo_pairs(&chain);
+    drop(chain);
+    let opened = Chain::open_store(params(), &dir, manual_flush()).expect("reopens");
+    assert_eq!(opened.rolled_forward, 0);
+    assert!(opened.chain.utxo().contains(&coins[1].0));
+    assert!(opened.chain.utxo().contains(&c1.0));
+    assert_eq!(utxo_pairs(&opened.chain), utxo);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replayed_coinbase_is_refused_after_its_twin_is_flushed() {
+    // The duplicate-output rule sees a flushed coin as it sees any
+    // other: the whole set stays in memory, so the replay is refused
+    // instead of overwriting the stored coin.
+    let dir = temp_dir("flushed-replay");
     let (mut chain, wallet, coins) = setup(&dir, StoreConfig::default());
     grow(&mut chain, &wallet, coins[0].clone(), 3);
     let earlier = chain.block_at(1).expect("block 1").clone();
     chain.flush();
-    assert!(chain.trim_coins() > 0);
     let twin = OutPoint {
         txid: earlier.transactions[0].txid(),
         vout: 0,
     };
     assert!(
-        !chain.utxo().contains(&twin),
-        "block 1's coinbase was evicted"
+        chain.utxo().contains(&twin),
+        "block 1's coinbase is unspent"
     );
 
     let replay = Block::mine(

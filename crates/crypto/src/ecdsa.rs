@@ -507,29 +507,19 @@ fn rfc6979_nonce(d: &Scalar, digest: &[u8; 32], extra: u32) -> Scalar {
     let mut v = [0x01u8; 32];
     let mut k = [0x00u8; 32];
 
-    // K = HMAC_K(V || 0x00 || x || h1 [|| extra])
-    let mut msg = Vec::with_capacity(32 + 1 + 32 + 32 + 4);
-    msg.extend_from_slice(&v);
-    msg.push(0x00);
-    msg.extend_from_slice(&x);
-    msg.extend_from_slice(&h1_bytes);
-    if extra > 0 {
-        msg.extend_from_slice(&extra.to_be_bytes());
+    // K = HMAC_K(V || sep || x || h1 [|| extra]), V = HMAC_K(V), for
+    // sep = 0x00 then 0x01.
+    let mut msg = [0u8; 32 + 1 + 32 + 32 + 4];
+    msg[33..65].copy_from_slice(&x);
+    msg[65..97].copy_from_slice(&h1_bytes);
+    msg[97..].copy_from_slice(&extra.to_be_bytes());
+    let len = if extra > 0 { msg.len() } else { 97 };
+    for sep in [0x00, 0x01] {
+        msg[..32].copy_from_slice(&v);
+        msg[32] = sep;
+        k = hmac_sha256(&k, &msg[..len]);
+        v = hmac_sha256(&k, &v);
     }
-    k = hmac_sha256(&k, &msg);
-    v = hmac_sha256(&k, &v);
-
-    // K = HMAC_K(V || 0x01 || x || h1 [|| extra])
-    let mut msg = Vec::with_capacity(32 + 1 + 32 + 32 + 4);
-    msg.extend_from_slice(&v);
-    msg.push(0x01);
-    msg.extend_from_slice(&x);
-    msg.extend_from_slice(&h1_bytes);
-    if extra > 0 {
-        msg.extend_from_slice(&extra.to_be_bytes());
-    }
-    k = hmac_sha256(&k, &msg);
-    v = hmac_sha256(&k, &v);
 
     loop {
         v = hmac_sha256(&k, &v);
@@ -540,9 +530,10 @@ fn rfc6979_nonce(d: &Scalar, digest: &[u8; 32], extra: u32) -> Scalar {
                 return candidate;
             }
         }
-        let mut msg = v.to_vec();
-        msg.push(0x00);
-        k = hmac_sha256(&k, &msg);
+        // K = HMAC_K(V || 0x00), V = HMAC_K(V)
+        msg[..32].copy_from_slice(&v);
+        msg[32] = 0x00;
+        k = hmac_sha256(&k, &msg[..33]);
         v = hmac_sha256(&k, &v);
     }
 }
