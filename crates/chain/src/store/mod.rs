@@ -289,7 +289,7 @@ impl ChainStore {
         // Only undo records the commit covers are meaningful; drop the
         // truncated tail and anything for a block we no longer hold.
         undo_list.truncate(committed_undo);
-        let mut undo: HashMap<BlockHash, UndoData> = undo_list
+        let undo: HashMap<BlockHash, UndoData> = undo_list
             .into_iter()
             .filter(|(h, _)| committed_hashes.contains(h))
             .collect();
@@ -338,8 +338,8 @@ impl ChainStore {
         // Undo map the chain gets; the store keeps the hash set.
         let stored_undo: HashSet<BlockHash> = undo.keys().copied().collect();
         let loaded = LoadedChain {
-            blocks: blocks.clone(),
-            undo: std::mem::take(&mut undo),
+            blocks,
+            undo,
             tip,
             height,
             coins: loaded_coins,
@@ -430,7 +430,7 @@ impl ChainStore {
         tip: BlockHash,
         height: u64,
     ) -> io::Result<()> {
-        self.maybe_compact()?;
+        let replaced = self.maybe_compact()?;
         let mut framed = Vec::new();
         for op in ops {
             match op {
@@ -460,6 +460,11 @@ impl ChainStore {
         self.coins_len = files::append(&path, &framed, self.cfg.fsync)?;
         self.stats.bytes_written += framed.len() as u64;
         self.append_coins_mark(tip, height)?;
+        // The mark names the new generation: only now is the old one
+        // garbage (a crash before it reopens from the old file).
+        if let Some(old_path) = replaced {
+            let _ = std::fs::remove_file(old_path);
+        }
         self.stats.flush_total += 1;
         self.connects_since_flush = 0;
         Ok(())
@@ -492,18 +497,20 @@ impl ChainStore {
     }
 
     /// Rewrites the coins log into a new generation containing only live
-    /// entries, when dead records dominate the file.
-    fn maybe_compact(&mut self) -> io::Result<()> {
+    /// entries, when dead records dominate the file. Returns the path of
+    /// the replaced generation, which the caller deletes once an `F` mark
+    /// names the new one.
+    fn maybe_compact(&mut self) -> io::Result<Option<PathBuf>> {
         let framing = self.coins_index.len() as u64 * files::RECORD_HEADER;
         if self.coins_len < COMPACT_MIN_BYTES
             || self.coins_len < 3 * (self.coins_live_bytes + framing)
         {
-            return Ok(());
+            return Ok(None);
         }
         let old_path = coins_path(&self.dir, self.coins_gen);
         let (records, _) = files::read_valid_prefix(&old_path)?;
         let Some((entries, _, _)) = replay_coins(&records, self.coins_len) else {
-            return Ok(());
+            return Ok(None);
         };
         let mut live: Vec<(OutPoint, UtxoEntry)> = entries.into_iter().collect();
         live.sort_unstable_by_key(|(op, _)| *op);
@@ -530,9 +537,8 @@ impl ChainStore {
         self.stats.compact_total += 1;
         // The mark making the new generation authoritative is appended
         // by the flush that follows; until then reopen uses the old
-        // generation, which is only deleted after the mark is written.
-        let _ = std::fs::remove_file(&old_path);
-        Ok(())
+        // generation, so it must outlive this call.
+        Ok(Some(old_path))
     }
 }
 
@@ -603,4 +609,128 @@ fn replay_coins(
         }
     }
     Some((entries, index, live_bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tx::{TxId, TxOut};
+    use crate::{Chain, ChainParams};
+    use bcwan_script::Script;
+
+    /// A store directory removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("bcwan-compact-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn coin(i: u32) -> (OutPoint, UtxoEntry) {
+        let mut txid = [0u8; 32];
+        txid[..4].copy_from_slice(&i.to_le_bytes());
+        let entry = UtxoEntry {
+            output: TxOut {
+                value: u64::from(i),
+                script_pubkey: Script::new(),
+            },
+            height: 0,
+            coinbase: false,
+        };
+        (
+            OutPoint {
+                txid: TxId(txid),
+                vout: 0,
+            },
+            entry,
+        )
+    }
+
+    fn put(i: u32) -> FlushOp {
+        let (op, entry) = coin(i);
+        FlushOp::Put(op, entry)
+    }
+
+    /// A store whose committed genesis block every coins mark names, its
+    /// coins log churned until the next flush compacts it: eight coins
+    /// stay live while each flush spends the previous flush's batch of a
+    /// hundred and creates the next. Returns the store, the genesis hash
+    /// and the live coins.
+    fn churned_store(dir: &Path) -> (ChainStore, BlockHash, HashMap<OutPoint, UtxoEntry>) {
+        let genesis = Chain::make_genesis(&ChainParams::fast_test(), &[]);
+        let tip = genesis.hash();
+        let mut store = ChainStore::create(dir, StoreConfig::default()).unwrap();
+        store.append_block(&genesis).unwrap();
+        store.commit(tip, 0).unwrap();
+        store
+            .flush_coins(&(0..8).map(put).collect::<Vec<_>>(), tip, 0)
+            .unwrap();
+        let due = |store: &ChainStore| {
+            let framing = store.coins_index.len() as u64 * files::RECORD_HEADER;
+            store.coins_len >= COMPACT_MIN_BYTES
+                && store.coins_len >= 3 * (store.coins_live_bytes + framing)
+        };
+        let mut batch = 8..8;
+        while !due(&store) {
+            let next = batch.end..batch.end + 100;
+            let mut ops: Vec<FlushOp> = batch.map(|i| FlushOp::Del(coin(i).0)).collect();
+            ops.extend(next.clone().map(put));
+            store.flush_coins(&ops, tip, 0).unwrap();
+            batch = next;
+        }
+        assert_eq!(store.stats().compact_total, 0);
+        (store, tip, (0..8).chain(batch).map(coin).collect())
+    }
+
+    /// What a reopen of `dir` recovers as the coins set, and whether the
+    /// chain on top of it had to reindex.
+    fn reopen(dir: &Path) -> (HashMap<OutPoint, UtxoEntry>, u64) {
+        let (_, loaded) = ChainStore::open(dir, StoreConfig::default()).unwrap();
+        let (_, _, entries) = loaded.coins.expect("a coins snapshot survives");
+        let opened =
+            Chain::open_store(ChainParams::fast_test(), dir, StoreConfig::default()).unwrap();
+        let reindex_total = opened.chain.store_summary().unwrap().store.reindex_total;
+        assert_eq!(opened.reindexed, reindex_total > 0);
+        (entries, reindex_total)
+    }
+
+    #[test]
+    fn compaction_rewrites_live_coins_and_deletes_the_old_generation_after_its_mark() {
+        let dir = TempDir::new("flush");
+        let (mut store, tip, live) = churned_store(&dir.0);
+        let old_gen = store.coins_gen;
+        store.flush_coins(&[], tip, 0).unwrap();
+        assert_eq!(store.stats().compact_total, 1);
+        assert_eq!(store.coins_gen, old_gen + 1);
+        assert!(!coins_path(&dir.0, old_gen).exists());
+        assert!(coins_path(&dir.0, old_gen + 1).exists());
+        drop(store);
+        assert_eq!(reopen(&dir.0), (live, 0));
+    }
+
+    #[test]
+    fn a_crash_between_the_rewrite_and_its_mark_reopens_from_the_old_generation() {
+        let dir = TempDir::new("crash");
+        let (mut store, _, live) = churned_store(&dir.0);
+        let old_gen = store.coins_gen;
+        let replaced = store.maybe_compact().unwrap();
+        assert_eq!(replaced, Some(coins_path(&dir.0, old_gen)));
+        assert!(coins_path(&dir.0, old_gen + 1).exists());
+        // The process dies here: no F record names the new generation.
+        drop(store);
+        assert!(coins_path(&dir.0, old_gen).exists());
+        assert_eq!(reopen(&dir.0), (live, 0));
+        // The unmarked generation is cleaned up on reopen.
+        assert!(!coins_path(&dir.0, old_gen + 1).exists());
+    }
 }

@@ -11,8 +11,8 @@
 //! schoolbook multiplication and long division are entirely adequate for
 //! 256–2048-bit operands at the call rates of the BcWAN simulator. The one
 //! exception is modular exponentiation — every RSA operation and each
-//! Miller–Rabin round of the per-message keygen — which runs on the
-//! allocation-free fixed-width engine of [`MontgomeryCtx`].
+//! Miller–Rabin round and Lucas chain of the per-message keygen — which
+//! runs on the allocation-free fixed-width engine of [`MontgomeryCtx`].
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -574,6 +574,23 @@ impl BigUint {
         })
     }
 
+    /// Whether `self` is a perfect square: Newton's integer square root
+    /// from above, `x ← (x + self/x) / 2` until it stops falling, then
+    /// one product.
+    fn is_square(&self) -> bool {
+        if self.is_zero() {
+            return true;
+        }
+        let mut x = Self::one().shl(self.bit_len().div_ceil(2));
+        loop {
+            let next = x.add(&self.div_rem(&x).0).shr(1);
+            if next >= x {
+                return x.mul(&x) == *self;
+            }
+            x = next;
+        }
+    }
+
     /// Uniform random value in `[0, bound)` using the supplied RNG.
     ///
     /// # Panics
@@ -807,6 +824,78 @@ fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
     }
 }
 
+/// `a += b` for equal-width limb slices, wrapping mod `2^(64·len)`;
+/// returns the carry out.
+fn limbs_add_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(u64::from(carry));
+        *x = s2;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `a = (a + b) mod n` for residues `a, b < n`.
+fn limbs_add_mod(a: &mut [u64], b: &[u64], n: &[u64]) {
+    if limbs_add_assign(a, b) || !limbs_less(a, n) {
+        limbs_sub_assign(a, n);
+    }
+}
+
+/// `a = (a − b) mod n` for residues `a, b < n`: the wrapped difference,
+/// plus `n` (wrapping back) when it borrowed.
+fn limbs_sub_mod(a: &mut [u64], b: &[u64], n: &[u64]) {
+    let borrow = limbs_less(a, b);
+    limbs_sub_assign(a, b);
+    if borrow {
+        limbs_add_assign(a, n);
+    }
+}
+
+/// The Jacobi symbol `(a/n)` for a word `a > 0` and an odd `n`: the
+/// factors of two in `a` by the second supplement, then reciprocity
+/// turns it into `(n mod a / a)`, which [`jacobi_u64`] finishes in words.
+fn jacobi(a: u64, n: &BigUint) -> i32 {
+    let n8 = n.limbs[0] % 8;
+    let twos = a.trailing_zeros();
+    let a = a >> twos;
+    let mut sign = if twos % 2 == 1 && (n8 == 3 || n8 == 5) {
+        -1
+    } else {
+        1
+    };
+    if a % 4 == 3 && n8 % 4 == 3 {
+        sign = -sign;
+    }
+    sign * jacobi_u64(n.rem_u64(a), a)
+}
+
+/// The Jacobi symbol `(a/m)` for an odd word `m`.
+fn jacobi_u64(mut a: u64, mut m: u64) -> i32 {
+    let mut sign = 1;
+    a %= m;
+    while a != 0 {
+        while a.is_multiple_of(2) {
+            a /= 2;
+            if m % 8 == 3 || m % 8 == 5 {
+                sign = -sign;
+            }
+        }
+        std::mem::swap(&mut a, &mut m);
+        if a % 4 == 3 && m % 4 == 3 {
+            sign = -sign;
+        }
+        a %= m;
+    }
+    if m == 1 {
+        sign
+    } else {
+        0
+    }
+}
+
 impl MontgomeryCtx {
     /// Builds a context for `n`, or `None` if `n` is even or `<= 1`
     /// (Montgomery reduction needs `gcd(n, 2^64) = 1`).
@@ -1007,6 +1096,98 @@ impl MontgomeryCtx {
             if acc == minus_one {
                 return true;
             }
+        }
+        false
+    }
+
+    /// The extra-strong Lucas probable-prime test, Baillie–PSW's second
+    /// half, run entirely in Montgomery form.
+    ///
+    /// Parameters by Baillie's method C: the first `P = 3, 4, …` with
+    /// `D = P² − 4` and Jacobi symbol `(D/n) = −1`, and `Q = 1`. A square
+    /// `n` has no such `P`, so after 40 misses `n` is checked for being
+    /// one. With `n + 1 = s·2^r` (`s` odd), `n` passes if `U_s ≡ 0` and
+    /// `V_s ≡ ±2`, or if `V_(s·2^t) ≡ 0` for some `t < r − 1` (mod `n`).
+    /// Only `V` is carried, up the bits of `s` as the pair `(V_k, V_(k+1))`:
+    /// `V_2k = V_k² − 2` and `V_(2k+1) = V_k·V_(k+1) − P`, one product and
+    /// one square per bit; `U_s ≡ 0` is read off `P·V_s ≡ 2·V_(s+1)`
+    /// (Crandall–Pomerance eq. 3.13). Go's `math/big` `probablyPrimeLucas`
+    /// runs the same algorithm.
+    pub(crate) fn is_strong_lucas_probable_prime(&self) -> bool {
+        let n = &self.n;
+        let mut p = 3u64;
+        loop {
+            match jacobi(p * p - 4, n) {
+                -1 => break,
+                // D = (P − 2)(P + 2), and every odd factor of P − 2 (and
+                // of a composite P + 2) sat in an earlier D: the factor
+                // shared with n is P + 2 itself.
+                0 => return *n == BigUint::from_u64(p + 2),
+                _ => {}
+            }
+            if p == 42 && n.is_square() {
+                return false;
+            }
+            p += 1;
+        }
+        let n_plus_1 = n.add(&BigUint::one());
+        let r = (0..).find(|&i| n_plus_1.bit(i)).expect("n + 1 is non-zero");
+        let s = n_plus_1.shr(r);
+
+        let k = self.k;
+        let (mut stack, mut heap) = ([0u64; SCRATCH_ROWS * MAX_STACK_LIMBS], Vec::new());
+        let (table, mut vk, mut vk1, mut tmp) = self.rows(&mut stack, &mut heap);
+        let (p_m, rest) = table.split_at_mut(k);
+        let (two_m, rest) = rest.split_at_mut(k);
+        let (minus_two_m, rest) = rest.split_at_mut(k);
+        let scratch = &mut rest[..k];
+        // P, 2 and −2 in Montgomery form.
+        self.load(&BigUint::from_u64(p), scratch);
+        self.mul(p_m, scratch, &self.r2);
+        two_m.copy_from_slice(&self.r1);
+        limbs_add_mod(two_m, &self.r1, &n.limbs);
+        minus_two_m.copy_from_slice(&n.limbs);
+        limbs_sub_assign(minus_two_m, two_m);
+        // (V_0, V_1) = (2, P), then k runs through the prefixes of s.
+        vk.copy_from_slice(two_m);
+        vk1.copy_from_slice(p_m);
+        for i in (0..s.bit_len()).rev() {
+            // V_(2k+1) = V_k·V_(k+1) − P belongs to either next pair.
+            self.mul(tmp, vk, vk1);
+            limbs_sub_mod(tmp, p_m, &n.limbs);
+            if s.bit(i) {
+                // k ← 2k + 1: (V_(2k+1), V_(2k+2) = V_(k+1)² − 2).
+                std::mem::swap(&mut vk, &mut tmp);
+                self.sqr(tmp, vk1);
+                std::mem::swap(&mut vk1, &mut tmp);
+                limbs_sub_mod(vk1, two_m, &n.limbs);
+            } else {
+                // k ← 2k: (V_2k = V_k² − 2, V_(2k+1)).
+                std::mem::swap(&mut vk1, &mut tmp);
+                self.sqr(tmp, vk);
+                std::mem::swap(&mut vk, &mut tmp);
+                limbs_sub_mod(vk, two_m, &n.limbs);
+            }
+        }
+        if *vk == *two_m || *vk == *minus_two_m {
+            self.mul(tmp, vk, p_m);
+            scratch.copy_from_slice(vk1);
+            limbs_add_mod(scratch, vk1, &n.limbs);
+            if *tmp == *scratch {
+                return true;
+            }
+        }
+        for _ in 1..r {
+            if vk.iter().all(|&w| w == 0) {
+                return true;
+            }
+            // 2 is a fixed point of V ↦ V² − 2: no later term is 0.
+            if *vk == *two_m {
+                return false;
+            }
+            self.sqr(tmp, vk);
+            limbs_sub_mod(tmp, two_m, &n.limbs);
+            std::mem::swap(&mut vk, &mut tmp);
         }
         false
     }
@@ -1291,6 +1472,54 @@ mod tests {
                     assert_eq!(sqr, mul, "{k} limbs, n = {n:x}, a = {a:x}");
                 }
             }
+        }
+    }
+
+    /// `(a/m)` from its definition: the product of Legendre symbols over
+    /// `m`'s prime factors, each by Euler's criterion.
+    fn jacobi_by_factors(a: u64, mut m: u64) -> i32 {
+        let mut symbol = 1;
+        let mut q = 3;
+        while m > 1 {
+            while m.is_multiple_of(q) {
+                let euler = BigUint::from_u64(a)
+                    .mod_pow(&BigUint::from_u64((q - 1) / 2), &BigUint::from_u64(q));
+                symbol *= match euler.to_u64() {
+                    Some(0) => 0,
+                    Some(1) => 1,
+                    _ => -1,
+                };
+                m /= q;
+            }
+            q += 2;
+        }
+        symbol
+    }
+
+    #[test]
+    fn jacobi_matches_its_definition() {
+        for m in (1..400u64).step_by(2) {
+            for a in 1..300u64 {
+                let want = jacobi_by_factors(a, m);
+                assert_eq!(jacobi_u64(a, m), want, "({a}/{m})");
+                assert_eq!(jacobi(a, &BigUint::from_u64(m)), want, "({a}/{m})");
+            }
+        }
+    }
+
+    #[test]
+    fn is_square_finds_exactly_the_squares() {
+        let mut rng = StdRng::seed_from_u64(0x5a);
+        for n in 0..5_000u64 {
+            let root = (n as f64).sqrt() as u64;
+            assert_eq!(BigUint::from_u64(n).is_square(), root * root == n, "{n}");
+        }
+        for bits in [64, 127, 128, 256, 1024] {
+            let x = BigUint::random_bits(&mut rng, bits);
+            let square = x.mul(&x);
+            assert!(square.is_square(), "{bits}-bit root");
+            assert!(!square.add(&BigUint::one()).is_square(), "{bits}-bit root");
+            assert!(!square.sub(&BigUint::one()).is_square(), "{bits}-bit root");
         }
     }
 
