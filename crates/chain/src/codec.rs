@@ -72,6 +72,16 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// An empty vector for the `count` items read next, each at least
+    /// `min_len` encoded bytes: exact capacity for well-formed input (a
+    /// decoded block is kept for the chain's lifetime, so push-growth
+    /// slack would be too), and never more than the remaining bytes can
+    /// hold, whatever the count claims.
+    fn vec_for<T>(&self, count: u32, min_len: usize) -> Vec<T> {
+        let fits = (self.bytes.len() - self.pos) / min_len;
+        Vec::with_capacity((count as usize).min(fits))
+    }
+
     /// One byte.
     ///
     /// # Errors
@@ -167,7 +177,8 @@ pub(crate) fn push_script(out: &mut Vec<u8>, script: &Script) {
 pub fn decode_transaction(r: &mut Reader<'_>) -> Result<Transaction, CodecError> {
     let version = r.u32()?;
     let input_count = r.u32()?;
-    let mut inputs = Vec::new();
+    // Outpoint 36, script length 4, sequence 4.
+    let mut inputs = r.vec_for(input_count, 44);
     for _ in 0..input_count {
         inputs.push(TxIn {
             prevout: decode_outpoint(r)?,
@@ -176,7 +187,8 @@ pub fn decode_transaction(r: &mut Reader<'_>) -> Result<Transaction, CodecError>
         });
     }
     let output_count = r.u32()?;
-    let mut outputs = Vec::new();
+    // Value 8, script length 4.
+    let mut outputs = r.vec_for(output_count, 12);
     for _ in 0..output_count {
         outputs.push(decode_txout(r)?);
     }
@@ -215,7 +227,8 @@ pub fn decode_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
 pub fn decode_block(r: &mut Reader<'_>) -> Result<Block, CodecError> {
     let header = decode_header(r)?;
     let tx_count = r.u32()?;
-    let mut transactions = Vec::new();
+    // Version 4, two counts 8, lock time 8.
+    let mut transactions = r.vec_for(tx_count, 20);
     for _ in 0..tx_count {
         transactions.push(decode_transaction(r)?);
     }
@@ -361,6 +374,28 @@ mod tests {
         let decoded = decode_undo(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(decoded.spent_entries(), undo.spent_entries());
+    }
+
+    #[test]
+    fn decoded_vectors_hold_no_slack_and_a_hostile_count_reserves_nothing() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let payees: Vec<_> = (0..5)
+            .map(|_| (Wallet::generate(&mut rng).address(), 25))
+            .collect();
+        let block = Chain::make_genesis(&ChainParams::fast_test(), &payees);
+        let bytes = encode_block(&block);
+        let decoded = decode_block(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(decoded, block);
+        assert_eq!(decoded.transactions.capacity(), decoded.transactions.len());
+        for tx in &decoded.transactions {
+            assert_eq!(tx.inputs.capacity(), tx.inputs.len());
+            assert_eq!(tx.outputs.capacity(), tx.outputs.len());
+        }
+        // 41 bytes left can hold two 20-byte transactions, whatever the
+        // count says.
+        let tail = [0u8; 41];
+        let r = Reader::new(&tail);
+        assert_eq!(r.vec_for::<Transaction>(u32::MAX, 20).capacity(), 2);
     }
 
     #[test]

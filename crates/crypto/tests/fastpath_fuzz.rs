@@ -8,6 +8,9 @@
 //! wNAF ladders (zero, one, exponent zero, scalars at and past the group
 //! order, the 128-bit split point of `u1`). Key generation's window sieve
 //! and prime search are checked the same way, against trial division.
+//! `is_probable_prime` confirms a prime with Baillie–PSW once it passes
+//! its first random base and only draws the other bases, so keygen's
+//! survivors are run through it against 20 random-base rounds too.
 
 use bcwan_crypto::msm::ecmult;
 use bcwan_crypto::rsa::{generate_prime, is_probable_prime, sieve_window, SIEVE_BOUND};
@@ -456,6 +459,58 @@ fn generated_primes_have_the_top_two_bits_and_every_survivor_is_tested() {
             );
             assert_eq!(rng.next_u64(), reference_rng.next_u64(), "{label}: draws");
         }
+    }
+}
+
+/// Every survivor of `windows` `bits`-bit windows through
+/// `assert_primality_matches_reference`; returns `(survivors, primes)`.
+fn check_window_survivors(rng: &mut StdRng, bits: usize, windows: usize) -> (usize, usize) {
+    let (mut survivors, mut primes) = (0, 0);
+    for _ in 0..windows {
+        let start = window_start(rng, bits);
+        for offset in sieve_window(&start, bits) {
+            let n = start.add(&BigUint::from_u64(offset));
+            assert_primality_matches_reference(rng, &n);
+            survivors += 1;
+            primes += usize::from(is_probable_prime(&mut rng.clone(), &n, 20));
+        }
+    }
+    (survivors, primes)
+}
+
+#[test]
+fn window_survivors_at_256_bits_match_the_reference() {
+    let mut rng = StdRng::seed_from_u64(0xb95d);
+    let want = if cfg!(debug_assertions) { 500 } else { 10_000 };
+    let (mut survivors, mut primes) = (0, 0);
+    while survivors < want {
+        let (s, p) = check_window_survivors(&mut rng, 256, 1);
+        survivors += s;
+        primes += p;
+    }
+    // About one survivor in twelve is prime at this size.
+    assert!(primes * 30 > survivors, "{primes} primes in {survivors}");
+}
+
+#[test]
+fn window_survivors_from_16_to_1024_bits_match_the_reference() {
+    let mut rng = StdRng::seed_from_u64(0x1024);
+    let sizes = [
+        16, 17, 20, 24, 31, 32, 33, 48, 63, 64, 65, 96, 127, 128, 129, 192, 255, 257, 384, 511,
+        512, 768, 1023, 1024,
+    ];
+    for bits in sizes {
+        // Debug builds stop at 512 bits: a 1 024-bit window costs seconds there.
+        let windows = match (bits, cfg!(debug_assertions)) {
+            (..=128, false) => 40,
+            (..=128, true) => 8,
+            (..=512, false) => 4,
+            (..=512, true) => 1,
+            (_, false) => 2,
+            (_, true) => continue,
+        };
+        let (survivors, _) = check_window_survivors(&mut rng, bits, windows);
+        assert!(survivors > 0, "{bits} bits");
     }
 }
 
