@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use bcwan_chain::{Block, BlockHash, Chain, OutPoint};
+use bcwan_chain::{Block, BlockHash, Chain, IdMap, OutPoint, TxId};
 use bcwan_sim::{CounterId, Registry};
 
 use crate::escrow;
@@ -112,11 +112,11 @@ pub(crate) struct SettlementAuditor {
     /// Output values of every transaction ever audited, for fee
     /// computation. Never rolled back: values are immutable per txid,
     /// and a reconnected transaction overwrites identically.
-    out_values: HashMap<bcwan_chain::TxId, Vec<u64>>,
+    out_values: IdMap<TxId, Vec<u64>>,
     minted: u64,
     fees: u64,
-    watched: HashMap<OutPoint, WatchedEscrow>,
-    settled: HashMap<OutPoint, Settlement>,
+    watched: IdMap<OutPoint, WatchedEscrow>,
+    settled: IdMap<OutPoint, Settlement>,
     /// Claim revenue per gateway on the current main chain.
     revenue: HashMap<u32, u64>,
     value_violations: u64,
@@ -141,11 +141,11 @@ impl SettlementAuditor {
         reg.counter("byzantine.adversarial_revenue_total");
         SettlementAuditor {
             blocks: Vec::new(),
-            out_values: HashMap::new(),
+            out_values: IdMap::default(),
             minted: 0,
             fees: 0,
-            watched: HashMap::new(),
-            settled: HashMap::new(),
+            watched: IdMap::default(),
+            settled: IdMap::default(),
             revenue: HashMap::new(),
             value_violations: 0,
             double_violations: 0,

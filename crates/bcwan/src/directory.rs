@@ -14,10 +14,12 @@
 //! a larger `seq`. A federation starts from `bootstrap_chain`, whose
 //! genesis announces every host.
 
-use bcwan_chain::{Address, Block, BlockHash, Chain, ChainParams, Transaction, TxOut, Wallet};
+use bcwan_chain::{
+    Address, Block, BlockHash, Chain, ChainParams, IdMap, Transaction, TxOut, Wallet,
+};
 use bcwan_script::templates::{op_return, p2pkh};
 use bcwan_script::Script;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"BCIP";
@@ -156,9 +158,9 @@ pub(crate) fn bootstrap_chain(
 }
 
 /// The directory view a gateway maintains by scanning the chain.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Directory {
-    entries: HashMap<Address, IpAnnouncement>,
+    entries: IdMap<Address, IpAnnouncement>,
 }
 
 impl Directory {
@@ -168,12 +170,16 @@ impl Directory {
     }
 
     /// Folds one announcement in (highest `seq` wins; equal `seq` keeps
-    /// the later arrival, matching scan order).
+    /// the later arrival, matching scan order), probing the map once.
     pub fn absorb(&mut self, ann: IpAnnouncement) {
-        match self.entries.get(&ann.address) {
-            Some(existing) if existing.seq > ann.seq => {}
-            _ => {
-                self.entries.insert(ann.address, ann);
+        match self.entries.entry(ann.address) {
+            Entry::Occupied(mut held) => {
+                if held.get().seq <= ann.seq {
+                    held.insert(ann);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(ann);
             }
         }
     }

@@ -32,7 +32,7 @@
 
 use crate::costs::CostModel;
 use crate::device::{Device, DeviceEnv, DeviceNote, DeviceSpec, Downlink, Timer, Uplink};
-use crate::directory::bootstrap_chain;
+use crate::directory::{bootstrap_chain, Directory};
 use crate::escrow::REFUND_DELTA;
 use crate::fsm::FsmEvent;
 use crate::net::WanCodec;
@@ -40,7 +40,7 @@ use crate::node::{delivery_tag, Node, NodeEnv, Note, Parcel, Stored, Terms};
 use crate::provisioning::DeviceId;
 use crate::wire::WanMessage;
 use crate::Daemon;
-use bcwan_chain::{Address, ChainParams, Wallet};
+use bcwan_chain::{Address, ChainParams, IdSet, Wallet};
 use bcwan_crypto::rsa::RsaKeySize;
 use bcwan_p2p::transport::{TcpConfig, TcpHost, TcpRuntime};
 use bcwan_p2p::{Envelope, Inbox, LiveBus, NodeId};
@@ -382,6 +382,7 @@ impl<T: FleetTransport> Fleet<T> {
         let coins = [(address_book[2], 250); 4];
         let announced = address_book.iter().copied().enumerate();
         let mut bootstrapped = bootstrap_chain(&params, &coins, announced, &wallets[0]);
+        let directory = Directory::from_chain(&bootstrapped);
         let started = Instant::now();
         let nodes = wallets
             .into_iter()
@@ -393,6 +394,7 @@ impl<T: FleetTransport> Fleet<T> {
                     // Live nodes share no mutable state: each daemon
                     // keeps a private verification memo.
                     Daemon::new(bootstrapped.fork()),
+                    directory.clone(),
                     SimRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9)),
                     seed,
                     terms.clone(),
@@ -500,7 +502,7 @@ impl<T: FleetTransport> Fleet<T> {
     /// Mines one block at `miner` from its mempool and floods it.
     pub fn mine(&mut self, miner: usize) {
         self.act(miner, |node, now, env| {
-            node.mine(now, b"fleet", &HashSet::new(), env)
+            node.mine(now, b"fleet", &IdSet::default(), env)
         });
     }
 
@@ -976,7 +978,7 @@ mod tests {
         let mut fleet = Fleet::new(tcp, 3, 19);
         // Mined at node 0 but not routed: the block travels by hand.
         let (_, mined) = fleet.nodes[0].act(|node, now, env| {
-            node.mine(now, b"fleet", &HashSet::new(), env);
+            node.mine(now, b"fleet", &IdSet::default(), env);
         });
         let [Outbound::Flood(block)] = mined.as_slice() else {
             panic!("mining floods one block, not {mined:?}");

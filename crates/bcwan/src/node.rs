@@ -32,8 +32,8 @@ use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
 use crate::wire::WanMessage;
 use bcwan_chain::{
-    Address, Block, BlockAction, BlockHash, Chain, ChainError, HashedBlock, HashedTx, OutPoint,
-    Transaction, TxId, TxOut, Wallet,
+    Address, Block, BlockAction, BlockHash, Chain, ChainError, HashedBlock, HashedTx, IdMap, IdSet,
+    OutPoint, Transaction, TxId, TxOut, Wallet,
 };
 use bcwan_crypto::rsa::{RsaKeySize, RsaPrivateKey, RsaPublicKey};
 use bcwan_crypto::sha256::sha256;
@@ -41,7 +41,7 @@ use bcwan_p2p::{ChainMessage, NodeId};
 use bcwan_script::{templates::p2pkh, Script};
 use bcwan_sim::{SimDuration, SimRng, SimTime};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// A WAN message as a node handles it: stamped once with what every hop
@@ -385,32 +385,32 @@ pub struct Node {
     /// Every peer's wallet address by node id, filled by the operator.
     address_book: Arc<[Address]>,
     /// Coins reserved for in-flight escrows.
-    reserved: HashSet<OutPoint>,
+    reserved: IdSet<OutPoint>,
     /// Gateway: serialized ePk → open session.
     sessions: HashMap<Vec<u8>, Session>,
     /// Gateway: signed claims by exchange tag.
-    claims: HashMap<u64, Claim>,
+    claims: IdMap<u64, Claim>,
     /// Gateway: escrow outpoint → the claim spending it, kept for good
     /// like `settle_watch`.
-    claim_watch: HashMap<OutPoint, u64>,
+    claim_watch: IdMap<OutPoint, u64>,
     /// Gateway: escrows seen but short of the confirmation depth, or
     /// whose claim was withheld.
     awaiting_conf: Vec<(Vec<u8>, TxId)>,
     /// Recipient: escrowed exchanges by tag (boxed, so the table's
     /// power-of-two slack is in pointers, not in 200-byte records).
-    escrows: HashMap<u64, Box<Escrowed>>,
+    escrows: IdMap<u64, Box<Escrowed>>,
     /// Recipient: escrow outpoint → the delivery it pays for, until the
     /// claim reveals the key that opens it.
-    pending_open: HashMap<OutPoint, Sealed>,
+    pending_open: IdMap<OutPoint, Sealed>,
     /// Recipient: escrow outpoint → exchange, kept for good so block
     /// connects/disconnects classify as claim, refund, or orphaning
     /// thereof in O(inputs).
-    settle_watch: HashMap<OutPoint, u64>,
+    settle_watch: IdMap<OutPoint, u64>,
     /// Blocks whose parent has not arrived yet, keyed by parent hash.
-    orphans: HashMap<BlockHash, Vec<Arc<Parcel>>>,
+    orphans: IdMap<BlockHash, Vec<Arc<Parcel>>>,
     /// Peers' chain heights as they announced them or as the blocks they
     /// relayed showed: bounded by the address book, gone on a restart.
-    peer_tips: HashMap<NodeId, u64>,
+    peer_tips: IdMap<NodeId, u64>,
     /// When this node last started a catch-up, and at what height — to
     /// rate-limit attempts and tell a progressing sync from a stalled one.
     last_sync_req: Option<SimTime>,
@@ -425,10 +425,14 @@ pub struct Node {
 impl Node {
     /// A node of the experiment seeded `seed`, which it draws its session
     /// keys from alone ([`key_stream`]); `rng` is for everything else.
+    /// `directory` is [`Directory::from_chain`] of `daemon`'s chain: hosts
+    /// booted from forks of one chain scan it once and take a copy each.
+    #[allow(clippy::too_many_arguments)] // what an operator hands each host
     pub(crate) fn new(
         id: NodeId,
         wallet: Wallet,
         daemon: Daemon,
+        directory: Directory,
         rng: SimRng,
         seed: u64,
         terms: Arc<Terms>,
@@ -437,7 +441,7 @@ impl Node {
         Node {
             id,
             wallet,
-            directory: Directory::from_chain(&daemon.chain),
+            directory,
             daemon,
             registry: DeviceRegistry::new(),
             app: AppServer::default(),
@@ -447,16 +451,16 @@ impl Node {
             keys: KeyAhead::new(key_stream(seed, id)),
             terms,
             address_book,
-            reserved: HashSet::new(),
+            reserved: IdSet::default(),
             sessions: HashMap::new(),
-            claims: HashMap::new(),
-            claim_watch: HashMap::new(),
+            claims: IdMap::default(),
+            claim_watch: IdMap::default(),
             awaiting_conf: Vec::new(),
-            escrows: HashMap::new(),
-            pending_open: HashMap::new(),
-            settle_watch: HashMap::new(),
-            orphans: HashMap::new(),
-            peer_tips: HashMap::new(),
+            escrows: IdMap::default(),
+            pending_open: IdMap::default(),
+            settle_watch: IdMap::default(),
+            orphans: IdMap::default(),
+            peer_tips: IdMap::default(),
             last_sync_req: None,
             last_sync_height: 0,
             header_sync: None,
@@ -1263,7 +1267,7 @@ impl Node {
         &mut self,
         now: SimTime,
         coinbase_tag: &[u8],
-        censored: &HashSet<OutPoint>,
+        censored: &IdSet<OutPoint>,
         env: &mut dyn NodeEnv,
     ) -> Option<SimTime> {
         let chain = &self.daemon.chain;

@@ -26,14 +26,14 @@ use crate::audit::{GatewayOutcome, SettlementAuditor};
 use crate::costs::CostModel;
 use crate::daemon::{Daemon, DaemonStats};
 use crate::device::{Device, DeviceEnv, DeviceNote, DeviceSpec, Downlink, Timer, Uplink};
-use crate::directory::bootstrap_chain;
+use crate::directory::{bootstrap_chain, Directory};
 use crate::escrow;
 use crate::fsm::{FsmEvent, Phase};
 use crate::node::{delivery_tag, Misbehaviour, Node, NodeEnv, Note, Parcel, Terms};
 use crate::provisioning::{mint_all, DeviceId, DEVICE_KEY_SIZE};
 use crate::wire::{WanMessage, KIND_COUNT};
 use bcwan_chain::{
-    Address, Chain, ChainParams, MempoolStats, OutPoint, SigCache, StoreConfig, Wallet,
+    Address, Chain, ChainParams, IdSet, MempoolStats, OutPoint, SigCache, StoreConfig, Wallet,
 };
 use bcwan_crypto::rsa::{RsaKeySize, RsaPublicKey};
 use bcwan_lora::airtime::time_on_air;
@@ -495,6 +495,9 @@ impl World {
             refund_delta: cfg.refund_delta,
             rsa_size: cfg.rsa_size,
         });
+        // Every host's chain is a fork or a replay of `genesis_chain`, so
+        // one scan of it is every host's boot directory.
+        let directory = Directory::from_chain(&genesis_chain);
         let mut hosts: Vec<Node> = Vec::with_capacity(n_hosts);
         for (i, wallet) in wallets.into_iter().enumerate() {
             // A stored host replays the bootstrap into its own directory,
@@ -509,6 +512,7 @@ impl World {
                 NodeId(i as u32),
                 wallet,
                 Daemon::new(chain.with_sig_cache(sig_cache.clone())),
+                directory.clone(),
                 rng.fork(i as u64 + 1),
                 cfg.seed,
                 terms.clone(),
@@ -1059,7 +1063,7 @@ impl World {
         // spending a known escrow outpoint, claim and refund alike —
         // from its template. The pool keeps them (censorship is not
         // eviction), so an honest miner taking over mines them at once.
-        let mut escrow_ops: HashSet<OutPoint> = HashSet::new();
+        let mut escrow_ops: IdSet<OutPoint> = IdSet::default();
         if sim.chaos.censoring_miner(miner, now) {
             escrow_ops.extend(self.hosts.iter().flat_map(Node::escrow_outpoints));
             let withheld = self.hosts[miner as usize]
@@ -1446,6 +1450,20 @@ mod tests {
         cfg.with_chaos(ChaosPlan {
             faults: vec![burst],
         })
+    }
+
+    #[test]
+    fn the_shared_boot_directory_is_each_hosts_own_scan() {
+        let dir = std::env::temp_dir().join(format!("bcwan-boot-dir-{}", std::process::id()));
+        let stored = WorkloadConfig::tiny(4, 3).with_store_dir(&dir);
+        for cfg in [WorkloadConfig::tiny(4, 3), stored] {
+            let world = World::new(cfg);
+            for host in &world.hosts {
+                assert!(!host.directory.is_empty());
+                assert_eq!(host.directory, Directory::from_chain(&host.daemon.chain));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

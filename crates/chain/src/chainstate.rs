@@ -2,6 +2,7 @@
 
 use crate::block::{Block, BlockHash};
 use crate::hashed::HashedBlock;
+use crate::idmap::{IdMap, IdSet};
 use crate::params::ChainParams;
 use crate::store::{ChainStore, CoinsCache, StoreConfig, StoreError, StoreStats};
 use crate::tx::{Transaction, TxId, TxOut};
@@ -9,7 +10,6 @@ use crate::utxo::{UndoData, UtxoSet};
 use crate::validate::{validate_block_digests, BlockError, Digests, SigCache};
 use crate::wallet::Address;
 use bcwan_script::templates::p2pkh;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -194,11 +194,11 @@ bcwan_sim::counters! {
 /// The chain state: all known blocks, the best chain, and its UTXO set.
 pub struct Chain {
     params: ChainParams,
-    blocks: HashMap<BlockHash, StoredBlock>,
+    blocks: IdMap<BlockHash, StoredBlock>,
     /// Main-chain hashes indexed by height.
     main: Vec<BlockHash>,
     /// Undo data for connected main-chain blocks.
-    undo: HashMap<BlockHash, Arc<UndoData>>,
+    undo: IdMap<BlockHash, Arc<UndoData>>,
     coins: CoinsCache,
     /// Persistent backing; `None` for a memory-only chain.
     store: Option<ChainStore>,
@@ -234,9 +234,9 @@ impl Chain {
         let undo_data = coins
             .apply_block(&genesis.block.transactions, genesis.txids(), 0)
             .expect("genesis applies to empty set");
-        let mut blocks = HashMap::new();
+        let mut blocks = IdMap::default();
         blocks.insert(hash, genesis);
-        let mut undo = HashMap::new();
+        let mut undo = IdMap::default();
         undo.insert(hash, Arc::new(undo_data));
         Chain {
             params,
@@ -302,7 +302,7 @@ impl Chain {
         let (mut store, loaded) = ChainStore::open(dir.as_ref(), cfg)?;
 
         // Rebuild the block index; parents precede children on disk.
-        let mut blocks: HashMap<BlockHash, StoredBlock> = HashMap::new();
+        let mut blocks: IdMap<BlockHash, StoredBlock> = IdMap::default();
         for block in loaded.blocks {
             let hash = block.hash();
             let height = if block.header.prev_hash == BlockHash::GENESIS_PREV {
@@ -395,7 +395,7 @@ impl Chain {
 
         // Undo data the chain keeps resident: main-chain blocks only
         // (stale-branch records stay on disk, already consumed above).
-        let main_set: std::collections::HashSet<BlockHash> = main.iter().copied().collect();
+        let main_set: IdSet<BlockHash> = main.iter().copied().collect();
         let undo = loaded
             .undo
             .into_iter()

@@ -11,6 +11,8 @@
 //! - [`block`] — headers, proof-of-work, block assembly,
 //! - [`hashed`] — transactions and blocks carried with their digests,
 //!   hashed once where they enter,
+//! - [`idmap`] — the keyed hasher under every map keyed by a digest or
+//!   a dense id ([`IdMap`], [`IdSet`]),
 //! - [`params`] — the tunable consensus knobs Multichain advertises
 //!   (block interval, block size) and the **block-verification stall
 //!   model** behind the paper's Fig. 6,
@@ -51,6 +53,7 @@ pub mod block;
 pub mod chainstate;
 pub mod codec;
 pub mod hashed;
+pub mod idmap;
 pub mod mempool;
 pub mod merkle;
 pub mod params;
@@ -66,6 +69,7 @@ pub use chainstate::{
 };
 pub use codec::CodecError;
 pub use hashed::{HashedBlock, HashedTx};
+pub use idmap::{IdMap, IdSet};
 pub use mempool::{Mempool, MempoolError, MempoolStats};
 pub use params::{ChainParams, StallModel};
 pub use store::{CoinsCache, StoreConfig, StoreError};

@@ -6,11 +6,11 @@
 //! miner's pool first wins the block.
 
 use crate::hashed::HashedTx;
+use crate::idmap::{IdMap, IdSet};
 use crate::params::ChainParams;
 use crate::tx::{txids_of, OutPoint, Transaction, TxId};
 use crate::utxo::{UtxoEntry, UtxoSet};
 use crate::validate::{validate_transaction, SigCache, TxError};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -75,8 +75,8 @@ bcwan_sim::counters! {
 /// pooled spends. A borrow-only overlay — no cloning.
 struct PoolView<'a> {
     base: &'a UtxoSet,
-    created: &'a HashMap<OutPoint, UtxoEntry>,
-    spent: &'a HashMap<OutPoint, TxId>,
+    created: &'a IdMap<OutPoint, UtxoEntry>,
+    spent: &'a IdMap<OutPoint, TxId>,
 }
 
 impl crate::utxo::UtxoView for PoolView<'_> {
@@ -97,10 +97,10 @@ impl crate::utxo::UtxoView for PoolView<'_> {
 /// before it confirms, exactly the paper's §6 zero-confirmation choice.
 #[derive(Default)]
 pub struct Mempool {
-    entries: HashMap<TxId, PoolEntry>,
-    by_outpoint: HashMap<OutPoint, TxId>,
+    entries: IdMap<TxId, PoolEntry>,
+    by_outpoint: IdMap<OutPoint, TxId>,
     /// Outputs created by pooled transactions, for the overlay view.
-    created: HashMap<OutPoint, UtxoEntry>,
+    created: IdMap<OutPoint, UtxoEntry>,
     next_seq: u64,
     stats: MempoolStats,
     /// Signature cache populated at admission; shared with a chain, it
@@ -256,7 +256,7 @@ impl Mempool {
                 .then_with(|| a.tx.txid().cmp(&b.tx.txid()))
         });
         let mut out: Vec<Transaction> = Vec::new();
-        let mut selected: std::collections::HashSet<TxId> = std::collections::HashSet::new();
+        let mut selected: IdSet<TxId> = IdSet::default();
         let mut used = 0usize;
         let mut progressed = true;
         while progressed {

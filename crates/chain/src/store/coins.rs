@@ -14,9 +14,9 @@
 //! nothing: nothing will ever flush, so block connect touches the set
 //! alone.
 
+use crate::idmap::{IdMap, IdSet};
 use crate::tx::{OutPoint, Transaction, TxId};
 use crate::utxo::{UndoData, UtxoEntry, UtxoError, UtxoSet};
-use std::collections::{HashMap, HashSet};
 
 /// One operation a flush hands to the store, in outpoint order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct CoinsCache {
     /// Whether changes are noted at all.
     tracking: bool,
     /// Outpoints created or spent since the last flush.
-    touched: HashSet<OutPoint>,
+    touched: IdSet<OutPoint>,
 }
 
 impl Default for CoinsCache {
@@ -62,7 +62,7 @@ impl CoinsCache {
         CoinsCache {
             set,
             tracking,
-            touched: HashSet::new(),
+            touched: IdSet::default(),
         }
     }
 
@@ -73,12 +73,8 @@ impl CoinsCache {
     }
 
     /// A cache holding a loaded coins snapshot, every entry as on disk.
-    pub(crate) fn from_snapshot(entries: HashMap<OutPoint, UtxoEntry>) -> Self {
-        let mut cache = CoinsCache::new();
-        for (op, entry) in entries {
-            cache.set.insert_loaded(op, entry);
-        }
-        cache
+    pub(crate) fn from_snapshot(entries: IdMap<OutPoint, UtxoEntry>) -> Self {
+        CoinsCache::over(UtxoSet::from_loaded(entries), true)
     }
 
     /// The UTXO set. Callers that only read (validation, wallets, coin

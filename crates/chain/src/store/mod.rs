@@ -38,9 +38,9 @@ use crate::codec::{
     decode_block, decode_outpoint, decode_undo, decode_utxo_entry, encode_block, encode_outpoint,
     encode_undo, encode_utxo_entry, Reader,
 };
+use crate::idmap::{IdMap, IdSet};
 use crate::tx::OutPoint;
 use crate::utxo::{UndoData, UtxoEntry};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -133,7 +133,7 @@ pub(crate) struct LoadedChain {
     /// always precede children; stale branch blocks are included.
     pub blocks: Vec<Block>,
     /// Undo data per stored block.
-    pub undo: HashMap<BlockHash, UndoData>,
+    pub undo: IdMap<BlockHash, UndoData>,
     /// The committed tip.
     pub tip: BlockHash,
     /// The committed tip height.
@@ -141,7 +141,7 @@ pub(crate) struct LoadedChain {
     /// The last durable coins snapshot: the tip/height it was flushed
     /// at and the live entries. `None` means the coins data was missing
     /// or corrupt and the chain must reindex from the block file.
-    pub coins: Option<(BlockHash, u64, HashMap<OutPoint, UtxoEntry>)>,
+    pub coins: Option<(BlockHash, u64, IdMap<OutPoint, UtxoEntry>)>,
 }
 
 /// A chain's persistent backing: one directory of record-framed files
@@ -157,9 +157,9 @@ pub(crate) struct ChainStore {
     coins_live_bytes: u64,
     /// Payload length of each live coin's record: what the coins file
     /// holds, for the live-byte and compaction accounting.
-    coins_index: HashMap<OutPoint, u32>,
-    stored_blocks: HashSet<BlockHash>,
-    stored_undo: HashSet<BlockHash>,
+    coins_index: IdMap<OutPoint, u32>,
+    stored_blocks: IdSet<BlockHash>,
+    stored_undo: IdSet<BlockHash>,
     connects_since_flush: u64,
     stats: StoreStats,
 }
@@ -186,9 +186,9 @@ impl ChainStore {
             coins_gen: 0,
             coins_len: 0,
             coins_live_bytes: 0,
-            coins_index: HashMap::new(),
-            stored_blocks: HashSet::new(),
-            stored_undo: HashSet::new(),
+            coins_index: IdMap::default(),
+            stored_blocks: IdSet::default(),
+            stored_undo: IdSet::default(),
             connects_since_flush: 0,
             stats: StoreStats::default(),
         })
@@ -280,7 +280,7 @@ impl ChainStore {
         let committed_blocks = block_ends.iter().filter(|&&e| e <= blocks_len).count();
         blocks.truncate(committed_blocks);
         let committed_undo = undo_ends.iter().filter(|&&e| e <= undo_len).count();
-        let committed_hashes: HashSet<BlockHash> = blocks.iter().map(|b| b.hash()).collect();
+        let committed_hashes: IdSet<BlockHash> = blocks.iter().map(|b| b.hash()).collect();
         if !committed_hashes.contains(&tip) {
             return Err(StoreError::Corrupt(format!(
                 "committed tip {tip} not in block file"
@@ -289,7 +289,7 @@ impl ChainStore {
         // Only undo records the commit covers are meaningful; drop the
         // truncated tail and anything for a block we no longer hold.
         undo_list.truncate(committed_undo);
-        let undo: HashMap<BlockHash, UndoData> = undo_list
+        let undo: IdMap<BlockHash, UndoData> = undo_list
             .into_iter()
             .filter(|(h, _)| committed_hashes.contains(h))
             .collect();
@@ -332,11 +332,11 @@ impl ChainStore {
 
         let (loaded_coins, coins_index, coins_live_bytes) = match coins {
             Some((t, h, entries, index, live)) => (Some((t, h, entries)), index, live),
-            None => (None, HashMap::new(), 0),
+            None => (None, IdMap::default(), 0),
         };
 
         // Undo map the chain gets; the store keeps the hash set.
-        let stored_undo: HashSet<BlockHash> = undo.keys().copied().collect();
+        let stored_undo: IdSet<BlockHash> = undo.keys().copied().collect();
         let loaded = LoadedChain {
             blocks,
             undo,
@@ -515,7 +515,7 @@ impl ChainStore {
         let mut live: Vec<(OutPoint, UtxoEntry)> = entries.into_iter().collect();
         live.sort_unstable_by_key(|(op, _)| *op);
         let mut framed = Vec::new();
-        let mut index = HashMap::with_capacity(live.len());
+        let mut index = IdMap::with_capacity_and_hasher(live.len(), Default::default());
         let mut live_bytes = 0u64;
         for (op, entry) in &live {
             let mut payload = Vec::with_capacity(70);
@@ -573,9 +573,9 @@ fn remove_coins_logs(dir: &Path, keep: Option<u32>) {
 fn replay_coins(
     records: &[files::Record],
     limit: u64,
-) -> Option<(HashMap<OutPoint, UtxoEntry>, HashMap<OutPoint, u32>, u64)> {
-    let mut entries = HashMap::new();
-    let mut index = HashMap::new();
+) -> Option<(IdMap<OutPoint, UtxoEntry>, IdMap<OutPoint, u32>, u64)> {
+    let mut entries = IdMap::default();
+    let mut index = IdMap::default();
     let mut live_bytes = 0u64;
     let mut pos = 0u64;
     for rec in records {
@@ -666,7 +666,7 @@ mod tests {
     /// stay live while each flush spends the previous flush's batch of a
     /// hundred and creates the next. Returns the store, the genesis hash
     /// and the live coins.
-    fn churned_store(dir: &Path) -> (ChainStore, BlockHash, HashMap<OutPoint, UtxoEntry>) {
+    fn churned_store(dir: &Path) -> (ChainStore, BlockHash, IdMap<OutPoint, UtxoEntry>) {
         let genesis = Chain::make_genesis(&ChainParams::fast_test(), &[]);
         let tip = genesis.hash();
         let mut store = ChainStore::create(dir, StoreConfig::default()).unwrap();
@@ -694,7 +694,7 @@ mod tests {
 
     /// What a reopen of `dir` recovers as the coins set, and whether the
     /// chain on top of it had to reindex.
-    fn reopen(dir: &Path) -> (HashMap<OutPoint, UtxoEntry>, u64) {
+    fn reopen(dir: &Path) -> (IdMap<OutPoint, UtxoEntry>, u64) {
         let (_, loaded) = ChainStore::open(dir, StoreConfig::default()).unwrap();
         let (_, _, entries) = loaded.coins.expect("a coins snapshot survives");
         let opened =

@@ -1,7 +1,7 @@
 //! The unspent-transaction-output set with per-block undo data for reorgs.
 
+use crate::idmap::{IdMap, IdSet};
 use crate::tx::{txids_of, OutPoint, Transaction, TxId, TxOut};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ pub trait UtxoView {
 pub struct UtxoSet {
     /// Entries this set owns: all of them without a base, otherwise
     /// those created or restored since the fork.
-    map: HashMap<OutPoint, UtxoEntry>,
+    map: IdMap<OutPoint, UtxoEntry>,
     base: Option<Base>,
 }
 
@@ -65,8 +65,8 @@ pub struct UtxoSet {
 /// own map (see [`UtxoSet::insert`]).
 #[derive(Debug, Clone)]
 struct Base {
-    shared: Arc<HashMap<OutPoint, UtxoEntry>>,
-    spent: HashSet<OutPoint>,
+    shared: Arc<IdMap<OutPoint, UtxoEntry>>,
+    spent: IdSet<OutPoint>,
 }
 
 impl Base {
@@ -96,9 +96,9 @@ impl UtxoView for UtxoSet {
 /// block chains (B spends A's output) still resolve.
 pub(crate) struct BlockOverlay<'a> {
     base: &'a UtxoSet,
-    created: HashMap<OutPoint, UtxoEntry>,
+    created: IdMap<OutPoint, UtxoEntry>,
     /// Outpoints of `base` the block has spent so far.
-    spent: HashSet<OutPoint>,
+    spent: IdSet<OutPoint>,
 }
 
 impl UtxoView for BlockOverlay<'_> {
@@ -116,8 +116,8 @@ impl<'a> BlockOverlay<'a> {
     pub(crate) fn new(base: &'a UtxoSet) -> Self {
         BlockOverlay {
             base,
-            created: HashMap::new(),
-            spent: HashSet::new(),
+            created: IdMap::default(),
+            spent: IdSet::default(),
         }
     }
 
@@ -216,7 +216,7 @@ impl UtxoSet {
             }
             self.base = Some(Base {
                 shared: Arc::new(all),
-                spent: HashSet::new(),
+                spent: IdSet::default(),
             });
         }
         self.clone()
@@ -404,10 +404,13 @@ impl UtxoSet {
         Ok(undo)
     }
 
-    /// Inserts an entry as loaded from persistent storage — bypasses
-    /// spend/create bookkeeping, for the store's cache layer only.
-    pub(crate) fn insert_loaded(&mut self, op: OutPoint, entry: UtxoEntry) {
-        self.insert(op, entry);
+    /// A set holding exactly `entries`, as loaded from persistent
+    /// storage: the map moves in whole, nothing is rehashed.
+    pub(crate) fn from_loaded(entries: IdMap<OutPoint, UtxoEntry>) -> Self {
+        UtxoSet {
+            map: entries,
+            base: None,
+        }
     }
 
     /// Disconnects a block previously applied with [`UtxoSet::apply_block`].

@@ -3,6 +3,7 @@
 
 use crate::block::{Block, BlockHash};
 use crate::hashed::HashedTx;
+use crate::idmap::IdSet;
 use crate::params::ChainParams;
 use crate::tx::{Transaction, TxId};
 use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
@@ -12,7 +13,6 @@ use bcwan_script::interpreter::{
 };
 use bcwan_script::{Opcode, Script, ScriptError};
 use bcwan_sim::metrics::Registry;
-use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -187,7 +187,7 @@ impl fmt::Display for BlockError {
 impl std::error::Error for BlockError {}
 
 /// Above this input count the duplicate-input check switches from a linear
-/// scan over prior inputs (no allocation) to a `HashSet`.
+/// scan over prior inputs (no allocation) to an [`IdSet`].
 const DUP_LINEAR_MAX: usize = 32;
 
 /// Which verifier dominates a spend, for [`SigCache`] accounting.
@@ -259,8 +259,8 @@ const SIG_CACHE_GENERATION: usize = 1 << 15;
 
 #[derive(Debug, Default)]
 struct SigCacheInner {
-    current: HashSet<SigKey>,
-    previous: HashSet<SigKey>,
+    current: IdSet<SigKey>,
+    previous: IdSet<SigKey>,
 }
 
 /// A [`SigCache`] key: input `input_index` of transaction `txid`,
@@ -333,7 +333,7 @@ impl SigCache {
 
     fn lock(&self) -> MutexGuard<'_, SigCacheInner> {
         // A panicking verifier thread can't leave the set inconsistent
-        // (inserts are single HashSet ops), so poisoning is ignorable.
+        // (inserts are single set ops), so poisoning is ignorable.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -409,8 +409,8 @@ fn validate_transaction_structure<'a, V: UtxoView>(
 
     // Duplicate detection: typical transactions have a handful of inputs,
     // where a linear scan beats allocating and hashing into a set.
-    let mut seen =
-        (tx.inputs.len() > DUP_LINEAR_MAX).then(|| HashSet::with_capacity(tx.inputs.len()));
+    let mut seen = (tx.inputs.len() > DUP_LINEAR_MAX)
+        .then(|| IdSet::with_capacity_and_hasher(tx.inputs.len(), Default::default()));
     let mut entries = Vec::with_capacity(tx.inputs.len());
     let mut input_value: u64 = 0;
     for (i, input) in tx.inputs.iter().enumerate() {

@@ -29,8 +29,8 @@
 //! here.
 
 use crate::topology::NodeId;
+use bcwan_chain::IdMap;
 use bcwan_sim::Registry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -80,7 +80,7 @@ struct Registered<M> {
 }
 
 struct SharedRegistry<M> {
-    senders: HashMap<NodeId, Registered<M>>,
+    senders: IdMap<NodeId, Registered<M>>,
 }
 
 /// A clonable handle to the shared bus.
@@ -256,7 +256,7 @@ impl<M> LiveBus<M> {
     pub fn new() -> Self {
         LiveBus {
             registry: Arc::new(RwLock::new(SharedRegistry {
-                senders: HashMap::new(),
+                senders: IdMap::default(),
             })),
             stats: Arc::new(BusStats::default()),
             doorbell: Arc::default(),

@@ -7,6 +7,7 @@
 //! This keeps the network model independent of any particular event type.
 
 use crate::topology::{NodeId, Topology};
+use bcwan_chain::IdSet;
 use bcwan_sim::{LatencyModel, SimDuration, SimRng};
 use std::cell::Cell;
 
@@ -197,7 +198,7 @@ impl Network {
 /// flooded broadcasts terminate.
 #[derive(Debug, Clone, Default)]
 pub struct SeenFilter {
-    seen: std::collections::HashSet<[u8; 32]>,
+    seen: IdSet<[u8; 32]>,
 }
 
 impl SeenFilter {

@@ -1,6 +1,6 @@
 //! Node identities and overlay topology.
 
-use std::collections::HashMap;
+use bcwan_chain::IdMap;
 use std::fmt;
 
 /// A peer identifier on the overlay.
@@ -23,13 +23,13 @@ impl fmt::Display for NodeId {
 /// deterministic order without collecting or sorting anything.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    adjacency: HashMap<NodeId, Vec<NodeId>>,
+    adjacency: IdMap<NodeId, Vec<NodeId>>,
 }
 
 impl Topology {
     /// A full mesh over `n` nodes with ids `0..n`.
     pub fn full_mesh(n: u32) -> Self {
-        let mut adjacency = HashMap::new();
+        let mut adjacency = IdMap::default();
         for i in 0..n {
             let peers: Vec<NodeId> = (0..n).filter(|&j| j != i).map(NodeId).collect();
             adjacency.insert(NodeId(i), peers);
