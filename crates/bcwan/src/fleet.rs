@@ -36,7 +36,7 @@ use crate::directory::{bootstrap_chain, Directory};
 use crate::escrow::REFUND_DELTA;
 use crate::fsm::FsmEvent;
 use crate::net::WanCodec;
-use crate::node::{delivery_tag, Node, NodeEnv, Note, Parcel, Stored, Terms};
+use crate::node::{delivery_tag, Node, NodeEnv, Note, Parcel, Terms};
 use crate::provisioning::DeviceId;
 use crate::wire::WanMessage;
 use crate::Daemon;
@@ -556,7 +556,7 @@ impl DeviceEnv for Link {
 /// under its key, and the gateway looks the recipient up and forwards it
 /// ([`Node::on_uplink`]). Returns the tag the recipient files the
 /// exchange under, if the directory knew the recipient.
-fn deliver_reading<T: FleetTransport>(
+pub(crate) fn deliver_reading<T: FleetTransport>(
     fleet: &mut Fleet<T>,
     (gateway, recipient): (usize, usize),
     tag: u64,
@@ -684,7 +684,7 @@ pub fn fig3_partition_recovery<T: FleetTransport>(
         "straggler caught up after the partition healed"
     );
 
-    let claim = fleet.nodes[gateway].node.stored(TAG, Stored::Claim);
+    let claim = fleet.nodes[gateway].node.claim(TAG);
     let partitioned_caught_up = claim.is_some_and(|claim| {
         let chain = &fleet.nodes[straggler].node.daemon.chain;
         chain.find_transaction(&claim.txid()).is_some()
@@ -932,7 +932,7 @@ mod tests {
         // A second claim on the same escrow, as the gateway could sign it:
         // a skewed fee forks the txid, the revealed key is the same.
         let gateway = &fleet.nodes[GATEWAY].node;
-        let claim = gateway.stored(0, Stored::Claim).expect("claimed").clone();
+        let claim = gateway.claim(0).expect("claimed").clone();
         let escrow = fleet.nodes[RECIPIENT].node.escrow(filed).expect("escrowed");
         let e_sk = extract_key_from_claim(&claim, &escrow.outpoint()).expect("revealed");
         let rival = build_claim(

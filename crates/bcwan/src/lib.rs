@@ -36,7 +36,8 @@
 //! - [`wire`] — the host-to-host message vocabulary and its binary
 //!   wire encoding,
 //! - [`net`] — the §4.3 delivery glue: the wire codec packaged for the
-//!   `bcwan-p2p` TCP transport, and directory-driven dialing,
+//!   `bcwan-p2p` TCP transport, and directory endpoints as socket
+//!   addresses,
 //! - [`node`] — the gateway daemon itself: every reaction to an inbound
 //!   message and every operator action, written once against
 //!   [`NodeEnv`] and run by both [`world`] and [`fleet`],
@@ -84,7 +85,7 @@ pub use fleet::{
     fig3_partition_recovery, BusFleet, Fleet, FleetNode, FleetOutcome, FleetTransport, TcpFleet,
 };
 pub use fsm::{ExchangeFsm, FsmEvent, Phase};
-pub use net::{DialError, OverlayDialer, WanCodec};
+pub use net::WanCodec;
 pub use node::{Node, NodeEnv, Note};
 pub use provisioning::{DeviceCredentials, DeviceId, DeviceRecord, DeviceRegistry};
 pub use wire::{WanMessage, WireError};

@@ -1266,7 +1266,7 @@ impl Sim {
             Note::Settlement(_) => {}
             Note::IllegalSettlement(_) => self.registry.inc(self.meters.illegal_transitions),
             Note::Redelivered => self.registry.inc(self.meters.deliver_retries),
-            Note::Rebroadcast(_) => self.registry.inc(self.meters.rebroadcasts),
+            Note::Rebroadcast => self.registry.inc(self.meters.rebroadcasts),
             Note::Refunding => self.registry.inc(self.meters.refunds_submitted),
             // The mining model routes around the suspect.
             Note::CensorshipSuspected(miner) => {

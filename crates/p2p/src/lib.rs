@@ -15,8 +15,7 @@
 //!   paper's daemons listening on TCP ports,
 //! - a **real TCP/IP transport** ([`transport`]): a framed, checksummed
 //!   wire format and a per-host runtime on `std::net` (accept loop,
-//!   connection pool, timeouts, retry with backoff), behind the
-//!   [`Transport`] trait.
+//!   connection pool, timeouts, retry with backoff): [`TcpHost`].
 //!
 //! ## Example
 //!
@@ -44,6 +43,4 @@ pub use chain_msg::ChainMessage;
 pub use live::{BusError, Envelope, Inbox, LiveBus};
 pub use network::{Delivery, FaultModel, NetStats, Network, SeenFilter};
 pub use topology::{NodeId, Topology};
-pub use transport::{
-    Codec, CodecError, TcpConfig, TcpHost, Transport, TransportError, TransportStats,
-};
+pub use transport::{Codec, CodecError, TcpConfig, TcpHost, TransportError, TransportStats};

@@ -85,7 +85,7 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Errors surfaced by [`Transport::send`] after retries are exhausted.
+/// Errors surfaced by [`TcpHost::send`](tcp::TcpHost::send) after retries are exhausted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The peer could not be reached (dial failures, unknown node).
@@ -117,19 +117,6 @@ impl fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
-
-/// Anything that can carry an addressed message for the overlay.
-///
-/// `A` is the address vocabulary (`std::net::SocketAddr` for TCP), so
-/// protocol code written against this trait can be tested over a stub.
-pub trait Transport<A, M> {
-    /// Sends one message, retrying per the implementation's policy.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError`] once the implementation gives up.
-    fn send(&self, to: A, msg: &M) -> Result<(), TransportError>;
-}
 
 /// One counter per codec payload kind, exported as one row per kind:
 /// `{kind}` in the row template becomes the codec's label.

@@ -676,12 +676,6 @@ impl<M: Send + 'static, C: Codec<M>> TcpHost<M, C> {
     }
 }
 
-impl<M: Send + 'static, C: Codec<M>> super::Transport<SocketAddr, M> for TcpHost<M, C> {
-    fn send(&self, to: SocketAddr, msg: &M) -> Result<(), TransportError> {
-        TcpHost::send(self, to, msg)
-    }
-}
-
 /// Atomically consumes one unit from an injected-fault budget.
 fn take_one(budget: &AtomicU64) -> bool {
     budget

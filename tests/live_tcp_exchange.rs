@@ -3,7 +3,7 @@
 //! Two OS-thread hosts — a foreign gateway and the recipient — each bind
 //! a `TcpHost` on 127.0.0.1, publish their endpoints in the on-chain
 //! `OP_RETURN` directory, and run the complete exchange through
-//! directory-driven dialing: uplink delivery (step 7), escrow (step 9),
+//! directory lookups (§4.3): uplink delivery (step 7), escrow (step 9),
 //! claim revealing `eSk` (step 10), and decryption. A second run arms the
 //! sender's fault injector so the connection dies mid-`Deliver` twice;
 //! the exchange must still complete via the transport's retry/backoff.
@@ -11,12 +11,12 @@
 use bcwan::directory::{Directory, IpAnnouncement, NetAddr};
 use bcwan::escrow::{build_claim, build_escrow, extract_key_from_claim, find_escrow_for_key};
 use bcwan::exchange::{open_reading, seal_reading, verify_uplink, SealedUplink};
-use bcwan::net::{OverlayDialer, WanCodec};
+use bcwan::net::WanCodec;
 use bcwan::provisioning::{DeviceId, DeviceRegistry};
 use bcwan::wire::WanMessage;
-use bcwan_chain::{Block, Chain, ChainParams, OutPoint, Transaction, TxOut, Wallet};
+use bcwan_chain::{Address, Block, Chain, ChainParams, OutPoint, Transaction, TxOut, Wallet};
 use bcwan_crypto::rsa::{generate_keypair, RsaKeySize, RsaPublicKey};
-use bcwan_p2p::transport::{TcpConfig, TcpHost, TransportStats};
+use bcwan_p2p::transport::{TcpConfig, TcpHost, TransportError, TransportStats};
 use bcwan_p2p::{ChainMessage, NodeId};
 use bcwan_script::Script;
 use bcwan_sim::Registry;
@@ -32,6 +32,18 @@ struct Outcome {
     claim_pays_gateway: bool,
     gateway: TcpHost<WanMessage, WanCodec>,
     recipient: TcpHost<WanMessage, WanCodec>,
+}
+
+/// Fig. 3 step 7's lookup-then-send: resolves `to`'s endpoint in the
+/// directory scanned off the chain and sends `msg` there over `host`.
+fn send_to(
+    host: &TcpHost<WanMessage, WanCodec>,
+    directory: &Directory,
+    to: &Address,
+    msg: &WanMessage,
+) -> Result<(), TransportError> {
+    let endpoint = directory.lookup(to).expect("published on chain");
+    host.send(endpoint.to_socket_addr(), msg)
 }
 
 /// Runs the full exchange over loopback TCP, with `faults` injected
@@ -79,12 +91,11 @@ fn run_exchange(seed: u64, faults: u64) -> Outcome {
     let block = Block::mine(chain.tip(), 1, params.difficulty_bits, vec![coinbase]);
     chain.add_block(block).expect("announcement block");
 
-    // Each side scans the chain into its own directory view and dials
-    // through it — no side channel carries any endpoint.
+    // Each side scans the chain into its own directory view and looks
+    // its peer up there — no side channel carries any endpoint.
     let directory = Directory::from_chain(&chain);
     assert_eq!(directory.len(), 2, "both hosts published");
-    let gateway_dialer = OverlayDialer::new(gateway_host.clone(), directory.clone());
-    let recipient_dialer = OverlayDialer::new(recipient_host.clone(), directory);
+    let (recipient_view, recipient_sender) = (directory.clone(), recipient_host.clone());
 
     let mut registry = DeviceRegistry::new();
     let device = registry.provision(&mut rng, DeviceId(1), recipient_address);
@@ -131,12 +142,14 @@ fn run_exchange(seed: u64, faults: u64) -> Outcome {
                         vout: escrow.vout,
                     });
                     pending = Some(uplink);
-                    recipient_dialer
-                        .deliver(
-                            &gateway_address,
-                            &WanMessage::Chain(ChainMessage::Tx(escrow.tx)),
-                        )
-                        .expect("escrow delivered");
+                    let escrow = WanMessage::Chain(ChainMessage::Tx(escrow.tx));
+                    send_to(
+                        &recipient_sender,
+                        &recipient_view,
+                        &gateway_address,
+                        &escrow,
+                    )
+                    .expect("escrow delivered");
                 }
                 WanMessage::Chain(ChainMessage::Tx(tx)) => {
                     let outpoint = escrow_outpoint.expect("escrow preceded claim");
@@ -156,15 +169,12 @@ fn run_exchange(seed: u64, faults: u64) -> Outcome {
     if faults > 0 {
         gateway_host.inject_send_faults(faults);
     }
-    gateway_dialer
-        .deliver(
-            &recipient_address,
-            &WanMessage::Deliver {
-                device_id: DeviceId(1),
-                e_pk_bytes: e_pk.to_bytes(),
-                uplink: sealed,
-            },
-        )
+    let deliver = WanMessage::Deliver {
+        device_id: DeviceId(1),
+        e_pk_bytes: e_pk.to_bytes(),
+        uplink: sealed,
+    };
+    send_to(&gateway_host, &directory, &recipient_address, &deliver)
         .expect("deliver survives faults via retry");
 
     let claim_pays_gateway;
@@ -188,12 +198,8 @@ fn run_exchange(seed: u64, faults: u64) -> Outcome {
             .outputs
             .iter()
             .any(|o| o.script_pubkey == gateway_wallet.locking_script());
-        gateway_dialer
-            .deliver(
-                &recipient_address,
-                &WanMessage::Chain(ChainMessage::Tx(claim)),
-            )
-            .expect("claim delivered");
+        let claim = WanMessage::Chain(ChainMessage::Tx(claim));
+        send_to(&gateway_host, &directory, &recipient_address, &claim).expect("claim delivered");
         break;
     }
 

@@ -75,7 +75,6 @@ fn doctest_code(text: &str, markdown: bool) -> String {
 fn pub_fn_name(line: &str) -> Option<&str> {
     let rest = line.trim_start().strip_prefix("pub ")?;
     let rest = rest.strip_prefix("const ").unwrap_or(rest);
-    let rest = rest.strip_prefix("unsafe ").unwrap_or(rest);
     let rest = rest.strip_prefix("fn ")?;
     identifiers(rest).next()
 }
