@@ -16,7 +16,8 @@
 //! neither decides for itself: the event queue; the radio leg's timing
 //! (airtimes, the loss coin, a crashed gateway's deafness), the WAN's
 //! latency and the chaos engine; the mining schedule; and the paper's
-//! measurement marks, tracer spans, settlement auditor and metrics.
+//! measurement marks and phase boundaries, settlement auditor and
+//! metrics.
 //!
 //! What the testbed never varies is a constant, not a [`WorkloadConfig`]
 //! field: the escrow reward and fee, the SF7 radio and the EU868 duty
@@ -42,7 +43,7 @@ use bcwan_lora::params::{RadioConfig, EU868_DUTY_CYCLE};
 use bcwan_p2p::{ChainMessage, Delivery, FaultModel, Network, NodeId, Topology};
 use bcwan_sim::{
     run, Actor, ChaosEngine, ChaosPlan, CounterId, EventQueue, HistogramId, LatencyModel, Metric,
-    Registry, Series, SimDuration, SimRng, SimTime, Snapshot, SnapshotSeries, Tracer,
+    Registry, Series, SimDuration, SimRng, SimTime, Snapshot, SnapshotSeries,
 };
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
@@ -93,10 +94,6 @@ pub struct WorkloadConfig {
     /// Hard wall on simulated time (guards against stalls starving the
     /// run forever).
     pub max_sim_time: SimDuration,
-    /// Record per-exchange phase spans through the sim-time [`Tracer`].
-    /// Off by default: with tracing disabled every tracer call is a
-    /// single branch, keeping `World::run` within its overhead budget.
-    pub tracing: bool,
     /// Seeded fault schedule; [`ChaosPlan::none`] by default, so in a
     /// clean run every chaos query scans an empty plan and answers at
     /// once (see [`ChaosEngine`]).
@@ -145,7 +142,6 @@ impl WorkloadConfig {
             faults: FaultModel::none(),
             seed: 2018,
             max_sim_time: SimDuration::from_secs(24 * 3600),
-            tracing: false,
             chaos: ChaosPlan::none(),
             refund_delta: escrow::REFUND_DELTA,
             escrow_coin_headroom: 64,
@@ -191,12 +187,6 @@ impl WorkloadConfig {
             escrow_coin_headroom: 4,
             ..Self::tiny(target_exchanges, seed)
         }
-    }
-
-    /// Enables phase tracing (builder style).
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
     }
 
     /// Installs a chaos plan (builder style).
@@ -249,8 +239,9 @@ pub struct ExperimentResult {
     /// `chain.*`, `mempool.*`, and `net.*` rows (see EXPERIMENTS.md,
     /// "Reading the metrics").
     pub metrics: Snapshot,
-    /// Tracer phase-duration series in seconds, sorted by phase name.
-    /// Empty unless [`WorkloadConfig::tracing`] was set.
+    /// Time each exchange spent in each of the eight Fig. 3 phases, in
+    /// seconds, sorted by phase name; a phase no exchange left is
+    /// omitted.
     pub phases: Vec<(String, Series)>,
     /// Escrows whose claim confirmed on the master's main chain.
     pub escrows_claimed: usize,
@@ -318,6 +309,33 @@ enum Air {
     KeyIn(Box<RsaPublicKey>),
 }
 
+/// The eight Fig. 3 phases an exchange is split into, in name order:
+/// the order [`ExperimentResult::phases`] lists them in.
+#[derive(Clone, Copy)]
+enum Stage {
+    ClaimAndDecrypt,
+    ConfirmationWait,
+    DataUplink,
+    EscrowPublish,
+    GatewayForward,
+    KeyDownlink,
+    Keygen,
+    RequestUplink,
+}
+
+impl Stage {
+    const NAMES: [&str; 8] = [
+        "claim_and_decrypt",
+        "confirmation_wait",
+        "data_uplink",
+        "escrow_publish",
+        "gateway_forward",
+        "key_downlink",
+        "keygen",
+        "request_uplink",
+    ];
+}
+
 /// What only the simulator knows about one in-flight exchange: who takes
 /// part and the measurement marks. The radio half lives in the sensor's
 /// [`Device`]; keys, escrow, claim, refund and the lifecycle machine in
@@ -330,12 +348,30 @@ struct ExchangeState {
     home: u32,
     /// When the gateway first sent ePk — the paper's measurement start.
     measure_start: Option<SimTime>,
-    /// When the recipient finished verifying the delivery (step 8).
-    delivered: Option<SimTime>,
+    /// When the exchange entered each [`Stage`] it is in now.
+    entered: [Option<SimTime>; 8],
     /// Whether the recipient published the escrow: from then on only the
     /// chain ends the exchange.
     escrowed: bool,
     done: bool,
+}
+
+impl ExchangeState {
+    /// The exchange enters `stage` at `at`; entering again (a resent
+    /// request or key) restarts it.
+    fn enter(&mut self, stage: Stage, at: SimTime) {
+        self.entered[stage as usize] = Some(at);
+    }
+
+    /// The exchange leaves `stage` at `at`: the time since it entered is
+    /// one sample of `phases[stage]`. Leaving a stage it is not in
+    /// records nothing.
+    fn leave(&mut self, stage: Stage, at: SimTime, phases: &mut [Series; 8]) {
+        if let Some(start) = self.entered[stage as usize].take() {
+            let spent = at.saturating_duration_since(start);
+            phases[stage as usize].record(spent.as_secs_f64());
+        }
+    }
 }
 
 /// Hot-path metric handles, registered once at world construction.
@@ -424,6 +460,9 @@ struct Sim {
     deliveries: HashMap<(u32, u64), usize>,
     network: Network,
     latencies: Series,
+    /// Time spent in each [`Stage`]: one sample each time an exchange
+    /// leaves it.
+    phases: [Series; 8],
     completed: usize,
     failed: usize,
     started: usize,
@@ -435,7 +474,6 @@ struct Sim {
     radio_by_gw: Vec<RadioTally>,
     registry: Registry,
     meters: Meters,
-    tracer: Tracer,
     chaos: ChaosEngine,
     /// Always-on settlement auditor tracking the master's main chain
     /// block by block (value conservation, one settlement per escrow,
@@ -566,7 +604,6 @@ impl World {
 
         let mut registry = Registry::new();
         let meters = Meters::register(&mut registry);
-        let tracer = Tracer::new(cfg.tracing);
         let chaos = ChaosEngine::new(cfg.chaos.clone(), &mut registry);
         // Registering the auditor here (not at end-of-run) means every
         // snapshot and timeline frame carries explicit `invariant.*`
@@ -580,6 +617,7 @@ impl World {
             deliveries: HashMap::new(),
             network,
             latencies: Series::new(),
+            phases: Default::default(),
             completed: 0,
             failed: 0,
             started: 0,
@@ -589,7 +627,6 @@ impl World {
             radio_by_gw: vec![RadioTally::default(); cfg.actor_hosts as usize],
             registry,
             meters,
-            tracer,
             chaos,
             auditor,
             adversarial,
@@ -640,11 +677,6 @@ impl World {
             .sum();
         let app_readings = self.hosts.iter().map(|h| h.app.len()).sum();
 
-        let phases = self.sim.tracer.phases();
-        let phases = phases
-            .map(|(name, s)| (name.to_string(), s.clone()))
-            .collect();
-
         // Flush what remains dirty (the one store write a mid-run fold
         // must not cause), take the auditor's final census — one last
         // reconcile plus the FSM↔chain agreement check, which publishes
@@ -665,6 +697,11 @@ impl World {
             timeline.sample(queue.now(), &self.sim.registry);
         }
         let utxo = self.hosts[0].daemon.chain.utxo();
+        let phases = Stage::NAMES.into_iter().zip(self.sim.phases);
+        let phases = phases
+            .filter(|(_, s)| !s.is_empty())
+            .map(|(name, s)| (name.to_string(), s))
+            .collect();
         ExperimentResult {
             completed: self.sim.completed,
             failed: self.sim.failed,
@@ -718,8 +755,8 @@ impl World {
 
     /// Folds every number the run keeps outside the registry into it —
     /// the simulator's own tallies, each subsystem's stats table summed
-    /// over the hosts that keep one, the shared verification memo, the
-    /// tracer and the settlement census — so one snapshot describes the
+    /// over the hosts that keep one, the shared verification memo and
+    /// the settlement census — so one snapshot describes the
     /// whole experiment as of `now`. Runs at the end of the run and
     /// before each timeline frame that is due; it reads and never
     /// writes simulation state (no store flush), so sampling cannot move
@@ -766,7 +803,6 @@ impl World {
         fold_hosts(reg, stores);
         let gateways = (1..).zip(sim.radio_by_gw.iter().copied());
         fold_hosts(reg, gateways.collect());
-        sim.tracer.export(reg);
     }
 
     /// Brings the always-on auditor in line with the master's chain.
@@ -848,9 +884,9 @@ impl World {
                     ex.measure_start = Some(now);
                     let key = (ex.home, delivery_tag(&public_key));
                     sim.deliveries.insert(key, exchange);
-                    sim.tracer.span_end("keygen", tag, now);
+                    ex.leave(Stage::Keygen, now, &mut sim.phases);
                 }
-                sim.tracer.span_start("key_downlink", tag, now);
+                ex.enter(Stage::KeyDownlink, now);
                 let device_id = self.devices[sensor].1.id().0;
                 let down = LoraFrame::DownlinkEphemeralKey {
                     device_id,
@@ -871,7 +907,7 @@ impl World {
             return;
         }
         if !data {
-            sim.tracer.span_end("request_uplink", tag, now);
+            ex.leave(Stage::RequestUplink, now, &mut sim.phases);
         }
         let reply = self.at_host(gateway, queue, |node, env| {
             node.on_uplink(now, tag, frame, env)
@@ -882,8 +918,10 @@ impl World {
                 queue.schedule_at(at, Event::Radio { exchange, air });
             }
             Some((_, ack)) => {
-                self.sim.tracer.span_end("data_uplink", tag, now);
-                self.sim.tracer.span_start("gateway_forward", tag, now);
+                let sim = &mut self.sim;
+                let ex = &mut sim.exchanges[exchange];
+                ex.leave(Stage::DataUplink, now, &mut sim.phases);
+                ex.enter(Stage::GatewayForward, now);
                 self.downlink(now, exchange, ack, queue);
             }
             None => {}
@@ -1216,19 +1254,17 @@ impl Sim {
 
     /// Keeps the simulator's books in step with what a host just did.
     fn note(&mut self, at: SimTime, exchange: usize, note: Note) {
-        let id = exchange as u64;
         let ex = &mut self.exchanges[exchange];
         match note {
-            Note::SessionOpened => self.tracer.span_start("keygen", id, at),
+            Note::SessionOpened => ex.enter(Stage::Keygen, at),
             Note::Abort => self.abort_exchange(exchange),
             Note::Delivered => {
-                ex.delivered = Some(at);
-                self.tracer.span_end("gateway_forward", id, at);
+                ex.leave(Stage::GatewayForward, at, &mut self.phases);
+                ex.enter(Stage::EscrowPublish, at);
             }
             Note::EscrowPublished(outpoint) => {
-                let publish = at.saturating_duration_since(ex.delivered.unwrap_or(at));
-                self.tracer.record_span("escrow_publish", publish);
-                self.tracer.span_start("confirmation_wait", id, at);
+                ex.leave(Stage::EscrowPublish, at, &mut self.phases);
+                ex.enter(Stage::ConfirmationWait, at);
                 // The auditor watches the escrow from birth: any
                 // main-chain spend of it is now classified and
                 // revenue-attributed.
@@ -1238,13 +1274,13 @@ impl Sim {
                 ex.escrowed = true;
             }
             Note::Claiming => {
-                self.tracer.span_end("confirmation_wait", id, at);
-                self.tracer.span_start("claim_and_decrypt", id, at);
+                ex.leave(Stage::ConfirmationWait, at, &mut self.phases);
+                ex.enter(Stage::ClaimAndDecrypt, at);
             }
             Note::Opened => {
                 ex.done = true;
                 self.completed += 1;
-                self.tracer.span_end("claim_and_decrypt", id, at);
+                ex.leave(Stage::ClaimAndDecrypt, at, &mut self.phases);
                 if let Some(start) = ex.measure_start {
                     let total = at.saturating_duration_since(start).as_secs_f64();
                     self.latencies.record(total);
@@ -1363,7 +1399,7 @@ impl DeviceEnv for RadioEnv<'_> {
         let sim = &mut *self.sim;
         let phy_len = match &frame {
             Uplink::Request => {
-                sim.tracer.span_start("request_uplink", tag, at);
+                sim.exchanges[tag as usize].enter(Stage::RequestUplink, at);
                 REQUEST_PHY_LEN
             }
             Uplink::Data { uplink, .. } => data_uplink_phy_len(uplink.em.len(), uplink.sig.len()),
@@ -1402,8 +1438,9 @@ impl DeviceEnv for RadioEnv<'_> {
                 sim.started += 1;
             }
             DeviceNote::Sealed => {
-                sim.tracer.span_end("key_downlink", tag, at);
-                sim.tracer.span_start("data_uplink", tag, at);
+                let ex = &mut sim.exchanges[exchange];
+                ex.leave(Stage::KeyDownlink, at, &mut sim.phases);
+                ex.enter(Stage::DataUplink, at);
             }
             DeviceNote::Retry => {
                 let gateway = sim.exchanges[exchange].gateway;
@@ -1450,6 +1487,13 @@ mod tests {
         cfg.with_chaos(ChaosPlan {
             faults: vec![burst],
         })
+    }
+
+    fn counter(result: &ExperimentResult, name: &str) -> u64 {
+        let rows = &result.metrics.counters;
+        let row = rows.iter().find(|(n, _)| n == name);
+        row.map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing counter {name}"))
     }
 
     #[test]
@@ -1571,15 +1615,7 @@ mod tests {
     #[test]
     fn per_gateway_radio_rows_sum_to_totals() {
         let result = World::new(lossy(WorkloadConfig::tiny(10, 35), 0.3)).run();
-        let counter = |name: &str| {
-            result
-                .metrics
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
+        let counter = |name: &str| counter(&result, name);
         let sum_labeled = |base: &str| {
             let prefix = format!("{base}{{");
             result
@@ -1604,7 +1640,7 @@ mod tests {
 
     #[test]
     fn tracing_decomposes_exchanges_into_phases() {
-        let result = World::new(WorkloadConfig::tiny(4, 51).with_tracing()).run();
+        let result = World::new(WorkloadConfig::tiny(4, 51)).run();
         assert!(result.completed >= 4);
         let names: Vec<&str> = result.phases.iter().map(|(n, _)| n.as_str()).collect();
         for phase in [
@@ -1628,38 +1664,92 @@ mod tests {
                 result.completed
             );
         }
-        // No stray span bookkeeping on the happy path.
-        let unmatched = result
-            .metrics
-            .counters
-            .iter()
-            .find(|(n, _)| n == "trace.unmatched_ends_total")
-            .map(|(_, v)| *v);
-        assert_eq!(unmatched, Some(0));
     }
 
     #[test]
-    fn tracing_off_leaves_phases_empty_and_results_identical() {
-        let traced = World::new(WorkloadConfig::tiny(4, 51).with_tracing()).run();
-        let plain = World::new(WorkloadConfig::tiny(4, 51)).run();
-        assert!(plain.phases.is_empty());
-        // Tracing is observation only: same simulation either way.
-        assert_eq!(plain.completed, traced.completed);
-        assert_eq!(plain.latencies.samples(), traced.latencies.samples());
+    fn phases_partition_the_latency() {
+        let mut fig5 = WorkloadConfig::paper_fig5();
+        fig5.target_exchanges = 100;
+        for cfg in [WorkloadConfig::tiny(4, 51), fig5] {
+            let result = World::new(cfg).run();
+            let n = result.completed;
+            assert_eq!(counter(&result, "world.lora_retries_total"), 0);
+            assert_eq!(result.phases.len(), Stage::NAMES.len());
+            for (name, series) in &result.phases {
+                assert_eq!(series.len(), n, "{name}: one sample per exchange");
+            }
+            // The latency starts as the key goes down, so the phases from
+            // there on add up to it.
+            let post_keygen: f64 = [
+                "key_downlink",
+                "data_uplink",
+                "gateway_forward",
+                "escrow_publish",
+                "confirmation_wait",
+                "claim_and_decrypt",
+            ]
+            .iter()
+            .flat_map(|name| {
+                let row = result.phases.iter().find(|(n, _)| n == name);
+                row.expect("all eight phases reported").1.samples()
+            })
+            .sum();
+            let total: f64 = result.latencies.samples().iter().sum();
+            assert!(
+                (post_keygen - total).abs() <= 1e-9 * n as f64,
+                "phases sum to {post_keygen} s, latencies to {total} s"
+            );
+        }
+    }
+
+    #[test]
+    fn a_retransmission_restarts_a_phase_and_is_not_counted_twice() {
+        let result = World::new(lossy(WorkloadConfig::tiny(10, 1), 0.3)).run();
+        let started = counter(&result, "world.exchanges_started_total") as usize;
+        let retries = counter(&result, "world.lora_retries_total") as usize;
+        assert!(retries > 0, "the loss must force retransmissions");
+        for (name, series) in &result.phases {
+            // Each request that reaches the gateway closes the phase its
+            // transmission opened, a resent one included; every other
+            // phase an exchange re-enters restarts.
+            let entered = match name.as_str() {
+                "request_uplink" => started + retries,
+                _ => started,
+            };
+            assert!(
+                series.len() <= entered,
+                "{name}: {} samples, {entered} entries",
+                series.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_stage_restarts_on_reentry_and_closes_once() {
+        let t = SimTime::from_micros;
+        let mut phases: [Series; 8] = Default::default();
+        let (mut a, mut b) = (ExchangeState::default(), ExchangeState::default());
+        a.leave(Stage::KeyDownlink, t(5), &mut phases); // never entered
+        a.enter(Stage::KeyDownlink, t(0));
+        b.enter(Stage::KeyDownlink, t(10));
+        a.enter(Stage::KeyDownlink, t(30)); // a resent key
+        b.leave(Stage::KeyDownlink, t(25), &mut phases);
+        a.leave(Stage::KeyDownlink, t(40), &mut phases);
+        a.leave(Stage::KeyDownlink, t(50), &mut phases); // already left
+        let key_downlink = Stage::KeyDownlink as usize;
+        assert_eq!(phases[key_downlink].samples(), &[15e-6, 10e-6]);
+        let mut others = phases
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != key_downlink);
+        assert!(others.all(|(_, s)| s.is_empty()));
+        assert!(Stage::NAMES.is_sorted(), "phases are reported by name");
     }
 
     #[test]
     fn metrics_snapshot_reflects_run_outcome() {
         let result = World::new(WorkloadConfig::tiny(5, 52)).run();
-        let counter = |name: &str| {
-            result
-                .metrics
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-        };
+        let counter = |name: &str| counter(&result, name);
         assert_eq!(
             counter("world.exchanges_completed_total"),
             result.completed as u64

@@ -6,9 +6,10 @@
 //! structs moved onto the declare-once table and `World::fold_metrics`;
 //! the three chaos runs' were re-recorded once, when recovery moved into
 //! the node (EXPERIMENTS.md § "Recovery in the node"), and the stored
-//! run's once more when its eight `store.cache_*` rows were deleted —
-//! the previous snapshot without them hashes to the new digest
-//! (EXPERIMENTS.md § UM).
+//! run's twice more: when its eight `store.cache_*` rows were deleted
+//! (EXPERIMENTS.md § UM), and when its two `trace.*` rows went with the
+//! span tracer (EXPERIMENTS.md § PH). Each time the previous snapshot
+//! without the deleted rows hashes to the new digest.
 
 use bcwan::world::{ExperimentResult, WorkloadConfig, World};
 use bcwan_sim::{ChaosFault, ChaosPlan, ChaosProfile, SimDuration, SimRng, SimTime, Snapshot};
@@ -131,11 +132,11 @@ fn byzantine_soak_seed_11() {
     assert_eq!(digest(&run(cfg).metrics), "rows=79 fnv=a04b261506c88713");
 }
 
-/// Every optional row family at once: tracer rows, per-host `store.*`
-/// and `world.lora_*` labels, a warm restart, and interval sampling
-/// (which must not move a single final row).
+/// Every optional row family at once: per-host `store.*` and
+/// `world.lora_*` labels, a warm restart, and interval sampling (which
+/// must not move a single final row).
 #[test]
-fn traced_stored_sampled_tiny() {
+fn stored_sampled_tiny() {
     let dir = std::env::temp_dir().join(format!("bcwan-golden-metrics-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
@@ -148,12 +149,11 @@ fn traced_stored_sampled_tiny() {
     };
     let mut cfg = WorkloadConfig::tiny(6, 91)
         .with_chaos(plan)
-        .with_tracing()
         .with_store_dir(&dir)
         .with_metrics_interval(SimDuration::from_secs(20));
     cfg.refund_delta = 12;
     let result = run(cfg);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(result.restarts_warm > 0, "the store rows cover a reopen");
-    assert_eq!(digest(&result.metrics), "rows=87 fnv=473437d0ae63b96e");
+    assert_eq!(digest(&result.metrics), "rows=85 fnv=0e52d01b94503cb2");
 }

@@ -7,7 +7,7 @@ use bcwan::world::{ExperimentResult, WorkloadConfig, World};
 use bcwan_sim::{ChaosFault, ChaosPlan, SimDuration, SimTime, Snapshot};
 use std::collections::BTreeSet;
 
-/// A traced, stored tiny run with one gateway crash (warm restart).
+/// A stored tiny run with one gateway crash (warm restart).
 fn run(tag: &str, interval: Option<SimDuration>) -> ExperimentResult {
     let dir = std::env::temp_dir().join(format!("bcwan-timeline-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -21,7 +21,6 @@ fn run(tag: &str, interval: Option<SimDuration>) -> ExperimentResult {
     };
     let mut cfg = WorkloadConfig::tiny(6, 91)
         .with_chaos(plan)
-        .with_tracing()
         .with_store_dir(&dir);
     cfg.refund_delta = 12;
     cfg.metrics_interval = interval;

@@ -37,14 +37,9 @@ fn main() {
     let mut last = None;
     println!("regime                               mean(s)   p95(s)   n");
     for (name, latency) in regimes {
-        // Trace the last (LAN) run so the report shows where the
-        // remaining latency lives once the WAN is out of the picture.
         let mut cfg = WorkloadConfig::paper_fig5();
         cfg.target_exchanges = n;
         cfg.latency = latency;
-        if name.starts_with("lan") {
-            cfg = cfg.with_tracing();
-        }
         let result = World::new(cfg).run();
         let s = result.latencies.summary().expect("completed exchanges");
         println!(
@@ -68,6 +63,8 @@ fn main() {
     );
     println!("radio airtime and edge CPU, which §6's co-location argument cannot touch.");
     if let Some(path) = args.json {
+        // The LAN run's phases: where the remaining latency lives once
+        // the WAN is out of the picture.
         let lan = last.expect("three regimes ran");
         BenchReport::new("ablation_colocation")
             .config("target_exchanges", Json::size(n))

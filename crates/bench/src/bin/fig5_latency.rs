@@ -14,7 +14,7 @@ use bcwan_sim::{Json, SimDuration};
 
 fn main() {
     let args = harness_args();
-    let mut cfg = WorkloadConfig::paper_fig5().with_tracing();
+    let mut cfg = WorkloadConfig::paper_fig5();
     if let Some(n) = args.target {
         cfg.target_exchanges = n;
     }
@@ -32,8 +32,7 @@ fn main() {
             "sensors_per_host",
             Json::size(cfg.sensors_per_host as usize),
         )
-        .with("seed", Json::uint(cfg.seed))
-        .with("tracing", Json::Bool(cfg.tracing));
+        .with("seed", Json::uint(cfg.seed));
     let result = World::new(cfg).run();
     let latency = LatencyReport::from_series(
         "Fig. 5 — exchange latency, block verification disabled",

@@ -12,7 +12,7 @@ use bcwan_sim::Json;
 
 fn main() {
     let args = harness_args();
-    let mut cfg = WorkloadConfig::paper_fig6().with_tracing();
+    let mut cfg = WorkloadConfig::paper_fig6();
     if let Some(n) = args.target {
         cfg.target_exchanges = n;
     }
@@ -28,8 +28,7 @@ fn main() {
             Json::size(cfg.sensors_per_host as usize),
         )
         .with("seed", Json::uint(cfg.seed))
-        .with("stall_enabled", Json::Bool(cfg.chain_params.stall.enabled))
-        .with("tracing", Json::Bool(cfg.tracing));
+        .with("stall_enabled", Json::Bool(cfg.chain_params.stall.enabled));
     let result = World::new(cfg).run();
     let latency = LatencyReport::from_series(
         "Fig. 6 — exchange latency, block verification enabled",

@@ -58,8 +58,8 @@ pub(crate) const SCHEMA_VERSION: u64 = 2;
 /// `rows` carries the experiment's own table (whatever the figure plots);
 /// `metrics` is a [`Registry`] snapshot — for world-driven experiments the
 /// full `world.*`/`chain.*`/`net.*` instrumentation, for analytic ones a
-/// small registry of run counters; `phases` summarizes the sim-time spans
-/// when the run traced them (empty object otherwise).
+/// small registry of run counters; `phases` summarizes a `World` run's
+/// eight exchange phases (empty object for analytic bins).
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Binary name, e.g. `"fig5_latency"`.
@@ -70,7 +70,7 @@ pub struct BenchReport {
     pub rows: Json,
     /// Metrics registry snapshot.
     pub metrics: Snapshot,
-    /// Phase-latency summaries, `(phase name, summary)` per traced span.
+    /// Phase-latency summaries, `(phase name, summary)` per phase.
     pub phases: Vec<(String, Summary)>,
     /// Periodic metric snapshots over sim time. `None` — the run
     /// recorded no timeline — omits the `timeline` key entirely.
@@ -111,7 +111,7 @@ impl BenchReport {
         self
     }
 
-    /// Attaches phase series (as produced by a traced `World::run`),
+    /// Attaches phase series (as `World::run` produces them),
     /// keeping each phase that has at least one sample.
     #[must_use]
     pub fn phases(mut self, phases: &[(String, Series)]) -> Self {
@@ -161,7 +161,7 @@ impl BenchReport {
         std::fs::write(path, self.to_json().render_pretty())
     }
 
-    /// Prints the phase table (no-op when the run was untraced).
+    /// Prints the phase table (no-op when the report has no phases).
     pub fn print_phases(&self) {
         if self.phases.is_empty() {
             return;

@@ -46,7 +46,6 @@ pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use chaos::{ChaosEngine, ChaosFault, ChaosMeters, ChaosPlan, ChaosProfile};
 pub use json::Json;
@@ -58,4 +57,3 @@ pub use metrics::{
 pub use queue::{run, Actor, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::Tracer;
