@@ -8,13 +8,13 @@
 //! live host needs: reactions become [`Outbound`]s for the transport,
 //! reports become a log — wired together by any [`FleetTransport`]. The
 //! *same* scenario function (for example [`fig3_partition_recovery`])
-//! runs unmodified over [`BusFleet`] (in-process channels, instant
-//! delivery) or [`TcpFleet`] (real `TcpHost` sockets multiplexed on one
-//! shared event-driven [`TcpRuntime`]); the only difference is which
-//! transport value the caller constructs. A scenario's sensor is the
-//! simulator's `Device` too, driven over an instant, lossless
-//! in-process link into the gateway's [`Node::on_uplink`]; the fleet
-//! adds no radio and no loss model.
+//! runs unmodified over [`BusFleet`] (one in-process queue per node,
+//! instant delivery) or [`TcpFleet`] (real `TcpHost` sockets
+//! multiplexed on one shared event-driven [`TcpRuntime`]); the only
+//! difference is which transport value the caller constructs. A
+//! scenario's sensor is the simulator's `Device` too, driven over an
+//! instant, lossless in-process link into the gateway's
+//! [`Node::on_uplink`]; the fleet adds no radio and no loss model.
 //!
 //! Live nodes run the same watchdog as simulated ones: each node asks
 //! for a wake-up whenever it arms a deadline ([`NodeEnv::wake_at`]), and
@@ -26,8 +26,9 @@
 //! side is what no daemon decides for itself in this harness: when to
 //! mine ([`Fleet::mine`]) and which tip announcements to send
 //! (`Fleet::announce_tip` — how a healed node learns who is ahead).
-//! Partitions are enforced at the overlay routing layer on both
-//! backends: a cut link silently drops the message, exactly what a
+//! Partitions live in the fleet, not in the fabric: [`Fleet`] keeps the
+//! one set of cut links and checks it on every send, so a cut link
+//! silently drops the message on both fabrics alike — exactly what a
 //! severed WAN path does to a datagram in flight.
 
 use crate::costs::CostModel;
@@ -43,11 +44,11 @@ use crate::Daemon;
 use bcwan_chain::{Address, ChainParams, IdSet, Wallet};
 use bcwan_crypto::rsa::RsaKeySize;
 use bcwan_p2p::transport::{TcpConfig, TcpHost, TcpRuntime};
-use bcwan_p2p::{Envelope, Inbox, LiveBus, NodeId};
+use bcwan_p2p::{Envelope, Inbox, NodeId};
 use bcwan_sim::{SimRng, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -57,24 +58,23 @@ use std::time::{Duration, Instant};
 /// node cannot starve the rest of the fleet within a step.
 const DRAIN_PER_STEP: usize = 64;
 
-/// An addressed overlay for a fleet of nodes, with partitionable links.
+/// An addressed overlay for a fleet of nodes.
 ///
 /// Implementations route by [`NodeId`]; the TCP backend resolves ids to
 /// socket addresses internally (the on-chain directory's job in the full
-/// system). A send across a cut link returns `false` and delivers
-/// nothing — the overlay-level model of a severed WAN path, identical on
-/// both backends.
+/// system). Which links are cut is [`Fleet`]'s business: a fabric only
+/// hears of a cut, through [`cut_link`](FleetTransport::cut_link).
 pub trait FleetTransport {
-    /// Sends one message; `false` means the link is cut or the peer is
-    /// unreachable and the message was dropped.
+    /// Sends one message; `false` means the peer is unreachable and the
+    /// message was dropped.
     fn send(&mut self, from: NodeId, to: NodeId, msg: &WanMessage) -> bool;
 
     /// Non-blocking receive of the next message queued for `host`.
     fn try_recv(&mut self, host: NodeId) -> Option<Envelope<WanMessage>>;
 
-    /// Raises (`up = true`) or cuts (`up = false`) the link between two
-    /// nodes. Links start up.
-    fn set_link(&mut self, a: NodeId, b: NodeId, up: bool);
+    /// The fleet has just cut the link between `a` and `b`: a fabric
+    /// that keeps per-link state drops it here. By default, nothing.
+    fn cut_link(&mut self, _a: NodeId, _b: NodeId) {}
 
     /// Blocks until a message has been delivered to *any* node since the
     /// last call, or `timeout` elapses. A delivery that lands between
@@ -83,60 +83,43 @@ pub trait FleetTransport {
     fn wait(&mut self, timeout: Duration);
 }
 
-fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
-    (a.0.min(b.0), a.0.max(b.0))
-}
-
-/// [`FleetTransport`] over the in-process [`LiveBus`]: instant,
-/// loss-free delivery through channels — the simulated world's fabric.
+/// [`FleetTransport`] in process: one queue per node, instant and
+/// loss-free — the simulated world's fabric.
 pub struct BusFleet {
-    bus: LiveBus<WanMessage>,
-    inboxes: Vec<Inbox<WanMessage>>,
-    cuts: HashSet<(u32, u32)>,
+    queues: Vec<VecDeque<Envelope<WanMessage>>>,
 }
 
 impl BusFleet {
     /// A bus fabric for `n` nodes with ids `0..n`.
     pub fn new(n: usize) -> Self {
-        let bus = LiveBus::new();
-        let inboxes = (0..n as u32).map(|i| bus.register(NodeId(i))).collect();
         BusFleet {
-            bus,
-            inboxes,
-            cuts: HashSet::new(),
+            queues: vec![VecDeque::new(); n],
         }
-    }
-
-    /// The bus itself, for metric export.
-    pub fn bus(&self) -> &LiveBus<WanMessage> {
-        &self.bus
     }
 }
 
 impl FleetTransport for BusFleet {
     fn send(&mut self, from: NodeId, to: NodeId, msg: &WanMessage) -> bool {
-        if self.cuts.contains(&link_key(from, to)) {
+        let Some(queue) = self.queues.get_mut(to.0 as usize) else {
             return false;
-        }
-        self.bus.send(from, to, msg.clone()).is_ok()
+        };
+        queue.push_back(Envelope {
+            from,
+            msg: msg.clone(),
+        });
+        true
     }
 
     fn try_recv(&mut self, host: NodeId) -> Option<Envelope<WanMessage>> {
-        self.inboxes
-            .get(host.0 as usize)
-            .and_then(|inbox| inbox.try_recv())
+        self.queues.get_mut(host.0 as usize)?.pop_front()
     }
 
-    fn set_link(&mut self, a: NodeId, b: NodeId, up: bool) {
-        if up {
-            self.cuts.remove(&link_key(a, b));
-        } else {
-            self.cuts.insert(link_key(a, b));
-        }
-    }
-
+    /// On one thread nothing else can deliver: a queued message ends the
+    /// wait at once, and otherwise nothing will until `timeout` is up.
     fn wait(&mut self, timeout: Duration) {
-        self.bus.wait_for_delivery(timeout);
+        if self.queues.iter().all(VecDeque::is_empty) {
+            std::thread::sleep(timeout);
+        }
     }
 }
 
@@ -149,7 +132,6 @@ pub struct TcpFleet {
     hosts: Vec<TcpHost<WanMessage, WanCodec>>,
     inboxes: Vec<Inbox<WanMessage>>,
     addrs: Vec<SocketAddr>,
-    cuts: HashSet<(u32, u32)>,
 }
 
 impl TcpFleet {
@@ -177,7 +159,6 @@ impl TcpFleet {
             hosts,
             inboxes,
             addrs,
-            cuts: HashSet::new(),
         })
     }
 
@@ -189,9 +170,6 @@ impl TcpFleet {
 
 impl FleetTransport for TcpFleet {
     fn send(&mut self, from: NodeId, to: NodeId, msg: &WanMessage) -> bool {
-        if self.cuts.contains(&link_key(from, to)) {
-            return false;
-        }
         let (Some(host), Some(addr)) = (
             self.hosts.get(from.0 as usize),
             self.addrs.get(to.0 as usize),
@@ -207,21 +185,16 @@ impl FleetTransport for TcpFleet {
             .and_then(|inbox| inbox.try_recv())
     }
 
-    fn set_link(&mut self, a: NodeId, b: NodeId, up: bool) {
-        if up {
-            self.cuts.remove(&link_key(a, b));
-        } else {
-            self.cuts.insert(link_key(a, b));
-            // The pooled connections across the cut — those two, not the
-            // ends' whole pools — are stale; drop them so a healed link
-            // re-dials instead of writing into a dead pipe.
-            for (from, to) in [(a, b), (b, a)] {
-                if let (Some(host), Some(addr)) = (
-                    self.hosts.get(from.0 as usize),
-                    self.addrs.get(to.0 as usize),
-                ) {
-                    host.drop_peer(*addr);
-                }
+    /// The pooled connections across the cut — those two, not the ends'
+    /// whole pools — are stale; drop them so a healed link re-dials
+    /// instead of writing into a dead pipe.
+    fn cut_link(&mut self, a: NodeId, b: NodeId) {
+        for (from, to) in [(a, b), (b, a)] {
+            if let (Some(host), Some(addr)) = (
+                self.hosts.get(from.0 as usize),
+                self.addrs.get(to.0 as usize),
+            ) {
+                host.drop_peer(*addr);
             }
         }
     }
@@ -345,6 +318,14 @@ pub struct Fleet<T> {
     pub transport: T,
     /// The gateways, indexed by node id.
     pub nodes: Vec<FleetNode>,
+    /// The cut links, as [`link_key`]s: the one partition rule every
+    /// send of the fleet goes through, whatever the fabric.
+    cuts: HashSet<(u32, u32)>,
+}
+
+/// A link's key in [`Fleet`]'s cut set: its two ends, lower id first.
+fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
+    (a.0.min(b.0), a.0.max(b.0))
 }
 
 impl<T: FleetTransport> Fleet<T> {
@@ -405,7 +386,11 @@ impl<T: FleetTransport> Fleet<T> {
                 started,
             })
             .collect();
-        Fleet { transport, nodes }
+        Fleet {
+            transport,
+            nodes,
+            cuts: HashSet::new(),
+        }
     }
 
     /// Number of nodes.
@@ -444,17 +429,23 @@ impl<T: FleetTransport> Fleet<T> {
         for reaction in reactions {
             match reaction {
                 Outbound::To(to, msg) => {
-                    self.transport.send(from, to, &msg);
+                    self.send(from, to, &msg);
                 }
                 Outbound::Flood(msg) => {
                     for j in 0..n {
                         if j != from.0 {
-                            self.transport.send(from, NodeId(j), &msg);
+                            self.send(from, NodeId(j), &msg);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Sends one message over the fabric unless the link is cut; `false`
+    /// when it was dropped.
+    fn send(&mut self, from: NodeId, to: NodeId, msg: &WanMessage) -> bool {
+        !self.cuts.contains(&link_key(from, to)) && self.transport.send(from, to, msg)
     }
 
     /// Steps until `pred` holds or `timeout` elapses; `true` on success.
@@ -510,18 +501,22 @@ impl<T: FleetTransport> Fleet<T> {
     /// node learns it is behind.
     pub(crate) fn announce_tip(&mut self, from: usize, to: usize) {
         let msg = self.nodes[from].node.tip_announce();
-        self.transport
-            .send(NodeId(from as u32), NodeId(to as u32), &msg);
+        self.send(NodeId(from as u32), NodeId(to as u32), &msg);
     }
 
     /// Cuts (or heals) every link between `node` and the rest of the
     /// fleet.
     pub(crate) fn set_isolated(&mut self, node: usize, isolated: bool) {
-        let n = self.nodes.len();
-        for peer in 0..n {
-            if peer != node {
-                self.transport
-                    .set_link(NodeId(node as u32), NodeId(peer as u32), !isolated);
+        let node = NodeId(node as u32);
+        for peer in (0..self.nodes.len() as u32).map(NodeId) {
+            if peer == node {
+                continue;
+            }
+            if isolated {
+                self.cuts.insert(link_key(node, peer));
+                self.transport.cut_link(node, peer);
+            } else {
+                self.cuts.remove(&link_key(node, peer));
             }
         }
     }
@@ -1004,39 +999,73 @@ mod tests {
         assert!(woken_after < Duration::from_secs(1), "{woken_after:?}");
     }
 
-    #[test]
-    fn cutting_a_link_drops_that_connection_only() {
-        let tcp = TcpFleet::new(5, 1, TcpConfig::fast_test()).expect("bind");
-        let mut fleet = Fleet::new(tcp, 5, 20);
+    /// The next message queued for `host`, waiting up to `timeout`.
+    fn recv_within<T: FleetTransport>(
+        fleet: &mut Fleet<T>,
+        host: u32,
+        timeout: Duration,
+    ) -> Option<Envelope<WanMessage>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(env) = fleet.transport.try_recv(NodeId(host)) {
+                return Some(env);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            fleet.transport.wait(left);
+        }
+    }
+
+    /// One cut-link check through [`Fleet`], whatever the fabric: with
+    /// node 4 isolated, 0 → 4 is dropped and 0 → 1 still lands; healed,
+    /// 0 → 4 lands again.
+    fn a_cut_link_drops_its_messages_until_healed<T: FleetTransport>(fleet: &mut Fleet<T>) {
         let announce = fleet.nodes[0].node.tip_announce();
-        assert!(fleet.transport.send(NodeId(0), NodeId(1), &announce));
-        assert!(fleet.transport.send(NodeId(0), NodeId(4), &announce));
-        let stats = |f: &Fleet<TcpFleet>| {
-            let stats = f.transport.hosts()[0].stats();
-            (
-                TransportStats::get(&stats.dials),
-                TransportStats::get(&stats.pool_hits),
-            )
+        let delivered = |fleet: &mut Fleet<T>, to: u32, wait: Duration| {
+            let sent = fleet.send(NodeId(0), NodeId(to), &announce);
+            let landed = recv_within(fleet, to, wait).map(|env| (env.from, env.msg));
+            assert_eq!(landed.is_some(), sent, "0 → {to}: sent {sent}");
+            landed.is_some_and(|got| got == (NodeId(0), announce.clone()))
         };
-        assert_eq!(stats(&fleet), (2, 0));
-        fleet.transport.set_link(NodeId(0), NodeId(4), false);
-        // 0 → 1 is not across the cut: its pooled connection is reused.
-        assert!(fleet.transport.send(NodeId(0), NodeId(1), &announce));
-        assert_eq!(stats(&fleet), (2, 1));
-        // 0 → 4 is: dropped while cut, dialled afresh once healed.
-        assert!(!fleet.transport.send(NodeId(0), NodeId(4), &announce));
-        fleet.transport.set_link(NodeId(0), NodeId(4), true);
-        assert!(fleet.transport.send(NodeId(0), NodeId(4), &announce));
-        assert_eq!(stats(&fleet), (3, 1));
+        assert!(delivered(fleet, 1, WAIT));
+        assert!(delivered(fleet, 4, WAIT));
+        fleet.set_isolated(4, true);
+        assert!(delivered(fleet, 1, WAIT), "0 → 1 is not across the cut");
+        let quiet = Duration::from_millis(50);
+        assert!(!delivered(fleet, 4, quiet), "0 → 4 is dropped while cut");
+        fleet.set_isolated(4, false);
+        assert!(delivered(fleet, 4, WAIT), "0 → 4 lands once healed");
     }
 
     #[test]
     fn cut_links_drop_messages_on_the_bus() {
-        let mut fleet = Fleet::new(BusFleet::new(3), 3, 11);
-        let announce = fleet.nodes[0].node.tip_announce();
-        fleet.set_isolated(2, true);
-        assert!(!fleet.transport.send(NodeId(0), NodeId(2), &announce));
-        fleet.set_isolated(2, false);
-        assert!(fleet.transport.send(NodeId(0), NodeId(2), &announce));
+        let mut fleet = Fleet::new(BusFleet::new(5), 5, 11);
+        a_cut_link_drops_its_messages_until_healed(&mut fleet);
+    }
+
+    #[test]
+    fn cutting_a_link_drops_that_connection_only() {
+        let tcp = TcpFleet::new(5, 1, TcpConfig::fast_test()).expect("bind");
+        let mut fleet = Fleet::new(tcp, 5, 20);
+        a_cut_link_drops_its_messages_until_healed(&mut fleet);
+        let stats = fleet.transport.hosts()[0].stats();
+        // Node 0 dialled 1 and 4 once each; after the cut, 0 → 1 reused
+        // its pooled connection and the healed 0 → 4 dialled afresh.
+        let (dials, pool_hits) = (
+            TransportStats::get(&stats.dials),
+            TransportStats::get(&stats.pool_hits),
+        );
+        assert_eq!((dials, pool_hits), (3, 1));
+    }
+
+    #[test]
+    fn a_queued_message_ends_the_bus_wait_at_once() {
+        let mut bus = BusFleet::new(3);
+        let ask = WanMessage::Chain(ChainMessage::GetBlocksFrom(0));
+        assert!(bus.send(NodeId(0), NodeId(2), &ask));
+        let started = Instant::now();
+        bus.wait(WAIT);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert!(bus.try_recv(NodeId(2)).is_some());
+        assert!(!bus.send(NodeId(0), NodeId(3), &ask), "no node 3");
     }
 }

@@ -350,6 +350,9 @@ struct ExchangeState {
     measure_start: Option<SimTime>,
     /// When the exchange entered each [`Stage`] it is in now.
     entered: [Option<SimTime>; 8],
+    /// Whether the gateway has heard a request: a copy resent after that
+    /// opens no second `request_uplink` sample.
+    request_heard: bool,
     /// Whether the recipient published the escrow: from then on only the
     /// chain ends the exchange.
     escrowed: bool,
@@ -908,6 +911,7 @@ impl World {
         }
         if !data {
             ex.leave(Stage::RequestUplink, now, &mut sim.phases);
+            ex.request_heard = true;
         }
         let reply = self.at_host(gateway, queue, |node, env| {
             node.on_uplink(now, tag, frame, env)
@@ -1399,7 +1403,10 @@ impl DeviceEnv for RadioEnv<'_> {
         let sim = &mut *self.sim;
         let phy_len = match &frame {
             Uplink::Request => {
-                sim.exchanges[tag as usize].enter(Stage::RequestUplink, at);
+                let ex = &mut sim.exchanges[tag as usize];
+                if !ex.request_heard {
+                    ex.enter(Stage::RequestUplink, at);
+                }
                 REQUEST_PHY_LEN
             }
             Uplink::Data { uplink, .. } => data_uplink_phy_len(uplink.em.len(), uplink.sig.len()),
@@ -1709,16 +1716,12 @@ mod tests {
         let retries = counter(&result, "world.lora_retries_total") as usize;
         assert!(retries > 0, "the loss must force retransmissions");
         for (name, series) in &result.phases {
-            // Each request that reaches the gateway closes the phase its
-            // transmission opened, a resent one included; every other
-            // phase an exchange re-enters restarts.
-            let entered = match name.as_str() {
-                "request_uplink" => started + retries,
-                _ => started,
-            };
+            // A phase an exchange re-enters restarts, and a request resent
+            // after the gateway heard one opens nothing: at most one
+            // sample per exchange.
             assert!(
-                series.len() <= entered,
-                "{name}: {} samples, {entered} entries",
+                series.len() <= started,
+                "{name}: {} samples, {started} exchanges",
                 series.len()
             );
         }

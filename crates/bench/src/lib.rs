@@ -428,20 +428,18 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_round_trips_through_parser() {
+    fn bench_report_metrics_section_is_the_snapshot() {
         let doc = sample_report().to_json();
-        for text in [doc.render(), doc.render_pretty()] {
-            let parsed = bcwan_sim::json::parse(&text).expect("parses");
-            assert_eq!(parsed, doc);
-        }
-        // The metrics section parses back into a Snapshot.
-        let metrics = doc.get("metrics").expect("metrics");
-        let snap = Snapshot::from_json(metrics).expect("valid snapshot");
-        assert_eq!(snap.counters, vec![("bench.rows_total".to_string(), 3)]);
+        let mut registry = Registry::new();
+        let c = registry.counter("bench.rows_total");
+        registry.add(c, 3);
+        assert_eq!(doc.get("metrics"), Some(&registry.snapshot().to_json()));
+        let rendered = doc.render();
+        assert!(rendered.contains(r#""counters":{"bench.rows_total":3}"#));
     }
 
     #[test]
-    fn timeline_section_is_optional_and_round_trips() {
+    fn timeline_section_is_optional_and_holds_every_frame() {
         // No timeline: the key is absent, not null/empty.
         let bare = BenchReport::new("x").to_json();
         assert_eq!(bare.get("timeline"), None);
@@ -463,9 +461,12 @@ mod tests {
         };
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[1].get("t").and_then(Json::as_f64), Some(10.0));
-        // And the whole document still parses back.
-        let parsed = bcwan_sim::json::parse(&doc.render_pretty()).expect("parses");
-        assert_eq!(parsed, doc);
+        // Each frame holds the counters as they stood when it was taken.
+        let lost = frames.iter().map(|frame| {
+            let counters = frame.get("counters")?;
+            counters.get("world.lora_frames_lost_total")?.as_f64()
+        });
+        assert_eq!(lost.collect::<Vec<_>>(), [Some(1.0), Some(4.0)]);
 
         // An empty series is dropped like None.
         let empty = bcwan_sim::SnapshotSeries::new(bcwan_sim::SimDuration::from_secs(1));

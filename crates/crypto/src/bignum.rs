@@ -1,7 +1,10 @@
 //! Arbitrary-precision unsigned integer arithmetic.
 //!
-//! [`BigUint`] backs every public-key primitive in this crate (RSA-512 key
-//! generation and the secp256k1 field/scalar arithmetic). It stores
+//! [`BigUint`] backs the crate's RSA (key generation and the key
+//! material). The secp256k1 field and scalar arithmetic run on fixed-limb
+//! types of their own (`field_core`, `scalar`), for which `BigUint` is
+//! only the test oracle (the fuzz tests convert through
+//! `FieldElement::from_biguint` / `to_biguint`). It stores
 //! little-endian `u64` limbs with `u128` intermediates, is always kept
 //! normalized (no trailing zero limbs), and implements the handful of
 //! number-theoretic operations the crate needs: modular exponentiation

@@ -10,9 +10,6 @@
 //!   calibrated to the paper's PlanetLab deployment via
 //!   `bcwan_sim::LatencyModel::planetlab`), and [`chain_msg`] (the block/
 //!   transaction gossip vocabulary with flood dedup),
-//! - a **live** thread-backed bus ([`live`]) so examples can run each
-//!   gateway as an OS thread exchanging real messages, mirroring the
-//!   paper's daemons listening on TCP ports,
 //! - a **real TCP/IP transport** ([`transport`]): a framed, checksummed
 //!   wire format and a per-host runtime on `std::net` (accept loop,
 //!   connection pool, timeouts, retry with backoff): [`TcpHost`].
@@ -34,13 +31,13 @@
 #![deny(unsafe_code)]
 
 pub mod chain_msg;
-pub mod live;
 pub mod network;
 pub mod topology;
 pub mod transport;
 
 pub use chain_msg::ChainMessage;
-pub use live::{BusError, Envelope, Inbox, LiveBus};
 pub use network::{Delivery, FaultModel, NetStats, Network, SeenFilter};
 pub use topology::{NodeId, Topology};
-pub use transport::{Codec, CodecError, TcpConfig, TcpHost, TransportError, TransportStats};
+pub use transport::{
+    Codec, CodecError, Envelope, Inbox, TcpConfig, TcpHost, TransportError, TransportStats,
+};

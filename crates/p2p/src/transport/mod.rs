@@ -18,12 +18,16 @@
 //!   the send side. (`poll` and the wakers that interrupt it are bound
 //!   in the private `sys` module, the one place in the workspace that
 //!   makes a foreign call.)
+//! - each host's depth-tracked [`Inbox`] of [`Envelope`]s, and the
+//!   doorbell every delivery into one rings (the private `inbox`
+//!   module).
 //!
 //! Serialization is delegated to a [`Codec`], keeping the transport
 //! generic over the message vocabulary (the `bcwan` crate supplies the
 //! `WanMessage` codec; tests use toy codecs).
 
 pub mod frame;
+mod inbox;
 #[allow(unsafe_code)]
 mod sys;
 pub mod tcp;
@@ -228,4 +232,5 @@ impl TransportStats {
 }
 
 pub use frame::FrameKey;
+pub use inbox::{Envelope, Inbox};
 pub use tcp::{TcpConfig, TcpHost, TcpRuntime};

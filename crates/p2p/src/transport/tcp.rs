@@ -95,9 +95,9 @@
 //! `transport.fault.recv_total`.
 
 use super::frame::{encode_frame, FrameAssembler, FrameKey, MAX_FRAME_PAYLOAD};
+use super::inbox::{inbox_channel, Doorbell, Envelope, Inbox, InboxSender};
 use super::sys::{self, PollFd, Waker};
 use super::{Codec, TransportError, TransportStats};
-use crate::live::{inbox_channel, Doorbell, Envelope, Inbox, InboxSender};
 use crate::topology::NodeId;
 use bcwan_sim::Registry;
 use std::collections::HashMap;

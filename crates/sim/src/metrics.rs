@@ -10,7 +10,7 @@
 //! handles) and updated on hot paths with a plain vector index. A
 //! [`Snapshot`] freezes the registry into sorted name/value rows and
 //! serializes to the schema-versioned JSON the bench harnesses emit (see
-//! [`Snapshot::to_json`] / [`Snapshot::from_json`]).
+//! [`Snapshot::to_json`]).
 
 use crate::json::Json;
 use crate::time::{SimDuration, SimTime};
@@ -765,64 +765,6 @@ impl Snapshot {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     }
-
-    /// Rebuilds a snapshot from [`Snapshot::to_json`] output (round-trip
-    /// schema check; also lets tooling diff `results/*.json` files).
-    ///
-    /// Returns `None` when the document does not match the schema.
-    pub fn from_json(doc: &Json) -> Option<Snapshot> {
-        let objects = |key: &str| -> Option<Vec<(String, Json)>> {
-            match doc.get(key)? {
-                Json::Object(entries) => Some(entries.clone()),
-                _ => None,
-            }
-        };
-        let counters = objects("counters")?
-            .into_iter()
-            .map(|(k, v)| Some((k, v.as_f64()? as u64)))
-            .collect::<Option<Vec<_>>>()?;
-        let gauges = objects("gauges")?
-            .into_iter()
-            .map(|(k, v)| Some((k, v.as_f64()?)))
-            .collect::<Option<Vec<_>>>()?;
-        let histograms = objects("histograms")?
-            .into_iter()
-            .map(|(k, v)| {
-                let field = |name: &str| v.get(name)?.as_f64();
-                let buckets = v
-                    .get("buckets")?
-                    .as_array()?
-                    .iter()
-                    .map(|row| {
-                        let row = row.as_array()?;
-                        Some((
-                            row.first()?.as_f64()?,
-                            row.get(1)?.as_f64()?,
-                            row.get(2)?.as_f64()? as u64,
-                        ))
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                Some((
-                    k,
-                    HistogramSummary {
-                        count: field("count")? as u64,
-                        sum: field("sum")?,
-                        min: field("min")?,
-                        max: field("max")?,
-                        p50: field("p50")?,
-                        p95: field("p95")?,
-                        p99: field("p99")?,
-                        buckets,
-                    },
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(Snapshot {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
 }
 
 /// A time series of [`Snapshot`]s sampled on a fixed sim-time interval —
@@ -976,10 +918,11 @@ mod tests {
         let frames = json.get("frames").unwrap().as_array().unwrap();
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[1].get("t").unwrap().as_f64(), Some(10.0));
-        assert!(
-            Snapshot::from_json(frames.last().unwrap()).is_some(),
-            "each frame is a full snapshot document (plus its timestamp)"
-        );
+        // Each frame is a full snapshot document, plus its timestamp.
+        let last = frames.last().unwrap();
+        let ticks = last.get("counters").and_then(|c| c.get("ticks_total"));
+        assert_eq!(ticks.and_then(Json::as_f64), Some(2.0));
+        assert!(last.get("gauges").is_some() && last.get("histograms").is_some());
     }
 
     #[test]
@@ -1099,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_round_trip() {
+    fn snapshot_json_carries_every_row() {
         let mut reg = Registry::new();
         let c = reg.counter("world.exchanges_completed_total");
         reg.add(c, 17);
@@ -1108,19 +1051,43 @@ mod tests {
         for v in [0.5, 1.5, 2.5, 30.0] {
             reg.observe(h, v);
         }
-        // Also an empty histogram: min/max must survive as zeros.
+        // Also an empty histogram: min/max must come out as zeros.
         reg.histogram("world.empty_seconds");
 
         let snap = reg.snapshot();
-        let text = snap.to_json().render();
-        let parsed = crate::json::parse(&text).expect("snapshot JSON parses");
-        let back = Snapshot::from_json(&parsed).expect("snapshot schema matches");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn snapshot_from_json_rejects_wrong_shape() {
-        let doc = crate::json::parse(r#"{"counters": [], "gauges": {}}"#).unwrap();
-        assert!(Snapshot::from_json(&doc).is_none());
+        let doc = snap.to_json();
+        let row = |section: &str, name: &str| doc.get(section)?.get(name);
+        let value = |section: &str, name: &str| row(section, name).and_then(Json::as_f64);
+        assert_eq!(
+            value("counters", "world.exchanges_completed_total"),
+            Some(17.0)
+        );
+        assert_eq!(value("gauges", "world.sim_time_seconds"), Some(123.456));
+        let (_, latency) = snap
+            .histograms
+            .iter()
+            .find(|(name, _)| name == "world.exchange_latency_seconds")
+            .expect("latency histogram");
+        let field = |name: &str| {
+            row("histograms", "world.exchange_latency_seconds")
+                .and_then(|h| h.get(name))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(field("count"), Some(4.0));
+        assert_eq!(field("sum"), Some(34.5));
+        assert_eq!(field("p95"), Some(latency.p95));
+        let buckets = row("histograms", "world.exchange_latency_seconds")
+            .and_then(|h| h.get("buckets"))
+            .and_then(Json::as_array)
+            .expect("bucket rows");
+        assert_eq!(buckets.len(), latency.buckets.len());
+        for (rendered, &(lo, hi, count)) in buckets.iter().zip(&latency.buckets) {
+            let want = [lo, hi, count as f64].map(Json::Num);
+            assert_eq!(rendered.as_array(), Some(want.as_slice()));
+        }
+        let empty = row("histograms", "world.empty_seconds").expect("empty histogram row");
+        for name in ["count", "min", "max"] {
+            assert_eq!(empty.get(name).and_then(Json::as_f64), Some(0.0), "{name}");
+        }
     }
 }

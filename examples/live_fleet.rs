@@ -10,8 +10,9 @@
 //! `eSk`, the recipient decrypts, and a node that was cut off the whole
 //! time catches up headers-first once its links heal.
 //!
-//! Run with: `cargo run --release --example live_fleet -- bus` (in-process
-//! channels) or `… -- tcp` (real loopback sockets, one shared runtime).
+//! Run with: `cargo run --release --example live_fleet -- bus` (one
+//! in-process queue per node) or `… -- tcp` (real loopback sockets, one
+//! shared runtime).
 
 use bcwan::fleet::{
     fig3_partition_recovery, BusFleet, Fleet, FleetTransport, TcpFleet, FLEET_READING,
@@ -55,9 +56,8 @@ fn play<T: FleetTransport>(transport: T, export: impl FnOnce(&T, &mut Registry))
 
 fn main() {
     match std::env::args().nth(1).as_deref() {
-        Some("bus") => play(BusFleet::new(NODES), |bus, reg| {
-            bus.bus().export_metrics(reg)
-        }),
+        // The bus is a queue per node and keeps no counters.
+        Some("bus") => play(BusFleet::new(NODES), |_, _| {}),
         Some("tcp") => {
             let fabric = TcpFleet::new(NODES, 2, TcpConfig::default()).expect("bind loopback");
             // The gateway's host: its `transport.*` rows tell the story.
