@@ -146,7 +146,7 @@ impl Parcel {
 
 /// Something a node reports about one exchange, at the program point
 /// where it happens. The environment keeps whatever bookkeeping it owns
-/// in step: the simulator drives its tracer spans, auditor, counters,
+/// in step: the simulator drives its phase marks, auditor, counters,
 /// mining model and latency series from these; a live fleet logs them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Note {

@@ -55,6 +55,10 @@ fn every_frame_carries_every_row() {
         "daemon.txs_accepted_total",
         "net.sent_total",
         "world.exchanges_completed_total",
+        "chaos.crash_drops_total",
+        "wan.messages.block_total",
+        "fsm.deliver_retries_total",
+        "world.restart.warm_total",
     ];
     for name in progress {
         let series: Vec<u64> = frames

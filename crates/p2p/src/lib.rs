@@ -21,7 +21,7 @@
 //! use bcwan_p2p::topology::{NodeId, Topology};
 //! use bcwan_sim::{LatencyModel, SimRng};
 //!
-//! let network = Network::new(Topology::full_mesh(5), LatencyModel::planetlab());
+//! let mut network = Network::new(Topology::full_mesh(5), LatencyModel::planetlab());
 //! let mut rng = SimRng::seed_from_u64(1);
 //! let deliveries = network.broadcast(&mut rng, NodeId(0), &"new block");
 //! assert_eq!(deliveries.len(), 4); // every other PlanetLab node

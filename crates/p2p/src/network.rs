@@ -9,7 +9,6 @@
 use crate::topology::{NodeId, Topology};
 use bcwan_chain::IdSet;
 use bcwan_sim::{LatencyModel, SimDuration, SimRng};
-use std::cell::Cell;
 
 /// An in-flight message headed to `to`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +48,6 @@ impl Default for FaultModel {
 
 bcwan_sim::counters! {
     /// Lifetime traffic counters (`net.*` rows in bench reports).
-    ///
-    /// Kept in a [`Cell`] inside [`Network`] so the `&self` transmit
-    /// methods can count without forcing `&mut` through every call site.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct NetStats {
         /// Sends attempted: one per flood peer, one per dial.
@@ -74,7 +70,7 @@ pub struct Network {
     topology: Topology,
     latency: LatencyModel,
     faults: FaultModel,
-    stats: Cell<NetStats>,
+    stats: NetStats,
 }
 
 impl Network {
@@ -85,19 +81,13 @@ impl Network {
             topology,
             latency,
             faults: FaultModel::none(),
-            stats: Cell::new(NetStats::default()),
+            stats: NetStats::default(),
         }
     }
 
     /// Lifetime traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.stats.get()
-    }
-
-    fn count(&self, f: impl FnOnce(&mut NetStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
+        self.stats
     }
 
     /// Enables the fault model.
@@ -106,14 +96,10 @@ impl Network {
         self
     }
 
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Appends the deliveries of one send over the `from → to` overlay
     /// link to `out`: none when the link is missing or the message is
-    /// dropped, two on duplication.
+    /// dropped, two on duplication. Returns what the send adds to the
+    /// traffic counters.
     fn transmit_into<M: Clone>(
         &self,
         rng: &mut SimRng,
@@ -121,15 +107,22 @@ impl Network {
         to: NodeId,
         msg: M,
         out: &mut Vec<(SimDuration, Delivery<M>)>,
-    ) {
-        self.count(|s| s.sent += 1);
+    ) -> NetStats {
+        let sent = NetStats {
+            sent: 1,
+            ..NetStats::default()
+        };
         if !self.topology.linked(from, to) {
-            self.count(|s| s.dropped_partition += 1);
-            return;
+            return NetStats {
+                dropped_partition: 1,
+                ..sent
+            };
         }
         if rng.chance(self.faults.drop_probability) {
-            self.count(|s| s.dropped_fault += 1);
-            return;
+            return NetStats {
+                dropped_fault: 1,
+                ..sent
+            };
         }
         // Draw order (delay, duplicate coin, duplicate's delay) is part of
         // every same-seed result; the payload is cloned only for the
@@ -138,21 +131,24 @@ impl Network {
         let duplicate = rng
             .chance(self.faults.duplicate_probability)
             .then(|| self.latency.sample(rng));
-        if let Some(delay2) = duplicate {
-            let copy = Delivery {
-                from,
-                to,
-                msg: msg.clone(),
-            };
-            out.push((delay, copy));
-            out.push((delay2, Delivery { from, to, msg }));
-            self.count(|s| {
-                s.duplicated += 1;
-                s.delivered += 2;
-            });
-        } else {
+        let Some(delay2) = duplicate else {
             out.push((delay, Delivery { from, to, msg }));
-            self.count(|s| s.delivered += 1);
+            return NetStats {
+                delivered: 1,
+                ..sent
+            };
+        };
+        let copy = Delivery {
+            from,
+            to,
+            msg: msg.clone(),
+        };
+        out.push((delay, copy));
+        out.push((delay2, Delivery { from, to, msg }));
+        NetStats {
+            delivered: 2,
+            duplicated: 1,
+            ..sent
         }
     }
 
@@ -165,22 +161,21 @@ impl Network {
     /// Chaos-level cuts are the caller's concern (they model live
     /// failures, not graph shape).
     pub fn dial<M>(
-        &self,
+        &mut self,
         rng: &mut SimRng,
         from: NodeId,
         to: NodeId,
         msg: M,
-    ) -> Option<(SimDuration, Delivery<M>)> {
-        self.count(|s| s.sent += 1);
-        let delay = self.latency.sample(rng);
-        self.count(|s| s.delivered += 1);
-        Some((delay, Delivery { from, to, msg }))
+    ) -> (SimDuration, Delivery<M>) {
+        self.stats.sent += 1;
+        self.stats.delivered += 1;
+        (self.latency.sample(rng), Delivery { from, to, msg })
     }
 
     /// Computes deliveries for a broadcast to every peer of `from`, in
     /// ascending peer order, into one vector sized for the peer count.
     pub fn broadcast<M: Clone>(
-        &self,
+        &mut self,
         rng: &mut SimRng,
         from: NodeId,
         msg: &M,
@@ -188,7 +183,8 @@ impl Network {
         let peers = self.topology.peers_of(from);
         let mut out = Vec::with_capacity(peers.len());
         for &peer in peers {
-            self.transmit_into(rng, from, peer, msg.clone(), &mut out);
+            let sent = self.transmit_into(rng, from, peer, msg.clone(), &mut out);
+            self.stats.merge(&sent);
         }
         out
     }
@@ -238,23 +234,28 @@ mod tests {
     impl Network {
         /// The deliveries of one overlay send, in a fresh vector.
         fn transmit<M: Clone>(
-            &self,
+            &mut self,
             rng: &mut SimRng,
             from: NodeId,
             to: NodeId,
             msg: M,
         ) -> Vec<(SimDuration, Delivery<M>)> {
             let mut out = Vec::new();
-            self.transmit_into(rng, from, to, msg, &mut out);
+            let sent = self.transmit_into(rng, from, to, msg, &mut out);
+            self.stats.merge(&sent);
             out
         }
     }
 
     /// A 4-node full mesh, minus the links in `cut`.
     fn net_without(cut: &[(u32, u32)], drop: f64, dup: f64) -> Network {
-        let mut topology = Topology::full_mesh(4);
-        for &(a, b) in cut {
-            topology.disconnect(NodeId(a), NodeId(b));
+        let mut topology = Topology::empty(4);
+        for a in 0..4 {
+            for b in a + 1..4 {
+                if !cut.contains(&(a, b)) {
+                    topology.connect(NodeId(a), NodeId(b));
+                }
+            }
         }
         Network::new(
             topology,
@@ -272,7 +273,7 @@ mod tests {
 
     #[test]
     fn transmit_delivers_with_latency() {
-        let network = net(0.0, 0.0);
+        let mut network = net(0.0, 0.0);
         let mut rng = SimRng::seed_from_u64(1);
         let deliveries = network.transmit(&mut rng, NodeId(0), NodeId(1), "hello");
         assert_eq!(deliveries.len(), 1);
@@ -283,7 +284,7 @@ mod tests {
 
     #[test]
     fn unlinked_nodes_cannot_talk() {
-        let network = net_without(&[(0, 1)], 0.0, 0.0);
+        let mut network = net_without(&[(0, 1)], 0.0, 0.0);
         let mut rng = SimRng::seed_from_u64(2);
         assert!(network
             .transmit(&mut rng, NodeId(0), NodeId(1), ())
@@ -297,7 +298,7 @@ mod tests {
 
     #[test]
     fn drops_happen_at_configured_rate() {
-        let network = net(0.5, 0.0);
+        let mut network = net(0.5, 0.0);
         let mut rng = SimRng::seed_from_u64(3);
         let delivered = (0..1000)
             .map(|_| network.transmit(&mut rng, NodeId(0), NodeId(1), ()).len())
@@ -307,7 +308,7 @@ mod tests {
 
     #[test]
     fn duplicates_happen_at_configured_rate() {
-        let network = net(0.0, 0.5);
+        let mut network = net(0.0, 0.5);
         let mut rng = SimRng::seed_from_u64(4);
         let delivered = (0..1000)
             .map(|_| network.transmit(&mut rng, NodeId(0), NodeId(1), ()).len())
@@ -333,7 +334,7 @@ mod tests {
             drop_probability: 0.2,
             duplicate_probability: 0.3,
         };
-        let network = Network::new(Topology::full_mesh(2), LatencyModel::planetlab())
+        let mut network = Network::new(Topology::full_mesh(2), LatencyModel::planetlab())
             .with_faults(faults.clone());
         // The draw order every same-seed result depends on: drop coin,
         // delay, duplicate coin, the duplicate's delay.
@@ -363,7 +364,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_all_peers() {
-        let network = net(0.0, 0.0);
+        let mut network = net(0.0, 0.0);
         let mut rng = SimRng::seed_from_u64(5);
         let deliveries = network.broadcast(&mut rng, NodeId(2), &"block");
         assert_eq!(deliveries.len(), 3);
@@ -379,10 +380,11 @@ mod tests {
         for peer in [4, 1, 5, 2] {
             topology.connect(NodeId(0), NodeId(peer));
         }
-        let network = Network::new(topology, LatencyModel::planetlab()).with_faults(FaultModel {
-            drop_probability: 0.2,
-            duplicate_probability: 0.3,
-        });
+        let mut network =
+            Network::new(topology, LatencyModel::planetlab()).with_faults(FaultModel {
+                drop_probability: 0.2,
+                duplicate_probability: 0.3,
+            });
         let (mut rng, mut reference) = (SimRng::seed_from_u64(8), SimRng::seed_from_u64(8));
         for _ in 0..200 {
             let flood = network.broadcast(&mut rng, NodeId(0), &7u8);
@@ -396,7 +398,7 @@ mod tests {
 
     #[test]
     fn stats_count_traffic() {
-        let network = net_without(&[(0, 3)], 0.0, 0.0);
+        let mut network = net_without(&[(0, 3)], 0.0, 0.0);
         let mut rng = SimRng::seed_from_u64(9);
         network.transmit(&mut rng, NodeId(0), NodeId(1), ());
         network.dial(&mut rng, NodeId(0), NodeId(2), ());
@@ -407,7 +409,7 @@ mod tests {
         assert_eq!(s.dropped_partition, 1);
         assert_eq!(s.dropped_fault, 0);
 
-        let lossy = net(1.0, 0.0);
+        let mut lossy = net(1.0, 0.0);
         lossy.transmit(&mut rng, NodeId(0), NodeId(1), ());
         assert_eq!(lossy.stats().dropped_fault, 1);
     }

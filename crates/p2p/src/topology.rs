@@ -37,11 +37,6 @@ impl Topology {
         Topology { adjacency }
     }
 
-    /// A ring over `n` nodes (each node sees its two neighbours).
-    pub fn ring(n: u32) -> Self {
-        Topology::ring_lattice(n, 2)
-    }
-
     /// A ring lattice: every node links to its `degree` nearest
     /// neighbours (`degree/2` on each side, minimum one hop).
     /// `O(n·degree)` links keep 1 000-node fleets constructible where a
@@ -81,32 +76,6 @@ impl Topology {
         }
     }
 
-    /// Removes a bidirectional link (partition injection).
-    pub fn disconnect(&mut self, a: NodeId, b: NodeId) {
-        for (from, to) in [(a, b), (b, a)] {
-            if let Some(peers) = self.adjacency.get_mut(&from) {
-                if let Ok(at) = peers.binary_search(&to) {
-                    peers.remove(at);
-                }
-            }
-        }
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.adjacency.keys().copied()
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adjacency.len()
-    }
-
-    /// Whether there are no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
-    }
-
     /// Peers of `node` in ascending id order (empty for unknown nodes).
     pub(crate) fn peers_of(&self, node: NodeId) -> &[NodeId] {
         self.adjacency.get(&node).map_or(&[], Vec::as_slice)
@@ -125,7 +94,7 @@ mod tests {
     #[test]
     fn full_mesh_links_everyone() {
         let t = Topology::full_mesh(5);
-        assert_eq!(t.len(), 5);
+        assert!(t.peers_of(NodeId(5)).is_empty(), "ids are 0..5");
         for i in 0..5 {
             assert_eq!(t.peers_of(NodeId(i)).len(), 4);
             for j in 0..5 {
@@ -136,7 +105,7 @@ mod tests {
 
     #[test]
     fn ring_has_two_neighbours() {
-        let t = Topology::ring(6);
+        let t = Topology::ring_lattice(6, 2);
         for i in 0..6 {
             assert_eq!(t.peers_of(NodeId(i)).len(), 2, "node {i}");
         }
@@ -159,15 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn connect_disconnect() {
+    fn connect_links_both_ways_and_ignores_self_links() {
         let mut t = Topology::empty(3);
         assert!(t.peers_of(NodeId(0)).is_empty());
         t.connect(NodeId(0), NodeId(1));
         assert!(t.linked(NodeId(0), NodeId(1)));
         assert!(t.linked(NodeId(1), NodeId(0)));
-        t.disconnect(NodeId(0), NodeId(1));
-        assert!(!t.linked(NodeId(0), NodeId(1)));
-        // Self-links ignored.
+        assert!(!t.linked(NodeId(0), NodeId(2)));
         t.connect(NodeId(2), NodeId(2));
         assert!(!t.linked(NodeId(2), NodeId(2)));
     }
@@ -180,9 +147,7 @@ mod tests {
         }
         assert_eq!(t.peers_of(NodeId(0)), [1, 2, 5, 7].map(NodeId));
         assert_eq!(t.peers_of(NodeId(5)), [NodeId(0)]);
-        t.disconnect(NodeId(2), NodeId(0));
-        assert_eq!(t.peers_of(NodeId(0)), [1, 5, 7].map(NodeId));
-        assert!(t.peers_of(NodeId(2)).is_empty());
+        assert!(t.peers_of(NodeId(3)).is_empty());
         assert!(t.peers_of(NodeId(99)).is_empty());
     }
 

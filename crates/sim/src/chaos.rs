@@ -11,10 +11,10 @@
 //! The engine is deliberately layer-agnostic: it knows about hosts,
 //! links, radio loss, and block propagation as *categories*, and the
 //! layer that owns each mechanism (the world simulation, the overlay,
-//! the miner) interprets the fault. Activations are counted through the
-//! [`ChaosMeters`] handles as `chaos.*` rows in the metrics registry.
+//! the miner) interprets the fault. That layer also counts what the fault
+//! did, in the engine's [`ChaosStats`] table, which the run's metrics fold
+//! exports as the `chaos.*` rows.
 
-use crate::metrics::{CounterId, Registry};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -149,7 +149,8 @@ pub struct ChaosPlan {
 }
 
 /// Knobs for [`ChaosPlan::generate`]: how many of each fault to draw.
-#[derive(Debug, Clone, PartialEq)]
+/// The default draws none; each preset sets only the faults it uses.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosProfile {
     /// Number of LoRa loss bursts.
     pub lora_bursts: u32,
@@ -223,15 +224,7 @@ impl ChaosProfile {
             claim_withholds: 1,
             withhold_len: SimDuration::from_secs(100_000),
             forks: 2,
-            master_crashes: 0,
-            master_crash_len: SimDuration::ZERO,
-            group_partitions: 0,
-            partition_groups: 0,
-            group_partition_len: SimDuration::ZERO,
-            equivocations: 0,
-            equivocate_len: SimDuration::ZERO,
-            censorships: 0,
-            censor_len: SimDuration::ZERO,
+            ..ChaosProfile::default()
         }
     }
 
@@ -247,23 +240,9 @@ impl ChaosProfile {
             host_crashes: 1,
             crash_len: SimDuration::from_secs(20),
             conn_kills: 1,
-            block_delays: 0,
-            block_delay: SimDuration::ZERO,
-            block_delay_len: SimDuration::ZERO,
-            partitions: 0,
-            partition_len: SimDuration::ZERO,
-            claim_withholds: 0,
-            withhold_len: SimDuration::ZERO,
-            forks: 0,
             master_crashes: 1,
             master_crash_len: SimDuration::from_secs(60),
-            group_partitions: 0,
-            partition_groups: 0,
-            group_partition_len: SimDuration::ZERO,
-            equivocations: 0,
-            equivocate_len: SimDuration::ZERO,
-            censorships: 0,
-            censor_len: SimDuration::ZERO,
+            ..ChaosProfile::default()
         }
     }
 
@@ -277,19 +256,10 @@ impl ChaosProfile {
             lora_bursts: 1,
             lora_burst_loss: 0.4,
             lora_burst_len: SimDuration::from_secs(15),
-            host_crashes: 0,
-            crash_len: SimDuration::ZERO,
             conn_kills: 2,
-            block_delays: 0,
-            block_delay: SimDuration::ZERO,
-            block_delay_len: SimDuration::ZERO,
-            partitions: 0,
-            partition_len: SimDuration::ZERO,
             claim_withholds: 1,
             withhold_len: SimDuration::from_secs(100_000),
             forks: 1,
-            master_crashes: 0,
-            master_crash_len: SimDuration::ZERO,
             group_partitions: 2,
             partition_groups: 3,
             group_partition_len: SimDuration::from_secs(12),
@@ -297,6 +267,7 @@ impl ChaosProfile {
             equivocate_len: SimDuration::from_secs(100_000),
             censorships: 1,
             censor_len: SimDuration::from_secs(90),
+            ..ChaosProfile::default()
         }
     }
 }
@@ -330,29 +301,24 @@ impl ChaosPlan {
                 + SimDuration::from_secs_f64(rng.uniform_range(0.05, 0.60) * horizon.as_secs_f64())
         };
         let actor = |rng: &mut SimRng| rng.index(actor_hosts as usize) as u32 + 1;
-        for _ in 0..profile.lora_bursts {
+        let window = |rng: &mut SimRng, len: SimDuration| {
             let from = start(rng);
-            faults.push(ChaosFault::LoraBurst {
-                from,
-                until: from + profile.lora_burst_len,
-                loss: profile.lora_burst_loss,
-            });
+            (from, from + len)
+        };
+        for _ in 0..profile.lora_bursts {
+            let (from, until) = window(rng, profile.lora_burst_len);
+            let loss = profile.lora_burst_loss;
+            faults.push(ChaosFault::LoraBurst { from, until, loss });
         }
         for _ in 0..profile.host_crashes {
-            let from = start(rng);
-            faults.push(ChaosFault::HostCrash {
-                host: actor(rng),
-                from,
-                until: from + profile.crash_len,
-            });
+            let (from, until) = window(rng, profile.crash_len);
+            let host = actor(rng);
+            faults.push(ChaosFault::HostCrash { host, from, until });
         }
         for _ in 0..profile.master_crashes {
-            let from = start(rng);
-            faults.push(ChaosFault::HostCrash {
-                host: 0,
-                from,
-                until: from + profile.master_crash_len,
-            });
+            let (from, until) = window(rng, profile.master_crash_len);
+            let host = 0;
+            faults.push(ChaosFault::HostCrash { host, from, until });
         }
         for _ in 0..profile.conn_kills {
             faults.push(ChaosFault::ConnKill {
@@ -362,28 +328,23 @@ impl ChaosPlan {
             });
         }
         for _ in 0..profile.block_delays {
-            let from = start(rng);
-            faults.push(ChaosFault::BlockDelay {
-                from,
-                until: from + profile.block_delay_len,
-                delay: profile.block_delay,
-            });
+            let (from, until) = window(rng, profile.block_delay_len);
+            let delay = profile.block_delay;
+            faults.push(ChaosFault::BlockDelay { from, until, delay });
         }
         for _ in 0..profile.partitions {
-            let from = start(rng);
+            let (from, until) = window(rng, profile.partition_len);
+            let boundary = rng.index(actor_hosts as usize) as u32;
             faults.push(ChaosFault::Partition {
-                boundary: rng.index(actor_hosts as usize) as u32,
+                boundary,
                 from,
-                until: from + profile.partition_len,
+                until,
             });
         }
         for _ in 0..profile.claim_withholds {
-            let from = start(rng);
-            faults.push(ChaosFault::ClaimWithhold {
-                host: actor(rng),
-                from,
-                until: from + profile.withhold_len,
-            });
+            let (from, until) = window(rng, profile.withhold_len);
+            let host = actor(rng);
+            faults.push(ChaosFault::ClaimWithhold { host, from, until });
         }
         for _ in 0..profile.forks {
             faults.push(ChaosFault::Fork {
@@ -414,20 +375,14 @@ impl ChaosPlan {
             }
         }
         for _ in 0..profile.equivocations {
-            let from = start(rng);
-            faults.push(ChaosFault::Equivocate {
-                host: actor(rng),
-                from,
-                until: from + profile.equivocate_len,
-            });
+            let (from, until) = window(rng, profile.equivocate_len);
+            let host = actor(rng);
+            faults.push(ChaosFault::Equivocate { host, from, until });
         }
         for _ in 0..profile.censorships {
-            let from = start(rng);
-            faults.push(ChaosFault::CensorClaims {
-                miner: 0,
-                from,
-                until: from + profile.censor_len,
-            });
+            let (from, until) = window(rng, profile.censor_len);
+            let miner = 0;
+            faults.push(ChaosFault::CensorClaims { miner, from, until });
         }
         ChaosPlan { faults }
     }
@@ -440,9 +395,9 @@ impl ChaosPlan {
             .faults
             .iter()
             .filter_map(|f| match f {
-                ChaosFault::Equivocate { host, .. } => Some(*host),
-                ChaosFault::ClaimWithhold { host, .. } => Some(*host),
-                ChaosFault::CensorClaims { miner, .. } => Some(*miner),
+                ChaosFault::Equivocate { host, .. }
+                | ChaosFault::ClaimWithhold { host, .. }
+                | ChaosFault::CensorClaims { miner: host, .. } => Some(*host),
                 _ => None,
             })
             .collect();
@@ -452,43 +407,32 @@ impl ChaosPlan {
     }
 }
 
-/// Counter handles for chaos activations (`chaos.*` registry rows).
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosMeters {
-    /// Radio frames lost to a LoRa burst.
-    pub lora_drops: CounterId,
-    /// Messages dropped because an endpoint was crashed.
-    pub crash_drops: CounterId,
-    /// Messages killed by a connection-kill fault.
-    pub conn_kills: CounterId,
-    /// Messages dropped across a partition cut.
-    pub partition_drops: CounterId,
-    /// Block broadcasts that left late.
-    pub blocks_delayed: CounterId,
-    /// Escrow claims a misbehaving gateway withheld.
-    pub claims_withheld: CounterId,
-    /// One-shot chain forks fired.
-    pub forks: CounterId,
-    /// Conflicting claim pairs an equivocating gateway injected.
-    pub equivocations: CounterId,
-    /// Settlement transactions a censoring miner excluded from a block
-    /// template it produced.
-    pub claims_censored: CounterId,
-}
-
-impl ChaosMeters {
-    fn register(reg: &mut Registry) -> Self {
-        ChaosMeters {
-            lora_drops: reg.counter("chaos.lora_burst_drops_total"),
-            crash_drops: reg.counter("chaos.crash_drops_total"),
-            conn_kills: reg.counter("chaos.conn_kills_total"),
-            partition_drops: reg.counter("chaos.partition_drops_total"),
-            blocks_delayed: reg.counter("chaos.blocks_delayed_total"),
-            claims_withheld: reg.counter("chaos.claims_withheld_total"),
-            forks: reg.counter("chaos.forks_total"),
-            equivocations: reg.counter("chaos.equivocations_injected_total"),
-            claims_censored: reg.counter("chaos.claims_censored_total"),
-        }
+crate::counters! {
+    /// What the plan's faults did, counted by the layer that acted on
+    /// each one (`chaos.*` rows).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ChaosStats {
+        /// Faults the plan schedules.
+        pub faults_scheduled: u64 => "chaos.faults_scheduled_total",
+        /// Radio frames lost to a LoRa burst.
+        pub lora_drops: u64 => "chaos.lora_burst_drops_total",
+        /// Messages dropped because an endpoint was crashed.
+        pub crash_drops: u64 => "chaos.crash_drops_total",
+        /// Messages killed by a connection-kill fault.
+        pub conn_kills: u64 => "chaos.conn_kills_total",
+        /// Messages dropped across a partition cut.
+        pub partition_drops: u64 => "chaos.partition_drops_total",
+        /// Block broadcasts that left late.
+        pub blocks_delayed: u64 => "chaos.blocks_delayed_total",
+        /// Escrow claims a misbehaving gateway withheld.
+        pub claims_withheld: u64 => "chaos.claims_withheld_total",
+        /// One-shot chain forks fired.
+        pub forks: u64 => "chaos.forks_total",
+        /// Conflicting claim pairs an equivocating gateway injected.
+        pub equivocations: u64 => "chaos.equivocations_injected_total",
+        /// Settlement transactions a censoring miner excluded from a block
+        /// template it produced.
+        pub claims_censored: u64 => "chaos.claims_censored_total",
     }
 }
 
@@ -500,39 +444,31 @@ impl ChaosMeters {
 #[derive(Debug)]
 pub struct ChaosEngine {
     plan: ChaosPlan,
-    /// Remaining kills per `ConnKill` fault (parallel to plan order).
-    conn_kills_left: Vec<u32>,
-    /// Whether each `Fork` fault fired yet (parallel to plan order).
-    forks_fired: Vec<bool>,
-    meters: ChaosMeters,
+    /// What each one-shot fault has left to fire, parallel to plan
+    /// order: a `ConnKill`'s remaining kills, 1 for an unfired `Fork`.
+    armed: Vec<u32>,
+    /// What the faults did so far; the engine fills in only
+    /// `faults_scheduled`.
+    pub stats: ChaosStats,
 }
 
 impl ChaosEngine {
-    /// Builds an engine over `plan`, registering the `chaos.*` counters
-    /// (and recording how many faults were scheduled).
-    pub fn new(plan: ChaosPlan, reg: &mut Registry) -> Self {
-        let meters = ChaosMeters::register(reg);
-        reg.set_counter("chaos.faults_scheduled_total", plan.faults.len() as u64);
-        let conn_kills_left = plan
-            .faults
-            .iter()
-            .map(|f| match f {
-                ChaosFault::ConnKill { kills, .. } => *kills,
-                _ => 0,
-            })
-            .collect();
-        let forks_fired = vec![false; plan.faults.len()];
+    /// Builds an engine over `plan`.
+    pub fn new(plan: ChaosPlan) -> Self {
+        let stats = ChaosStats {
+            faults_scheduled: plan.faults.len() as u64,
+            ..ChaosStats::default()
+        };
+        let armed = plan.faults.iter().map(|f| match f {
+            ChaosFault::ConnKill { kills, .. } => *kills,
+            ChaosFault::Fork { .. } => 1,
+            _ => 0,
+        });
         ChaosEngine {
+            armed: armed.collect(),
             plan,
-            conn_kills_left,
-            forks_fired,
-            meters,
+            stats,
         }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
     }
 
     /// Whether the plan schedules nothing (fast-path guard).
@@ -540,31 +476,36 @@ impl ChaosEngine {
         self.plan.is_empty()
     }
 
-    /// Counter handles for chaos-attributed drops.
-    pub fn meters(&self) -> ChaosMeters {
-        self.meters
+    /// The windowed faults whose window holds `now` (one-shots never
+    /// are: they fire through [`ChaosEngine::take_conn_kill`] and
+    /// [`ChaosEngine::take_fork`]).
+    fn active(&self, now: SimTime) -> impl Iterator<Item = &ChaosFault> {
+        self.plan.faults.iter().filter(move |f| match f {
+            ChaosFault::LoraBurst { from, until, .. }
+            | ChaosFault::HostCrash { from, until, .. }
+            | ChaosFault::BlockDelay { from, until, .. }
+            | ChaosFault::Partition { from, until, .. }
+            | ChaosFault::ClaimWithhold { from, until, .. }
+            | ChaosFault::PartitionGroups { from, until, .. }
+            | ChaosFault::Equivocate { from, until, .. }
+            | ChaosFault::CensorClaims { from, until, .. } => *from <= now && now < *until,
+            ChaosFault::ConnKill { .. } | ChaosFault::Fork { .. } => false,
+        })
     }
 
     /// Extra LoRa loss probability active at `now` (0.0 when no burst).
     pub fn lora_loss_boost(&self, now: SimTime) -> f64 {
-        self.plan
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                ChaosFault::LoraBurst { from, until, loss } if *from <= now && now < *until => {
-                    Some(*loss)
-                }
-                _ => None,
-            })
-            .fold(0.0, f64::max)
+        let losses = self.active(now).filter_map(|f| match f {
+            ChaosFault::LoraBurst { loss, .. } => Some(*loss),
+            _ => None,
+        });
+        losses.fold(0.0, f64::max)
     }
 
     /// Whether `host` is crashed at `now`.
     pub fn host_down(&self, host: u32, now: SimTime) -> bool {
-        self.plan.faults.iter().any(|f| {
-            matches!(f, ChaosFault::HostCrash { host: h, from, until }
-                if *h == host && *from <= now && now < *until)
-        })
+        self.active(now)
+            .any(|f| matches!(f, ChaosFault::HostCrash { host: h, .. } if *h == host))
     }
 
     /// Whether the link `a`↔`b` crosses an active partition cut —
@@ -572,25 +513,11 @@ impl ChaosEngine {
     /// different groups of a [`ChaosFault::PartitionGroups`] window
     /// (hosts listed in no group keep all their links).
     pub fn partitioned(&self, a: u32, b: u32, now: SimTime) -> bool {
-        self.plan.faults.iter().any(|f| match f {
-            ChaosFault::Partition {
-                boundary,
-                from,
-                until,
-            } => *from <= now && now < *until && ((a <= *boundary) != (b <= *boundary)),
-            ChaosFault::PartitionGroups {
-                groups,
-                from,
-                until,
-            } => {
-                if !(*from <= now && now < *until) {
-                    return false;
-                }
+        self.active(now).any(|f| match f {
+            ChaosFault::Partition { boundary, .. } => (a <= *boundary) != (b <= *boundary),
+            ChaosFault::PartitionGroups { groups, .. } => {
                 let side = |h: u32| groups.iter().position(|g| g.contains(&h));
-                match (side(a), side(b)) {
-                    (Some(ga), Some(gb)) => ga != gb,
-                    _ => false,
-                }
+                matches!((side(a), side(b)), (Some(ga), Some(gb)) if ga != gb)
             }
             _ => false,
         })
@@ -599,50 +526,38 @@ impl ChaosEngine {
     /// Whether the gateway on `host` equivocates (double-claims) at
     /// `now`.
     pub fn equivocate_claim(&self, host: u32, now: SimTime) -> bool {
-        self.plan.faults.iter().any(|f| {
-            matches!(f, ChaosFault::Equivocate { host: h, from, until }
-                if *h == host && *from <= now && now < *until)
-        })
+        self.active(now)
+            .any(|f| matches!(f, ChaosFault::Equivocate { host: h, .. } if *h == host))
     }
 
     /// Whether `miner` censors settlement transactions from its block
     /// templates at `now`.
     pub fn censoring_miner(&self, miner: u32, now: SimTime) -> bool {
-        self.plan.faults.iter().any(|f| {
-            matches!(f, ChaosFault::CensorClaims { miner: m, from, until }
-                if *m == miner && *from <= now && now < *until)
-        })
+        self.active(now)
+            .any(|f| matches!(f, ChaosFault::CensorClaims { miner: m, .. } if *m == miner))
     }
 
     /// Whether the gateway on `host` is withholding claims at `now`.
     pub fn withhold_claim(&self, host: u32, now: SimTime) -> bool {
-        self.plan.faults.iter().any(|f| {
-            matches!(f, ChaosFault::ClaimWithhold { host: h, from, until }
-                if *h == host && *from <= now && now < *until)
-        })
+        self.active(now)
+            .any(|f| matches!(f, ChaosFault::ClaimWithhold { host: h, .. } if *h == host))
     }
 
     /// Extra block propagation delay at `now` (zero outside windows).
     pub fn block_delay(&self, now: SimTime) -> SimDuration {
-        self.plan
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                ChaosFault::BlockDelay { from, until, delay } if *from <= now && now < *until => {
-                    Some(*delay)
-                }
-                _ => None,
-            })
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+        let delays = self.active(now).filter_map(|f| match f {
+            ChaosFault::BlockDelay { delay, .. } => Some(*delay),
+            _ => None,
+        });
+        delays.max().unwrap_or(SimDuration::ZERO)
     }
 
     /// Consumes one connection kill involving `a` or `b`, if armed.
     pub fn take_conn_kill(&mut self, a: u32, b: u32, now: SimTime) -> bool {
         for (i, fault) in self.plan.faults.iter().enumerate() {
             if let ChaosFault::ConnKill { host, from, .. } = fault {
-                if (*host == a || *host == b) && *from <= now && self.conn_kills_left[i] > 0 {
-                    self.conn_kills_left[i] -= 1;
+                if (*host == a || *host == b) && *from <= now && self.armed[i] > 0 {
+                    self.armed[i] -= 1;
                     return true;
                 }
             }
@@ -654,8 +569,8 @@ impl ChaosEngine {
     pub fn take_fork(&mut self, now: SimTime) -> Option<u32> {
         for (i, fault) in self.plan.faults.iter().enumerate() {
             if let ChaosFault::Fork { at, depth } = fault {
-                if *at <= now && !self.forks_fired[i] {
-                    self.forks_fired[i] = true;
+                if *at <= now && self.armed[i] > 0 {
+                    self.armed[i] = 0;
                     return Some(*depth);
                 }
             }
@@ -686,8 +601,7 @@ mod tests {
     }
 
     fn engine(faults: Vec<ChaosFault>) -> ChaosEngine {
-        let mut reg = Registry::new();
-        ChaosEngine::new(ChaosPlan { faults }, &mut reg)
+        ChaosEngine::new(ChaosPlan { faults })
     }
 
     #[test]
@@ -942,5 +856,12 @@ mod tests {
             },
         ]);
         assert_eq!(e.restarts(), vec![(1, t(9))]);
+        // The engine counts only what it was given; the layers applying
+        // the faults count the rest.
+        let scheduled = ChaosStats {
+            faults_scheduled: 2,
+            ..ChaosStats::default()
+        };
+        assert_eq!(e.stats, scheduled);
     }
 }

@@ -47,7 +47,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use chaos::{ChaosEngine, ChaosFault, ChaosMeters, ChaosPlan, ChaosProfile};
+pub use chaos::{ChaosEngine, ChaosFault, ChaosPlan, ChaosProfile, ChaosStats};
 pub use json::Json;
 pub use latency::LatencyModel;
 pub use metrics::{
