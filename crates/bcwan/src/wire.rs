@@ -153,14 +153,14 @@ impl WanMessage {
         match self {
             WanMessage::Chain(ChainMessage::Tx(tx)) => {
                 out.push(TAG_TX);
-                out.extend_from_slice(&tx.serialize());
+                tx.serialize_into(&mut out);
             }
             WanMessage::Chain(ChainMessage::Block(block)) => {
                 out.push(TAG_BLOCK);
                 out.extend_from_slice(&block.header.serialize());
                 out.extend_from_slice(&(block.transactions.len() as u32).to_le_bytes());
                 for tx in &block.transactions {
-                    out.extend_from_slice(&tx.serialize());
+                    tx.serialize_into(&mut out);
                 }
             }
             WanMessage::Chain(ChainMessage::GetBlock(hash)) => {

@@ -244,7 +244,7 @@ pub fn encode_block(block: &Block) -> Vec<u8> {
     out.extend_from_slice(&block.header.serialize());
     out.extend_from_slice(&(block.transactions.len() as u32).to_le_bytes());
     for tx in &block.transactions {
-        out.extend_from_slice(&tx.serialize());
+        tx.serialize_into(&mut out);
     }
     out
 }

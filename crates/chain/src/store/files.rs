@@ -20,6 +20,7 @@
 //! holds file descriptors between operations, so a 1000-host sim soak
 //! stays within default fd limits.
 
+use bcwan_crypto::crc32::Crc32;
 use std::fs::OpenOptions;
 use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
@@ -30,37 +31,14 @@ pub(crate) const RECORD_MAGIC: u32 = 0xB0C4_57A1;
 /// Bytes of framing before the payload.
 pub(crate) const RECORD_HEADER: u64 = 13;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the same polynomial the
-/// transport frame uses, implemented locally so `chain` stays
-/// dependency-free.
+/// CRC-32/IEEE over the parts in order — `bcwan_crypto`'s, the same
+/// checksum the transport frame uses.
 pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    static TABLE: [u32; 256] = table();
-    let mut crc = !0u32;
+    let mut crc = Crc32::new();
     for part in parts {
-        for &byte in *part {
-            crc = TABLE[((crc ^ byte as u32) & 0xff) as usize] ^ (crc >> 8);
-        }
+        crc.update(part);
     }
-    !crc
+    crc.finalize()
 }
 
 /// One decoded record: its kind byte and payload.

@@ -129,21 +129,28 @@ impl Transaction {
     /// Canonical byte serialization (hashing and size accounting).
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
+        self.serialize_into(&mut out);
+        out
+    }
+
+    /// Appends [`Transaction::serialize`]'s bytes to `out` — for callers
+    /// that lay several transactions into one buffer (a block's wire and
+    /// store encodings).
+    pub fn serialize_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&(self.inputs.len() as u32).to_le_bytes());
         for input in &self.inputs {
             out.extend_from_slice(&input.prevout.txid.0);
             out.extend_from_slice(&input.prevout.vout.to_le_bytes());
-            push_script(&mut out, &input.script_sig);
+            push_script(out, &input.script_sig);
             out.extend_from_slice(&input.sequence.to_le_bytes());
         }
         out.extend_from_slice(&(self.outputs.len() as u32).to_le_bytes());
         for output in &self.outputs {
             out.extend_from_slice(&output.value.to_le_bytes());
-            push_script(&mut out, &output.script_pubkey);
+            push_script(out, &output.script_pubkey);
         }
         out.extend_from_slice(&self.lock_time.to_le_bytes());
-        out
     }
 
     /// The transaction id.
@@ -159,9 +166,22 @@ impl Transaction {
         (TxId(sha256d(&bytes)), bytes.len())
     }
 
-    /// Serialized size in bytes.
+    /// Serialized size in bytes, counted field by field without
+    /// serializing: version, two counts and lock time (20), then per
+    /// input an outpoint, a length-prefixed script and a sequence, per
+    /// output a value and a length-prefixed script.
     pub fn size(&self) -> usize {
-        self.serialize().len()
+        let inputs: usize = self
+            .inputs
+            .iter()
+            .map(|input| 36 + 4 + input.script_sig.byte_len() + 4)
+            .sum();
+        let outputs: usize = self
+            .outputs
+            .iter()
+            .map(|output| 8 + 4 + output.script_pubkey.byte_len())
+            .sum();
+        20 + inputs + outputs
     }
 
     /// Sum of output values; `None` if it passes `u64::MAX`.
@@ -312,6 +332,38 @@ mod tests {
         rich.outputs.extend(tx.outputs.clone());
         rich.outputs[0].value = u64::MAX;
         assert_eq!(rich.total_output(), None, "past u64::MAX is no total");
+    }
+
+    /// The counted size equals the serialized length for every push
+    /// encoding (empty, direct, PUSHDATA1, PUSHDATA2), any input and
+    /// output counts, and a coinbase.
+    #[test]
+    fn counted_size_equals_serialized_length() {
+        let mut tx = sample_tx();
+        for (n, len) in [0usize, 1, 75, 76, 255, 256, 600].into_iter().enumerate() {
+            let script = Script::builder()
+                .push(vec![n as u8; len])
+                .op(Opcode::Dup)
+                .build();
+            tx.inputs.push(TxIn {
+                prevout: OutPoint {
+                    txid: TxId([n as u8; 32]),
+                    vout: n as u32,
+                },
+                script_sig: script.clone(),
+                sequence: 7,
+            });
+            tx.outputs.push(TxOut {
+                value: n as u64,
+                script_pubkey: script,
+            });
+            assert_eq!(tx.size(), tx.serialize().len(), "push of {len} bytes");
+            let mut out = vec![0xee];
+            tx.serialize_into(&mut out);
+            assert_eq!(out[1..], tx.serialize()[..]);
+        }
+        let coinbase = Transaction::coinbase(9, b"extra", vec![]);
+        assert_eq!(coinbase.size(), coinbase.serialize().len());
     }
 
     #[test]

@@ -1,7 +1,75 @@
-//! HMAC-SHA256 (RFC 2104), needed for RFC 6979 deterministic ECDSA nonces
-//! and for the provisioning key-derivation helper.
+//! HMAC-SHA256 (RFC 2104), needed for RFC 6979 deterministic ECDSA nonces,
+//! the provisioning key-derivation helper and the overlay's frame tags.
 
 use crate::sha256::Sha256;
+use std::fmt;
+
+/// An HMAC-SHA256 key with its two pads already absorbed.
+///
+/// HMAC hashes `key ⊕ ipad` ahead of the message and `key ⊕ opad` ahead
+/// of the inner digest; each pad is one 64-byte block. Construction
+/// compresses both blocks once, and every tag under the key starts from
+/// clones of those two midstates — a short message's tag costs two
+/// compressions fewer than [`hmac_sha256`] from the raw key.
+///
+/// # Examples
+///
+/// ```
+/// use bcwan_crypto::hmac::{hmac_sha256, HmacSha256Key};
+///
+/// let key = HmacSha256Key::new(b"key");
+/// assert_eq!(
+///     key.tag(&[b"The quick brown fox ", b"jumps over the lazy dog"]),
+///     hmac_sha256(b"key", b"The quick brown fox jumps over the lazy dog")
+/// );
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct HmacSha256Key {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl fmt::Debug for HmacSha256Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The midstates are as good as the key: never print them.
+        write!(f, "HmacSha256Key(..)")
+    }
+}
+
+impl HmacSha256Key {
+    /// Absorbs `key`'s two pads. A key longer than the 64-byte block is
+    /// hashed first, as RFC 2104 says.
+    pub fn new(key: &[u8]) -> Self {
+        const BLOCK: usize = 64;
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(&crate::sha256::sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let midstate = |byte: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|k| k ^ byte));
+            h
+        };
+        HmacSha256Key {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, parts joined)`, each part streamed into the
+    /// inner hash rather than copied together.
+    pub fn tag(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
@@ -17,24 +85,7 @@ use crate::sha256::Sha256;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    const BLOCK: usize = 64;
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(&crate::sha256::sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let pad = |byte: u8| key_block.map(|k| k ^ byte);
-
-    let mut inner = Sha256::new();
-    inner.update(&pad(0x36));
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&pad(0x5c));
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacSha256Key::new(key).tag(&[message])
 }
 
 /// Simple HKDF-style expansion used to derive per-device keys from an
@@ -103,6 +154,31 @@ mod tests {
         assert_eq!(
             hex::encode(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+    }
+
+    /// A keyed tag fed in parts equals the one-shot HMAC, for keys
+    /// shorter than, equal to and longer than the 64-byte block (hashed
+    /// first), and one key serves any number of tags.
+    #[test]
+    fn keyed_parts_equal_one_shot() {
+        let message: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for key_len in [0usize, 1, 32, 63, 64, 65, 131] {
+            let raw: Vec<u8> = (0..key_len).map(|i| (i as u8) ^ 0xa5).collect();
+            let key = HmacSha256Key::new(&raw);
+            for split in [0, 1, 22, 64, 150, 300] {
+                assert_eq!(
+                    key.tag(&[&message[..split], &message[split..]]),
+                    hmac_sha256(&raw, &message),
+                    "key of {key_len} bytes, split at {split}"
+                );
+            }
+        }
+        assert_eq!(HmacSha256Key::new(b"k"), HmacSha256Key::new(b"k"));
+        assert_ne!(HmacSha256Key::new(b"k"), HmacSha256Key::new(b"j"));
+        assert_eq!(
+            format!("{:?}", HmacSha256Key::new(b"k")),
+            "HmacSha256Key(..)"
         );
     }
 

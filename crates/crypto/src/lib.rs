@@ -8,6 +8,8 @@
 //! - [`bignum`] — arbitrary-precision unsigned integers (the base layer),
 //! - [`mod@sha256`] / [`mod@ripemd160`] / [`hmac`] — hash functions for transaction
 //!   ids, `HASH160` addresses and RFC 6979,
+//! - [`mod@crc32`] — the CRC-32/IEEE checksum of overlay frames and store
+//!   records,
 //! - [`aes`] — AES-256-CBC with PKCS#7, the node↔recipient symmetric layer,
 //! - [`rsa`] — RSA-512 ephemeral keypairs, encryption and signatures, plus
 //!   the pair-check that powers the `OP_CHECKRSA512PAIR` script operator,
@@ -42,6 +44,7 @@
 
 pub mod aes;
 pub mod bignum;
+pub mod crc32;
 pub mod ecdsa;
 pub mod field;
 /// Raw 5×52-limb `const fn` arithmetic over the secp256k1 field prime

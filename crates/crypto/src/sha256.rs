@@ -18,7 +18,7 @@
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
@@ -114,48 +114,80 @@ impl Sha256 {
         out
     }
 
+    /// One block of the compression function. The message schedule
+    /// rolls through 16 words (`w[i mod 16]` holds `W[i]` from round
+    /// `i` on), and the 64 rounds are unrolled, the working variables
+    /// renamed instead of shifted.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+
+        // `W[i]` for round `i`: the loaded word for the first 16 rounds,
+        // then `W[i-16] + σ0(W[i-15]) + W[i-7] + σ1(W[i-2])` written over
+        // `W[i-16]`'s slot (`i-15 ≡ i+1`, `i-7 ≡ i+9`, `i-2 ≡ i+14`).
+        macro_rules! load {
+            ($i:expr) => {
+                w[$i]
+            };
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        macro_rules! schedule {
+            ($i:expr) => {{
+                let j = $i & 15;
+                let (x, y) = (w[(j + 1) & 15], w[(j + 14) & 15]);
+                let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
+                let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
+                w[j] = w[j]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(j + 9) & 15])
+                    .wrapping_add(s1);
+                w[j]
+            }};
+        }
+        // Round `i` with the variables named in their round-`i` roles:
+        // `h` becomes the new `a` and `d` the new `e`.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+             $i:expr, $word:ident) => {{
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = ($e & $f) ^ (!$e & $g);
+                let t1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[$i])
+                    .wrapping_add($word!($i));
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(s0.wrapping_add(maj));
+            }};
+        }
+        macro_rules! eight_rounds {
+            ($i:expr, $word:ident) => {
+                round!(a, b, c, d, e, f, g, h, $i, $word);
+                round!(h, a, b, c, d, e, f, g, $i + 1, $word);
+                round!(g, h, a, b, c, d, e, f, $i + 2, $word);
+                round!(f, g, h, a, b, c, d, e, $i + 3, $word);
+                round!(e, f, g, h, a, b, c, d, $i + 4, $word);
+                round!(d, e, f, g, h, a, b, c, $i + 5, $word);
+                round!(c, d, e, f, g, h, a, b, $i + 6, $word);
+                round!(b, c, d, e, f, g, h, a, $i + 7, $word);
+            };
+        }
+        eight_rounds!(0, load);
+        eight_rounds!(8, load);
+        eight_rounds!(16, schedule);
+        eight_rounds!(24, schedule);
+        eight_rounds!(32, schedule);
+        eight_rounds!(40, schedule);
+        eight_rounds!(48, schedule);
+        eight_rounds!(56, schedule);
+
+        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -285,6 +317,80 @@ mod tests {
         for len in [0, 1, 32, 55, 56, 63, 64, 80, 88, 119, 120, 200] {
             let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
             assert_eq!(sha256d(&data), sha256(&sha256(&data)), "length {len}");
+        }
+    }
+
+    /// The textbook compression (FIPS 180-4 § 6.2.2): the whole 64-word
+    /// schedule first, then 64 rounds shifting the working variables.
+    fn reference_compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
+    }
+
+    /// The unrolled, rolling-schedule compression equals the textbook
+    /// one on 16 384 seeded blocks, each chained onto the state the last
+    /// left (so states are arbitrary too), plus the all-zero and all-one
+    /// blocks from the initial state.
+    #[test]
+    fn compress_matches_reference() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut fast = Sha256::new();
+        let mut slow = H0;
+        for n in 0..16_384 {
+            let mut block = [0u8; 64];
+            for chunk in block.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&next().to_le_bytes());
+            }
+            fast.compress(&block);
+            reference_compress(&mut slow, &block);
+            assert_eq!(fast.state, slow, "block {n}");
+        }
+        for fill in [0x00, 0xff] {
+            let mut fast = Sha256::new();
+            let mut slow = H0;
+            fast.compress(&[fill; 64]);
+            reference_compress(&mut slow, &[fill; 64]);
+            assert_eq!(fast.state, slow, "all-{fill:#04x} block");
         }
     }
 

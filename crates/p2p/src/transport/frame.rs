@@ -31,8 +31,8 @@
 //! `transport.auth.fail_total`. Version-1 frames (pre-auth) are rejected
 //! as [`FrameError::BadVersion`].
 
-use bcwan_crypto::hmac::derive_key;
-use bcwan_crypto::Sha256;
+use bcwan_crypto::crc32::crc32;
+use bcwan_crypto::hmac::{derive_key, HmacSha256Key};
 use std::fmt;
 
 /// Frame magic — first bytes of every frame on the wire.
@@ -62,9 +62,10 @@ pub(crate) const MAX_FRAME_PAYLOAD: usize = 4 << 20;
 /// 32-byte frame key (derived from the federation's master secret, the
 /// same provisioning ceremony that hands devices their AES keys). Two
 /// hosts with different keys cannot exchange a single frame: the tag
-/// check fails before the payload is ever decoded.
+/// check fails before the payload is ever decoded. The key is held as
+/// its HMAC midstates, so no tag re-hashes the key pads.
 #[derive(Clone, PartialEq, Eq)]
-pub struct FrameKey([u8; 32]);
+pub struct FrameKey(HmacSha256Key);
 
 impl fmt::Debug for FrameKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -76,17 +77,18 @@ impl fmt::Debug for FrameKey {
 impl FrameKey {
     /// Wraps raw key bytes.
     pub fn new(bytes: [u8; 32]) -> Self {
-        FrameKey(bytes)
+        FrameKey(HmacSha256Key::new(&bytes))
     }
 
     /// Derives the frame key from a federation master secret (HKDF-style
     /// expansion with a fixed info string, so the same master secret
     /// yields the same key on every host).
     pub(crate) fn from_master(master: &[u8]) -> Self {
-        let derived = derive_key(master, b"bcwan-frame-auth-v2", 32);
-        let mut bytes = [0u8; 32];
-        bytes.copy_from_slice(&derived);
-        FrameKey(bytes)
+        FrameKey(HmacSha256Key::new(&derive_key(
+            master,
+            b"bcwan-frame-auth-v2",
+            32,
+        )))
     }
 
     /// The well-known development key used by tests, examples, and
@@ -96,24 +98,10 @@ impl FrameKey {
         FrameKey::from_master(b"bcwan-dev-network")
     }
 
-    /// Computes the truncated tag, `HMAC-SHA256(key, prefix ‖ payload)`
-    /// — what `hmac_sha256` returns over the two joined — with both
-    /// slices streamed into the inner hash rather than copied together (a
-    /// block frame's payload is ~80 KiB). The 32-byte key fills one
-    /// 64-byte HMAC block, zero-padded.
+    /// The truncated tag, `HMAC-SHA256(key, prefix ‖ payload)`.
     fn tag(&self, prefix: &[u8], payload: &[u8]) -> [u8; TAG_LEN] {
-        let mut key_block = [0u8; 64];
-        key_block[..32].copy_from_slice(&self.0);
-        let pad = |byte: u8| key_block.map(|k| k ^ byte);
-        let mut inner = Sha256::new();
-        inner.update(&pad(0x36));
-        inner.update(prefix);
-        inner.update(payload);
-        let mut outer = Sha256::new();
-        outer.update(&pad(0x5c));
-        outer.update(&inner.finalize());
         let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&outer.finalize()[..TAG_LEN]);
+        tag.copy_from_slice(&self.0.tag(&[prefix, payload])[..TAG_LEN]);
         tag
     }
 }
@@ -193,36 +181,6 @@ impl FrameError {
     }
 }
 
-/// CRC-32/IEEE (the Ethernet/zip polynomial), bytewise table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
 /// Serializes a frame into a standalone byte vector, tag included.
 ///
 /// # Panics
@@ -249,17 +207,18 @@ pub fn encode_frame(key: &FrameKey, from: u64, kind: u8, payload: &[u8]) -> Vec<
     out
 }
 
-/// Validates a complete header + payload pair. `header` is the full
+/// Validates a complete header + payload pair in place and copies the
+/// payload out only once it verifies. `header` is the full
 /// [`HEADER_LEN`] bytes (magic/version/oversize are assumed checked).
-fn finish_frame(key: &FrameKey, header: &[u8], payload: Vec<u8>) -> Result<Frame, FrameError> {
+fn finish_frame(key: &FrameKey, header: &[u8], payload: &[u8]) -> Result<Frame, FrameError> {
     let kind = header[5];
     let from = u64::from_le_bytes(header[6..14].try_into().expect("8 header bytes"));
     let declared = u32::from_le_bytes(header[18..22].try_into().expect("4 header bytes"));
-    let computed = crc32(&payload);
+    let computed = crc32(payload);
     if computed != declared {
         return Err(FrameError::BadChecksum { declared, computed });
     }
-    let expected = key.tag(&header[..AUTH_PREFIX_LEN], &payload);
+    let expected = key.tag(&header[..AUTH_PREFIX_LEN], payload);
     // Not constant-time; none of this workspace's crypto is (see the
     // README security notes), and the tag gates identity, not secrecy.
     if expected[..] != header[AUTH_PREFIX_LEN..HEADER_LEN] {
@@ -268,7 +227,7 @@ fn finish_frame(key: &FrameKey, header: &[u8], payload: Vec<u8>) -> Result<Frame
     Ok(Frame {
         from,
         kind,
-        payload,
+        payload: payload.to_vec(),
     })
 }
 
@@ -299,9 +258,16 @@ fn check_header_prefix(header: &[u8]) -> Result<u32, FrameError> {
 /// [`HEADER_LEN`] bytes arrive, so an oversized or hostile declared
 /// length is rejected before any payload is buffered beyond what the
 /// peer already pushed.
+///
+/// Frames are read at a cursor into the buffer: `next_frame` checks a
+/// frame where it lies and copies only its payload out, and the bytes
+/// already read are dropped once per `extend`, not once per frame. The
+/// buffer keeps its capacity between reads.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
+    /// Start of the first unread byte in `buf`.
+    pos: usize,
 }
 
 impl FrameAssembler {
@@ -312,12 +278,14 @@ impl FrameAssembler {
 
     /// Appends freshly read bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Whether no partial frame is buffered (a clean point to hang up).
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.pos == self.buf.len()
     }
 
     /// Extracts the next complete frame, if the buffer holds one.
@@ -332,17 +300,18 @@ impl FrameAssembler {
     /// length as soon as the header is buffered, a checksum or
     /// authentication failure once the payload is.
     pub fn next_frame(&mut self, key: &FrameKey) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
+        let unread = &self.buf[self.pos..];
+        if unread.len() < HEADER_LEN {
             return Ok(None);
         }
-        let len = check_header_prefix(&self.buf[..HEADER_LEN])? as usize;
-        if self.buf.len() < HEADER_LEN + len {
+        let (header, rest) = unread.split_at(HEADER_LEN);
+        let len = check_header_prefix(header)? as usize;
+        if rest.len() < len {
             return Ok(None);
         }
-        let rest = self.buf.split_off(HEADER_LEN + len);
-        let payload = self.buf[HEADER_LEN..].to_vec();
-        let header: Vec<u8> = std::mem::replace(&mut self.buf, rest);
-        finish_frame(key, &header[..HEADER_LEN], payload).map(Some)
+        let frame = finish_frame(key, header, &rest[..len])?;
+        self.pos += HEADER_LEN + len;
+        Ok(Some(frame))
     }
 }
 
@@ -549,5 +518,92 @@ mod tests {
         let frame = asm.next_frame(&k).unwrap().unwrap();
         assert_eq!(frame.payload, b"pending");
         assert!(asm.is_empty());
+    }
+
+    /// A stream of the three sizes the overlay carries — empty, one `Tx`
+    /// (201 B) and a block (80 KiB) — with the byte offset each frame
+    /// ends at.
+    fn mixed_stream(k: &FrameKey) -> (Vec<u8>, Vec<usize>) {
+        let sizes = [0usize, 201, 80 << 10, 201, 0, 80 << 10, 201, 0];
+        let mut wire = Vec::new();
+        let mut ends = Vec::new();
+        for (i, &len) in sizes.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|j| (j * 31 + i) as u8).collect();
+            wire.extend_from_slice(&encode_frame(k, i as u64, i as u8, &payload));
+            ends.push(wire.len());
+        }
+        (wire, ends)
+    }
+
+    /// Feeds `wire` in `chunk`-byte reads, draining after each as
+    /// `poll_conn` does; checks after every read that the assembler is
+    /// empty exactly when the bytes fed so far end on a frame boundary.
+    /// Returns the frames, then the error that stopped the stream.
+    fn feed(
+        k: &FrameKey,
+        wire: &[u8],
+        chunk: usize,
+        ends: &[usize],
+    ) -> (Vec<Frame>, Option<FrameError>) {
+        let mut asm = FrameAssembler::new();
+        let mut got = Vec::new();
+        let mut fed = 0;
+        for piece in wire.chunks(chunk) {
+            asm.extend(piece);
+            fed += piece.len();
+            loop {
+                match asm.next_frame(k) {
+                    Ok(Some(frame)) => got.push(frame),
+                    Ok(None) => break,
+                    Err(e) => return (got, Some(e)),
+                }
+            }
+            assert_eq!(
+                asm.is_empty(),
+                ends.contains(&fed),
+                "{chunk}-byte reads, {fed} bytes fed"
+            );
+        }
+        (got, None)
+    }
+
+    #[test]
+    fn assembler_chunking_yields_the_one_shot_frames() {
+        let k = key();
+        let (wire, ends) = mixed_stream(&k);
+        let (one_shot, err) = feed(&k, &wire, wire.len(), &ends);
+        assert!(err.is_none());
+        assert_eq!(one_shot.len(), ends.len());
+        assert_eq!(one_shot[2].payload.len(), 80 << 10);
+        for chunk in [1, 7, 4093, 65536] {
+            let (frames, err) = feed(&k, &wire, chunk, &ends);
+            assert!(err.is_none(), "{chunk}-byte reads: {err:?}");
+            assert_eq!(frames, one_shot, "{chunk}-byte reads");
+        }
+    }
+
+    #[test]
+    fn forged_frame_after_good_ones_yields_them_then_bad_auth() {
+        let k = key();
+        let (good, good_ends) = mixed_stream(&k);
+        let (one_shot, _) = feed(&k, &good, good.len(), &good_ends);
+        for kept in 0..=3 {
+            let cut = if kept == 0 { 0 } else { good_ends[kept - 1] };
+            let mut wire = good[..cut].to_vec();
+            let mut forged = encode_frame(&k, 99, 0, &[0x42; 201]);
+            forged[AUTH_PREFIX_LEN] ^= 0x01;
+            wire.extend_from_slice(&forged);
+            // Good frames after the forgery must never surface.
+            wire.extend_from_slice(&good[cut..]);
+            let ends: Vec<usize> = good_ends[..kept].to_vec();
+            for chunk in [1, 7, 4093, 65536] {
+                let (frames, err) = feed(&k, &wire, chunk, &ends);
+                assert_eq!(frames[..], one_shot[..kept], "{chunk}-byte reads");
+                assert!(
+                    matches!(err, Some(FrameError::BadAuth)),
+                    "{chunk}-byte reads after {kept} good frames: {err:?}"
+                );
+            }
+        }
     }
 }
