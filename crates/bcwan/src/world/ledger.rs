@@ -364,7 +364,7 @@ impl World {
         // validate.sigcache.rsa.*), a hit is a host that found the spend
         // already verified.
         self.hosts[0].daemon.chain.sig_cache().export(reg);
-        self.wan.network.stats().export(reg);
+        self.wan.stats.export(reg);
         fold_hosts(reg, stores);
         let gateways = (1..).zip(self.radio.by_gw.iter().copied());
         fold_hosts(reg, gateways.collect());

@@ -14,9 +14,10 @@
 //! The protocol runs in the same code as on a live fleet: every host is
 //! a [`Node`] and every sensor a `Device`. `World` supplies what neither
 //! decides for itself, one record per leg of the testbed: `radio` (the
-//! sensors' air), `wan` (the gateways' overlay, wake-ups and restarts),
-//! `miner` (the mining schedule) and `ledger` (the measurement marks,
-//! the auditor and the one fold of every count into the metrics). Every
+//! sensors' air), `wan` (the simulated WAN — gossip graph, latency, loss
+//! and duplication — and the hosts' wake-ups and restarts), `miner` (the
+//! mining schedule) and `ledger` (the measurement marks, the auditor and
+//! the one fold of every count into the metrics). Every
 //! leg draws from the run's one [`SimRng`] and asks its one
 //! [`ChaosEngine`], in the order events arrive.
 //!
@@ -39,7 +40,7 @@ use crate::node::{Node, Parcel, Terms};
 use crate::provisioning::{mint_all, DeviceId};
 use bcwan_chain::{Address, ChainParams, SigCache, StoreConfig, Wallet};
 use bcwan_crypto::rsa::RsaKeySize;
-use bcwan_p2p::{Delivery, FaultModel, NodeId};
+use bcwan_p2p::NodeId;
 use bcwan_sim::{
     run, Actor, ChaosEngine, ChaosPlan, EventQueue, LatencyModel, Series, SimDuration, SimRng,
     SimTime, Snapshot, SnapshotSeries,
@@ -49,6 +50,8 @@ use miner::Miner;
 use radio::{Air, Radio};
 use std::sync::Arc;
 use wan::Wan;
+
+pub use wan::FaultModel;
 
 /// Escrow reward per delivered message (never varied in §5.2).
 const REWARD: u64 = 10;
@@ -136,7 +139,7 @@ impl WorkloadConfig {
             costs: CostModel::pi_class(),
             confirmation_depth: 0,
             rsa_size: RsaKeySize::Rsa512,
-            faults: FaultModel::none(),
+            faults: FaultModel::default(),
             seed: 2018,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             chaos: ChaosPlan::none(),
@@ -283,8 +286,12 @@ enum Event {
     Device { sensor: usize, timer: Timer },
     /// A LoRa frame of one exchange.
     Radio { exchange: usize, air: Air },
-    /// A WAN message arrived at a host.
-    Wan(Delivery<Arc<Parcel>>),
+    /// A WAN message from host `from` arrived at host `to`.
+    Wan {
+        from: u32,
+        to: u32,
+        parcel: Arc<Parcel>,
+    },
     /// The master assembles and broadcasts the next block.
     MineTick,
     /// A host's earliest deadline came due: its watchdog runs.
@@ -442,7 +449,7 @@ impl Actor<Event> for World {
         match event {
             Event::Device { sensor, timer } => self.handle_timer(now, sensor, timer, queue),
             Event::Radio { exchange, air } => self.handle_radio(now, exchange, air, queue),
-            Event::Wan(delivery) => self.handle_wan(now, delivery, queue),
+            Event::Wan { from, to, parcel } => self.handle_wan(now, from, to, parcel, queue),
             Event::MineTick => self.handle_mine_tick(now, queue),
             Event::Wake { host } => self.handle_wake(now, host, queue),
             Event::ChaosRestart { host } => self.handle_chaos_restart(now, host, queue),

@@ -8,8 +8,10 @@
 //! the node (EXPERIMENTS.md § "Recovery in the node"), and the stored
 //! run's twice more: when its eight `store.cache_*` rows were deleted
 //! (EXPERIMENTS.md § UM), and when its two `trace.*` rows went with the
-//! span tracer (EXPERIMENTS.md § PH). Each time the previous snapshot
-//! without the deleted rows hashes to the new digest.
+//! span tracer (EXPERIMENTS.md § PH); and all six once more, when
+//! `net.dropped_partition_total` (always 0) went with the overlay's
+//! link check that could never fail (EXPERIMENTS.md § WN). Each time the
+//! previous snapshot without the deleted rows hashes to the new digest.
 
 use bcwan::world::{ExperimentResult, WorkloadConfig, World};
 use bcwan_sim::{ChaosFault, ChaosPlan, ChaosProfile, SimDuration, SimRng, SimTime, Snapshot};
@@ -46,8 +48,8 @@ fn run(cfg: WorkloadConfig) -> ExperimentResult {
 #[test]
 fn fleet_50_hosts_10_exchanges() {
     for (seed, golden) in [
-        (2018, "rows=69 fnv=19d8afcc402f03ac"),
-        (7, "rows=69 fnv=cd562962b613519e"),
+        (2018, "rows=68 fnv=bcae3ecb7c3549c0"),
+        (7, "rows=68 fnv=f0cab386ddcf1f12"),
     ] {
         let result = run(WorkloadConfig::fleet(50, 10, seed));
         assert_eq!(digest(&result.metrics), golden, "seed {seed}");
@@ -61,7 +63,7 @@ fn miniature_fig5() {
     cfg.sensors_per_host = 4;
     cfg.target_exchanges = 12;
     cfg.seed = 5;
-    assert_eq!(digest(&run(cfg).metrics), "rows=75 fnv=c54bc650d23138ec");
+    assert_eq!(digest(&run(cfg).metrics), "rows=74 fnv=b441609fca2180d8");
 }
 
 /// Same plan as `golden_outputs.rs::chaos_soak_seed_101`.
@@ -77,7 +79,7 @@ fn chaos_soak_seed_101() {
     );
     let mut cfg = WorkloadConfig::tiny(10, seed).with_chaos(plan);
     cfg.refund_delta = 12;
-    assert_eq!(digest(&run(cfg).metrics), "rows=73 fnv=aecb0ff47f407b92");
+    assert_eq!(digest(&run(cfg).metrics), "rows=72 fnv=610686c2066dece6");
 }
 
 /// Same plan as `golden_outputs.rs::byzantine_soak_seed_11`.
@@ -129,7 +131,7 @@ fn byzantine_soak_seed_11() {
     };
     let mut cfg = WorkloadConfig::fleet(ACTOR_HOSTS, 40, seed).with_chaos(plan);
     cfg.refund_delta = 12;
-    assert_eq!(digest(&run(cfg).metrics), "rows=79 fnv=a04b261506c88713");
+    assert_eq!(digest(&run(cfg).metrics), "rows=78 fnv=9323ebd716f59afb");
 }
 
 /// Every optional row family at once: per-host `store.*` and
@@ -155,5 +157,5 @@ fn stored_sampled_tiny() {
     let result = run(cfg);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(result.restarts_warm > 0, "the store rows cover a reopen");
-    assert_eq!(digest(&result.metrics), "rows=85 fnv=0e52d01b94503cb2");
+    assert_eq!(digest(&result.metrics), "rows=84 fnv=3d64ca7d3e8b90be");
 }

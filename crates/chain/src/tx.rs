@@ -128,7 +128,7 @@ impl Transaction {
 
     /// Canonical byte serialization (hashing and size accounting).
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
+        let mut out = Vec::with_capacity(self.size());
         self.serialize_into(&mut out);
         out
     }
@@ -210,7 +210,9 @@ impl Transaction {
                 Script::new()
             };
         }
-        let mut data = copy.serialize();
+        // The transaction, then the input index and the hash type.
+        let mut data = Vec::with_capacity(copy.size() + 5);
+        copy.serialize_into(&mut data);
         data.extend_from_slice(&(input_index as u32).to_le_bytes());
         data.push(0x01); // SIGHASH_ALL
         sha256d(&data)

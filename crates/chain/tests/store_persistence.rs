@@ -495,3 +495,37 @@ fn replayed_coinbase_is_refused_after_its_twin_is_flushed() {
     assert_eq!(chain.height(), height);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fsync_store_reopens_to_the_same_state_as_an_unsynced_replica() {
+    let mut reopened = Vec::new();
+    for fsync in [true, false] {
+        let dir = temp_dir(if fsync { "fsync-on" } else { "fsync-off" });
+        let cfg = StoreConfig {
+            fsync,
+            coins_flush_interval: 4,
+        };
+        let (mut chain, wallet, coins) = setup(&dir, cfg.clone());
+        // Ten blocks: two interval flushes on the way, two blocks past
+        // the last one.
+        grow(&mut chain, &wallet, coins[0].clone(), 10);
+        let live = (chain.tip(), chain.height(), chain.utxo().fingerprint());
+        drop(chain);
+
+        let opened = Chain::open_store(params(), &dir, cfg).expect("store reopens");
+        assert!(!opened.reindexed, "fsync {fsync}");
+        assert_eq!(
+            opened.rolled_forward, 2,
+            "fsync {fsync}: past the last flush"
+        );
+        let chain = opened.chain;
+        let state = (chain.tip(), chain.height(), chain.utxo().fingerprint());
+        assert_eq!(state, live, "fsync {fsync}");
+        reopened.push(state);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(
+        reopened[0], reopened[1],
+        "fsync moves durability, not state"
+    );
+}

@@ -1,12 +1,12 @@
-//! Chain gossip messages.
+//! Chain gossip messages and the relay dedupe.
 //!
 //! In BcWAN each gateway runs a full node: transactions and blocks flood
 //! the overlay, and "on start-up, each node retrieves the recent blocks
 //! from other nodes" (paper §5.1). [`ChainMessage`] is the wire
-//! vocabulary; a [`SeenFilter`](crate::SeenFilter) over txids and block
-//! hashes decides what to re-flood.
+//! vocabulary; a [`SeenFilter`] over txids and block hashes decides what
+//! to re-flood.
 
-use bcwan_chain::{Block, BlockHash, BlockHeader, Transaction};
+use bcwan_chain::{Block, BlockHash, BlockHeader, IdSet, Transaction};
 
 /// Messages gateways exchange about the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,10 +50,46 @@ pub enum ChainMessage {
     },
 }
 
+/// Gossip relay dedupe: tracks message ids a node has already seen so
+/// flooded broadcasts terminate.
+#[derive(Debug, Clone, Default)]
+pub struct SeenFilter {
+    seen: IdSet<[u8; 32]>,
+}
+
+impl SeenFilter {
+    /// A fresh filter.
+    pub fn new() -> Self {
+        SeenFilter::default()
+    }
+
+    /// Returns `true` the first time `id` is offered, `false` afterwards.
+    pub fn first_sighting(&mut self, id: [u8; 32]) -> bool {
+        self.seen.insert(id)
+    }
+
+    /// Forgets `id`, so its next sighting counts as the first again.
+    /// Returns whether it was known. Used when a reorg orphans a
+    /// transaction: the owner will re-broadcast it, and relays that
+    /// remembered the txid would otherwise drop the recovery flood.
+    pub fn forget(&mut self, id: &[u8; 32]) -> bool {
+        self.seen.remove(id)
+    }
+
+    /// Number of distinct ids seen.
+    pub fn len(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Whether nothing has been seen.
+    pub fn is_empty(&self) -> bool {
+        self.seen.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeenFilter;
     use bcwan_chain::{ChainParams, Wallet};
     use rand::SeedableRng;
 
@@ -62,6 +98,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let w = Wallet::generate(&mut rng);
         bcwan_chain::Chain::make_genesis(&params, &[(w.address(), 10)])
+    }
+
+    #[test]
+    fn seen_filter_dedupes() {
+        let mut filter = SeenFilter::new();
+        assert!(filter.first_sighting([1; 32]));
+        assert!(!filter.first_sighting([1; 32]));
+        assert!(filter.first_sighting([2; 32]));
+        assert_eq!(filter.len(), 2);
     }
 
     #[test]

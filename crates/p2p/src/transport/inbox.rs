@@ -13,7 +13,7 @@
 //! only once every sender handle is dropped and no message can ever
 //! arrive again, the cue for a loop to exit.
 
-use crate::topology::NodeId;
+use crate::NodeId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};

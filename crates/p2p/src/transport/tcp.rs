@@ -98,7 +98,7 @@ use super::frame::{encode_frame, FrameAssembler, FrameKey, MAX_FRAME_PAYLOAD};
 use super::inbox::{inbox_channel, Doorbell, Envelope, Inbox, InboxSender};
 use super::sys::{self, PollFd, Waker};
 use super::{Codec, TransportError, TransportStats};
-use crate::topology::NodeId;
+use crate::NodeId;
 use bcwan_sim::Registry;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};

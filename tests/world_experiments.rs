@@ -2,9 +2,8 @@
 //! of the Fig. 5 / Fig. 6 experiments, plus failure injection.
 
 use bcwan::costs::CostModel;
-use bcwan::world::{WorkloadConfig, World};
+use bcwan::world::{FaultModel, WorkloadConfig, World};
 use bcwan_chain::ChainParams;
-use bcwan_p2p::FaultModel;
 use bcwan_sim::{LatencyModel, SimDuration};
 
 #[test]
