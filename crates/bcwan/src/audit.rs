@@ -18,14 +18,13 @@
 //! `byzantine.honest_revenue_total` vs `byzantine.adversarial_revenue_total`
 //! — the soak's headline gate is that honest revenue strictly dominates.
 //!
-//! All `invariant.*` and `byzantine.*` counters are registered at
-//! construction, so a clean run exports explicit zeros in every snapshot
+//! The counts are a `counters!` table that `World::fold_metrics` exports
+//! at every fold, so a clean run shows explicit zeros in every snapshot
 //! and timeline frame rather than omitting the rows.
 
 use std::collections::HashMap;
 
 use bcwan_chain::{Block, BlockHash, Chain, IdMap, OutPoint, TxId};
-use bcwan_sim::{CounterId, Registry};
 
 use crate::escrow;
 use crate::fsm::Phase;
@@ -98,6 +97,29 @@ pub struct GatewayOutcome {
     pub adversarial: bool,
 }
 
+bcwan_sim::counters! {
+    /// The auditor's rows: invariant violations, the Byzantine revenue
+    /// split, and the blocks audited.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(crate) struct AuditStats {
+        /// Tips whose UTXO total differed from minted minus burned fees.
+        value_violations: u64 => "invariant.value_conservation_violations",
+        /// Second live settlements of one escrow.
+        double_violations: u64 => "invariant.double_settlement_violations",
+        /// Escrows whose recipient's phase disagreed with the chain at the
+        /// final audit.
+        fsm_violations: u64 => "invariant.fsm_chain_mismatch_violations",
+        /// The three above, summed.
+        violation_total: u64 => "chaos.invariant.violation_total",
+        /// Claim revenue of gateways the plan marks honest.
+        honest_revenue: u64 => "byzantine.honest_revenue_total",
+        /// Claim revenue of gateways the plan marks adversarial.
+        adversarial_revenue: u64 => "byzantine.adversarial_revenue_total",
+        /// Main-chain blocks audited, a reorg's reconnects included.
+        blocks_audited: u64 => "audit.blocks_audited_total",
+    }
+}
+
 /// Incremental, reorg-aware auditor over the master's main chain.
 ///
 /// Feed it every tip change via [`SettlementAuditor::reconcile`]; it
@@ -119,26 +141,13 @@ pub(crate) struct SettlementAuditor {
     settled: IdMap<OutPoint, Settlement>,
     /// Claim revenue per gateway on the current main chain.
     revenue: HashMap<u32, u64>,
-    value_violations: u64,
-    double_violations: u64,
-    fsm_violations: u64,
-    /// Blocks audited, add-only (the other rows publish by name because
-    /// a reorg can lower the revenue split, which the id-based add-only
-    /// API cannot express).
-    c_blocks: CounterId,
+    /// The counted rows; [`Self::stats`] fills in the derived ones.
+    counts: AuditStats,
 }
 
 impl SettlementAuditor {
-    /// Builds an auditor, registering the `invariant.*`, `audit.*`, and
-    /// `byzantine.*` revenue counters with explicit zeros so they appear
-    /// in every snapshot and timeline frame from the start of the run.
-    pub fn new(reg: &mut Registry) -> Self {
-        reg.counter("invariant.value_conservation_violations");
-        reg.counter("invariant.double_settlement_violations");
-        reg.counter("invariant.fsm_chain_mismatch_violations");
-        reg.counter("chaos.invariant.violation_total");
-        reg.counter("byzantine.honest_revenue_total");
-        reg.counter("byzantine.adversarial_revenue_total");
+    /// An auditor that has seen no block.
+    pub fn new() -> Self {
         SettlementAuditor {
             blocks: Vec::new(),
             out_values: IdMap::default(),
@@ -147,10 +156,7 @@ impl SettlementAuditor {
             watched: IdMap::default(),
             settled: IdMap::default(),
             revenue: HashMap::new(),
-            value_violations: 0,
-            double_violations: 0,
-            fsm_violations: 0,
-            c_blocks: reg.counter("audit.blocks_audited_total"),
+            counts: AuditStats::default(),
         }
     }
 
@@ -176,7 +182,19 @@ impl SettlementAuditor {
     /// Invariant violations found so far (conservation + double
     /// settlement; FSM mismatches only exist after [`Self::final_audit`]).
     pub fn violations(&self) -> u64 {
-        self.value_violations + self.double_violations + self.fsm_violations
+        let counts = &self.counts;
+        counts.value_violations + counts.double_violations + counts.fsm_violations
+    }
+
+    /// Every row as of now: the counts, their total and the revenue split.
+    pub(crate) fn stats(&self) -> AuditStats {
+        let (honest_revenue, adversarial_revenue) = self.split_revenue();
+        AuditStats {
+            violation_total: self.violations(),
+            honest_revenue,
+            adversarial_revenue,
+            ..self.counts
+        }
     }
 
     /// Claim revenue earned by gateways the plan marks honest.
@@ -237,7 +255,7 @@ impl SettlementAuditor {
     /// chain) disconnected, audits every new block, and re-checks value
     /// conservation at the new tip. Cheap no-op when the tip is
     /// unchanged.
-    pub(crate) fn reconcile(&mut self, chain: &Chain, reg: &mut Registry) {
+    pub(crate) fn reconcile(&mut self, chain: &Chain) {
         let tip_height = chain.height();
         if self.blocks.len() as u64 == tip_height + 1
             && self.blocks.last().map(|b| b.hash) == Some(chain.tip())
@@ -253,19 +271,16 @@ impl SettlementAuditor {
             self.disconnect_top();
         }
         // Audit the new main-chain blocks above the common prefix.
-        let mut audited = 0u64;
         for height in self.blocks.len() as u64..=tip_height {
             let block = chain.block_at(height).expect("main-chain block").clone();
             self.connect(&block, height);
-            audited += 1;
+            self.counts.blocks_audited += 1;
         }
         // Value conservation at the tip: every coin in the UTXO set was
         // minted by a coinbase and nothing else, minus burned fees.
         if chain.utxo().total_value() != self.minted.saturating_sub(self.fees) {
-            self.value_violations += 1;
+            self.counts.value_violations += 1;
         }
-        reg.add(self.c_blocks, audited);
-        self.publish(reg);
     }
 
     fn connect(&mut self, block: &Block, height: u64) {
@@ -295,7 +310,7 @@ impl SettlementAuditor {
                         // the double-settlement violation, caught at the
                         // exact block where it lands.
                         if self.settled.contains_key(&input.prevout) {
-                            self.double_violations += 1;
+                            self.counts.double_violations += 1;
                         }
                         let kind = if escrow::extract_key_from_claim(tx, &input.prevout).is_some() {
                             SettleKind::Claim
@@ -349,32 +364,13 @@ impl SettlementAuditor {
         }
     }
 
-    fn publish(&self, reg: &mut Registry) {
-        reg.set_counter(
-            "invariant.value_conservation_violations",
-            self.value_violations,
-        );
-        reg.set_counter(
-            "invariant.double_settlement_violations",
-            self.double_violations,
-        );
-        reg.set_counter(
-            "invariant.fsm_chain_mismatch_violations",
-            self.fsm_violations,
-        );
-        reg.set_counter("chaos.invariant.violation_total", self.violations());
-        let (honest, adversarial) = self.split_revenue();
-        reg.set_counter("byzantine.honest_revenue_total", honest);
-        reg.set_counter("byzantine.adversarial_revenue_total", adversarial);
-    }
-
     /// Settlement census over the audited prefix, recording nothing:
-    /// `phases` lists `(exchange, phase, is_settled)` for each exchange
-    /// that published an escrow; `violations` is the running total plus
+    /// `phases` lists `(exchange, phase)` for each exchange that
+    /// published an escrow; `violations` is the running total plus
     /// the FSM↔chain mismatches this pass sees (mid-run an exchange may
     /// legitimately lag its chain, so only [`Self::final_audit`] keeps
     /// them).
-    pub fn census(&self, phases: &[(usize, Phase, bool)]) -> FinalAudit {
+    pub fn census(&self, phases: &[(usize, Phase)]) -> FinalAudit {
         // exchange → (claims, refunds) live on the main chain.
         let mut spends: HashMap<usize, (u32, u32)> = HashMap::new();
         for (outpoint, watched) in &self.watched {
@@ -392,7 +388,7 @@ impl SettlementAuditor {
             open: 0,
             violations: self.violations(),
         };
-        for &(exchange, phase, is_settled) in phases {
+        for &(exchange, phase) in phases {
             let mismatch = match spends.get(&exchange).copied().unwrap_or((0, 0)) {
                 (1, 0) => {
                     audit.claimed += 1;
@@ -404,7 +400,7 @@ impl SettlementAuditor {
                 }
                 _ => {
                     audit.open += 1;
-                    is_settled // FSM settled, chain disagrees
+                    phase != Phase::Escrowed // FSM settled, chain disagrees
                 }
             };
             audit.violations += u64::from(mismatch);
@@ -413,18 +409,12 @@ impl SettlementAuditor {
     }
 
     /// Final census: reconciles one last time, then takes the
-    /// [`census`](Self::census), keeps its FSM↔chain mismatches as
-    /// violations and publishes every `invariant.*` row.
-    pub(crate) fn final_audit(
-        &mut self,
-        chain: &Chain,
-        phases: &[(usize, Phase, bool)],
-        reg: &mut Registry,
-    ) -> FinalAudit {
-        self.reconcile(chain, reg);
+    /// [`census`](Self::census) and keeps its FSM↔chain mismatches as
+    /// violations.
+    pub(crate) fn final_audit(&mut self, chain: &Chain, phases: &[(usize, Phase)]) -> FinalAudit {
+        self.reconcile(chain);
         let audit = self.census(phases);
-        self.fsm_violations += audit.violations - self.violations();
-        self.publish(reg);
+        self.counts.fsm_violations += audit.violations - self.violations();
         audit
     }
 }
@@ -433,7 +423,7 @@ impl SettlementAuditor {
 mod tests {
     use super::*;
     use bcwan_chain::{Block, Chain, ChainParams, Transaction, TxOut, Wallet};
-    use bcwan_sim::SimRng;
+    use bcwan_sim::{Registry, SimRng, Snapshot};
 
     fn chain_with_wallet() -> (Chain, Wallet) {
         let params = ChainParams::fast_test();
@@ -462,17 +452,23 @@ mod tests {
         chain.add_block(block).expect("block connects");
     }
 
+    /// The auditor's rows as a fold exports them.
+    fn snapshot(auditor: &SettlementAuditor) -> Snapshot {
+        let mut reg = Registry::new();
+        auditor.stats().export(&mut reg);
+        reg.snapshot()
+    }
+
     #[test]
     fn clean_chain_audits_without_violations() {
         let (mut chain, wallet) = chain_with_wallet();
-        let mut reg = Registry::new();
-        let mut auditor = SettlementAuditor::new(&mut reg);
-        auditor.reconcile(&chain, &mut reg);
+        let mut auditor = SettlementAuditor::new();
+        auditor.reconcile(&chain);
         mine(&mut chain, &wallet);
         mine(&mut chain, &wallet);
-        auditor.reconcile(&chain, &mut reg);
+        auditor.reconcile(&chain);
         assert_eq!(auditor.violations(), 0);
-        let snap = reg.snapshot();
+        let snap = snapshot(&auditor);
         assert_eq!(snap.counter("audit.blocks_audited_total"), Some(3));
         assert_eq!(
             snap.counter("invariant.value_conservation_violations"),
@@ -485,13 +481,12 @@ mod tests {
     #[test]
     fn reorg_rolls_the_ledger_back_and_forward() {
         let (mut chain, wallet) = chain_with_wallet();
-        let mut reg = Registry::new();
-        let mut auditor = SettlementAuditor::new(&mut reg);
+        let mut auditor = SettlementAuditor::new();
         mine(&mut chain, &wallet);
-        auditor.reconcile(&chain, &mut reg);
+        auditor.reconcile(&chain);
         let fork_point = chain.tip();
         mine(&mut chain, &wallet);
-        auditor.reconcile(&chain, &mut reg);
+        auditor.reconcile(&chain);
         let minted_before = auditor.minted;
 
         // A longer private branch (distinct coinbase times → distinct
@@ -512,7 +507,7 @@ mod tests {
             prev = block.hash();
             chain.add_block(block).expect("branch connects");
         }
-        auditor.reconcile(&chain, &mut reg);
+        auditor.reconcile(&chain);
         assert_eq!(auditor.violations(), 0, "reorg balances the books");
         assert!(
             auditor.minted != minted_before,
@@ -529,22 +524,17 @@ mod tests {
     #[test]
     fn hidden_inflation_is_caught_at_reconcile() {
         let (mut chain, wallet) = chain_with_wallet();
-        let mut reg = Registry::new();
-        let mut auditor = SettlementAuditor::new(&mut reg);
+        let mut auditor = SettlementAuditor::new();
         mine(&mut chain, &wallet);
-        auditor.reconcile(&chain, &mut reg);
+        auditor.reconcile(&chain);
         assert_eq!(auditor.violations(), 0);
         // Simulate corrupt accounting: the auditor's ledger says less
         // was minted than the chain's UTXO set actually holds.
         auditor.minted -= 1;
         mine(&mut chain, &wallet);
-        auditor.reconcile(&chain, &mut reg);
+        auditor.reconcile(&chain);
         assert!(auditor.violations() > 0, "conservation break detected");
-        assert!(
-            reg.snapshot()
-                .counter("chaos.invariant.violation_total")
-                .unwrap()
-                > 0
-        );
+        let total = snapshot(&auditor).counter("chaos.invariant.violation_total");
+        assert!(total.unwrap() > 0);
     }
 }

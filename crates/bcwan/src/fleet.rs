@@ -699,7 +699,7 @@ mod tests {
     use super::*;
     use crate::escrow::{build_claim, extract_key_from_claim};
     use crate::sync::SYNC_BATCH;
-    use bcwan_chain::{Block, BlockHash};
+    use bcwan_chain::Block;
     use bcwan_p2p::transport::TransportStats;
     use bcwan_p2p::ChainMessage;
     use bcwan_sim::SimDuration;
@@ -744,21 +744,6 @@ mod tests {
             Outbound::To(NodeId(2), WanMessage::Chain(ChainMessage::Block(_)))
         )));
         assert_eq!(fleet.nodes[0].node.sync_batches_served, 1);
-    }
-
-    #[test]
-    fn get_block_answers_main_chain_hashes_only() {
-        let mut fleet = Fleet::new(BusFleet::new(3), 3, 14);
-        fleet.mine(0);
-        let node = &mut fleet.nodes[0];
-        let mined = node.node.daemon.chain.tip();
-        let ask = |hash| from(1, WanMessage::Chain(ChainMessage::GetBlock(hash)));
-        let reactions = node.handle(ask(mined));
-        assert!(matches!(
-            reactions.as_slice(),
-            [Outbound::To(NodeId(1), WanMessage::Chain(ChainMessage::Block(b)))] if b.hash() == mined
-        ));
-        assert!(node.handle(ask(BlockHash([7; 32]))).is_empty());
     }
 
     #[test]
@@ -900,6 +885,50 @@ mod tests {
         assert!(fleet.run_until(WAIT, |f| f.nodes[RECIPIENT].noted(filed, refunded)));
         assert!(!fleet.nodes[GATEWAY].noted(0, Note::Claiming));
         assert!(!fleet.nodes[RECIPIENT].noted(filed, Note::Opened));
+    }
+
+    /// With the recipient cut off, the gateway's watchdog re-delivers on
+    /// `DELIVER_RETRY`: woken when it asks, it sends the held uplink four
+    /// times, 5, 10, 20 and 40 s apart, and gives up 40 s after the last.
+    #[test]
+    fn an_unanswered_delivery_backs_off_then_gives_up() {
+        let mut fleet = Fleet::new(BusFleet::new(3), 3, 22);
+        fleet.set_isolated(RECIPIENT, true);
+        let home = &mut fleet.nodes[RECIPIENT].node;
+        let recipient = home.wallet.address();
+        let mut rng = SimRng::seed_from_u64(3);
+        let creds = home.registry.provision(&mut rng, DeviceId(4), recipient);
+        let request = |node: &mut Node, now, env: &mut dyn NodeEnv| {
+            node.on_uplink(now, 0, Uplink::Request, env)
+        };
+        let Some((_, Downlink::Key(e_pk))) = fleet.act(GATEWAY, request) else {
+            panic!("a request brings a key down");
+        };
+        let uplink = crate::exchange::seal_reading(&mut rng, &creds, &e_pk, b"lost").unwrap();
+        let frame = Uplink::Data {
+            device_id: DeviceId(4),
+            recipient,
+            uplink,
+        };
+        let forwarded = SimTime::ZERO + SimDuration::from_secs(100);
+        fleet.act(GATEWAY, |node, _, env| {
+            node.on_uplink(forwarded, 0, frame, env)
+        });
+        let mut wakes = vec![forwarded];
+        while let Some(at) = fleet.nodes[GATEWAY].wake.take() {
+            fleet.act(GATEWAY, |node, _, env| node.on_deadline(at, env));
+            wakes.push(at);
+        }
+        let gaps: Vec<SimDuration> = (wakes.windows(2))
+            .map(|w| w[1].saturating_duration_since(w[0]))
+            .collect();
+        assert_eq!(gaps, [5, 10, 20, 40, 40].map(SimDuration::from_secs));
+        let notes = &fleet.nodes[GATEWAY].notes;
+        let count = |note| notes.iter().filter(|n| **n == (0, note)).count();
+        assert_eq!(count(Note::Redelivered), 4);
+        assert_eq!(count(Note::Abort), 1);
+        assert_eq!(notes.last(), Some(&(0, Note::Abort)), "the last word");
+        assert!(fleet.nodes[RECIPIENT].notes.is_empty(), "nothing arrived");
     }
 
     #[test]

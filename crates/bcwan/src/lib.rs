@@ -20,8 +20,8 @@
 //! - [`app_server`] — the final hop of Figs. 1–2: the recipient's
 //!   application server,
 //! - [`escrow`] — the Listing 1 escrow, claim and refund transactions,
-//! - [`fsm`] — the per-exchange fault-tolerance state machine (named
-//!   phases, per-phase deadlines, reorg-aware settlement),
+//! - [`fsm`] — the escrow's reorg-aware settlement machine and the
+//!   retry clock behind re-delivery and the escrow sweep,
 //! - [`daemon`] — the per-host chain daemon with the Multichain
 //!   block-verification **stall model** (§5.2),
 //! - [`costs`] — CPU cost table for Nucleo/Pi/VM-class hardware,
@@ -84,7 +84,7 @@ pub use exchange::{open_reading, seal_reading, verify_uplink, ExchangeError, Sea
 pub use fleet::{
     fig3_partition_recovery, BusFleet, Fleet, FleetNode, FleetOutcome, FleetTransport, TcpFleet,
 };
-pub use fsm::{ExchangeFsm, FsmEvent, Phase};
+pub use fsm::{FsmEvent, Phase};
 pub use net::WanCodec;
 pub use node::{Node, NodeEnv, Note};
 pub use provisioning::{DeviceCredentials, DeviceId, DeviceRecord, DeviceRegistry};

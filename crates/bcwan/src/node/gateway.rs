@@ -31,13 +31,12 @@ struct Session {
     held: Option<Held>,
 }
 
-/// A forwarded uplink, whom it goes to, and the `Sealed` re-delivery
-/// schedule.
+/// A forwarded uplink, whom it goes to, and its re-delivery clock.
 struct Held {
     to: NodeId,
     device_id: DeviceId,
     uplink: SealedUplink,
-    fsm: ExchangeFsm,
+    redelivery: Backoff,
 }
 
 /// A signed claim, valid as long as the escrow output exists, kept
@@ -102,29 +101,27 @@ impl Gateway {
         }
     }
 
-    /// The `Sealed` watchdog, in tag order: a held uplink with no escrow
-    /// in sight goes out again, or the exchange is given up once the
-    /// `DELIVER_RETRY` budget is spent. Returns the next re-delivery due.
+    /// The re-delivery watchdog, in tag order: a held uplink with no
+    /// escrow in sight goes out again, or the exchange is given up once
+    /// the `DELIVER_RETRY` budget is spent. Returns the next re-delivery
+    /// due.
     pub(super) fn redeliver(&mut self, now: SimTime, env: &mut dyn NodeEnv) -> Option<SimTime> {
         let mut due: Vec<(u64, Vec<u8>)> = self
             .sessions
             .iter()
-            .filter(|(_, s)| {
-                let deadline = s.held.as_ref().and_then(|held| held.fsm.deadline());
-                deadline.is_some_and(|at| at <= now)
-            })
+            .filter(|(_, s)| (s.held.as_ref()).is_some_and(|h| h.redelivery.deadline() <= now))
             .map(|(key, s)| (s.tag, key.clone()))
             .collect();
         due.sort_unstable();
         for (tag, e_pk_bytes) in due {
             let session = self.sessions.get_mut(&e_pk_bytes).expect("due session");
             let held = session.held.as_mut().expect("due uplink");
-            if held.fsm.retries_exhausted() {
+            if held.redelivery.exhausted() {
                 session.held = None;
                 env.note(now, tag, Note::Abort);
                 continue;
             }
-            held.fsm.note_retry(now);
+            held.redelivery.note_retry(now);
             let msg = WanMessage::Deliver {
                 device_id: held.device_id,
                 e_pk_bytes,
@@ -134,7 +131,7 @@ impl Gateway {
             env.note(now, tag, Note::Redelivered);
         }
         let held = self.sessions.values().filter_map(|s| s.held.as_ref());
-        held.filter_map(|held| held.fsm.deadline()).min()
+        held.map(|held| held.redelivery.deadline()).min()
     }
 }
 
@@ -341,11 +338,8 @@ impl Node {
         };
         let to = NodeId(to as u32);
         session.forwarded = true;
-        let mut fsm = ExchangeFsm::new(now);
-        let _ = fsm.apply(FsmEvent::Sealed, now);
-        if let Some(at) = fsm.deadline() {
-            env.wake_at(at);
-        }
+        let redelivery = Backoff::new(&DELIVER_RETRY, now);
+        env.wake_at(redelivery.deadline());
         let msg = WanMessage::Deliver {
             device_id,
             e_pk_bytes: e_pk_bytes.clone(),
@@ -355,7 +349,7 @@ impl Node {
             to,
             device_id,
             uplink,
-            fsm,
+            redelivery,
         });
         let done = self.occupy_cpu(now, self.terms.costs.directory_lookup);
         env.unicast(done, to, msg);

@@ -34,7 +34,9 @@ use crate::device::{Downlink, Uplink};
 use crate::directory::{Directory, IpAnnouncement};
 use crate::escrow::{self, Escrow};
 use crate::exchange::{open_reading, verify_uplink, SealedUplink};
-use crate::fsm::{ExchangeFsm, FsmEvent, CENSOR_SUSPECT_SWEEPS, SETTLE_CHECK};
+use crate::fsm::{
+    Backoff, FsmEvent, Phase, Settlement, CENSOR_SUSPECT_SWEEPS, DELIVER_RETRY, SETTLE_CHECK,
+};
 use crate::keyahead::{key_stream, KeyAhead};
 use crate::provisioning::{DeviceId, DeviceRegistry};
 use crate::sync::{self, HeaderSync, SyncRequest};
@@ -449,15 +451,15 @@ impl Node {
                 // restarts and orphan gaps): one lagging peer cannot make
                 // this daemon serialize its whole chain into one answer.
                 self.sync_batches_served += 1;
-                let blocks =
-                    sync::serve_blocks_from_bounded(&self.daemon.chain, *height, sync::SYNC_BATCH);
-                for block in blocks {
-                    env.unicast(now, from, WanMessage::Chain(ChainMessage::Block(block)));
+                for block in sync::main_chain_above(&self.daemon.chain, *height, sync::SYNC_BATCH) {
+                    let block = ChainMessage::Block(block.clone());
+                    env.unicast(now, from, WanMessage::Chain(block));
                 }
             }
             WanMessage::Chain(ChainMessage::GetHeadersFrom(height)) => {
-                let headers =
-                    sync::serve_headers_from(&self.daemon.chain, *height, sync::HEADER_BATCH);
+                let blocks =
+                    sync::main_chain_above(&self.daemon.chain, *height, sync::HEADER_BATCH);
+                let headers = blocks.map(|block| block.header.clone()).collect();
                 let answer = ChainMessage::Headers {
                     start_height: *height,
                     headers,
@@ -468,15 +470,6 @@ impl Node {
                 start_height,
                 headers,
             }) => self.on_headers(now, *start_height, headers, env),
-            WanMessage::Chain(ChainMessage::GetBlock(hash)) => {
-                // Main-chain blocks only, found by index: a 32-byte
-                // request must not buy a scan of the chain.
-                let chain = &self.daemon.chain;
-                if let Some(block) = chain.main_chain_height(hash).and(chain.block(hash)) {
-                    let answer = ChainMessage::Block(block.clone());
-                    env.unicast(now, from, WanMessage::Chain(answer));
-                }
-            }
             WanMessage::Chain(ChainMessage::TipAnnounce { height, .. }) => {
                 self.note_tip(from, *height);
                 match height.cmp(&self.height()) {
@@ -786,10 +779,7 @@ mod tests {
         fleet.mine(0);
         assert!(fleet.run_until(wait, |f| f.nodes[RECIPIENT].noted(filed, Note::Opened)));
         let session = request(&mut fleet, 4);
-        let phase = fleet.nodes[RECIPIENT]
-            .node
-            .settlement(filed)
-            .map(ExchangeFsm::phase);
+        let phase = fleet.nodes[RECIPIENT].node.settlement(filed);
         // Three blocks nobody else hears.
         let height = fleet.nodes[GATEWAY].node.height();
         for _ in 0..3 {
@@ -859,6 +849,6 @@ mod tests {
         });
         let home = &fleet.nodes[RECIPIENT].node;
         assert!(home.escrow(filed).is_some());
-        assert_eq!(home.settlement(filed).map(ExchangeFsm::phase), phase);
+        assert_eq!(home.settlement(filed), phase);
     }
 }

@@ -24,9 +24,8 @@ struct Escrowed {
     escrow: Escrow,
     /// `escrow.tx`, hashed once where it was built.
     published: Published,
-    /// The exchange from delivery on: settlement phase and the
-    /// watchdog's sweep schedule.
-    fsm: ExchangeFsm,
+    /// Settlement phase and the sweep that drives it.
+    settlement: Settlement,
     refund: Option<Published>,
     /// First key-revealing claim seen spending the escrow; a second
     /// *distinct* one is an equivocation (reported once).
@@ -94,13 +93,13 @@ impl Recipient {
                     };
                     let is_claim = escrow::extract_key_from_claim(tx, &input.prevout).is_some();
                     let event = if is_claim { claim_event } else { refund_event };
-                    let fsm = &mut self.escrows.get_mut(&tag).expect("watched").fsm;
-                    if fsm.apply(event, now).is_err() {
+                    let settlement = &mut self.escrows.get_mut(&tag).expect("watched").settlement;
+                    if !settlement.apply(event, now) {
                         env.note(now, tag, Note::IllegalSettlement(event));
                         continue;
                     }
-                    // Orphaned back to Escrowed: the watchdog takes over.
-                    if let Some(at) = fsm.deadline() {
+                    // Orphaned back to Escrowed: the sweep takes over.
+                    if let Some(at) = settlement.deadline() {
                         env.wake_at(at);
                     }
                     env.note(now, tag, Note::Settlement(event));
@@ -116,10 +115,10 @@ impl Node {
         self.recipient.escrows.get(&tag).map(|e| &e.escrow)
     }
 
-    /// The recipient's machine for exchange `tag`, once it published the
-    /// escrow.
-    pub fn settlement(&self, tag: u64) -> Option<&ExchangeFsm> {
-        self.recipient.escrows.get(&tag).map(|e| &e.fsm)
+    /// The settlement phase of exchange `tag`, once this node published
+    /// its escrow.
+    pub fn settlement(&self, tag: u64) -> Option<Phase> {
+        (self.recipient.escrows.get(&tag)).map(|e| e.settlement.phase())
     }
 
     /// Outpoints of every escrow this node published.
@@ -183,7 +182,6 @@ impl Node {
         }
         let verified_at = self.occupy_cpu(now, terms.costs.verify_signature);
         env.note(verified_at, tag, Note::Delivered);
-        let mut fsm = ExchangeFsm::delivered(verified_at);
 
         // Step 9: escrow. Select a coin and build the transaction via the
         // daemon ("create, sign, send").
@@ -216,15 +214,15 @@ impl Node {
             vout: escrow.vout,
         };
         self.recipient.settle_watch.insert(outpoint, tag);
-        let _ = fsm.apply(FsmEvent::EscrowPublished, admitted_at);
-        if let Some(at) = fsm.deadline() {
+        let settlement = Settlement::new(admitted_at);
+        if let Some(at) = settlement.deadline() {
             env.wake_at(at);
         }
         let parcel = Parcel::tx(tx.clone());
         let escrowed = Escrowed {
             escrow,
             published: Published::new(tx, admitted_at),
-            fsm,
+            settlement,
             refund: None,
             seen_claim: None,
             equivocated: false,
@@ -271,7 +269,7 @@ impl Node {
         }
     }
 
-    /// The `Escrowed` watchdog, in tag order: from the refund height on,
+    /// The escrow sweep, in tag order: from the refund height on,
     /// builds the CLTV refund, and keeps the escrow (until this node's
     /// chain holds it) and the refund published ([`Published::keep`]).
     /// Returns the next sweep due.
@@ -280,13 +278,13 @@ impl Node {
             .recipient
             .escrows
             .iter()
-            .filter(|(_, e)| e.fsm.deadline().is_some_and(|at| at <= now))
+            .filter(|(_, e)| e.settlement.deadline().is_some_and(|at| at <= now))
             .map(|(tag, _)| *tag)
             .collect();
         due.sort_unstable();
         for tag in due {
             let held = self.recipient.escrows.get_mut(&tag).expect("due escrow");
-            held.fsm.note_retry(now);
+            held.settlement.note_sweep(now);
             let outpoint = OutPoint {
                 txid: held.published.tx.txid(),
                 vout: held.escrow.vout,
@@ -310,6 +308,6 @@ impl Node {
             }
         }
         let escrows = self.recipient.escrows.values();
-        escrows.filter_map(|e| e.fsm.deadline()).min()
+        escrows.filter_map(|e| e.settlement.deadline()).min()
     }
 }

@@ -16,30 +16,28 @@
 //!    striped across every known sync peer, keeping one batch in
 //!    flight per peer until the located best height is reached.
 //!
-//! `serve_headers_from` / `serve_blocks_from_bounded` are the
-//! server half both the simulated world and the live fleet answer with.
+//! `main_chain_above` is the server half both the simulated world and
+//! the live fleet answer both requests from.
 //!
 //! [`GetBlocksFrom`]: bcwan_p2p::ChainMessage::GetBlocksFrom
 
 use bcwan_chain::{Block, BlockHeader, Chain};
 use bcwan_p2p::NodeId;
 
-/// Serves a `GetBlocksFrom(height)` request: main-chain blocks strictly
-/// above `height`, in order, at most `max` of them — so one lagging peer
-/// cannot make a daemon serialize its whole chain into a single
-/// response. The requester re-asks from its new tip until it stops
-/// making progress.
-pub(crate) fn serve_blocks_from_bounded(chain: &Chain, height: u64, max: usize) -> Vec<Block> {
-    let mut out = Vec::new();
-    let mut h = height + 1;
-    while out.len() < max {
-        let Some(block) = chain.block_at(h) else {
-            break;
-        };
-        out.push(block.clone());
-        h += 1;
-    }
-    out
+/// What a `GetBlocksFrom(height)` or `GetHeadersFrom(height)` request is
+/// answered from: the main-chain blocks strictly above `height`, in
+/// order, at most `max` of them — so one lagging peer cannot make a
+/// daemon serialize its whole chain into a single response. Each is
+/// found by height, with no walk from genesis. The requester re-asks
+/// from its new tip until it stops making progress.
+pub(crate) fn main_chain_above(
+    chain: &Chain,
+    height: u64,
+    max: usize,
+) -> impl Iterator<Item = &Block> {
+    (height.saturating_add(1)..=u64::MAX)
+        .map_while(|h| chain.block_at(h))
+        .take(max)
 }
 
 /// Blocks served per `GetBlocksFrom` answer, so one lagging peer cannot
@@ -54,21 +52,6 @@ pub(crate) const SYNC_BATCH: usize = 32;
 ///
 /// [`Headers`]: bcwan_p2p::ChainMessage::Headers
 pub(crate) const HEADER_BATCH: usize = 256;
-
-/// Serves a `GetHeadersFrom(height)` request: headers of main-chain
-/// blocks strictly above `height`, parent before child, at most `max`.
-pub(crate) fn serve_headers_from(chain: &Chain, height: u64, max: usize) -> Vec<BlockHeader> {
-    let mut out = Vec::new();
-    let mut h = height + 1;
-    while out.len() < max {
-        let Some(block) = chain.block_at(h) else {
-            break;
-        };
-        out.push(block.header.clone());
-        h += 1;
-    }
-    out
-}
 
 /// A request the header-sync driver wants sent to a peer. The caller
 /// (sim world or live fleet node) owns the transport, so the machine
@@ -324,6 +307,19 @@ mod tests {
     fn failed(hs: &HeaderSync) -> bool {
         matches!(hs.state, HeaderSyncState::Failed)
     }
+
+    /// A `GetBlocksFrom(height)` answer.
+    fn blocks_above(chain: &Chain, height: u64) -> Vec<Block> {
+        main_chain_above(chain, height, SYNC_BATCH)
+            .cloned()
+            .collect()
+    }
+
+    /// A `GetHeadersFrom(height)` answer.
+    fn headers_above(chain: &Chain, height: u64) -> Vec<BlockHeader> {
+        let blocks = main_chain_above(chain, height, HEADER_BATCH);
+        blocks.map(|block| block.header.clone()).collect()
+    }
     use bcwan_chain::{BlockAction, ChainParams, Transaction, TxOut, Wallet};
     use bcwan_script::Script;
     use rand::rngs::StdRng;
@@ -377,15 +373,12 @@ mod tests {
         for i in 0..4u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        apply(
-            &mut newcomer,
-            serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH),
-        );
+        apply(&mut newcomer, blocks_above(&veteran, 0));
         // The veteran advances again; only the delta transfers.
         for i in 4..9u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        let blocks = serve_blocks_from_bounded(&veteran, newcomer.height(), SYNC_BATCH);
+        let blocks = blocks_above(&veteran, newcomer.height());
         assert_eq!(blocks.len(), 5);
         assert_eq!(apply(&mut newcomer, blocks), (5, 0));
         assert_eq!(newcomer.tip(), veteran.tip());
@@ -395,7 +388,7 @@ mod tests {
     fn garbage_blocks_are_counted_not_fatal() {
         let (mut veteran, mut newcomer, _, params) = two_chains(4);
         mine_empty(&mut veteran, b"good");
-        let mut blocks = serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH);
+        let mut blocks = blocks_above(&veteran, 0);
         // A block from nowhere (unknown parent).
         let junk = bcwan_chain::Block::mine(
             bcwan_chain::BlockHash([0xee; 32]),
@@ -433,7 +426,7 @@ mod tests {
                 from: 0
             }]
         );
-        let headers = serve_headers_from(&veteran, 0, HEADER_BATCH);
+        let headers = headers_above(&veteran, 0);
         assert_eq!(headers.len(), 40);
         let reqs = hs.on_headers(&newcomer, 0, &headers);
         assert_eq!(phase(&hs), "fetching");
@@ -456,7 +449,7 @@ mod tests {
             let SyncRequest::Bodies { from, .. } = req else {
                 panic!("only bodies expected while fetching");
             };
-            let blocks = serve_blocks_from_bounded(&veteran, from, SYNC_BATCH);
+            let blocks = blocks_above(&veteran, from);
             apply(&mut newcomer, blocks);
         }
         let reqs = hs.on_progress(&newcomer);
@@ -472,10 +465,7 @@ mod tests {
         for i in 0..4u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        apply(
-            &mut newcomer,
-            serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH),
-        );
+        apply(&mut newcomer, blocks_above(&veteran, 0));
         // Diverge: the newcomer mines two blocks of its own while the
         // veteran's branch grows longer.
         for i in 0..2u8 {
@@ -496,7 +486,7 @@ mod tests {
             let SyncRequest::Headers { from, .. } = reqs[0] else {
                 panic!("locating only issues header requests");
             };
-            let headers = serve_headers_from(&veteran, from, HEADER_BATCH);
+            let headers = headers_above(&veteran, from);
             reqs = hs.on_headers(&newcomer, from, &headers);
             hops += 1;
             assert!(hops < 10, "locate must converge");
@@ -508,7 +498,7 @@ mod tests {
             let SyncRequest::Bodies { from, .. } = req else {
                 panic!("fetching only issues body requests");
             };
-            let blocks = serve_blocks_from_bounded(&veteran, from, SYNC_BATCH);
+            let blocks = blocks_above(&veteran, from);
             apply(&mut newcomer, blocks);
         }
         hs.on_progress(&newcomer);
@@ -528,7 +518,7 @@ mod tests {
             mine_empty(&mut veteran, &[i]);
         }
         let (mut hs, _) = HeaderSync::start(vec![NodeId(0)], stranger.height(), veteran.height());
-        let headers = serve_headers_from(&veteran, 0, HEADER_BATCH);
+        let headers = headers_above(&veteran, 0);
         let reqs = hs.on_headers(&stranger, 0, &headers);
         assert!(reqs.is_empty());
         assert!(failed(&hs), "a chain with a foreign genesis never links");
@@ -541,7 +531,7 @@ mod tests {
         for i in 0..4u8 {
             mine_empty(&mut veteran, &[i]);
         }
-        let mut headers = serve_headers_from(&veteran, 0, HEADER_BATCH);
+        let mut headers = headers_above(&veteran, 0);
         headers.swap(1, 2);
         let (mut hs, _) = HeaderSync::start(vec![NodeId(0)], 0, veteran.height());
         assert!(hs.on_headers(&newcomer, 0, &headers).is_empty());
@@ -558,10 +548,27 @@ mod tests {
     }
 
     #[test]
+    fn answers_are_bounded_and_a_height_past_the_tip_gets_none() {
+        let (mut veteran, _, _, _) = two_chains(12);
+        for i in 0..40u8 {
+            mine_empty(&mut veteran, &[i]);
+        }
+        assert_eq!(blocks_above(&veteran, 0).len(), SYNC_BATCH, "bounded");
+        let tail: Vec<_> = blocks_above(&veteran, 30).iter().map(Block::hash).collect();
+        let expected: Vec<_> = (31..=40)
+            .map(|h| veteran.block_at(h).unwrap().hash())
+            .collect();
+        assert_eq!(tail, expected, "strictly above, in order");
+        for height in [40, 41, u64::MAX - 1, u64::MAX] {
+            assert_eq!(main_chain_above(&veteran, height, SYNC_BATCH).count(), 0);
+        }
+    }
+
+    #[test]
     fn duplicate_blocks_are_harmless() {
         let (mut veteran, mut newcomer, _, _) = two_chains(5);
         mine_empty(&mut veteran, b"x");
-        let blocks = serve_blocks_from_bounded(&veteran, 0, SYNC_BATCH);
+        let blocks = blocks_above(&veteran, 0);
         assert_eq!(apply(&mut newcomer, blocks.clone()), (1, 0));
         assert_eq!(apply(&mut newcomer, blocks), (0, 0));
         assert_eq!(newcomer.height(), 1);

@@ -8,8 +8,9 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     1  message tag (0 Tx, 1 Block, 2 GetBlock, 3 GetBlocksFrom,
-//!               4 TipAnnounce, 5 Deliver, 6 GetHeadersFrom, 7 Headers)
+//!      0     1  message tag (0 Tx, 1 Block, 3 GetBlocksFrom,
+//!               4 TipAnnounce, 5 Deliver, 6 GetHeadersFrom, 7 Headers;
+//!               2 was GetBlock and is not reused)
 //!      1     …  tag-specific fields, in declaration order:
 //!               integers u32/u64 LE; hashes raw 32 bytes; headers raw
 //!               88 bytes; variable fields (scripts, ePk, Em, Sig)
@@ -134,10 +135,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// Variant tags. Order is wire format — append, never renumber.
+// Variant tags. Order is wire format — append, never renumber. Tag 2
+// (a request no node sent) is retired and decodes as unknown.
 const TAG_TX: u8 = 0;
 const TAG_BLOCK: u8 = 1;
-const TAG_GET_BLOCK: u8 = 2;
 const TAG_GET_BLOCKS_FROM: u8 = 3;
 const TAG_TIP_ANNOUNCE: u8 = 4;
 const TAG_DELIVER: u8 = 5;
@@ -162,10 +163,6 @@ impl WanMessage {
                 for tx in &block.transactions {
                     tx.serialize_into(&mut out);
                 }
-            }
-            WanMessage::Chain(ChainMessage::GetBlock(hash)) => {
-                out.push(TAG_GET_BLOCK);
-                out.extend_from_slice(&hash.0);
             }
             WanMessage::Chain(ChainMessage::GetBlocksFrom(height)) => {
                 out.push(TAG_GET_BLOCKS_FROM);
@@ -217,7 +214,6 @@ impl WanMessage {
         let msg = match r.u8()? {
             TAG_TX => WanMessage::Chain(ChainMessage::Tx(decode_transaction(&mut r)?)),
             TAG_BLOCK => WanMessage::Chain(ChainMessage::Block(decode_block(&mut r)?)),
-            TAG_GET_BLOCK => WanMessage::Chain(ChainMessage::GetBlock(BlockHash(r.array32()?))),
             TAG_GET_BLOCKS_FROM => WanMessage::Chain(ChainMessage::GetBlocksFrom(r.u64()?)),
             TAG_TIP_ANNOUNCE => WanMessage::Chain(ChainMessage::TipAnnounce {
                 hash: BlockHash(r.array32()?),
@@ -312,7 +308,6 @@ mod tests {
         let tx = block.transactions[0].clone();
         round_trip(WanMessage::Chain(ChainMessage::Tx(tx)));
         round_trip(WanMessage::Chain(ChainMessage::Block(block.clone())));
-        round_trip(WanMessage::Chain(ChainMessage::GetBlock(block.hash())));
         round_trip(WanMessage::Chain(ChainMessage::GetBlocksFrom(u64::MAX)));
         round_trip(WanMessage::Chain(ChainMessage::TipAnnounce {
             hash: block.hash(),
@@ -356,6 +351,10 @@ mod tests {
             WanMessage::decode(&[0xee]),
             Err(WireError::UnknownTag(0xee))
         );
+        // The retired tag 2, with the 32-byte hash it once carried.
+        let mut retired = vec![2u8];
+        retired.extend_from_slice(&[7; 32]);
+        assert_eq!(WanMessage::decode(&retired), Err(WireError::UnknownTag(2)));
         let mut bytes = WanMessage::Chain(ChainMessage::GetBlocksFrom(1)).encode();
         bytes.push(0);
         assert_eq!(WanMessage::decode(&bytes), Err(WireError::TrailingBytes(1)));

@@ -136,10 +136,7 @@ impl Ledger {
             phases: Default::default(),
             tally: ExchangeTally::default(),
             latency: registry.histogram("world.exchange_latency_seconds"),
-            // Registering the auditor here (not at end-of-run) means every
-            // snapshot and timeline frame carries explicit `invariant.*`
-            // zeros, so a clean run *proves* it was audited.
-            auditor: SettlementAuditor::new(&mut registry),
+            auditor: SettlementAuditor::new(),
             adversarial: cfg.chaos.adversarial_hosts().into_iter().collect(),
             registry,
             timeline: cfg.metrics_interval.map(SnapshotSeries::new),
@@ -234,7 +231,7 @@ fn fold_hosts<T: Metric + Default>(reg: &mut Registry, tables: Vec<(usize, T)>) 
 impl World {
     /// Closes the run at `now`: flushes what remains dirty (the one store
     /// write a mid-run fold must not cause), takes the auditor's final
-    /// census (which publishes the `invariant.*` rows), folds, and closes
+    /// census (which counts the FSM↔chain mismatches), folds, and closes
     /// the timeline with a frame equal to the final snapshot.
     pub(super) fn report(mut self, now: SimTime) -> ExperimentResult {
         let actors = self.actor_daemons();
@@ -250,11 +247,8 @@ impl World {
             h.daemon.chain.flush();
         }
         let census = self.fsm_census();
-        let ledger = &mut self.ledger;
         let master = &self.hosts[0].daemon.chain;
-        let audit = ledger
-            .auditor
-            .final_audit(master, &census, &mut ledger.registry);
+        let audit = self.ledger.auditor.final_audit(master, &census);
         self.fold_metrics(now);
         let ledger = self.ledger;
         let mut timeline = ledger.timeline;
@@ -305,17 +299,15 @@ impl World {
         actors
     }
 
-    /// `(exchange, phase, is_settled)` for every exchange that published
-    /// an escrow, as its recipient's machine has it — the auditor's
-    /// FSM↔chain census input.
-    fn fsm_census(&self) -> Vec<(usize, Phase, bool)> {
+    /// `(exchange, phase)` for every exchange that published an escrow,
+    /// as its recipient's machine has it — the auditor's FSM↔chain
+    /// census input.
+    fn fsm_census(&self) -> Vec<(usize, Phase)> {
         let exchanges = self.ledger.exchanges.iter().enumerate();
-        exchanges
-            .filter_map(|(i, ex)| {
-                let fsm = self.hosts[ex.home as usize].settlement(i as u64)?;
-                Some((i, fsm.phase(), fsm.is_settled()))
-            })
-            .collect()
+        let phase = |(i, ex): (usize, &ExchangeState)| {
+            Some((i, self.hosts[ex.home as usize].settlement(i as u64)?))
+        };
+        exchanges.filter_map(phase).collect()
     }
 
     /// Folds every count the run keeps into the registry — each leg's
@@ -353,6 +345,9 @@ impl World {
             reg.set_counter(&format!("wan.bytes.{kind}_total"), self.wan.bytes[k]);
         }
         self.chaos.stats.export(reg);
+        // Every frame is taken after a fold, so a clean run's explicit
+        // `invariant.*` zeros are in each: it was audited throughout.
+        self.ledger.auditor.stats().export(reg);
 
         daemons.export(reg);
         self.hosts[0].daemon.chain.stats().export(reg);
@@ -387,8 +382,7 @@ impl World {
     /// violation shows in the next timeline frame, at the block where it
     /// lands.
     pub(super) fn audit_master(&mut self) {
-        let ledger = &mut self.ledger;
         let master = &self.hosts[0].daemon.chain;
-        ledger.auditor.reconcile(master, &mut ledger.registry);
+        self.ledger.auditor.reconcile(master);
     }
 }

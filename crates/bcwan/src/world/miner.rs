@@ -68,7 +68,7 @@ impl World {
             // branch needs the chain to reach the CLTV height.
             || self.ledger.exchanges.iter().enumerate().any(|(i, ex)| {
                 let recipient = &self.hosts[ex.home as usize];
-                recipient.settlement(i as u64).is_some_and(|fsm| fsm.phase() == Phase::Escrowed)
+                recipient.settlement(i as u64) == Some(Phase::Escrowed)
             });
         if !work_left {
             return;

@@ -87,12 +87,11 @@ fn random_block(rng: &mut StdRng) -> Block {
 }
 
 fn random_message(rng: &mut StdRng) -> WanMessage {
-    match rng.gen_range(0..6u8) {
+    match rng.gen_range(0..5u8) {
         0 => WanMessage::Chain(ChainMessage::Tx(random_tx(rng))),
         1 => WanMessage::Chain(ChainMessage::Block(random_block(rng))),
-        2 => WanMessage::Chain(ChainMessage::GetBlock(BlockHash(random_hash(rng)))),
-        3 => WanMessage::Chain(ChainMessage::GetBlocksFrom(rng.gen())),
-        4 => WanMessage::Chain(ChainMessage::TipAnnounce {
+        2 => WanMessage::Chain(ChainMessage::GetBlocksFrom(rng.gen())),
+        3 => WanMessage::Chain(ChainMessage::TipAnnounce {
             hash: BlockHash(random_hash(rng)),
             height: rng.gen(),
         }),

@@ -603,7 +603,7 @@ impl Chain {
     }
 
     /// Height of a block if it is on the main chain.
-    pub fn main_chain_height(&self, hash: &BlockHash) -> Option<u64> {
+    pub(crate) fn main_chain_height(&self, hash: &BlockHash) -> Option<u64> {
         let stored = self.blocks.get(hash)?;
         (self.main.get(stored.height as usize) == Some(hash)).then_some(stored.height)
     }

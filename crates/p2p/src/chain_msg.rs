@@ -15,8 +15,6 @@ pub enum ChainMessage {
     Tx(Transaction),
     /// A freshly mined block.
     Block(Block),
-    /// Request a block by hash (orphan-parent fetch or initial sync).
-    GetBlock(BlockHash),
     /// Request main-chain blocks *strictly above* a height (initial
     /// sync and partition catch-up). Servers answer with a bounded
     /// batch of `Block` messages; a still-behind requester re-asks from
