@@ -309,8 +309,7 @@ mod tests {
         );
         // Put the escrow into the UTXO view.
         let mut utxo = s.chain.utxo().clone();
-        let mut undo = bcwan_chain::utxo::UndoData::default();
-        utxo.apply_transaction(&escrow.tx, mature(&s), &mut undo)
+        utxo.apply_block(std::slice::from_ref(&escrow.tx), mature(&s))
             .unwrap();
 
         let claim = build_claim(
@@ -344,8 +343,7 @@ mod tests {
             0,
         );
         let mut utxo = s.chain.utxo().clone();
-        let mut undo = bcwan_chain::utxo::UndoData::default();
-        utxo.apply_transaction(&escrow.tx, mature(&s), &mut undo)
+        utxo.apply_block(std::slice::from_ref(&escrow.tx), mature(&s))
             .unwrap();
 
         let (_, wrong_sk) = generate_keypair(&mut rng, RsaKeySize::Rsa512);
@@ -373,8 +371,7 @@ mod tests {
             0,
         );
         let mut utxo = s.chain.utxo().clone();
-        let mut undo = bcwan_chain::utxo::UndoData::default();
-        utxo.apply_transaction(&escrow.tx, mature(&s), &mut undo)
+        utxo.apply_block(std::slice::from_ref(&escrow.tx), mature(&s))
             .unwrap();
 
         let refund = build_refund(&s.recipient, &escrow, 100, 5);
@@ -399,8 +396,7 @@ mod tests {
             0,
         );
         let mut utxo = s.chain.utxo().clone();
-        let mut undo = bcwan_chain::utxo::UndoData::default();
-        utxo.apply_transaction(&escrow.tx, mature(&s), &mut undo)
+        utxo.apply_block(std::slice::from_ref(&escrow.tx), mature(&s))
             .unwrap();
 
         // Gateway forges a "refund" to itself after the lock height.

@@ -7,12 +7,12 @@ use crate::params::ChainParams;
 use crate::store::{ChainStore, CoinsCache, StoreConfig, StoreError, StoreStats};
 use crate::tx::{Transaction, TxId, TxOut};
 use crate::utxo::{UndoData, UtxoSet};
-use crate::validate::{validate_block_digests, BlockError, Digests, SigCache};
+use crate::validate::{validate_hashed_block, BlockError, SigCache};
 use crate::wallet::Address;
 use bcwan_script::templates::p2pkh;
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What happened when a block was submitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,67 +56,13 @@ impl fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// One indexed block. Body and ids sit behind `Arc`s, so the chains of
-/// one [`Chain::fork`] family — and every chain a [`HashedBlock`] was
-/// handed to — index the same allocations.
+/// One indexed block: the body with its digests, shared with the chains
+/// of one [`Chain::fork`] family and every chain a [`HashedBlock`] was
+/// handed to, and its height.
 #[derive(Clone)]
 struct StoredBlock {
-    block: Arc<Block>,
+    block: HashedBlock,
     height: u64,
-    /// `block.transactions[i].txid()` and the block's serialized size:
-    /// validation, connect, disconnect and transaction lookup all reuse
-    /// them. Taken from the [`HashedBlock`] the block was added as, or —
-    /// for a block read back from a store — computed on first use, so
-    /// reopening a store hashes nothing.
-    digests: OnceLock<(Arc<[TxId]>, usize)>,
-    /// Whether the header's merkle root commits to the ids: the
-    /// [`HashedBlock`]'s verdict, or decided on a stored block's first
-    /// connect, so a reopen that only rolls blocks forward never builds
-    /// a merkle tree.
-    merkle_ok: OnceLock<bool>,
-}
-
-impl StoredBlock {
-    /// A block read back from a store: digests on first use.
-    fn new(block: Block, height: u64) -> Self {
-        StoredBlock {
-            block: Arc::new(block),
-            height,
-            digests: OnceLock::new(),
-            merkle_ok: OnceLock::new(),
-        }
-    }
-
-    /// A block that arrived hashed: its digests come along.
-    fn hashed(block: HashedBlock, height: u64) -> Self {
-        StoredBlock {
-            digests: OnceLock::from((block.txids().clone(), block.size())),
-            merkle_ok: OnceLock::from(block.merkle_ok()),
-            block: block.shared().clone(),
-            height,
-        }
-    }
-
-    fn digests(&self) -> &(Arc<[TxId]>, usize) {
-        self.digests.get_or_init(|| {
-            let (txids, size) = self.block.txids_and_size();
-            (txids.into(), size)
-        })
-    }
-
-    fn txids(&self) -> &[TxId] {
-        &self.digests().0
-    }
-
-    fn size(&self) -> usize {
-        self.digests().1
-    }
-
-    fn merkle_ok(&self) -> bool {
-        *self
-            .merkle_ok
-            .get_or_init(|| self.block.header.commits_to(self.txids()))
-    }
 }
 
 /// The transactions moved by a reorganization, in connect order, so the
@@ -228,12 +174,16 @@ impl Chain {
     /// Genesis is accepted as-is (exempt from PoW/coinbase-value rules, as
     /// in Bitcoin, where genesis is hard-coded).
     pub fn new(params: ChainParams, genesis: Block) -> Self {
+        let genesis = HashedBlock::stored(genesis);
         let hash = genesis.hash();
-        let genesis = StoredBlock::new(genesis, 0);
         let mut coins = CoinsCache::memory_only();
         let undo_data = coins
-            .apply_block(&genesis.block.transactions, genesis.txids(), 0)
+            .apply_block(&genesis, 0)
             .expect("genesis applies to empty set");
+        let genesis = StoredBlock {
+            block: genesis,
+            height: 0,
+        };
         let mut blocks = IdMap::default();
         blocks.insert(hash, genesis);
         let mut undo = IdMap::default();
@@ -304,6 +254,7 @@ impl Chain {
         // Rebuild the block index; parents precede children on disk.
         let mut blocks: IdMap<BlockHash, StoredBlock> = IdMap::default();
         for block in loaded.blocks {
+            let block = HashedBlock::stored(block);
             let hash = block.hash();
             let height = if block.header.prev_hash == BlockHash::GENESIS_PREV {
                 0
@@ -316,7 +267,7 @@ impl Chain {
                     .height
                     + 1
             };
-            blocks.insert(hash, StoredBlock::new(block, height));
+            blocks.insert(hash, StoredBlock { block, height });
         }
 
         // Main chain: walk back from the committed tip.
@@ -355,7 +306,7 @@ impl Chain {
                 while main.get(h as usize) != Some(&cur) {
                     let stored = blocks.get(&cur)?;
                     let u = loaded.undo.get(&cur)?;
-                    cache.undo_block(&stored.block.transactions, stored.txids(), u);
+                    cache.undo_block(&stored.block, u);
                     undone += 1;
                     cur = stored.block.header.prev_hash;
                     h = h.checked_sub(1)?;
@@ -364,9 +315,7 @@ impl Chain {
             // Roll forward to the committed tip, no script validation.
             for hash in &main[(h + 1) as usize..] {
                 let stored = blocks.get(hash).expect("main block indexed");
-                cache
-                    .apply_block(&stored.block.transactions, stored.txids(), stored.height)
-                    .ok()?;
+                cache.apply_block(&stored.block, stored.height).ok()?;
                 rolled_forward += 1;
             }
             Some(cache)
@@ -382,7 +331,7 @@ impl Chain {
                 for hash in &main {
                     let stored = blocks.get(hash).expect("main block indexed");
                     cache
-                        .apply_block(&stored.block.transactions, stored.txids(), stored.height)
+                        .apply_block(&stored.block, stored.height)
                         .map_err(|e| {
                             StoreError::Corrupt(format!("reindex failed at {hash}: {e}"))
                         })?;
@@ -593,13 +542,13 @@ impl Chain {
     /// [`Chain::block`] as the shared handle the index itself holds:
     /// cloning it keeps the body without copying it.
     pub fn shared_block(&self, hash: &BlockHash) -> Option<&Arc<Block>> {
-        self.blocks.get(hash).map(|s| &s.block)
+        self.blocks.get(hash).map(|s| s.block.shared())
     }
 
     /// A stored block's transaction ids, in block order (hashed once
     /// per stored block, then kept).
     pub fn block_txids(&self, hash: &BlockHash) -> Option<&[TxId]> {
-        self.blocks.get(hash).map(StoredBlock::txids)
+        self.blocks.get(hash).map(|s| &**s.block.txids())
     }
 
     /// Height of a block if it is on the main chain.
@@ -621,9 +570,13 @@ impl Chain {
 
     /// Iterates main-chain blocks from genesis to tip.
     pub fn iter_main(&self) -> impl Iterator<Item = &Block> {
-        self.main
-            .iter()
-            .map(move |h| &*self.blocks.get(h).expect("main blocks stored").block)
+        self.main.iter().map(move |h| {
+            self.blocks
+                .get(h)
+                .expect("main blocks stored")
+                .block
+                .block()
+        })
     }
 
     /// Whether a transaction is confirmed on the main chain, and at which
@@ -631,7 +584,7 @@ impl Chain {
     pub fn find_transaction(&self, txid: &crate::tx::TxId) -> Option<(u64, &Transaction)> {
         for (height, hash) in self.main.iter().enumerate() {
             let stored = self.blocks.get(hash).expect("stored");
-            if let Some(i) = stored.txids().iter().position(|id| id == txid) {
+            if let Some(i) = stored.block.txids().iter().position(|id| id == txid) {
                 return Some((height as u64, &stored.block.transactions[i]));
             }
         }
@@ -658,11 +611,11 @@ impl Chain {
             return Err(ChainError::Orphan(parent_hash));
         };
         let height = parent.height + 1;
-        let stored = StoredBlock::hashed(block, height);
+        let stored = StoredBlock { block, height };
 
         if parent_hash == self.tip() {
             // Fast path: extending the best chain.
-            let undo = self.connect(hash, &stored).map_err(ChainError::Invalid)?;
+            let undo = self.connect(&stored).map_err(ChainError::Invalid)?;
             self.undo.insert(hash, Arc::new(undo));
             self.main.push(hash);
             self.blocks.insert(hash, stored);
@@ -705,8 +658,7 @@ impl Chain {
             let hash = self.main.pop().expect("non-empty");
             let stored = self.blocks.get(&hash).expect("stored");
             let undo = self.undo.remove(&hash).expect("undo kept for main blocks");
-            self.coins
-                .undo_block(&stored.block.transactions, stored.txids(), &undo);
+            self.coins.undo_block(&stored.block, &undo);
             self.stats.blocks_disconnected += 1;
             disconnected.push(hash);
         }
@@ -717,7 +669,7 @@ impl Chain {
             // Taken out of the index while it connects, so the block is
             // borrowed, not cloned, next to `&mut self`.
             let stored = self.blocks.remove(hash).expect("stored");
-            let validated = self.connect(*hash, &stored);
+            let validated = self.connect(&stored);
             self.blocks.insert(*hash, stored);
             match validated {
                 Ok(undo) => {
@@ -731,14 +683,13 @@ impl Chain {
                         let h = self.main.pop().expect("non-empty");
                         let stored = self.blocks.get(&h).expect("stored");
                         let undo = self.undo.remove(&h).expect("undo");
-                        self.coins
-                            .undo_block(&stored.block.transactions, stored.txids(), &undo);
+                        self.coins.undo_block(&stored.block, &undo);
                     }
                     for hash in disconnected.iter().rev() {
                         let stored = self.blocks.get(hash).expect("stored");
                         let undo = self
                             .coins
-                            .apply_block(&stored.block.transactions, stored.txids(), stored.height)
+                            .apply_block(&stored.block, stored.height)
                             .expect("previously valid block re-applies");
                         self.undo.insert(*hash, Arc::new(undo));
                         self.main.push(*hash);
@@ -806,35 +757,21 @@ impl Chain {
         }
     }
 
-    /// Validates `stored` (whose hash is `hash`) against the current UTXO
-    /// view at its height and, if it passes, applies it: the one body of
-    /// block connect, shared by the extend path and every step of a
-    /// reorganization. Returns the block's undo data; the caller records
+    /// Validates `stored` against the current UTXO view at its height
+    /// and, if it passes, commits the overlay validation built: the one
+    /// body of block connect, shared by the extend path and every step of
+    /// a reorganization. Returns the block's undo data; the caller records
     /// it and pushes the block onto the main chain.
-    fn connect(&mut self, hash: BlockHash, stored: &StoredBlock) -> Result<UndoData, BlockError> {
-        let (block, height, txids) = (&stored.block, stored.height, stored.txids());
-        let digests = Digests {
-            hash,
-            txids,
-            size: stored.size(),
-            merkle_ok: stored.merkle_ok(),
-        };
-        validate_block_digests(
-            block,
-            &digests,
+    fn connect(&mut self, stored: &StoredBlock) -> Result<UndoData, BlockError> {
+        let delta = validate_hashed_block(
+            &stored.block,
             self.coins.set(),
-            height,
+            stored.height,
             &self.params,
             &self.sig_cache,
         )?;
-        // Validation walked the block over an overlay of this very set
-        // with the checks `apply_block` repeats, so it cannot fail.
-        let undo = self
-            .coins
-            .apply_block(&block.transactions, txids, height)
-            .expect("validated block applies");
-        self.stats.connect(block);
-        Ok(undo)
+        self.stats.connect(&stored.block);
+        Ok(self.coins.commit(delta))
     }
 }
 
@@ -1047,8 +984,8 @@ mod tests {
     #[test]
     fn replayed_coinbase_is_refused_when_extending() {
         // Regression: validation skipped the coinbase, so this block
-        // passed and `add_block` then panicked applying it
-        // (`validated block applies: DuplicateOutput`).
+        // passed and `add_block` then panicked applying it on a
+        // `DuplicateOutput`.
         let (mut chain, _) = setup();
         let b1 = empty_block(&chain, chain.tip(), 1, b"a");
         chain.add_block(b1.clone()).unwrap();

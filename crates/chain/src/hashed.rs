@@ -12,7 +12,7 @@
 use crate::block::{Block, BlockHash};
 use crate::tx::{Transaction, TxId};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A transaction with its id and serialized size.
 #[derive(Debug, Clone)]
@@ -69,9 +69,13 @@ impl From<Transaction> for HashedTx {
 pub struct HashedBlock {
     block: Arc<Block>,
     hash: BlockHash,
-    txids: Arc<[TxId]>,
-    size: usize,
-    merkle_ok: bool,
+    /// The ids and the size: computed by [`HashedBlock::new`], or — for
+    /// a block read back from a store — on first use, so reopening a
+    /// store hashes no transaction it does not connect.
+    digests: OnceLock<(Arc<[TxId]>, usize)>,
+    /// The merkle verdict, likewise: a reopen that only rolls blocks
+    /// forward never builds a merkle tree.
+    merkle_ok: OnceLock<bool>,
 }
 
 impl HashedBlock {
@@ -82,9 +86,19 @@ impl HashedBlock {
         let (txids, size) = block.txids_and_size();
         HashedBlock {
             hash: block.hash(),
-            merkle_ok: block.header.commits_to(&txids),
-            txids: txids.into(),
-            size,
+            merkle_ok: OnceLock::from(block.header.commits_to(&txids)),
+            digests: OnceLock::from((txids.into(), size)),
+            block: Arc::new(block),
+        }
+    }
+
+    /// A block read back from a store: the header is hashed now, the
+    /// rest on first use.
+    pub(crate) fn stored(block: Block) -> Self {
+        HashedBlock {
+            hash: block.hash(),
+            digests: OnceLock::new(),
+            merkle_ok: OnceLock::new(),
             block: Arc::new(block),
         }
     }
@@ -104,19 +118,28 @@ impl HashedBlock {
         self.hash
     }
 
+    fn digests(&self) -> &(Arc<[TxId]>, usize) {
+        self.digests.get_or_init(|| {
+            let (txids, size) = self.block.txids_and_size();
+            (txids.into(), size)
+        })
+    }
+
     /// `block().transactions[i].txid()`, in block order.
     pub fn txids(&self) -> &Arc<[TxId]> {
-        &self.txids
+        &self.digests().0
     }
 
     /// `block().size()`.
     pub fn size(&self) -> usize {
-        self.size
+        self.digests().1
     }
 
     /// Whether the header's merkle root commits to [`txids`](Self::txids).
     pub(crate) fn merkle_ok(&self) -> bool {
-        self.merkle_ok
+        *self
+            .merkle_ok
+            .get_or_init(|| self.block.header.commits_to(self.txids()))
     }
 }
 

@@ -101,7 +101,6 @@ pub struct Mempool {
     by_outpoint: IdMap<OutPoint, TxId>,
     /// Outputs created by pooled transactions, for the overlay view.
     created: IdMap<OutPoint, UtxoEntry>,
-    next_seq: u64,
     stats: MempoolStats,
     /// Signature cache populated at admission; shared with a chain, it
     /// lets block connect skip re-verifying the same spends.
@@ -215,7 +214,6 @@ impl Mempool {
                 },
             );
         }
-        self.next_seq += 1;
         self.stats.accepted += 1;
         self.entries.insert(txid, PoolEntry { tx, fee });
         Ok(fee)

@@ -14,9 +14,10 @@
 //! nothing: nothing will ever flush, so block connect touches the set
 //! alone.
 
+use crate::hashed::HashedBlock;
 use crate::idmap::{IdMap, IdSet};
 use crate::tx::{OutPoint, Transaction, TxId};
-use crate::utxo::{UndoData, UtxoEntry, UtxoError, UtxoSet};
+use crate::utxo::{BlockDelta, UndoData, UtxoEntry, UtxoError, UtxoSet};
 
 /// One operation a flush hands to the store, in outpoint order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,29 +84,29 @@ impl CoinsCache {
         &self.set
     }
 
-    /// Applies a block to the set, noting what it touched.
-    /// `txids[i]` is `transactions[i].txid()` — the chain computes the
-    /// ids once per block and every layer below reuses them.
+    /// Applies a block at `height` to the set, noting what it touched.
     ///
     /// # Errors
     ///
     /// As [`UtxoSet::apply_block`]; the cache (set and notes) is
     /// unchanged on error.
-    pub fn apply_block(
-        &mut self,
-        transactions: &[Transaction],
-        txids: &[TxId],
-        height: u64,
-    ) -> Result<UndoData, UtxoError> {
-        let undo = self.set.apply_block_ids(transactions, txids, height)?;
+    pub fn apply_block(&mut self, block: &HashedBlock, height: u64) -> Result<UndoData, UtxoError> {
+        let delta = BlockDelta::of(&self.set, &block.transactions, block.txids(), height)?;
+        Ok(self.commit(delta))
+    }
+
+    /// Commits a block's overlay over [`CoinsCache::set`] (see
+    /// [`UtxoSet::commit`]), noting what it touched.
+    pub(crate) fn commit(&mut self, delta: BlockDelta) -> UndoData {
         if self.tracking {
-            self.touch(transactions, txids);
+            self.touched.extend(delta.touched());
         }
-        Ok(undo)
+        self.set.commit(delta)
     }
 
     /// Disconnects a block from the set, noting what it touched.
-    pub fn undo_block(&mut self, transactions: &[Transaction], txids: &[TxId], undo: &UndoData) {
+    pub fn undo_block(&mut self, block: &HashedBlock, undo: &UndoData) {
+        let (transactions, txids) = (&block.transactions, block.txids());
         self.set.undo_block_ids(transactions, txids, undo);
         if self.tracking {
             self.touch(transactions, txids);
@@ -151,10 +152,10 @@ impl CoinsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockHash;
+    use crate::block::{Block, BlockHash};
     use crate::codec::{decode_outpoint, Reader};
     use crate::store::{coins_path, files, ChainStore, StoreConfig, KIND_DEL, KIND_PUT};
-    use crate::tx::{txids_of, TxIn, TxOut, SEQUENCE_FINAL};
+    use crate::tx::{TxIn, TxOut, SEQUENCE_FINAL};
     use crate::Transaction;
     use bcwan_script::Script;
     use std::path::PathBuf;
@@ -232,6 +233,11 @@ mod tests {
         }
     }
 
+    /// `txs` as a block (no proof of work: the cache checks none).
+    fn block(txs: &[Transaction]) -> HashedBlock {
+        HashedBlock::new(Block::mine(BlockHash([0; 32]), 0, 0, txs.to_vec()))
+    }
+
     fn coin(tx: &Transaction) -> OutPoint {
         OutPoint {
             txid: tx.txid(),
@@ -245,12 +251,10 @@ mod tests {
         let mut cache = CoinsCache::new();
         let cb = coinbase(1, 50);
         let op = coin(&cb);
-        cache
-            .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
-            .unwrap();
+        cache.apply_block(&block(&[cb]), 1).unwrap();
         assert_eq!(cache.touched.len(), 1);
         let txs = [coinbase(2, 50), spend(op, 50)];
-        cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
+        cache.apply_block(&block(&txs), 2).unwrap();
         // The spent-then-created chain flushes only the survivors: the
         // spender's output and block 2's coinbase — never `op`.
         let mut survivors: Vec<OutPoint> = txs.iter().map(coin).collect();
@@ -267,10 +271,10 @@ mod tests {
         let mut cache = CoinsCache::memory_only();
         let cb = coinbase(1, 50);
         let op = coin(&cb);
-        let txs = [cb];
-        let undo = cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
-        cache.undo_block(&txs, &txids_of(&txs), &undo);
-        cache.apply_block(&txs, &txids_of(&txs), 1).unwrap();
+        let one = block(&[cb]);
+        let undo = cache.apply_block(&one, 1).unwrap();
+        cache.undo_block(&one, &undo);
+        cache.apply_block(&one, 1).unwrap();
         assert!(cache.touched.is_empty());
         assert!(cache.flush_ops().is_empty());
 
@@ -280,7 +284,7 @@ mod tests {
         cache.mark_all_fresh();
         assert_eq!(disk.flush(&mut cache), [(KIND_PUT, op)]);
         let txs = [coinbase(2, 50), spend(op, 50)];
-        cache.apply_block(&txs, &txids_of(&txs), 2).unwrap();
+        cache.apply_block(&block(&txs), 2).unwrap();
         assert!(disk.flush(&mut cache).contains(&(KIND_DEL, op)));
     }
 
@@ -290,21 +294,19 @@ mod tests {
         let mut cache = CoinsCache::new();
         let cb = coinbase(1, 50);
         let op = coin(&cb);
-        cache
-            .apply_block(std::slice::from_ref(&cb), &[cb.txid()], 1)
-            .unwrap();
+        cache.apply_block(&block(&[cb]), 1).unwrap();
         assert_eq!(disk.flush(&mut cache), [(KIND_PUT, op)]);
 
         // Spend the flushed coin: the flush deletes it, once.
         let txs = [coinbase(2, 50), spend(op, 49)];
-        let ids = txids_of(&txs);
-        let undo = cache.apply_block(&txs, &ids, 2).unwrap();
+        let two = block(&txs);
+        let undo = cache.apply_block(&two, 2).unwrap();
         let written = disk.flush(&mut cache);
         assert_eq!(written.iter().filter(|w| **w == (KIND_DEL, op)).count(), 1);
 
         // Undo the spend: the coin is put back, and block 2's outputs,
         // flushed a moment ago, are deleted.
-        cache.undo_block(&txs, &ids, &undo);
+        cache.undo_block(&two, &undo);
         let mut expect: Vec<(u8, OutPoint)> = txs.iter().map(|t| (KIND_DEL, coin(t))).collect();
         expect.push((KIND_PUT, op));
         expect.sort_unstable_by_key(|(_, o)| *o);
@@ -312,8 +314,8 @@ mod tests {
 
         // Spent and restored between two flushes: a redundant re-put of
         // the same value, never a delete.
-        let undo = cache.apply_block(&txs, &ids, 2).unwrap();
-        cache.undo_block(&txs, &ids, &undo);
+        let undo = cache.apply_block(&two, 2).unwrap();
+        cache.undo_block(&two, &undo);
         assert_eq!(disk.flush(&mut cache), [(KIND_PUT, op)]);
         assert!(cache.set().contains(&op));
     }

@@ -89,46 +89,68 @@ impl UtxoView for UtxoSet {
     }
 }
 
-/// The state a block's transactions see while it is being validated:
+/// The state a block's transactions see while it is being applied:
 /// `base` plus the outputs earlier transactions of the block created,
 /// minus what they spent. Borrow-only — the shape of the mempool's pool
 /// view — so validating a block never copies the UTXO set, and intra-
-/// block chains (B spends A's output) still resolve.
+/// block chains (B spends A's output) still resolve. It is the one place
+/// a block changes the set: [`UtxoSet::commit`] takes what it recorded.
 pub(crate) struct BlockOverlay<'a> {
     base: &'a UtxoSet,
+    delta: BlockDelta,
+}
+
+/// What a block's overlay recorded, ready to commit.
+pub(crate) struct BlockDelta {
+    /// Outputs the block created and did not spend.
     created: IdMap<OutPoint, UtxoEntry>,
-    /// Outpoints of `base` the block has spent so far.
+    /// Outpoints of the base the block spent.
     spent: IdSet<OutPoint>,
+    /// Every entry the block spent, in spend order: its undo data.
+    undo: Vec<(OutPoint, UtxoEntry)>,
 }
 
 impl UtxoView for BlockOverlay<'_> {
     fn view_get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
-        match self.created.get(outpoint) {
+        match self.delta.created.get(outpoint) {
             Some(entry) => Some(entry),
-            None if self.spent.contains(outpoint) => None,
+            None if self.delta.spent.contains(outpoint) => None,
             None => self.base.view_get(outpoint),
         }
     }
 }
 
 impl<'a> BlockOverlay<'a> {
-    /// An overlay that changes nothing yet.
-    pub(crate) fn new(base: &'a UtxoSet) -> Self {
+    /// An overlay that changes nothing yet, its maps sized for
+    /// `transactions`' inputs and outputs.
+    pub(crate) fn new(base: &'a UtxoSet, transactions: &[Transaction]) -> Self {
+        let (mut inputs, mut outputs) = (0, 0);
+        for tx in transactions {
+            if !tx.is_coinbase() {
+                inputs += tx.inputs.len();
+            }
+            outputs += tx.outputs.len();
+        }
         BlockOverlay {
             base,
-            created: IdMap::default(),
-            spent: IdSet::default(),
+            delta: BlockDelta {
+                created: IdMap::with_capacity_and_hasher(outputs, Default::default()),
+                spent: IdSet::with_capacity_and_hasher(inputs, Default::default()),
+                undo: Vec::with_capacity(inputs),
+            },
         }
     }
 
-    /// Applies one transaction (`txid` is its id), with the checks and in
-    /// the order of [`UtxoSet::apply_transaction`]: what passes here
-    /// applies to `base` without error.
+    /// Applies one transaction (`txid` is its id): spends each input,
+    /// recording the entry it held, then creates each output. The one
+    /// statement of the rule that an input must be live and an output
+    /// must not be.
     ///
     /// # Errors
     ///
-    /// [`UtxoError`] if an input is missing or an output collides; the
-    /// overlay is left unchanged on error.
+    /// [`UtxoError`] for the first input that is missing or output that
+    /// collides. The overlay may then hold part of the transaction: drop
+    /// it, the base is untouched.
     pub(crate) fn apply(
         &mut self,
         tx: &Transaction,
@@ -138,38 +160,65 @@ impl<'a> BlockOverlay<'a> {
         let coinbase = tx.is_coinbase();
         if !coinbase {
             for input in &tx.inputs {
-                if self.view_get(&input.prevout).is_none() {
-                    return Err(UtxoError::MissingInput(input.prevout));
-                }
-            }
-        }
-        for vout in 0..tx.outputs.len() as u32 {
-            let op = OutPoint { txid, vout };
-            if self.view_get(&op).is_some() {
-                return Err(UtxoError::DuplicateOutput(op));
-            }
-        }
-        if !coinbase {
-            for input in &tx.inputs {
-                if self.created.remove(&input.prevout).is_none() {
-                    self.spent.insert(input.prevout);
-                }
+                let op = input.prevout;
+                let entry = match self.delta.created.remove(&op) {
+                    Some(entry) => entry,
+                    None => match self.base.get(&op) {
+                        Some(entry) if self.delta.spent.insert(op) => entry.clone(),
+                        _ => return Err(UtxoError::MissingInput(op)),
+                    },
+                };
+                self.delta.undo.push((op, entry));
             }
         }
         for (vout, output) in tx.outputs.iter().enumerate() {
-            self.created.insert(
-                OutPoint {
-                    txid,
-                    vout: vout as u32,
-                },
-                UtxoEntry {
-                    output: output.clone(),
-                    height,
-                    coinbase,
-                },
-            );
+            let op = OutPoint {
+                txid,
+                vout: vout as u32,
+            };
+            if self.view_get(&op).is_some() {
+                return Err(UtxoError::DuplicateOutput(op));
+            }
+            let entry = UtxoEntry {
+                output: output.clone(),
+                height,
+                coinbase,
+            };
+            self.delta.created.insert(op, entry);
         }
         Ok(())
+    }
+
+    /// What the overlay recorded.
+    pub(crate) fn into_delta(self) -> BlockDelta {
+        self.delta
+    }
+}
+
+impl BlockDelta {
+    /// `transactions` (whose ids are `txids`) applied in order over
+    /// `base` at `height`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockOverlay::apply`].
+    pub(crate) fn of(
+        base: &UtxoSet,
+        transactions: &[Transaction],
+        txids: &[TxId],
+        height: u64,
+    ) -> Result<Self, UtxoError> {
+        let mut view = BlockOverlay::new(base, transactions);
+        for (tx, &txid) in transactions.iter().zip(txids) {
+            view.apply(tx, txid, height)?;
+        }
+        Ok(view.into_delta())
+    }
+
+    /// Every outpoint the block spent or created.
+    pub(crate) fn touched(&self) -> impl Iterator<Item = OutPoint> + '_ {
+        let spent = self.undo.iter().map(|(op, _)| *op);
+        spent.chain(self.created.keys().copied())
     }
 }
 
@@ -291,14 +340,15 @@ impl UtxoSet {
 
     /// Takes the entry at `outpoint` out of the set; a base entry is
     /// marked spent for this set only.
-    fn remove(&mut self, outpoint: &OutPoint) -> Option<UtxoEntry> {
-        if let Some(entry) = self.map.remove(outpoint) {
-            return Some(entry);
+    fn remove(&mut self, outpoint: &OutPoint) {
+        if self.map.remove(outpoint).is_some() {
+            return;
         }
-        let base = self.base.as_mut()?;
-        let entry = base.get(outpoint)?.clone();
-        base.spent.insert(*outpoint);
-        Some(entry)
+        if let Some(base) = self.base.as_mut() {
+            if base.shared.contains_key(outpoint) {
+                base.spent.insert(*outpoint);
+            }
+        }
     }
 
     /// All outpoints locked by scripts matching `predicate` — used by
@@ -310,98 +360,39 @@ impl UtxoSet {
         self.iter().filter(move |(_, e)| predicate(e))
     }
 
-    /// Applies one transaction, recording what it spent into `undo`.
-    ///
-    /// # Errors
-    ///
-    /// [`UtxoError`] if an input is missing or an output collides; the set
-    /// is left unchanged on error.
-    pub fn apply_transaction(
-        &mut self,
-        tx: &Transaction,
-        height: u64,
-        undo: &mut UndoData,
-    ) -> Result<(), UtxoError> {
-        self.apply_transaction_id(tx, tx.txid(), height, undo)
-    }
-
-    fn apply_transaction_id(
-        &mut self,
-        tx: &Transaction,
-        txid: TxId,
-        height: u64,
-        undo: &mut UndoData,
-    ) -> Result<(), UtxoError> {
-        // Validate fully before mutating.
-        if !tx.is_coinbase() {
-            for input in &tx.inputs {
-                if !self.contains(&input.prevout) {
-                    return Err(UtxoError::MissingInput(input.prevout));
-                }
-            }
-        }
-        for vout in 0..tx.outputs.len() as u32 {
-            let op = OutPoint { txid, vout };
-            if self.contains(&op) {
-                return Err(UtxoError::DuplicateOutput(op));
-            }
-        }
-        // Spend.
-        if !tx.is_coinbase() {
-            for input in &tx.inputs {
-                let entry = self.remove(&input.prevout).expect("checked above");
-                undo.spent.push((input.prevout, entry));
-            }
-        }
-        // Create.
-        let coinbase = tx.is_coinbase();
-        for (vout, output) in tx.outputs.iter().enumerate() {
-            self.insert(
-                OutPoint {
-                    txid,
-                    vout: vout as u32,
-                },
-                UtxoEntry {
-                    output: output.clone(),
-                    height,
-                    coinbase,
-                },
-            );
-        }
-        Ok(())
-    }
-
     /// Applies a whole block (transactions in order), returning its undo
     /// data.
     ///
     /// # Errors
     ///
-    /// On failure the set is restored to its pre-block state.
+    /// [`UtxoError`] for the first input that is missing or output that
+    /// collides; the set is then unchanged.
     pub fn apply_block(
         &mut self,
         transactions: &[Transaction],
         height: u64,
     ) -> Result<UndoData, UtxoError> {
-        self.apply_block_ids(transactions, &txids_of(transactions), height)
+        let delta = BlockDelta::of(self, transactions, &txids_of(transactions), height)?;
+        Ok(self.commit(delta))
     }
 
-    /// [`UtxoSet::apply_block`] for a caller that already holds the
-    /// transactions' ids (`txids[i]` is `transactions[i].txid()`).
-    pub(crate) fn apply_block_ids(
-        &mut self,
-        transactions: &[Transaction],
-        txids: &[TxId],
-        height: u64,
-    ) -> Result<UndoData, UtxoError> {
-        let mut undo = UndoData::default();
-        for (applied, (tx, txid)) in transactions.iter().zip(txids).enumerate() {
-            if let Err(e) = self.apply_transaction_id(tx, *txid, height, &mut undo) {
-                // Roll back the partially applied prefix.
-                self.undo_block_ids(&transactions[..applied], &txids[..applied], &undo);
-                return Err(e);
-            }
+    /// Commits a block's overlay over this set: removes what it spent,
+    /// moves in what it created, and returns its undo data.
+    pub(crate) fn commit(&mut self, delta: BlockDelta) -> UndoData {
+        // Spends first: a block may recreate an outpoint it spent.
+        for op in &delta.spent {
+            self.remove(op);
         }
-        Ok(undo)
+        // The two maps are disjoint: keep the larger, move the other in
+        // (genesis into an empty set moves nothing).
+        let mut created = delta.created;
+        if created.len() > self.map.len() {
+            std::mem::swap(&mut self.map, &mut created);
+        }
+        for (op, entry) in created {
+            self.insert(op, entry);
+        }
+        UndoData { spent: delta.undo }
     }
 
     /// A set holding exactly `entries`, as loaded from persistent

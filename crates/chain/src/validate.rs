@@ -1,12 +1,12 @@
 //! Transaction and block validation rules, plus the validation fast path:
 //! a shared signature cache and parallel per-block script verification.
 
-use crate::block::{Block, BlockHash};
-use crate::hashed::HashedTx;
+use crate::block::Block;
+use crate::hashed::{HashedBlock, HashedTx};
 use crate::idmap::IdSet;
 use crate::params::ChainParams;
 use crate::tx::{Transaction, TxId};
-use crate::utxo::{BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
+use crate::utxo::{BlockDelta, BlockOverlay, UtxoEntry, UtxoError, UtxoSet, UtxoView};
 use bcwan_crypto::ecdsa::{batch_verify, EcdsaPublicKey, Signature};
 use bcwan_script::interpreter::{
     verify_spend, DeferringChecker, DigestChecker, ExecContext, SignatureChecker,
@@ -227,10 +227,9 @@ impl SigKind {
 /// and the spent script is in the key itself. A hit therefore means "this
 /// exact interpreter input already returned true" (Bitcoin Core keys its
 /// script-execution cache by wtxid for the same reason). Only
-/// constructors that hash the body themselves ([`HashedTx`],
-/// [`HashedBlock`](crate::hashed::HashedBlock) and the chain's own block
-/// index) supply the txid. Mempool admission populates the cache;
-/// `connect_block` then skips re-verifying the same spends.
+/// constructors that hash the body themselves ([`HashedTx`] and
+/// [`HashedBlock`]) supply the txid. Mempool admission populates the
+/// cache; block connect then skips re-verifying the same spends.
 ///
 /// Nothing is digested to look a spend up: the set hashes the txid and
 /// index, and equality then compares the script, which is a pointer check
@@ -699,64 +698,35 @@ pub fn validate_block(
     params: &ChainParams,
     memo: &SigCache,
 ) -> Result<(), BlockError> {
-    let (txids, size) = block.txids_and_size();
-    let digests = Digests::of(block, &txids, size);
-    validate_block_digests(block, &digests, utxo, height, params, memo)
+    let block = HashedBlock::new(block.clone());
+    validate_hashed_block(&block, utxo, height, params, memo).map(drop)
 }
 
-/// What block validation reads off a block besides its body: computed
-/// once per body — by [`HashedBlock::new`](crate::HashedBlock::new), or
-/// on a stored block's first connect — however many chains validate it.
-pub(crate) struct Digests<'a> {
-    /// The header's hash, for the proof-of-work check.
-    pub(crate) hash: BlockHash,
-    /// Every transaction's id, in block order.
-    pub(crate) txids: &'a [TxId],
-    /// The serialized size.
-    pub(crate) size: usize,
-    /// Whether the header's merkle root commits to `txids`
-    /// ([`BlockHeader::commits_to`](crate::BlockHeader::commits_to)).
-    pub(crate) merkle_ok: bool,
-}
-
-impl<'a> Digests<'a> {
-    /// Hashes the header and builds the merkle tree over `txids`.
-    fn of(block: &Block, txids: &'a [TxId], size: usize) -> Self {
-        Digests {
-            hash: block.hash(),
-            txids,
-            size,
-            merkle_ok: block.header.commits_to(txids),
-        }
-    }
-}
-
-/// [`validate_block`] for a caller that already holds the block's
-/// [`Digests`]: the chain reuses the ones its block arrived with. Script
-/// jobs run on one thread per available CPU.
-pub(crate) fn validate_block_digests(
-    block: &Block,
-    digests: &Digests<'_>,
+/// [`validate_block`] for a block that carries its digests, returning
+/// the overlay it leaves on `utxo` — what the chain commits on connect.
+/// Script jobs run on one thread per available CPU.
+pub(crate) fn validate_hashed_block(
+    block: &HashedBlock,
     utxo: &UtxoSet,
     height: u64,
     params: &ChainParams,
     memo: &SigCache,
-) -> Result<(), BlockError> {
+) -> Result<BlockDelta, BlockError> {
     // Read once: on Linux the answer comes from the affinity mask and the
     // cgroup quota files, too slow to ask on every block of a fleet run.
     static CPUS: OnceLock<usize> = OnceLock::new();
     let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
-    validate_block_on(cpus, block, digests, utxo, height, params, memo)
+    validate_block_on(cpus, block, utxo, height, params, memo)
 }
 
-/// [`validate_block_digests`] with script jobs on up to `cpus` threads.
+/// [`validate_hashed_block`] with script jobs on up to `cpus` threads.
 ///
 /// Validation runs in two passes. The sequential pass walks transactions in
 /// order against a borrow-only overlay of `utxo` (so intra-block chains
-/// work and the set is never copied), performs every context-dependent
-/// check, and turns each input the memo misses into a job before the
-/// overlay moves on. The context-free jobs then run through
-/// [`run_script_jobs`].
+/// work and the set is never copied): each input is resolved through the
+/// overlay once, checked, turned into a job if the memo misses it, and
+/// then spent in the overlay. The context-free jobs then run through
+/// [`run_script_jobs`]. A valid block hands back the overlay.
 ///
 /// A structural failure at transaction `s` stops job collection at `s`, so
 /// any script failure that surfaces is at an index `< s` and positionally
@@ -764,19 +734,18 @@ pub(crate) fn validate_block_digests(
 /// sequential validation.
 fn validate_block_on(
     cpus: usize,
-    block: &Block,
-    digests: &Digests<'_>,
+    block: &HashedBlock,
     utxo: &UtxoSet,
     height: u64,
     params: &ChainParams,
     memo: &SigCache,
-) -> Result<(), BlockError> {
-    check_block_context_free(block, digests, params)?;
-    let txids = digests.txids;
+) -> Result<BlockDelta, BlockError> {
+    check_block_context_free(block, params)?;
+    let txids = block.txids();
 
     // The coinbase goes through the view too: its outputs must not
     // collide with unspent ones.
-    let mut view = BlockOverlay::new(utxo);
+    let mut view = BlockOverlay::new(utxo, &block.transactions);
     if let Err(e) = view.apply(&block.transactions[0], txids[0], height) {
         return Err(BlockError::BadTransaction {
             index: 0,
@@ -819,16 +788,12 @@ fn validate_block_on(
     if paid > allowed {
         return Err(BlockError::ExcessiveCoinbase { paid, allowed });
     }
-    Ok(())
+    Ok(view.into_delta())
 }
 
 /// The checks that need no UTXO state: non-empty, difficulty, proof of
 /// work, merkle root, size, coinbase placement — in that order.
-fn check_block_context_free(
-    block: &Block,
-    digests: &Digests<'_>,
-    params: &ChainParams,
-) -> Result<(), BlockError> {
+fn check_block_context_free(block: &HashedBlock, params: &ChainParams) -> Result<(), BlockError> {
     if block.transactions.is_empty() {
         return Err(BlockError::Empty);
     }
@@ -838,19 +803,19 @@ fn check_block_context_free(
             required: params.difficulty_bits,
         });
     }
-    let achieved = digests.hash.leading_zero_bits();
+    let achieved = block.hash().leading_zero_bits();
     if achieved < params.difficulty_bits {
         return Err(BlockError::InsufficientWork {
             achieved,
             required: params.difficulty_bits,
         });
     }
-    if !digests.merkle_ok {
+    if !block.merkle_ok() {
         return Err(BlockError::BadMerkleRoot);
     }
-    if digests.size > params.max_block_size {
+    if block.size() > params.max_block_size {
         return Err(BlockError::TooLarge {
-            size: digests.size,
+            size: block.size(),
             limit: params.max_block_size,
         });
     }
@@ -867,11 +832,13 @@ fn check_block_context_free(
 mod tests {
     use super::*;
     use crate::block::{Block, BlockHash};
+    use crate::store::CoinsCache;
     use crate::tx::{OutPoint, TxIn, TxOut};
     use crate::wallet::Wallet;
     use bcwan_script::Script;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     const COINS: usize = 8;
 
@@ -952,9 +919,8 @@ mod tests {
         params: &ChainParams,
         memo: &SigCache,
     ) -> Result<(), BlockError> {
-        let (txids, size) = block.txids_and_size();
-        let digests = Digests::of(block, &txids, size);
-        validate_block_on(cpus, block, &digests, utxo, height, params, memo)
+        let block = HashedBlock::new(block.clone());
+        validate_block_on(cpus, &block, utxo, height, params, memo).map(drop)
     }
 
     #[test]
@@ -1207,21 +1173,71 @@ mod tests {
         );
     }
 
+    /// A materialized UTXO set: the oracle's state, every entry its own.
+    type Materialized = BTreeMap<OutPoint, UtxoEntry>;
+
+    impl UtxoView for Materialized {
+        fn view_get(&self, outpoint: &OutPoint) -> Option<&UtxoEntry> {
+            self.get(outpoint)
+        }
+    }
+
+    fn materialize(set: &UtxoSet) -> Materialized {
+        set.iter().map(|(op, e)| (*op, e.clone())).collect()
+    }
+
+    /// The reference apply of one transaction, as the set did it before
+    /// the overlay became the only apply: check every input is live and
+    /// every output is not, then spend (recording the spent entries in
+    /// `undo`) and create, straight into the set.
+    fn apply_by_reference(
+        set: &mut Materialized,
+        tx: &Transaction,
+        height: u64,
+        undo: &mut Vec<(OutPoint, UtxoEntry)>,
+    ) -> Result<(), UtxoError> {
+        let (txid, coinbase) = (tx.txid(), tx.is_coinbase());
+        let inputs = if coinbase { &[][..] } else { &tx.inputs[..] };
+        if let Some(missing) = inputs.iter().find(|i| !set.contains_key(&i.prevout)) {
+            return Err(UtxoError::MissingInput(missing.prevout));
+        }
+        let outpoints = (0..tx.outputs.len() as u32).map(|vout| OutPoint { txid, vout });
+        if let Some(live) = outpoints.clone().find(|op| set.contains_key(op)) {
+            return Err(UtxoError::DuplicateOutput(live));
+        }
+        for input in inputs {
+            let entry = set.remove(&input.prevout).expect("checked above");
+            undo.push((input.prevout, entry));
+        }
+        for (op, output) in outpoints.zip(&tx.outputs) {
+            let output = output.clone();
+            set.insert(
+                op,
+                UtxoEntry {
+                    output,
+                    height,
+                    coinbase,
+                },
+            );
+        }
+        Ok(())
+    }
+
     /// The clone-based validator the overlay replaced, kept as the
     /// oracle: copies the whole UTXO set, walks the block over the copy
-    /// one transaction at a time (structure, then scripts, then apply)
-    /// and hands back the resulting set. The coinbase is applied too —
-    /// the duplicate-output rule the original skipped.
+    /// one transaction at a time (structure, then scripts, then
+    /// [`apply_by_reference`]) and hands back the resulting set and undo
+    /// record. The coinbase is applied too — the duplicate-output rule
+    /// the original skipped.
     fn validate_block_by_clone(
         block: &Block,
         utxo: &UtxoSet,
         height: u64,
         params: &ChainParams,
-    ) -> Result<UtxoSet, BlockError> {
-        let txids = crate::tx::txids_of(&block.transactions);
-        check_block_context_free(block, &Digests::of(block, &txids, block.size()), params)?;
-        let mut view = utxo.clone();
-        let mut undo = crate::utxo::UndoData::default();
+    ) -> Result<(Materialized, Vec<(OutPoint, UtxoEntry)>), BlockError> {
+        check_block_context_free(&HashedBlock::new(block.clone()), params)?;
+        let mut view = materialize(utxo);
+        let mut undo = Vec::new();
         let mut fees = Some(params.coinbase_reward);
         for (index, tx) in block.transactions.iter().enumerate() {
             let bad = |error| BlockError::BadTransaction { index, error };
@@ -1229,8 +1245,7 @@ mod tests {
                 let fee = validate_tx(tx, &view, height, params).map_err(bad)?;
                 fees = fees.and_then(|sum| sum.checked_add(fee));
             }
-            view.apply_transaction(tx, height, &mut undo)
-                .map_err(|e| bad(e.into()))?;
+            apply_by_reference(&mut view, tx, height, &mut undo).map_err(|e| bad(e.into()))?;
         }
         let allowed = fees.ok_or(BlockError::ValueOverflow)?;
         let paid = block.transactions[0]
@@ -1241,13 +1256,7 @@ mod tests {
         if paid > allowed {
             return Err(BlockError::ExcessiveCoinbase { paid, allowed });
         }
-        Ok(view)
-    }
-
-    fn sorted_entries(set: &UtxoSet) -> Vec<(OutPoint, UtxoEntry)> {
-        let mut entries: Vec<_> = set.iter().map(|(op, e)| (*op, e.clone())).collect();
-        entries.sort_by_key(|(op, _)| *op);
-        entries
+        Ok((view, undo))
     }
 
     #[test]
@@ -1292,15 +1301,73 @@ mod tests {
             )
         };
 
+        let spend = |(op, script, owner): (OutPoint, Script, usize), out: u64, to: usize| {
+            wallets[owner].build_payment(vec![(op, script)], vec![pay(&wallets[to], out)], 0)
+        };
+        // The first output of `tx`, paid to wallet `owner`.
+        let first_out = |tx: &Transaction, owner: usize| {
+            let op = OutPoint {
+                txid: tx.txid(),
+                vout: 0,
+            };
+            (op, wallets[owner].locking_script(), owner)
+        };
+
+        // Every block is validated against the oracle at 1, 2 and 4
+        // threads, cold and warm, then connected: the overlay validation
+        // built is committed into a coins cache over `base`, which must
+        // then hold the oracle's set and undo record — or, refused, still
+        // hold `base` and have noted nothing.
+        let check = |label: &str, block: &Block| {
+            let oracle = validate_block_by_clone(block, &base, height, &params);
+            let expected = oracle.as_ref().map(drop).map_err(Clone::clone);
+            for cpus in [1, 2, 4] {
+                // Cold, then warm: the memo never changes a verdict.
+                let memo = SigCache::default();
+                for pass in ["cold", "warm"] {
+                    let verdict = validate_on(cpus, block, &base, height, &params, &memo);
+                    assert_eq!(verdict, expected, "{label}, cpus {cpus}, {pass}");
+                }
+            }
+            let mut cache =
+                CoinsCache::from_snapshot(base.iter().map(|(op, e)| (*op, e.clone())).collect());
+            let hashed = HashedBlock::new(block.clone());
+            let memo = SigCache::default();
+            let connected = validate_block_on(1, &hashed, cache.set(), height, &params, &memo)
+                .map(|delta| cache.commit(delta));
+            match (oracle, connected) {
+                (Ok((set, undo)), Ok(got)) => {
+                    let oracle_set = UtxoSet::from_loaded(set.clone().into_iter().collect());
+                    assert_eq!(
+                        cache.set().fingerprint(),
+                        oracle_set.fingerprint(),
+                        "{label}"
+                    );
+                    assert_eq!(materialize(cache.set()), set, "{label}");
+                    assert_eq!(got.spent_entries(), &undo[..], "{label}");
+                }
+                (Err(_), Err(_)) => {
+                    assert_eq!(materialize(cache.set()), materialize(&base), "{label}");
+                    assert!(cache.flush_ops().is_empty(), "{label}: notes kept");
+                    // The unvalidated apply refuses a block that breaks the
+                    // UTXO rule just as cleanly (one that breaks another
+                    // rule it applies).
+                    if cache.apply_block(&hashed, height).is_err() {
+                        assert_eq!(materialize(cache.set()), materialize(&base), "{label}");
+                        assert!(cache.flush_ops().is_empty(), "{label}: notes kept");
+                    }
+                }
+                _ => unreachable!("the verdicts agree"),
+            }
+            expected
+        };
+
         let (mut accepted, mut refused, mut overflowed) = (0, 0, 0);
         for round in 0..180 {
             // Each round spends a fresh slice of the mature coins (rounds
             // are independent: `base` is never mutated).
             let mut txs: Vec<Transaction> = Vec::new();
             let mut fees = 0;
-            let spend = |(op, script, owner): (OutPoint, Script, usize), out: u64, to: usize| {
-                wallets[owner].build_payment(vec![(op, script)], vec![pay(&wallets[to], out)], 0)
-            };
             for k in 0..rng.gen_range(1..5usize) {
                 let c = coin(&mature, (round * 7 + k * 3) % 40);
                 let fee = rng.gen_range(0..20u64);
@@ -1322,14 +1389,7 @@ mod tests {
                                 w.locking_script() == txs[parent].outputs[0].script_pubkey
                             })
                             .unwrap();
-                        let c = (
-                            OutPoint {
-                                txid: txs[parent].txid(),
-                                vout: 0,
-                            },
-                            txs[parent].outputs[0].script_pubkey.clone(),
-                            owner,
-                        );
+                        let c = first_out(&txs[parent], owner);
                         let value = txs[parent].outputs[0].value;
                         // Sometimes the child lands *before* its parent.
                         let pos = if rng.gen_bool(0.7) { txs.len() } else { 0 };
@@ -1389,28 +1449,8 @@ mod tests {
             };
             txs.insert(0, coinbase);
             let block = Block::mine(BlockHash::GENESIS_PREV, 0, params.difficulty_bits, txs);
-
-            let oracle = validate_block_by_clone(&block, &base, height, &params);
-            let expected = oracle.as_ref().map(|_| ()).map_err(Clone::clone);
-            for cpus in [1, 2, 4] {
-                // Cold, then warm: the memo never changes a verdict.
-                let memo = SigCache::default();
-                for pass in ["cold", "warm"] {
-                    let verdict = validate_on(cpus, &block, &base, height, &params, &memo);
-                    assert_eq!(verdict, expected, "round {round}, cpus {cpus}, {pass}");
-                }
-            }
-            match oracle {
-                Ok(expected) => {
-                    let mut applied = base.clone();
-                    applied.apply_block(&block.transactions, height).unwrap();
-                    assert_eq!(
-                        sorted_entries(&applied),
-                        sorted_entries(&expected),
-                        "round {round}"
-                    );
-                    accepted += 1;
-                }
+            match check(&format!("round {round}"), &block) {
+                Ok(()) => accepted += 1,
                 Err(BlockError::BadTransaction {
                     error: TxError::ValueOverflow,
                     ..
@@ -1420,6 +1460,37 @@ mod tests {
         }
         assert!(accepted >= 20 && refused >= 40, "{accepted} / {refused}");
         assert!(overflowed >= 5, "{overflowed} refused as overflowing");
+
+        // Three fixed blocks. A three-deep intra-block spend chain: the
+        // middle outputs are created and spent inside the block, so the
+        // undo record holds entries the set never did.
+        let mined = |txs| Block::mine(BlockHash::GENESIS_PREV, 0, params.difficulty_bits, txs);
+        let reward = |fees: u64| {
+            let paid = vec![pay(&wallets[0], params.coinbase_reward + fees)];
+            Transaction::coinbase(height, b"fixed", paid)
+        };
+        let a = spend(coin(&mature, 0), 990, 1);
+        let b = spend(first_out(&a, 1), 980, 2);
+        let c = spend(first_out(&b, 2), 970, 0);
+        let spend_chain = mined(vec![reward(30), a.clone(), b.clone(), c]);
+        assert_eq!(check("spend chain", &spend_chain), Ok(()));
+        // A replayed coinbase in front of a valid spend.
+        let replay = mined(vec![replayable.clone(), a.clone()]);
+        let error = TxError::DuplicateOutput(first_out(&replayable, 0).0);
+        let expected = Err(BlockError::BadTransaction { index: 0, error });
+        assert_eq!(check("replayed coinbase", &replay), expected);
+        // A block that fails mid-way, after its overlay spent a base coin
+        // and created and spent an output of its own.
+        let ghost = OutPoint {
+            txid: TxId([0xee; 32]),
+            vout: 0,
+        };
+        let orphan = spend((ghost, wallets[0].locking_script(), 0), 5, 1);
+        let tail = spend(coin(&mature, 3), 1_000, 2);
+        let broken = mined(vec![reward(20), a, b, orphan, tail]);
+        let error = TxError::MissingInput(ghost);
+        let expected = Err(BlockError::BadTransaction { index: 3, error });
+        assert_eq!(check("fails mid-way", &broken), expected);
     }
 
     #[test]
